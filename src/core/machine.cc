@@ -683,10 +683,6 @@ Machine::onExecDone(sim::CoreId core, rt::TaskId id, sim::Tick dur)
 {
     phases_.add(core, cpu::Phase::Exec, dur);
     taskCycles_.sample(static_cast<double>(dur));
-    if (traceEnabled_) {
-        trace_.record(id, core, eq_.now() - dur, eq_.now(),
-                      graph_.task(id).kernel);
-    }
     if (tbuf_.on(sim::TraceCat::Task)) {
         tbuf_.span(sim::TracePoint::TaskExec,
                    static_cast<std::uint16_t>(core), eq_.now() - dur,
@@ -1206,7 +1202,6 @@ Machine::snapshotState(sim::Snapshot &s)
     s.capture(idleLinked_);
     s.capture(idleHead_);
     s.capture(idleTail_);
-    s.capture(trace_);
     s.capture(tbuf_);
     s.capture(idleCount_);
     s.capture(curRegion_);
@@ -1238,14 +1233,7 @@ void
 Machine::captureWarm(sim::CoreId core, const rt::ReadyTask &task)
 {
     warmSnap_.clear();
-    if (!eq_.snapshotState(warmSnap_)) {
-        // A pending event is not clonable (type-erased lambda shim):
-        // leave warmCaptured_ false so the group degrades to cold
-        // runs. sawFirstExec_ flips right after this, so the capture
-        // is attempted exactly once per run.
-        warmSnap_.clear();
-        return;
-    }
+    eq_.snapshotState(warmSnap_);
     snapshotState(warmSnap_);
     metrics_.snapshotState(warmSnap_);
     resumeCore_ = core;

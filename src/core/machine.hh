@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "core/runtime_model.hh"
-#include "core/task_trace.hh"
 #include "cpu/core.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/phase_stats.hh"
@@ -129,8 +128,7 @@ class Machine
     void armForkCapture() { forkCaptureArmed_ = true; }
 
     /** True when run() captured a restorable warmup/ROI snapshot
-     *  (false for degenerate graphs that never dispatch a task, or
-     *  when a pending event was not clonable). */
+     *  (false for degenerate graphs that never dispatch a task). */
     bool hasWarmSnapshot() const { return warmCaptured_; }
 
     /** True when run() completed and captured a pre-finalize
@@ -159,10 +157,6 @@ class Machine
 
     const cpu::PhaseStats &phases() const { return phases_; }
     const dmu::Dmu *dmuUnit() const { return dmu_.get(); }
-
-    /** Enable/inspect the execution timeline (off by default). */
-    void enableTrace() { traceEnabled_ = true; }
-    const TaskTrace &trace() const { return trace_; }
 
     /**
      * The run's time-resolved trace (armed through
@@ -343,9 +337,6 @@ class Machine
 
     void idlePushBack(sim::CoreId core);
     void idleUnlink(sim::CoreId core);
-
-    TaskTrace trace_;
-    bool traceEnabled_ = false;
 
     /** Time-resolved trace (armed from cfg_.trace; see sim/trace.hh). */
     sim::TraceBuffer tbuf_;

@@ -30,15 +30,6 @@ struct Experiment
     wl::WorkloadParams params{};
     core::RuntimeType runtime = core::RuntimeType::Software;
     cpu::MachineConfig config{};
-
-    /** Deprecated shim for the removed duplicate field; the policy's
-     *  one source of truth is config.scheduler. Read-only so writes
-     *  migrate to config.scheduler (or the spec API, which validates
-     *  the policy name). */
-    [[deprecated("use config.scheduler")]] const std::string &
-    scheduler() const {
-        return config.scheduler;
-    }
 };
 
 /**

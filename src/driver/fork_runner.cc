@@ -68,8 +68,8 @@ ForkGroupRunner::run(const Experiment &exp, const std::string &roi_key,
         return summarize(std::move(mr), *graph_);
     }
 
-    // First member, or graceful degradation: capture may have been
-    // declined (non-clonable pending event) — later members retry
+    // First member, or graceful degradation: the last leg produced no
+    // warm snapshot (it never dispatched a task) — later members retry
     // against whatever snapshots this leg produces.
     return cold(exp, roi_key, trace_out);
 }

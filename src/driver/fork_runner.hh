@@ -19,8 +19,9 @@
  * full metric tree) is bit-for-bit identical to a cold run of the same
  * experiment; test_golden_determinism.cc pins this over every golden
  * configuration. The machine degrades to a cold leg whenever a
- * snapshot is unavailable (non-clonable pending event, incomplete
- * leader), so grouping is always safe, merely sometimes unprofitable.
+ * snapshot is unavailable (a graph that never dispatches a task, an
+ * incomplete leader), so grouping is always safe, merely sometimes
+ * unprofitable.
  */
 
 #ifndef TDM_DRIVER_FORK_RUNNER_HH

@@ -3,9 +3,8 @@
  * Intrusive simulation events.
  *
  * An Event is a schedulable object with a virtual fire() hook and the
- * kernel bookkeeping (tick, sequence number, intrusive link) embedded
- * in the object itself, so scheduling never allocates on the side. Two
- * ownership models coexist:
+ * kernel bookkeeping (tick, sequence number, pool class) embedded in
+ * the object itself. Two ownership models coexist:
  *
  *  - Pool events are allocated from the owning EventQueue's size-class
  *    freelists via EventQueue::make() / post() and are automatically
@@ -16,10 +15,9 @@
  *    queue fires them but never frees them, so they can be members of
  *    a model class and rescheduled from inside fire().
  *
- * BoundEvent is the statically-typed replacement for the old
- * std::function lambdas: it binds a member-function pointer plus its
- * arguments at schedule time and invokes them directly on fire(), with
- * no type erasure and no per-event heap allocation.
+ * BoundEvent binds a member-function pointer plus its arguments at
+ * schedule time and invokes them directly on fire(), with no type
+ * erasure and no per-event heap allocation.
  */
 
 #ifndef TDM_SIM_EVENT_HH
@@ -52,13 +50,8 @@ class Event
     /** Debug name; override for more useful traces. */
     virtual const char *name() const;
 
-    /**
-     * Heap-allocated copy of this event for snapshot images, or
-     * nullptr when the event is not clonable (type-erased payloads).
-     * A non-clonable pending event makes the whole queue state
-     * unsnapshottable and the caller falls back to a cold run.
-     */
-    virtual Event *clone() const { return nullptr; }
+    /** Heap-allocated copy of this event for snapshot images. */
+    virtual Event *clone() const = 0;
 
     /** Tick this event is (or was last) scheduled for. */
     Tick when() const { return when_; }
@@ -72,9 +65,9 @@ class Event
   protected:
     /**
      * Copy for clone(): carries the schedule keys (tick, sequence) so
-     * a restored image replays in the original fire order, but resets
-     * the intrusive link and marks the copy heap-owned — clones live
-     * outside the size-class pools and are freed with plain delete.
+     * a restored image replays in the original fire order, but marks
+     * the copy heap-owned — clones live outside the size-class pools
+     * and are freed with plain delete.
      */
     Event(const Event &other)
         : when_(other.when_), seq_(other.seq_), poolClass_(heapClass)
@@ -93,7 +86,6 @@ class Event
      */
     static constexpr std::uint16_t trivialBit = 0x8000;
 
-    Event *next_ = nullptr; ///< intrusive bucket / freelist link
     Tick when_ = 0;
     std::uint64_t seq_ = 0; ///< schedule order, breaks same-tick ties
     std::uint16_t poolClass_ = notPooled;
@@ -111,6 +103,10 @@ class Event
 template <auto MemFn, typename Owner, typename... Args>
 class BoundEvent final : public Event
 {
+    static_assert((std::is_copy_constructible_v<Args> && ...),
+                  "bound arguments must be copyable so snapshots can "
+                  "clone the event");
+
   public:
     explicit BoundEvent(Owner *owner, Args... args)
         : owner_(owner), args_(std::move(args)...)
@@ -124,14 +120,7 @@ class BoundEvent final : public Event
 
     const char *name() const override { return "bound"; }
 
-    Event *
-    clone() const override
-    {
-        if constexpr ((std::is_copy_constructible_v<Args> && ...))
-            return new BoundEvent(*this);
-        else
-            return nullptr;
-    }
+    Event *clone() const override { return new BoundEvent(*this); }
 
     /**
      * True when recycling the event needs no destructor call — the

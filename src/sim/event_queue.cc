@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 
 #include "sim/logging.hh"
@@ -43,36 +42,11 @@ EventQueue::~EventQueue()
 void
 EventQueue::clearPending()
 {
-    auto drain = [this](std::vector<Bucket> &wheel) {
-        for (Bucket &b : wheel) {
-            Event *ev = b.head;
-            while (ev) {
-                Event *next = ev->next_;
-                ev->scheduled_ = false;
-                retire(ev);
-                ev = next;
-            }
-            b.head = b.tail = nullptr;
-        }
-    };
-    drain(ring_);
-    drain(coarse_);
-    for (const OverflowEntry &e : overflow_) {
+    for (const Entry &e : heap_) {
         e.ev->scheduled_ = false;
         retire(e.ev);
     }
-    overflow_.clear();
-    for (const SmallEntry &e : small_) {
-        e.ev->scheduled_ = false;
-        retire(e.ev);
-    }
-    small_.clear();
-    std::fill(std::begin(occupied_), std::end(occupied_), 0ull);
-    std::fill(std::begin(coarseOccupied_), std::end(coarseOccupied_),
-              0ull);
-    ringCount_ = 0;
-    coarseCount_ = 0;
-    peekValid_ = false;
+    heap_.clear();
 }
 
 void
@@ -85,287 +59,24 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
-    enqueue(ev);
-}
-
-void
-EventQueue::enqueue(Event *ev)
-{
-    if (smallMode_) {
-        if (small_.size() < smallCap) {
-            small_.push_back(SmallEntry{ev->when_, ev->seq_, ev});
-            std::push_heap(small_.begin(), small_.end(), Later{});
-            return;
-        }
-        spillSmall();
-    }
-    // windowBase_ <= curTick_ <= ev->when_ holds outside of the
-    // extract path, so these subtractions cannot underflow.
-    if (ev->when_ < nearHorizon_) {
-        insertRing(ev);
-    } else if (ev->when_ - nearHorizon_ < coarseSpan) {
-        // Coarse bands are unsorted O(1) appends; order is recovered
-        // by the sorted ring insert at migration time.
-        std::size_t idx = bandOf(ev->when_);
-        Bucket &b = coarse_[idx];
-        ev->next_ = nullptr;
-        if (!b.head) {
-            b.head = b.tail = ev;
-            coarseOccupied_[idx >> 6] |= 1ull << (idx & 63);
-        } else {
-            b.tail->next_ = ev;
-            b.tail = ev;
-        }
-        ++coarseCount_;
-    } else {
-        ev->next_ = nullptr;
-        overflow_.push_back(OverflowEntry{ev->when_, ev->seq_, ev});
-        std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-    }
-}
-
-void
-EventQueue::spillSmall()
-{
-    // The calendar has been idle since the queue last drained (or
-    // since construction): its window may trail the clock arbitrarily.
-    // Catch it up first — cheap, because with an empty calendar the
-    // horizon slide is a pure bitmap skip — then route every held
-    // event through normal enqueueing.
-    smallMode_ = false;
-    advanceWindowTo(curTick_);
-    std::vector<SmallEntry> held;
-    held.swap(small_);
-    for (const SmallEntry &e : held)
-        enqueue(e.ev);
-}
-
-void
-EventQueue::insertRing(Event *ev)
-{
-    // Every ring event must lie inside the near window: the bucket
-    // index is time-unique only over [windowBase_, windowBase_ +
-    // windowSpan), and nextPendingTick() relies on "first occupied
-    // bucket == global minimum". A violation here means a tier
-    // migration routed an event into the wrong generation.
-    SIM_ASSERT(ev->when_ >= windowBase_
-                   && ev->when_ - windowBase_ < windowSpan,
-               "tick ", ev->when_, " outside near window [", windowBase_,
-               ", ", windowBase_ + windowSpan, ")");
-    peekValid_ = false;
-    std::size_t idx = bucketOf(ev->when_);
-    Bucket &b = ring_[idx];
-    if (!b.head) {
-        ev->next_ = nullptr;
-        b.head = b.tail = ev;
-        occupied_[idx >> 6] |= 1ull << (idx & 63);
-    } else if (!before(ev, b.tail)) {
-        // Monotone schedules (the common case) append in O(1).
-        ev->next_ = nullptr;
-        b.tail->next_ = ev;
-        b.tail = ev;
-    } else if (before(ev, b.head)) {
-        ev->next_ = b.head;
-        b.head = ev;
-    } else {
-        Event *p = b.head;
-        while (!before(ev, p->next_))
-            p = p->next_;
-        ev->next_ = p->next_;
-        p->next_ = ev;
-    }
-    ++ringCount_;
-}
-
-void
-EventQueue::advanceWindowTo(Tick t)
-{
-    Tick new_base = (t >> bucketShift) << bucketShift;
-    if (new_base <= windowBase_)
-        return;
-    windowBase_ = new_base;
-    Tick new_h = ((new_base + windowSpan) >> coarseShift) << coarseShift;
-    if (new_h > nearHorizon_)
-        slideHorizon(new_h);
-}
-
-void
-EventQueue::slideHorizon(Tick new_h)
-{
-    // Migrate whole coarse bands the horizon passed over. Bands are
-    // single-generation (the coarse span exactly covers the wheel), so
-    // every chained event lies in [band start, band start + width).
-    // Empty stretches are skipped via the occupancy bitmap, keeping a
-    // horizon jump O(occupied bands), not O(tick distance) — a lone
-    // event scheduled eons ahead must not make run() sweep the gap.
-    while (coarseCount_ > 0 && nearHorizon_ < new_h) {
-        std::size_t start = bandOf(nearHorizon_);
-        std::size_t idx = nextSetBit(coarseOccupied_, start);
-        Tick band_start =
-            nearHorizon_ + (static_cast<Tick>((idx - start) & coarseMask)
-                            << coarseShift);
-        if (band_start >= new_h)
-            break; // next occupied band is beyond the target horizon
-        Event *ev = coarse_[idx].head;
-        coarse_[idx].head = coarse_[idx].tail = nullptr;
-        coarseOccupied_[idx >> 6] &= ~(1ull << (idx & 63));
-        while (ev) {
-            Event *next = ev->next_;
-            insertRing(ev);
-            --coarseCount_;
-            ev = next;
-        }
-        nearHorizon_ = band_start + coarseWidth;
-    }
-    nearHorizon_ = new_h;
-    // Far-heap events the horizon passed over go straight into the
-    // near ring; everything else stays heaped, even once it falls
-    // inside the coarse span. The wheel is never an intermediate hop
-    // for heap events (lazy migration): each pays one heap pop and one
-    // ring insert total, and a horizon slide touches only the events
-    // it actually uncovers instead of a coarse-span lookahead.
-    // extractNext() and nextPendingTick() merge the heap with the
-    // first coarse band on demand, so the relaxed invariant is just
-    // "heap top >= nearHorizon_".
-    while (!overflow_.empty() && overflow_.front().when < nearHorizon_) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-        Event *ev = overflow_.back().ev;
-        overflow_.pop_back();
-        insertRing(ev);
-    }
-}
-
-void
-EventQueue::pullCoarse()
-{
-    // The near ring is empty: jump the window (never the clock) to the
-    // first non-empty coarse band and migrate it in.
-    std::size_t start = bandOf(nearHorizon_);
-    std::size_t idx = nextSetBit(coarseOccupied_, start);
-    Tick band_start = nearHorizon_
-                    + (static_cast<Tick>((idx - start) & coarseMask)
-                       << coarseShift);
-    windowBase_ = band_start; // band-aligned, hence bucket-aligned
-    nearHorizon_ = band_start;
-    slideHorizon(band_start + windowSpan);
-}
-
-Tick
-EventQueue::nextPendingTick() const
-{
-    if (smallMode_)
-        return small_.empty() ? maxTick : small_.front().when;
-    if (ringCount_ > 0) {
-        // All ring events lie in [windowBase_, nearHorizon_), a range
-        // the ring maps to distinct buckets in time order, so the
-        // first occupied bucket's head is the global minimum (coarse
-        // and far events are at or beyond the horizon by invariant).
-        Tick from = curTick_ > windowBase_ ? curTick_ : windowBase_;
-        std::size_t idx = nextSetBit(occupied_, bucketOf(from));
-        peekIdx_ = idx;
-        peekValid_ = true;
-        return ring_[idx].head->when_;
-    }
-    if (coarseCount_ > 0) {
-        // First non-empty band; its unsorted chain needs a min-scan.
-        std::size_t idx = nextSetBit(coarseOccupied_,
-                                     bandOf(nearHorizon_));
-        Tick min = maxTick;
-        for (Event *ev = coarse_[idx].head; ev; ev = ev->next_) {
-            if (ev->when_ < min)
-                min = ev->when_;
-        }
-        // Lazily migrated far-heap events may precede the first band.
-        if (!overflow_.empty() && overflow_.front().when < min)
-            min = overflow_.front().when;
-        return min;
-    }
-    if (!overflow_.empty())
-        return overflow_.front().when;
-    return maxTick;
+    heap_.push_back(Entry{ev->when_, ev->seq_, ev});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 Event *
-EventQueue::extractNext()
+EventQueue::pop()
 {
-    if (smallMode_) {
-        std::pop_heap(small_.begin(), small_.end(), Later{});
-        Event *ev = small_.back().ev;
-        small_.pop_back();
-        ev->next_ = nullptr;
-        return ev;
-    }
-    if (ringCount_ == 0) {
-        bool pop_heap = coarseCount_ == 0;
-        if (!pop_heap && !overflow_.empty()) {
-            // The heap may now hold events earlier than the first
-            // coarse band (lazy migration). Strictly earlier means no
-            // (tick, seq) tie with any band event is possible — band
-            // events are all >= band_start — so the top pops directly.
-            // An equal tick must instead merge through the ring, where
-            // the sorted insert settles seq order.
-            std::size_t start = bandOf(nearHorizon_);
-            std::size_t idx = nextSetBit(coarseOccupied_, start);
-            Tick band_start =
-                nearHorizon_ + (static_cast<Tick>((idx - start)
-                                                  & coarseMask)
-                                << coarseShift);
-            pop_heap = overflow_.front().when < band_start;
-        }
-        if (pop_heap) {
-            // The heap top is the global minimum. The window catches
-            // up when the event fires.
-            std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-            Event *ev = overflow_.back().ev;
-            overflow_.pop_back();
-            ev->next_ = nullptr;
-            return ev;
-        }
-        pullCoarse();
-    }
-    std::size_t idx;
-    if (peekValid_) {
-        idx = peekIdx_;
-        peekValid_ = false;
-    } else {
-        Tick from = curTick_ > windowBase_ ? curTick_ : windowBase_;
-        idx = nextSetBit(occupied_, bucketOf(from));
-    }
-    Bucket &b = ring_[idx];
-    Event *ev = b.head;
-    b.head = ev->next_;
-    if (!b.head) {
-        b.tail = nullptr;
-        occupied_[idx >> 6] &= ~(1ull << (idx & 63));
-    }
-    ev->next_ = nullptr;
-    --ringCount_;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event *ev = heap_.back().ev;
+    heap_.pop_back();
     return ev;
 }
 
-template <std::size_t Words>
-std::size_t
-EventQueue::nextSetBit(const std::uint64_t (&bits)[Words],
-                       std::size_t start)
-{
-    std::size_t word = start >> 6;
-    std::uint64_t w = bits[word] & (~0ull << (start & 63));
-    for (std::size_t i = 0; i <= Words; ++i) {
-        if (w)
-            return (word << 6)
-                 + static_cast<std::size_t>(std::countr_zero(w));
-        word = (word + 1) & (Words - 1);
-        w = bits[word];
-    }
-    panic("event wheel bitmap inconsistent with its count");
-}
-
 void
-EventQueue::fireExtracted(Event *ev)
+EventQueue::fire(Event *ev)
 {
-    // The determinism contract: extraction surfaces events in strictly
-    // increasing (tick, seq) order regardless of the tier (near ring,
-    // coarse band, far heap) each one migrated through.
+    // The determinism contract: events fire in strictly increasing
+    // (tick, seq) order.
     SIM_ASSERT(ev->when_ >= curTick_, "event at tick ", ev->when_,
                " fired with clock already at ", curTick_);
 #if SIM_INVARIANTS_ENABLED
@@ -380,21 +91,14 @@ EventQueue::fireExtracted(Event *ev)
     anyFired_ = true;
 #endif
     curTick_ = ev->when_;
-    if (!smallMode_)
-        advanceWindowTo(curTick_);
     ++executed_;
     ev->scheduled_ = false;
     ev->fire();
     // fire() may have rescheduled the event (self-re-arming pattern);
-    // a pooled event that did so is still linked in the queue and must
-    // not be recycled yet — it retires after its final firing.
+    // a pooled event that did so is still in the heap and must not be
+    // recycled yet — it retires after its final firing.
     if (!ev->scheduled_)
         retire(ev);
-    // Hybrid hysteresis: the calendar re-enters the flat-heap fast
-    // path only when it drains completely, so long runs spill at most
-    // once.
-    if (!smallMode_ && pending() == 0)
-        smallMode_ = true;
 }
 
 bool
@@ -402,31 +106,25 @@ EventQueue::step()
 {
     if (empty())
         return false;
-    fireExtracted(extractNext());
+    fire(pop());
     return true;
 }
 
 Tick
 EventQueue::run(Tick limit)
 {
-    for (;;) {
-        Tick next = nextPendingTick();
-        if (next == maxTick) {
-            // Drained: the clock stays at the last executed event.
-            return curTick_;
-        }
-        if (next > limit) {
+    while (!heap_.empty()) {
+        if (heap_.front().when > limit) {
             // Stop at the horizon: advance the clock to exactly
             // `limit` — never backwards.
-            peekValid_ = false;
-            if (limit > curTick_) {
+            if (limit > curTick_)
                 curTick_ = limit;
-                advanceWindowTo(limit);
-            }
             return curTick_;
         }
-        fireExtracted(extractNext());
+        fire(pop());
     }
+    // Drained: the clock stays at the last executed event.
+    return curTick_;
 }
 
 void
@@ -468,12 +166,6 @@ EventQueue::releaseRaw(void *mem, std::size_t cls)
     freeLists_[cls] = mem;
 }
 
-void
-EventQueue::scheduleAt(Tick when, EventFn fn)
-{
-    schedule(make<LambdaEvent>(std::move(fn)), when);
-}
-
 /**
  * Restorable image of a queue: heap-owned clones of every pending
  * event (kept as masters and re-cloned on each restore, so one image
@@ -485,9 +177,6 @@ struct EventQueue::QueueImage
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
-    Tick windowBase = 0;
-    Tick nearHorizon = 0;
-    bool smallMode = true;
 #if SIM_INVARIANTS_ENABLED
     Tick lastFiredWhen = 0;
     std::uint64_t lastFiredSeq = 0;
@@ -495,51 +184,22 @@ struct EventQueue::QueueImage
 #endif
 };
 
-bool
+void
 EventQueue::snapshotState(Snapshot &s)
 {
     auto img = std::make_shared<QueueImage>();
-    img->masters.reserve(pending());
-    bool ok = true;
-    auto cloneOne = [&](Event *ev) {
-        Event *copy = ev->clone();
-        if (!copy) {
-            ok = false;
-            return;
-        }
-        img->masters.emplace_back(copy);
-    };
-    for (const Bucket &b : ring_)
-        for (Event *ev = b.head; ok && ev; ev = ev->next_)
-            cloneOne(ev);
-    for (const Bucket &b : coarse_)
-        for (Event *ev = b.head; ok && ev; ev = ev->next_)
-            cloneOne(ev);
-    for (const OverflowEntry &e : overflow_) {
-        if (!ok)
-            break;
-        cloneOne(e.ev);
-    }
-    for (const SmallEntry &e : small_) {
-        if (!ok)
-            break;
-        cloneOne(e.ev);
-    }
-    if (!ok)
-        return false; // a pending event is not clonable: cold run
+    img->masters.reserve(heap_.size());
+    for (const Entry &e : heap_)
+        img->masters.emplace_back(e.ev->clone());
     img->curTick = curTick_;
     img->nextSeq = nextSeq_;
     img->executed = executed_;
-    img->windowBase = windowBase_;
-    img->nearHorizon = nearHorizon_;
-    img->smallMode = smallMode_;
 #if SIM_INVARIANTS_ENABLED
     img->lastFiredWhen = lastFiredWhen_;
     img->lastFiredSeq = lastFiredSeq_;
     img->anyFired = anyFired_;
 #endif
     s.captureCustom([this, img] { restoreState(*img); });
-    return true;
 }
 
 void
@@ -549,32 +209,19 @@ EventQueue::restoreState(const QueueImage &img)
     curTick_ = img.curTick;
     nextSeq_ = img.nextSeq;
     executed_ = img.executed;
-    windowBase_ = img.windowBase;
-    nearHorizon_ = img.nearHorizon;
-    smallMode_ = img.smallMode;
 #if SIM_INVARIANTS_ENABLED
     lastFiredWhen_ = img.lastFiredWhen;
     lastFiredSeq_ = img.lastFiredSeq;
     anyFired_ = img.anyFired;
 #endif
-    // Re-clone each master into a live scheduled event. The clone
-    // carries the original (tick, seq) key, so routing through the
-    // restored window geometry reproduces the original fire order
-    // exactly: the ring sorts on insert, coarse bands recover order at
-    // migration, and both heaps order by the inline key.
+    // Each clone carries its master's original (tick, seq) key, so the
+    // rebuilt heap reproduces the original fire order exactly.
     for (const auto &master : img.masters) {
         Event *ev = master->clone();
-        if (!ev)
-            panic("snapshot master event lost its clonability");
         ev->scheduled_ = true;
-        if (smallMode_) {
-            small_.push_back(SmallEntry{ev->when_, ev->seq_, ev});
-        } else {
-            enqueue(ev);
-        }
+        heap_.push_back(Entry{ev->when_, ev->seq_, ev});
     }
-    if (smallMode_)
-        std::make_heap(small_.begin(), small_.end(), Later{});
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 } // namespace tdm::sim

@@ -5,49 +5,15 @@
  * Events are ordered first by tick and then by schedule sequence, so
  * simulations are bit-reproducible regardless of container internals.
  *
- * The kernel is a three-level hierarchical calendar over intrusive
- * Event objects:
- *
- *  - Near ring: `numBuckets` buckets of `2^bucketShift` ticks each,
- *    covering [windowBase, nearHorizon). Buckets are intrusive singly
- *    linked lists kept sorted by (tick, seq); the common monotone
- *    schedule pattern appends at the tail in O(1). A per-bucket
- *    occupancy bitmap makes "find next non-empty bucket" a couple of
- *    word scans.
- *  - Coarse wheel: `numCoarse` bands of `2^coarseShift` ticks covering
- *    the next ~2M ticks past the near horizon. Bands are unsorted
- *    append-only chains (O(1) insert); when the near window slides
- *    over a band, its events are sort-inserted into the near ring.
- *    The near horizon is kept band-aligned so bands always migrate
- *    whole.
- *  - Far heap: a binary min-heap of (tick, seq, event) triples for
- *    events scheduled beyond the coarse span; entries replicate the
- *    key so heap sifts never dereference events. Heap events migrate
- *    lazily: they stay heaped until the near horizon passes them and
- *    then drop straight into the ring, never transiting the coarse
- *    wheel. The heap may therefore overlap the coarse span in time
- *    (only "heap top >= nearHorizon" is invariant); extraction and
- *    peeking merge the heap with the first coarse band on demand.
- *
- * Small-pending hybrid: below `smallCap` pending events the calendar
- * is bypassed entirely in favor of a flat inline-key binary heap,
- * which skips window maintenance while the pending set is tiny
- * (startup trickles, drain tails, idle service queues). The cap is
- * deliberately below sustained working-set sizes — a few dozen
- * concurrent events is already calendar territory, where O(1) bucket
- * inserts beat heap sifts even for far-future shapes. The queue
- * starts in small mode, spills into the calendar the first time an
- * insert would exceed the cap, and re-enters small mode only when it
- * drains completely — maximal hysteresis, so steady-state large
- * simulations pay one spill total.
- * Fire order is governed by the same strict (tick, seq) key in both
- * structures, so the hybrid is bit-for-bit invisible to models.
+ * The pending set is one binary min-heap (std::push_heap/pop_heap) of
+ * inline-key entries: each entry replicates its event's (tick, seq)
+ * next to the pointer, so heap sifts compare without dereferencing
+ * events. The machine keeps at most about one event pending per core,
+ * so the heap stays small and needs no tiering.
  *
  * Pool-allocated events (EventQueue::make() / post()) are recycled
  * through per-size-class freelists after they fire, so a steady-state
- * simulation performs no per-event heap allocation. The legacy
- * scheduleAt(Tick, EventFn) std::function shim remains for cold
- * callers (workloads, tests); it wraps the callback in a pooled event.
+ * simulation performs no per-event heap allocation.
  *
  * run(limit) end-time semantics (regression-tested):
  *  - every event with when <= limit fires;
@@ -63,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -75,9 +40,6 @@
 namespace tdm::sim {
 
 class Snapshot;
-
-/** Callback type of the compatibility shim. */
-using EventFn = std::function<void()>;
 
 /**
  * A deterministic event-driven simulator kernel.
@@ -96,7 +58,7 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return curTick_; }
 
-    // ---- typed, pooled scheduling (hot path) -----------------------
+    // ---- typed, pooled scheduling ----------------------------------
 
     /**
      * Allocate a pooled event of type @p T. The event is destroyed and
@@ -132,8 +94,8 @@ class EventQueue
 
     /**
      * Schedule `(owner->*MemFn)(args...)` at absolute tick @p when via
-     * a pooled BoundEvent. This is the hot-path replacement for the
-     * lambda shim: statically typed, no type erasure, recycled memory.
+     * a pooled BoundEvent: statically typed, no type erasure, recycled
+     * memory.
      */
     template <auto MemFn, typename Owner, typename... Args>
     void
@@ -158,16 +120,6 @@ class EventQueue
      */
     void schedule(Event *ev, Tick when);
 
-    // ---- std::function compatibility shim (cold callers) -----------
-
-    /** Schedule @p fn to run at absolute tick @p when (>= now). */
-    void scheduleAt(Tick when, EventFn fn);
-
-    /** Schedule @p fn to run @p delay ticks from now. */
-    void scheduleIn(Tick delay, EventFn fn) {
-        scheduleAt(curTick_ + delay, std::move(fn));
-    }
-
     // ---- execution -------------------------------------------------
 
     /**
@@ -181,26 +133,19 @@ class EventQueue
     bool step();
 
     /** Number of pending events. */
-    std::size_t
-    pending() const
-    {
-        return small_.size() + ringCount_ + coarseCount_
-             + overflow_.size();
-    }
+    std::size_t pending() const { return heap_.size(); }
 
     // ---- warm-start snapshots --------------------------------------
 
     /**
      * Capture the queue's complete state (clock, sequence counter, and
      * a cloned image of every pending event) into @p s, restorable any
-     * number of times. Returns false — capturing nothing — when a
-     * pending event is not clonable (type-erased lambda payloads);
-     * callers then fall back to a cold run.
+     * number of times.
      */
-    bool snapshotState(Snapshot &s);
+    void snapshotState(Snapshot &s);
 
     /** True when no events remain. */
-    bool empty() const { return pending() == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
@@ -212,101 +157,30 @@ class EventQueue
     std::uint64_t poolFresh() const { return poolFresh_; }
 
   private:
-    // ---- calendar geometry ----
-    static constexpr unsigned bucketShift = 6;  ///< 64-tick buckets
-    static constexpr unsigned bucketBits = 9;   ///< 512 buckets
-    static constexpr std::size_t numBuckets = 1u << bucketBits;
-    static constexpr std::size_t bucketMask = numBuckets - 1;
-    static constexpr Tick windowSpan = static_cast<Tick>(numBuckets)
-                                       << bucketShift; // 32768 ticks
-
-    static constexpr unsigned coarseShift = 12; ///< 4096-tick bands
-    static constexpr unsigned coarseBits = 9;   ///< 512 bands
-    static constexpr std::size_t numCoarse = 1u << coarseBits;
-    static constexpr std::size_t coarseMask = numCoarse - 1;
-    static constexpr Tick coarseWidth = Tick{1} << coarseShift;
-    static constexpr Tick coarseSpan = static_cast<Tick>(numCoarse)
-                                       << coarseShift; // ~2.1M ticks
-
-    struct Bucket
+    /** Heap entry: the event's ordering key replicated inline. */
+    struct Entry
     {
-        Event *head = nullptr;
-        Event *tail = nullptr;
+        Tick when = 0;
+        std::uint64_t seq = 0;
+        Event *ev = nullptr;
     };
 
-    /** Strict (tick, seq) order. */
-    static bool
-    before(const Event *a, const Event *b)
-    {
-        if (a->when_ != b->when_)
-            return a->when_ < b->when_;
-        return a->seq_ < b->seq_;
-    }
-
-    std::size_t bucketOf(Tick t) const {
-        return (t >> bucketShift) & bucketMask;
-    }
-    std::size_t bandOf(Tick t) const {
-        return (t >> coarseShift) & coarseMask;
-    }
-
-    /** Route @p ev (fields already stamped) to ring/coarse/heap. */
-    void enqueue(Event *ev);
-
-    /** Sorted-insert @p ev into its window bucket (O(1) when monotone). */
-    void insertRing(Event *ev);
-
-    /**
-     * Slide the near window base to cover @p t; migrates coarse bands
-     * the horizon passed over into the ring and far-heap events that
-     * entered the coarse span into the wheel.
-     */
-    void advanceWindowTo(Tick t);
-
-    /** Migrate coarse bands / heap entries up to horizon @p new_h. */
-    void slideHorizon(Tick new_h);
-
-    /**
-     * Jump the near window (not the clock) forward to the first
-     * non-empty coarse band and migrate it into the ring. Pre:
-     * ringCount_ == 0 && coarseCount_ > 0. Post: ringCount_ > 0.
-     */
-    void pullCoarse();
-
-    /**
-     * Tick of the earliest pending event (maxTick if none) without
-     * structural mutation.
-     */
-    Tick nextPendingTick() const;
-
-    /**
-     * Unlink and return the earliest pending event. Pre: not empty.
-     * May jump the window (never the clock) to reach coarse events.
-     */
-    Event *extractNext();
+    /** Unlink and return the earliest pending event. Pre: not empty. */
+    Event *pop();
 
     /** Advance the clock to @p ev, fire it, and recycle it. */
-    void fireExtracted(Event *ev);
+    void fire(Event *ev);
 
     /** Destroy a fired/cancelled event according to its ownership. */
     void retire(Event *ev);
 
-    /** Retire every pending event and reset all pending structures. */
+    /** Retire every pending event. */
     void clearPending();
-
-    /** Leave small mode: catch the calendar window up to the clock and
-     *  route the flat heap's events through normal enqueueing. */
-    void spillSmall();
 
     struct QueueImage; ///< cloned pending set + scalar state (.cc)
 
     /** Replace all queue state with a previously captured image. */
     void restoreState(const QueueImage &img);
-
-    /** First set bit at/after @p start in @p bits (wrapping scan). */
-    template <std::size_t Words>
-    static std::size_t nextSetBit(const std::uint64_t (&bits)[Words],
-                                  std::size_t start);
 
     // ---- pool ----
     static constexpr std::size_t classGrain = 16;
@@ -324,61 +198,7 @@ class EventQueue
     void *allocRaw(std::size_t cls, std::size_t bytes);
     void releaseRaw(void *mem, std::size_t cls);
 
-    /**
-     * Far-heap entry: the ordering key is replicated next to the
-     * pointer so heap sifts compare without dereferencing the event.
-     */
-    struct OverflowEntry
-    {
-        Tick when = 0;
-        std::uint64_t seq = 0;
-        Event *ev = nullptr;
-    };
-
-    static constexpr std::size_t numWords = numBuckets / 64;
-    static constexpr std::size_t numCoarseWords = numCoarse / 64;
-
-    std::vector<Bucket> ring_ = std::vector<Bucket>(numBuckets);
-    std::vector<Bucket> coarse_ = std::vector<Bucket>(numCoarse);
-    std::vector<OverflowEntry> overflow_; ///< min-heap by (tick, seq)
-    std::size_t ringCount_ = 0;
-    std::size_t coarseCount_ = 0;
-
-    // ---- small-pending flat heap ----
-    /** Pending count below which the calendar is bypassed. Must stay
-     *  below sustained working-set sizes (the 64-actor microbench
-     *  showed the calendar ~1.8x faster than the flat heap once the
-     *  pending set camps at 64). */
-    static constexpr std::size_t smallCap = 32;
-
-    /** Inline-key entry of the small-mode heap (same layout trick as
-     *  OverflowEntry: sifts never dereference the event). */
-    struct SmallEntry
-    {
-        Tick when = 0;
-        std::uint64_t seq = 0;
-        Event *ev = nullptr;
-    };
-
-    /** True while all pending events live in small_ (calendar empty). */
-    bool smallMode_ = true;
-    std::vector<SmallEntry> small_; ///< min-heap by (tick, seq)
-
-    Tick windowBase_ = 0;
-    /** Band-aligned end of the near window / start of the coarse span. */
-    Tick nearHorizon_ = windowSpan;
-
-    /** One bit per bucket/band: set iff non-empty. */
-    std::uint64_t occupied_[numWords] = {};
-    std::uint64_t coarseOccupied_[numCoarseWords] = {};
-
-    /**
-     * One-slot peek cache: the ring bucket found by nextPendingTick(),
-     * consumed by the immediately following extractNext(). Invalidated
-     * by any ring insert.
-     */
-    mutable bool peekValid_ = false;
-    mutable std::size_t peekIdx_ = 0;
+    std::vector<Entry> heap_; ///< min-heap by (tick, seq)
 
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
@@ -391,26 +211,14 @@ class EventQueue
 #if SIM_INVARIANTS_ENABLED
     /**
      * Last fired (tick, seq) key: the determinism contract is that the
-     * fire order is strictly increasing lexicographically no matter
-     * which tier (ring / coarse band / far heap) an event migrated
-     * through. Debug/sanitizer builds re-verify this at every fire.
+     * fire order is strictly increasing lexicographically, across
+     * snapshot restores included. Debug/sanitizer builds re-verify
+     * this at every fire.
      */
     Tick lastFiredWhen_ = 0;
     std::uint64_t lastFiredSeq_ = 0;
     bool anyFired_ = false;
 #endif
-};
-
-/** Pooled wrapper firing a type-erased std::function (compat shim). */
-class LambdaEvent final : public Event
-{
-  public:
-    explicit LambdaEvent(EventFn fn) : fn_(std::move(fn)) {}
-    void fire() override { fn_(); }
-    const char *name() const override { return "lambda"; }
-
-  private:
-    EventFn fn_;
 };
 
 } // namespace tdm::sim

@@ -1,11 +1,8 @@
 #include "sim/stats.hh"
 
 #include <cmath>
-#include <iomanip>
-#include <stdexcept>
 
 #include "sim/logging.hh"
-#include "sim/suggest.hh"
 
 namespace tdm::sim {
 
@@ -70,97 +67,6 @@ Distribution::reset()
     sum_ = sumSq_ = 0.0;
     min_ = max_ = 0.0;
     count_ = 0;
-}
-
-void
-StatGroup::addScalar(const std::string &n, const Scalar *s,
-                     const std::string &desc)
-{
-    items_[n] = Item{Kind::ScalarK, s, desc};
-}
-
-void
-StatGroup::addAverage(const std::string &n, const Average *a,
-                      const std::string &desc)
-{
-    items_[n] = Item{Kind::AverageK, a, desc};
-}
-
-void
-StatGroup::addDistribution(const std::string &n, const Distribution *d,
-                           const std::string &desc)
-{
-    items_[n] = Item{Kind::DistK, d, desc};
-}
-
-void
-StatGroup::addFormula(const std::string &n, const Formula *f,
-                      const std::string &desc)
-{
-    items_[n] = Item{Kind::FormulaK, f, desc};
-}
-
-bool
-StatGroup::contains(const std::string &n) const
-{
-    return items_.count(n) != 0;
-}
-
-double
-StatGroup::lookup(const std::string &n) const
-{
-    auto it = items_.find(n);
-    if (it == items_.end()) {
-        std::vector<std::string> names;
-        names.reserve(items_.size());
-        for (const auto &[k, item] : items_)
-            names.push_back(k);
-        throw std::out_of_range("stat group '" + name_
-                                + "': unknown stat '" + n + "'"
-                                + suggestHint(n, names));
-    }
-    switch (it->second.kind) {
-      case Kind::ScalarK:
-        return static_cast<const Scalar *>(it->second.ptr)->value();
-      case Kind::AverageK:
-        return static_cast<const Average *>(it->second.ptr)->mean();
-      case Kind::DistK:
-        return static_cast<const Distribution *>(it->second.ptr)->mean();
-      case Kind::FormulaK:
-        return static_cast<const Formula *>(it->second.ptr)->value();
-    }
-    return 0.0;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[n, item] : items_) {
-        os << name_ << '.' << n << ' ';
-        switch (item.kind) {
-          case Kind::ScalarK:
-            os << static_cast<const Scalar *>(item.ptr)->value();
-            break;
-          case Kind::AverageK: {
-            auto *a = static_cast<const Average *>(item.ptr);
-            os << a->mean() << " (n=" << a->count() << ')';
-            break;
-          }
-          case Kind::DistK: {
-            auto *d = static_cast<const Distribution *>(item.ptr);
-            os << "mean=" << d->mean() << " stdev=" << d->stdev()
-               << " min=" << d->minSample() << " max=" << d->maxSample()
-               << " (n=" << d->count() << ')';
-            break;
-          }
-          case Kind::FormulaK:
-            os << static_cast<const Formula *>(item.ptr)->value();
-            break;
-        }
-        if (!item.desc.empty())
-            os << " # " << item.desc;
-        os << '\n';
-    }
 }
 
 } // namespace tdm::sim

@@ -1,12 +1,10 @@
 /**
  * @file
- * Lightweight statistics package, loosely modelled on gem5's.
- *
- * Stats are named values registered with a StatGroup. A group can dump
- * all of its stats to a stream. Supported kinds: Scalar (counter /
+ * Statistic value types, loosely modelled on gem5's: Scalar (counter /
  * accumulator), Average (mean of samples), Distribution (fixed-width
  * histogram plus moments), and Formula (lazily evaluated function of
- * other stats).
+ * other stats). Components own these values and register them by name
+ * with the metric registry (sim/metrics.hh).
  */
 
 #ifndef TDM_SIM_STATS_HH
@@ -14,14 +12,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace tdm::sim {
-
-class StatGroup;
 
 /** A named scalar accumulator. */
 class Scalar
@@ -106,55 +99,6 @@ class Formula
 
   private:
     std::function<double()> fn_;
-};
-
-/**
- * A named collection of stats; owns nothing, registers pointers.
- *
- * Groups are the unit of dumping; nesting is expressed through dotted
- * names ("dmu.tat.hits").
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    const std::string &name() const { return name_; }
-
-    void addScalar(const std::string &n, const Scalar *s,
-                   const std::string &desc = "");
-    void addAverage(const std::string &n, const Average *a,
-                    const std::string &desc = "");
-    void addDistribution(const std::string &n, const Distribution *d,
-                         const std::string &desc = "");
-    void addFormula(const std::string &n, const Formula *f,
-                    const std::string &desc = "");
-
-    /**
-     * Look up a stat's current value by name. An unknown name throws
-     * std::out_of_range naming the closest registered stats (it used
-     * to return a silent 0, which made typos read as idle hardware).
-     */
-    double lookup(const std::string &n) const;
-
-    /** True if a stat with this name is registered. */
-    bool contains(const std::string &n) const;
-
-    /** Write "name value # desc" lines, gem5 stats.txt style. */
-    void dump(std::ostream &os) const;
-
-  private:
-    enum class Kind { ScalarK, AverageK, DistK, FormulaK };
-
-    struct Item
-    {
-        Kind kind;
-        const void *ptr;
-        std::string desc;
-    };
-
-    std::string name_;
-    std::map<std::string, Item> items_;
 };
 
 } // namespace tdm::sim

@@ -12,6 +12,45 @@
 
 using namespace tdm;
 
+namespace {
+
+/** Target of typed test events: logs what fired and when. */
+struct Recorder
+{
+    explicit Recorder(sim::EventQueue *q) : eq(q) {}
+
+    sim::EventQueue *eq;
+    std::vector<int> order;
+    std::vector<sim::Tick> ticks;
+
+    void
+    mark(int v)
+    {
+        order.push_back(v);
+        ticks.push_back(eq->now());
+    }
+
+    void nop() {}
+
+    /** Mark @p v now, then again @p left - 1 more times 10 ticks apart. */
+    void
+    chain(int v, int left)
+    {
+        mark(v);
+        if (left > 1)
+            eq->postIn<&Recorder::chain>(10, this, v + 1, left - 1);
+    }
+
+    /** Schedule a mark of @p v @p delay ticks from now. */
+    void
+    markIn(sim::Tick delay, int v)
+    {
+        eq->postIn<&Recorder::mark>(delay, this, v);
+    }
+};
+
+} // namespace
+
 TEST(EventQueue, StartsAtZero)
 {
     sim::EventQueue eq;
@@ -22,62 +61,57 @@ TEST(EventQueue, StartsAtZero)
 TEST(EventQueue, ExecutesInTimeOrder)
 {
     sim::EventQueue eq;
-    std::vector<int> order;
-    eq.scheduleAt(30, [&] { order.push_back(3); });
-    eq.scheduleAt(10, [&] { order.push_back(1); });
-    eq.scheduleAt(20, [&] { order.push_back(2); });
+    Recorder r{&eq};
+    eq.post<&Recorder::mark>(30, &r, 3);
+    eq.post<&Recorder::mark>(10, &r, 1);
+    eq.post<&Recorder::mark>(20, &r, 2);
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 30u);
 }
 
 TEST(EventQueue, TiesFireInScheduleOrder)
 {
     sim::EventQueue eq;
-    std::vector<int> order;
+    Recorder r{&eq};
     for (int i = 0; i < 10; ++i)
-        eq.scheduleAt(5, [&order, i] { order.push_back(i); });
+        eq.post<&Recorder::mark>(5, &r, i);
     eq.run();
     for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(order[i], i);
+        EXPECT_EQ(r.order[i], i);
 }
 
-TEST(EventQueue, ScheduleInUsesRelativeDelay)
+TEST(EventQueue, PostInUsesRelativeDelay)
 {
     sim::EventQueue eq;
-    sim::Tick seen = 0;
-    eq.scheduleAt(100, [&] {
-        eq.scheduleIn(50, [&] { seen = eq.now(); });
-    });
+    Recorder r{&eq};
+    eq.post<&Recorder::markIn>(100, &r, sim::Tick{50}, 7);
     eq.run();
-    EXPECT_EQ(seen, 150u);
+    EXPECT_EQ(r.order, (std::vector<int>{7}));
+    EXPECT_EQ(r.ticks, (std::vector<sim::Tick>{150}));
 }
 
 TEST(EventQueue, EventsCanScheduleMoreEvents)
 {
     sim::EventQueue eq;
-    int count = 0;
-    std::function<void()> chain = [&] {
-        if (++count < 5)
-            eq.scheduleIn(10, chain);
-    };
-    eq.scheduleAt(0, chain);
+    Recorder r{&eq};
+    eq.post<&Recorder::chain>(0, &r, 0, 5);
     eq.run();
-    EXPECT_EQ(count, 5);
+    EXPECT_EQ(r.order.size(), 5u);
     EXPECT_EQ(eq.now(), 40u);
 }
 
 TEST(EventQueue, RunHonorsLimit)
 {
     sim::EventQueue eq;
-    int fired = 0;
-    eq.scheduleAt(10, [&] { ++fired; });
-    eq.scheduleAt(1000, [&] { ++fired; });
+    Recorder r{&eq};
+    eq.post<&Recorder::mark>(10, &r, 1);
+    eq.post<&Recorder::mark>(1000, &r, 2);
     eq.run(100);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(r.order.size(), 1u);
     EXPECT_EQ(eq.now(), 100u);
     eq.run();
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(r.order.size(), 2u);
 }
 
 // ---- run(limit) end-time semantics (regression tests) -----------------
@@ -90,8 +124,9 @@ TEST(EventQueue, RunHonorsLimit)
 TEST(EventQueue, RunDrainBeforeLimitStopsAtLastEvent)
 {
     sim::EventQueue eq;
-    eq.scheduleAt(40, [] {});
-    eq.scheduleAt(70, [] {});
+    Recorder r{&eq};
+    eq.post<&Recorder::nop>(40, &r);
+    eq.post<&Recorder::nop>(70, &r);
     EXPECT_EQ(eq.run(10000), 70u);
     EXPECT_EQ(eq.now(), 70u);
     EXPECT_TRUE(eq.empty());
@@ -100,39 +135,40 @@ TEST(EventQueue, RunDrainBeforeLimitStopsAtLastEvent)
 TEST(EventQueue, RunStopAtLimitClampsClockExactly)
 {
     sim::EventQueue eq;
-    int fired = 0;
-    eq.scheduleAt(10, [&] { ++fired; });
-    eq.scheduleAt(500, [&] { ++fired; });
+    Recorder r{&eq};
+    eq.post<&Recorder::mark>(10, &r, 1);
+    eq.post<&Recorder::mark>(500, &r, 2);
     EXPECT_EQ(eq.run(123), 123u);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(r.order.size(), 1u);
     EXPECT_EQ(eq.pending(), 1u);
-    // The put-back event keeps its original order and still fires.
+    // The held-back event keeps its original order and still fires.
     eq.run();
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(r.order.size(), 2u);
     EXPECT_EQ(eq.now(), 500u);
 }
 
 TEST(EventQueue, EventExactlyAtLimitFires)
 {
     sim::EventQueue eq;
-    int fired = 0;
-    eq.scheduleAt(100, [&] { ++fired; });
-    eq.scheduleAt(101, [&] { ++fired; });
+    Recorder r{&eq};
+    eq.post<&Recorder::mark>(100, &r, 1);
+    eq.post<&Recorder::mark>(101, &r, 2);
     EXPECT_EQ(eq.run(100), 100u);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(r.order.size(), 1u);
     EXPECT_EQ(eq.now(), 100u);
 }
 
 TEST(EventQueue, RunNeverMovesClockBackwards)
 {
     sim::EventQueue eq;
-    eq.scheduleAt(100, [] {});
+    Recorder r{&eq};
+    eq.post<&Recorder::nop>(100, &r);
     eq.run();
     EXPECT_EQ(eq.now(), 100u);
     // A limit in the past executes nothing and leaves now() alone.
     EXPECT_EQ(eq.run(50), 100u);
     EXPECT_EQ(eq.now(), 100u);
-    eq.scheduleAt(200, [] {});
+    eq.post<&Recorder::nop>(200, &r);
     EXPECT_EQ(eq.run(50), 100u);
     EXPECT_EQ(eq.pending(), 1u);
 }
@@ -147,14 +183,27 @@ TEST(EventQueue, RunOnEmptyQueueKeepsClock)
 TEST(EventQueue, StepExecutesSingleEvent)
 {
     sim::EventQueue eq;
-    int fired = 0;
-    eq.scheduleAt(1, [&] { ++fired; });
-    eq.scheduleAt(2, [&] { ++fired; });
+    Recorder r{&eq};
+    eq.post<&Recorder::mark>(1, &r, 1);
+    eq.post<&Recorder::mark>(2, &r, 2);
     EXPECT_TRUE(eq.step());
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(r.order.size(), 1u);
     EXPECT_TRUE(eq.step());
     EXPECT_FALSE(eq.step());
     EXPECT_EQ(eq.executed(), 2u);
+}
+
+TEST(EventQueue, DistantEventIsReachedAndLimitClampsBelowIt)
+{
+    sim::EventQueue eq;
+    Recorder r{&eq};
+    constexpr sim::Tick eon = sim::Tick{1} << 45; // ~3.5e13
+    eq.post<&Recorder::mark>(eon, &r, 1);
+    EXPECT_EQ(eq.run(), eon);
+    EXPECT_EQ(r.order.size(), 1u);
+    eq.post<&Recorder::nop>(eon * 2, &r);
+    EXPECT_EQ(eq.run(eon * 2 - 1000), eon * 2 - 1000);
+    EXPECT_EQ(eq.pending(), 1u);
 }
 
 // ---- typed pooled events ----------------------------------------------
@@ -192,6 +241,8 @@ struct RepeatEvent : sim::Event
         if (--remaining > 0)
             eq->schedule(this, when() + 10);
     }
+
+    Event *clone() const override { return new RepeatEvent(*this); }
 };
 
 } // namespace
@@ -244,6 +295,8 @@ struct PooledRepeat final : sim::Event
             eq->schedule(this, when() + 7);
         // On the final firing the queue recycles this object.
     }
+
+    Event *clone() const override { return new PooledRepeat(*this); }
 };
 
 } // namespace
@@ -274,188 +327,70 @@ TEST(EventQueue, ExternalEventsSurviveAndReschedule)
     EXPECT_EQ(ev.fired, 6);
 }
 
-// ---- calendar-queue internals: far-future and migration ---------------
+namespace {
 
-TEST(EventQueue, FarFutureEventsFireInOrder)
+/** Logs (tick, schedule index) per firing; every other firing posts a
+ *  follow-up that ties or nearly ties with events already pending. */
+struct OrderLog
 {
-    // Spread events across all three calendar levels: the near ring
-    // (< 32768), the coarse wheel (< ~2.13M past the horizon), and the
-    // far overflow heap beyond that.
-    sim::EventQueue eq;
-    std::vector<sim::Tick> order;
-    for (sim::Tick t : {sim::Tick{5}, sim::Tick{1000000}, sim::Tick{70000},
-                        sim::Tick{9000000}, sim::Tick{33000}, sim::Tick{64},
-                        sim::Tick{999999}, sim::Tick{3000000}})
-        eq.scheduleAt(t, [&order, t] { order.push_back(t); });
-    EXPECT_EQ(eq.pending(), 8u);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<sim::Tick>{5, 64, 33000, 70000, 999999,
-                                             1000000, 3000000, 9000000}));
-}
+    explicit OrderLog(sim::EventQueue *q) : eq(q) {}
 
-TEST(EventQueue, OverflowHeapTierKeepsScheduleOrder)
-{
-    // Two events at the same far tick, scheduled from opposite tiers:
-    // the first enters the overflow heap (> ~2.13M ahead), the second
-    // is scheduled later (higher seq) once the same tick is near. The
-    // heap event must still fire first after migrating down through
-    // the coarse wheel and ring.
-    sim::EventQueue eq;
-    std::vector<int> order;
-    constexpr sim::Tick far = 5000000;
-    eq.scheduleAt(far, [&] { order.push_back(1) ; }); // heap tier
-    eq.scheduleAt(far - 10, [&] {
-        eq.scheduleAt(far, [&] { order.push_back(2); }); // ring tier
-    });
-    // A lone intermediate event forces a long horizon jump over mostly
-    // empty coarse bands on the way.
-    eq.scheduleAt(2500000, [&] { order.push_back(0); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(eq.now(), far);
-}
-
-TEST(EventQueue, DistantLoneEventDoesNotStallTheClockAdvance)
-{
-    // A single event scheduled eons ahead must be reached by jumping
-    // the calendar, not by sweeping every band in between.
-    sim::EventQueue eq;
-    bool fired = false;
-    constexpr sim::Tick eon = sim::Tick{1} << 45; // ~3.5e13
-    eq.scheduleAt(eon, [&] { fired = true; });
-    EXPECT_EQ(eq.run(), eon);
-    EXPECT_TRUE(fired);
-    // And a finite-limit clamp below a pending far event as well.
-    eq.scheduleAt(eon * 2, [] {});
-    EXPECT_EQ(eq.run(eon * 2 - 1000), eon * 2 - 1000);
-    EXPECT_EQ(eq.pending(), 1u);
-}
-
-TEST(EventQueue, MigratedOverflowEventKeepsScheduleOrder)
-{
-    // A far-future event scheduled first must fire before a same-tick
-    // event scheduled later (lower sequence number wins), even though
-    // one migrates out of the overflow heap and the other is inserted
-    // into the ring directly.
-    sim::EventQueue eq;
-    std::vector<int> order;
-    eq.scheduleAt(100000, [&] { order.push_back(1); }); // overflow
-    eq.scheduleAt(99000, [&] {
-        // By now the window covers 100000: this sibling goes straight
-        // into the ring next to the migrated event.
-        eq.scheduleAt(100000, [&] { order.push_back(2); });
-    });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueue, LazyHeapEventTiesSettleAgainstCoarseEvents)
-{
-    // A far-heap event stays heaped even once the coarse span covers
-    // its tick (lazy migration). When the ring drains it must merge
-    // with the first coarse band, so a same-tick coarse event
-    // scheduled later (higher seq) still fires after it.
-    sim::EventQueue eq;
-    std::vector<int> order;
-    constexpr sim::Tick far = 2200000; // beyond the initial coarse span
-    eq.scheduleAt(far, [&] { order.push_back(1); }); // heap tier
-    eq.scheduleAt(100000, [&] {
-        order.push_back(0);
-        // The horizon has advanced: `far` is now inside the coarse
-        // span, so these land in the wheel while their sibling above
-        // is still heaped.
-        eq.scheduleAt(far, [&] { order.push_back(2); });
-        eq.scheduleAt(far + 50, [&] { order.push_back(3); });
-    });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(eq.now(), far + 50);
-}
-
-TEST(EventQueue, LazyHeapEventBeforeFirstCoarseBandPopsDirectly)
-{
-    // Ring empty, coarse wheel occupied, and the heap top strictly
-    // earlier than every coarse event: extraction must surface the
-    // heap event directly instead of migrating the later band first.
-    sim::EventQueue eq;
-    std::vector<int> order;
-    eq.scheduleAt(2200000, [&] { order.push_back(1); }); // heap tier
-    eq.scheduleAt(100000, [&] {
-        order.push_back(0);
-        // A coarse event in a band *after* the heaped event's tick.
-        eq.scheduleAt(2210000, [&] { order.push_back(2); });
-    });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(eq.now(), sim::Tick{2210000});
-}
-
-TEST(EventQueue, SmallTierSpillBoundaryKeepsTickSeqOrder)
-{
-    // Hybrid kernel: below 32 pending events the queue runs a flat
-    // binary heap; the 33rd concurrent event spills into the
-    // calendar. Crossing the boundary (either direction) must not
-    // reorder anything — same (tick, seq) discipline on both sides.
-    // Ties straddle the spill point on purpose.
-    sim::EventQueue eq;
-    struct Fired { sim::Tick when; int idx; };
-    std::vector<Fired> fired;
-    int idx = 0;
-    auto at = [&](sim::Tick t) {
-        int my = idx++;
-        eq.scheduleAt(t, [&fired, t, my] { fired.push_back({t, my}); });
+    sim::EventQueue *eq;
+    int nextIdx = 0;
+    struct Fired
+    {
+        sim::Tick when;
+        int idx;
     };
+    std::vector<Fired> fired;
 
-    // 100 pending events (spilled well past the small tier), with
-    // deliberate ties: two events per tick, later ones at earlier
-    // ticks so the spill insert is never append-only.
-    for (int i = 0; i < 50; ++i) {
-        at(1000 - 10 * static_cast<sim::Tick>(i));
-        at(1000 - 10 * static_cast<sim::Tick>(i));
+    void
+    at(sim::Tick t)
+    {
+        eq->post<&OrderLog::hit>(t, this, t, nextIdx++);
     }
-    EXPECT_EQ(eq.pending(), 100u);
 
-    // Drain completely (the queue re-enters small mode), then refill
-    // across the spill boundary a second time.
-    eq.run();
-    EXPECT_EQ(eq.pending(), 0u);
-    for (int i = 0; i < 80; ++i)
-        at(2000 + (i % 7));
-    eq.run();
-
-    ASSERT_EQ(fired.size(), 180u);
-    for (std::size_t i = 1; i < fired.size(); ++i) {
-        ASSERT_GE(fired[i].when, fired[i - 1].when);
-        if (fired[i].when == fired[i - 1].when) {
-            ASSERT_GT(fired[i].idx, fired[i - 1].idx);
-        }
+    void
+    hit(sim::Tick t, int idx)
+    {
+        fired.push_back({t, idx});
+        if (idx % 2 == 0)
+            at(t + static_cast<sim::Tick>(idx % 3));
     }
-}
+};
+
+} // namespace
 
 TEST(EventQueue, RandomScheduleFiresInTickSeqOrder)
 {
     sim::EventQueue eq;
-    // Deterministic LCG spanning ring and overflow distances.
+    OrderLog log{&eq};
+    // Deterministic LCG.
     std::uint64_t lcg = 12345;
     auto next = [&lcg] {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
         return lcg >> 33;
     };
-    struct Fired { sim::Tick when; int idx; };
-    std::vector<Fired> fired;
-    int idx = 0;
-    for (int i = 0; i < 2000; ++i) {
-        // Span all three tiers: ring, coarse wheel, and overflow heap.
-        sim::Tick t = next() % 6000000;
-        int my = idx++;
-        eq.scheduleAt(t, [&fired, t, my] { fired.push_back({t, my}); });
+    // Far more events pending at once than any machine keeps, mixing
+    // dense same-tick ties, a wide near range and far-future ticks.
+    constexpr int initial = 4000;
+    for (int i = 0; i < initial; ++i) {
+        switch (next() % 3) {
+          case 0: log.at(next() % 64); break;
+          case 1: log.at(next() % 6000000); break;
+          default:
+            log.at((sim::Tick{1} << 45) + next() % 16);
+            break;
+        }
     }
+    EXPECT_EQ(eq.pending(), static_cast<std::size_t>(initial));
     eq.run();
-    ASSERT_EQ(fired.size(), 2000u);
-    for (std::size_t i = 1; i < fired.size(); ++i) {
-        ASSERT_GE(fired[i].when, fired[i - 1].when);
-        if (fired[i].when == fired[i - 1].when) {
-            ASSERT_GT(fired[i].idx, fired[i - 1].idx);
+    ASSERT_EQ(log.fired.size(), static_cast<std::size_t>(log.nextIdx));
+    EXPECT_GT(log.fired.size(), static_cast<std::size_t>(initial));
+    for (std::size_t i = 1; i < log.fired.size(); ++i) {
+        ASSERT_GE(log.fired[i].when, log.fired[i - 1].when);
+        if (log.fired[i].when == log.fired[i - 1].when) {
+            ASSERT_GT(log.fired[i].idx, log.fired[i - 1].idx);
         }
     }
 }
@@ -466,9 +401,9 @@ TEST(EventQueue, PendingEventsFreedOnDestruction)
     auto eq = std::make_unique<sim::EventQueue>();
     Widget w{eq.get(), {}};
     RepeatEvent ev(eq.get(), 3);
-    eq->post<&Widget::poke>(10, &w, 1);   // near ring
-    eq->scheduleAt(500000, [] {});        // coarse wheel
-    eq->scheduleAt(10000000, [] {});      // overflow heap
+    eq->post<&Widget::poke>(10, &w, 1);
+    eq->post<&Widget::poke>(500000, &w, 2);
+    eq->post<&Widget::poke>(10000000, &w, 3);
     eq->schedule(&ev, 99);
     eq.reset();
     EXPECT_TRUE(w.log.empty()); // nothing fired
@@ -477,9 +412,10 @@ TEST(EventQueue, PendingEventsFreedOnDestruction)
 TEST(EventQueueDeath, PastSchedulingPanics)
 {
     sim::EventQueue eq;
-    eq.scheduleAt(100, [] {});
+    Recorder r{&eq};
+    eq.post<&Recorder::nop>(100, &r);
     eq.run();
-    EXPECT_DEATH(eq.scheduleAt(50, [] {}), "past");
+    EXPECT_DEATH(eq.post<&Recorder::nop>(50, &r), "past");
 }
 
 TEST(EventQueueDeath, DoubleSchedulePanics)

@@ -2,13 +2,18 @@
  * @file
  * Golden-determinism guard for the event kernel.
  *
- * The intrusive pooled-event calendar queue must preserve the seed
+ * The pooled-event heap kernel must preserve the seed
  * kernel's (tick, seq) execution order bit-for-bit. These makespans
  * were captured from full-machine runs of the creation-bound and
  * pipeline benchmarks under both software-pool schedulers *before* the
  * kernel swap (with the PR's locality-scheduler fix already applied,
  * since that intentionally changes locality schedules) and must never
  * drift: any change here means the kernel reordered events.
+ *
+ * The 32-core goldens never have more than 32 events pending; the
+ * scaled goldens (256 and 1024 cores) pin runs whose pending set
+ * peaks at 54-133 events, captured before the calendar tiers were
+ * replaced by a single heap.
  */
 
 #include <bit>
@@ -188,5 +193,75 @@ TEST(GoldenDeterminism, SharedGraphCampaignReproducesAllGoldens)
         EXPECT_EQ(rep.jobs[i].summary.makespan, goldens[i].makespan)
             << "shared-graph path changed the simulation for "
             << rep.jobs[i].label;
+    }
+}
+
+namespace {
+
+/**
+ * A pinned run on a scaled-up machine: fine-grained fig13 shapes on
+ * 256 and 1024 cores, where 54-133 events are pending at peak.
+ */
+struct ScaledGolden
+{
+    const char *workload;
+    const char *cores;
+    const char *mesh; ///< side of the square mesh
+    const char *runtime;
+    sim::Tick makespan;
+    std::uint64_t digest; ///< metricDigest() of the full metric tree
+};
+
+const ScaledGolden scaledGoldens[] = {
+    {"cholesky", "256", "17", "sw", 882748961ull,
+     18327077666689421253ull},
+    {"cholesky", "256", "17", "tdm", 130857996ull,
+     9086250344445520710ull},
+    {"cholesky", "1024", "33", "sw", 882749009ull,
+     13326757804109426056ull},
+    {"cholesky", "1024", "33", "tdm", 143794630ull,
+     5892030960072821004ull},
+    {"histogram", "256", "17", "sw", 199646051ull,
+     15218515482939868493ull},
+    {"histogram", "256", "17", "tdm", 64167324ull,
+     15555186619147539404ull},
+    {"histogram", "1024", "33", "sw", 199646051ull,
+     17133331911231835093ull},
+    {"histogram", "1024", "33", "tdm", 73576729ull,
+     7527169626247058169ull},
+};
+
+/** 64-bit FNV-1a over every key and the bit pattern of its value. */
+std::uint64_t
+metricDigest(const sim::MetricSet &m)
+{
+    std::string bytes;
+    for (const auto &[key, v] : m.entries()) {
+        bytes += key;
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        for (int i = 0; i < 64; i += 8)
+            bytes += static_cast<char>(bits >> i);
+    }
+    return driver::campaign::fnv1a64(bytes);
+}
+
+} // namespace
+
+TEST(GoldenDeterminism, ScaledMachinesMatchPinnedRuns)
+{
+    for (const ScaledGolden &g : scaledGoldens) {
+        driver::Experiment e;
+        driver::spec::applyKey(e, "workload", g.workload);
+        driver::spec::applyKey(e, "workload.granularity", "4096");
+        driver::spec::applyKey(e, "machine.cores", g.cores);
+        driver::spec::applyKey(e, "mesh.width", g.mesh);
+        driver::spec::applyKey(e, "mesh.height", g.mesh);
+        driver::spec::applyKey(e, "runtime", g.runtime);
+        const driver::RunSummary s = driver::run(e);
+        const std::string what = std::string(g.workload) + "/c" + g.cores
+                               + "/" + g.runtime;
+        ASSERT_TRUE(s.completed) << what;
+        EXPECT_EQ(s.makespan, g.makespan) << what;
+        EXPECT_EQ(metricDigest(s.metrics()), g.digest) << what;
     }
 }

@@ -69,6 +69,16 @@ TEST(SimAssert, DisabledAssertEvaluatesNothing)
 
 #endif
 
+namespace {
+
+struct Counter
+{
+    int fired = 0;
+    void bump() { ++fired; }
+};
+
+} // namespace
+
 TEST(SimAssert, HotPathInvariantsHoldOnCorrectUsage)
 {
     // Drive the instrumented structures through normal operation: in
@@ -77,15 +87,14 @@ TEST(SimAssert, HotPathInvariantsHoldOnCorrectUsage)
     // this doubles as a smoke test that instrumentation didn't change
     // behavior.
     sim::EventQueue eq;
-    int fired = 0;
+    Counter c;
     for (int i = 0; i < 400; ++i) {
-        // Mix of near-ring, coarse-wheel and far-heap horizons so
-        // tier migration (far -> coarse -> near) runs under the
-        // monotonicity checks.
-        eq.scheduleAt((i * 7919) % 3000000, [&fired] { ++fired; });
+        // Scattered ticks with repeats, so heap order and same-tick
+        // ties run under the monotonicity checks.
+        eq.post<&Counter::bump>((i * 7919) % 300 * 10000, &c);
     }
     eq.run();
-    EXPECT_EQ(fired, 400);
+    EXPECT_EQ(c.fired, 400);
 
     mem::RegionCache rc(64 * 1024);
     for (std::uint64_t i = 0; i < 1000; ++i) {

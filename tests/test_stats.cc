@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 #include "sim/stats.hh"
 
@@ -131,37 +129,4 @@ TEST(Formula, SeesLiveStatValuesNotCaptures)
     lat.sample(3.0);
     lat.sample(5.0);
     EXPECT_DOUBLE_EQ(f.value(), 8.0);
-}
-
-TEST(StatGroup, DumpAndLookup)
-{
-    sim::StatGroup g("dmu");
-    sim::Scalar ops;
-    ops += 42.0;
-    g.addScalar("ops", &ops, "operations");
-    EXPECT_TRUE(g.contains("ops"));
-    EXPECT_FALSE(g.contains("nope"));
-    EXPECT_DOUBLE_EQ(g.lookup("ops"), 42.0);
-
-    std::ostringstream oss;
-    g.dump(oss);
-    EXPECT_NE(oss.str().find("dmu.ops 42"), std::string::npos);
-    EXPECT_NE(oss.str().find("# operations"), std::string::npos);
-}
-
-TEST(StatGroup, UnknownLookupThrowsWithSuggestion)
-{
-    sim::StatGroup g("dmu");
-    sim::Scalar hits;
-    g.addScalar("tat_hits", &hits, "");
-    // Silent 0 for a typo used to read as idle hardware; now it's a
-    // hard error naming the near miss (same policy as spec keys).
-    try {
-        g.lookup("tat_hist");
-        FAIL() << "expected std::out_of_range";
-    } catch (const std::out_of_range &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("tat_hist"), std::string::npos);
-        EXPECT_NE(msg.find("tat_hits"), std::string::npos);
-    }
 }

@@ -1,120 +1,123 @@
 /**
  * @file
- * Tests for the execution timeline recorder and its machine
- * integration: every task appears exactly once, per-core intervals
- * never overlap, and parallelism statistics are sane.
+ * The machine's task-execution timeline, read from the TaskExec spans
+ * of a `trace.categories=task` run: every task runs exactly once,
+ * per-core intervals never overlap, parallelism never exceeds the core
+ * count, and dependence order holds.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <sstream>
+#include <vector>
 
 #include "core/machine.hh"
+#include "sim/trace.hh"
 #include "workloads/registry.hh"
 
 using namespace tdm;
 
-TEST(TaskTrace, ParallelismStats)
-{
-    core::TaskTrace t;
-    t.record(0, 0, 0, 100, 0);
-    t.record(1, 1, 0, 100, 0);
-    t.record(2, 0, 100, 200, 0);
-    EXPECT_DOUBLE_EQ(t.avgParallelism(200), 1.5);
-    EXPECT_EQ(t.peakParallelism(), 2u);
-}
+namespace {
 
-TEST(TaskTrace, PeakCountsBackToBackOnce)
+struct ExecSpan
 {
-    core::TaskTrace t;
-    t.record(0, 0, 0, 100, 0);
-    t.record(1, 0, 100, 200, 0); // same core, adjacent
-    EXPECT_EQ(t.peakParallelism(), 1u);
-}
+    std::uint32_t task;
+    std::uint16_t core;
+    sim::Tick start, end;
+};
 
-TEST(TaskTrace, ChromeExportWellFormed)
+/** Run @p g with task tracing on; the TaskExec spans of the run. */
+std::vector<ExecSpan>
+execSpans(const rt::TaskGraph &g, unsigned cores, core::RuntimeType rt_,
+          sim::Tick *makespan = nullptr)
 {
-    core::TaskTrace t;
-    t.record(3, 2, 2000, 4000, 7);
-    std::ostringstream oss;
-    t.writeChromeTrace(oss, "demo");
-    std::string s = oss.str();
-    EXPECT_NE(s.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(s.find("task3/k7"), std::string::npos);
-    EXPECT_NE(s.find("\"tid\":2"), std::string::npos);
-    EXPECT_EQ(s.front(), '{');
-    EXPECT_EQ(s.back(), '}');
-}
-
-TEST(TaskTraceMachine, EveryTaskTracedOnce)
-{
-    wl::WorkloadParams p;
-    p.granularity = 262144; // small cholesky
-    rt::TaskGraph g = wl::buildWorkload("cholesky", p);
     cpu::MachineConfig cfg;
-    cfg.numCores = 8;
-    core::Machine m(cfg, g, core::RuntimeType::Tdm);
-    m.enableTrace();
-    auto res = m.run();
-    ASSERT_TRUE(res.completed);
-
-    ASSERT_EQ(m.trace().size(), g.numTasks());
-    std::vector<unsigned> seen(g.numTasks(), 0);
-    for (const auto &r : m.trace().records()) {
-        ASSERT_LT(r.task, g.numTasks());
-        ++seen[r.task];
-        EXPECT_LT(r.start, r.end);
-        EXPECT_LE(r.end, res.makespan);
-        EXPECT_LT(r.core, cfg.numCores);
-    }
-    for (unsigned s : seen)
-        EXPECT_EQ(s, 1u);
+    cfg.numCores = cores;
+    cfg.trace.categories = static_cast<std::uint32_t>(sim::TraceCat::Task);
+    core::Machine m(cfg, g, rt_);
+    const core::MachineResult res = m.run();
+    EXPECT_TRUE(res.completed);
+    if (makespan)
+        *makespan = res.makespan;
+    std::vector<ExecSpan> out;
+    m.traceBuffer().forEach([&](const sim::TraceRecord &r) {
+        if (r.point == static_cast<std::uint16_t>(sim::TracePoint::TaskExec))
+            out.push_back({r.a, r.core, r.tick, r.tick + r.dur});
+    });
+    return out;
 }
 
-TEST(TaskTraceMachine, PerCoreIntervalsDisjoint)
+rt::TaskGraph
+smallCholesky()
 {
     wl::WorkloadParams p;
     p.granularity = 262144;
-    rt::TaskGraph g = wl::buildWorkload("cholesky", p);
-    cpu::MachineConfig cfg;
-    cfg.numCores = 8;
-    core::Machine m(cfg, g, core::RuntimeType::Software);
-    m.enableTrace();
-    ASSERT_TRUE(m.run().completed);
+    return wl::buildWorkload("cholesky", p);
+}
 
-    std::map<sim::CoreId, std::vector<std::pair<sim::Tick, sim::Tick>>>
-        per_core;
-    for (const auto &r : m.trace().records())
-        per_core[r.core].emplace_back(r.start, r.end);
-    for (auto &[core_id, ivals] : per_core) {
+} // namespace
+
+TEST(TraceTaskSpans, EveryTaskRunsOnce)
+{
+    const rt::TaskGraph g = smallCholesky();
+    sim::Tick makespan = 0;
+    const auto spans = execSpans(g, 8, core::RuntimeType::Tdm, &makespan);
+    ASSERT_EQ(spans.size(), g.numTasks());
+    std::vector<unsigned> seen(g.numTasks(), 0);
+    for (const ExecSpan &s : spans) {
+        ASSERT_LT(s.task, g.numTasks());
+        ++seen[s.task];
+        EXPECT_LT(s.start, s.end);
+        EXPECT_LE(s.end, makespan);
+        EXPECT_LT(s.core, 8u);
+    }
+    for (unsigned n : seen)
+        EXPECT_EQ(n, 1u);
+}
+
+TEST(TraceTaskSpans, PerCoreIntervalsDisjoint)
+{
+    const auto spans =
+        execSpans(smallCholesky(), 8, core::RuntimeType::Software);
+    std::vector<std::vector<std::pair<sim::Tick, sim::Tick>>> perCore(8);
+    for (const ExecSpan &s : spans)
+        perCore.at(s.core).emplace_back(s.start, s.end);
+    for (std::size_t c = 0; c < perCore.size(); ++c) {
+        auto &ivals = perCore[c];
         std::sort(ivals.begin(), ivals.end());
         for (std::size_t i = 1; i < ivals.size(); ++i)
             EXPECT_LE(ivals[i - 1].second, ivals[i].first)
-                << "overlap on core " << core_id;
+                << "overlap on core " << c;
     }
 }
 
-TEST(TaskTraceMachine, ParallelismBoundedByCores)
+TEST(TraceTaskSpans, ParallelismBoundedByCores)
 {
-    wl::WorkloadParams p;
-    p.granularity = 262144;
-    rt::TaskGraph g = wl::buildWorkload("cholesky", p);
-    cpu::MachineConfig cfg;
-    cfg.numCores = 8;
-    core::Machine m(cfg, g, core::RuntimeType::Tdm);
-    m.enableTrace();
-    auto res = m.run();
-    ASSERT_TRUE(res.completed);
-    EXPECT_LE(m.trace().peakParallelism(), cfg.numCores);
-    EXPECT_LE(m.trace().avgParallelism(res.makespan), cfg.numCores);
-    EXPECT_GT(m.trace().avgParallelism(res.makespan), 1.0);
+    sim::Tick makespan = 0;
+    const auto spans =
+        execSpans(smallCholesky(), 8, core::RuntimeType::Tdm, &makespan);
+    // Sweep span starts/ends in time order, ends before starts at a
+    // tie so back-to-back tasks on one core count once.
+    std::vector<std::pair<sim::Tick, int>> edges;
+    double busy = 0;
+    for (const ExecSpan &s : spans) {
+        edges.emplace_back(s.start, +1);
+        edges.emplace_back(s.end, -1);
+        busy += static_cast<double>(s.end - s.start);
+    }
+    std::sort(edges.begin(), edges.end());
+    int cur = 0, peak = 0;
+    for (const auto &e : edges)
+        peak = std::max(peak, cur += e.second);
+    const double avg = busy / static_cast<double>(makespan);
+    EXPECT_LE(peak, 8);
+    EXPECT_LE(avg, 8.0);
+    EXPECT_GT(avg, 1.0);
 }
 
-TEST(TaskTraceMachine, RespectsDependenceOrder)
+TEST(TraceTaskSpans, RespectsDependenceOrder)
 {
-    // In a chain graph, trace intervals must be strictly ordered.
+    // In a chain graph, the exec spans must be strictly ordered.
     rt::TaskGraph g("chain");
     rt::RegionId r = g.addRegion(1024);
     g.beginParallel();
@@ -122,15 +125,12 @@ TEST(TaskTraceMachine, RespectsDependenceOrder)
         g.createTask(sim::usToTicks(20));
         g.dep(r, rt::DepDir::InOut);
     }
-    cpu::MachineConfig cfg;
-    cfg.numCores = 4;
-    core::Machine m(cfg, g, core::RuntimeType::Tdm);
-    m.enableTrace();
-    ASSERT_TRUE(m.run().completed);
+    const auto spans = execSpans(g, 4, core::RuntimeType::Tdm);
+    ASSERT_EQ(spans.size(), 10u);
     std::vector<sim::Tick> start(10), end(10);
-    for (const auto &rec : m.trace().records()) {
-        start[rec.task] = rec.start;
-        end[rec.task] = rec.end;
+    for (const ExecSpan &s : spans) {
+        start.at(s.task) = s.start;
+        end.at(s.task) = s.end;
     }
     for (int i = 1; i < 10; ++i)
         EXPECT_GE(start[i], end[i - 1]);

@@ -4,7 +4,7 @@
  * (chunked append, cap, digest), spec-key plumbing, non-perturbation
  * (identical makespans with tracing on and off), the Chrome trace
  * writer's output shape, and the campaign engine's per-point trace
- * files.
+ * files. The task-execution timeline is checked in test_task_trace.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +15,13 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "core/machine.hh"
 #include "driver/campaign/engine.hh"
 #include "driver/experiment.hh"
 #include "driver/report/trace_writer.hh"
 #include "driver/spec/spec.hh"
 #include "sim/trace.hh"
+#include "workloads/registry.hh"
 
 using namespace tdm;
 namespace fs = std::filesystem;

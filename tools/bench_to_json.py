@@ -9,7 +9,6 @@ cold-cache campaign runs, then writes a machine-readable snapshot:
       "schema": 1,
       "label": "PR5",
       "micro": {
-        "eventq":      {"geomean_speedup": ..., "scenarios": {...}},
         "regioncache": {"geomean_speedup": ..., "scenarios": {...}}
       },
       "campaigns": {
@@ -27,7 +26,7 @@ run and uploads it as an artifact.
 
 Usage:
     tools/bench_to_json.py --build-dir build-release --out BENCH.json \
-        [--label PR5] [--micro eventq --micro regioncache] \
+        [--label PR5] [--micro regioncache] \
         [--campaign fig13] [--threads N] [--quick]
 """
 
@@ -62,11 +61,10 @@ CAMPAIGN_RE = re.compile(
 # Default iteration counts: enough for stable numbers locally, scaled
 # down by --quick for CI smoke runs on noisy shared machines.
 MICRO_ARGS = {
-    "eventq": ["--events"],
     "regioncache": ["--touches"],
 }
-MICRO_ITER = {"eventq": 1000000, "regioncache": 2000000}
-QUICK_ITER = {"eventq": 300000, "regioncache": 500000}
+MICRO_ITER = {"regioncache": 2000000}
+QUICK_ITER = {"regioncache": 500000}
 
 
 def run(cmd):
