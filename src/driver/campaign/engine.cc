@@ -336,8 +336,7 @@ CampaignEngine::run(const std::string &name,
                     // its own. Members of one group share a graph by
                     // construction (workload keys are Warmup-phase).
                     std::shared_ptr<const rt::TaskGraph> graph =
-                        opts_.shareGraphs ? graphs_.obtain(exps[i])
-                                          : nullptr;
+                        graphs_.obtain(exps[i]);
                     if (!runner)
                         runner.emplace(graph, group.size() > 1);
                     bool forked = false;
@@ -442,13 +441,11 @@ CampaignEngine::run(const std::string &name,
     }
 
     report.threads = threads;
-    if (opts_.shareGraphs) {
-        report.graphBuilds = graphs_.builds() - graphBuilds0;
-        const std::uint64_t obtained = work.size();
-        report.graphShares = obtained > report.graphBuilds
-                                 ? obtained - report.graphBuilds
-                                 : 0;
-    }
+    report.graphBuilds = graphs_.builds() - graphBuilds0;
+    const std::uint64_t obtained = work.size();
+    report.graphShares = obtained > report.graphBuilds
+                             ? obtained - report.graphBuilds
+                             : 0;
     report.wallMs = msSince(t0);
     for (const JobResult &j : report.jobs) {
         if (j.cacheHit)

@@ -7,8 +7,9 @@
  * through its ResultCache, runs the unique misses on a pool of worker
  * threads, and returns the results in input order. Because each
  * simulation is a pure function of its Experiment (all randomness is
- * seeded from the experiment parameters), a multi-threaded run is
- * byte-identical to the sequential runSweep() path.
+ * seeded from the experiment parameters), every run, at any thread
+ * count, is byte-identical to running each point on its own with
+ * driver::run().
  */
 
 #ifndef TDM_DRIVER_CAMPAIGN_ENGINE_HH
@@ -58,16 +59,6 @@ struct EngineOptions
      * allocate a buffer.
      */
     std::string traceDir;
-
-    /**
-     * Build each distinct (workload, effective params) graph once per
-     * engine and share it read-only across worker threads, instead of
-     * rebuilding it inside every simulated point. Pure wall-clock
-     * optimization — summaries are byte-identical either way (the
-     * graph-sharing equivalence test pins this). Off is only useful
-     * for that comparison.
-     */
-    bool shareGraphs = true;
 
     /**
      * External result backend (typically the persistent on-disk

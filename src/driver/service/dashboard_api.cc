@@ -25,25 +25,62 @@ CampaignRegistry::findLocked(std::uint64_t id)
     return nullptr;
 }
 
+namespace {
+
+/** A protocol line's JSON object: the bus and the points endpoint
+ *  carry it without the line terminator. */
+std::string
+eventJson(const std::string &line)
+{
+    return line.substr(0, line.size() - 1);
+}
+
+/** The dashboard-only progress event after @p rec's latest point:
+ *  completion fraction, per-source split, and a naive ETA from the
+ *  mean per-point pace so far. */
+std::string
+progressJson(const CampaignRecord &rec, double elapsed_ms)
+{
+    const std::size_t done = rec.points.size();
+    const double eta =
+        done < rec.total ? elapsed_ms / static_cast<double>(done)
+                               * static_cast<double>(rec.total - done)
+                         : 0.0;
+    std::ostringstream os;
+    os << "{\"id\":" << rec.id << ",\"done\":" << done
+       << ",\"total\":" << rec.total
+       << ",\"served\":{\"simulated\":" << rec.simulated
+       << ",\"memory\":" << rec.fromMemory << ",\"disk\":" << rec.fromDisk
+       << ",\"inflight\":" << rec.fromInflight
+       << ",\"forked\":" << rec.fromForked << "},\"elapsed_ms\":";
+    jsonNumber(os, elapsed_ms);
+    os << ",\"eta_ms\":";
+    jsonNumber(os, eta);
+    os << "}";
+    return os.str();
+}
+
+} // namespace
+
 void
-CampaignRegistry::accepted(std::uint64_t id, const std::string &name,
-                           std::size_t total,
-                           const std::string &metrics_pattern)
+CampaignRegistry::accepted(std::uint64_t id, const campaign::Campaign &c,
+                           const std::string &line)
 {
     std::lock_guard<std::mutex> lock(m_);
+    bus_.publish("accepted", eventJson(line));
     CampaignRecord rec;
     rec.id = id;
-    rec.name = name;
-    rec.total = total;
-    rec.metricsPattern = metrics_pattern;
+    rec.name = c.name;
+    rec.total = c.points.size();
+    rec.metricsPattern = c.metrics;
     campaigns_.push_back(std::move(rec));
 
     // Bound the daemon's memory: evict the oldest *finished* campaign
     // once too many are retained (active ones are never evicted — the
     // done event still needs to land somewhere).
     std::size_t finished = 0;
-    for (const CampaignRecord &c : campaigns_)
-        if (!c.active)
+    for (const CampaignRecord &r : campaigns_)
+        if (!r.active)
             ++finished;
     if (finished > kMaxFinished) {
         for (auto it = campaigns_.begin(); it != campaigns_.end(); ++it)
@@ -55,31 +92,16 @@ CampaignRegistry::accepted(std::uint64_t id, const std::string &name,
 }
 
 void
-CampaignRegistry::point(std::uint64_t id,
-                        const campaign::JobResult &job,
-                        std::size_t index)
+CampaignRegistry::point(std::uint64_t id, const campaign::JobResult &job,
+                        std::size_t index, const std::string &line)
 {
     std::lock_guard<std::mutex> lock(m_);
+    std::string json = eventJson(line);
+    bus_.publish("point", json);
     CampaignRecord *rec = findLocked(id);
     if (!rec)
         return;
-    PointRecord p;
-    p.index = index;
-    p.label = job.label;
-    p.digest = job.digest;
-    p.source = campaign::jobSourceName(job.source);
-    p.ok = job.ok();
-    p.error = job.error;
-    p.completed = job.summary.completed;
-    p.makespan = job.summary.makespan;
-    p.timeMs = job.summary.timeMs;
-    p.wallMs = job.wallMs;
-    p.doneAtMs = job.doneAtMs;
-    const sim::MetricSet selected =
-        job.summary.metrics().select(rec->metricsPattern);
-    p.metrics.assign(selected.entries().begin(),
-                     selected.entries().end());
-    if (!p.ok)
+    if (!job.ok())
         ++rec->failures;
     switch (job.source) {
     case campaign::JobSource::Simulated: ++rec->simulated; break;
@@ -88,19 +110,21 @@ CampaignRegistry::point(std::uint64_t id,
     case campaign::JobSource::Inflight: ++rec->fromInflight; break;
     case campaign::JobSource::Forked: ++rec->fromForked; break;
     }
-    rec->points.push_back(std::move(p));
+    rec->points.emplace_back(index, std::move(json));
+    bus_.publish("progress", progressJson(*rec, job.doneAtMs));
 }
 
 void
 CampaignRegistry::done(std::uint64_t id,
-                       const campaign::CampaignResult &result)
+                       const campaign::CampaignResult &result,
+                       const std::string &line)
 {
     std::lock_guard<std::mutex> lock(m_);
-    CampaignRecord *rec = findLocked(id);
-    if (!rec)
-        return;
-    rec->active = false;
-    rec->wallMs = result.wallMs;
+    bus_.publish("done", eventJson(line));
+    if (CampaignRecord *rec = findLocked(id)) {
+        rec->active = false;
+        rec->wallMs = result.wallMs;
+    }
 }
 
 std::vector<CampaignRecord>
@@ -122,13 +146,6 @@ CampaignRegistry::get(std::uint64_t id, CampaignRecord &out) const
     return false;
 }
 
-std::size_t
-CampaignRegistry::size() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return campaigns_.size();
-}
-
 // ---- dashboard -----------------------------------------------------------
 
 Dashboard::Dashboard(const CampaignRegistry &registry, ProgressBus &bus,
@@ -146,11 +163,7 @@ Dashboard::statusJson() const
     // counters whether they arrive over the protocol or over HTTP.
     std::ostringstream os;
     writeStatus(os, status_());
-    std::string body = os.str();
-    if (!body.empty() && body.back() == '\n')
-        body.pop_back();
-    body.push_back('\n');
-    return body;
+    return os.str();
 }
 
 namespace {
@@ -169,31 +182,6 @@ campaignSummaryJson(std::ostream &os, const CampaignRecord &c)
     jsonNumber(os, c.wallMs);
     os << ",\"metrics_pattern\":\"" << jsonEscape(c.metricsPattern)
        << "\"}";
-}
-
-void
-pointRecordJson(std::ostream &os, const PointRecord &p)
-{
-    os << "{\"index\":" << p.index << ",\"label\":\""
-       << jsonEscape(p.label) << "\",\"digest\":\""
-       << jsonEscape(p.digest) << "\",\"source\":\"" << p.source
-       << "\",\"ok\":" << (p.ok ? "true" : "false") << ",\"error\":\""
-       << jsonEscape(p.error) << "\",\"completed\":"
-       << (p.completed ? "true" : "false")
-       << ",\"makespan\":" << p.makespan << ",\"time_ms\":";
-    jsonNumber(os, p.timeMs);
-    os << ",\"wall_ms\":";
-    jsonNumber(os, p.wallMs);
-    os << ",\"done_at_ms\":";
-    jsonNumber(os, p.doneAtMs);
-    os << ",\"metrics\":{";
-    bool first = true;
-    for (const auto &[k, v] : p.metrics) {
-        os << (first ? "" : ",") << "\"" << jsonEscape(k) << "\":";
-        jsonNumber(os, v);
-        first = false;
-    }
-    os << "}}";
 }
 
 std::string
@@ -238,21 +226,15 @@ Dashboard::campaignPointsJson(std::uint64_t id, std::string &out) const
     // Completion order is the live view; the export view is point
     // order — serve the latter so a row-by-row diff against the file
     // export lines up.
-    std::sort(rec.points.begin(), rec.points.end(),
-              [](const PointRecord &a, const PointRecord &b) {
-                  return a.index < b.index;
-              });
+    std::sort(rec.points.begin(), rec.points.end());
     std::ostringstream os;
     os << "{\"id\":" << rec.id << ",\"name\":\"" << jsonEscape(rec.name)
        << "\",\"total\":" << rec.total
        << ",\"active\":" << (rec.active ? "true" : "false")
        << ",\"metrics_pattern\":\"" << jsonEscape(rec.metricsPattern)
        << "\",\"points\":[";
-    for (std::size_t i = 0; i < rec.points.size(); ++i) {
-        if (i)
-            os << ",";
-        pointRecordJson(os, rec.points[i]);
-    }
+    for (std::size_t i = 0; i < rec.points.size(); ++i)
+        os << (i ? "," : "") << rec.points[i].second;
     os << "]}\n";
     out = os.str();
     return true;

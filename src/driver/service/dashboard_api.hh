@@ -2,14 +2,14 @@
  * @file
  * The dashboard: campaign registry + HTTP route handlers.
  *
- * The CampaignRegistry is the server-side memory behind the JSON API:
- * every submit the protocol server accepts is recorded here (points in
- * completion order, per-source counters, outcome), so a browser that
- * arrives mid-sweep — or after it — can render the whole picture, not
- * just the events it happened to catch on the SSE stream. Metric
- * values are captured pre-rendered through the shared metric
- * selection, so /api/campaign/<id>/points serves them byte-identical
- * to the campaign_run file export.
+ * The CampaignRegistry is the server-side memory behind the JSON API
+ * and the feed of the live stream: every event of every submit the
+ * protocol server accepts is recorded here and published to the
+ * progress bus. Point events are kept exactly as the submitting client
+ * got them, so a browser that arrives mid-sweep (or after it) can
+ * render the whole picture, not just the events it happened to catch
+ * on the SSE stream, and /api/campaign/<id>/points serves metric
+ * values byte-identical to the campaign_run file export.
  *
  * The Dashboard maps HTTP requests onto that registry, the progress
  * bus (SSE), the result store (browser), and the embedded front end:
@@ -17,7 +17,7 @@
  *     /                       the dashboard page (embedded www/)
  *     /api/status             server counters (the status op's JSON)
  *     /api/campaigns          every known campaign, summarized
- *     /api/campaign/<id>/points   full per-point results + metrics
+ *     /api/campaign/<id>/points   every point event, in point order
  *     /api/events             live SSE stream (accepted/point/
  *                             progress/done)
  *     /api/store              store stats + digest listing
@@ -48,26 +48,6 @@
 
 namespace tdm::driver::service {
 
-/** One resolved point, as the dashboard remembers it. */
-struct PointRecord
-{
-    std::size_t index = 0; ///< position in the campaign's point list
-    std::string label;
-    std::string digest;
-    std::string source; ///< "simulated" / "memory" / "disk" /
-                        ///< "inflight" / "forked"
-    bool ok = false;
-    std::string error;
-    bool completed = false;
-    std::uint64_t makespan = 0;
-    double timeMs = 0.0;
-    double wallMs = 0.0;
-    double doneAtMs = 0.0; ///< ms since the campaign started
-    /** Selected metrics in export (name) order, values exactly as the
-     *  file writers would emit them. */
-    std::vector<std::pair<std::string, double>> metrics;
-};
-
 /** One campaign, as the dashboard remembers it. */
 struct CampaignRecord
 {
@@ -82,8 +62,10 @@ struct CampaignRecord
     std::uint64_t fromInflight = 0;
     std::uint64_t fromForked = 0;
     std::size_t failures = 0;
-    double wallMs = 0.0;             ///< set by the done event
-    std::vector<PointRecord> points; ///< in completion order
+    double wallMs = 0.0; ///< set by the done event
+    /** (point index, point event JSON) in completion order; the JSON
+     *  is the protocol line without its '\n'. */
+    std::vector<std::pair<std::size_t, std::string>> points;
 };
 
 /**
@@ -92,6 +74,11 @@ struct CampaignRecord
  * threads. Finished campaigns beyond kMaxFinished are evicted oldest
  * first so a long-lived daemon's memory stays bounded; active
  * campaigns are never evicted.
+ *
+ * Each recording call takes the event's protocol line (as
+ * writeAccepted / writePoint / writeDone rendered it for the socket)
+ * and publishes it to the bus under the event's name; point() also
+ * publishes the dashboard-only "progress" event.
  */
 class CampaignRegistry
 {
@@ -99,13 +86,14 @@ class CampaignRegistry
     /** Finished campaigns retained for browsing. */
     static constexpr std::size_t kMaxFinished = 128;
 
-    void accepted(std::uint64_t id, const std::string &name,
-                  std::size_t total,
-                  const std::string &metrics_pattern);
+    explicit CampaignRegistry(ProgressBus &bus) : bus_(bus) {}
+
+    void accepted(std::uint64_t id, const campaign::Campaign &c,
+                  const std::string &line);
     void point(std::uint64_t id, const campaign::JobResult &job,
-               std::size_t index);
-    void done(std::uint64_t id,
-              const campaign::CampaignResult &result);
+               std::size_t index, const std::string &line);
+    void done(std::uint64_t id, const campaign::CampaignResult &result,
+              const std::string &line);
 
     /** Copy of every record, id-ascending. */
     std::vector<CampaignRecord> snapshot() const;
@@ -113,11 +101,10 @@ class CampaignRegistry
     /** Copy of one record; false when the id is unknown. */
     bool get(std::uint64_t id, CampaignRecord &out) const;
 
-    std::size_t size() const;
-
   private:
     CampaignRecord *findLocked(std::uint64_t id);
 
+    ProgressBus &bus_;
     mutable std::mutex m_;
     std::vector<CampaignRecord> campaigns_; ///< id-ascending
 };

@@ -312,11 +312,15 @@ renderHttpResponse(int status, const std::string &content_type,
 
 HttpServer::HttpServer(const Address &addr, Handler handler,
                        int head_timeout_sec)
-    : handler_(std::move(handler)), listener_(addr),
+    : handler_(std::move(handler)),
       headTimeoutSec_(head_timeout_sec > 0 ? head_timeout_sec
-                                           : kHeadReadTimeoutSec)
+                                           : kHeadReadTimeoutSec),
+      conns_(addr,
+             [this](Socket &sock, const std::atomic<bool> &stopping) {
+                 serveConnection(sock, stopping);
+             }),
+      acceptThread_([this] { conns_.run(); })
 {
-    acceptThread_ = std::thread([this] { acceptLoop(); });
 }
 
 HttpServer::~HttpServer() { stop(); }
@@ -327,84 +331,16 @@ HttpServer::stop()
     // The shutdown protocol op and the signal watcher may both land
     // here concurrently; call_once runs the teardown exactly once and
     // blocks every other caller until the joins have finished.
-    std::call_once(stopOnce_, [this] { doStop(); });
-}
-
-void
-HttpServer::doStop()
-{
-    stopping_.store(true);
-    listener_.shutdownNow();
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        for (const auto &c : conns_)
-            if (c->fd >= 0)
-                ::shutdown(c->fd, SHUT_RDWR);
-    }
-    if (acceptThread_.joinable())
+    std::call_once(stopOnce_, [this] {
+        conns_.requestStop();
         acceptThread_.join();
-    std::list<std::unique_ptr<Conn>> conns;
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        conns.swap(conns_);
-    }
-    for (const auto &c : conns)
-        if (c->thr.joinable())
-            c->thr.join();
-}
-
-std::size_t
-HttpServer::trackedConnections() const
-{
-    std::lock_guard<std::mutex> lock(connMutex_);
-    return conns_.size();
+        conns_.join();
+    });
 }
 
 void
-HttpServer::reapFinished()
-{
-    std::list<std::unique_ptr<Conn>> finished;
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        for (auto it = conns_.begin(); it != conns_.end();) {
-            if ((*it)->done.load()) {
-                finished.push_back(std::move(*it));
-                it = conns_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-    for (const auto &c : finished)
-        if (c->thr.joinable())
-            c->thr.join();
-}
-
-void
-HttpServer::acceptLoop()
-{
-    while (!stopping_.load()) {
-        Socket sock = listener_.accept();
-        if (!sock.valid())
-            break;
-        // Join threads whose handler has returned, so thread count
-        // tracks live connections instead of total requests served.
-        reapFinished();
-        std::lock_guard<std::mutex> lock(connMutex_);
-        if (stopping_.load())
-            break;
-        conns_.push_back(std::make_unique<Conn>());
-        Conn &conn = *conns_.back();
-        conn.fd = sock.fd();
-        conn.thr =
-            std::thread([this, &conn, s = std::move(sock)]() mutable {
-                handleConnection(std::move(s), conn);
-            });
-    }
-}
-
-void
-HttpServer::handleConnection(Socket sock, Conn &conn)
+HttpServer::serveConnection(Socket &sock,
+                            const std::atomic<bool> &stopping)
 {
     // Bound how long an idle or trickling client may hold this thread
     // before its request head is complete: each recv gets a receive
@@ -423,7 +359,7 @@ HttpServer::handleConnection(Socket sock, Conn &conn)
     char chunk[4096];
     bool timedOut = false;
     while (parser.state() == HttpParser::State::NeedMore
-           && !stopping_.load()) {
+           && !stopping.load()) {
         const long n = sock.readSome(chunk, sizeof chunk);
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
             timedOut = true;
@@ -447,7 +383,7 @@ HttpServer::handleConnection(Socket sock, Conn &conn)
                      sizeof tv);
         requests_.fetch_add(1);
         try {
-            handler_(parser.request(), sock, stopping_);
+            handler_(parser.request(), sock, stopping);
         } catch (const std::exception &e) {
             // A handler that threw has not written a response (the
             // dashboard renders into a buffer first).
@@ -467,15 +403,6 @@ HttpServer::handleConnection(Socket sock, Conn &conn)
             "{\"error\":\"" + report::jsonEscape(parser.reason())
                 + "\"}\n"));
     }
-
-    // Drop the fd from stop()'s shutdown set *before* closing: once
-    // closed, the number can be reused by an unrelated descriptor.
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        conn.fd = -1;
-    }
-    sock.close();
-    conn.done.store(true); // last: the reaper may join immediately
 }
 
 } // namespace tdm::driver::service

@@ -8,8 +8,8 @@
  * that — no bodies, no chunked transfer, no keep-alive (every response
  * carries "Connection: close"; browsers reconnect transparently and
  * the SSE stream holds its one connection open anyway). Like the
- * protocol socket it binds loopback or unix only, and it reuses the
- * same Listener/Socket layer.
+ * protocol socket it binds loopback or unix only, and it runs on the
+ * same ConnectionServer.
  *
  * Request parsing is incremental (HttpParser::feed) so it can be
  * unit-tested against partial reads, oversized headers, and malformed
@@ -23,9 +23,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -104,13 +103,13 @@ std::string renderHttpResponse(int status,
                                bool head_only = false);
 
 /**
- * The server: an accept thread plus one thread per live connection
- * (the dashboard serves a handful of tabs, not the internet — this
- * mirrors the protocol server's model). The handler is invoked with
- * the parsed request and the connected socket and must write a
- * complete response; long-lived handlers (SSE) must poll @p stopping
- * to exit on shutdown. The connection closes when the handler
- * returns.
+ * The dashboard's HTTP transport: the shared ConnectionServer running
+ * on its own accept thread, with a connection handler that reads and
+ * parses one request head under a deadline, answers 4xx/408 itself,
+ * and passes a parsed request to the route handler. The route handler
+ * must write a complete response; long-lived handlers (SSE) must poll
+ * @p stopping to exit on shutdown. The connection closes when the
+ * handler returns.
  */
 class HttpServer
 {
@@ -136,48 +135,36 @@ class HttpServer
     HttpServer &operator=(const HttpServer &) = delete;
 
     /** The bound address (ephemeral tcp ports resolved). */
-    const Address &address() const { return listener_.address(); }
+    const Address &address() const { return conns_.address(); }
 
-    /** Stop accepting, unblock every live connection, join all
-     *  threads. Idempotent; callable from any thread. */
+    /** Stop accepting and unblock every live connection; never joins.
+     *  Callable from any thread. */
+    void requestStop() { conns_.requestStop(); }
+
+    /** requestStop(), then join the accept and connection threads.
+     *  Idempotent; callable from any thread but this server's
+     *  handlers. */
     void stop();
 
     /** Requests served (any status). */
     std::uint64_t requests() const { return requests_.load(); }
 
-    /** Connection records not yet reaped (live plus finished threads
-     *  awaiting their join at the next accept). A long-running daemon
-     *  keeps this near its live-connection count; 0 after stop(). */
-    std::size_t trackedConnections() const;
+    /** See ConnectionServer::trackedConnections(). */
+    std::size_t trackedConnections() const
+    {
+        return conns_.trackedConnections();
+    }
 
   private:
-    /** One live (or finished-but-unjoined) connection. The handler
-     *  thread clears @c fd before closing the socket (so stop() never
-     *  shuts down a kernel-reused descriptor) and raises @c done as
-     *  its final act; the accept loop joins done threads so a
-     *  long-running daemon holds threads only for live connections. */
-    struct Conn
-    {
-        int fd = -1; ///< -1 once the handler has closed the socket
-        std::atomic<bool> done{false};
-        std::thread thr;
-    };
-
-    void doStop();
-    void reapFinished();
-    void acceptLoop();
-    void handleConnection(Socket sock, Conn &conn);
+    void serveConnection(Socket &sock,
+                         const std::atomic<bool> &stopping);
 
     Handler handler_;
-    Listener listener_;
     const int headTimeoutSec_;
-    std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> requests_{0};
-
-    mutable std::mutex connMutex_;
-    std::list<std::unique_ptr<Conn>> conns_;
+    ConnectionServer conns_;
     std::once_flag stopOnce_;
-    std::thread acceptThread_;         ///< last: joined first in stop()
+    std::thread acceptThread_; ///< last: started after conns_ exists
 };
 
 } // namespace tdm::driver::service

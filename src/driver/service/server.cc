@@ -3,26 +3,9 @@
 #include <sstream>
 #include <utility>
 
-#include <sys/socket.h>
-
-#include "driver/report/json_writer.hh"
-#include "driver/spec/spec.hh"
 #include "sim/logging.hh"
 
 namespace tdm::driver::service {
-
-namespace {
-
-/** Protocol lines end in '\n'; bus payloads (SSE data) must not. */
-std::string
-chomp(std::string line)
-{
-    if (!line.empty() && line.back() == '\n')
-        line.pop_back();
-    return line;
-}
-
-} // namespace
 
 CampaignServer::CampaignServer(const Address &addr, ServerOptions opts)
     : opts_(std::move(opts)),
@@ -34,11 +17,15 @@ CampaignServer::CampaignServer(const Address &addr, ServerOptions opts)
           eo.backend = store_.get();
           return std::make_unique<campaign::CampaignEngine>(eo);
       }()),
-      listener_(addr), started_(std::chrono::steady_clock::now())
+      started_(std::chrono::steady_clock::now()),
+      conns_(addr,
+             [this](Socket &sock, const std::atomic<bool> &stopping) {
+                 handleClient(sock, stopping);
+             })
 {
     if (!opts_.httpAddr.empty()) {
         bus_ = std::make_unique<ProgressBus>();
-        registry_ = std::make_unique<CampaignRegistry>();
+        registry_ = std::make_unique<CampaignRegistry>(*bus_);
         dashboard_ = std::make_unique<Dashboard>(
             *registry_, *bus_, store_.get(),
             [this] { return status(); });
@@ -49,126 +36,84 @@ CampaignServer::CampaignServer(const Address &addr, ServerOptions opts)
                 dashboard_->handle(req, sock, stopping);
             });
     }
-    if (opts_.verbose) {
-        sim::inform("campaign_serve: listening on ",
-                    listener_.address().display(),
-                    store_ ? " (store: " + store_->versionDir() + ")"
-                           : " (no persistent store)");
-        if (http_)
-            sim::inform("campaign_serve: dashboard on ",
-                        http_->address().display());
-    }
+    sim::inform("campaign_serve: listening on ", address().display(),
+                store_ ? " (store: " + store_->versionDir() + ")"
+                       : " (no persistent store)");
+    if (http_)
+        sim::inform("campaign_serve: dashboard on ",
+                    http_->address().display());
 }
 
-CampaignServer::~CampaignServer()
-{
-    stop();
-    // serve() joins its threads before returning; if serve() was never
-    // entered there are none. A destructor racing an active serve() is
-    // a caller bug, but join anything left to fail loudly, not UB.
-    for (std::thread &t : threads_)
-        if (t.joinable())
-            t.join();
-}
+CampaignServer::~CampaignServer() { stopAndJoin(); }
 
 void
 CampaignServer::serve()
 {
-    while (!stopping_.load()) {
-        Socket sock = listener_.accept();
-        if (!sock.valid()) {
-            if (stopping_.load())
-                break;
-            // Listener failure (not a stop): nothing to accept on.
-            sim::warn("campaign_serve: accept failed, stopping");
-            break;
-        }
-        {
-            std::lock_guard<std::mutex> lock(clientsMutex_);
-            if (stopping_.load())
-                break;
-            clientFds_.push_back(sock.fd());
-            threads_.emplace_back(
-                [this, s = std::move(sock)]() mutable {
-                    handleClient(std::move(s));
-                });
-        }
-    }
-    std::vector<std::thread> workers;
-    {
-        std::lock_guard<std::mutex> lock(clientsMutex_);
-        workers.swap(threads_);
-    }
-    for (std::thread &t : workers)
-        t.join();
+    conns_.run();
+    if (!conns_.stopping())
+        sim::warn("campaign_serve: accept failed, stopping");
+    stopAndJoin();
+}
+
+void
+CampaignServer::stopAndJoin()
+{
+    stop();
+    conns_.join();
+    if (http_)
+        http_->stop();
 }
 
 void
 CampaignServer::stop()
 {
-    stopping_.store(true);
-    listener_.shutdownNow();
-    // Dashboard first: closing the bus unblocks SSE sessions waiting
-    // in Subscription::next(), then the HTTP stop joins their threads.
+    conns_.requestStop();
+    // Closing the bus unblocks SSE sessions waiting in
+    // Subscription::next().
     if (bus_)
         bus_->close();
     if (http_)
-        http_->stop();
-    std::lock_guard<std::mutex> lock(clientsMutex_);
-    for (int fd : clientFds_)
-        ::shutdown(fd, SHUT_RDWR);
+        http_->requestStop();
 }
 
 void
-CampaignServer::handleClient(Socket sock)
+CampaignServer::handleClient(Socket &sock,
+                             const std::atomic<bool> &stopping)
 {
-    const int fd = sock.fd();
-    if (opts_.verbose)
-        sim::inform("campaign_serve: client connected");
+    sim::inform("campaign_serve: client connected");
     std::string line;
-    while (!stopping_.load() && sock.readLine(line)) {
+    while (!stopping.load() && sock.readLine(line)) {
         if (line.empty())
             continue;
         Request req;
         std::string error;
+        std::ostringstream out;
         if (!parseRequest(line, req, error)) {
-            std::ostringstream out;
             writeError(out, error);
-            if (!sock.sendAll(out.str()))
-                break;
-            continue;
-        }
-        if (req.op == RequestOp::Ping) {
-            std::ostringstream out;
+        } else if (req.op == RequestOp::Ping) {
             writePong(out);
-            if (!sock.sendAll(out.str()))
-                break;
         } else if (req.op == RequestOp::Status) {
-            std::ostringstream out;
             writeStatus(out, status());
-            if (!sock.sendAll(out.str()))
-                break;
         } else if (req.op == RequestOp::Shutdown) {
-            std::ostringstream out;
             writeBye(out);
             sock.sendAll(out.str());
-            if (opts_.verbose)
-                sim::inform(
-                    "campaign_serve: shutdown requested by client");
+            sim::inform("campaign_serve: shutdown requested by client");
             stop();
-            break;
+            return;
         } else {
             handleSubmit(sock, req.submit);
+            continue;
         }
+        if (!sock.sendAll(out.str()))
+            return;
     }
-    sock.close();
-    std::lock_guard<std::mutex> lock(clientsMutex_);
-    for (std::size_t i = 0; i < clientFds_.size(); ++i) {
-        if (clientFds_[i] == fd) {
-            clientFds_[i] = clientFds_.back();
-            clientFds_.pop_back();
-            break;
-        }
+    if (sock.lineTooLong()) {
+        // The rest of the line is still unread: no resync, just close.
+        std::ostringstream out;
+        writeError(out, "request line exceeds "
+                            + std::to_string(Socket::kMaxLineBytes)
+                            + " bytes");
+        sock.sendAll(out.str());
     }
 }
 
@@ -185,97 +130,64 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
         return;
     }
     const std::uint64_t id = nextId_.fetch_add(1);
-    if (opts_.verbose)
-        sim::inform("campaign_serve: submit #", id, " '", c.name, "' (",
-                    c.points.size(), " points)");
-    {
-        std::ostringstream out;
-        writeAccepted(out, id, c.name, c.points.size());
-        const std::string line = out.str();
-        if (!sock.sendAll(line))
-            return;
-        if (bus_) {
-            registry_->accepted(id, c.name, c.points.size(),
-                                c.metrics);
-            bus_->publish("accepted", chomp(line));
-        }
-    }
+    sim::inform("campaign_serve: submit #", id, " '", c.name, "' (",
+                c.points.size(), " points)");
 
-    // Stream each point as the engine resolves it. A send failure
-    // cannot abort the run (the engine owns the jobs; other clients
-    // may be attached to them) — we just stop streaming. The point
-    // JSON is rendered once and shared by the socket and the bus, so
-    // a dashboard sees the exact bytes the client got.
+    // The one sink for this submit's events. Each arrives rendered
+    // once, as its protocol line. With --http the registry records it
+    // and publishes it to the bus first, so a dashboard sees the exact
+    // bytes the client got, and has them by the time the client does.
+    // The socket gets it while sends succeed: a failed send cannot
+    // abort the run (the engine owns the jobs; other clients may be
+    // attached to them), it only ends this client's stream.
     bool sendOk = true;
-    const std::string metricsPattern = c.metrics;
-    std::uint64_t bySource[5] = {0, 0, 0, 0, 0};
-    std::size_t doneCount = 0;
+    const auto emit = [&](const std::ostringstream &out,
+                          const auto &record) {
+        const std::string line = out.str();
+        if (registry_)
+            record(*registry_, line);
+        if (sendOk)
+            sendOk = sock.sendAll(line);
+    };
+
+    std::ostringstream accepted;
+    writeAccepted(accepted, id, c.name, c.points.size());
+    emit(accepted, [&](CampaignRegistry &r, const std::string &line) {
+        r.accepted(id, c, line);
+    });
+
     const campaign::CampaignResult result = engine_->run(
         c, [&](const campaign::JobResult &job, std::size_t index,
                std::size_t total) {
-            if (!sendOk && !bus_)
+            if (!sendOk && !registry_)
                 return;
             std::ostringstream out;
-            writePoint(out, id, job, index, total, metricsPattern);
-            const std::string line = out.str();
-            if (sendOk)
-                sendOk = sock.sendAll(line);
-            if (!bus_)
-                return;
-            registry_->point(id, job, index);
-            bus_->publish("point", chomp(line));
-            // The progress event is dashboard sugar: completion
-            // fraction, per-source split, and a naive ETA from the
-            // mean per-point pace so far.
-            ++doneCount;
-            ++bySource[static_cast<int>(job.source)];
-            const double elapsed = job.doneAtMs;
-            const double eta =
-                (doneCount > 0 && doneCount < total)
-                    ? elapsed / static_cast<double>(doneCount) *
-                          static_cast<double>(total - doneCount)
-                    : 0.0;
-            std::ostringstream pr;
-            pr << "{\"id\":" << id << ",\"done\":" << doneCount
-               << ",\"total\":" << total
-               << ",\"served\":{\"simulated\":" << bySource[0]
-               << ",\"memory\":" << bySource[1]
-               << ",\"disk\":" << bySource[2]
-               << ",\"inflight\":" << bySource[3]
-               << ",\"forked\":" << bySource[4]
-               << "},\"elapsed_ms\":";
-            report::jsonNumber(pr, elapsed);
-            pr << ",\"eta_ms\":";
-            report::jsonNumber(pr, eta);
-            pr << "}";
-            bus_->publish("progress", pr.str());
+            writePoint(out, id, job, index, total, c.metrics);
+            emit(out, [&](CampaignRegistry &r, const std::string &line) {
+                r.point(id, job, index, line);
+            });
         });
 
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        ++campaigns_;
-        points_ += result.jobs.size();
-        simulated_ += result.simulated;
-        fromMemory_ += result.fromMemory;
-        fromDisk_ += result.fromDisk;
-        fromInflight_ += result.fromInflight;
-        fromForked_ += result.fromForked;
+        ++served_.campaigns;
+        served_.points += result.jobs.size();
+        served_.simulated += result.simulated;
+        served_.fromMemory += result.fromMemory;
+        served_.fromDisk += result.fromDisk;
+        served_.fromInflight += result.fromInflight;
+        served_.fromForked += result.fromForked;
     }
-    if (opts_.verbose)
-        sim::inform("campaign_serve: submit #", id, " done: ",
-                    result.simulated, " simulated, ",
-                    result.fromForked, " forked, ",
-                    result.fromMemory, " memory, ", result.fromDisk,
-                    " disk, ", result.fromInflight, " inflight");
-    std::ostringstream out;
-    writeDone(out, id, result);
-    const std::string line = out.str();
-    if (bus_) {
-        registry_->done(id, result);
-        bus_->publish("done", chomp(line));
-    }
-    if (sendOk)
-        sock.sendAll(line);
+    sim::inform("campaign_serve: submit #", id, " done: ",
+                result.simulated, " simulated, ", result.fromForked,
+                " forked, ", result.fromMemory, " memory, ",
+                result.fromDisk, " disk, ", result.fromInflight,
+                " inflight");
+    std::ostringstream done;
+    writeDone(done, id, result);
+    emit(done, [&](CampaignRegistry &r, const std::string &line) {
+        r.done(id, result, line);
+    });
 }
 
 StatusInfo
@@ -284,13 +196,7 @@ CampaignServer::status() const
     StatusInfo info;
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        info.campaigns = campaigns_;
-        info.points = points_;
-        info.simulated = simulated_;
-        info.fromMemory = fromMemory_;
-        info.fromDisk = fromDisk_;
-        info.fromInflight = fromInflight_;
-        info.fromForked = fromForked_;
+        info = served_;
     }
     info.cachePoints = engine_->cache().size();
     info.inflight = engine_->inflightCount();

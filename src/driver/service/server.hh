@@ -14,6 +14,11 @@
  * Per-point results stream to the submitting client as the engine
  * resolves them, tagged with where each summary came from
  * (simulated / memory / disk / inflight).
+ *
+ * Protocol connections run on the same ConnectionServer as the HTTP
+ * dashboard, so both transports share one connection lifecycle.
+ * Progress lines go through sim::inform, so the log level decides
+ * whether they print.
  */
 
 #ifndef TDM_DRIVER_SERVICE_SERVER_HH
@@ -25,8 +30,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "driver/campaign/engine.hh"
 #include "driver/service/dashboard_api.hh"
@@ -43,8 +46,6 @@ struct ServerOptions
     campaign::EngineOptions engine;
     /** Persistent store directory; empty runs memory-only. */
     std::string storeDir;
-    /** Log one line per connection / submission to stderr. */
-    bool verbose = false;
     /**
      * HTTP dashboard address ("tcp:127.0.0.1:0", "unix:PATH"); empty
      * disables the dashboard entirely — no HTTP threads, no progress
@@ -65,26 +66,35 @@ class CampaignServer
     /** Throws std::runtime_error when the address cannot be bound or
      *  the store cannot be opened. */
     CampaignServer(const Address &addr, ServerOptions opts);
+    /** Stops and joins, like the end of serve(); a serve() running on
+     *  another thread must have returned. */
     ~CampaignServer();
 
     CampaignServer(const CampaignServer &) = delete;
     CampaignServer &operator=(const CampaignServer &) = delete;
 
     /** The bound address (ephemeral tcp ports resolved). */
-    const Address &address() const { return listener_.address(); }
+    const Address &address() const { return conns_.address(); }
 
-    /** Accept loop; returns once stopped. Joins all client threads. */
+    /** Accept loop; returns once stopped, after joining every
+     *  protocol and dashboard connection thread. */
     void serve();
 
-    /** Stop serving: unblocks accept(), closes live connections.
-     *  Callable from any thread (including a handler). */
+    /** Request the stop: unblocks accept(), shuts down live
+     *  connections, closes the progress bus. Never joins, so it is
+     *  callable from any thread, a connection handler included; the
+     *  joins happen when serve() returns. */
     void stop();
+
+    /** Protocol connections not yet joined (live plus finished ones
+     *  awaiting the next accept); 0 once serve() has returned. */
+    std::size_t trackedConnections() const
+    {
+        return conns_.trackedConnections();
+    }
 
     /** Aggregate counters (for status and the daemon's exit report). */
     StatusInfo status() const;
-
-    campaign::CampaignEngine &engine() { return *engine_; }
-    ResultStore *store() { return store_.get(); }
 
     /** The dashboard's bound address; nullptr when --http is off. */
     const Address *httpAddress() const
@@ -92,42 +102,36 @@ class CampaignServer
         return http_ ? &http_->address() : nullptr;
     }
 
-    /** The progress bus; nullptr when --http is off. */
-    ProgressBus *bus() { return bus_.get(); }
-
   private:
-    void handleClient(Socket sock);
+    /** stop(), then join every protocol and dashboard connection
+     *  thread: both kinds call status(), which reads the other's
+     *  members, so neither may outlive the server. */
+    void stopAndJoin();
+    void handleClient(Socket &sock, const std::atomic<bool> &stopping);
     void handleSubmit(Socket &sock, const SubmitRequest &req);
 
     ServerOptions opts_;
     std::unique_ptr<ResultStore> store_; ///< before engine_ (outlives)
     std::unique_ptr<campaign::CampaignEngine> engine_;
-    Listener listener_;
     std::chrono::steady_clock::time_point started_;
 
     // Dashboard plumbing, all null without --http. Declaration order
     // is destruction-safety: http_ (threads calling into the others)
-    // is declared last so it dies first.
+    // is declared after them so it dies first.
     std::unique_ptr<ProgressBus> bus_;
     std::unique_ptr<CampaignRegistry> registry_;
     std::unique_ptr<Dashboard> dashboard_;
     std::unique_ptr<HttpServer> http_;
 
-    std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> nextId_{1};
 
     mutable std::mutex statsMutex_;
-    std::uint64_t campaigns_ = 0;
-    std::uint64_t points_ = 0;
-    std::uint64_t simulated_ = 0;
-    std::uint64_t fromMemory_ = 0;
-    std::uint64_t fromDisk_ = 0;
-    std::uint64_t fromInflight_ = 0;
-    std::uint64_t fromForked_ = 0;
+    /** Submit and per-source point totals; status() fills the rest. */
+    StatusInfo served_;
 
-    std::mutex clientsMutex_;
-    std::vector<int> clientFds_; ///< live connections, for stop()
-    std::vector<std::thread> threads_;
+    /** Protocol connections; last, so its threads (which use every
+     *  member above) are joined before anything else is destroyed. */
+    ConnectionServer conns_;
 };
 
 } // namespace tdm::driver::service

@@ -1,5 +1,6 @@
 #include "driver/service/socket.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -96,7 +97,8 @@ parseAddress(const std::string &text)
 Socket::~Socket() { close(); }
 
 Socket::Socket(Socket &&other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buf_(std::move(other.buf_))
+    : fd_(std::exchange(other.fd_, -1)), buf_(std::move(other.buf_)),
+      tooLong_(std::exchange(other.tooLong_, false))
 {
 }
 
@@ -107,6 +109,7 @@ Socket::operator=(Socket &&other) noexcept
         close();
         fd_ = std::exchange(other.fd_, -1);
         buf_ = std::move(other.buf_);
+        tooLong_ = std::exchange(other.tooLong_, false);
     }
     return *this;
 }
@@ -141,13 +144,19 @@ Socket::sendAll(const std::string &data)
 bool
 Socket::readLine(std::string &line)
 {
+    std::size_t scanned = 0; // prefix of buf_ known to hold no '\n'
     while (true) {
-        const auto nl = buf_.find('\n');
+        const auto nl = buf_.find('\n', scanned);
+        if (std::min(nl, buf_.size()) > kMaxLineBytes) {
+            tooLong_ = true;
+            return false;
+        }
         if (nl != std::string::npos) {
             line = buf_.substr(0, nl);
             buf_.erase(0, nl + 1);
             return true;
         }
+        scanned = buf_.size();
         char chunk[4096];
         const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
         if (n < 0) {
@@ -286,6 +295,91 @@ connectTo(const Address &addr)
         sockError("connect(" + addr.display() + ")");
     }
     return Socket(fd);
+}
+
+ConnectionServer::ConnectionServer(const Address &addr, Handler handler)
+    : handler_(std::move(handler)), listener_(addr)
+{
+}
+
+ConnectionServer::~ConnectionServer()
+{
+    requestStop();
+    join();
+}
+
+void
+ConnectionServer::requestStop()
+{
+    stopping_.store(true);
+    listener_.shutdownNow();
+    std::lock_guard<std::mutex> lock(connMutex_);
+    for (const auto &c : conns_)
+        if (c->fd >= 0)
+            ::shutdown(c->fd, SHUT_RDWR);
+}
+
+std::size_t
+ConnectionServer::trackedConnections() const
+{
+    std::lock_guard<std::mutex> lock(connMutex_);
+    return conns_.size();
+}
+
+void
+ConnectionServer::reap(bool all)
+{
+    std::list<std::unique_ptr<Conn>> gone;
+    {
+        std::lock_guard<std::mutex> lock(connMutex_);
+        for (auto it = conns_.begin(); it != conns_.end();)
+            if (all || (*it)->done.load())
+                gone.splice(gone.end(), conns_, it++);
+            else
+                ++it;
+    }
+    for (const auto &c : gone)
+        if (c->thr.joinable())
+            c->thr.join();
+}
+
+void
+ConnectionServer::run()
+{
+    while (!stopping_.load()) {
+        Socket sock = listener_.accept();
+        if (!sock.valid())
+            break; // stopped, or the listener failed
+        reap(false);
+        // Registered under the lock requestStop() shuts connections
+        // down under, so a connection accepted concurrently with a
+        // stop is either refused here or shut down there.
+        std::lock_guard<std::mutex> lock(connMutex_);
+        if (stopping_.load())
+            break;
+        conns_.push_back(std::make_unique<Conn>());
+        Conn &conn = *conns_.back();
+        conn.fd = sock.fd();
+        conn.thr =
+            std::thread([this, &conn, s = std::move(sock)]() mutable {
+                serveConnection(std::move(s), conn);
+            });
+    }
+}
+
+void
+ConnectionServer::serveConnection(Socket sock, Conn &conn)
+{
+    handler_(sock, stopping_);
+    // Drop the fd from requestStop()'s shutdown set *before* closing:
+    // once closed, the number can be reused by an unrelated
+    // descriptor.
+    {
+        std::lock_guard<std::mutex> lock(connMutex_);
+        conn.fd = -1;
+    }
+    sock.close();
+    conn.done.store(true); // last: the reaper may join immediately
 }
 
 } // namespace tdm::driver::service

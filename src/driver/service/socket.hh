@@ -12,14 +12,24 @@
  * Socket wraps a connected fd with line-buffered reads (the protocol
  * is line-delimited) and EINTR/partial-write-safe sends; writes use
  * MSG_NOSIGNAL so a vanished peer surfaces as an error, not SIGPIPE.
+ *
+ * ConnectionServer is the one accept/connection layer both transports
+ * (the line-JSON protocol and the HTTP dashboard) run on: a Listener
+ * plus one thread per live connection running a transport handler.
  */
 
 #ifndef TDM_DRIVER_SERVICE_SOCKET_HH
 #define TDM_DRIVER_SERVICE_SOCKET_HH
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <list>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 
 namespace tdm::driver::service {
 
@@ -51,15 +61,26 @@ class Socket
     Socket(const Socket &) = delete;
     Socket &operator=(const Socket &) = delete;
 
+    /** Cap on one line readLine() buffers. The largest in-repo lines
+     *  are ServiceClient submits of full canonical specs, ~1.7 KiB per
+     *  point: 122,666 bytes for hostbench's 72-point sweep_fork grid,
+     *  152,967 for the 90-point fig12. */
+    static constexpr std::size_t kMaxLineBytes = 4u << 20;
+
     bool valid() const { return fd_ >= 0; }
     int fd() const { return fd_; }
 
     /** Write all of @p data; false on any send error. */
     bool sendAll(const std::string &data);
 
-    /** Next '\n'-terminated line (terminator stripped); false on EOF
-     *  or error. A final unterminated line is returned as-is. */
+    /** Next '\n'-terminated line (terminator stripped); false on EOF,
+     *  on error, or on a line longer than kMaxLineBytes (then
+     *  lineTooLong() is true and the stream cannot be resynced). A
+     *  final unterminated line is returned as-is. */
     bool readLine(std::string &line);
+
+    /** The last readLine() failed on a line over kMaxLineBytes. */
+    bool lineTooLong() const { return tooLong_; }
 
     /** Raw read of up to @p cap bytes (EINTR-safe). Returns the byte
      *  count, 0 on EOF, -1 on error. Used by the HTTP layer, whose
@@ -71,6 +92,7 @@ class Socket
   private:
     int fd_ = -1;
     std::string buf_; ///< bytes read past the last returned line
+    bool tooLong_ = false;
 };
 
 /** A bound, listening socket. */
@@ -104,6 +126,75 @@ class Listener
 
 /** Connect to a service; throws std::runtime_error on failure. */
 Socket connectTo(const Address &addr);
+
+/**
+ * A listener plus one thread per live connection running the
+ * transport's handler. Every accept first joins the threads whose
+ * handler has returned, so a long-running daemon holds threads (and
+ * their stacks) for live connections only.
+ *
+ * Stopping is split so a handler may stop its own server (the
+ * protocol's shutdown op does): requestStop() never joins; the owner
+ * calls join() once run() has returned.
+ */
+class ConnectionServer
+{
+  public:
+    /** Serves one connection; the socket closes when it returns.
+     *  Long-lived handlers poll @p stopping. */
+    using Handler = std::function<void(
+        Socket &sock, const std::atomic<bool> &stopping)>;
+
+    /** Bind @p addr; throws std::runtime_error on failure. */
+    ConnectionServer(const Address &addr, Handler handler);
+    /** requestStop() and join(); run() must have returned. */
+    ~ConnectionServer();
+
+    ConnectionServer(const ConnectionServer &) = delete;
+    ConnectionServer &operator=(const ConnectionServer &) = delete;
+
+    /** The bound address (ephemeral tcp ports resolved). */
+    const Address &address() const { return listener_.address(); }
+
+    /** Accept loop; returns once stopped or when the listener fails. */
+    void run();
+
+    /** Stop accepting and shut down every live connection. Never
+     *  joins; idempotent; callable from any thread. */
+    void requestStop();
+
+    bool stopping() const { return stopping_.load(); }
+
+    /** Join every connection thread; never from a handler. */
+    void join() { reap(true); }
+
+    /** Connections not yet joined (live plus finished ones awaiting
+     *  the next accept); 0 after join(). */
+    std::size_t trackedConnections() const;
+
+  private:
+    /** One live (or finished-but-unjoined) connection. The handler
+     *  thread clears @c fd before closing the socket (so requestStop()
+     *  never shuts down a kernel-reused descriptor) and raises @c done
+     *  as its final act. */
+    struct Conn
+    {
+        int fd = -1; ///< -1 once the handler has closed the socket
+        std::atomic<bool> done{false};
+        std::thread thr;
+    };
+
+    /** Join the finished connections, or with @p all every one. */
+    void reap(bool all);
+    void serveConnection(Socket sock, Conn &conn);
+
+    Handler handler_;
+    Listener listener_;
+    std::atomic<bool> stopping_{false};
+
+    mutable std::mutex connMutex_;
+    std::list<std::unique_ptr<Conn>> conns_;
+};
 
 } // namespace tdm::driver::service
 

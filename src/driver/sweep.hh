@@ -1,14 +1,13 @@
 /**
  * @file
- * Parameter-sweep helper: run the same experiment across a list of
- * configurations, collecting summaries.
+ * One labeled point of a parameter sweep. Campaigns are lists of
+ * these; the campaign engine runs them.
  */
 
 #ifndef TDM_DRIVER_SWEEP_HH
 #define TDM_DRIVER_SWEEP_HH
 
-#include <functional>
-#include <vector>
+#include <string>
 
 #include "driver/experiment.hh"
 
@@ -20,24 +19,6 @@ struct SweepPoint
     std::string label;
     Experiment exp;
 };
-
-/** Result of one sweep point. */
-struct SweepResult
-{
-    std::string label;
-    RunSummary summary;
-};
-
-/** Run every point in order. */
-std::vector<SweepResult> runSweep(const std::vector<SweepPoint> &points);
-
-/**
- * Convenience: sweep one mutator over a base experiment.
- * The mutator receives the index and a copy of the base to adjust.
- */
-std::vector<SweepResult>
-runSweep(const Experiment &base, const std::vector<std::string> &labels,
-         const std::function<void(std::size_t, Experiment &)> &mutate);
 
 } // namespace tdm::driver
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Campaign-engine tests: fingerprint canonicalization, multi-threaded
- * determinism against the sequential sweep path, cache-hit behavior on
+ * determinism against per-point driver::run(), cache-hit behavior on
  * duplicated points, error propagation, the built-in campaign registry
  * and the JSON/CSV writers.
  */
@@ -18,7 +18,6 @@
 #include "driver/graph_cache.hh"
 #include "driver/report/csv_writer.hh"
 #include "driver/report/json_writer.hh"
-#include "driver/sweep.hh"
 
 using namespace tdm;
 using namespace tdm::driver;
@@ -139,21 +138,35 @@ TEST(Fingerprint, DigestIsFixedWidth)
 
 TEST(Engine, FourThreadRunMatchesSequentialSweep)
 {
+    // The oracle is each point simulated on its own, in order, by
+    // driver::run(): its own graph build, no cache, no fork, no
+    // thread pool. The engine's run must export exactly the same.
     const auto points = mixedPoints();
-
-    auto seq = runSweep(points);
 
     campaign::EngineOptions opts;
     opts.threads = 4;
     campaign::CampaignEngine engine(opts);
     auto par = engine.run("mixed", points);
 
-    ASSERT_EQ(par.jobs.size(), seq.size());
+    // All eight points use one explicit granularity, so they share a
+    // single graph.
+    EXPECT_EQ(par.graphBuilds, 1u);
+    EXPECT_EQ(par.graphShares, par.simulated - 1);
+    EXPECT_EQ(engine.graphCache().size(), 1u);
+
+    ASSERT_EQ(par.jobs.size(), points.size());
     EXPECT_EQ(par.threads, 4u);
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        EXPECT_EQ(par.jobs[i].label, seq[i].label);
-        EXPECT_TRUE(par.jobs[i].ok()) << par.jobs[i].label;
-        expectSummariesEqual(par.jobs[i].summary, seq[i].summary);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const campaign::JobResult &job = par.jobs[i];
+        const RunSummary seq = driver::run(points[i].exp);
+        EXPECT_EQ(job.label, points[i].label);
+        EXPECT_TRUE(job.ok()) << job.label;
+        expectSummariesEqual(job.summary, seq);
+        // The full flattened metric tree — the payload every export
+        // writer serializes — must match exactly, key set and values.
+        EXPECT_EQ(job.summary.metrics().entries(),
+                  seq.metrics().entries())
+            << job.label;
     }
 }
 
@@ -253,11 +266,9 @@ TEST(Engine, PropagatesIncompleteRuns)
     EXPECT_FALSE(rep.jobs[0].error.empty());
     EXPECT_TRUE(rep.jobs[1].ok());
 
-    // The sequential wrapper keeps returning results for failed points.
-    auto seq = runSweep(points);
-    ASSERT_EQ(seq.size(), 2u);
-    EXPECT_FALSE(seq[0].summary.completed);
-    EXPECT_TRUE(seq[1].summary.completed);
+    // The failed point's summary is the one a plain run produces.
+    expectSummariesEqual(rep.jobs[0].summary, driver::run(doomed));
+    expectSummariesEqual(rep.jobs[1].summary, driver::run(points[1].exp));
 
     // A failed run is cached like any other deterministic outcome.
     auto rerun = engine.run("errors", points);
@@ -319,47 +330,6 @@ TEST(GraphCache, KeySeparatesGraphsAndSharesEqualOnes)
     EXPECT_EQ(cache.builds(), 3u);
     EXPECT_EQ(cache.size(), 3u);
     EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(Engine, SharedGraphRunIsByteIdenticalToPerPointBuilds)
-{
-    // The tentpole guarantee of graph sharing: a campaign simulated on
-    // shared immutable graphs exports exactly what per-point graph
-    // builds export — every metric of every job, bit for bit.
-    const auto points = mixedPoints();
-
-    campaign::EngineOptions shared_opts;
-    shared_opts.threads = 4;
-    shared_opts.shareGraphs = true;
-    campaign::CampaignEngine shared_engine(shared_opts);
-    auto shared = shared_engine.run("mixed", points);
-
-    campaign::EngineOptions rebuild_opts;
-    rebuild_opts.threads = 4;
-    rebuild_opts.shareGraphs = false;
-    campaign::CampaignEngine rebuild_engine(rebuild_opts);
-    auto rebuilt = rebuild_engine.run("mixed", points);
-
-    // All eight points use one explicit granularity, so they share a
-    // single graph; the rebuild path builds none.
-    EXPECT_EQ(shared.graphBuilds, 1u);
-    EXPECT_EQ(shared.graphShares, shared.simulated - 1);
-    EXPECT_EQ(rebuilt.graphBuilds, 0u);
-    EXPECT_EQ(shared_engine.graphCache().size(), 1u);
-
-    ASSERT_EQ(shared.jobs.size(), rebuilt.jobs.size());
-    for (std::size_t i = 0; i < shared.jobs.size(); ++i) {
-        const campaign::JobResult &a = shared.jobs[i];
-        const campaign::JobResult &b = rebuilt.jobs[i];
-        ASSERT_TRUE(a.ok()) << a.label;
-        EXPECT_EQ(a.summary.makespan, b.summary.makespan) << a.label;
-        // The full flattened metric tree — the payload every export
-        // writer serializes — must match exactly, key set and values.
-        EXPECT_EQ(a.summary.metrics().entries(),
-                  b.summary.metrics().entries())
-            << a.label;
-        EXPECT_EQ(a.spec.serialize(), b.spec.serialize()) << a.label;
-    }
 }
 
 TEST(Registry, BuiltinCampaigns)

@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/campaign/engine.hh"
 #include "driver/experiment.hh"
 #include "driver/report/aggregate.hh"
 #include "driver/spec/grid.hh"
-#include "driver/sweep.hh"
 
 using namespace tdm;
 
@@ -72,20 +72,21 @@ TEST(Experiment, TdmImpliesTdmOptimalGranularity)
 
 TEST(Sweep, RunsLabeledPoints)
 {
-    auto results = driver::runSweep(
-        smallExperiment(core::RuntimeType::Software), {"a", "b"},
-        [](std::size_t i, driver::Experiment &e) {
-            e.config.dmu.accessCycles = i == 0 ? 1 : 4;
-        });
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].label, "a");
-    EXPECT_TRUE(results[1].summary.completed);
+    driver::Experiment a = smallExperiment(core::RuntimeType::Software);
+    driver::Experiment b = a;
+    a.config.dmu.accessCycles = 1;
+    b.config.dmu.accessCycles = 4;
+    driver::campaign::CampaignEngine engine; // one worker thread
+    const auto rep = engine.run("sweep", {{"a", a}, {"b", b}});
+    ASSERT_EQ(rep.jobs.size(), 2u);
+    EXPECT_EQ(rep.jobs[0].label, "a");
+    EXPECT_TRUE(rep.jobs[1].summary.completed);
 }
 
 TEST(Sweep, RunsGridPoints)
 {
-    // The declarative form of the mutator sweep above: the axis is a
-    // spec key, the points come straight out of the grid.
+    // The declarative form of the sweep above: the axis is a spec
+    // key, the points come straight out of the grid.
     auto points = driver::spec::Grid()
                       .set("workload", "cholesky")
                       .set("workload.granularity", "262144")
@@ -93,7 +94,8 @@ TEST(Sweep, RunsGridPoints)
                       .axis("dmu.access_cycles", {"1", "4"})
                       .label("dmu{dmu.access_cycles}")
                       .points();
-    auto results = driver::runSweep(points);
+    driver::campaign::CampaignEngine engine; // one worker thread
+    const auto results = engine.run("grid", points).jobs;
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].label, "dmu1");
     EXPECT_EQ(results[1].label, "dmu4");

@@ -2,13 +2,15 @@
  * @file
  * Campaign-service tests: the wire protocol (JSON parsing, request
  * validation, point-event round-trips) and the live server/client
- * stack — concurrent clients deduplicating onto one engine, and a
+ * stack — concurrent clients deduplicating onto one engine, a
  * cold-restarted server replaying a sweep entirely from its
- * persistent store with byte-identical metrics.
+ * persistent store with byte-identical metrics, and the connection
+ * lifecycle (thread reaping, racing stops, the request-line cap).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -386,4 +388,86 @@ TEST(ServiceServer, RestartServesSweepEntirelyFromDisk)
 
     fx.stop();
     fs::remove_all(dir);
+}
+
+// ---- connection lifecycle ------------------------------------------------
+
+TEST(ServiceServer, ReapsFinishedConnectionThreads)
+{
+    ServerFixture fx("");
+    for (int i = 0; i < 200; ++i) {
+        svc::ServiceClient client(fx.address());
+        ASSERT_TRUE(client.ping());
+    }
+    // Every accept first joins connections whose handler returned, so
+    // the tracked set follows live connections (none now), not the 200
+    // served; only the most recent few may still be winding down. A
+    // grow-only thread list would hold 200 threads' stacks here.
+    EXPECT_LE(fx.server().trackedConnections(), 5u);
+    fx.stop();
+    EXPECT_EQ(fx.server().trackedConnections(), 0u);
+}
+
+TEST(ServiceServer, ShutdownOpRacesConcurrentStopsMidSubmit)
+{
+    svc::ServerOptions opts;
+    opts.engine.threads = 2;
+    opts.httpAddr = "tcp:127.0.0.1:0";
+    svc::CampaignServer server(svc::parseAddress("tcp:127.0.0.1:0"),
+                               opts);
+    std::thread serving([&] { server.serve(); });
+
+    // A client mid-submit: accepted, its points still simulating.
+    svc::Socket submitter = svc::connectTo(server.address());
+    std::string req = R"({"op":"submit","name":"long","points":[)";
+    for (const char *cores : {"4", "8", "16", "32"})
+        req += std::string(R"({"spec":{"workload":"cholesky",)")
+               + R"("workload.granularity":"4096","machine.cores":")"
+               + cores + R"("}},)";
+    req.back() = ']';
+    ASSERT_TRUE(submitter.sendAll(req + "}\n"));
+    std::string line;
+    ASSERT_TRUE(submitter.readLine(line));
+    EXPECT_NE(line.find("\"event\":\"accepted\""), std::string::npos)
+        << line;
+
+    // The shutdown op stops the server from a connection thread while
+    // four other threads stop it too. stop() only requests the stop,
+    // so nobody joins the thread it runs on, and serve() joins every
+    // connection exactly once.
+    svc::Socket shutdown = svc::connectTo(server.address());
+    ASSERT_TRUE(shutdown.sendAll("{\"op\":\"shutdown\"}\n"));
+    std::vector<std::thread> stoppers;
+    for (int i = 0; i < 4; ++i)
+        stoppers.emplace_back([&] { server.stop(); });
+    for (std::thread &t : stoppers)
+        t.join();
+    serving.join();
+    EXPECT_EQ(server.trackedConnections(), 0u);
+
+    // Both clients see their streams end; neither hangs.
+    while (shutdown.readLine(line))
+        EXPECT_NE(line.find("\"event\":\"bye\""), std::string::npos);
+    while (submitter.readLine(line))
+        EXPECT_EQ(line.find("\"event\":\"error\""), std::string::npos)
+            << line;
+}
+
+TEST(ServiceServer, OversizedRequestLineIsRefused)
+{
+    ServerFixture fx("");
+    svc::Socket raw = svc::connectTo(svc::parseAddress(fx.address()));
+    // One byte past the cap and no newline: the server answers and
+    // closes instead of buffering without bound.
+    ASSERT_TRUE(
+        raw.sendAll(std::string(svc::Socket::kMaxLineBytes + 1, 'x')));
+    std::string line;
+    ASSERT_TRUE(raw.readLine(line));
+    EXPECT_NE(line.find("\"event\":\"error\""), std::string::npos)
+        << line.substr(0, 200);
+    EXPECT_FALSE(raw.readLine(line));
+
+    // The daemon keeps serving everyone else.
+    svc::ServiceClient other(fx.address());
+    EXPECT_TRUE(other.ping());
 }

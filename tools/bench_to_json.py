@@ -13,8 +13,7 @@ cold-cache campaign runs, then writes a machine-readable snapshot:
       },
       "campaigns": {
         "fig13": {"threads": ..., "points": ...,
-                  "wall_s": ..., "wall_s_no_graph_share": ...,
-                  "graph_share_speedup": ...,
+                  "wall_s": ...,
                   "wall_s_no_warm_fork": ...,
                   "warm_fork_speedup": ...}
       }
@@ -152,7 +151,7 @@ def main():
     ap.add_argument("--quick", action="store_true",
                     help="smaller iteration counts for CI smoke runs")
     ap.add_argument("--skip-baseline", action="store_true",
-                    help="skip the --no-graph-share A/B campaign run")
+                    help="skip the --no-warm-fork A/B campaign run")
     args = ap.parse_args()
 
     micros = args.micro or sorted(MICRO_ARGS)
@@ -178,12 +177,6 @@ def main():
     for name in campaigns:
         entry = run_campaign(args.build_dir, name, args.threads)
         if not args.skip_baseline:
-            base = run_campaign(args.build_dir, name, args.threads,
-                                extra=["--no-graph-share"])
-            entry["wall_s_no_graph_share"] = base["wall_s"]
-            entry["graph_share_speedup"] = round(
-                base["wall_s"] / entry["wall_s"], 3) \
-                if entry["wall_s"] else None
             # Warm-fork A/B: --no-warm-fork simulates every point from
             # tick 0. Only campaigns whose points share warm prefixes
             # (e.g. ablation_sensitivity) gain; for warmup-axis sweeps

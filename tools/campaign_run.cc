@@ -20,9 +20,6 @@
  *                     directive in a *.campaign file
  *   --threads N       worker threads (default: hardware concurrency)
  *   --no-cache        disable result-cache deduplication
- *   --no-graph-share  rebuild each point's task graph instead of
- *                     sharing one immutable graph per distinct
- *                     workload (A/B baseline for perf tracking)
  *   --no-warm-fork    simulate every point cold from tick 0 instead
  *                     of forking points that share a warm prefix
  *                     from one warmup snapshot (A/B baseline; forked
@@ -97,7 +94,7 @@ usage(const char *argv0)
               << " [--list] [--keys] [--metric-keys] [--trace-keys]"
                  " [--spec FILE]"
                  " [--set KEY=VALUE] [--metrics GLOBS] [--threads N]"
-                 " [--no-cache] [--no-graph-share] [--seed-base S]"
+                 " [--no-cache] [--seed-base S]"
                  " [--json FILE] [--csv FILE] [--trace-dir DIR]"
                  " [--store DIR] [--server ADDR]"
                  " [--log-level LEVEL] [--quiet] [CAMPAIGN...]\n";
@@ -184,8 +181,6 @@ main(int argc, char **argv)
                 cmp::parseUintArg(need(i), "--threads", UINT32_MAX));
         } else if (!std::strcmp(a, "--no-cache")) {
             opts.useCache = false;
-        } else if (!std::strcmp(a, "--no-graph-share")) {
-            opts.shareGraphs = false;
         } else if (!std::strcmp(a, "--no-warm-fork")) {
             opts.warmFork = false;
         } else if (!std::strcmp(a, "--seed-base")) {

@@ -79,7 +79,6 @@ main(int argc, char **argv)
     std::string listen = "tcp:127.0.0.1:7077";
     svc::ServerOptions opts;
     opts.engine.threads = 0; // hardware concurrency
-    opts.verbose = true;
     sim::setLogLevel(sim::LogLevel::Info);
 
     auto need = [&](int &i) -> const char * {
@@ -112,10 +111,8 @@ main(int argc, char **argv)
                 return 2;
             }
             sim::setLogLevel(level);
-            opts.verbose = level >= sim::LogLevel::Info;
         } else if (!std::strcmp(a, "--quiet")) {
             sim::setLogLevel(sim::LogLevel::Warn);
-            opts.verbose = false;
         } else {
             usage(argv[0]);
         }
