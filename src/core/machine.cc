@@ -42,7 +42,8 @@ Machine::Machine(const cpu::MachineConfig &cfg,
         sim::fatal("mesh too small for ", cfg_.numCores, " cores + DMU");
 
     if (cfg_.enableMemModel)
-        mem_ = std::make_unique<mem::MemoryModel>(cfg_.mem, cfg_.numCores);
+        mem_ = std::make_unique<mem::MemoryModel>(
+            cfg_.mem, cfg_.numCores, graph_.regions().size());
 
     if (traits_.dep == DepMode::Software) {
         tracker_ = std::make_unique<rt::SoftwareTracker>(graph_);
@@ -1275,8 +1276,8 @@ Machine::runFromWarm(const cpu::MachineConfig &cfg)
     // exactly the state a cold run would have here.
     mem_.reset();
     if (cfg_.enableMemModel)
-        mem_ = std::make_unique<mem::MemoryModel>(cfg_.mem,
-                                                  cfg_.numCores);
+        mem_ = std::make_unique<mem::MemoryModel>(
+            cfg_.mem, cfg_.numCores, graph_.regions().size());
     // Fresh registry over the restored component state (the old one
     // held pointers into the replaced memory model). The snapshot's
     // shape hook has already verified the key set is fork-invariant,

@@ -6,9 +6,19 @@
  * A task's memory time is computed when it starts executing: every
  * dependence region is classified as L1 / L2 / DRAM resident and charged
  *   lines(region) * latency(level) / memLevelParallelism
- * cycles. Writes invalidate the region in all other cores' L1s, which is
- * what makes locality-aware scheduling profitable (a consumer scheduled
- * on the producer's core hits in L1; elsewhere it pays an L2 access).
+ * cycles. The L1s are write-invalidate, which is what makes
+ * locality-aware scheduling profitable (a consumer scheduled on the
+ * producer's core hits in L1; elsewhere it pays an L2 access).
+ *
+ * Invalidation is directed by an exact sharer list per region: the set
+ * of cores whose L1 currently holds it. An L1 miss adds the core, an L1
+ * eviction (reported by RegionCache::touch) removes it, and a write
+ * invalidates the region in the listed L1s only and leaves the writer
+ * as the sole sharer. A write therefore costs O(sharers) rather than
+ * O(cores), and the node count is bounded by total L1 residency. The
+ * lists are singly linked through one node slab with a free list, with
+ * one head index per region id (region ids are the task graph's dense
+ * ids, so the head array is sized from the graph's region count).
  */
 
 #ifndef TDM_MEM_MEMORY_MODEL_HH
@@ -53,7 +63,10 @@ struct MemConfig
 class MemoryModel
 {
   public:
-    MemoryModel(const MemConfig &cfg, unsigned num_cores);
+    /** @p num_regions pre-sizes the per-region sharer index (pass the
+     *  task graph's region count); a larger id grows it on first use. */
+    MemoryModel(const MemConfig &cfg, unsigned num_cores,
+                std::size_t num_regions = 0);
 
     /**
      * Charge a task's working set touched from @p core.
@@ -87,9 +100,31 @@ class MemoryModel
     void snapshotState(sim::Snapshot &s);
 
   private:
+    static constexpr std::uint32_t npos = 0xffffffffu;
+
+    /** One L1 holding a region, linked into that region's list. */
+    struct Sharer
+    {
+        sim::CoreId core;
+        std::uint32_t next; ///< next node of the list (or free list)
+    };
+
+    void addSharer(RegionId region, sim::CoreId core);
+    void dropSharer(RegionId region, sim::CoreId core);
+    /** Invalidate @p region in every listed L1 except @p writer's. */
+    void invalidateSharers(RegionId region, sim::CoreId writer);
+    /** True iff @p region's list is exactly the set of L1s holding it,
+     *  without duplicates (checked by SIM_ASSERT only). */
+    bool sharersExact(RegionId region) const;
+
     MemConfig cfg_;
     std::vector<std::unique_ptr<RegionCache>> l1_;
     RegionCache l2_;
+
+    std::vector<std::uint32_t> sharerHead_; ///< per region id; npos: none
+    std::vector<Sharer> sharers_;           ///< node slab
+    std::uint32_t freeSharer_ = npos;       ///< free-list head
+    std::vector<RegionId> evicted_;         ///< L1 touch scratch
 
     std::uint64_t l1Hits_ = 0, l1Misses_ = 0;
     std::uint64_t l2Hits_ = 0, l2Misses_ = 0;

@@ -164,18 +164,21 @@ RegionCache::dropSlot(std::uint32_t s)
 }
 
 void
-RegionCache::evictFor(std::uint64_t bytes)
+RegionCache::evictFor(std::uint64_t bytes, std::vector<RegionId> *evicted)
 {
     while (used_ + bytes > capacity_ && tail_ != npos) {
         std::uint32_t victim = tail_;
         used_ -= slots_[victim].bytes;
+        if (evicted)
+            evicted->push_back(slots_[victim].id);
         dropSlot(victim);
         ++evictions_;
     }
 }
 
 bool
-RegionCache::touch(RegionId id, std::uint64_t bytes)
+RegionCache::touch(RegionId id, std::uint64_t bytes,
+                   std::vector<RegionId> *evicted)
 {
     std::uint64_t eff = std::min(bytes, capacity_);
     std::uint32_t cell = findCell(id);
@@ -192,7 +195,7 @@ RegionCache::touch(RegionId id, std::uint64_t bytes)
                    slots_[s].id);
         used_ -= slots_[s].bytes;
         unlink(s);
-        evictFor(eff);
+        evictFor(eff, evicted);
         slots_[s].bytes = eff;
         linkFront(s);
         used_ += eff;
@@ -201,7 +204,7 @@ RegionCache::touch(RegionId id, std::uint64_t bytes)
                    capacity_, " after hit on region ", id);
         return true;
     }
-    evictFor(eff);
+    evictFor(eff, evicted);
     std::uint32_t s = allocSlot();
     slots_[s].id = id;
     slots_[s].bytes = eff;

@@ -26,14 +26,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "runtime/task.hh"
+
 namespace tdm::sim {
 class Snapshot;
 } // namespace tdm::sim
 
 namespace tdm::mem {
 
-/** Identifier of a data region (assigned by the workload). */
-using RegionId = std::uint64_t;
+/** Identifier of a data region: the task graph's dense 32-bit id. */
+using RegionId = rt::RegionId;
 
 /**
  * LRU set of regions bounded by total bytes.
@@ -45,9 +47,12 @@ class RegionCache
 
     /**
      * Touch a region: returns true if it was resident (hit). Allocates
-     * it (possibly evicting LRU regions) either way.
+     * it (possibly evicting LRU regions) either way. When @p evicted is
+     * given, the ids of the regions evicted to make room are appended
+     * to it, LRU first. The touched region itself is never evicted.
      */
-    bool touch(RegionId id, std::uint64_t bytes);
+    bool touch(RegionId id, std::uint64_t bytes,
+               std::vector<RegionId> *evicted = nullptr);
 
     /** Probe without state change. */
     bool contains(RegionId id) const;
@@ -75,8 +80,8 @@ class RegionCache
     /** One resident region, linked into the recency list by index. */
     struct Slot
     {
-        RegionId id;
         std::uint64_t bytes;
+        RegionId id;
         std::uint32_t prev; ///< toward MRU; npos at the head
         std::uint32_t next; ///< toward LRU; npos at the tail
     };
@@ -100,7 +105,7 @@ class RegionCache
     void unlink(std::uint32_t s);
     /** Unlink + index-erase + free the slot of a resident region. */
     void dropSlot(std::uint32_t s);
-    void evictFor(std::uint64_t bytes);
+    void evictFor(std::uint64_t bytes, std::vector<RegionId> *evicted);
 
     std::uint64_t capacity_;
     std::uint64_t used_ = 0;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the line-level cache and the region cache.
+ * Unit tests for the region cache.
  */
 
 #include <gtest/gtest.h>
@@ -9,56 +9,11 @@
 #include <list>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "mem/region_cache.hh"
-#include "mem/set_assoc_cache.hh"
 
 using namespace tdm;
-
-TEST(SetAssocCache, HitAfterMiss)
-{
-    mem::SetAssocCache c({1024, 2, 64});
-    EXPECT_FALSE(c.access(0x1000));
-    EXPECT_TRUE(c.access(0x1000));
-    EXPECT_EQ(c.hits(), 1u);
-    EXPECT_EQ(c.misses(), 1u);
-}
-
-TEST(SetAssocCache, SameLineDifferentOffsetHits)
-{
-    mem::SetAssocCache c({1024, 2, 64});
-    c.access(0x1000);
-    EXPECT_TRUE(c.access(0x103F));
-    EXPECT_FALSE(c.access(0x1040)); // next line
-}
-
-TEST(SetAssocCache, LruEvictionWithinSet)
-{
-    // 2 sets x 2 ways, 64B lines: addresses with the same set bits
-    // conflict after 2 distinct tags.
-    mem::SetAssocCache c({256, 2, 64});
-    EXPECT_EQ(c.geometry().numSets(), 2u);
-    c.access(0x0000);          // set 0, tag 0
-    c.access(0x0080);          // set 0, tag 1
-    EXPECT_TRUE(c.access(0x0000)); // refresh tag 0
-    c.access(0x0100);          // set 0, tag 2 -> evicts tag 1 (LRU)
-    EXPECT_TRUE(c.contains(0x0000));
-    EXPECT_FALSE(c.contains(0x0080));
-    EXPECT_EQ(c.evictions(), 1u);
-}
-
-TEST(SetAssocCache, InvalidateAndFlush)
-{
-    mem::SetAssocCache c({1024, 4, 64});
-    c.access(0x2000);
-    EXPECT_TRUE(c.invalidate(0x2000));
-    EXPECT_FALSE(c.invalidate(0x2000));
-    EXPECT_FALSE(c.contains(0x2000));
-    c.access(0x2000);
-    c.access(0x3000);
-    c.flush();
-    EXPECT_EQ(c.occupancy(), 0u);
-}
 
 TEST(RegionCache, HitTracking)
 {
@@ -124,11 +79,13 @@ class NaiveLru
     explicit NaiveLru(std::uint64_t cap) : cap_(cap) {}
 
     bool
-    touch(mem::RegionId id, std::uint64_t bytes)
+    touch(mem::RegionId id, std::uint64_t bytes,
+          std::vector<mem::RegionId> &evicted)
     {
         bool hit = erase(id);
         std::uint64_t eff = std::min(bytes, cap_);
         while (used_ + eff > cap_ && !lru_.empty()) {
+            evicted.push_back(lru_.back().first);
             used_ -= lru_.back().second;
             map_.erase(lru_.back().first);
             lru_.pop_back();
@@ -181,7 +138,8 @@ TEST(RegionCache, FuzzAgainstNaiveLru)
     // Drives the open-addressed index through its interesting regimes
     // — growth/rehash, backward-shift deletion under clustering, slot
     // recycling, whole-cache flushes — and checks every observable
-    // against a naive list-based LRU after each operation.
+    // against a naive list-based LRU after each operation, including
+    // the ids each touch reports evicted, in eviction order.
     mem::RegionCache rc(4096);
     NaiveLru ref(4096);
     std::uint64_t rng = 12345;
@@ -210,10 +168,14 @@ TEST(RegionCache, FuzzAgainstNaiveLru)
                 break;
             }
             [[fallthrough]];
-          default:
-            EXPECT_EQ(rc.touch(id, bytes), ref.touch(id, bytes));
+          default: {
+            std::vector<mem::RegionId> got, want;
+            EXPECT_EQ(rc.touch(id, bytes, &got),
+                      ref.touch(id, bytes, want));
+            EXPECT_EQ(got, want) << "op " << op;
             EXPECT_EQ(rc.evictions(), ref.evictions());
             break;
+          }
         }
         ASSERT_EQ(rc.usedBytes(), ref.used()) << "op " << op;
         ASSERT_EQ(rc.residentRegions(), ref.resident()) << "op " << op;

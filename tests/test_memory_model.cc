@@ -1,13 +1,18 @@
 /**
  * @file
  * Unit tests for the memory hierarchy model: residency levels,
- * invalidation on writes, and the locality effect the Locality
- * scheduler exploits.
+ * invalidation on writes, the locality effect the Locality scheduler
+ * exploits, and a lockstep fuzz of the sharer-directed invalidation
+ * against a reference that invalidates every other L1.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "mem/memory_model.hh"
+#include "sim/snapshot.hh"
 
 using namespace tdm;
 
@@ -91,4 +96,160 @@ TEST(MemoryModel, ZeroByteAccessIsFree)
     mem::MemoryModel m(smallConfig(), 1);
     mem::MemAccess a{1, 0, false};
     EXPECT_EQ(m.taskAccessTime(0, std::span(&a, 1)), 0u);
+}
+
+namespace {
+
+/** Brute-force reference with the broadcast semantics: every write
+ *  probes and invalidates the region in all other cores' L1s. */
+class BroadcastModel
+{
+  public:
+    BroadcastModel(const mem::MemConfig &cfg, unsigned cores)
+        : cfg_(cfg), l1_(cores, mem::RegionCache(cfg.l1Bytes)),
+          l2_(cfg.l2Bytes)
+    {
+    }
+
+    int
+    levelOf(sim::CoreId core, mem::RegionId region) const
+    {
+        if (l1_[core].contains(region))
+            return 1;
+        return l2_.contains(region) ? 2 : 3;
+    }
+
+    sim::Tick
+    access(sim::CoreId core, const mem::MemAccess &a)
+    {
+        const std::uint64_t lines =
+            (a.bytes + cfg_.lineBytes - 1) / cfg_.lineBytes;
+        const int level = levelOf(core, a.region);
+        double per_line = cfg_.dramCycles;
+        l1Line_ += lines;
+        if (level == 1) {
+            per_line = cfg_.l1HitCycles;
+            ++l1Hits_;
+        } else {
+            ++l1Misses_;
+            l2Line_ += lines;
+            if (level == 2) {
+                per_line = cfg_.l2HitCycles;
+                ++l2Hits_;
+            } else {
+                ++l2Misses_;
+                dramLine_ += lines;
+            }
+        }
+        const double overlap = level == 1 ? 2.0 : cfg_.mlp;
+        l1_[core].touch(a.region, a.bytes);
+        l2_.touch(a.region, a.bytes);
+        if (a.write) {
+            for (std::size_t c = 0; c < l1_.size(); ++c) {
+                if (c != core)
+                    l1_[c].invalidate(a.region);
+            }
+        }
+        return static_cast<sim::Tick>(static_cast<double>(lines)
+                                      * per_line / overlap);
+    }
+
+    std::array<std::uint64_t, 7>
+    counters() const
+    {
+        return {l1Hits_, l1Misses_, l2Hits_, l2Misses_,
+                l1Line_, l2Line_,   dramLine_};
+    }
+
+  private:
+    mem::MemConfig cfg_;
+    std::vector<mem::RegionCache> l1_;
+    mem::RegionCache l2_;
+    std::uint64_t l1Hits_ = 0, l1Misses_ = 0, l2Hits_ = 0, l2Misses_ = 0;
+    std::uint64_t l1Line_ = 0, l2Line_ = 0, dramLine_ = 0;
+};
+
+std::array<std::uint64_t, 7>
+countersOf(const mem::MemoryModel &m)
+{
+    return {m.l1Hits(),         m.l1Misses(),       m.l2Hits(),
+            m.l2Misses(),       m.l1LineAccesses(), m.l2LineAccesses(),
+            m.dramLineAccesses()};
+}
+
+testing::AssertionResult
+sameState(const mem::MemoryModel &m, const BroadcastModel &ref,
+          unsigned cores, unsigned regions)
+{
+    for (sim::CoreId c = 0; c < cores; ++c) {
+        for (mem::RegionId r = 0; r < regions; ++r) {
+            if (m.levelOf(c, r) != ref.levelOf(c, r))
+                return testing::AssertionFailure()
+                       << "levelOf(core " << c << ", region " << r
+                       << ") = " << m.levelOf(c, r) << ", reference "
+                       << ref.levelOf(c, r);
+        }
+    }
+    if (countersOf(m) != ref.counters())
+        return testing::AssertionFailure() << "counters differ";
+    return testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(MemoryModel, SharerInvalidationMatchesBroadcastFuzz)
+{
+    // A 4 KiB L1 over ~1 KiB regions evicts on almost every miss, and
+    // every eleventh region is larger than the L1, so touching it
+    // evicts everything else. Three in four accesses go to a hot set
+    // of eight regions, so regions gather many sharers before a write
+    // (one access in three) invalidates them. Halfway through, the
+    // model is snapshotted; at three quarters both models are rolled
+    // back to that point and the stream continues from there.
+    constexpr unsigned regions = 96;
+    constexpr int steps = 6000;
+    for (unsigned cores : {4u, 17u, 64u}) {
+        SCOPED_TRACE(testing::Message() << cores << " cores");
+        mem::MemConfig cfg = smallConfig();
+        mem::MemoryModel m(cfg, cores, regions);
+        BroadcastModel ref(cfg, cores);
+
+        std::uint64_t rng = 0x5eed0000u + cores;
+        auto next = [&] {
+            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+            return rng >> 33;
+        };
+        std::vector<std::uint64_t> bytes(regions);
+        for (mem::RegionId r = 0; r < regions; ++r)
+            bytes[r] = r % 11 == 5 ? 6 * 1024 : 1 + next() % 2048;
+
+        sim::Snapshot snap;
+        BroadcastModel refAtSnap = ref;
+        for (int step = 0; step < steps; ++step) {
+            if (step == steps / 2) {
+                m.snapshotState(snap);
+                refAtSnap = ref;
+            } else if (step == steps * 3 / 4) {
+                snap.restore();
+                ref = refAtSnap;
+                ASSERT_TRUE(sameState(m, ref, cores, regions))
+                    << "after restore";
+            }
+            const std::uint64_t r = next();
+            mem::MemAccess a;
+            a.region = static_cast<mem::RegionId>(
+                (r & 3) ? r % 8 : r % regions);
+            a.bytes = bytes[a.region];
+            a.write = next() % 3 == 0;
+            const auto core = static_cast<sim::CoreId>(next() % cores);
+
+            ASSERT_EQ(m.taskAccessTime(core, std::span(&a, 1)),
+                      ref.access(core, a))
+                << "step " << step;
+            ASSERT_TRUE(sameState(m, ref, cores, regions))
+                << "step " << step << ": core " << core
+                << (a.write ? " wrote" : " read") << " region "
+                << a.region;
+        }
+    }
 }
