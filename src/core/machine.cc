@@ -31,9 +31,8 @@ Machine::Machine(const cpu::MachineConfig &cfg, const rt::TaskGraph &graph,
 Machine::Machine(const cpu::MachineConfig &cfg,
                  std::shared_ptr<const rt::TaskGraph> graph,
                  RuntimeType runtime)
-    : cfg_(cfg), graphHold_(std::move(graph)),
+    : RunState(cfg), cfg_(cfg), graphHold_(std::move(graph)),
       graph_(requireGraph(graphHold_)), traits_(traitsOf(runtime)),
-      phases_(cfg.numCores), mesh_(cfg.mesh), cores_(cfg.numCores),
       acct_(cfg.power)
 {
     if (cfg_.numCores < 2)
@@ -46,19 +45,18 @@ Machine::Machine(const cpu::MachineConfig &cfg,
             cfg_.mem, cfg_.numCores, graph_.regions().size());
 
     if (traits_.dep == DepMode::Software) {
-        tracker_ = std::make_unique<rt::SoftwareTracker>(graph_);
+        tracker_.emplace(graph_);
     } else {
-        dmu_ = std::make_unique<dmu::Dmu>(cfg_.dmu);
+        dmu_.emplace(cfg_.dmu);
     }
 
     switch (traits_.sched) {
       case SchedMode::SoftwarePool:
-        pool_ = std::make_unique<rt::ReadyPool>(rt::makeScheduler(
-            cfg_.scheduler, cfg_.numCores, cfg_.succThreshold));
+        pool_.emplace(rt::makeScheduler(cfg_.scheduler, cfg_.numCores,
+                                        cfg_.succThreshold));
         break;
       case SchedMode::HardwareQueues:
-        hwq_ = std::make_unique<hw::HwTaskQueues>(
-            cfg_.numCores, cfg_.carbon.queueEntriesPerCore);
+        hwq_.emplace(cfg_.numCores, cfg_.carbon.queueEntriesPerCore);
         break;
       case SchedMode::HardwareFifo:
         break; // DMU Ready Queue is the scheduler
@@ -76,12 +74,6 @@ Machine::Machine(const cpu::MachineConfig &cfg,
                            "(task ", t.id, ")");
         }
     }
-
-    idleNext_.assign(cfg_.numCores, sim::invalidCore);
-    idlePrev_.assign(cfg_.numCores, sim::invalidCore);
-    idleLinked_.assign(cfg_.numCores, 0);
-
-    tbuf_.configure(cfg_.trace);
 
     registerMetrics();
 }
@@ -649,7 +641,7 @@ Machine::startExec(sim::CoreId core, const rt::ReadyTask &task)
     // Warmup/ROI boundary: the first task body is about to run, and
     // nothing ROI-affecting (the memory stall below) has been computed
     // yet. This is the checkpoint warm-start forks restore to.
-    if (forkCaptureArmed_ && !sawFirstExec_ && !warmCaptured_)
+    if (forkCaptureArmed_ && !sawFirstExec_ && !warm_)
         captureWarm(core, task);
     const rt::Task &t = graph_.task(task.id);
     sim::Tick stall = 0;
@@ -1035,22 +1027,50 @@ Machine::run()
 {
     snapRunStart_ = metrics_.snapshot();
     eq_.post<&Machine::onStart>(0, this);
+    return drain();
+}
+
+MachineResult
+Machine::drain()
+{
     eq_.run(cfg_.maxTicks);
-    if (forkCaptureArmed_ && finished_)
-        captureFinal();
+    if (finished_)
+        closeIdleCores();
     return finalize();
+}
+
+void
+Machine::closeIdleCores()
+{
+    for (sim::CoreId c = 0; c < cfg_.numCores; ++c) {
+        cpu::CoreState &cs = cores_[c];
+        if (cs.idle) {
+            if (tbuf_.on(sim::TraceCat::Core)) {
+                tbuf_.span(sim::TracePoint::CoreIdle,
+                           static_cast<std::uint16_t>(c), cs.idleSince,
+                           makespan_);
+            }
+            phases_.add(c, cpu::Phase::Idle, cs.wakeAt(makespan_));
+        }
+    }
 }
 
 MachineResult
 Machine::finalize()
 {
+    acct_ = pwr::EnergyAccountant(cfg_.power);
     MachineResult res;
     if (!finished_) {
-        if (eq_.empty()) {
-            sim::warn("machine deadlocked: runtime blocked on DMU "
-                      "capacity with no tasks in flight");
-        } else {
+        if (!eq_.empty()) {
             sim::warn("machine hit the tick watchdog before completion");
+        } else if (!dmuWaiters_.empty()) {
+            sim::warn("machine deadlocked after executing ",
+                      tasksExecuted_, " of ", graph_.numTasks(),
+                      " tasks: the master is blocked on DMU capacity");
+        } else {
+            sim::warn("machine deadlocked after executing ",
+                      tasksExecuted_, " of ", graph_.numTasks(),
+                      " tasks: no events pending");
         }
         res.makespan = eq_.now();
         res.tasksExecuted = tasksExecuted_;
@@ -1065,19 +1085,6 @@ Machine::finalize()
     res.makespan = makespan_;
     res.timeMs = sim::ticksToSeconds(makespan_) * 1e3;
     res.tasksExecuted = tasksExecuted_;
-
-    // Complete idle accounting for cores parked at the end.
-    for (sim::CoreId c = 0; c < cfg_.numCores; ++c) {
-        cpu::CoreState &cs = cores_[c];
-        if (cs.idle) {
-            if (tbuf_.on(sim::TraceCat::Core)) {
-                tbuf_.span(sim::TracePoint::CoreIdle,
-                           static_cast<std::uint16_t>(c), cs.idleSince,
-                           makespan_);
-            }
-            phases_.add(c, cpu::Phase::Idle, cs.wakeAt(makespan_));
-        }
-    }
     res.master = phases_.master();
     res.workersTotal = phases_.workersTotal();
     res.chipTotal = phases_.chipTotal();
@@ -1140,16 +1147,12 @@ Machine::finalize()
     // ---- Metric tree + phase windows ----
     // Degenerate graphs may never trigger a boundary; close them at
     // the end so the three windows always tile [0, makespan].
-    if (!sawFirstExec_) {
-        warmupEndTick_ = makespan_;
-        snapWarmupEnd_ = metrics_.snapshot();
-    }
-    if (!roiEnded_) {
-        roiEndTick_ = makespan_;
-        snapRoiEnd_ = metrics_.snapshot();
-        roiEnded_ = true;
-    }
     const sim::MetricSnapshot snapEnd = metrics_.snapshot();
+    const sim::Tick warmupEnd = sawFirstExec_ ? warmupEndTick_ : makespan_;
+    const sim::Tick roiEnd = roiEnded_ ? roiEndTick_ : makespan_;
+    const sim::MetricSnapshot &snapWarmup =
+        sawFirstExec_ ? snapWarmupEnd_ : snapEnd;
+    const sim::MetricSnapshot &snapRoi = roiEnded_ ? snapRoiEnd_ : snapEnd;
 
     res.metrics = metrics_.values();
     auto addWindow = [&](const char *name,
@@ -1163,11 +1166,9 @@ Machine::finalize()
         for (const auto &[k, v] : w.entries())
             res.metrics.set(prefix + k, v);
     };
-    addWindow("warmup", snapRunStart_, snapWarmupEnd_, 0,
-              warmupEndTick_);
-    addWindow("roi", snapWarmupEnd_, snapRoiEnd_, warmupEndTick_,
-              roiEndTick_);
-    addWindow("drain", snapRoiEnd_, snapEnd, roiEndTick_, makespan_);
+    addWindow("warmup", snapRunStart_, snapWarmup, 0, warmupEnd);
+    addWindow("roi", snapWarmup, snapRoi, warmupEnd, roiEnd);
+    addWindow("drain", snapRoi, snapEnd, roiEnd, makespan_);
     return res;
 }
 
@@ -1176,99 +1177,20 @@ Machine::finalize()
 // ---------------------------------------------------------------------
 
 void
-Machine::snapshotState(sim::Snapshot &s)
-{
-    // Every captured member restores by in-place assignment, so the
-    // metric registry's typed pointers into these objects stay valid
-    // across restores. The memory model and energy accountant are
-    // deliberately absent: both are rebuilt per fork from the fork's
-    // own configuration (the memory model is provably untouched before
-    // the first task body; the accountant only accumulates during
-    // finalize).
-    s.capture(phases_);
-    s.capture(mesh_);
-    if (tracker_)
-        tracker_->snapshotState(s);
-    if (pool_)
-        pool_->snapshotState(s);
-    if (dmu_)
-        dmu_->snapshotState(s);
-    if (hwq_)
-        hwq_->snapshotState(s);
-    s.capture(lock_);
-    s.capture(dmuPipe_);
-    s.capture(cores_);
-    s.capture(idleNext_);
-    s.capture(idlePrev_);
-    s.capture(idleLinked_);
-    s.capture(idleHead_);
-    s.capture(idleTail_);
-    s.capture(tbuf_);
-    s.capture(idleCount_);
-    s.capture(curRegion_);
-    s.capture(nextToCreate_);
-    s.capture(createdInRegion_);
-    s.capture(executedInRegion_);
-    s.capture(masterCreating_);
-    s.capture(regionDone_);
-    s.capture(finished_);
-    s.capture(dmuWaiters_);
-    s.capture(dmuWaiterScratch_);
-    s.capture(tasksExecuted_);
-    s.capture(carbonRr_);
-    s.capture(masterCreateTicks_);
-    s.capture(makespan_);
-    s.capture(taskCycles_);
-    s.capture(createdTotal_);
-    s.capture(sawFirstExec_);
-    s.capture(roiEnded_);
-    s.capture(pendingRoiEnd_);
-    s.capture(warmupEndTick_);
-    s.capture(roiEndTick_);
-    s.capture(snapRunStart_);
-    s.capture(snapWarmupEnd_);
-    s.capture(snapRoiEnd_);
-}
-
-void
 Machine::captureWarm(sim::CoreId core, const rt::ReadyTask &task)
 {
-    warmSnap_.clear();
-    eq_.snapshotState(warmSnap_);
-    snapshotState(warmSnap_);
-    metrics_.snapshotState(warmSnap_);
-    resumeCore_ = core;
-    resumeTask_ = task;
-    warmCaptured_ = true;
-}
-
-void
-Machine::captureFinal()
-{
-    // Only what the finalize tail mutates: phase totals (end-of-run
-    // idle accounting), the trace buffer, per-core idle flags, the
-    // energy accountant, and the window-closing state for degenerate
-    // graphs.
-    finalSnap_.clear();
-    finalSnap_.capture(phases_);
-    finalSnap_.capture(tbuf_);
-    finalSnap_.capture(cores_);
-    finalSnap_.capture(acct_);
-    finalSnap_.capture(sawFirstExec_);
-    finalSnap_.capture(roiEnded_);
-    finalSnap_.capture(warmupEndTick_);
-    finalSnap_.capture(roiEndTick_);
-    finalSnap_.capture(snapWarmupEnd_);
-    finalSnap_.capture(snapRoiEnd_);
-    finalCaptured_ = true;
+    warm_.emplace(WarmCheckpoint{static_cast<const RunState &>(*this),
+                                 eq_.image(), metrics_.keys(), core,
+                                 task});
 }
 
 MachineResult
 Machine::runFromWarm(const cpu::MachineConfig &cfg)
 {
-    if (!warmCaptured_)
-        sim::panic("runFromWarm without a captured warm snapshot");
-    warmSnap_.restore();
+    if (!warm_)
+        sim::panic("runFromWarm without a captured warm checkpoint");
+    static_cast<RunState &>(*this) = warm_->state;
+    eq_.restore(warm_->events);
     cfg_ = cfg;
     // The memory model's only entry point is the stall computation in
     // startExec, which the checkpoint precedes, so it is provably
@@ -1278,33 +1200,31 @@ Machine::runFromWarm(const cpu::MachineConfig &cfg)
     if (cfg_.enableMemModel)
         mem_ = std::make_unique<mem::MemoryModel>(
             cfg_.mem, cfg_.numCores, graph_.regions().size());
-    // Fresh registry over the restored component state (the old one
-    // held pointers into the replaced memory model). The snapshot's
-    // shape hook has already verified the key set is fork-invariant,
-    // so the restored phase-window snapshots stay meaningful.
+    // Fresh registry over the restored run state (the old one held
+    // pointers into the replaced memory model). The restored
+    // phase-window snapshots are keyed by metric name, so they only
+    // stay meaningful if the fork registers the captured key set.
     metrics_ = sim::MetricRegistry();
     registerMetrics();
-    acct_ = pwr::EnergyAccountant(cfg_.power);
-    finalCaptured_ = false;
+    if (metrics_.keys() != warm_->metricKeys)
+        throw sim::MetricError(
+            "metric registry shape changed across a warm-start "
+            "restore: forked configurations must register an "
+            "identical key set");
     // Replay the interrupted dispatch: every call site invokes
     // startExec in tail position, so re-entering it at the restored
     // clock — with this fork's memory model computing the first
     // stall — reproduces a cold run's event sequence exactly.
-    startExec(resumeCore_, resumeTask_);
-    eq_.run(cfg_.maxTicks);
-    if (forkCaptureArmed_ && finished_)
-        captureFinal();
-    return finalize();
+    startExec(warm_->resumeCore, warm_->resumeTask);
+    return drain();
 }
 
 MachineResult
 Machine::runFromFinal(const cpu::MachineConfig &cfg)
 {
-    if (!finalCaptured_)
-        sim::panic("runFromFinal without a captured finalize snapshot");
-    finalSnap_.restore();
+    if (!finished_)
+        sim::panic("runFromFinal without a completed trajectory");
     cfg_ = cfg;
-    acct_ = pwr::EnergyAccountant(cfg_.power);
     return finalize();
 }
 

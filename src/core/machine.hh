@@ -27,6 +27,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/runtime_model.hh"
@@ -43,7 +44,6 @@
 #include "runtime/task_graph.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
-#include "sim/snapshot.hh"
 #include "sim/trace.hh"
 
 namespace tdm::core {
@@ -85,9 +85,99 @@ struct MachineResult
 };
 
 /**
+ * Every field a simulated trajectory mutates, as one copyable value.
+ * A warm-start checkpoint is a copy of it, and a restore assigns the
+ * copy back in place, so the metric registry's typed pointers into it
+ * stay valid. A field added here is checkpointed by construction.
+ * Machine inherits it privately, so the model code names the fields
+ * directly.
+ */
+struct RunState
+{
+    explicit RunState(const cpu::MachineConfig &cfg)
+        : phases_(cfg.numCores), mesh_(cfg.mesh), cores_(cfg.numCores),
+          idleNext_(cfg.numCores, sim::invalidCore),
+          idlePrev_(cfg.numCores, sim::invalidCore),
+          idleLinked_(cfg.numCores, 0)
+    {
+        tbuf_.configure(cfg.trace);
+    }
+
+    cpu::PhaseStats phases_;
+    noc::Mesh mesh_;
+    std::optional<rt::SoftwareTracker> tracker_;
+    std::optional<rt::ReadyPool> pool_;
+    std::optional<dmu::Dmu> dmu_;
+    std::optional<hw::HwTaskQueues> hwq_;
+
+    cpu::SerialResource lock_; ///< the runtime's global lock
+    cpu::SerialResource dmuPipe_; ///< serialized DMU op processing
+
+    std::vector<cpu::CoreState> cores_;
+
+    /**
+     * FIFO of parked cores as an intrusive doubly-linked list threaded
+     * through per-core link arrays: O(1) park / wake-oldest /
+     * wake-specific with zero allocation.
+     */
+    std::vector<sim::CoreId> idleNext_, idlePrev_;
+    std::vector<std::uint8_t> idleLinked_;
+    sim::CoreId idleHead_ = sim::invalidCore;
+    sim::CoreId idleTail_ = sim::invalidCore;
+
+    /** Time-resolved trace (armed from the config; see sim/trace.hh). */
+    sim::TraceBuffer tbuf_;
+
+    /** Parked cores right now (kept unconditionally — one increment
+     *  per park/wake — so the core-category counter track never has
+     *  to walk the idle list). */
+    unsigned idleCount_ = 0;
+
+    // Region / creation progress.
+    std::uint32_t curRegion_ = 0;
+    rt::TaskId nextToCreate_ = 0;
+    std::uint32_t createdInRegion_ = 0;
+    std::uint32_t executedInRegion_ = 0;
+    bool masterCreating_ = false;
+    bool regionDone_ = false;
+    bool finished_ = false;
+
+    /** A master-side DMU ISA operation parked on a full structure. */
+    struct DmuRetry
+    {
+        bool isCreate;        ///< retry create_task vs add_dependence
+        rt::TaskId id;
+        std::size_t depIdx;   ///< dependence index (add_dependence)
+        sim::Tick segStart;
+    };
+
+    // Master blocked on DMU capacity (+ drain scratch: the two vectors
+    // ping-pong their warm buffers so flushing never allocates).
+    std::vector<DmuRetry> dmuWaiters_;
+    std::vector<DmuRetry> dmuWaiterScratch_;
+
+    std::uint64_t tasksExecuted_ = 0;
+    std::uint64_t carbonRr_ = 0; ///< GTU round-robin cursor
+    sim::Tick masterCreateTicks_ = 0;
+    sim::Tick makespan_ = 0;
+    sim::Distribution taskCycles_{0.0, 1e6, 20};
+
+    // Phase windows.
+    std::uint32_t createdTotal_ = 0;
+    bool sawFirstExec_ = false;
+    bool roiEnded_ = false;
+    bool pendingRoiEnd_ = false;
+    sim::Tick warmupEndTick_ = 0;
+    sim::Tick roiEndTick_ = 0;
+    sim::MetricSnapshot snapRunStart_;
+    sim::MetricSnapshot snapWarmupEnd_;
+    sim::MetricSnapshot snapRoiEnd_;
+};
+
+/**
  * One simulated machine bound to one task graph and runtime model.
  */
-class Machine
+class Machine : private RunState
 {
   public:
     /**
@@ -117,46 +207,47 @@ class Machine
     // ---- warm-start forking ----------------------------------------
 
     /**
-     * Arm checkpoint capture for the next run(): a restorable warm
-     * snapshot is taken at the warmup/ROI boundary (the tick of the
-     * first task-body dispatch, before its memory stall is computed)
-     * and a finalize snapshot at the end of the event loop. Runs of
-     * spec points that share this machine's warmup-affecting
-     * parameters can then fork via runFromWarm()/runFromFinal()
-     * instead of replaying the whole trajectory cold.
+     * Arm checkpoint capture for the next run(): the run state is
+     * copied at the warmup/ROI boundary (the tick of the first
+     * task-body dispatch, before its memory stall is computed). Runs
+     * of spec points that share this machine's warmup-affecting
+     * parameters can then fork via runFromWarm() instead of replaying
+     * the whole trajectory cold.
      */
     void armForkCapture() { forkCaptureArmed_ = true; }
 
-    /** True when run() captured a restorable warmup/ROI snapshot
-     *  (false for degenerate graphs that never dispatch a task). */
-    bool hasWarmSnapshot() const { return warmCaptured_; }
+    /** True when run() captured a warmup/ROI checkpoint (false for
+     *  degenerate graphs that never dispatch a task). */
+    bool hasWarmCheckpoint() const { return warm_.has_value(); }
 
-    /** True when run() completed and captured a pre-finalize
-     *  snapshot. */
-    bool hasFinalSnapshot() const { return finalCaptured_; }
+    /** True when the last run (cold or warm-forked) completed, so
+     *  runFromFinal() can re-finalize its trajectory. */
+    bool finished() const { return finished_; }
 
     /**
-     * Re-run from the warmup/ROI snapshot under @p cfg, which must
+     * Re-run from the warmup/ROI checkpoint under @p cfg, which must
      * agree with the captured run on every warmup-affecting parameter
      * (spec::KeyPhase::Warmup keys) and may differ in ROI and finalize
-     * parameters (memory hierarchy, power). Restores the full machine
-     * state, rebuilds the memory model and metric registry for @p cfg,
-     * and replays the interrupted dispatch; the result is bit-for-bit
-     * identical to a cold run of @p cfg. Restorable any number of
-     * times.
+     * parameters (memory hierarchy, power). Assigns the checkpointed
+     * run state back, rebuilds the memory model and metric registry
+     * for @p cfg (throwing sim::MetricError when the registry's key
+     * set differs from the captured one), and replays the interrupted
+     * dispatch; the result is bit-for-bit identical to a cold run of
+     * @p cfg. Restorable any number of times.
      */
     MachineResult runFromWarm(const cpu::MachineConfig &cfg);
 
     /**
-     * Re-run only the finalize tail (idle accounting + energy model +
-     * metric tree) under @p cfg, which may differ from the captured
-     * run only in finalize-phase parameters (spec::KeyPhase::Final,
-     * the power model). The entire simulated trajectory is shared.
+     * Re-run only the finalize tail (energy model + metric tree) of
+     * the last completed trajectory under @p cfg, which may differ
+     * from that run only in finalize-phase parameters
+     * (spec::KeyPhase::Final, the power model). The entire simulated
+     * trajectory is shared.
      */
     MachineResult runFromFinal(const cpu::MachineConfig &cfg);
 
     const cpu::PhaseStats &phases() const { return phases_; }
-    const dmu::Dmu *dmuUnit() const { return dmu_.get(); }
+    const dmu::Dmu *dmuUnit() const { return dmu_ ? &*dmu_ : nullptr; }
 
     /**
      * The run's time-resolved trace (armed through
@@ -273,15 +364,19 @@ class Machine
     void registerMetrics();
 
     // ---- warm-start fork internals ----
-    /** Capture every restorable machine field and delegate to each
-     *  component's snapshotState hook. */
-    void snapshotState(sim::Snapshot &s);
-    /** Take the warm snapshot at the top of the first startExec. */
+    /** Copy the warmup/ROI checkpoint at the top of the first
+     *  startExec. */
     void captureWarm(sim::CoreId core, const rt::ReadyTask &task);
-    /** Take the pre-finalize snapshot after the event loop drains. */
-    void captureFinal();
-    /** Summarize the finished (or watchdogged) event loop — the tail
-     *  of run(), factored out so forked replays reuse it. */
+    /** Run the event loop to its end, close the trajectory, and
+     *  summarize it. */
+    MachineResult drain();
+    /** Charge the cores still parked at the end of a completed
+     *  trajectory their final idle span. Runs once per trajectory, so
+     *  finalize() can repeat. */
+    void closeIdleCores();
+    /** Summarize the finished (or watchdogged) trajectory: energy
+     *  model and metric tree. Mutates no run state, so final forks
+     *  re-run it under another power configuration. */
     MachineResult finalize();
 
     // ---- tracing helpers (no-ops when the category is off) ----
@@ -305,55 +400,18 @@ class Machine
     const std::vector<mem::MemAccess> &footprintOf(rt::TaskId id);
     std::uint32_t swSuccCount(rt::TaskId id) const;
 
+    // Everything below is either fixed for the machine's lifetime or
+    // rebuilt per fork; the mutable trajectory lives in RunState.
     cpu::MachineConfig cfg_;
     std::shared_ptr<const rt::TaskGraph> graphHold_; ///< may share
     const rt::TaskGraph &graph_; ///< always valid; == *graphHold_
-    RuntimeTraits traits_;
+    const RuntimeTraits traits_;
 
     sim::EventQueue eq_;
-    cpu::PhaseStats phases_;
-    noc::Mesh mesh_;
     std::unique_ptr<mem::MemoryModel> mem_;
-    std::unique_ptr<rt::SoftwareTracker> tracker_;
-    std::unique_ptr<rt::ReadyPool> pool_;
-    std::unique_ptr<dmu::Dmu> dmu_;
-    std::unique_ptr<hw::HwTaskQueues> hwq_;
-
-    cpu::SerialResource lock_; ///< the runtime's global lock
-    cpu::SerialResource dmuPipe_; ///< serialized DMU op processing
-
-    std::vector<cpu::CoreState> cores_;
-
-    /**
-     * FIFO of parked cores as an intrusive doubly-linked list threaded
-     * through per-core link arrays: O(1) park / wake-oldest /
-     * wake-specific with zero allocation (this used to be a std::deque
-     * with a linear std::find for the wake-specific path).
-     */
-    std::vector<sim::CoreId> idleNext_, idlePrev_;
-    std::vector<std::uint8_t> idleLinked_;
-    sim::CoreId idleHead_ = sim::invalidCore;
-    sim::CoreId idleTail_ = sim::invalidCore;
 
     void idlePushBack(sim::CoreId core);
     void idleUnlink(sim::CoreId core);
-
-    /** Time-resolved trace (armed from cfg_.trace; see sim/trace.hh). */
-    sim::TraceBuffer tbuf_;
-
-    /** Parked cores right now (kept unconditionally — one increment
-     *  per park/wake — so the core-category counter track never has
-     *  to walk the idle list). */
-    unsigned idleCount_ = 0;
-
-    // Region / creation progress.
-    std::uint32_t curRegion_ = 0;
-    rt::TaskId nextToCreate_ = 0;
-    std::uint32_t createdInRegion_ = 0;
-    std::uint32_t executedInRegion_ = 0;
-    bool masterCreating_ = false;
-    bool regionDone_ = false;
-    bool finished_ = false;
 
     /**
      * Task descriptors are laid out affinely (TaskGraph::descStride),
@@ -363,54 +421,29 @@ class Machine
      */
     std::uint64_t descBase_ = 0;
 
-    /** A master-side DMU ISA operation parked on a full structure. */
-    struct DmuRetry
-    {
-        bool isCreate;        ///< retry create_task vs add_dependence
-        rt::TaskId id;
-        std::size_t depIdx;   ///< dependence index (add_dependence)
-        sim::Tick segStart;
-    };
-
-    // Master blocked on DMU capacity (+ drain scratch: the two vectors
-    // ping-pong their warm buffers so flushing never allocates).
-    std::vector<DmuRetry> dmuWaiters_;
-    std::vector<DmuRetry> dmuWaiterScratch_;
-
     /** Scratch buffer reused by footprintOf (hot path). */
     std::vector<mem::MemAccess> footprintScratch_;
 
-    std::uint64_t tasksExecuted_ = 0;
-    std::uint64_t carbonRr_ = 0; ///< GTU round-robin cursor
-    sim::Tick masterCreateTicks_ = 0;
-    sim::Tick makespan_ = 0;
-
-    // ---- metric registry + phase windows ----
     sim::MetricRegistry metrics_;
     pwr::EnergyAccountant acct_;
-    sim::Distribution taskCycles_{0.0, 1e6, 20};
-
-    std::uint32_t createdTotal_ = 0;
-    bool sawFirstExec_ = false;
-    bool roiEnded_ = false;
-    bool pendingRoiEnd_ = false;
-    sim::Tick warmupEndTick_ = 0;
-    sim::Tick roiEndTick_ = 0;
-    sim::MetricSnapshot snapRunStart_;
-    sim::MetricSnapshot snapWarmupEnd_;
-    sim::MetricSnapshot snapRoiEnd_;
 
     // ---- warm-start fork state ----
+    /** The warmup/ROI checkpoint: the run state by value, the pending
+     *  events, the registry's key set, and the dispatch the capture
+     *  interrupted. Every startExec call site invokes it in tail
+     *  position, so replaying it from the restored clock reproduces
+     *  the original event suffix exactly. */
+    struct WarmCheckpoint
+    {
+        RunState state;
+        sim::EventQueue::Image events;
+        std::vector<std::string> metricKeys;
+        sim::CoreId resumeCore = 0;
+        rt::ReadyTask resumeTask{};
+    };
+
     bool forkCaptureArmed_ = false;
-    bool warmCaptured_ = false;
-    bool finalCaptured_ = false;
-    sim::Snapshot warmSnap_;
-    sim::Snapshot finalSnap_;
-    /** The dispatch interrupted by the warm capture; every startExec
-     *  call site invokes it in tail position, so replaying it from the
-     *  restored clock reproduces the original event suffix exactly. */
-    sim::CoreId resumeCore_ = 0;
-    rt::ReadyTask resumeTask_{};
+    std::optional<WarmCheckpoint> warm_;
 
     static constexpr sim::CoreId masterCore = 0;
 };

@@ -2,7 +2,6 @@
 
 #include "sim/assert.hh"
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::dmu {
 
@@ -510,16 +509,6 @@ Dmu::regMetrics(sim::MetricContext ctx)
     sim::MetricContext dat_ctx = ctx.scope("dat");
     dat_ctx.counter("accesses", &counts_.dat, "DAT SRAM accesses");
     dat_.regMetrics(dat_ctx);
-}
-
-void
-Dmu::snapshotState(sim::Snapshot &s)
-{
-    // Every member is a value type (tables index by id, never by
-    // pointer), so one whole-object slab copy captures the TAT/DAT,
-    // task/dep tables, list arrays, ready queue, shadow vectors,
-    // and counters in a single assignment on restore.
-    s.capture(*this);
 }
 
 } // namespace tdm::dmu

@@ -33,10 +33,6 @@
 #include "dmu/task_table.hh"
 #include "sim/metrics.hh"
 
-namespace tdm::sim {
-class Snapshot;
-} // namespace tdm::sim
-
 namespace tdm::dmu {
 
 /** Why an operation blocked. */
@@ -156,11 +152,6 @@ class Dmu
     /** Register the DMU's metric tree under @p ctx's scope ("dmu"):
      *  operation/access counters plus tat/dat sub-scopes. */
     void regMetrics(sim::MetricContext ctx);
-
-    /** Capture the complete DMU table state (TAT/DAT alias tables,
-     *  task/dep tables, list arrays, ready queue, and counters) for
-     *  warm-start forking. */
-    void snapshotState(sim::Snapshot &s);
 
   private:
     TaskHwId requireTask(std::uint64_t desc_addr, std::uint32_t pid,

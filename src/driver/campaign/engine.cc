@@ -460,7 +460,7 @@ CampaignEngine::run(const std::string &name,
         report.simMsTotal += j.wallMs;
     }
     // Cold legs = the simulated points minus the ones forking another
-    // point's snapshot; a warmup is "shared" when at least one group
+    // point's checkpoint; a warmup is "shared" when at least one group
     // member actually resumed from it.
     report.simulated = work.size() - report.fromForked;
     for (const std::vector<std::size_t> &g : groups) {

@@ -72,12 +72,12 @@ struct EngineOptions
      * Warm-start batching: group the points this run simulates by
      * their warm-prefix fingerprint (the Warmup-phase projection of
      * the canonical spec, see spec::KeyPhase), simulate one warmup
-     * leg per group, and fork the remaining members from a snapshot
+     * leg per group, and fork the remaining members from a checkpoint
      * taken at the warmup/ROI boundary (members differing only in
      * `power.*` keys fork at finalization and share the whole
      * trajectory). Pure wall-clock optimization: forked summaries are
      * bit-identical to cold runs (the forked-equivalence test pins
-     * this), and groups degrade to cold legs when a snapshot is
+     * this), and groups degrade to cold legs when a checkpoint is
      * unavailable. Off (campaign_run --no-warm-fork) is only useful
      * for that comparison and for timing baselines.
      */
@@ -90,7 +90,7 @@ struct EngineOptions
  * store); "Inflight" means the point attached to an identical point
  * already simulating (in this run or a concurrent one) instead of
  * re-simulating; "Forked" means the point was simulated, but resumed
- * from another point's warmup (or whole-trajectory) snapshot instead
+ * from another point's warmup (or whole-trajectory) checkpoint instead
  * of starting cold (EngineOptions::warmFork).
  */
 enum class JobSource { Simulated, Memory, Disk, Inflight, Forked };
@@ -160,7 +160,7 @@ struct CampaignResult
     std::uint64_t fromInflight = 0; ///< attached to an identical
                                     ///< in-flight simulation
     std::uint64_t fromForked = 0;   ///< simulated by forking another
-                                    ///< point's warm-start snapshot
+                                    ///< point's warm-start checkpoint
     std::uint64_t warmupsShared = 0; ///< cold warmup legs at least one
                                      ///< forked point resumed from
     std::uint64_t graphBuilds = 0; ///< distinct task graphs built

@@ -28,7 +28,7 @@ ForkGroupRunner::cold(const Experiment &exp, const std::string &roi_key,
     core::MachineResult mr = machine_->run();
     finalRoiKey_ = roi_key;
     if (trace_out)
-        *trace_out = machine_->takeTraceBuffer();
+        *trace_out = machine_->traceBuffer();
     return summarize(std::move(mr), *graph_);
 }
 
@@ -41,36 +41,37 @@ ForkGroupRunner::run(const Experiment &exp, const std::string &roi_key,
     if (!enableFork_)
         return driver::run(exp, graph_, trace_out);
 
-    // Cheapest snapshot first: an equal ROI fingerprint means the
-    // member's whole trajectory matches the one in the final snapshot,
-    // so only finalization re-runs under the member's power config.
-    if (machine_ && machine_->hasFinalSnapshot()
-        && roi_key == finalRoiKey_) {
+    // Every leg copies the trace out: later final forks share it.
+    //
+    // Cheapest fork first: an equal ROI fingerprint means the member's
+    // whole trajectory matches the machine's last completed one, so
+    // only finalization re-runs under the member's power config.
+    if (machine_ && machine_->finished() && roi_key == finalRoiKey_) {
         core::MachineResult mr = machine_->runFromFinal(exp.config);
         if (trace_out)
-            *trace_out = machine_->takeTraceBuffer();
+            *trace_out = machine_->traceBuffer();
         if (forked)
             *forked = true;
         return summarize(std::move(mr), *graph_);
     }
 
-    // Shared warm prefix: restore the warmup/ROI boundary and
-    // re-simulate the ROI under the member's configuration. This also
-    // refreshes the final snapshot, so the member's own ROI siblings
-    // chain through the branch above.
-    if (machine_ && machine_->hasWarmSnapshot()) {
+    // Shared warm prefix: restore the warmup/ROI checkpoint and
+    // re-simulate the ROI under the member's configuration. The
+    // machine then holds the member's trajectory, so its own ROI
+    // siblings chain through the branch above.
+    if (machine_ && machine_->hasWarmCheckpoint()) {
         core::MachineResult mr = machine_->runFromWarm(exp.config);
         finalRoiKey_ = roi_key;
         if (trace_out)
-            *trace_out = machine_->takeTraceBuffer();
+            *trace_out = machine_->traceBuffer();
         if (forked)
             *forked = true;
         return summarize(std::move(mr), *graph_);
     }
 
     // First member, or graceful degradation: the last leg produced no
-    // warm snapshot (it never dispatched a task) — later members retry
-    // against whatever snapshots this leg produces.
+    // warm checkpoint (it never dispatched a task) — later members
+    // retry against whatever checkpoint this leg produces.
     return cold(exp, roi_key, trace_out);
 }
 

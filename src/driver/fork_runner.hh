@@ -7,21 +7,25 @@
  * projections agree (see spec::KeyPhase / spec::warmFingerprint) and
  * hands each group to one ForkGroupRunner. The runner simulates the
  * first member cold with fork capture armed, then serves every further
- * member from the machine's snapshots:
+ * member from the same machine:
  *
  *  - equal ROI fingerprint (the member differs only in `power.*`
- *    keys): Machine::runFromFinal — the entire simulated trajectory is
+ *    keys): Machine::runFromFinal — the last completed trajectory is
  *    shared, only finalization re-runs;
- *  - otherwise: Machine::runFromWarm — the warmup prefix is shared,
- *    the ROI re-simulates under the member's `mem.*` configuration.
+ *  - otherwise: Machine::runFromWarm — the machine's run state is
+ *    assigned back from its warmup/ROI checkpoint (a by-value copy)
+ *    and the ROI re-simulates under the member's `mem.*`
+ *    configuration.
+ *
+ * The trace buffer belongs to the trajectory, which later final forks
+ * share, so every leg hands out a copy of it rather than moving it.
  *
  * Determinism contract: a forked member's RunSummary (makespan and the
  * full metric tree) is bit-for-bit identical to a cold run of the same
  * experiment; test_golden_determinism.cc pins this over every golden
- * configuration. The machine degrades to a cold leg whenever a
- * snapshot is unavailable (a graph that never dispatches a task, an
- * incomplete leader), so grouping is always safe, merely sometimes
- * unprofitable.
+ * configuration. The runner degrades to a cold leg whenever no fork is
+ * available (a graph that never dispatches a task, an incomplete
+ * leader), so grouping is always safe, merely sometimes unprofitable.
  */
 
 #ifndef TDM_DRIVER_FORK_RUNNER_HH
@@ -53,8 +57,8 @@ class ForkGroupRunner
      * Run the next member. Members must arrive with equal ROI
      * fingerprints adjacent (the engine sorts each group by
      * @p roi_key) so finalize-level forks chain. Sets @p forked (when
-     * non-null) to whether the member was served from a snapshot
-     * rather than a cold simulation.
+     * non-null) to whether the member was served from a fork rather
+     * than a cold simulation.
      */
     RunSummary run(const Experiment &exp, const std::string &roi_key,
                    sim::TraceBuffer *trace_out, bool *forked);
@@ -71,8 +75,8 @@ class ForkGroupRunner
     bool enableFork_;
     std::unique_ptr<core::Machine> machine_;
 
-    /** ROI fingerprint of the trajectory in the machine's final
-     *  snapshot (the last cold or warm-forked leg). */
+    /** ROI fingerprint of the machine's last trajectory (the last
+     *  cold or warm-forked leg). */
     std::string finalRoiKey_;
 };
 

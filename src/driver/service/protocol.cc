@@ -679,7 +679,7 @@ decodePointEvent(const JsonValue &event, campaign::JobResult &job,
     job.label = label->text;
     if (!sourceFromName(source->text, job.source))
         return false;
-    // Forked points were simulated (from a snapshot), not cache-served.
+    // Forked points were simulated (from a checkpoint), not cache-served.
     job.cacheHit = job.source != campaign::JobSource::Simulated
                 && job.source != campaign::JobSource::Forked;
 

@@ -169,7 +169,7 @@ struct StatusInfo
     std::uint64_t fromDisk = 0;
     std::uint64_t fromInflight = 0;
     std::uint64_t fromForked = 0; ///< points forked from a warm-start
-                                  ///< snapshot instead of run cold
+                                  ///< checkpoint instead of run cold
     std::size_t cachePoints = 0; ///< in-memory cache entries
     std::size_t inflight = 0;    ///< points simulating right now
     unsigned threads = 0;

@@ -60,7 +60,7 @@ const char *valueKindName(ValueKind kind);
  * API, CampaignEngine grouping): two experiments whose Warmup-phase
  * projections agree follow bit-identical trajectories from tick 0 up
  * to the warmup/ROI boundary, so a single warmup leg can be simulated
- * once, snapshotted, and forked for every member.
+ * once, checkpointed, and forked for every member.
  *
  *  - Warmup: consumed from tick 0 — task graph shape, runtime costs,
  *    machine geometry, DMU tables, trace config. The conservative

@@ -1,7 +1,6 @@
 #include "hwbaselines/hw_task_queue.hh"
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::hw {
 
@@ -111,16 +110,6 @@ HwTaskQueues::regMetrics(sim::MetricContext ctx)
     ctx.gauge("queued",
               [this] { return static_cast<double>(totalSize()); },
               "tasks currently queued across all cores");
-}
-
-void
-HwTaskQueues::snapshotState(sim::Snapshot &s)
-{
-    s.capture(queues_);
-    s.capture(pushes_);
-    s.capture(localPops_);
-    s.capture(steals_);
-    s.capture(failedSteals_);
 }
 
 } // namespace tdm::hw

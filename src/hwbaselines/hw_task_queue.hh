@@ -18,10 +18,6 @@
 #include "sim/metrics.hh"
 #include "sim/types.hh"
 
-namespace tdm::sim {
-class Snapshot;
-} // namespace tdm::sim
-
 namespace tdm::hw {
 
 /**
@@ -68,10 +64,6 @@ class HwTaskQueues
     /** Register queue traffic metrics under @p ctx's scope
      *  ("runtime.hwq"). */
     void regMetrics(sim::MetricContext ctx);
-
-    /** Capture all per-core queues and counters for warm-start
-     *  forking. */
-    void snapshotState(sim::Snapshot &s);
 
   private:
     std::vector<std::deque<rt::ReadyTask>> queues_;

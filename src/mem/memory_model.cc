@@ -2,7 +2,6 @@
 
 #include "sim/assert.hh"
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::mem {
 
@@ -190,24 +189,6 @@ MemoryModel::regMetrics(sim::MetricContext ctx)
                   },
                   "fraction of L1-missing classifications that hit in "
                   "L2");
-}
-
-void
-MemoryModel::snapshotState(sim::Snapshot &s)
-{
-    for (auto &cache : l1_)
-        cache->snapshotState(s);
-    l2_.snapshotState(s);
-    s.capture(sharerHead_);
-    s.capture(sharers_);
-    s.capture(freeSharer_);
-    s.capture(l1Hits_);
-    s.capture(l1Misses_);
-    s.capture(l2Hits_);
-    s.capture(l2Misses_);
-    s.capture(l1LineAcc_);
-    s.capture(l2LineAcc_);
-    s.capture(dramLineAcc_);
 }
 
 } // namespace tdm::mem

@@ -95,10 +95,6 @@ class MemoryModel
      *  snapshots taken mid-run see current values. */
     void regMetrics(sim::MetricContext ctx);
 
-    /** Capture all cache residency state and traffic counters for
-     *  warm-start forking. */
-    void snapshotState(sim::Snapshot &s);
-
   private:
     static constexpr std::uint32_t npos = 0xffffffffu;
 

@@ -4,7 +4,6 @@
 
 #include "sim/assert.hh"
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::mem {
 
@@ -254,15 +253,6 @@ RegionCache::flush()
     head_ = tail_ = npos;
     live_ = 0;
     used_ = 0;
-}
-
-void
-RegionCache::snapshotState(sim::Snapshot &s)
-{
-    // Every field is a value type (the recency list links by slot
-    // index, not pointer), so one whole-object slab copy captures the
-    // resident set, the open-addressed index, and the counters.
-    s.capture(*this);
 }
 
 } // namespace tdm::mem

@@ -28,10 +28,6 @@
 
 #include "runtime/task.hh"
 
-namespace tdm::sim {
-class Snapshot;
-} // namespace tdm::sim
-
 namespace tdm::mem {
 
 /** Identifier of a data region: the task graph's dense 32-bit id. */
@@ -69,10 +65,6 @@ class RegionCache
     std::uint64_t misses() const { return misses_; }
     std::uint64_t evictions() const { return evictions_; }
     std::size_t residentRegions() const { return live_; }
-
-    /** Capture the full cache state (slab, index, recency list, and
-     *  counters) for warm-start forking. */
-    void snapshotState(sim::Snapshot &s);
 
   private:
     static constexpr std::uint32_t npos = 0xffffffffu;

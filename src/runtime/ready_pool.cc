@@ -1,7 +1,6 @@
 #include "runtime/ready_pool.hh"
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::rt {
 
@@ -10,6 +9,19 @@ ReadyPool::ReadyPool(std::unique_ptr<Scheduler> policy)
 {
     if (!policy_)
         sim::fatal("ready pool needs a scheduling policy");
+}
+
+ReadyPool::ReadyPool(const ReadyPool &other)
+    : policy_(other.policy_->clone()), pushes_(other.pushes_),
+      pops_(other.pops_), emptyPops_(other.emptyPops_), peak_(other.peak_)
+{}
+
+ReadyPool &
+ReadyPool::operator=(const ReadyPool &other)
+{
+    if (this != &other)
+        *this = ReadyPool(other);
+    return *this;
 }
 
 void
@@ -41,16 +53,6 @@ ReadyPool::regMetrics(sim::MetricContext ctx)
     ctx.gauge("peak_size",
               [this] { return static_cast<double>(peak_); },
               "largest pool population observed");
-}
-
-void
-ReadyPool::snapshotState(sim::Snapshot &s)
-{
-    policy_->snapshotState(s);
-    s.capture(pushes_);
-    s.capture(pops_);
-    s.capture(emptyPops_);
-    s.capture(peak_);
 }
 
 } // namespace tdm::rt

@@ -20,6 +20,13 @@ class ReadyPool
   public:
     explicit ReadyPool(std::unique_ptr<Scheduler> policy);
 
+    /** Copies are independent: the policy is copied through
+     *  Scheduler::clone(). */
+    ReadyPool(const ReadyPool &other);
+    ReadyPool &operator=(const ReadyPool &other);
+    ReadyPool(ReadyPool &&) = default;
+    ReadyPool &operator=(ReadyPool &&) = default;
+
     void push(const ReadyTask &task);
     std::optional<ReadyTask> pop(sim::CoreId core);
 
@@ -36,10 +43,6 @@ class ReadyPool
     /** Register pool traffic metrics under @p ctx's scope
      *  ("runtime.pool"). */
     void regMetrics(sim::MetricContext ctx);
-
-    /** Capture the policy container and pool counters for
-     *  warm-start forking. */
-    void snapshotState(sim::Snapshot &s);
 
   private:
     std::unique_ptr<Scheduler> policy_;

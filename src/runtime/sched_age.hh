@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "runtime/scheduler.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::rt {
 
@@ -40,7 +39,11 @@ class AgeScheduler : public Scheduler
     sim::Tick pushExtraCycles() const override { return 60; }
     sim::Tick popExtraCycles() const override { return 60; }
 
-    void snapshotState(sim::Snapshot &s) override { s.capture(heap_); }
+    std::unique_ptr<Scheduler>
+    clone() const override
+    {
+        return std::make_unique<AgeScheduler>(*this);
+    }
 
   private:
     struct Older

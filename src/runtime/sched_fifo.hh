@@ -9,7 +9,6 @@
 #include <deque>
 
 #include "runtime/scheduler.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::rt {
 
@@ -33,7 +32,11 @@ class FifoScheduler : public Scheduler
     bool empty() const override { return q_.empty(); }
     std::size_t size() const override { return q_.size(); }
 
-    void snapshotState(sim::Snapshot &s) override { s.capture(q_); }
+    std::unique_ptr<Scheduler>
+    clone() const override
+    {
+        return std::make_unique<FifoScheduler>(*this);
+    }
 
   private:
     std::deque<ReadyTask> q_;

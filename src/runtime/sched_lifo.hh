@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "runtime/scheduler.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::rt {
 
@@ -33,7 +32,11 @@ class LifoScheduler : public Scheduler
     bool empty() const override { return stack_.empty(); }
     std::size_t size() const override { return stack_.size(); }
 
-    void snapshotState(sim::Snapshot &s) override { s.capture(stack_); }
+    std::unique_ptr<Scheduler>
+    clone() const override
+    {
+        return std::make_unique<LifoScheduler>(*this);
+    }
 
   private:
     std::vector<ReadyTask> stack_;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "runtime/scheduler.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::rt {
 
@@ -41,12 +40,10 @@ class LocalityScheduler : public Scheduler
     sim::Tick pushExtraCycles() const override { return 30; }
     sim::Tick popExtraCycles() const override { return 40; }
 
-    void
-    snapshotState(sim::Snapshot &s) override
+    std::unique_ptr<Scheduler>
+    clone() const override
     {
-        s.capture(perCore_);
-        s.capture(global_);
-        s.capture(size_);
+        return std::make_unique<LocalityScheduler>(*this);
     }
 
   private:

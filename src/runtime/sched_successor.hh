@@ -11,7 +11,6 @@
 #include <deque>
 
 #include "runtime/scheduler.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::rt {
 
@@ -54,11 +53,10 @@ class SuccessorScheduler : public Scheduler
 
     sim::Tick pushExtraCycles() const override { return 20; }
 
-    void
-    snapshotState(sim::Snapshot &s) override
+    std::unique_ptr<Scheduler>
+    clone() const override
     {
-        s.capture(high_);
-        s.capture(low_);
+        return std::make_unique<SuccessorScheduler>(*this);
     }
 
   private:

@@ -19,10 +19,6 @@
 #include "runtime/task.hh"
 #include "sim/types.hh"
 
-namespace tdm::sim {
-class Snapshot;
-} // namespace tdm::sim
-
 namespace tdm::rt {
 
 /** A ready task as seen by the scheduler. */
@@ -69,13 +65,13 @@ class Scheduler
     virtual sim::Tick popExtraCycles() const { return 0; }
 
     /**
-     * Capture the policy's ready-task state for warm-start forking.
-     * All built-in policies record their full container state;
-     * user-registered policies that keep internal state must override
-     * this or forked runs will diverge from cold runs (the default
-     * captures nothing).
+     * Independent copy of the policy and its ready-task state. A
+     * warm-start checkpoint copies the machine state by value, and the
+     * ready pool copies its policy through this; every policy,
+     * user-registered ones included, must provide it (typically
+     * `return std::make_unique<MyPolicy>(*this);`).
      */
-    virtual void snapshotState(sim::Snapshot &) {}
+    virtual std::unique_ptr<Scheduler> clone() const = 0;
 };
 
 /**

@@ -3,11 +3,10 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::rt {
 
-SoftwareTracker::SoftwareTracker(const TaskGraph &graph) : graph_(graph)
+SoftwareTracker::SoftwareTracker(const TaskGraph &graph) : graph_(&graph)
 {
     regState_.resize(graph.regions().size());
     numPreds_.assign(graph.numTasks(), 0);
@@ -34,7 +33,7 @@ SoftwareTracker::create(TaskId id)
     ++inFlight_;
 
     TrackerCreateWork work;
-    const Task &t = graph_.task(id);
+    const Task &t = graph_->task(id);
     for (const DepSpec &d : t.deps) {
         RegState &rs = regState_[d.region];
         ++work.depLookups;
@@ -93,7 +92,7 @@ SoftwareTracker::finish(TaskId id)
     succs_[id].clear();
 
     // Detach from dependence state, mirroring the DMU cleanup.
-    const Task &t = graph_.task(id);
+    const Task &t = graph_->task(id);
     for (const DepSpec &d : t.deps) {
         ++work.depVisits;
         RegState &rs = regState_[d.region];
@@ -127,25 +126,6 @@ SoftwareTracker::regMetrics(sim::MetricContext ctx)
     ctx.gauge("in_flight",
               [this] { return static_cast<double>(inFlight_); },
               "tasks created but not yet finished");
-}
-
-void
-SoftwareTracker::snapshotState(sim::Snapshot &s)
-{
-    s.capture(regState_);
-    s.capture(numPreds_);
-    s.capture(succs_);
-    s.capture(created_);
-    s.capture(finished_);
-    s.capture(inFlight_);
-    s.capture(creates_);
-    s.capture(finishes_);
-    s.capture(depLookups_);
-    s.capture(edgeInserts_);
-    s.capture(readerScans_);
-    s.capture(fragmentSplits_);
-    s.capture(succVisits_);
-    s.capture(depVisits_);
 }
 
 } // namespace tdm::rt

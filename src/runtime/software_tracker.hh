@@ -22,10 +22,6 @@
 #include "runtime/task_graph.hh"
 #include "sim/metrics.hh"
 
-namespace tdm::sim {
-class Snapshot;
-} // namespace tdm::sim
-
 namespace tdm::rt {
 
 /** Work performed while registering one task's dependences. */
@@ -83,11 +79,6 @@ class SoftwareTracker
      *  scope ("runtime.tracker"). */
     void regMetrics(sim::MetricContext ctx);
 
-    /** Capture dependence-tracking state (register file, pred
-     *  counts, lifecycle bits, and work counters) for warm-start
-     *  forking; the task graph itself is immutable and shared. */
-    void snapshotState(sim::Snapshot &s);
-
   private:
     struct RegState
     {
@@ -95,7 +86,7 @@ class SoftwareTracker
         std::vector<TaskId> readers;
     };
 
-    const TaskGraph &graph_;
+    const TaskGraph *graph_; ///< immutable and shared; copies share it
     std::vector<RegState> regState_;
     std::vector<std::uint32_t> numPreds_;
     std::vector<std::vector<TaskId>> succs_;

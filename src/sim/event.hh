@@ -50,7 +50,7 @@ class Event
     /** Debug name; override for more useful traces. */
     virtual const char *name() const;
 
-    /** Heap-allocated copy of this event for snapshot images. */
+    /** Heap-allocated copy of this event for checkpoint images. */
     virtual Event *clone() const = 0;
 
     /** Tick this event is (or was last) scheduled for. */
@@ -104,7 +104,7 @@ template <auto MemFn, typename Owner, typename... Args>
 class BoundEvent final : public Event
 {
     static_assert((std::is_copy_constructible_v<Args> && ...),
-                  "bound arguments must be copyable so snapshots can "
+                  "bound arguments must be copyable so checkpoints can "
                   "clone the event");
 
   public:

@@ -1,10 +1,8 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace tdm::sim {
 
@@ -166,44 +164,26 @@ EventQueue::releaseRaw(void *mem, std::size_t cls)
     freeLists_[cls] = mem;
 }
 
-/**
- * Restorable image of a queue: heap-owned clones of every pending
- * event (kept as masters and re-cloned on each restore, so one image
- * serves any number of forks) plus the scalar kernel state.
- */
-struct EventQueue::QueueImage
+EventQueue::Image
+EventQueue::image() const
 {
-    std::vector<std::unique_ptr<Event>> masters;
-    Tick curTick = 0;
-    std::uint64_t nextSeq = 0;
-    std::uint64_t executed = 0;
-#if SIM_INVARIANTS_ENABLED
-    Tick lastFiredWhen = 0;
-    std::uint64_t lastFiredSeq = 0;
-    bool anyFired = false;
-#endif
-};
-
-void
-EventQueue::snapshotState(Snapshot &s)
-{
-    auto img = std::make_shared<QueueImage>();
-    img->masters.reserve(heap_.size());
+    Image img;
+    img.masters.reserve(heap_.size());
     for (const Entry &e : heap_)
-        img->masters.emplace_back(e.ev->clone());
-    img->curTick = curTick_;
-    img->nextSeq = nextSeq_;
-    img->executed = executed_;
+        img.masters.emplace_back(e.ev->clone());
+    img.curTick = curTick_;
+    img.nextSeq = nextSeq_;
+    img.executed = executed_;
 #if SIM_INVARIANTS_ENABLED
-    img->lastFiredWhen = lastFiredWhen_;
-    img->lastFiredSeq = lastFiredSeq_;
-    img->anyFired = anyFired_;
+    img.lastFiredWhen = lastFiredWhen_;
+    img.lastFiredSeq = lastFiredSeq_;
+    img.anyFired = anyFired_;
 #endif
-    s.captureCustom([this, img] { restoreState(*img); });
+    return img;
 }
 
 void
-EventQueue::restoreState(const QueueImage &img)
+EventQueue::restore(const Image &img)
 {
     clearPending();
     curTick_ = img.curTick;

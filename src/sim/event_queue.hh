@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -38,8 +39,6 @@
 #include "sim/types.hh"
 
 namespace tdm::sim {
-
-class Snapshot;
 
 /**
  * A deterministic event-driven simulator kernel.
@@ -135,14 +134,32 @@ class EventQueue
     /** Number of pending events. */
     std::size_t pending() const { return heap_.size(); }
 
-    // ---- warm-start snapshots --------------------------------------
+    // ---- warm-start checkpoints ------------------------------------
 
     /**
-     * Capture the queue's complete state (clock, sequence counter, and
-     * a cloned image of every pending event) into @p s, restorable any
-     * number of times.
+     * Restorable copy of the queue: heap-owned clones of every pending
+     * event plus the clock and sequence state. restore() re-clones the
+     * masters, so one image serves any number of restores.
      */
-    void snapshotState(Snapshot &s);
+    struct Image
+    {
+        std::vector<std::unique_ptr<Event>> masters;
+        Tick curTick = 0;
+        std::uint64_t nextSeq = 0;
+        std::uint64_t executed = 0;
+#if SIM_INVARIANTS_ENABLED
+        Tick lastFiredWhen = 0;
+        std::uint64_t lastFiredSeq = 0;
+        bool anyFired = false;
+#endif
+    };
+
+    /** Capture the queue's complete state. */
+    Image image() const;
+
+    /** Replace all queue state with @p img; the replay fires the same
+     *  events at the same ticks in the same order as the original. */
+    void restore(const Image &img);
 
     /** True when no events remain. */
     bool empty() const { return heap_.empty(); }
@@ -177,11 +194,6 @@ class EventQueue
     /** Retire every pending event. */
     void clearPending();
 
-    struct QueueImage; ///< cloned pending set + scalar state (.cc)
-
-    /** Replace all queue state with a previously captured image. */
-    void restoreState(const QueueImage &img);
-
     // ---- pool ----
     static constexpr std::size_t classGrain = 16;
     static constexpr std::size_t numClasses = 16; ///< up to 256 bytes
@@ -212,7 +224,7 @@ class EventQueue
     /**
      * Last fired (tick, seq) key: the determinism contract is that the
      * fire order is strictly increasing lexicographically, across
-     * snapshot restores included. Debug/sanitizer builds re-verify
+     * checkpoint restores included. Debug/sanitizer builds re-verify
      * this at every fire.
      */
     Tick lastFiredWhen_ = 0;

@@ -1,8 +1,5 @@
 #include "sim/metrics.hh"
 
-#include <memory>
-
-#include "sim/snapshot.hh"
 #include "sim/suggest.hh"
 
 namespace tdm::sim {
@@ -438,19 +435,6 @@ MetricRegistry::dump(std::ostream &os) const
         }
         os << '\n';
     }
-}
-
-void
-MetricRegistry::snapshotState(Snapshot &s)
-{
-    auto shape = std::make_shared<std::vector<std::string>>(keys());
-    s.captureCustom([this, shape] {
-        if (keys() != *shape)
-            throw MetricError(
-                "metric registry shape changed across a warm-start "
-                "restore: forked configurations must register an "
-                "identical key set");
-    });
 }
 
 } // namespace tdm::sim

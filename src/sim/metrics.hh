@@ -104,7 +104,6 @@ class MetricSet
 };
 
 class MetricRegistry;
-class Snapshot;
 
 /**
  * Scoped registration handle: prepends its prefix to every registered
@@ -214,16 +213,6 @@ class MetricRegistry
 
     /** Write "key value # desc" lines, gem5 stats.txt style, sorted. */
     void dump(std::ostream &os) const;
-
-    /**
-     * Warm-start fork hook: records the registry's key shape, and each
-     * restore verifies the live shape still matches (throws
-     * MetricError otherwise). The registry itself holds typed pointers
-     * into components, so a forked run rebuilds it rather than
-     * restoring it; this check pins the contract that rebuilding under
-     * fork-compatible configurations is shape-invariant.
-     */
-    void snapshotState(Snapshot &s);
 
   private:
     friend class MetricContext;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "sim/snapshot.hh"
-
 namespace tdm::sim {
 
 std::uint64_t
@@ -59,12 +57,6 @@ Rng::noiseFactor(double sigma)
         g += uniform();
     g = (g - 2.0) * std::sqrt(3.0); // ~N(0,1)
     return std::exp(sigma * g - 0.5 * sigma * sigma);
-}
-
-void
-Rng::snapshotState(Snapshot &s)
-{
-    s.capture(state_);
 }
 
 } // namespace tdm::sim

@@ -13,8 +13,6 @@
 
 namespace tdm::sim {
 
-class Snapshot;
-
 /** SplitMix64 PRNG: tiny, fast, and platform-stable. */
 class Rng
 {
@@ -40,9 +38,6 @@ class Rng
      * sigma, mean ~1.0. Used to perturb task durations.
      */
     double noiseFactor(double sigma);
-
-    /** Capture the generator state for warm-start forking. */
-    void snapshotState(Snapshot &s);
 
   private:
     std::uint64_t state_;

@@ -18,6 +18,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -101,11 +102,14 @@ TEST_P(GoldenDeterminism, MakespanIsByteIdenticalToSeedKernel)
 
 TEST_P(GoldenDeterminism, ForkedRunsReproduceColdRunsBitForBit)
 {
-    // The warm-start fork contract (PR 10): a member served from a
-    // snapshot — finalize-level for a `power.*`-only variation,
-    // warm-level for a `mem.*` variation — must reproduce a cold run
-    // of the same experiment bit-for-bit, makespan and the entire
-    // metric tree alike. Forking is a pure wall-clock optimization.
+    // The warm-start fork contract: a member served from a fork —
+    // finalize-level for a `power.*`-only variation, warm-level for a
+    // `mem.*` variation — must reproduce a cold run of the same
+    // experiment bit-for-bit, makespan and the entire metric tree
+    // alike. Forking is a pure wall-clock optimization. The chain
+    // final-forks a warm-forked trajectory and warm-forks twice, so
+    // finalize() must be repeatable and the checkpoint must restore
+    // over a trajectory that already ran past it.
     const Golden &g = GetParam();
     driver::Experiment leader;
     leader.workload = g.workload;
@@ -116,11 +120,10 @@ TEST_P(GoldenDeterminism, ForkedRunsReproduceColdRunsBitForBit)
     powerVar.config.power.activeWatts *= 2.0;
     driver::Experiment memVar = leader;
     memVar.config.mem.l1Bytes /= 2;
-
-    const driver::RunSummary coldPower = driver::run(powerVar);
-    const driver::RunSummary coldMem = driver::run(memVar);
-    ASSERT_TRUE(coldPower.completed);
-    ASSERT_TRUE(coldMem.completed);
+    driver::Experiment memPowerVar = memVar;
+    memPowerVar.config.power.activeWatts *= 2.0;
+    driver::Experiment mem4Var = leader;
+    mem4Var.config.mem.l1Bytes /= 4;
 
     driver::ForkGroupRunner runner(nullptr);
     bool forked = true;
@@ -130,26 +133,37 @@ TEST_P(GoldenDeterminism, ForkedRunsReproduceColdRunsBitForBit)
     ASSERT_TRUE(lead.completed);
     EXPECT_EQ(lead.makespan, g.makespan);
 
-    // Same ROI fingerprint as the leader (power.* keys are Final):
-    // served by re-running finalization over the shared trajectory.
+    // Power variants share their ROI fingerprint with the member just
+    // before them (power.* keys are Final): served by re-running
+    // finalization over the shared trajectory. Mem variants differ
+    // (mem.* keys are Roi): restored at the warmup/ROI boundary, the
+    // ROI re-simulated under the variant's cache geometry.
     EXPECT_EQ(roiKeyOf(powerVar), roiKeyOf(leader));
-    const driver::RunSummary forkPower =
-        runner.run(powerVar, roiKeyOf(powerVar), nullptr, &forked);
-    EXPECT_TRUE(forked) << "power variant must fork, not re-simulate";
-    EXPECT_EQ(forkPower.makespan, coldPower.makespan);
-    expectMetricsBitIdentical(coldPower.metrics(), forkPower.metrics(),
-                              "finalize fork");
-
-    // Different ROI fingerprint (mem.* keys are Roi): restored at the
-    // warmup/ROI boundary, the ROI re-simulated under the variant's
-    // cache geometry.
     EXPECT_NE(roiKeyOf(memVar), roiKeyOf(leader));
-    const driver::RunSummary forkMem =
-        runner.run(memVar, roiKeyOf(memVar), nullptr, &forked);
-    EXPECT_TRUE(forked) << "mem variant must warm-fork";
-    EXPECT_EQ(forkMem.makespan, coldMem.makespan);
-    expectMetricsBitIdentical(coldMem.metrics(), forkMem.metrics(),
-                              "warm fork");
+    EXPECT_EQ(roiKeyOf(memPowerVar), roiKeyOf(memVar));
+    EXPECT_NE(roiKeyOf(mem4Var), roiKeyOf(memVar));
+    struct Leg
+    {
+        const char *what;
+        const driver::Experiment &exp;
+    };
+    const Leg chain[] = {
+        {"finalize fork of the cold leg", powerVar},
+        {"warm fork (L1/2)", memVar},
+        {"finalize fork of a warm fork", memPowerVar},
+        {"second warm fork (L1/4)", mem4Var},
+    };
+    for (const Leg &leg : chain) {
+        SCOPED_TRACE(leg.what);
+        const driver::RunSummary cold = driver::run(leg.exp);
+        ASSERT_TRUE(cold.completed);
+        const driver::RunSummary fork =
+            runner.run(leg.exp, roiKeyOf(leg.exp), nullptr, &forked);
+        EXPECT_TRUE(forked) << "must fork, not re-simulate cold";
+        EXPECT_EQ(fork.makespan, cold.makespan);
+        expectMetricsBitIdentical(cold.metrics(), fork.metrics(),
+                                  leg.what);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -249,6 +263,9 @@ metricDigest(const sim::MetricSet &m)
 
 TEST(GoldenDeterminism, ScaledMachinesMatchPinnedRuns)
 {
+    // Each point runs cold, then is served again by a finalize fork
+    // and by a warm fork (a distinct ROI label forces the warm path):
+    // all three legs must reproduce the pin.
     for (const ScaledGolden &g : scaledGoldens) {
         driver::Experiment e;
         driver::spec::applyKey(e, "workload", g.workload);
@@ -257,11 +274,24 @@ TEST(GoldenDeterminism, ScaledMachinesMatchPinnedRuns)
         driver::spec::applyKey(e, "mesh.width", g.mesh);
         driver::spec::applyKey(e, "mesh.height", g.mesh);
         driver::spec::applyKey(e, "runtime", g.runtime);
-        const driver::RunSummary s = driver::run(e);
-        const std::string what = std::string(g.workload) + "/c" + g.cores
-                               + "/" + g.runtime;
-        ASSERT_TRUE(s.completed) << what;
-        EXPECT_EQ(s.makespan, g.makespan) << what;
-        EXPECT_EQ(metricDigest(s.metrics()), g.digest) << what;
+        driver::ForkGroupRunner runner(nullptr);
+        const std::string roi = roiKeyOf(e);
+        const std::pair<const char *, std::string> legs[] = {
+            {"cold", roi},
+            {"finalize fork", roi},
+            {"warm fork", roi + "/warm"},
+        };
+        for (const auto &[leg, label] : legs) {
+            bool forked = false;
+            const driver::RunSummary s =
+                runner.run(e, label, nullptr, &forked);
+            const std::string what = std::string(g.workload) + "/c"
+                                   + g.cores + "/" + g.runtime + " "
+                                   + leg;
+            EXPECT_EQ(forked, leg != legs[0].first) << what;
+            ASSERT_TRUE(s.completed) << what;
+            EXPECT_EQ(s.makespan, g.makespan) << what;
+            EXPECT_EQ(metricDigest(s.metrics()), g.digest) << what;
+        }
     }
 }

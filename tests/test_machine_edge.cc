@@ -23,6 +23,23 @@ tiny()
     return cfg;
 }
 
+/** A broken user policy that loses every task it is handed. */
+class DroppingScheduler : public rt::Scheduler
+{
+  public:
+    const char *name() const override { return "drop"; }
+    void push(const rt::ReadyTask &) override {}
+    std::optional<rt::ReadyTask> pop(sim::CoreId) override { return {}; }
+    bool empty() const override { return true; }
+    std::size_t size() const override { return 0; }
+
+    std::unique_ptr<rt::Scheduler>
+    clone() const override
+    {
+        return std::make_unique<DroppingScheduler>(*this);
+    }
+};
+
 } // namespace
 
 TEST(MachineEdge, SingleTaskGraph)
@@ -166,6 +183,33 @@ TEST(MachineEdge, SchedulerPolicyChangesNoHardware)
     }
     auto [lo, hi] = std::minmax_element(accesses.begin(), accesses.end());
     EXPECT_LT(static_cast<double>(*hi) / static_cast<double>(*lo), 1.05);
+}
+
+TEST(MachineEdge, DeadlockWarningCountsTasksWithoutBlamingTheDmu)
+{
+    // The Software runtime has no DMU: a run that stalls there must
+    // say how far it got, not that it is blocked on DMU capacity.
+    rt::registerScheduler("test-drop", [](unsigned, std::uint32_t) {
+        return std::make_unique<DroppingScheduler>();
+    });
+    rt::TaskGraph g("two");
+    rt::RegionId r = g.addRegion(1024);
+    g.beginParallel();
+    for (int i = 0; i < 2; ++i) {
+        g.createTask(sim::usToTicks(10));
+        g.dep(r, rt::DepDir::In);
+    }
+    cpu::MachineConfig cfg = tiny();
+    cfg.scheduler = "test-drop";
+    core::Machine m(cfg, g, core::RuntimeType::Software);
+    testing::internal::CaptureStderr();
+    const auto res = m.run();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(res.completed);
+    EXPECT_NE(err.find("deadlocked after executing 0 of 2 tasks"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("DMU"), std::string::npos) << err;
 }
 
 TEST(MachineEdgeDeath, OneCoreMachineRejected)

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "mem/memory_model.hh"
-#include "sim/snapshot.hh"
 
 using namespace tdm;
 
@@ -203,9 +202,7 @@ TEST(MemoryModel, SharerInvalidationMatchesBroadcastFuzz)
     // every eleventh region is larger than the L1, so touching it
     // evicts everything else. Three in four accesses go to a hot set
     // of eight regions, so regions gather many sharers before a write
-    // (one access in three) invalidates them. Halfway through, the
-    // model is snapshotted; at three quarters both models are rolled
-    // back to that point and the stream continues from there.
+    // (one access in three) invalidates them.
     constexpr unsigned regions = 96;
     constexpr int steps = 6000;
     for (unsigned cores : {4u, 17u, 64u}) {
@@ -223,18 +220,7 @@ TEST(MemoryModel, SharerInvalidationMatchesBroadcastFuzz)
         for (mem::RegionId r = 0; r < regions; ++r)
             bytes[r] = r % 11 == 5 ? 6 * 1024 : 1 + next() % 2048;
 
-        sim::Snapshot snap;
-        BroadcastModel refAtSnap = ref;
         for (int step = 0; step < steps; ++step) {
-            if (step == steps / 2) {
-                m.snapshotState(snap);
-                refAtSnap = ref;
-            } else if (step == steps * 3 / 4) {
-                snap.restore();
-                ref = refAtSnap;
-                ASSERT_TRUE(sameState(m, ref, cores, regions))
-                    << "after restore";
-            }
             const std::uint64_t r = next();
             mem::MemAccess a;
             a.region = static_cast<mem::RegionId>(

@@ -2,9 +2,10 @@
  * @file
  * Time-resolved tracing tests: category parsing, buffer mechanics
  * (chunked append, cap, digest), spec-key plumbing, non-perturbation
- * (identical makespans with tracing on and off), the Chrome trace
- * writer's output shape, and the campaign engine's per-point trace
- * files. The task-execution timeline is checked in test_task_trace.cc.
+ * (identical makespans with tracing on and off), traced forks, the
+ * Chrome trace writer's output shape, and the campaign engine's
+ * per-point trace files. The task-execution timeline is checked in
+ * test_task_trace.cc.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 
 #include "core/machine.hh"
 #include "driver/campaign/engine.hh"
+#include "driver/campaign/fingerprint.hh"
 #include "driver/experiment.hh"
+#include "driver/fork_runner.hh"
 #include "driver/report/trace_writer.hh"
 #include "driver/spec/spec.hh"
 #include "sim/trace.hh"
@@ -200,6 +203,34 @@ TEST(TraceMachine, IdenticalRunsGiveIdenticalDigests)
     EXPECT_GT(a.size(), 0u);
     EXPECT_EQ(a.size(), b.size());
     EXPECT_EQ(a.digest(), b.digest());
+}
+
+TEST(TraceMachine, PowerForksCarryTheColdTrace)
+{
+    // A power variant shares the leader's whole trajectory, so its
+    // forked trace must equal its cold traced run's. The runner hands
+    // out copies, so a second power fork still gets the full trace.
+    driver::Experiment leader = smallExperiment(core::RuntimeType::Tdm);
+    leader.config.trace.categories = sim::traceCatAll;
+    driver::Experiment power = leader;
+    power.config.power.activeWatts *= 2.0;
+    sim::TraceBuffer cold;
+    driver::run(power, nullptr, &cold);
+    ASSERT_GT(cold.size(), 0u);
+
+    const std::string roi = driver::spec::roiFingerprint(
+        driver::campaign::canonicalConfig(leader));
+    driver::ForkGroupRunner runner(nullptr);
+    bool forked = true;
+    sim::TraceBuffer tb;
+    runner.run(leader, roi, &tb, &forked);
+    EXPECT_FALSE(forked);
+    for (int round = 0; round < 2; ++round) {
+        runner.run(power, roi, &tb, &forked);
+        EXPECT_TRUE(forked) << "power fork " << round;
+        EXPECT_EQ(tb.size(), cold.size()) << "power fork " << round;
+        EXPECT_EQ(tb.digest(), cold.digest()) << "power fork " << round;
+    }
 }
 
 TEST(TraceWriter, EmitsWellFormedChromeTraceJson)

@@ -1,74 +1,30 @@
 /**
  * @file
- * Unit coverage for the warm-start fork machinery (PR 10): the
- * Snapshot capture/restore primitive, the event queue's pending-image
- * round trip, the spec key-phase classification and its two
- * fingerprints, and ForkGroupRunner's degradation paths. The
+ * Unit coverage for the warm-start fork machinery: the event queue's
+ * pending-image round trip, the spec key-phase classification and its
+ * two fingerprints, the metric-shape guard, forks under a stateful
+ * user-defined scheduler, and ForkGroupRunner's degradation paths. The
  * end-to-end bit-for-bit contract over every golden configuration
  * lives in test_golden_determinism.cc.
  */
 
+#include <bit>
+#include <queue>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/machine.hh"
 #include "driver/campaign/fingerprint.hh"
 #include "driver/experiment.hh"
 #include "driver/fork_runner.hh"
+#include "driver/graph_cache.hh"
 #include "driver/spec/spec.hh"
+#include "runtime/scheduler.hh"
 #include "sim/event_queue.hh"
-#include "sim/rng.hh"
-#include "sim/snapshot.hh"
 
 using namespace tdm;
-
-// ---- Snapshot primitive -----------------------------------------------
-
-TEST(Snapshot, CaptureRestoresFieldsInPlace)
-{
-    int a = 1;
-    std::vector<int> v{1, 2, 3};
-    sim::Snapshot s;
-    s.capture(a);
-    s.capture(v);
-    a = 99;
-    v.clear();
-    s.restore();
-    EXPECT_EQ(a, 1);
-    EXPECT_EQ(v, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Snapshot, RestoreIsRepeatable)
-{
-    // Each fork of a warm group restores the same image again; the
-    // snapshot must not be consumed by the first restore.
-    int a = 7;
-    sim::Snapshot s;
-    s.capture(a);
-    for (int round = 0; round < 3; ++round) {
-        a = 1000 + round;
-        s.restore();
-        EXPECT_EQ(a, 7);
-    }
-}
-
-TEST(Snapshot, RngRoundTripReplaysTheStream)
-{
-    sim::Rng rng(12345);
-    (void)rng.next();
-    (void)rng.next();
-
-    sim::Snapshot s;
-    rng.snapshotState(s);
-    std::vector<std::uint64_t> first;
-    for (int i = 0; i < 8; ++i)
-        first.push_back(rng.next());
-
-    s.restore();
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(rng.next(), first[i]) << "draw " << i;
-}
 
 // ---- EventQueue pending-image round trip ------------------------------
 
@@ -96,10 +52,9 @@ TEST(WarmForkEventQueue, SnapshotRestoreReplaysIdenticalSequence)
     // same-tick ties, so the restored heap must rebuild a deep order.
     for (int i = 0; i < 200; ++i)
         eq.post<&Recorder::poke>(10 + 7 * (i / 2), &r, i);
-    eq.run(300); // consume a prefix: snapshot mid-flight state
+    eq.run(300); // consume a prefix: capture mid-flight state
 
-    sim::Snapshot s;
-    eq.snapshotState(s);
+    const sim::EventQueue::Image img = eq.image();
     const sim::Tick boundary = eq.now();
     const std::size_t consumed = r.log.size();
 
@@ -113,7 +68,7 @@ TEST(WarmForkEventQueue, SnapshotRestoreReplaysIdenticalSequence)
     // same ticks in the same order.
     for (int round = 0; round < 2; ++round) {
         r.log.clear();
-        s.restore();
+        eq.restore(img);
         EXPECT_EQ(eq.now(), boundary);
         eq.run();
         EXPECT_EQ(r.log, firstTail) << "replay " << round;
@@ -181,6 +136,141 @@ TEST(WarmForkSpec, FingerprintsProjectByPhase)
               driver::spec::roiFingerprint(canonSched));
 }
 
+// ---- forked runs against cold runs -----------------------------------
+
+namespace {
+
+std::string
+roiKeyOf(const driver::Experiment &e)
+{
+    return driver::spec::roiFingerprint(
+        driver::campaign::canonicalConfig(e));
+}
+
+/** Same keys, and every value identical down to the last bit. */
+void
+expectMetricsBitIdentical(const sim::MetricSet &cold,
+                          const sim::MetricSet &forked)
+{
+    ASSERT_EQ(cold.entries().size(), forked.entries().size());
+    auto it = forked.entries().begin();
+    for (const auto &[key, v] : cold.entries()) {
+        ASSERT_EQ(key, it->first);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+                  std::bit_cast<std::uint64_t>(it->second))
+            << "metric '" << key << "' diverged (cold " << v
+            << " vs forked " << it->second << ")";
+        ++it;
+    }
+}
+
+/**
+ * The custom_scheduler example's criticality-then-age policy: a
+ * user-defined policy whose ready heap is state a fork must carry.
+ */
+class CriticalFirstScheduler : public rt::Scheduler
+{
+  public:
+    const char *name() const override { return "critical-first"; }
+
+    void push(const rt::ReadyTask &t) override { heap_.push(t); }
+
+    std::optional<rt::ReadyTask>
+    pop(sim::CoreId) override
+    {
+        if (heap_.empty())
+            return std::nullopt;
+        rt::ReadyTask t = heap_.top();
+        heap_.pop();
+        return t;
+    }
+
+    bool empty() const override { return heap_.empty(); }
+    std::size_t size() const override { return heap_.size(); }
+
+    sim::Tick pushExtraCycles() const override { return 60; }
+    sim::Tick popExtraCycles() const override { return 60; }
+
+    std::unique_ptr<rt::Scheduler>
+    clone() const override
+    {
+        return std::make_unique<CriticalFirstScheduler>(*this);
+    }
+
+  private:
+    struct Less
+    {
+        bool
+        operator()(const rt::ReadyTask &a, const rt::ReadyTask &b) const
+        {
+            if (a.numSuccessors != b.numSuccessors)
+                return a.numSuccessors < b.numSuccessors;
+            return a.creationSeq > b.creationSeq;
+        }
+    };
+
+    std::priority_queue<rt::ReadyTask, std::vector<rt::ReadyTask>, Less>
+        heap_;
+};
+
+} // namespace
+
+TEST(WarmForkScheduler, UserDefinedPolicyForksLikeColdRuns)
+{
+    // The checkpoint copies the ready pool's policy through clone(),
+    // so a user policy's ready tasks survive the fork: an L1-halved
+    // member forked from a cold leader must equal its own cold run.
+    rt::registerScheduler("test-critical-first",
+                          [](unsigned, std::uint32_t) {
+                              return std::make_unique<
+                                  CriticalFirstScheduler>();
+                          });
+    for (const char *workload : {"blackscholes", "histogram"}) {
+        SCOPED_TRACE(workload);
+        driver::Experiment leader;
+        leader.workload = workload;
+        leader.runtime = core::RuntimeType::Software;
+        leader.config.scheduler = "test-critical-first";
+        driver::Experiment memVar = leader;
+        memVar.config.mem.l1Bytes /= 2;
+
+        const driver::RunSummary cold = driver::run(memVar);
+        ASSERT_TRUE(cold.completed);
+
+        driver::ForkGroupRunner runner(nullptr);
+        bool forked = true;
+        ASSERT_TRUE(
+            runner.run(leader, roiKeyOf(leader), nullptr, &forked)
+                .completed);
+        EXPECT_FALSE(forked);
+        const driver::RunSummary fork =
+            runner.run(memVar, roiKeyOf(memVar), nullptr, &forked);
+        EXPECT_TRUE(forked);
+        ASSERT_TRUE(fork.completed);
+        EXPECT_EQ(fork.makespan, cold.makespan);
+        expectMetricsBitIdentical(cold.metrics(), fork.metrics());
+    }
+}
+
+TEST(WarmForkGuard, FirstShapeChangingForkThrows)
+{
+    // Toggling the memory model changes the registry's key set, so the
+    // restored phase-window snapshots would no longer line up with it.
+    // The very first such fork must throw, not return a short tree.
+    driver::Experiment e;
+    e.workload = "lu";
+    e.runtime = core::RuntimeType::Tdm;
+    ASSERT_TRUE(e.config.enableMemModel);
+    core::Machine m(e.config, driver::buildGraph(e), e.runtime);
+    m.armForkCapture();
+    ASSERT_TRUE(m.run().completed);
+    ASSERT_TRUE(m.hasWarmCheckpoint());
+
+    cpu::MachineConfig noMem = e.config;
+    noMem.enableMemModel = false;
+    EXPECT_THROW(m.runFromWarm(noMem), sim::MetricError);
+}
+
 // ---- ForkGroupRunner degradation --------------------------------------
 
 TEST(ForkGroupRunner, DisabledForkAlwaysRunsCold)
@@ -216,7 +306,7 @@ TEST(ForkGroupRunner, ResetForcesAFreshColdLeg)
         runner.run(e, key, nullptr, &forked);
     EXPECT_FALSE(forked);
 
-    // With snapshots available an identical member forks...
+    // With a checkpoint available an identical member forks...
     const driver::RunSummary again =
         runner.run(e, key, nullptr, &forked);
     EXPECT_TRUE(forked);
