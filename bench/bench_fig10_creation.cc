@@ -32,16 +32,14 @@ main()
         auto s_tdm = driver::run(e);
         if (!s_sw.completed || !s_tdm.completed)
             continue;
-        double a = s_sw.machine.masterCreationFraction * 100.0;
-        double b = s_tdm.machine.masterCreationFraction * 100.0;
+        double a = s_sw.masterCreationFraction * 100.0;
+        double b = s_tdm.masterCreationFraction * 100.0;
         t.row().cell(w.shortName).cell(a, 1).cell(b, 1).cell(
             b > 0 ? a / b : 0.0, 2);
         sw_frac.push_back(a);
         tdm_frac.push_back(b);
-        sw_idle.push_back(
-            s_sw.machine.chipTotal.fraction(cpu::Phase::Idle));
-        tdm_idle.push_back(
-            s_tdm.machine.chipTotal.fraction(cpu::Phase::Idle));
+        sw_idle.push_back(s_sw.metrics().at("cpu.chip.idle_fraction"));
+        tdm_idle.push_back(s_tdm.metrics().at("cpu.chip.idle_fraction"));
     }
     t.print(std::cout);
     std::cout << "\naverage creation time: SW "

@@ -28,7 +28,7 @@ occupancy(const std::string &wl_name, bool dynamic, unsigned bit)
     e.config.dmu.dynamicDatIndex = dynamic;
     e.config.dmu.staticDatIndexBit = bit;
     auto s = driver::run(e);
-    return s.machine.datAvgOccupiedSets;
+    return s.metrics().at("dmu.dat.avg_occupied_sets");
 }
 
 } // namespace

@@ -16,7 +16,7 @@
 
 #include <iostream>
 
-#include "core/tss_runtime.hh"
+#include "core/runtime_model.hh"
 #include "driver/campaign/campaign.hh"
 #include "driver/campaign/engine.hh"
 #include "driver/report/aggregate.hh"

@@ -17,6 +17,21 @@
 
 using namespace tdm;
 
+namespace {
+
+/** The @p row ("master", "workers") breakdown, read from cpu.* ticks. */
+cpu::PhaseBreakdown
+phasesOf(const driver::RunSummary &s, const std::string &row)
+{
+    const auto ticks = [&](const char *phase) {
+        return static_cast<sim::Tick>(
+            s.metrics().at("cpu." + row + "." + phase + "_ticks"));
+    };
+    return {ticks("deps"), ticks("sched"), ticks("exec"), ticks("idle")};
+}
+
+} // namespace
+
 int
 main()
 {
@@ -35,8 +50,8 @@ main()
             std::cout << w.shortName << ": run did not complete\n";
             continue;
         }
-        const cpu::PhaseBreakdown &m = s.machine.master;
-        const cpu::PhaseBreakdown &wk = s.machine.workersTotal;
+        const cpu::PhaseBreakdown m = phasesOf(s, "master");
+        const cpu::PhaseBreakdown wk = phasesOf(s, "workers");
         t.row()
             .cell(w.shortName)
             .cell(100.0 * m.fraction(cpu::Phase::Deps), 1)

@@ -56,7 +56,7 @@ main(int argc, char **argv)
                 t.cell(static_cast<double>(s.makespan)
                            / static_cast<double>(ref.makespan),
                        3)
-                    .cell(s.machine.dmuBlockedOps)
+                    .cell(s.dmuBlockedOps)
                     .cell("ok");
             } else {
                 t.cell("-").cell("-").cell("deadlock");

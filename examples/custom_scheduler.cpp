@@ -16,6 +16,7 @@
 #include <queue>
 
 #include "core/machine.hh"
+#include "driver/experiment.hh"
 #include "sim/table.hh"
 #include "workloads/registry.hh"
 
@@ -80,7 +81,7 @@ runDedup(const std::string &sched)
     cpu::MachineConfig cfg;
     cfg.scheduler = sched;
     core::Machine m(cfg, g, core::RuntimeType::Tdm);
-    auto res = m.run();
+    const driver::RunSummary res = driver::summarize(m.run(), g);
     return res.completed ? res.timeMs : -1.0;
 }
 

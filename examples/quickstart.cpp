@@ -4,16 +4,19 @@
  * machine with the TDM runtime, and inspect the results.
  *
  * The public API in five steps:
- *   1. rt::TaskGraph      -- declare data regions + tasks + dependences
- *   2. cpu::MachineConfig -- size the machine (Table I defaults)
- *   3. core::Machine      -- bind graph + runtime model
- *   4. run()              -- simulate
- *   5. MachineResult      -- makespan, phase breakdown, energy, DMU
+ *   1. rt::TaskGraph       -- declare data regions + tasks + dependences
+ *   2. cpu::MachineConfig  -- size the machine (Table I defaults)
+ *   3. core::Machine       -- bind graph + runtime model
+ *   4. run()               -- simulate; the result is the metric tree
+ *   5. driver::summarize() -- typed headline fields (makespan, energy,
+ *                             DMU) read off that tree; every other
+ *                             number is one metrics().at("key") away
  */
 
 #include <iostream>
 
 #include "core/machine.hh"
+#include "driver/experiment.hh"
 
 using namespace tdm;
 
@@ -53,7 +56,7 @@ main()
     cpu::MachineConfig cfg;
     cfg.scheduler = "fifo";
     core::Machine machine(cfg, graph, core::RuntimeType::Tdm);
-    core::MachineResult res = machine.run();
+    const driver::RunSummary res = driver::summarize(machine.run(), graph);
 
     // 5. Results.
     std::cout << "completed: " << std::boolalpha << res.completed << '\n'
@@ -61,9 +64,10 @@ main()
               << "energy:    " << res.energyJ << " J (avg "
               << res.avgWatts << " W)\n"
               << "master DEPS fraction: "
-              << res.master.fraction(cpu::Phase::Deps) << '\n'
+              << machine.phases().master().fraction(cpu::Phase::Deps)
+              << '\n'
               << "worker EXEC fraction: "
-              << res.workersTotal.fraction(cpu::Phase::Exec) << '\n'
+              << res.metrics().at("cpu.workers.exec_fraction") << '\n'
               << "DMU accesses: " << res.dmuAccesses
               << ", blocked ops: " << res.dmuBlockedOps << '\n';
     return res.completed ? 0 : 1;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/machine.hh"
+#include "driver/experiment.hh"
 #include "driver/report/trace_writer.hh"
 #include "workloads/registry.hh"
 
@@ -99,7 +100,7 @@ main(int argc, char **argv)
     cpu::MachineConfig cfg;
     cfg.trace.categories = static_cast<std::uint32_t>(sim::TraceCat::Task);
     core::Machine m(cfg, g, runtime);
-    auto res = m.run();
+    const driver::RunSummary res = driver::summarize(m.run(), g);
     if (!res.completed) {
         std::cerr << "run did not complete\n";
         return 1;

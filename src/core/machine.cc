@@ -1072,8 +1072,6 @@ Machine::finalize()
                       tasksExecuted_, " of ", graph_.numTasks(),
                       " tasks: no events pending");
         }
-        res.makespan = eq_.now();
-        res.tasksExecuted = tasksExecuted_;
         res.metrics = metrics_.values();
         return res;
     }
@@ -1081,21 +1079,7 @@ Machine::finalize()
         sim::panic("executed ", tasksExecuted_, " of ",
                    graph_.numTasks(), " tasks");
 
-    res.completed = true;
-    res.makespan = makespan_;
-    res.timeMs = sim::ticksToSeconds(makespan_) * 1e3;
-    res.tasksExecuted = tasksExecuted_;
-    res.master = phases_.master();
-    res.workersTotal = phases_.workersTotal();
-    res.chipTotal = phases_.chipTotal();
-
-    // Fraction of the run the master spent creating tasks (Fig. 10).
-    res.masterCreationFraction =
-        makespan_ > 0 ? static_cast<double>(masterCreateTicks_)
-                            / static_cast<double>(makespan_)
-                      : 0.0;
-
-    // ---- Energy ----
+    // ---- Energy (read by the power.* formulas) ----
     pwr::EnergyAccountant &acct = acct_;
     for (sim::CoreId c = 0; c < cfg_.numCores; ++c) {
         const cpu::PhaseBreakdown &b = phases_.core(c);
@@ -1127,9 +1111,6 @@ Machine::finalize()
             acct.setAcceleratorLeakageMw(dmu::totalLeakageMw(cfg_.dmu));
         }
         acct.addAcceleratorPj(pj);
-        res.dmuBlockedOps = dmu_->blockedOps();
-        res.dmuAccesses = n.total();
-        res.datAvgOccupiedSets = dmu_->dat().avgOccupiedSets();
     }
     if (hwq_) {
         acct.setAcceleratorLeakageMw(
@@ -1138,11 +1119,7 @@ Machine::finalize()
         acct.addAcceleratorPj(
             2.0 * static_cast<double>(hwq_->pushes() + hwq_->localPops()
                                       + hwq_->steals()));
-        res.steals = hwq_->steals();
     }
-    res.energyJ = acct.totalJoules(makespan_);
-    res.edp = acct.edp(makespan_);
-    res.avgWatts = acct.avgWatts(makespan_);
 
     // ---- Metric tree + phase windows ----
     // Degenerate graphs may never trigger a boundary; close them at

@@ -48,38 +48,15 @@
 
 namespace tdm::core {
 
-/** Aggregate result of one machine run. */
+/** Result of one machine run. */
 struct MachineResult
 {
-    /** False when the run deadlocked or hit the watchdog. */
-    bool completed = false;
-
-    sim::Tick makespan = 0;
-    double timeMs = 0.0;
-
-    cpu::PhaseBreakdown master;
-    cpu::PhaseBreakdown workersTotal;
-    cpu::PhaseBreakdown chipTotal;
-
-    double energyJ = 0.0;
-    double edp = 0.0;
-    double avgWatts = 0.0;
-
-    std::uint64_t tasksExecuted = 0;
-    std::uint64_t dmuBlockedOps = 0;
-    std::uint64_t dmuAccesses = 0;
-    double datAvgOccupiedSets = 0.0;
-    std::uint64_t steals = 0;
-
-    /** Master-thread fraction of time spent creating tasks (Fig. 10). */
-    double masterCreationFraction = 0.0;
-
     /**
      * The full flattened metric tree of the run: every registered
      * component metric by dotted key, plus per-phase-window deltas
-     * under "window.{warmup,roi,drain}.*" (completed runs only). The
-     * scalar fields above are a fixed-shape view; this carries
-     * everything, so exports and queries never need a struct edit.
+     * under "window.{warmup,roi,drain}.*" (completed runs only). It is
+     * the only copy of the run's numbers; "machine.completed" is 0
+     * when the run deadlocked or hit the watchdog.
      */
     sim::MetricSet metrics;
 };

@@ -1,5 +1,6 @@
 #include "core/runtime_model.hh"
 
+#include "cpu/machine_config.hh"
 #include "sim/logging.hh"
 
 namespace tdm::core {
@@ -8,12 +9,15 @@ namespace {
 
 const RuntimeTraits kTraits[] = {
     {RuntimeType::Software, DepMode::Software, SchedMode::SoftwarePool,
-     "sw"},
-    {RuntimeType::Tdm, DepMode::Hardware, SchedMode::SoftwarePool, "tdm"},
+     "sw", "SW", "software dependence tracking + software scheduling"},
+    {RuntimeType::Tdm, DepMode::Hardware, SchedMode::SoftwarePool, "tdm",
+     "TDM", "DMU dependence tracking + software scheduling"},
     {RuntimeType::Carbon, DepMode::Software, SchedMode::HardwareQueues,
-     "carbon"},
+     "carbon", "Carbon",
+     "hardware task queues (fixed FIFO + stealing), software deps"},
     {RuntimeType::TaskSuperscalar, DepMode::Hardware,
-     SchedMode::HardwareFifo, "tss"},
+     SchedMode::HardwareFifo, "tss", "TaskSS",
+     "hardware dependence tracking + fixed hardware FIFO scheduling"},
 };
 
 } // namespace
@@ -46,6 +50,30 @@ allRuntimeTypes()
         RuntimeType::TaskSuperscalar,
     };
     return all;
+}
+
+RuntimeSpec
+runtimeSpec(RuntimeType type, const cpu::MachineConfig &cfg)
+{
+    const RuntimeTraits &t = traitsOf(type);
+    RuntimeSpec s{type, t.displayName, t.description};
+    switch (type) {
+      case RuntimeType::Software:
+        break;
+      case RuntimeType::Tdm:
+        s.hwStorageKB = dmu::totalStorageKB(cfg.dmu);
+        s.hwAreaMm2 = dmu::totalAreaMm2(cfg.dmu);
+        break;
+      case RuntimeType::Carbon:
+        s.hwStorageKB = hw::carbonStorageKB(cfg.carbon, cfg.numCores);
+        s.hwAreaMm2 = hw::carbonAreaMm2(cfg.carbon, cfg.numCores);
+        break;
+      case RuntimeType::TaskSuperscalar:
+        s.hwStorageKB = hw::tssStorageKB(cfg.tss);
+        s.hwAreaMm2 = hw::tssAreaMm2(cfg.tss);
+        break;
+    }
+    return s;
 }
 
 } // namespace tdm::core

@@ -17,6 +17,10 @@
 #include <string>
 #include <vector>
 
+namespace tdm::cpu {
+struct MachineConfig;
+}
+
 namespace tdm::core {
 
 /** Which runtime system drives the machine. */
@@ -45,7 +49,9 @@ struct RuntimeTraits
     RuntimeType type;
     DepMode dep;
     SchedMode sched;
-    const char *name;
+    const char *name;        ///< spec/CLI name ("sw", "tdm", ...)
+    const char *displayName; ///< figure label ("SW", "TDM", ...)
+    const char *description;
 
     bool usesDmu() const { return dep == DepMode::Hardware; }
     bool flexibleScheduling() const {
@@ -61,6 +67,19 @@ RuntimeType runtimeFromString(const std::string &name);
 
 /** All four runtimes, in the paper's comparison order. */
 const std::vector<RuntimeType> &allRuntimeTypes();
+
+/** Static description of one runtime system's hardware cost. */
+struct RuntimeSpec
+{
+    RuntimeType type;
+    std::string displayName;
+    std::string description;
+    double hwStorageKB = 0.0; ///< dedicated hardware storage
+    double hwAreaMm2 = 0.0;   ///< dedicated hardware area
+};
+
+/** Spec of @p type on the machine @p cfg (Section VI-C). */
+RuntimeSpec runtimeSpec(RuntimeType type, const cpu::MachineConfig &cfg);
 
 } // namespace tdm::core
 

@@ -101,21 +101,18 @@ Dmu::createTask(std::uint64_t desc_addr, std::uint32_t pid)
         res.blocked = true;
         res.reason = BlockReason::TatFull;
         ++blockedOps_;
-        ++statBlocked_;
         return res;
     }
     if (!sla_.hasFree(1)) {
         res.blocked = true;
         res.reason = BlockReason::SlaFull;
         ++blockedOps_;
-        ++statBlocked_;
         return res;
     }
     if (!dla_.hasFree(1)) {
         res.blocked = true;
         res.reason = BlockReason::DlaFull;
         ++blockedOps_;
-        ++statBlocked_;
         return res;
     }
 
@@ -169,14 +166,12 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
             res.blocked = true;
             res.reason = BlockReason::DatFull;
             ++blockedOps_;
-            ++statBlocked_;
             return res;
         }
         if (!rla_.hasFree(1)) {
             res.blocked = true;
             res.reason = BlockReason::RlaFull;
             ++blockedOps_;
-            ++statBlocked_;
             return res;
         }
     }
@@ -185,7 +180,6 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
         res.blocked = true;
         res.reason = BlockReason::DlaFull;
         ++blockedOps_;
-        ++statBlocked_;
         return res;
     }
     unsigned sla_needed = 0;
@@ -224,14 +218,12 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
         res.blocked = true;
         res.reason = BlockReason::SlaFull;
         ++blockedOps_;
-        ++statBlocked_;
         return res;
     }
     if (rla_needed > 0 && !rla_.hasFree(rla_needed)) {
         res.blocked = true;
         res.reason = BlockReason::RlaFull;
         ++blockedOps_;
-        ++statBlocked_;
         return res;
     }
 
@@ -475,7 +467,7 @@ void
 Dmu::regMetrics(sim::MetricContext ctx)
 {
     ctx.counter("ops", &statOps_, "DMU operations processed");
-    ctx.counter("blocked", &statBlocked_,
+    ctx.counter("blocked", &blockedOps_,
                 "operations blocked on capacity");
     ctx.counter("accesses", &statAccesses_, "total SRAM accesses");
 

@@ -146,7 +146,7 @@ class Dmu
     /** Successor count of an in-flight task (tests/verification). */
     std::uint32_t succCountOf(std::uint64_t desc_addr);
 
-    /** Blocked-operation statistics. */
+    /** Operations blocked on capacity (the dmu.blocked counter). */
     std::uint64_t blockedOps() const { return blockedOps_; }
 
     /** Register the DMU's metric tree under @p ctx's scope ("dmu"):
@@ -198,7 +198,7 @@ class Dmu
      */
     std::vector<std::pair<ListHead, unsigned>> pushScratch_;
 
-    sim::Scalar statOps_, statBlocked_, statAccesses_;
+    sim::Scalar statOps_, statAccesses_;
 };
 
 } // namespace tdm::dmu

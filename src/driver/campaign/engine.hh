@@ -180,6 +180,27 @@ struct CampaignResult
     const JobResult &at(const std::string &label) const;
 };
 
+/** One campaign counter: its export name (JSON member, done-event
+ *  member) and the CampaignResult member that holds it. */
+struct CampaignTotal
+{
+    const char *name;
+    std::uint64_t CampaignResult::*member;
+};
+
+/** Every campaign counter, in export order. */
+inline constexpr CampaignTotal kCampaignTotals[] = {
+    {"cache_hits", &CampaignResult::cacheHits},
+    {"simulated", &CampaignResult::simulated},
+    {"from_memory", &CampaignResult::fromMemory},
+    {"from_disk", &CampaignResult::fromDisk},
+    {"from_inflight", &CampaignResult::fromInflight},
+    {"from_forked", &CampaignResult::fromForked},
+    {"warmups_shared", &CampaignResult::warmupsShared},
+    {"graph_builds", &CampaignResult::graphBuilds},
+    {"graph_shares", &CampaignResult::graphShares},
+};
+
 /** Parse a nonnegative integer CLI value no larger than @p max; fatal
  *  (with the flag named) on anything else, instead of throwing out of
  *  main. */

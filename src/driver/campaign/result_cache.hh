@@ -56,12 +56,13 @@ class ResultCache
     /**
      * Summary-schema version, folded into every internal cache key.
      * Bump whenever the shape of a cached RunSummary changes (v2:
-     * summaries carry the full MetricSet tree, not six fixed fields)
+     * summaries carry the full MetricSet tree, not six fixed fields;
+     * v3: the tree is the only copy, stored blobs hold nothing else)
      * so entries written under an older schema can never be served —
      * a no-op for this in-process map, but load-bearing for any
      * persisted or shared cache built on these keys.
      */
-    static constexpr unsigned kSchemaVersion = 2;
+    static constexpr unsigned kSchemaVersion = 3;
 
     /** Look up @p key; counts a hit or miss. */
     std::optional<RunSummary> lookup(const std::string &key);

@@ -1,5 +1,9 @@
 #include "driver/experiment.hh"
 
+#include <cmath>
+#include <limits>
+#include <type_traits>
+
 #include "driver/graph_cache.hh"
 #include "sim/logging.hh"
 
@@ -31,6 +35,39 @@ run(const Experiment &exp, std::shared_ptr<const rt::TaskGraph> graph,
     return summarize(std::move(mr), *graph);
 }
 
+std::optional<RunSummary>
+summaryOf(sim::MetricSet metrics)
+{
+    RunSummary s;
+    for (const HeadlineField &f : kHeadlineFields) {
+        const double v = metrics.get(f.metric);
+        const bool fits = std::visit(
+            [&](auto member) {
+                using T = std::remove_reference_t<decltype(s.*member)>;
+                if constexpr (std::is_floating_point_v<T>) {
+                    s.*member = v;
+                    return true;
+                } else {
+                    // max + 1 (2, 2^32 or 2^64: the uint64 max rounds
+                    // up to 2^64); every whole double below it
+                    // converts exactly.
+                    constexpr double limit =
+                        static_cast<double>(std::numeric_limits<T>::max())
+                        + 1.0;
+                    if (!(v >= 0.0 && v < limit && v == std::floor(v)))
+                        return false;
+                    s.*member = static_cast<T>(v);
+                    return true;
+                }
+            },
+            f.member);
+        if (!fits)
+            return std::nullopt;
+    }
+    s.machine.metrics = std::move(metrics);
+    return s;
+}
+
 RunSummary
 summarize(core::MachineResult mr, const rt::TaskGraph &graph)
 {
@@ -39,20 +76,10 @@ summarize(core::MachineResult mr, const rt::TaskGraph &graph)
     mr.metrics.set("workload.num_tasks",
                    static_cast<double>(graph.numTasks()));
     mr.metrics.set("workload.avg_task_us", graph.avgTaskUs());
-
-    RunSummary s;
-    s.machine = std::move(mr);
-    const sim::MetricSet &m = s.machine.metrics;
-    s.completed = m.get("machine.completed") != 0.0;
-    s.makespan = static_cast<sim::Tick>(
-        m.get("machine.makespan_ticks"));
-    s.timeMs = m.get("machine.time_ms");
-    s.energyJ = m.get("power.energy_j");
-    s.edp = m.get("power.edp");
-    s.avgWatts = m.get("power.avg_watts");
-    s.numTasks = graph.numTasks();
-    s.avgTaskUs = graph.avgTaskUs();
-    return s;
+    std::optional<RunSummary> s = summaryOf(std::move(mr.metrics));
+    if (!s)
+        sim::panic("a simulated metric tree does not fit its summary");
+    return *std::move(s);
 }
 
 double

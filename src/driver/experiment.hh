@@ -8,7 +8,9 @@
 #define TDM_DRIVER_EXPERIMENT_HH
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <variant>
 
 #include "core/machine.hh"
 #include "cpu/machine_config.hh"
@@ -33,13 +35,13 @@ struct Experiment
 };
 
 /**
- * Summary of one run: a thin typed view over the run's metric tree.
+ * Summary of one run: the run's metric tree plus a thin typed view of
+ * its headline fields.
  *
- * The scalar fields below are populated from machine.metrics in run()
- * (one place), so the MetricSet — not this struct — is the source of
- * truth that flows through the campaign engine, the result cache and
- * the JSON/CSV writers. New measured quantities surface through the
- * metric registry without touching this struct.
+ * Every scalar member is filled from its metric twin by summaryOf()
+ * (see kHeadlineFields), so the MetricSet is the only copy of the
+ * run's numbers that flows through the campaign engine, the result
+ * store and the wire; the members are never set independently of it.
  */
 struct RunSummary
 {
@@ -53,12 +55,62 @@ struct RunSummary
     std::uint32_t numTasks = 0;
     double avgTaskUs = 0.0;
 
+    std::uint64_t tasksExecuted = 0;
+    std::uint64_t dmuAccesses = 0;
+    std::uint64_t dmuBlockedOps = 0;
+    std::uint64_t steals = 0;
+    /** Master-thread fraction of time spent creating tasks (Fig. 10). */
+    double masterCreationFraction = 0.0;
+
     core::MachineResult machine{};
 
     /** The run's full flattened metric tree ("dmu.tat.hits", ...,
      *  plus "workload.*" keys and "window.{warmup,roi,drain}.*"). */
     const sim::MetricSet &metrics() const { return machine.metrics; }
 };
+
+/**
+ * One headline field: its export name (JSON member, CSV column, wire
+ * member), the RunSummary member that holds it, and the metric key it
+ * is read from (an absent key reads as 0).
+ */
+struct HeadlineField
+{
+    const char *name;
+    std::variant<bool RunSummary::*, std::uint32_t RunSummary::*,
+                 std::uint64_t RunSummary::*, double RunSummary::*>
+        member;
+    const char *metric;
+};
+
+/** Every headline field, in export order. Each consumer (summaryOf,
+ *  the JSON/CSV writers, the wire and the dashboard) iterates this. */
+inline constexpr HeadlineField kHeadlineFields[] = {
+    {"completed", &RunSummary::completed, "machine.completed"},
+    {"makespan", &RunSummary::makespan, "machine.makespan_ticks"},
+    {"time_ms", &RunSummary::timeMs, "machine.time_ms"},
+    {"energy_j", &RunSummary::energyJ, "power.energy_j"},
+    {"edp", &RunSummary::edp, "power.edp"},
+    {"avg_watts", &RunSummary::avgWatts, "power.avg_watts"},
+    {"num_tasks", &RunSummary::numTasks, "workload.num_tasks"},
+    {"avg_task_us", &RunSummary::avgTaskUs, "workload.avg_task_us"},
+    {"tasks_executed", &RunSummary::tasksExecuted,
+     "machine.tasks_executed"},
+    {"dmu_accesses", &RunSummary::dmuAccesses, "dmu.accesses"},
+    {"dmu_blocked_ops", &RunSummary::dmuBlockedOps, "dmu.blocked"},
+    {"steals", &RunSummary::steals, "runtime.hwq.steals"},
+    {"master_creation_fraction", &RunSummary::masterCreationFraction,
+     "machine.master_creation_fraction"},
+};
+
+/**
+ * Build a RunSummary around @p metrics, filling every headline member
+ * from its metric twin. Nullopt when a twin does not fit its member
+ * exactly (a negative, fractional, non-finite or out-of-range count,
+ * or a flag other than 0/1) — which a simulated tree never holds, but
+ * a damaged stored record can.
+ */
+std::optional<RunSummary> summaryOf(sim::MetricSet metrics);
 
 /**
  * Run one experiment. When the runtime uses the DMU, params.tdmOptimal
@@ -90,10 +142,10 @@ RunSummary run(const Experiment &exp,
 
 /**
  * Build a RunSummary from a finished machine result: folds the
- * workload-shape facts of @p graph into the metric tree and populates
- * the typed scalar views. The tail of run(), shared with the
- * warm-start ForkGroupRunner so forked and cold summaries are built by
- * the same code.
+ * workload-shape facts of @p graph into the metric tree and fills the
+ * headline members from it (summaryOf). The tail of run(), shared
+ * with the warm-start ForkGroupRunner so forked and cold summaries
+ * are built by the same code.
  */
 RunSummary summarize(core::MachineResult mr, const rt::TaskGraph &graph);
 

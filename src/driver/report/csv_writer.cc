@@ -64,14 +64,11 @@ writeRows(std::ostream &os, const campaign::CampaignResult &c,
             << j.digest << ',' << (j.cacheHit ? 1 : 0) << ','
             << campaign::jobSourceName(j.source) << ','
             << (j.ok() ? 1 : 0) << ',' << csvField(j.error) << ','
-            << j.wallMs << ',' << csvField(j.tracePath) << ','
-            << (s.completed ? 1 : 0) << ','
-            << s.makespan << ',' << s.timeMs << ',' << s.energyJ << ','
-            << s.edp << ',' << s.avgWatts << ',' << s.numTasks << ','
-            << s.avgTaskUs << ',' << s.machine.tasksExecuted << ','
-            << s.machine.dmuAccesses << ',' << s.machine.dmuBlockedOps
-            << ',' << s.machine.steals << ','
-            << s.machine.masterCreationFraction;
+            << j.wallMs << ',' << csvField(j.tracePath);
+        // Unary + prints a flag as 1/0 and leaves numbers as they are.
+        for (const HeadlineField &f : kHeadlineFields)
+            std::visit([&](auto member) { row << ',' << +(s.*member); },
+                       f.member);
         for (const std::string &k : metric_cols) {
             row << ',';
             if (sel.contains(k))
@@ -90,11 +87,9 @@ writeCsv(std::ostream &os,
     const std::vector<std::string> metric_cols =
         metricColumns(campaigns);
     os << "campaign,label,digest,cache_hit,source,ok,error,wall_ms,"
-          "trace_path,"
-          "completed,"
-          "makespan,time_ms,energy_j,edp,avg_watts,num_tasks,"
-          "avg_task_us,tasks_executed,dmu_accesses,dmu_blocked_ops,"
-          "steals,master_creation_fraction";
+          "trace_path";
+    for (const HeadlineField &f : kHeadlineFields)
+        os << ',' << f.name;
     for (const std::string &k : metric_cols)
         os << ',' << csvField(k);
     os << '\n';

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <iomanip>
 #include <sstream>
+#include <type_traits>
 
 namespace tdm::driver::report {
 
@@ -16,6 +17,22 @@ jsonNumber(std::ostream &os, double v)
     std::ostringstream oss;
     oss << std::setprecision(17) << v;
     os << oss.str();
+}
+
+void
+jsonHeadline(std::ostream &os, const RunSummary &s, const HeadlineField &f)
+{
+    std::visit(
+        [&](auto member) {
+            using T = std::remove_cvref_t<decltype(s.*member)>;
+            if constexpr (std::is_same_v<T, bool>)
+                os << (s.*member ? "true" : "false");
+            else if constexpr (std::is_floating_point_v<T>)
+                jsonNumber(os, s.*member);
+            else
+                os << s.*member;
+        },
+        f.member);
 }
 
 namespace {
@@ -58,38 +75,14 @@ writeJob(std::ostream &os, const campaign::JobResult &j,
     os << ",\n";
     os << indent << "  \"trace_path\": \"" << jsonEscape(j.tracePath)
        << "\",\n";
-    os << indent << "  \"completed\": "
-       << (s.completed ? "true" : "false") << ",\n";
-    os << indent << "  \"makespan\": " << s.makespan << ",\n";
-    os << indent << "  \"time_ms\": ";
-    num(os, s.timeMs);
-    os << ",\n";
-    os << indent << "  \"energy_j\": ";
-    num(os, s.energyJ);
-    os << ",\n";
-    os << indent << "  \"edp\": ";
-    num(os, s.edp);
-    os << ",\n";
-    os << indent << "  \"avg_watts\": ";
-    num(os, s.avgWatts);
-    os << ",\n";
-    os << indent << "  \"num_tasks\": " << s.numTasks << ",\n";
-    os << indent << "  \"avg_task_us\": ";
-    num(os, s.avgTaskUs);
-    os << ",\n";
-    os << indent << "  \"tasks_executed\": " << s.machine.tasksExecuted
-       << ",\n";
-    os << indent << "  \"dmu_accesses\": " << s.machine.dmuAccesses
-       << ",\n";
-    os << indent << "  \"dmu_blocked_ops\": " << s.machine.dmuBlockedOps
-       << ",\n";
-    os << indent << "  \"steals\": " << s.machine.steals << ",\n";
-    os << indent << "  \"master_creation_fraction\": ";
-    num(os, s.machine.masterCreationFraction);
-    os << ",\n";
-    // The full (or selected) metric tree, flat dotted keys. This is
-    // the machine-readable payload; the fixed fields above are the
-    // historical view.
+    for (const HeadlineField &f : kHeadlineFields) {
+        os << indent << "  \"" << f.name << "\": ";
+        jsonHeadline(os, s, f);
+        os << ",\n";
+    }
+    // The full (or selected) metric tree, flat dotted keys: the
+    // machine-readable payload the headline fields above are read
+    // from.
     os << indent << "  \"metrics\": {";
     {
         const sim::MetricSet selected =
@@ -120,16 +113,9 @@ writeCampaign(std::ostream &os, const campaign::CampaignResult &c,
     os << indent << "  \"sim_ms_total\": ";
     num(os, c.simMsTotal);
     os << ",\n";
-    os << indent << "  \"cache_hits\": " << c.cacheHits << ",\n";
-    os << indent << "  \"simulated\": " << c.simulated << ",\n";
-    os << indent << "  \"from_memory\": " << c.fromMemory << ",\n";
-    os << indent << "  \"from_disk\": " << c.fromDisk << ",\n";
-    os << indent << "  \"from_inflight\": " << c.fromInflight << ",\n";
-    os << indent << "  \"from_forked\": " << c.fromForked << ",\n";
-    os << indent << "  \"warmups_shared\": " << c.warmupsShared
-       << ",\n";
-    os << indent << "  \"graph_builds\": " << c.graphBuilds << ",\n";
-    os << indent << "  \"graph_shares\": " << c.graphShares << ",\n";
+    for (const campaign::CampaignTotal &n : campaign::kCampaignTotals)
+        os << indent << "  \"" << n.name << "\": " << c.*n.member
+           << ",\n";
     os << indent << "  \"failures\": " << c.failures() << ",\n";
     os << indent << "  \"metrics_pattern\": \""
        << jsonEscape(c.metricsPattern) << "\",\n";

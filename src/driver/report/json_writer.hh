@@ -33,6 +33,14 @@ std::string jsonEscape(const std::string &s);
  */
 void jsonNumber(std::ostream &os, double v);
 
+/**
+ * Write @p s's headline field @p f as a JSON value: flags as
+ * true/false, counts as exact integers, reals through jsonNumber.
+ * Shared by the file export, the wire and the dashboard.
+ */
+void jsonHeadline(std::ostream &os, const RunSummary &s,
+                  const HeadlineField &f);
+
 } // namespace tdm::driver::report
 
 #endif // TDM_DRIVER_REPORT_JSON_WRITER_HH

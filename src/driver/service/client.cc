@@ -1,5 +1,6 @@
 #include "driver/service/client.hh"
 
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -150,6 +151,23 @@ ServiceClient::submit(const campaign::Campaign &c,
     while (sock_.readLine(line)) {
         if (line.empty())
             continue;
+        campaign::JobResult job;
+        std::size_t index = 0, total = 0;
+        if (decodePointEvent(line, job, index, total)) {
+            if (index >= result.jobs.size())
+                throw std::runtime_error("campaign service " +
+                                         address_ +
+                                         ": malformed point event");
+            job.spec = specs[index];
+            if (!received[index]) {
+                received[index] = true;
+                ++receivedCount;
+            }
+            result.jobs[index] = job;
+            if (onJob)
+                onJob(result.jobs[index], index, total);
+            continue;
+        }
         JsonValue event;
         std::string error;
         if (!parseJson(line, event, error))
@@ -165,39 +183,16 @@ ServiceClient::submit(const campaign::Campaign &c,
                 "campaign service " + address_ + ": " +
                 (msg ? msg->asString() : "unknown error"));
         }
-        if (kind == "point") {
-            campaign::JobResult job;
-            std::size_t index = 0, total = 0;
-            if (!decodePointEvent(event, job, index, total) ||
-                index >= result.jobs.size())
-                throw std::runtime_error("campaign service " +
-                                         address_ +
-                                         ": malformed point event");
-            job.spec = specs[index];
-            if (!received[index]) {
-                received[index] = true;
-                ++receivedCount;
-            }
-            result.jobs[index] = job;
-            if (onJob)
-                onJob(result.jobs[index], index, total);
-            continue;
-        }
+        if (kind == "point")
+            throw std::runtime_error("campaign service " + address_ +
+                                     ": malformed point event");
         if (kind == "done") {
-            auto u64 = [&](const char *key, std::uint64_t &field) {
-                if (const JsonValue *v = event.find(key))
-                    field =
-                        static_cast<std::uint64_t>(v->asNumber());
-            };
-            u64("simulated", result.simulated);
-            u64("cache_hits", result.cacheHits);
-            u64("from_memory", result.fromMemory);
-            u64("from_disk", result.fromDisk);
-            u64("from_inflight", result.fromInflight);
-            u64("from_forked", result.fromForked);
-            u64("warmups_shared", result.warmupsShared);
-            u64("graph_builds", result.graphBuilds);
-            u64("graph_shares", result.graphShares);
+            for (const campaign::CampaignTotal &n :
+                 campaign::kCampaignTotals)
+                if (const JsonValue *v = event.find(n.name);
+                    v && v->isNumber())
+                    result.*n.member =
+                        std::strtoull(v->text.c_str(), nullptr, 10);
             if (const JsonValue *v = event.find("threads"))
                 result.threads =
                     static_cast<unsigned>(v->asNumber());

@@ -11,6 +11,7 @@
 namespace tdm::driver::service {
 
 using report::jsonEscape;
+using report::jsonHeadline;
 using report::jsonNumber;
 
 // ---- registry ------------------------------------------------------------
@@ -279,15 +280,12 @@ Dashboard::storeBlobJson(const std::string &digest,
         return false;
     std::ostringstream os;
     os << "{\"digest\":\"" << jsonEscape(digest) << "\",\"key\":\""
-       << jsonEscape(key) << "\",\"completed\":"
-       << (summary.completed ? "true" : "false")
-       << ",\"makespan\":" << summary.makespan << ",\"time_ms\":";
-    jsonNumber(os, summary.timeMs);
-    os << ",\"energy_j\":";
-    jsonNumber(os, summary.energyJ);
-    os << ",\"edp\":";
-    jsonNumber(os, summary.edp);
-    os << ",\"num_tasks\":" << summary.numTasks << ",\"metrics\":{";
+       << jsonEscape(key) << '"';
+    for (const HeadlineField &f : kHeadlineFields) {
+        os << ",\"" << f.name << "\":";
+        jsonHeadline(os, summary, f);
+    }
+    os << ",\"metrics\":{";
     bool first = true;
     for (const auto &[k, v] : summary.metrics().entries()) {
         os << (first ? "" : ",") << "\"" << jsonEscape(k) << "\":";

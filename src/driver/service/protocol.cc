@@ -1,9 +1,14 @@
 #include "driver/service/protocol.hh"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
+#include "driver/campaign/fingerprint.hh"
 #include "driver/report/json_writer.hh"
 #include "driver/spec/campaign_file.hh"
 #include "driver/spec/spec.hh"
@@ -524,12 +529,19 @@ writeAccepted(std::ostream &os, std::uint64_t id,
        << jsonEscape(name) << "\",\"points\":" << points << "}\n";
 }
 
-void
-writePoint(std::ostream &os, std::uint64_t id,
-           const campaign::JobResult &job, std::size_t index,
-           std::size_t total, const std::string &metrics_pattern)
+namespace {
+
+/** Length of the ,"sum":"<16 hex>"} tail that closes a point event. */
+constexpr std::size_t kSumTail = sizeof(",\"sum\":\"\"}") - 1 + 16;
+
+/** A point event without its closing sum member and brace. */
+std::string
+pointBody(std::uint64_t id, const campaign::JobResult &job,
+          std::size_t index, std::size_t total,
+          const std::string &metrics_pattern)
 {
     const RunSummary &s = job.summary;
+    std::ostringstream os;
     os << "{\"event\":\"point\",\"id\":" << id
        << ",\"index\":" << index << ",\"total\":" << total
        << ",\"label\":\"" << jsonEscape(job.label) << "\",\"digest\":\""
@@ -541,23 +553,10 @@ writePoint(std::ostream &os, std::uint64_t id,
     jsonNumber(os, job.wallMs);
     os << ",\"done_at_ms\":";
     jsonNumber(os, job.doneAtMs);
-    os << ",\"completed\":" << (s.completed ? "true" : "false")
-       << ",\"makespan\":" << s.makespan << ",\"time_ms\":";
-    jsonNumber(os, s.timeMs);
-    os << ",\"energy_j\":";
-    jsonNumber(os, s.energyJ);
-    os << ",\"edp\":";
-    jsonNumber(os, s.edp);
-    os << ",\"avg_watts\":";
-    jsonNumber(os, s.avgWatts);
-    os << ",\"num_tasks\":" << s.numTasks << ",\"avg_task_us\":";
-    jsonNumber(os, s.avgTaskUs);
-    os << ",\"tasks_executed\":" << s.machine.tasksExecuted
-       << ",\"dmu_accesses\":" << s.machine.dmuAccesses
-       << ",\"dmu_blocked_ops\":" << s.machine.dmuBlockedOps
-       << ",\"steals\":" << s.machine.steals
-       << ",\"master_creation_fraction\":";
-    jsonNumber(os, s.machine.masterCreationFraction);
+    for (const HeadlineField &f : kHeadlineFields) {
+        os << ",\"" << f.name << "\":";
+        report::jsonHeadline(os, s, f);
+    }
     os << ",\"metrics\":{";
     const sim::MetricSet selected =
         s.metrics().select(metrics_pattern);
@@ -567,7 +566,20 @@ writePoint(std::ostream &os, std::uint64_t id,
         jsonNumber(os, v);
         first = false;
     }
-    os << "}}\n";
+    os << "}";
+    return os.str();
+}
+
+} // namespace
+
+void
+writePoint(std::ostream &os, std::uint64_t id,
+           const campaign::JobResult &job, std::size_t index,
+           std::size_t total, const std::string &metrics_pattern)
+{
+    const std::string body =
+        pointBody(id, job, index, total, metrics_pattern);
+    os << body << ",\"sum\":\"" << campaign::digestOfKey(body) << "\"}\n";
 }
 
 void
@@ -576,17 +588,10 @@ writeDone(std::ostream &os, std::uint64_t id,
 {
     os << "{\"event\":\"done\",\"id\":" << id << ",\"name\":\""
        << jsonEscape(result.name)
-       << "\",\"points\":" << result.jobs.size()
-       << ",\"simulated\":" << result.simulated
-       << ",\"cache_hits\":" << result.cacheHits
-       << ",\"from_memory\":" << result.fromMemory
-       << ",\"from_disk\":" << result.fromDisk
-       << ",\"from_inflight\":" << result.fromInflight
-       << ",\"from_forked\":" << result.fromForked
-       << ",\"warmups_shared\":" << result.warmupsShared
-       << ",\"graph_builds\":" << result.graphBuilds
-       << ",\"graph_shares\":" << result.graphShares
-       << ",\"failures\":" << result.failures()
+       << "\",\"points\":" << result.jobs.size();
+    for (const campaign::CampaignTotal &n : campaign::kCampaignTotals)
+        os << ",\"" << n.name << "\":" << result.*n.member;
+    os << ",\"failures\":" << result.failures()
        << ",\"threads\":" << result.threads << ",\"wall_ms\":";
     jsonNumber(os, result.wallMs);
     os << "}\n";
@@ -634,6 +639,22 @@ writeStatus(std::ostream &os, const StatusInfo &info)
 
 namespace {
 
+/** @p v as a plain unsigned integer literal no larger than @p max
+ *  (decoded from the raw text, so 64-bit values stay exact). */
+bool
+exactUint(const JsonValue *v, std::uint64_t max, std::uint64_t &out)
+{
+    if (!v || !v->isNumber() || v->text.empty() ||
+        v->text.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    const unsigned long long n = std::strtoull(v->text.c_str(), nullptr, 10);
+    if (errno != 0 || n > max)
+        return false;
+    out = n;
+    return true;
+}
+
 bool
 sourceFromName(const std::string &name, campaign::JobSource &out)
 {
@@ -655,27 +676,40 @@ sourceFromName(const std::string &name, campaign::JobSource &out)
 } // namespace
 
 bool
-decodePointEvent(const JsonValue &event, campaign::JobResult &job,
+decodePointEvent(const std::string &line, campaign::JobResult &job,
                  std::size_t &index, std::size_t &total)
 {
-    if (!event.isObject())
+    // The sum covers every byte before it, so any damage to the line
+    // is caught here instead of decoding to a different number.
+    if (line.size() < kSumTail)
+        return false;
+    const std::size_t bodyLen = line.size() - kSumTail;
+    const std::string body = line.substr(0, bodyLen);
+    if (line.compare(bodyLen, std::string::npos,
+                     ",\"sum\":\"" + campaign::digestOfKey(body) + "\"}")
+        != 0)
+        return false;
+
+    JsonValue event;
+    std::string error;
+    if (!parseJson(line, event, error))
         return false;
     const JsonValue *ev = event.find("event");
     if (!ev || ev->asString() != "point")
         return false;
-    const JsonValue *idx = event.find("index");
-    const JsonValue *tot = event.find("total");
     const JsonValue *label = event.find("label");
     const JsonValue *source = event.find("source");
     const JsonValue *metrics = event.find("metrics");
-    if (!idx || !idx->isNumber() || !tot || !tot->isNumber() ||
-        !label || !label->isString() || !source ||
-        !source->isString() || !metrics || !metrics->isObject())
+    std::uint64_t idx = 0, tot = 0;
+    if (!exactUint(event.find("index"), SIZE_MAX, idx) ||
+        !exactUint(event.find("total"), SIZE_MAX, tot) || !label ||
+        !label->isString() || !source || !source->isString() ||
+        !metrics || !metrics->isObject())
         return false;
 
     job = campaign::JobResult{};
-    index = static_cast<std::size_t>(idx->number);
-    total = static_cast<std::size_t>(tot->number);
+    index = static_cast<std::size_t>(idx);
+    total = static_cast<std::size_t>(tot);
     job.label = label->text;
     if (!sourceFromName(source->text, job.source))
         return false;
@@ -692,41 +726,34 @@ decodePointEvent(const JsonValue &event, campaign::JobResult &job,
     if (const JsonValue *v = event.find("done_at_ms"))
         job.doneAtMs = v->asNumber();
 
+    // Headline members travel typed, so 64-bit tick counts survive
+    // even past double precision.
     RunSummary &s = job.summary;
-    if (const JsonValue *v = event.find("completed")) {
-        s.completed = v->asBool();
-        s.machine.completed = s.completed;
+    for (const HeadlineField &f : kHeadlineFields) {
+        const JsonValue *v = event.find(f.name);
+        const bool decoded = std::visit(
+            [&](auto member) {
+                using T = std::remove_reference_t<decltype(s.*member)>;
+                if constexpr (std::is_same_v<T, bool>) {
+                    if (!v || v->kind != JsonValue::Kind::Bool)
+                        return false;
+                    s.*member = v->boolean;
+                } else if constexpr (std::is_floating_point_v<T>) {
+                    if (!v || !v->isNumber())
+                        return false;
+                    s.*member = v->number;
+                } else {
+                    std::uint64_t n = 0;
+                    if (!exactUint(v, std::numeric_limits<T>::max(), n))
+                        return false;
+                    s.*member = static_cast<T>(n);
+                }
+                return true;
+            },
+            f.member);
+        if (!decoded)
+            return false;
     }
-    // Integers decode from the raw literal text so 64-bit tick counts
-    // survive even past double precision.
-    auto u64 = [&](const char *key, std::uint64_t &field) {
-        if (const JsonValue *v = event.find(key))
-            if (v->isNumber())
-                field = std::strtoull(v->text.c_str(), nullptr, 10);
-    };
-    auto f64 = [&](const char *key, double &field) {
-        if (const JsonValue *v = event.find(key))
-            field = v->asNumber();
-    };
-    u64("makespan", s.makespan);
-    f64("time_ms", s.timeMs);
-    f64("energy_j", s.energyJ);
-    f64("edp", s.edp);
-    f64("avg_watts", s.avgWatts);
-    if (const JsonValue *v = event.find("num_tasks"))
-        s.numTasks = static_cast<std::uint32_t>(v->asNumber());
-    f64("avg_task_us", s.avgTaskUs);
-    u64("tasks_executed", s.machine.tasksExecuted);
-    u64("dmu_accesses", s.machine.dmuAccesses);
-    u64("dmu_blocked_ops", s.machine.dmuBlockedOps);
-    u64("steals", s.machine.steals);
-    f64("master_creation_fraction",
-        s.machine.masterCreationFraction);
-    s.machine.makespan = s.makespan;
-    s.machine.timeMs = s.timeMs;
-    s.machine.energyJ = s.energyJ;
-    s.machine.edp = s.edp;
-    s.machine.avgWatts = s.avgWatts;
 
     for (const auto &[k, v] : metrics->members) {
         if (!v.isNumber())

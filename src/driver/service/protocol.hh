@@ -26,14 +26,16 @@
  *     {"event":"point","id":1,"index":0,"total":4,"label":...,
  *      "digest":...,"source":"simulated|memory|disk|inflight|forked",
  *      "cache_hit":...,"ok":...,"error":...,"wall_ms":...,
- *      <summary fields>, "metrics":{...}}        (one per point)
- *     {"event":"done","id":1,"points":4,"simulated":...,
- *      "cache_hits":...,"from_memory":...,"from_disk":...,
+ *      <headline fields>, "metrics":{...},"sum":...}  (one per point)
+ *     {"event":"done","id":1,"points":4,"cache_hits":...,
+ *      "simulated":...,"from_memory":...,"from_disk":...,
  *      "from_inflight":...,"from_forked":...,"warmups_shared":...,
  *      "failures":...,...}
  *
  * plus {"event":"pong"}, {"event":"status",...}, {"event":"bye"} and
- * {"event":"error","message":...} for the other ops. Numbers use the
+ * {"event":"error","message":...} for the other ops. A point event's
+ * "sum" is the FNV-1a digest of every byte before it, so a damaged
+ * line is rejected instead of decoding to a wrong number. Numbers use the
  * report writer's 17-significant-digit formatting, so a metric value
  * serializes to identical bytes over the wire and in the file export —
  * this is what makes the restart replay byte-identical.
@@ -195,12 +197,13 @@ void writeStatus(std::ostream &os, const StatusInfo &info);
 // ---- client-side event decoding ------------------------------------------
 
 /**
- * Decode a "point" event back into a JobResult (the inverse of
- * writePoint, minus the fields a point event does not carry: the spec
- * map and the machine phase breakdowns). Metrics land in
- * job.summary.machine.metrics. Returns false on a malformed event.
+ * Decode one "point" event @p line (as writePoint wrote it, without the
+ * newline) back into a JobResult: the inverse of writePoint, minus the
+ * spec map, which a point event does not carry. Metrics land in
+ * job.summary.machine.metrics. Returns false on a malformed event or a
+ * line whose sum does not match its bytes.
  */
-bool decodePointEvent(const JsonValue &event, campaign::JobResult &job,
+bool decodePointEvent(const std::string &line, campaign::JobResult &job,
                       std::size_t &index, std::size_t &total);
 
 } // namespace tdm::driver::service

@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,103 +23,14 @@ namespace {
 constexpr const char *kMagic = "tdmstore";
 constexpr unsigned kFormatVersion = 1;
 
-/** 17 significant digits: parses back bit-exactly (and "inf"/"nan"
- *  survive the round-trip through strtod). */
+/** Hex digest of a blob payload (everything between header and sum). */
 std::string
-fmtDouble(double v)
+payloadSum(const std::string &payload)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-void
-putU64(std::ostream &os, const char *name, std::uint64_t v)
-{
-    os << "f " << name << ' ' << v << '\n';
-}
-
-void
-putF64(std::ostream &os, const char *name, double v)
-{
-    os << "f " << name << ' ' << fmtDouble(v) << '\n';
-}
-
-void
-putPhases(std::ostream &os, const char *prefix,
-          const cpu::PhaseBreakdown &p)
-{
-    std::ostringstream name;
-    for (const auto &[suffix, value] :
-         {std::pair<const char *, sim::Tick>{"deps", p.deps},
-          {"sched", p.sched},
-          {"exec", p.exec},
-          {"idle", p.idle}}) {
-        name.str("");
-        name << prefix << '.' << suffix;
-        putU64(os, name.str().c_str(), value);
-    }
-}
-
-/**
- * Field accessor table: one row per scalar RunSummary field, shared by
- * the writer (via the blob layout above) and the reader. Every field
- * must appear exactly once in a blob or the load is rejected.
- */
-struct FieldRef
-{
-    enum Kind { U64, F64 } kind;
-    // Exactly one of these is meaningful per row.
-    std::uint64_t *u64;
-    double *f64;
-};
-
-std::map<std::string, FieldRef>
-fieldTable(RunSummary &s, std::uint64_t &completed,
-           std::uint64_t &mCompleted, std::uint64_t &numTasks)
-{
-    std::map<std::string, FieldRef> t;
-    auto u = [&](const char *n, std::uint64_t &v) {
-        t[n] = {FieldRef::U64, &v, nullptr};
-    };
-    auto d = [&](const char *n, double &v) {
-        t[n] = {FieldRef::F64, nullptr, &v};
-    };
-    u("completed", completed);
-    u("makespan", s.makespan);
-    d("time_ms", s.timeMs);
-    d("energy_j", s.energyJ);
-    d("edp", s.edp);
-    d("avg_watts", s.avgWatts);
-    u("num_tasks", numTasks);
-    d("avg_task_us", s.avgTaskUs);
-
-    core::MachineResult &m = s.machine;
-    u("m.completed", mCompleted);
-    u("m.makespan", m.makespan);
-    d("m.time_ms", m.timeMs);
-    u("m.master.deps", m.master.deps);
-    u("m.master.sched", m.master.sched);
-    u("m.master.exec", m.master.exec);
-    u("m.master.idle", m.master.idle);
-    u("m.workers.deps", m.workersTotal.deps);
-    u("m.workers.sched", m.workersTotal.sched);
-    u("m.workers.exec", m.workersTotal.exec);
-    u("m.workers.idle", m.workersTotal.idle);
-    u("m.chip.deps", m.chipTotal.deps);
-    u("m.chip.sched", m.chipTotal.sched);
-    u("m.chip.exec", m.chipTotal.exec);
-    u("m.chip.idle", m.chipTotal.idle);
-    d("m.energy_j", m.energyJ);
-    d("m.edp", m.edp);
-    d("m.avg_watts", m.avgWatts);
-    u("m.tasks_executed", m.tasksExecuted);
-    u("m.dmu_blocked_ops", m.dmuBlockedOps);
-    u("m.dmu_accesses", m.dmuAccesses);
-    d("m.dat_avg_occupied_sets", m.datAvgOccupiedSets);
-    u("m.steals", m.steals);
-    d("m.master_creation_fraction", m.masterCreationFraction);
-    return t;
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016" PRIx64,
+                  campaign::fnv1a64(payload));
+    return digest;
 }
 
 } // namespace
@@ -129,47 +40,21 @@ writeSummaryBlob(std::ostream &os, const std::string &key,
                  const RunSummary &summary, unsigned schema_version)
 {
     // The payload (everything between the header and the checksum
-    // line) is built separately so the checksum can cover it.
+    // line) is built separately so the checksum can cover it. 17
+    // significant digits parse back bit-exactly, and "inf"/"nan"
+    // survive the round-trip through strtod.
     std::ostringstream payload;
+    payload << std::setprecision(17);
     payload << "key " << key << '\n';
-
-    const core::MachineResult &m = summary.machine;
-    putU64(payload, "completed", summary.completed ? 1 : 0);
-    putU64(payload, "makespan", summary.makespan);
-    putF64(payload, "time_ms", summary.timeMs);
-    putF64(payload, "energy_j", summary.energyJ);
-    putF64(payload, "edp", summary.edp);
-    putF64(payload, "avg_watts", summary.avgWatts);
-    putU64(payload, "num_tasks", summary.numTasks);
-    putF64(payload, "avg_task_us", summary.avgTaskUs);
-    putU64(payload, "m.completed", m.completed ? 1 : 0);
-    putU64(payload, "m.makespan", m.makespan);
-    putF64(payload, "m.time_ms", m.timeMs);
-    putPhases(payload, "m.master", m.master);
-    putPhases(payload, "m.workers", m.workersTotal);
-    putPhases(payload, "m.chip", m.chipTotal);
-    putF64(payload, "m.energy_j", m.energyJ);
-    putF64(payload, "m.edp", m.edp);
-    putF64(payload, "m.avg_watts", m.avgWatts);
-    putU64(payload, "m.tasks_executed", m.tasksExecuted);
-    putU64(payload, "m.dmu_blocked_ops", m.dmuBlockedOps);
-    putU64(payload, "m.dmu_accesses", m.dmuAccesses);
-    putF64(payload, "m.dat_avg_occupied_sets", m.datAvgOccupiedSets);
-    putU64(payload, "m.steals", m.steals);
-    putF64(payload, "m.master_creation_fraction",
-           m.masterCreationFraction);
-
-    payload << "metrics " << m.metrics.size() << '\n';
-    for (const auto &[k, v] : m.metrics.entries())
-        payload << "m " << k << ' ' << fmtDouble(v) << '\n';
+    const sim::MetricSet &m = summary.metrics();
+    payload << "metrics " << m.size() << '\n';
+    for (const auto &[k, v] : m.entries())
+        payload << "m " << k << ' ' << v << '\n';
 
     const std::string body = payload.str();
-    char digest[17];
-    std::snprintf(digest, sizeof digest, "%016" PRIx64,
-                  campaign::fnv1a64(body));
     os << kMagic << ' ' << kFormatVersion << " schema "
        << schema_version << '\n'
-       << body << "sum " << digest << '\n'
+       << body << "sum " << payloadSum(body) << '\n'
        << "end\n";
 }
 
@@ -190,103 +75,50 @@ readSummaryBlob(std::istream &is, std::string &key_out,
             return false;
     }
 
-    std::ostringstream body;
-    RunSummary s;
-    std::uint64_t completed = 0, mCompleted = 0, numTasks = 0;
-    auto fields = fieldTable(s, completed, mCompleted, numTasks);
-    const std::size_t fieldsExpected = fields.size();
-    std::size_t fieldsSeen = 0;
-    std::string key;
-    bool haveKey = false;
-    std::size_t metricsExpected = 0, metricsSeen = 0;
-    bool inMetrics = false;
+    // key <key>: the remainder of the line, spaces included.
+    std::string body;
+    if (!std::getline(is, line) || line.rfind("key ", 0) != 0 ||
+        line.size() == 4)
+        return false;
+    const std::string key = line.substr(4);
+    body += line + '\n';
 
-    while (std::getline(is, line)) {
-        if (line.rfind("sum ", 0) == 0) {
-            char digest[17];
-            std::snprintf(digest, sizeof digest, "%016" PRIx64,
-                          campaign::fnv1a64(body.str()));
-            if (line.substr(4) != digest)
-                return false;
-            // Everything present and accounted for? (fields shrinks
-            // as names are consumed, so compare against the original
-            // count.)
-            if (!haveKey || fieldsSeen != fieldsExpected ||
-                metricsSeen != metricsExpected)
-                return false;
-            if (!std::getline(is, line) || line != "end")
-                return false;
-            s.completed = completed != 0;
-            s.machine.completed = mCompleted != 0;
-            if (numTasks > UINT32_MAX)
-                return false;
-            s.numTasks = static_cast<std::uint32_t>(numTasks);
-            key_out = key;
-            summary_out = s;
-            return true;
-        }
-        body << line << '\n';
-
+    std::size_t count = 0;
+    {
+        if (!std::getline(is, line))
+            return false;
         std::istringstream ls(line);
         std::string tag;
-        if (!(ls >> tag))
+        if (!(ls >> tag >> count) || tag != "metrics")
             return false;
-        if (tag == "key") {
-            if (haveKey || inMetrics)
-                return false;
-            // The key is the remainder of the line, spaces included.
-            const auto pos = line.find(' ');
-            if (pos == std::string::npos || pos + 1 >= line.size())
-                return false;
-            key = line.substr(pos + 1);
-            haveKey = true;
-        } else if (tag == "f") {
-            if (inMetrics)
-                return false;
-            std::string name, value;
-            if (!(ls >> name >> value))
-                return false;
-            auto it = fields.find(name);
-            if (it == fields.end())
-                return false;
-            char *endp = nullptr;
-            if (it->second.kind == FieldRef::U64) {
-                errno = 0;
-                const std::uint64_t v =
-                    std::strtoull(value.c_str(), &endp, 10);
-                if (errno != 0 || endp == value.c_str() || *endp)
-                    return false;
-                *it->second.u64 = v;
-            } else {
-                const double v = std::strtod(value.c_str(), &endp);
-                if (endp == value.c_str() || *endp)
-                    return false;
-                *it->second.f64 = v;
-            }
-            // Reject duplicate assignments of the same field.
-            fields.erase(it);
-            ++fieldsSeen;
-        } else if (tag == "metrics") {
-            if (inMetrics || !(ls >> metricsExpected))
-                return false;
-            inMetrics = true;
-        } else if (tag == "m") {
-            if (!inMetrics)
-                return false;
-            std::string name, value;
-            if (!(ls >> name >> value))
-                return false;
-            char *endp = nullptr;
-            const double v = std::strtod(value.c_str(), &endp);
-            if (endp == value.c_str() || *endp)
-                return false;
-            s.machine.metrics.set(name, v);
-            ++metricsSeen;
-        } else {
-            return false;
-        }
+        body += line + '\n';
     }
-    return false; // truncated: EOF before the sum/end trailer
+
+    sim::MetricSet metrics;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (!std::getline(is, line))
+            return false;
+        body += line + '\n';
+        std::istringstream ls(line);
+        std::string tag, name, value;
+        if (!(ls >> tag >> name >> value) || tag != "m")
+            return false;
+        char *endp = nullptr;
+        const double v = std::strtod(value.c_str(), &endp);
+        if (endp == value.c_str() || *endp)
+            return false;
+        metrics.set(name, v);
+    }
+
+    if (!std::getline(is, line) || line != "sum " + payloadSum(body) ||
+        !std::getline(is, line) || line != "end")
+        return false;
+    std::optional<RunSummary> s = summaryOf(std::move(metrics));
+    if (!s)
+        return false;
+    key_out = key;
+    summary_out = *std::move(s);
+    return true;
 }
 
 ResultStore::ResultStore(const std::string &dir,

@@ -27,9 +27,11 @@
  *    (last writer wins; entries are pure functions of their key, so
  *    concurrent writers write identical bytes).
  *
- * Doubles are serialized with 17 significant digits and parse back
- * bit-exactly, so a summary served from disk re-exports byte-identical
- * metric JSON — the service's restart invariant.
+ * A blob holds the key and the metric tree only; a load rebuilds the
+ * headline fields from the tree with driver::summaryOf, exactly as a
+ * simulated run does. Doubles are serialized with 17 significant
+ * digits and parse back bit-exactly, so a summary served from disk
+ * re-exports byte-identical JSON — the service's restart invariant.
  */
 
 #ifndef TDM_DRIVER_SERVICE_STORE_HH
@@ -62,7 +64,7 @@ struct StoreStats
 };
 
 /**
- * Serialize @p summary under @p key as one store blob (header, fields,
+ * Serialize @p summary under @p key as one store blob (header, key,
  * metric lines, checksum, end marker). Exposed for tests.
  */
 void writeSummaryBlob(std::ostream &os, const std::string &key,
@@ -71,8 +73,9 @@ void writeSummaryBlob(std::ostream &os, const std::string &key,
 
 /**
  * Parse one store blob. Returns false (leaving outputs unspecified) on
- * any structural damage: bad header, wrong schema, unknown or missing
- * field, checksum mismatch, or missing end marker. Exposed for tests.
+ * any structural damage: bad header, wrong schema, malformed or
+ * missing line, checksum mismatch, missing end marker, or a headline
+ * metric that does not fit its summary member. Exposed for tests.
  */
 bool readSummaryBlob(std::istream &is, std::string &key_out,
                      RunSummary &summary_out, unsigned schema_version);

@@ -63,9 +63,9 @@ expectSummariesEqual(const RunSummary &a, const RunSummary &b)
     EXPECT_EQ(a.edp, b.edp);
     EXPECT_EQ(a.avgWatts, b.avgWatts);
     EXPECT_EQ(a.numTasks, b.numTasks);
-    EXPECT_EQ(a.machine.tasksExecuted, b.machine.tasksExecuted);
-    EXPECT_EQ(a.machine.dmuAccesses, b.machine.dmuAccesses);
-    EXPECT_EQ(a.machine.steals, b.machine.steals);
+    EXPECT_EQ(a.tasksExecuted, b.tasksExecuted);
+    EXPECT_EQ(a.dmuAccesses, b.dmuAccesses);
+    EXPECT_EQ(a.steals, b.steals);
 }
 
 } // namespace

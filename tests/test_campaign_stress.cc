@@ -293,10 +293,11 @@ TEST(CampaignStress, ResultStoreConcurrentPublishFetch)
         service::ResultStore store(dir.string());
         std::vector<RunSummary> summaries(kKeys);
         for (unsigned k = 0; k < kKeys; ++k) {
-            summaries[k].completed = true;
-            summaries[k].makespan = 77000 + k;
-            summaries[k].machine.metrics.set("machine.time_ms",
-                                             0.5 * k);
+            sim::MetricSet m;
+            m.set("machine.completed", 1);
+            m.set("machine.makespan_ticks", 77000 + k);
+            m.set("machine.time_ms", 0.5 * k);
+            summaries[k] = *driver::summaryOf(m);
         }
         auto keyOf = [](unsigned k) {
             return "stress.key=" + std::to_string(k) + ";";

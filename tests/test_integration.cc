@@ -46,7 +46,7 @@ TEST_P(FullStack, CompletesAndAccountsTime)
     e.config.scheduler = "fifo";
     auto s = driver::run(e);
     ASSERT_TRUE(s.completed);
-    EXPECT_EQ(s.machine.tasksExecuted, s.numTasks);
+    EXPECT_EQ(s.tasksExecuted, s.numTasks);
     EXPECT_GT(s.timeMs, 0.0);
     EXPECT_GT(s.energyJ, 0.0);
 
@@ -60,8 +60,10 @@ TEST_P(FullStack, CompletesAndAccountsTime)
               g.totalComputeCycles() / e.config.numCores);
 
     // Chip-wide accounted time stays within the physical budget.
-    EXPECT_LE(s.machine.chipTotal.busy(),
-              s.makespan * e.config.numCores);
+    const sim::MetricSet &m = s.metrics();
+    EXPECT_LE(m.at("cpu.chip.deps_ticks") + m.at("cpu.chip.sched_ticks")
+                  + m.at("cpu.chip.exec_ticks"),
+              static_cast<double>(s.makespan * e.config.numCores));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -96,10 +98,10 @@ TEST(Integration, TdmReducesCreationFractionOnAverage)
         e.config.scheduler = "fifo";
         e.runtime = core::RuntimeType::Software;
         sw_frac.push_back(
-            driver::run(e).machine.masterCreationFraction);
+            driver::run(e).masterCreationFraction);
         e.runtime = core::RuntimeType::Tdm;
         tdm_frac.push_back(
-            driver::run(e).machine.masterCreationFraction);
+            driver::run(e).masterCreationFraction);
     }
     // Figure 10's claim: average creation time drops substantially.
     EXPECT_LT(driver::report::mean(tdm_frac), 0.6 * driver::report::mean(sw_frac));
@@ -133,7 +135,7 @@ TEST(Integration, DmuPowerIsNegligible)
     auto s = driver::run(e);
     ASSERT_TRUE(s.completed);
     // DMU dynamic energy: accesses x ~3 pJ; leakage ~2 mW.
-    double dmu_j = static_cast<double>(s.machine.dmuAccesses) * 3e-12
+    double dmu_j = static_cast<double>(s.dmuAccesses) * 3e-12
                  + 2e-3 * s.timeMs * 1e-3;
     EXPECT_LT(dmu_j / s.energyJ, 0.01);
 }

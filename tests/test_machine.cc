@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/machine.hh"
+#include "driver/experiment.hh"
 #include "workloads/registry.hh"
 
 using namespace tdm;
@@ -73,7 +74,7 @@ TEST_P(MachineAllRuntimes, CompletesForkJoin)
 {
     rt::TaskGraph g = forkJoinGraph(64);
     core::Machine m(testConfig(), g, GetParam());
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.tasksExecuted, 64u);
     EXPECT_GT(res.makespan, 0u);
@@ -83,7 +84,7 @@ TEST_P(MachineAllRuntimes, CompletesChain)
 {
     rt::TaskGraph g = chainGraph(40);
     core::Machine m(testConfig(), g, GetParam());
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_TRUE(res.completed);
     // A chain serializes: makespan at least the total compute time.
     EXPECT_GE(res.makespan, g.totalComputeCycles());
@@ -95,7 +96,7 @@ TEST_P(MachineAllRuntimes, CompletesCholeskyMini)
     p.granularity = 262144; // 8x8 tiles -> 120 tasks
     rt::TaskGraph g = wl::buildWorkload("cholesky", p);
     core::Machine m(testConfig(), g, GetParam());
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.tasksExecuted, g.numTasks());
     EXPECT_GE(res.makespan, g.criticalPathCycles());
@@ -117,7 +118,7 @@ TEST_P(MachineAllRuntimes, CompletesMultiRegionGraph)
         }
     }
     core::Machine m(testConfig(), g, GetParam());
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.tasksExecuted, 40u);
 }
@@ -130,7 +131,8 @@ TEST_P(MachineAllRuntimes, Deterministic)
     rt::TaskGraph g2 = wl::buildWorkload("cholesky", p);
     core::Machine m1(testConfig(), g1, GetParam());
     core::Machine m2(testConfig(), g2, GetParam());
-    EXPECT_EQ(m1.run().makespan, m2.run().makespan);
+    EXPECT_EQ(driver::summarize(m1.run(), g1).makespan,
+              driver::summarize(m2.run(), g2).makespan);
 }
 
 TEST_P(MachineAllRuntimes, PhaseTimeAddsUpToMakespan)
@@ -138,12 +140,12 @@ TEST_P(MachineAllRuntimes, PhaseTimeAddsUpToMakespan)
     rt::TaskGraph g = forkJoinGraph(64);
     cpu::MachineConfig cfg = testConfig();
     core::Machine m(cfg, g, GetParam());
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     ASSERT_TRUE(res.completed);
     // Every core's accounted time must not exceed the makespan, and
     // the chip total must be close to cores x makespan (small slack
     // for segments cut off at the end of the run).
-    sim::Tick chip = res.chipTotal.total();
+    sim::Tick chip = m.phases().chipTotal().total();
     sim::Tick full = res.makespan * cfg.numCores;
     EXPECT_LE(chip, full + cfg.numCores * 1000);
     EXPECT_GE(static_cast<double>(chip), 0.95 * full);
@@ -153,7 +155,7 @@ TEST_P(MachineAllRuntimes, EnergyAndEdpPositive)
 {
     rt::TaskGraph g = forkJoinGraph(32);
     core::Machine m(testConfig(), g, GetParam());
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_GT(res.energyJ, 0.0);
     EXPECT_GT(res.edp, 0.0);
     EXPECT_GT(res.avgWatts, 0.0);
@@ -169,11 +171,11 @@ TEST(Machine, TdmReducesCreationTimeVsSw)
     rt::TaskGraph g2 = forkJoinGraph(256, sim::usToTicks(60), true);
     core::Machine sw(testConfig(), g1, core::RuntimeType::Software);
     core::Machine tdm(testConfig(), g2, core::RuntimeType::Tdm);
-    auto rs = sw.run();
-    auto rt_ = tdm.run();
+    auto rs = driver::summarize(sw.run(), g1);
+    auto rt_ = driver::summarize(tdm.run(), g2);
     ASSERT_TRUE(rs.completed);
     ASSERT_TRUE(rt_.completed);
-    EXPECT_LT(rt_.master.deps, rs.master.deps);
+    EXPECT_LT(tdm.phases().master().deps, sw.phases().master().deps);
     EXPECT_LT(rt_.makespan, rs.makespan);
 }
 
@@ -181,7 +183,7 @@ TEST(Machine, DmuEmptyAfterRun)
 {
     rt::TaskGraph g = forkJoinGraph(64);
     core::Machine m(testConfig(), g, core::RuntimeType::Tdm);
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     ASSERT_TRUE(res.completed);
     ASSERT_NE(m.dmuUnit(), nullptr);
     EXPECT_EQ(m.dmuUnit()->tasksInFlight(), 0u);
@@ -198,7 +200,7 @@ TEST(Machine, UndersizedDmuBlocksButCompletes)
     cfg.dmu.tatAssoc = 8;
     cfg.dmu.readyQueueEntries = 16;
     core::Machine m(cfg, g, core::RuntimeType::Tdm);
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_TRUE(res.completed);
     EXPECT_GT(res.dmuBlockedOps, 0u);
 }
@@ -219,7 +221,7 @@ TEST(Machine, ImpossibleDmuDeadlocksGracefully)
     cfg.dmu.datEntries = 4;
     cfg.dmu.datAssoc = 4;
     core::Machine m(cfg, g, core::RuntimeType::Tdm);
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_FALSE(res.completed);
 }
 
@@ -229,7 +231,7 @@ TEST(Machine, CarbonUsesSteals)
     // must steal them.
     rt::TaskGraph g = forkJoinGraph(64);
     core::Machine m(testConfig(), g, core::RuntimeType::Carbon);
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     ASSERT_TRUE(res.completed);
     EXPECT_GT(res.steals, 0u);
 }
@@ -243,17 +245,17 @@ TEST(Machine, MemoryModelAddsStallTime)
     without.enableMemModel = false;
     core::Machine m1(with, g1, core::RuntimeType::Software);
     core::Machine m2(without, g2, core::RuntimeType::Software);
-    auto r1 = m1.run();
-    auto r2 = m2.run();
-    EXPECT_GT(r1.chipTotal.exec, r2.chipTotal.exec);
+    m1.run();
+    m2.run();
+    EXPECT_GT(m1.phases().chipTotal().exec, m2.phases().chipTotal().exec);
 }
 
 TEST(Machine, WorkersMostlyExecuteOnBalancedLoad)
 {
     rt::TaskGraph g = forkJoinGraph(512, sim::usToTicks(500));
     core::Machine m(testConfig(), g, core::RuntimeType::Tdm);
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     ASSERT_TRUE(res.completed);
     // Workers should spend the bulk of their time executing.
-    EXPECT_GT(res.workersTotal.fraction(cpu::Phase::Exec), 0.5);
+    EXPECT_GT(m.phases().workersTotal().fraction(cpu::Phase::Exec), 0.5);
 }

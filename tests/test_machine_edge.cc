@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/machine.hh"
+#include "driver/experiment.hh"
 #include "workloads/registry.hh"
 
 using namespace tdm;
@@ -51,7 +52,7 @@ TEST(MachineEdge, SingleTaskGraph)
         g.createTask(sim::usToTicks(100));
         g.dep(r, rt::DepDir::Out);
         core::Machine m(tiny(), g, rt_);
-        auto res = m.run();
+        auto res = driver::summarize(m.run(), g);
         EXPECT_TRUE(res.completed) << core::traitsOf(rt_).name;
         EXPECT_EQ(res.tasksExecuted, 1u);
         EXPECT_GE(res.makespan, sim::usToTicks(100));
@@ -65,7 +66,7 @@ TEST(MachineEdge, TaskWithNoDeps)
     g.createTask(sim::usToTicks(50));
     g.createTask(sim::usToTicks(50));
     core::Machine m(tiny(), g, core::RuntimeType::Tdm);
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.tasksExecuted, 2u);
 }
@@ -82,11 +83,11 @@ TEST(MachineEdge, EmptyParallelRegionBetweenWork)
     g.createTask(sim::usToTicks(50));
     g.dep(r, rt::DepDir::In);
     core::Machine m(tiny(), g, core::RuntimeType::Software);
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.tasksExecuted, 2u);
     // The sequential section appears as master EXEC time.
-    EXPECT_GE(res.master.exec, sim::usToTicks(500));
+    EXPECT_GE(m.phases().master().exec, sim::usToTicks(500));
 }
 
 TEST(MachineEdge, PrologueCountsAsMasterExec)
@@ -95,9 +96,9 @@ TEST(MachineEdge, PrologueCountsAsMasterExec)
     g.beginParallel(sim::usToTicks(300));
     g.createTask(sim::usToTicks(10));
     core::Machine m(tiny(), g, core::RuntimeType::Tdm);
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     ASSERT_TRUE(res.completed);
-    EXPECT_GE(res.master.exec, sim::usToTicks(300));
+    EXPECT_GE(m.phases().master().exec, sim::usToTicks(300));
 }
 
 TEST(MachineEdge, TwoCoreMachineRunsRealBenchmark)
@@ -106,7 +107,7 @@ TEST(MachineEdge, TwoCoreMachineRunsRealBenchmark)
     p.granularity = 262144;
     rt::TaskGraph g = wl::buildWorkload("cholesky", p);
     core::Machine m(tiny(), g, core::RuntimeType::Tdm);
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.tasksExecuted, g.numTasks());
 }
@@ -123,7 +124,7 @@ TEST(MachineEdge, ThrottleOfOneStillCompletes)
         g.dep(r, rt::DepDir::InOut);
     }
     core::Machine m(cfg, g, core::RuntimeType::Tdm);
-    auto res = m.run();
+    auto res = driver::summarize(m.run(), g);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.tasksExecuted, 20u);
 }
@@ -139,7 +140,7 @@ TEST(MachineEdge, ManyRegionsManyBarriers)
     }
     for (auto rt_ : core::allRuntimeTypes()) {
         core::Machine m(tiny(), g, rt_);
-        auto res = m.run();
+        auto res = driver::summarize(m.run(), g);
         EXPECT_TRUE(res.completed) << core::traitsOf(rt_).name;
         EXPECT_EQ(res.tasksExecuted, 50u);
     }
@@ -156,8 +157,8 @@ TEST(MachineEdge, HigherDmuLatencySlowsButCompletes)
     slow.dmu.accessCycles = 64;
     core::Machine mf(fast, g1, core::RuntimeType::Tdm);
     core::Machine ms(slow, g2, core::RuntimeType::Tdm);
-    auto rf = mf.run();
-    auto rs = ms.run();
+    auto rf = driver::summarize(mf.run(), g1);
+    auto rs = driver::summarize(ms.run(), g2);
     ASSERT_TRUE(rf.completed && rs.completed);
     EXPECT_GE(rs.makespan, rf.makespan);
 }
@@ -177,7 +178,7 @@ TEST(MachineEdge, SchedulerPolicyChangesNoHardware)
         cfg.numCores = 8;
         cfg.scheduler = s;
         core::Machine m(cfg, g, core::RuntimeType::Tdm);
-        auto res = m.run();
+        auto res = driver::summarize(m.run(), g);
         ASSERT_TRUE(res.completed);
         accesses.push_back(res.dmuAccesses);
     }
@@ -203,7 +204,7 @@ TEST(MachineEdge, DeadlockWarningCountsTasksWithoutBlamingTheDmu)
     cfg.scheduler = "test-drop";
     core::Machine m(cfg, g, core::RuntimeType::Software);
     testing::internal::CaptureStderr();
-    const auto res = m.run();
+    const auto res = driver::summarize(m.run(), g);
     const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_FALSE(res.completed);
     EXPECT_NE(err.find("deadlocked after executing 0 of 2 tasks"),

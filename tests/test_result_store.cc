@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <unistd.h>
@@ -42,31 +43,27 @@ class StoreDir
     fs::path path_;
 };
 
-/** A summary exercising awkward values: non-representable doubles,
- *  integers past 2^53, and a metric tree. */
+/** A summary exercising awkward values (non-representable doubles)
+ *  built the way a run builds one: through its metric tree. */
 RunSummary
 sampleSummary()
 {
-    RunSummary s;
-    s.completed = true;
-    s.makespan = (sim::Tick{1} << 61) + 12345; // loses bits as double
-    s.timeMs = 0.1 + 0.2;                      // classic 0.30000000000000004
-    s.energyJ = 1.0 / 3.0;
-    s.edp = 6.02214076e23;
-    s.avgWatts = 9.886387899638404;
-    s.numTasks = 120;
-    s.avgTaskUs = 9567.9434499999988;
-    s.machine.completed = true;
-    s.machine.makespan = s.makespan;
-    s.machine.timeMs = s.timeMs;
-    s.machine.tasksExecuted = 120;
-    s.machine.dmuAccesses = 5844;
-    s.machine.steals = 3;
-    s.machine.masterCreationFraction = 0.00028830312207622322;
-    s.machine.metrics.set("dmu.tat.hit_rate", 0.81481481481481477);
-    s.machine.metrics.set("dmu.tat.hits", 528);
-    s.machine.metrics.set("machine.time_ms", s.timeMs);
-    return s;
+    sim::MetricSet m;
+    m.set("machine.completed", 1);
+    m.set("machine.makespan_ticks", 142451635);
+    m.set("machine.time_ms", 0.1 + 0.2); // classic 0.30000000000000004
+    m.set("power.energy_j", 1.0 / 3.0);
+    m.set("power.edp", 6.02214076e23);
+    m.set("power.avg_watts", 9.886387899638404);
+    m.set("workload.num_tasks", 120);
+    m.set("workload.avg_task_us", 9567.9434499999988);
+    m.set("machine.tasks_executed", 120);
+    m.set("dmu.accesses", 5844);
+    m.set("runtime.hwq.steals", 3);
+    m.set("machine.master_creation_fraction", 0.00028830312207622322);
+    m.set("dmu.tat.hit_rate", 0.81481481481481477);
+    m.set("dmu.tat.hits", 528);
+    return *driver::summaryOf(m);
 }
 
 const std::string kKey = "machine.cores=8;scheduler=fifo;workload=ch;";
@@ -84,17 +81,12 @@ TEST(ResultStoreBlob, RoundTripPreservesEveryField)
     RunSummary out;
     ASSERT_TRUE(service::readSummaryBlob(is, key, out, 2));
     EXPECT_EQ(key, kKey);
-    EXPECT_EQ(out.completed, in.completed);
-    EXPECT_EQ(out.makespan, in.makespan); // u64, not via double
-    EXPECT_EQ(out.timeMs, in.timeMs);     // bit-exact double round-trip
-    EXPECT_EQ(out.energyJ, in.energyJ);
-    EXPECT_EQ(out.edp, in.edp);
-    EXPECT_EQ(out.avgWatts, in.avgWatts);
-    EXPECT_EQ(out.numTasks, in.numTasks);
-    EXPECT_EQ(out.avgTaskUs, in.avgTaskUs);
-    EXPECT_EQ(out.machine.tasksExecuted, in.machine.tasksExecuted);
-    EXPECT_EQ(out.machine.masterCreationFraction,
-              in.machine.masterCreationFraction);
+    for (const HeadlineField &f : kHeadlineFields)
+        std::visit(
+            [&](auto member) {
+                EXPECT_EQ(out.*member, in.*member) << f.name; // bit-exact
+            },
+            f.member);
     EXPECT_EQ(out.machine.metrics.entries(),
               in.machine.metrics.entries());
 
@@ -147,6 +139,22 @@ TEST(ResultStoreBlob, TruncatedOrTamperedBlobRejected)
     // Garbage from byte zero.
     std::istringstream garbage("these are not the blobs\nyou seek\n");
     EXPECT_FALSE(service::readSummaryBlob(garbage, key, out, 2));
+}
+
+TEST(ResultStoreBlob, HeadlineMetricThatDoesNotFitIsRejected)
+{
+    // An intact blob whose tree holds a count no summary member can
+    // represent is refused, not truncated into a different number.
+    for (const double bad : {-1.0, 0.5, 1e300}) {
+        RunSummary s = sampleSummary();
+        s.machine.metrics.set("runtime.hwq.steals", bad);
+        std::ostringstream os;
+        service::writeSummaryBlob(os, kKey, s, 3);
+        std::istringstream is(os.str());
+        std::string key;
+        RunSummary out;
+        EXPECT_FALSE(service::readSummaryBlob(is, key, out, 3)) << bad;
+    }
 }
 
 TEST(ResultStore, PublishFetchAndRestartReload)
@@ -238,7 +246,7 @@ TEST(ResultStore, DigestCollisionWithDifferentKeyIsMiss)
     {
         std::ofstream out(store.pathForKey(kKey), std::ios::trunc);
         service::writeSummaryBlob(out, "other=spec;", sampleSummary(),
-                                  2);
+                                  campaign::ResultCache::kSchemaVersion);
     }
     service::ResultStore reopened(dir.str());
     EXPECT_EQ(reopened.size(), 1u);
@@ -262,8 +270,9 @@ TEST(ResultStore, ConcurrentPublishFetchHammer)
 
     std::vector<RunSummary> summaries(kKeys);
     for (unsigned k = 0; k < kKeys; ++k) {
-        summaries[k] = sampleSummary();
-        summaries[k].makespan = 1000 + k;
+        sim::MetricSet m = sampleSummary().metrics();
+        m.set("machine.makespan_ticks", 1000 + k);
+        summaries[k] = *driver::summaryOf(m);
     }
     auto keyOf = [](unsigned k) {
         return "cores=" + std::to_string(k) + ";";

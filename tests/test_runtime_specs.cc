@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/tss_runtime.hh"
+#include "core/runtime_model.hh"
 #include "cpu/machine_config.hh"
 
 using namespace tdm;

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <unistd.h>
@@ -142,12 +143,9 @@ TEST(ServiceProtocol, PointEventRoundTrips)
     ASSERT_EQ(line.back(), '\n');
     line.pop_back();
 
-    svc::JsonValue event;
-    std::string err;
-    ASSERT_TRUE(svc::parseJson(line, event, err)) << err;
     campaign::JobResult decoded;
     std::size_t index = 0, total = 0;
-    ASSERT_TRUE(svc::decodePointEvent(event, decoded, index, total));
+    ASSERT_TRUE(svc::decodePointEvent(line, decoded, index, total));
     EXPECT_EQ(index, 2u);
     EXPECT_EQ(total, 5u);
     EXPECT_EQ(decoded.label, job.label);
@@ -159,6 +157,73 @@ TEST(ServiceProtocol, PointEventRoundTrips)
     EXPECT_EQ(decoded.summary.timeMs, job.summary.timeMs);
     EXPECT_EQ(decoded.summary.machine.metrics.entries(),
               job.summary.machine.metrics.entries());
+}
+
+TEST(ServiceProtocol, AbortedPointsReportTheirOwnNumbers)
+{
+    // A watchdog-aborted run still has a metric tree. Every headline
+    // field of its record, in the file export and over the wire, must
+    // equal its metric twin, not a default left where none was set.
+    std::vector<SweepPoint> points;
+    for (core::RuntimeType rt : core::allRuntimeTypes()) {
+        Experiment e;
+        e.workload = "cholesky";
+        e.params.granularity = 262144; // ~350 ms runs on 8 cores
+        e.runtime = rt;
+        e.config.scheduler = "fifo";
+        e.config.numCores = 8;
+        e.config.maxTicks = sim::usToTicks(100000);
+        points.push_back({core::traitsOf(rt).name, e});
+    }
+    campaign::CampaignEngine engine;
+    const campaign::CampaignResult rep = engine.run("aborted", points);
+
+    std::ostringstream os;
+    report::writeJson(os, rep);
+    svc::JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(svc::parseJson(os.str(), doc, err)) << err;
+    const svc::JsonValue *jobs =
+        doc.find("campaigns")->items.at(0).find("jobs");
+    ASSERT_EQ(jobs->items.size(), rep.jobs.size());
+
+    for (std::size_t i = 0; i < rep.jobs.size(); ++i) {
+        const campaign::JobResult &job = rep.jobs[i];
+        ASSERT_FALSE(job.summary.completed) << job.label;
+        const svc::JsonValue &exported = jobs->items[i];
+        const svc::JsonValue *metrics = exported.find("metrics");
+        ASSERT_NE(metrics, nullptr);
+
+        std::ostringstream wire;
+        svc::writePoint(wire, 1, job, i, rep.jobs.size(), "");
+        std::string line = wire.str();
+        line.pop_back();
+        campaign::JobResult decoded;
+        std::size_t index = 0, total = 0;
+        ASSERT_TRUE(svc::decodePointEvent(line, decoded, index, total));
+
+        for (const HeadlineField &f : kHeadlineFields) {
+            const svc::JsonValue *twin = metrics->find(f.metric);
+            const svc::JsonValue *field = exported.find(f.name);
+            ASSERT_NE(field, nullptr) << f.name;
+            const double value = field->isNumber() ? field->number
+                               : field->asBool()   ? 1.0
+                                                   : 0.0;
+            EXPECT_EQ(value, twin ? twin->number : 0.0)
+                << job.label << " export: " << f.name;
+            std::visit(
+                [&](auto member) {
+                    EXPECT_EQ(static_cast<double>(decoded.summary.*member),
+                              decoded.summary.metrics().get(f.metric))
+                        << job.label << " wire: " << f.name;
+                },
+                f.member);
+        }
+    }
+    // The watchdog struck mid-run, so there were numbers to lose.
+    EXPECT_GT(rep.at("tdm").summary.dmuAccesses, 0u);
+    EXPECT_GT(rep.at("carbon").summary.steals, 0u);
+    EXPECT_GT(rep.at("sw").summary.masterCreationFraction, 0.0);
 }
 
 // ---- live server/client --------------------------------------------------

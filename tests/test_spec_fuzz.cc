@@ -1,15 +1,19 @@
 /**
  * @file
- * Fuzz-style robustness tests for the spec/campaign text parsers.
+ * Fuzz-style robustness tests for the parsers of outside input: the
+ * spec/campaign text parsers and the two result-record readers (store
+ * blobs and point events).
  *
  * The *.campaign parser and the spec key/value layer take arbitrary
  * user text; their error contract is "throw SpecError with context or
  * succeed" — never crash, never leak, never throw anything else. This
  * test feeds them a corpus of handcrafted malformed inputs plus a few
  * thousand deterministic mutations (byte flips, truncations, splices)
- * of a valid campaign file. CI runs it under ASan/UBSan, which turns
+ * of a valid campaign file. The record readers' contract is stricter:
+ * a damaged record is rejected or reads back exactly, never as a
+ * different number. CI runs all of it under ASan/UBSan, which turns
  * any parser over-read, bad index, or leak-on-throw into a failure;
- * in plain builds it still pins the exception contract.
+ * in plain builds it still pins the error contracts.
  *
  * The mutation stream uses a fixed-seed xorshift generator, NOT
  * rand(): the corpus must be identical on every run and platform so a
@@ -18,11 +22,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "driver/campaign/engine.hh"
+#include "driver/service/protocol.hh"
+#include "driver/service/store.hh"
 #include "driver/spec/campaign_file.hh"
 #include "driver/spec/spec.hh"
 
@@ -221,4 +230,149 @@ TEST(SpecFuzz, MalformedSpecKeyValues)
         }
     }
     EXPECT_GT(applied, 0); // some (key, value) pairs are valid
+}
+
+// ---- result records ------------------------------------------------------
+
+namespace {
+
+/** Mutants per record reader; sized to keep the sanitizer run ~1 s. */
+constexpr int kRecordMutants = 1200;
+
+/** One byte-level mutation of @p text: flip a bit, drop a byte,
+ *  duplicate a byte, or truncate. */
+std::string
+mutate(std::string text, FuzzRng &rng)
+{
+    const std::size_t at = rng.pick(text.size());
+    switch (rng.pick(4)) {
+    case 0:
+        text[at] = static_cast<char>(text[at] ^ (1 << rng.pick(8)));
+        break;
+    case 1:
+        text.erase(at, 1);
+        break;
+    case 2:
+        text.insert(at, 1, text[at]);
+        break;
+    default:
+        text.resize(at);
+        break;
+    }
+    return text;
+}
+
+/** A real record: the lu/tdm/fifo golden run, as the engine serves it. */
+const campaign::JobResult &
+goldenJob()
+{
+    static const campaign::JobResult job = [] {
+        Experiment e;
+        e.workload = "lu";
+        e.runtime = tdm::core::RuntimeType::Tdm;
+        e.config.scheduler = "fifo";
+        campaign::CampaignEngine engine;
+        return engine.run("golden", {{"lu/tdm/fifo", e}}).jobs.at(0);
+    }();
+    return job;
+}
+
+/** Every headline field equal and every metric bit-identical. */
+void
+expectSameSummary(const RunSummary &got, const RunSummary &want)
+{
+    for (const HeadlineField &f : kHeadlineFields)
+        std::visit([&](auto m) { EXPECT_EQ(got.*m, want.*m) << f.name; },
+                   f.member);
+    ASSERT_EQ(got.metrics().size(), want.metrics().size());
+    auto it = want.metrics().entries().begin();
+    for (const auto &[key, v] : got.metrics().entries()) {
+        EXPECT_EQ(key, it->first);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+                  std::bit_cast<std::uint64_t>(it->second))
+            << key;
+        ++it;
+    }
+}
+
+} // namespace
+
+TEST(RecordFuzz, MutatedStoreBlobsAreRejectedOrExact)
+{
+    const campaign::JobResult &job = goldenJob();
+    ASSERT_TRUE(job.ok());
+    const unsigned schema = campaign::ResultCache::kSchemaVersion;
+    const std::string key = job.digest + ";golden";
+    std::ostringstream os;
+    service::writeSummaryBlob(os, key, job.summary, schema);
+    const std::string blob = os.str();
+
+    auto read = [&](const std::string &bytes, std::string &key_out,
+                    RunSummary &out) {
+        std::istringstream is(bytes);
+        return service::readSummaryBlob(is, key_out, out, schema);
+    };
+    std::string gotKey;
+    RunSummary got;
+    ASSERT_TRUE(read(blob, gotKey, got));
+    expectSameSummary(got, job.summary);
+
+    FuzzRng rng(0x5107eb10b);
+    int rejected = 0;
+    for (int round = 0; round < kRecordMutants; ++round) {
+        const std::string mutant = mutate(blob, rng);
+        if (!read(mutant, gotKey, got)) {
+            ++rejected;
+            continue;
+        }
+        SCOPED_TRACE("accepted mutant " + std::to_string(round));
+        EXPECT_EQ(gotKey, key);
+        expectSameSummary(got, job.summary);
+    }
+    EXPECT_GT(rejected, kRecordMutants / 2);
+}
+
+TEST(RecordFuzz, MutatedPointEventsAreRejectedOrExact)
+{
+    const campaign::JobResult &job = goldenJob();
+    std::ostringstream os;
+    service::writePoint(os, 3, job, 5, 9, "");
+    std::string line = os.str();
+    line.pop_back(); // the reader strips the newline
+
+    campaign::JobResult got;
+    std::size_t index = 0, total = 0;
+    auto expectExact = [&] {
+        EXPECT_EQ(index, 5u);
+        EXPECT_EQ(total, 9u);
+        EXPECT_EQ(got.label, job.label);
+        EXPECT_EQ(got.digest, job.digest);
+        EXPECT_EQ(got.source, job.source);
+        EXPECT_EQ(got.error, job.error);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.wallMs),
+                  std::bit_cast<std::uint64_t>(job.wallMs));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.doneAtMs),
+                  std::bit_cast<std::uint64_t>(job.doneAtMs));
+        expectSameSummary(got.summary, job.summary);
+    };
+    ASSERT_TRUE(service::decodePointEvent(line, got, index, total));
+    expectExact();
+
+    FuzzRng rng(0x9017e7e47);
+    int rejected = 0;
+    for (int round = 0; round < kRecordMutants; ++round) {
+        const std::string mutant = mutate(line, rng);
+        // The client parses a line that fails as a point event to
+        // name its kind, so the JSON reader sees the damage too.
+        service::JsonValue parsed;
+        std::string error;
+        (void)service::parseJson(mutant, parsed, error);
+        if (!service::decodePointEvent(mutant, got, index, total)) {
+            ++rejected;
+            continue;
+        }
+        SCOPED_TRACE("accepted mutant " + std::to_string(round));
+        expectExact();
+    }
+    EXPECT_GT(rejected, kRecordMutants / 2);
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/machine.hh"
+#include "driver/experiment.hh"
 #include "sim/trace.hh"
 #include "workloads/registry.hh"
 
@@ -35,7 +36,7 @@ execSpans(const rt::TaskGraph &g, unsigned cores, core::RuntimeType rt_,
     cfg.numCores = cores;
     cfg.trace.categories = static_cast<std::uint32_t>(sim::TraceCat::Task);
     core::Machine m(cfg, g, rt_);
-    const core::MachineResult res = m.run();
+    const driver::RunSummary res = driver::summarize(m.run(), g);
     EXPECT_TRUE(res.completed);
     if (makespan)
         *makespan = res.makespan;

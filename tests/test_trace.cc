@@ -182,8 +182,8 @@ TEST(TraceMachine, TracingDoesNotPerturbTheSimulation)
         const driver::RunSummary t = driver::run(traced, nullptr, &tb);
 
         EXPECT_EQ(base.makespan, t.makespan);
-        EXPECT_EQ(base.machine.tasksExecuted, t.machine.tasksExecuted);
-        EXPECT_EQ(base.machine.steals, t.machine.steals);
+        EXPECT_EQ(base.tasksExecuted, t.tasksExecuted);
+        EXPECT_EQ(base.steals, t.steals);
         EXPECT_GT(tb.size(), 0u);
         EXPECT_EQ(tb.dropped(), 0u);
     }

@@ -263,7 +263,7 @@ TEST(WarmForkGuard, FirstShapeChangingForkThrows)
     ASSERT_TRUE(e.config.enableMemModel);
     core::Machine m(e.config, driver::buildGraph(e), e.runtime);
     m.armForkCapture();
-    ASSERT_TRUE(m.run().completed);
+    ASSERT_EQ(m.run().metrics.get("machine.completed"), 1.0);
     ASSERT_TRUE(m.hasWarmCheckpoint());
 
     cpu::MachineConfig noMem = e.config;

@@ -47,6 +47,7 @@
 
 #include "core/machine.hh"
 #include "dmu/geometry.hh"
+#include "driver/experiment.hh"
 #include "driver/report/trace_writer.hh"
 #include "driver/spec/spec.hh"
 #include "sim/logging.hh"
@@ -192,7 +193,7 @@ main(int argc, char **argv)
     rt::TaskGraph graph = wl::buildWorkload(exp.workload, params);
 
     core::Machine m(exp.config, graph, exp.runtime);
-    core::MachineResult res = m.run();
+    const driver::RunSummary res = driver::summarize(m.run(), graph);
 
     const std::string runtime = core::traitsOf(exp.runtime).name;
     sim::Table t(exp.workload + " on " + runtime + "+"
@@ -205,11 +206,11 @@ main(int argc, char **argv)
     t.row().cell("EDP J*s").cell(res.edp, 6);
     t.row().cell("avg watts").cell(res.avgWatts, 2);
     t.row().cell("master DEPS %").cell(
-        100.0 * res.master.fraction(cpu::Phase::Deps), 1);
+        100.0 * m.phases().master().fraction(cpu::Phase::Deps), 1);
     t.row().cell("workers EXEC %").cell(
-        100.0 * res.workersTotal.fraction(cpu::Phase::Exec), 1);
+        100.0 * m.phases().workersTotal().fraction(cpu::Phase::Exec), 1);
     t.row().cell("workers IDLE %").cell(
-        100.0 * res.workersTotal.fraction(cpu::Phase::Idle), 1);
+        100.0 * m.phases().workersTotal().fraction(cpu::Phase::Idle), 1);
     if (core::traitsOf(exp.runtime).usesDmu()) {
         t.row().cell("DMU accesses").cell(res.dmuAccesses);
         t.row().cell("DMU blocked ops").cell(res.dmuBlockedOps);
