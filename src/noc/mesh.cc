@@ -10,18 +10,20 @@ Mesh::Mesh(const MeshConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.width == 0 || cfg_.height == 0)
         sim::fatal("mesh dimensions must be nonzero");
-    // 4 directed links per node (N/E/S/W); edge links exist but are
-    // simply never traversed.
-    linkFlits_.assign(static_cast<std::size_t>(numNodes()) * 4, 0);
+    linkDiff_.assign((static_cast<std::size_t>(numNodes()) + 1) * 4, 0);
 }
 
 unsigned
 Mesh::hops(NodeId from, NodeId to) const
 {
-    unsigned dx = xOf(from) > xOf(to) ? xOf(from) - xOf(to)
-                                      : xOf(to) - xOf(from);
-    unsigned dy = yOf(from) > yOf(to) ? yOf(from) - yOf(to)
-                                      : yOf(to) - yOf(from);
+    return distance(at(from), at(to));
+}
+
+unsigned
+Mesh::distance(XY a, XY b)
+{
+    unsigned dx = a.x > b.x ? a.x - b.x : b.x - a.x;
+    unsigned dy = a.y > b.y ? a.y - b.y : b.y - a.y;
     return dx + dy;
 }
 
@@ -47,43 +49,23 @@ Mesh::nodeOfCore(sim::CoreId core) const
     return n;
 }
 
-std::size_t
-Mesh::linkIndex(NodeId node, unsigned dir) const
+unsigned
+Mesh::flitsOf(unsigned bytes) const
 {
-    return static_cast<std::size_t>(node) * 4 + dir;
-}
-
-template <typename Fn>
-void
-Mesh::walkPath(NodeId from, NodeId to, Fn &&fn) const
-{
-    // XY routing: move in X first, then in Y.
-    unsigned x = xOf(from), y = yOf(from);
-    unsigned tx = xOf(to), ty = yOf(to);
-    while (x != tx) {
-        unsigned dir = x < tx ? 1u : 3u; // E : W
-        fn(linkIndex(y * cfg_.width + x, dir));
-        x = x < tx ? x + 1 : x - 1;
-    }
-    while (y != ty) {
-        unsigned dir = y < ty ? 2u : 0u; // S : N
-        fn(linkIndex(y * cfg_.width + x, dir));
-        y = y < ty ? y + 1 : y - 1;
-    }
+    return std::max(1u, (bytes + cfg_.flitBytes - 1) / cfg_.flitBytes);
 }
 
 sim::Tick
-Mesh::latency(NodeId from, NodeId to, unsigned bytes) const
+Mesh::latencyOf(unsigned h, unsigned flits) const
 {
-    unsigned h = hops(from, to);
-    unsigned flits = std::max(1u, (bytes + cfg_.flitBytes - 1)
-                                      / cfg_.flitBytes);
     sim::Tick base = static_cast<sim::Tick>(cfg_.routerLatency) * (h + 1)
                    + static_cast<sim::Tick>(cfg_.linkLatency) * h
                    + (flits - 1);
     if (cfg_.congestionWeight > 0.0 && messages_ > 0) {
+        // 4 directed links per node (N/E/S/W); edge links exist but
+        // are simply never traversed.
         double avgLink = static_cast<double>(flitHops_)
-                       / static_cast<double>(linkFlits_.size());
+                       / static_cast<double>(4 * numNodes());
         base += static_cast<sim::Tick>(cfg_.congestionWeight * avgLink
                                        / (messages_ + 1));
     }
@@ -91,36 +73,84 @@ Mesh::latency(NodeId from, NodeId to, unsigned bytes) const
 }
 
 sim::Tick
-Mesh::transfer(NodeId from, NodeId to, unsigned bytes)
+Mesh::latency(NodeId from, NodeId to, unsigned bytes) const
 {
-    sim::Tick lat = latency(from, to, bytes);
-    unsigned flits = std::max(1u, (bytes + cfg_.flitBytes - 1)
-                                      / cfg_.flitBytes);
-    walkPath(from, to, [&](std::size_t link) {
-        linkFlits_[link] += flits;
-        flitHops_ += flits;
-    });
+    return latencyOf(hops(from, to), flitsOf(bytes));
+}
+
+sim::Tick
+Mesh::send(XY from, XY to, unsigned h, unsigned flits)
+{
+    sim::Tick lat = latencyOf(h, flits);
+    // XY routing: the X leg runs along row from.y, the Y leg along
+    // column to.x. Each leg adds flits to the inclusive range [lo, hi]
+    // of its direction's block.
+    const std::size_t block = numNodes() + 1;
+    auto leg = [&](unsigned dir, std::size_t lo, std::size_t hi) {
+        std::uint64_t *d = linkDiff_.data() + dir * block;
+        d[lo] += flits;
+        d[hi + 1] -= flits;
+    };
+    const std::size_t cols = cfg_.width, rows = cfg_.height;
+    const std::size_t fx = from.x, fy = from.y, tx = to.x, ty = to.y;
+    if (fx < tx)
+        leg(1, fy * cols + fx, fy * cols + tx - 1); // E
+    else if (fx > tx)
+        leg(3, fy * cols + tx + 1, fy * cols + fx); // W
+    if (fy < ty)
+        leg(2, tx * rows + fy, tx * rows + ty - 1); // S
+    else if (fy > ty)
+        leg(0, tx * rows + ty + 1, tx * rows + fy); // N
+    flitHops_ += static_cast<std::uint64_t>(flits) * h;
     ++messages_;
-    hopSum_ += hops(from, to);
+    hopSum_ += h;
     msgLatency_.sample(static_cast<double>(lat));
     return lat;
+}
+
+sim::Tick
+Mesh::transfer(NodeId from, NodeId to, unsigned bytes)
+{
+    const XY a = at(from), b = at(to);
+    return send(a, b, distance(a, b), flitsOf(bytes));
 }
 
 Mesh::RoundTrip
 Mesh::roundTrip(NodeId from, NodeId to, unsigned bytes)
 {
     RoundTrip rt;
-    rt.request = transfer(from, to, bytes);
-    rt.response = transfer(to, from, bytes);
-    rt.hops = hops(from, to);
+    const XY a = at(from), b = at(to);
+    rt.hops = distance(a, b);
+    const unsigned flits = flitsOf(bytes);
+    rt.request = send(a, b, rt.hops, flits);
+    rt.response = send(b, a, rt.hops, flits);
     return rt;
+}
+
+std::vector<std::uint64_t>
+Mesh::linkFlits() const
+{
+    const std::size_t n = numNodes(), block = n + 1;
+    std::vector<std::uint64_t> out(n * 4, 0);
+    for (unsigned dir = 0; dir < 4; ++dir) {
+        const bool rowMajor = dir == 1 || dir == 3;
+        std::uint64_t run = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            run += linkDiff_[dir * block + i];
+            const std::size_t node =
+                rowMajor ? i
+                         : (i % cfg_.height) * cfg_.width + i / cfg_.height;
+            out[node * 4 + dir] = run;
+        }
+    }
+    return out;
 }
 
 std::uint64_t
 Mesh::maxLinkFlits() const
 {
-    auto it = std::max_element(linkFlits_.begin(), linkFlits_.end());
-    return it == linkFlits_.end() ? 0 : *it;
+    const std::vector<std::uint64_t> links = linkFlits();
+    return *std::max_element(links.begin(), links.end());
 }
 
 void

@@ -8,9 +8,11 @@
  *
  * The model is analytic: a message of S flits from A to B costs
  *   routerLatency * (hops + 1) + linkLatency * hops + (S - 1)
- * cycles (wormhole pipelining), plus a congestion term derived from a
- * running per-link utilization estimate. Per-link traffic counters feed
- * the stats used in tests and benches.
+ * cycles (wormhole pipelining). When congestionWeight > 0 it adds
+ *   congestionWeight * (flitHops / (4 * nodes)) / (messages + 1)
+ * cycles: the mean flit-hops per directed link so far, scaled down by
+ * the messages routed so far. Per-link flit counts feed only
+ * linkFlits() and the max_link_flits gauge; latency never reads them.
  */
 
 #ifndef TDM_NOC_MESH_HH
@@ -65,7 +67,8 @@ class Mesh
 
     /**
      * Latency in cycles of a message of @p bytes payload from @p from to
-     * @p to; also records traffic on every traversed link.
+     * @p to; also adds the message to the totals and its flits to the
+     * links of its XY route.
      */
     sim::Tick transfer(NodeId from, NodeId to, unsigned bytes);
 
@@ -94,6 +97,13 @@ class Mesh
     /** Total messages routed. */
     std::uint64_t messages() const { return messages_; }
 
+    /**
+     * Flits routed over each directed link, indexed node * 4 + dir
+     * (dir 0..3 = N/E/S/W, the link leaving the node that way).
+     * Rebuilt from the difference arrays on every call.
+     */
+    std::vector<std::uint64_t> linkFlits() const;
+
     /** Traffic (flits) on the busiest link. */
     std::uint64_t maxLinkFlits() const;
 
@@ -102,15 +112,32 @@ class Mesh
     void regMetrics(sim::MetricContext ctx);
 
   private:
-    /** Index of the link leaving @p node in direction @p dir (0..3). */
-    std::size_t linkIndex(NodeId node, unsigned dir) const;
+    /** Node coordinates. */
+    struct XY
+    {
+        unsigned x, y;
+    };
+    XY at(NodeId n) const { return {xOf(n), yOf(n)}; }
+    static unsigned distance(XY a, XY b);
 
-    /** Enumerate links on the XY path; calls fn(linkIdx). */
-    template <typename Fn>
-    void walkPath(NodeId from, NodeId to, Fn &&fn) const;
+    /** Flits of a message of @p bytes payload (at least one). */
+    unsigned flitsOf(unsigned bytes) const;
+
+    /** Latency of a message of @p flits over @p h links. */
+    sim::Tick latencyOf(unsigned h, unsigned flits) const;
+
+    /** transfer() with the coordinates, hop count and flit count
+     *  already known. */
+    sim::Tick send(XY from, XY to, unsigned h, unsigned flits);
 
     MeshConfig cfg_;
-    std::vector<std::uint64_t> linkFlits_;
+    /**
+     * Per-link flit counts as difference arrays: one block of
+     * numNodes() + 1 entries per direction, E/W row-major (y * W + x)
+     * and N/S column-major (x * H + y), so each leg of an XY route is
+     * one contiguous range and costs two updates.
+     */
+    std::vector<std::uint64_t> linkDiff_;
     std::uint64_t flitHops_ = 0;
     std::uint64_t messages_ = 0;
     std::uint64_t hopSum_ = 0;  ///< hops summed over messages
