@@ -207,8 +207,20 @@ Machine::swSuccCount(rt::TaskId id) const
 }
 
 sim::Tick
-Machine::dmuOpLatency(sim::CoreId core, unsigned accesses)
+Machine::dmuOpDone(sim::CoreId core, unsigned accesses)
 {
+    if (tbuf_.on(sim::TraceCat::Dmu)) {
+        const sim::Tick t = eq_.now();
+        using TP = sim::TracePoint;
+        tbuf_.counter(TP::DmuTasksInFlight, t, dmu_->tasksInFlight());
+        tbuf_.counter(TP::DmuDepsInFlight, t, dmu_->depsInFlight());
+        tbuf_.counter(TP::DmuReadyQueue, t, dmu_->readyCount());
+        tbuf_.counter(TP::DmuTatLive, t, dmu_->tat().liveEntries());
+        tbuf_.counter(TP::DmuDatLive, t, dmu_->dat().liveEntries());
+        tbuf_.counter(TP::DmuSlaUsed, t, dmu_->sla().entriesInUse());
+        tbuf_.counter(TP::DmuDlaUsed, t, dmu_->dla().entriesInUse());
+        tbuf_.counter(TP::DmuRlaUsed, t, dmu_->rla().entriesInUse());
+    }
     noc::NodeId from = mesh_.nodeOfCore(core);
     noc::NodeId dmu_node = mesh_.centerNode();
     noc::Mesh::RoundTrip rt =
@@ -223,24 +235,17 @@ Machine::dmuOpLatency(sim::CoreId core, unsigned accesses)
     sim::Tick proc = static_cast<sim::Tick>(accesses)
                    * cfg_.dmu.accessCycles;
     sim::Tick done = dmuPipe_.acquire(eq_.now() + rt.request, proc);
-    return done + rt.response;
+    return done + rt.response + cfg_.tdmCosts.issueCycles;
 }
 
 void
-Machine::traceDmuCounters()
+Machine::parkOnDmu(const DmuRetry &retry, dmu::BlockReason reason)
 {
-    if (!tbuf_.on(sim::TraceCat::Dmu) || !dmu_)
-        return;
-    const sim::Tick t = eq_.now();
-    using TP = sim::TracePoint;
-    tbuf_.counter(TP::DmuTasksInFlight, t, dmu_->tasksInFlight());
-    tbuf_.counter(TP::DmuDepsInFlight, t, dmu_->depsInFlight());
-    tbuf_.counter(TP::DmuReadyQueue, t, dmu_->readyCount());
-    tbuf_.counter(TP::DmuTatLive, t, dmu_->tat().liveEntries());
-    tbuf_.counter(TP::DmuDatLive, t, dmu_->dat().liveEntries());
-    tbuf_.counter(TP::DmuSlaUsed, t, dmu_->sla().entriesInUse());
-    tbuf_.counter(TP::DmuDlaUsed, t, dmu_->dla().entriesInUse());
-    tbuf_.counter(TP::DmuRlaUsed, t, dmu_->rla().entriesInUse());
+    if (tbuf_.on(sim::TraceCat::Dmu)) {
+        tbuf_.instant(sim::TracePoint::DmuBlocked, masterCore, eq_.now(),
+                      retry.id, static_cast<std::uint32_t>(reason));
+    }
+    dmuWaiters_.push_back(retry);
 }
 
 void
@@ -354,17 +359,24 @@ void
 Machine::onSwCreateDone(rt::TaskId id, bool ready_now,
                         sim::Tick seg_start, sim::Tick completion)
 {
-    phases_.add(masterCore, cpu::Phase::Deps, completion - seg_start);
-    masterCreateTicks_ += completion - seg_start;
-    if (tbuf_.on(sim::TraceCat::Task)) {
-        tbuf_.span(sim::TracePoint::TaskCreate, masterCore, seg_start,
-                   completion, id);
-    }
+    closeCreateSegment(id, seg_start, completion);
     if (ready_now) {
         deliverReady(rt::ReadyTask{id, swSuccCount(id), sim::invalidCore,
                                    id, completion});
     }
     masterCreateNext();
+}
+
+void
+Machine::closeCreateSegment(rt::TaskId id, sim::Tick seg_start,
+                            sim::Tick end)
+{
+    phases_.add(masterCore, cpu::Phase::Deps, end - seg_start);
+    masterCreateTicks_ += end - seg_start;
+    if (tbuf_.on(sim::TraceCat::Task)) {
+        tbuf_.span(sim::TracePoint::TaskCreate, masterCore, seg_start,
+                   end, id);
+    }
 }
 
 void
@@ -381,17 +393,10 @@ Machine::masterIssueCreateOp(rt::TaskId id, sim::Tick seg_start)
     const rt::Task &t = graph_.task(id);
     dmu::DmuResult res = dmu_->createTask(t.descAddr);
     if (res.blocked) {
-        if (tbuf_.on(sim::TraceCat::Dmu)) {
-            tbuf_.instant(sim::TracePoint::DmuBlocked, masterCore,
-                          eq_.now(), id,
-                          static_cast<std::uint32_t>(res.reason));
-        }
-        dmuWaiters_.push_back(DmuRetry{true, id, 0, seg_start});
+        parkOnDmu(DmuRetry{true, id, 0, seg_start}, res.reason);
         return;
     }
-    traceDmuCounters();
-    sim::Tick done = dmuOpLatency(masterCore, res.accesses)
-                   + cfg_.tdmCosts.issueCycles;
+    sim::Tick done = dmuOpDone(masterCore, res.accesses);
     eq_.post<&Machine::masterIssueDepOp>(done, this, id, std::size_t{0},
                                          seg_start);
 }
@@ -410,17 +415,10 @@ Machine::masterIssueDepOp(rt::TaskId id, std::size_t dep_idx,
     dmu::DmuResult res = dmu_->addDependence(t.descAddr, region.baseAddr,
                                              region.bytes, d.writes());
     if (res.blocked) {
-        if (tbuf_.on(sim::TraceCat::Dmu)) {
-            tbuf_.instant(sim::TracePoint::DmuBlocked, masterCore,
-                          eq_.now(), id,
-                          static_cast<std::uint32_t>(res.reason));
-        }
-        dmuWaiters_.push_back(DmuRetry{false, id, dep_idx, seg_start});
+        parkOnDmu(DmuRetry{false, id, dep_idx, seg_start}, res.reason);
         return;
     }
-    traceDmuCounters();
-    sim::Tick done = dmuOpLatency(masterCore, res.accesses)
-                   + cfg_.tdmCosts.issueCycles;
+    sim::Tick done = dmuOpDone(masterCore, res.accesses);
     eq_.post<&Machine::masterIssueDepOp>(done, this, id, dep_idx + 1,
                                          seg_start);
 }
@@ -430,9 +428,7 @@ Machine::masterIssueCommitOp(rt::TaskId id, sim::Tick seg_start)
 {
     const rt::Task &t = graph_.task(id);
     dmu::DmuResult res = dmu_->commitTask(t.descAddr);
-    traceDmuCounters();
-    sim::Tick done = dmuOpLatency(masterCore, res.accesses)
-                   + cfg_.tdmCosts.issueCycles;
+    sim::Tick done = dmuOpDone(masterCore, res.accesses);
     bool ready_now = !res.readyDescAddrs.empty();
 
     if (ready_now && traits_.sched == SchedMode::SoftwarePool) {
@@ -445,11 +441,9 @@ Machine::masterIssueCommitOp(rt::TaskId id, sim::Tick seg_start)
         auto info = dmu_->getReadyTask(acc);
         if (!info)
             sim::panic("ready task vanished from the Ready Queue");
-        traceDmuCounters();
+        sim::Tick fetched = dmuOpDone(masterCore, acc);
         rt::TaskId got = taskOfDesc(info->descAddr);
         std::uint32_t nsucc = info->numSuccessors;
-        sim::Tick fetched = dmuOpLatency(masterCore, acc)
-                          + cfg_.tdmCosts.issueCycles;
         sim::Tick hold = cfg_.tdmCosts.poolPushCycles
                        + pool_->policy().pushExtraCycles();
         sim::Tick completion = lock_.acquire(fetched, hold);
@@ -467,12 +461,7 @@ Machine::onCommitReadyFetched(rt::TaskId created, rt::TaskId got,
                               std::uint32_t nsucc, sim::Tick seg_start,
                               sim::Tick completion)
 {
-    phases_.add(masterCore, cpu::Phase::Deps, completion - seg_start);
-    masterCreateTicks_ += completion - seg_start;
-    if (tbuf_.on(sim::TraceCat::Task)) {
-        tbuf_.span(sim::TracePoint::TaskCreate, masterCore, seg_start,
-                   completion, created);
-    }
+    closeCreateSegment(created, seg_start, completion);
     deliverReady(rt::ReadyTask{got, nsucc, sim::invalidCore, got,
                                completion});
     masterCreateNext();
@@ -482,12 +471,7 @@ void
 Machine::onCommitDone(rt::TaskId id, sim::Tick seg_start, sim::Tick done,
                       bool ready_now)
 {
-    phases_.add(masterCore, cpu::Phase::Deps, done - seg_start);
-    masterCreateTicks_ += done - seg_start;
-    if (tbuf_.on(sim::TraceCat::Task)) {
-        tbuf_.span(sim::TracePoint::TaskCreate, masterCore, seg_start,
-                   done, id);
-    }
+    closeCreateSegment(id, seg_start, done);
     if (ready_now && traits_.sched == SchedMode::HardwareFifo)
         wakeOneIdle();
     masterCreateNext();
@@ -542,9 +526,7 @@ Machine::tryDispatch(sim::CoreId core)
       case SchedMode::HardwareFifo: {
         unsigned acc = 0;
         auto info = dmu_->getReadyTask(acc);
-        traceDmuCounters();
-        sim::Tick done = dmuOpLatency(core, acc)
-                       + cfg_.tdmCosts.issueCycles;
+        sim::Tick done = dmuOpDone(core, acc);
         eq_.post<&Machine::onFifoDispatch>(done, this, core, seg_start,
                                            done, info);
         break;
@@ -567,10 +549,8 @@ Machine::onPoolPopDone(sim::CoreId core, sim::Tick seg_start,
     }
     if (t) {
         startExec(core, *t);
-    } else if (core == masterCore && !masterCreating_ && regionDone_) {
-        advanceToNextRegion();
     } else {
-        goIdle(core);
+        advanceOrPark(core);
     }
 }
 
@@ -606,10 +586,8 @@ Machine::onCarbonSteal(sim::CoreId core, sim::Tick steal_done)
     }
     if (s) {
         startExec(core, *s);
-    } else if (core == masterCore && !masterCreating_ && regionDone_) {
-        advanceToNextRegion();
     } else {
-        goIdle(core);
+        advanceOrPark(core);
     }
 }
 
@@ -628,11 +606,18 @@ Machine::onFifoDispatch(sim::CoreId core, sim::Tick seg_start,
         rt::TaskId id = taskOfDesc(info->descAddr);
         startExec(core, rt::ReadyTask{id, info->numSuccessors,
                                       sim::invalidCore, id, done});
-    } else if (core == masterCore && !masterCreating_ && regionDone_) {
-        advanceToNextRegion();
     } else {
-        goIdle(core);
+        advanceOrPark(core);
     }
+}
+
+void
+Machine::advanceOrPark(sim::CoreId core)
+{
+    if (core == masterCore && !masterCreating_ && regionDone_)
+        advanceToNextRegion();
+    else
+        goIdle(core);
 }
 
 void
@@ -681,16 +666,23 @@ Machine::onExecDone(sim::CoreId core, rt::TaskId id, sim::Tick dur)
                    static_cast<std::uint16_t>(core), eq_.now() - dur,
                    eq_.now(), id, graph_.task(id).kernel);
     }
-    finishTask(core, id);
-}
-
-void
-Machine::finishTask(sim::CoreId core, rt::TaskId id)
-{
     if (traits_.dep == DepMode::Software)
         finishSw(core, id);
     else
         finishDmu(core, id);
+}
+
+void
+Machine::closeFinishSegment(sim::CoreId core, rt::TaskId id,
+                            sim::Tick seg_start, sim::Tick end)
+{
+    phases_.add(core, cpu::Phase::Deps, end - seg_start);
+    if (tbuf_.on(sim::TraceCat::Task)) {
+        tbuf_.span(sim::TracePoint::TaskFinish,
+                   static_cast<std::uint16_t>(core), seg_start, end, id);
+        tbuf_.instant(sim::TracePoint::TaskRetire,
+                      static_cast<std::uint16_t>(core), end, id);
+    }
 }
 
 void
@@ -735,18 +727,11 @@ Machine::onSwFinishDone(sim::CoreId core, rt::TaskId id,
                         sim::Tick seg_start, sim::Tick completion,
                         const std::vector<rt::ReadyTask> &ready)
 {
-    phases_.add(core, cpu::Phase::Deps, completion - seg_start);
-    if (tbuf_.on(sim::TraceCat::Task)) {
-        tbuf_.span(sim::TracePoint::TaskFinish,
-                   static_cast<std::uint16_t>(core), seg_start,
-                   completion, id);
-        tbuf_.instant(sim::TracePoint::TaskRetire,
-                      static_cast<std::uint16_t>(core), completion, id);
-    }
+    closeFinishSegment(core, id, seg_start, completion);
     for (const rt::ReadyTask &r : ready)
         deliverReady(r);
     onTaskExecuted();
-    afterFinish(core);
+    dispatchEntry(core);
 }
 
 void
@@ -755,10 +740,8 @@ Machine::finishDmu(sim::CoreId core, rt::TaskId id)
     sim::Tick seg_start = eq_.now();
     const rt::Task &t = graph_.task(id);
     dmu::DmuResult res = dmu_->finishTask(t.descAddr);
-    traceDmuCounters();
     flushDmuWaiters();
-    sim::Tick done = dmuOpLatency(core, res.accesses)
-                   + cfg_.tdmCosts.issueCycles;
+    sim::Tick done = dmuOpDone(core, res.accesses);
     std::size_t n_ready = res.readyDescAddrs.size();
     eq_.post<&Machine::onDmuFinishDone>(done, this, core, id, seg_start,
                                         done, n_ready);
@@ -769,14 +752,7 @@ Machine::onDmuFinishDone(sim::CoreId core, rt::TaskId id,
                          sim::Tick seg_start, sim::Tick done,
                          std::size_t n_ready)
 {
-    phases_.add(core, cpu::Phase::Deps, done - seg_start);
-    if (tbuf_.on(sim::TraceCat::Task)) {
-        tbuf_.span(sim::TracePoint::TaskFinish,
-                   static_cast<std::uint16_t>(core), seg_start, done,
-                   id);
-        tbuf_.instant(sim::TracePoint::TaskRetire,
-                      static_cast<std::uint16_t>(core), done, id);
-    }
+    closeFinishSegment(core, id, seg_start, done);
     onTaskExecuted();
     if (traits_.sched == SchedMode::SoftwarePool) {
         getReadyLoop(core, done);
@@ -785,7 +761,7 @@ Machine::onDmuFinishDone(sim::CoreId core, rt::TaskId id,
         // Queue; wake an idle core per newly ready task.
         for (std::size_t i = 0; i < n_ready; ++i)
             wakeOneIdle();
-        afterFinish(core);
+        dispatchEntry(core);
     }
 }
 
@@ -794,8 +770,7 @@ Machine::getReadyLoop(sim::CoreId core, sim::Tick seg_start)
 {
     unsigned acc = 0;
     auto info = dmu_->getReadyTask(acc);
-    traceDmuCounters();
-    sim::Tick done = dmuOpLatency(core, acc) + cfg_.tdmCosts.issueCycles;
+    sim::Tick done = dmuOpDone(core, acc);
     if (info) {
         rt::TaskId id = taskOfDesc(info->descAddr);
         sim::Tick hold = cfg_.tdmCosts.poolPushCycles
@@ -830,12 +805,6 @@ Machine::onGetReadyEmpty(sim::CoreId core, sim::Tick seg_start,
                    static_cast<std::uint16_t>(core), seg_start, done,
                    UINT32_MAX);
     }
-    afterFinish(core);
-}
-
-void
-Machine::afterFinish(sim::CoreId core)
-{
     dispatchEntry(core);
 }
 
@@ -1094,13 +1063,10 @@ Machine::finalize()
         pwr::CactiModel cacti(22);
         auto specs = dmu::sramSpecs(cfg_.dmu);
         const dmu::DmuAccessCounts &n = dmu_->accessCounts();
-        const std::uint64_t counts[] = {n.taskTable, n.depTable, n.tat,
-                                        n.dat, n.sla, n.dla, n.rla,
-                                        n.readyQueue};
         double pj = 0.0;
         for (std::size_t i = 0; i < specs.size(); ++i)
             pj += cacti.estimate(specs[i]).readEnergyPj
-                * static_cast<double>(counts[i]);
+                * static_cast<double>(n[static_cast<dmu::Sram>(i)]);
         if (traits_.type == RuntimeType::TaskSuperscalar) {
             // CAM-heavy lookups of the original pipeline.
             pj *= 3.0;

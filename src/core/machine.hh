@@ -257,18 +257,27 @@ class Machine : private RunState
     void masterIssueDepOp(rt::TaskId id, std::size_t dep_idx,
                           sim::Tick seg_start);
     void masterIssueCommitOp(rt::TaskId id, sim::Tick seg_start);
+    /** Charge the master's creation segment [@p seg_start, @p end] of
+     *  task @p id (Deps phase, creation ticks, TaskCreate span). */
+    void closeCreateSegment(rt::TaskId id, sim::Tick seg_start,
+                            sim::Tick end);
     void masterDoneCreating();
 
     // ---- worker side ----
     /** Entry point after a wake-up: creation throttle aware. */
     void dispatchEntry(sim::CoreId core);
     void tryDispatch(sim::CoreId core);
+    /** No task was found: the master leaves a completed region,
+     *  any other core parks. */
+    void advanceOrPark(sim::CoreId core);
     void startExec(sim::CoreId core, const rt::ReadyTask &task);
-    void finishTask(sim::CoreId core, rt::TaskId id);
     void finishSw(sim::CoreId core, rt::TaskId id);
     void finishDmu(sim::CoreId core, rt::TaskId id);
+    /** Charge @p core's finish segment [@p seg_start, @p end] of task
+     *  @p id (Deps phase, TaskFinish span, TaskRetire instant). */
+    void closeFinishSegment(sim::CoreId core, rt::TaskId id,
+                            sim::Tick seg_start, sim::Tick end);
     void getReadyLoop(sim::CoreId core, sim::Tick seg_start);
-    void afterFinish(sim::CoreId core);
 
     // ---- typed event continuations (fired by pooled BoundEvents) ---
     /** Initial event: park the workers, enter the first region. */
@@ -326,14 +335,18 @@ class Machine : private RunState
     void goIdle(sim::CoreId core);
     void onTaskExecuted();
     void flushDmuWaiters();
+    /** Trace a blocked master-side DMU operation and park it until
+     *  the next finish_task. */
+    void parkOnDmu(const DmuRetry &retry, dmu::BlockReason reason);
 
     /**
      * Model a DMU operation issued from @p core at the current tick:
-     * request traversal of the mesh, FIFO queueing at the DMU,
-     * processing of @p accesses SRAM accesses, and the response.
+     * sample the DMU occupancy counters into the trace, then request
+     * traversal of the mesh, FIFO queueing at the DMU, processing of
+     * @p accesses SRAM accesses, the response, and the issue cost.
      * @return the tick at which the issuing core resumes.
      */
-    sim::Tick dmuOpLatency(sim::CoreId core, unsigned accesses);
+    sim::Tick dmuOpDone(sim::CoreId core, unsigned accesses);
 
     rt::TaskId taskOfDesc(std::uint64_t desc_addr) const;
 
@@ -357,8 +370,6 @@ class Machine : private RunState
     MachineResult finalize();
 
     // ---- tracing helpers (no-ops when the category is off) ----
-    /** Sample every DMU occupancy counter at the current tick. */
-    void traceDmuCounters();
     /** Record @p core's just-ended idle span + the idle-core count. */
     void traceWake(sim::CoreId core, sim::Tick idle_since);
 

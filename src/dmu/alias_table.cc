@@ -37,12 +37,10 @@ AliasTable::lookup(std::uint64_t addr, std::uint64_t size_bytes,
                    std::uint32_t pid)
 {
     ++lookups_;
-    ++tick_;
     unsigned set = setOf(addr, size_bytes);
     Way *base = &ways_[static_cast<std::size_t>(set) * assoc_];
     for (unsigned w = 0; w < assoc_; ++w) {
         if (base[w].valid && base[w].addr == addr && base[w].pid == pid) {
-            base[w].lastUse = tick_;
             ++hits_;
             return base[w].id;
         }
@@ -74,7 +72,6 @@ AliasTable::insert(std::uint64_t addr, std::uint64_t size_bytes,
             base[w].addr = addr;
             base[w].pid = pid;
             base[w].id = id;
-            base[w].lastUse = ++tick_;
             if (setLive_[set] == 0)
                 ++occupiedSets_;
             ++setLive_[set];

@@ -110,7 +110,6 @@ class AliasTable
         std::uint32_t pid = 0;
         std::uint16_t id = invalidHwId;
         bool valid = false;
-        std::uint64_t lastUse = 0;
     };
 
     std::string name_;
@@ -127,7 +126,6 @@ class AliasTable
      *  allocation on the DMU hot path never touches the heap). */
     sim::FixedRing<std::uint16_t> freeIds_;
     unsigned live_ = 0;
-    std::uint64_t tick_ = 0;
 
     std::uint64_t lookups_ = 0, hits_ = 0, conflicts_ = 0, inserts_ = 0;
     double occSamples_ = 0.0;

@@ -70,21 +70,26 @@ Dmu::Dmu(const DmuConfig &cfg)
       sla_("sla", cfg.slaEntries, cfg.elemsPerEntry),
       dla_("dla", cfg.dlaEntries, cfg.elemsPerEntry),
       rla_("rla", cfg.rlaEntries, cfg.elemsPerEntry),
-      readyQueue_(cfg.readyQueueEntries)
+      readyQueue_(cfg.readyQueueEntries),
+      depKeyOf_(cfg.depTableEntries())
 {
-    depAddrOf_.assign(cfg.depTableEntries(), 0);
-    depSizeOf_.assign(cfg.depTableEntries(), 0);
-    depPidOf_.assign(cfg.depTableEntries(), 0);
-    taskPidOf_.assign(cfg.taskTableEntries(), 0);
+}
+
+DmuResult
+Dmu::blocked(BlockReason reason)
+{
+    ++blockedOps_;
+    DmuResult res;
+    res.blocked = true;
+    res.reason = reason;
+    return res;
 }
 
 TaskHwId
-Dmu::requireTask(std::uint64_t desc_addr, std::uint32_t pid,
-                 unsigned &accesses)
+Dmu::requireTask(std::uint64_t desc_addr, std::uint32_t pid)
 {
     auto id = tat_.lookup(desc_addr, descIndexBytes, pid);
-    ++accesses;
-    ++counts_.tat;
+    touch(Sram::Tat);
     if (!id)
         sim::panic("DMU: unknown task descriptor 0x", std::hex, desc_addr);
     return static_cast<TaskHwId>(*id);
@@ -93,52 +98,36 @@ Dmu::requireTask(std::uint64_t desc_addr, std::uint32_t pid,
 DmuResult
 Dmu::createTask(std::uint64_t desc_addr, std::uint32_t pid)
 {
-    DmuResult res;
     ++statOps_;
 
     // Pre-check capacity: TAT entry + one SLA list + one DLA list.
-    if (!tat_.canInsert(desc_addr, descIndexBytes)) {
-        res.blocked = true;
-        res.reason = BlockReason::TatFull;
-        ++blockedOps_;
-        return res;
-    }
-    if (!sla_.hasFree(1)) {
-        res.blocked = true;
-        res.reason = BlockReason::SlaFull;
-        ++blockedOps_;
-        return res;
-    }
-    if (!dla_.hasFree(1)) {
-        res.blocked = true;
-        res.reason = BlockReason::DlaFull;
-        ++blockedOps_;
-        return res;
-    }
+    if (!tat_.canInsert(desc_addr, descIndexBytes))
+        return blocked(BlockReason::TatFull);
+    if (!sla_.hasFree(1))
+        return blocked(BlockReason::SlaFull);
+    if (!dla_.hasFree(1))
+        return blocked(BlockReason::DlaFull);
 
+    const std::uint64_t before = counts_.total();
     auto probe = tat_.lookup(desc_addr, descIndexBytes, pid);
-    ++res.accesses;
-    ++counts_.tat;
+    touch(Sram::Tat);
     if (probe)
         sim::panic("DMU: create_task of live descriptor 0x", std::hex,
                    desc_addr);
 
     auto ins = tat_.insert(desc_addr, descIndexBytes, pid);
-    ++res.accesses;
-    ++counts_.tat;
+    touch(Sram::Tat);
     if (ins.status != AliasInsertStatus::Ok)
         sim::panic("DMU: TAT insert failed after capacity check");
 
     ListHead succ = sla_.allocList();
     ListHead deps = dla_.allocList();
-    res.accesses += 2;
-    ++counts_.sla;
-    ++counts_.dla;
+    touch(Sram::Sla);
+    touch(Sram::Dla);
     taskTable_.init(static_cast<TaskHwId>(ins.id), desc_addr, succ, deps);
-    taskPidOf_[ins.id] = pid;
-    ++res.accesses;
-    ++counts_.taskTable;
-    statAccesses_ += res.accesses;
+    touch(Sram::TaskTable);
+    DmuResult res;
+    res.accesses = accessesSince(before);
     checkOccupancy(*this);
     return res;
 }
@@ -148,7 +137,6 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
                    std::uint64_t size_bytes, bool is_output,
                    std::uint32_t pid)
 {
-    DmuResult res;
     ++statOps_;
 
     // ---- Locate the task (non-destructive; retried ops redo it). ----
@@ -162,26 +150,14 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
     auto did_probe = dat_.lookup(dep_addr, size_bytes, pid);
     bool dat_miss = !did_probe;
     if (dat_miss) {
-        if (!dat_.canInsert(dep_addr, size_bytes)) {
-            res.blocked = true;
-            res.reason = BlockReason::DatFull;
-            ++blockedOps_;
-            return res;
-        }
-        if (!rla_.hasFree(1)) {
-            res.blocked = true;
-            res.reason = BlockReason::RlaFull;
-            ++blockedOps_;
-            return res;
-        }
+        if (!dat_.canInsert(dep_addr, size_bytes))
+            return blocked(BlockReason::DatFull);
+        if (!rla_.hasFree(1))
+            return blocked(BlockReason::RlaFull);
     }
     unsigned dla_needed = dla_.pushNeedsEntry(task.depList) ? 1 : 0;
-    if (dla_needed > 0 && !dla_.hasFree(dla_needed)) {
-        res.blocked = true;
-        res.reason = BlockReason::DlaFull;
-        ++blockedOps_;
-        return res;
-    }
+    if (dla_needed > 0 && !dla_.hasFree(dla_needed))
+        return blocked(BlockReason::DlaFull);
     unsigned sla_needed = 0;
     unsigned rla_needed = 0;
     if (!dat_miss) {
@@ -214,24 +190,15 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
         for (const auto &[head, n] : pushes)
             sla_needed += sla_.entriesNeededFor(head, n);
     }
-    if (sla_needed > 0 && !sla_.hasFree(sla_needed)) {
-        res.blocked = true;
-        res.reason = BlockReason::SlaFull;
-        ++blockedOps_;
-        return res;
-    }
-    if (rla_needed > 0 && !rla_.hasFree(rla_needed)) {
-        res.blocked = true;
-        res.reason = BlockReason::RlaFull;
-        ++blockedOps_;
-        return res;
-    }
+    if (sla_needed > 0 && !sla_.hasFree(sla_needed))
+        return blocked(BlockReason::SlaFull);
+    if (rla_needed > 0 && !rla_.hasFree(rla_needed))
+        return blocked(BlockReason::RlaFull);
 
     // ---- Execute (Algorithm 1). ----
-    ++res.accesses; // TAT lookup
-    ++counts_.tat;
-    ++res.accesses; // DAT lookup
-    ++counts_.dat;
+    const std::uint64_t before = counts_.total();
+    touch(Sram::Tat); // TAT lookup
+    touch(Sram::Dat); // DAT lookup
 
     DepHwId dep_id;
     if (dat_miss) {
@@ -241,17 +208,13 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
         dep_id = static_cast<DepHwId>(ins.id);
         ListHead readers = rla_.allocList();
         depTable_.init(dep_id, readers);
-        depAddrOf_[dep_id] = dep_addr;
-        depSizeOf_[dep_id] = size_bytes;
-        depPidOf_[dep_id] = pid;
-        res.accesses += 3; // DAT write, RLA alloc, DepTable init
-        ++counts_.dat;
-        ++counts_.rla;
-        ++counts_.depTable;
+        depKeyOf_[dep_id] = DepKey{dep_addr, size_bytes, pid};
+        touch(Sram::Dat);      // DAT write
+        touch(Sram::Rla);      // RLA alloc
+        touch(Sram::DepTable); // DepTable init
     } else {
         dep_id = static_cast<DepHwId>(*did_probe);
-        ++res.accesses; // DepTable read
-        ++counts_.depTable;
+        touch(Sram::DepTable); // DepTable read
     }
     DepEntry &dep = depTable_[dep_id];
 
@@ -259,8 +222,7 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
     unsigned acc = 0;
     if (!dla_.push(task.depList, dep_id, acc))
         sim::panic("DMU: DLA push failed after capacity check");
-    res.accesses += acc;
-    counts_.dla += acc;
+    touch(Sram::Dla, acc);
 
     // Order after the last writer (RAW / WAW).
     if (dep.hasWriter() && dep.lastWriter != task_id) {
@@ -268,12 +230,10 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
         acc = 0;
         if (!sla_.push(writer.succList, task_id, acc))
             sim::panic("DMU: SLA push failed after capacity check");
-        res.accesses += acc;
-        counts_.sla += acc;
+        touch(Sram::Sla, acc);
         ++writer.succCount;
         ++task.predCount;
-        res.accesses += 2; // two Task Table updates
-        counts_.taskTable += 2;
+        touch(Sram::TaskTable, 2); // two Task Table updates
     }
 
     if (!is_output) {
@@ -281,18 +241,15 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
         acc = 0;
         if (!rla_.push(dep.readerList, task_id, acc))
             sim::panic("DMU: RLA push failed after capacity check");
-        res.accesses += acc;
-        counts_.rla += acc;
+        touch(Sram::Rla, acc);
     } else {
         // Output: order after every reader (WAR), then become the
         // last writer.
         std::vector<std::uint16_t> &readers = scratchIds_;
         readers.clear();
-        acc = rla_.forEach(dep.readerList, [&](std::uint16_t r) {
+        touch(Sram::Rla, rla_.forEach(dep.readerList, [&](std::uint16_t r) {
             readers.push_back(r);
-        });
-        res.accesses += acc;
-        counts_.rla += acc;
+        }));
         for (std::uint16_t r : readers) {
             if (r == task_id)
                 continue;
@@ -300,21 +257,17 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
             acc = 0;
             if (!sla_.push(reader.succList, task_id, acc))
                 sim::panic("DMU: SLA push failed after capacity check");
-            res.accesses += acc;
-            counts_.sla += acc;
+            touch(Sram::Sla, acc);
             ++reader.succCount;
             ++task.predCount;
-            res.accesses += 2;
-            counts_.taskTable += 2;
+            touch(Sram::TaskTable, 2);
         }
-        acc = rla_.clear(dep.readerList);
-        res.accesses += acc;
-        counts_.rla += acc;
+        touch(Sram::Rla, rla_.clear(dep.readerList));
         dep.lastWriter = task_id;
-        ++res.accesses; // DepTable write
-        ++counts_.depTable;
+        touch(Sram::DepTable); // DepTable write
     }
-    statAccesses_ += res.accesses;
+    DmuResult res;
+    res.accesses = accessesSince(before);
     checkOccupancy(*this);
     return res;
 }
@@ -324,10 +277,10 @@ Dmu::commitTask(std::uint64_t desc_addr, std::uint32_t pid)
 {
     DmuResult res;
     ++statOps_;
-    TaskHwId task_id = requireTask(desc_addr, pid, res.accesses);
+    const std::uint64_t before = counts_.total();
+    TaskHwId task_id = requireTask(desc_addr, pid);
     TaskEntry &task = taskTable_[task_id];
-    ++res.accesses; // Task Table read-modify-write
-    ++counts_.taskTable;
+    touch(Sram::TaskTable); // Task Table read-modify-write
     if (task.committed)
         sim::panic("DMU: double commit of descriptor 0x", std::hex,
                    desc_addr);
@@ -335,11 +288,10 @@ Dmu::commitTask(std::uint64_t desc_addr, std::uint32_t pid)
     if (task.predCount == 0) {
         if (!readyQueue_.push(task_id))
             sim::panic("DMU: ready queue overflow");
-        ++res.accesses;
-        ++counts_.readyQueue;
+        touch(Sram::ReadyQueue);
         res.readyDescAddrs.push_back(task.descAddr);
     }
-    statAccesses_ += res.accesses;
+    res.accesses = accessesSince(before);
     return res;
 }
 
@@ -348,32 +300,28 @@ Dmu::finishTask(std::uint64_t desc_addr, std::uint32_t pid)
 {
     DmuResult res;
     ++statOps_;
+    const std::uint64_t before = counts_.total();
 
-    TaskHwId task_id = requireTask(desc_addr, pid, res.accesses);
+    TaskHwId task_id = requireTask(desc_addr, pid);
     TaskEntry &task = taskTable_[task_id];
-    ++res.accesses; // Task Table read
-    ++counts_.taskTable;
+    touch(Sram::TaskTable); // Task Table read
 
     // ---- Wake up successors (Algorithm 2, first loop). ----
     std::vector<std::uint16_t> &succs = scratchIds_;
     succs.clear();
-    unsigned acc = sla_.forEach(task.succList, [&](std::uint16_t s) {
+    touch(Sram::Sla, sla_.forEach(task.succList, [&](std::uint16_t s) {
         succs.push_back(s);
-    });
-    res.accesses += acc;
-    counts_.sla += acc;
+    }));
     for (std::uint16_t s : succs) {
         TaskEntry &succ = taskTable_[static_cast<TaskHwId>(s)];
         if (succ.predCount == 0)
             sim::panic("DMU: predecessor underflow on task id ", s);
         --succ.predCount;
-        ++res.accesses;
-        ++counts_.taskTable;
+        touch(Sram::TaskTable);
         if (succ.predCount == 0 && succ.committed) {
             if (!readyQueue_.push(static_cast<TaskHwId>(s)))
                 sim::panic("DMU: ready queue overflow");
-            ++res.accesses;
-            ++counts_.readyQueue;
+            touch(Sram::ReadyQueue);
             res.readyDescAddrs.push_back(succ.descAddr);
         }
     }
@@ -382,56 +330,39 @@ Dmu::finishTask(std::uint64_t desc_addr, std::uint32_t pid)
     // Reuses the scratch buffer: the successor loop above is done.
     std::vector<std::uint16_t> &deps = scratchIds_;
     deps.clear();
-    acc = dla_.forEach(task.depList, [&](std::uint16_t d) {
+    touch(Sram::Dla, dla_.forEach(task.depList, [&](std::uint16_t d) {
         deps.push_back(d);
-    });
-    res.accesses += acc;
-    counts_.dla += acc;
+    }));
     for (std::uint16_t d : deps) {
         DepHwId dep_id = static_cast<DepHwId>(d);
         if (!depTable_[dep_id].valid)
             continue; // already freed via an earlier duplicate entry
         DepEntry &dep = depTable_[dep_id];
-        ++res.accesses; // DepTable read
-        ++counts_.depTable;
-        acc = rla_.remove(dep.readerList, task_id);
-        res.accesses += acc;
-        counts_.rla += acc;
+        touch(Sram::DepTable); // DepTable read
+        touch(Sram::Rla, rla_.remove(dep.readerList, task_id));
         if (dep.lastWriter == task_id) {
             dep.lastWriter = invalidHwId;
-            ++res.accesses;
-            ++counts_.depTable;
+            touch(Sram::DepTable);
         }
         if (!dep.hasWriter() && rla_.size(dep.readerList) == 0) {
-            acc = rla_.freeList(dep.readerList);
-            res.accesses += acc;
-            counts_.rla += acc;
+            touch(Sram::Rla, rla_.freeList(dep.readerList));
             depTable_.free(dep_id);
-            ++res.accesses;
-            ++counts_.depTable;
-            dat_.erase(depAddrOf_[dep_id], depSizeOf_[dep_id],
-                       depPidOf_[dep_id]);
-            ++res.accesses;
-            ++counts_.dat;
+            touch(Sram::DepTable);
+            const DepKey &key = depKeyOf_[dep_id];
+            dat_.erase(key.addr, key.size, key.pid);
+            touch(Sram::Dat);
         }
     }
 
     // ---- Free the task's own resources. ----
-    acc = sla_.freeList(task.succList);
-    res.accesses += acc;
-    counts_.sla += acc;
-    acc = dla_.freeList(task.depList);
-    res.accesses += acc;
-    counts_.dla += acc;
+    touch(Sram::Sla, sla_.freeList(task.succList));
+    touch(Sram::Dla, dla_.freeList(task.depList));
     taskTable_.free(task_id);
-    ++res.accesses;
-    ++counts_.taskTable;
+    touch(Sram::TaskTable);
     tat_.erase(desc_addr, descIndexBytes, pid);
-    ++res.accesses;
-    ++counts_.tat;
+    touch(Sram::Tat);
 
-    ++capacityEpoch_;
-    statAccesses_ += res.accesses;
+    res.accesses = accessesSince(before);
     checkOccupancy(*this);
     return res;
 }
@@ -440,18 +371,17 @@ std::optional<ReadyTaskInfo>
 Dmu::getReadyTask(unsigned &accesses)
 {
     ++statOps_;
-    ++accesses;
-    ++counts_.readyQueue;
+    const std::uint64_t before = counts_.total();
+    touch(Sram::ReadyQueue);
     TaskHwId id = readyQueue_.pop();
-    if (id == invalidHwId) {
-        statAccesses_ += 1;
-        return std::nullopt;
+    std::optional<ReadyTaskInfo> info;
+    if (id != invalidHwId) {
+        const TaskEntry &e = taskTable_[id];
+        touch(Sram::TaskTable);
+        info = ReadyTaskInfo{e.descAddr, e.succCount};
     }
-    const TaskEntry &e = taskTable_[id];
-    ++accesses;
-    ++counts_.taskTable;
-    statAccesses_ += 2;
-    return ReadyTaskInfo{e.descAddr, e.succCount};
+    accesses = accessesSince(before);
+    return info;
 }
 
 std::uint32_t
@@ -469,21 +399,32 @@ Dmu::regMetrics(sim::MetricContext ctx)
     ctx.counter("ops", &statOps_, "DMU operations processed");
     ctx.counter("blocked", &blockedOps_,
                 "operations blocked on capacity");
-    ctx.counter("accesses", &statAccesses_, "total SRAM accesses");
+    ctx.counterFn("accesses",
+                  [this] { return static_cast<double>(counts_.total()); },
+                  "total SRAM accesses");
 
     // Per-structure SRAM traffic (what the energy model integrates).
-    ctx.counter("task_table.accesses", &counts_.taskTable,
-                "Task Table SRAM accesses");
-    ctx.counter("dep_table.accesses", &counts_.depTable,
-                "Dependence Table SRAM accesses");
-    ctx.counter("sla.accesses", &counts_.sla,
-                "Successor List Array SRAM accesses");
-    ctx.counter("dla.accesses", &counts_.dla,
-                "Dependence List Array SRAM accesses");
-    ctx.counter("rla.accesses", &counts_.rla,
-                "Reader List Array SRAM accesses");
-    ctx.counter("ready_queue.accesses", &counts_.readyQueue,
-                "Ready Queue SRAM accesses");
+    static const struct
+    {
+        Sram sram;
+        const char *key;
+        const char *desc;
+    } ledger[] = {
+        {Sram::TaskTable, "task_table.accesses", "Task Table SRAM accesses"},
+        {Sram::DepTable, "dep_table.accesses",
+         "Dependence Table SRAM accesses"},
+        {Sram::Tat, "tat.accesses", "TAT SRAM accesses"},
+        {Sram::Dat, "dat.accesses", "DAT SRAM accesses"},
+        {Sram::Sla, "sla.accesses", "Successor List Array SRAM accesses"},
+        {Sram::Dla, "dla.accesses", "Dependence List Array SRAM accesses"},
+        {Sram::Rla, "rla.accesses", "Reader List Array SRAM accesses"},
+        {Sram::ReadyQueue, "ready_queue.accesses",
+         "Ready Queue SRAM accesses"},
+    };
+    for (const auto &row : ledger)
+        ctx.counter(row.key,
+                    &counts_.bySram[static_cast<std::size_t>(row.sram)],
+                    row.desc);
 
     ctx.gauge("tasks_in_flight",
               [this] { return static_cast<double>(tasksInFlight()); },
@@ -495,12 +436,8 @@ Dmu::regMetrics(sim::MetricContext ctx)
               [this] { return static_cast<double>(readyCount()); },
               "ready tasks queued");
 
-    sim::MetricContext tat_ctx = ctx.scope("tat");
-    tat_ctx.counter("accesses", &counts_.tat, "TAT SRAM accesses");
-    tat_.regMetrics(tat_ctx);
-    sim::MetricContext dat_ctx = ctx.scope("dat");
-    dat_ctx.counter("accesses", &counts_.dat, "DAT SRAM accesses");
-    dat_.regMetrics(dat_ctx);
+    tat_.regMetrics(ctx.scope("tat"));
+    dat_.regMetrics(ctx.scope("dat"));
 }
 
 } // namespace tdm::dmu

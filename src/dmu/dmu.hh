@@ -4,10 +4,12 @@
  *
  * Functional + timing model of the DMU: maintains the TAT/DAT alias
  * tables, Task and Dependence Tables, the three list arrays and the
- * Ready Queue, and executes the four ISA operations. Every operation
- * reports the number of SRAM accesses a hardware implementation would
- * perform (list walks cost one access per chained entry), which the
- * machine multiplies by the structure access latency to obtain the DMU
+ * Ready Queue, and executes the four ISA operations. Every SRAM access
+ * a hardware implementation would perform (list walks cost one access
+ * per chained entry) is recorded once, in a per-structure ledger
+ * (DmuAccessCounts) that the energy model integrates. An operation
+ * reports its growth of the ledger's total, which the machine
+ * multiplies by the structure access latency to obtain the DMU
  * processing time.
  *
  * Capacity semantics follow Section III-D: an operation that needs an
@@ -20,6 +22,8 @@
 #ifndef TDM_DMU_DMU_HH
 #define TDM_DMU_DMU_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -48,19 +52,29 @@ enum class BlockReason
 
 const char *toString(BlockReason r);
 
+/** The DMU's SRAM structures, in sramSpecs() order. */
+enum class Sram { TaskTable, DepTable, Tat, Dat, Sla, Dla, Rla, ReadyQueue };
+
+constexpr std::size_t numSrams = 8;
+
 /** Cumulative SRAM accesses per structure (for the energy model). */
 struct DmuAccessCounts
 {
-    std::uint64_t tat = 0, dat = 0;
-    std::uint64_t taskTable = 0, depTable = 0;
-    std::uint64_t sla = 0, dla = 0, rla = 0;
-    std::uint64_t readyQueue = 0;
+    std::array<std::uint64_t, numSrams> bySram{};
+
+    std::uint64_t
+    operator[](Sram s) const
+    {
+        return bySram[static_cast<std::size_t>(s)];
+    }
 
     std::uint64_t
     total() const
     {
-        return tat + dat + taskTable + depTable + sla + dla + rla
-             + readyQueue;
+        std::uint64_t sum = 0;
+        for (std::uint64_t n : bySram)
+            sum += n;
+        return sum;
     }
 };
 
@@ -116,7 +130,7 @@ class Dmu
 
     /**
      * get_ready_task() -> (task_desc, #succ). Never blocks.
-     * @param accesses SRAM accesses performed.
+     * @param accesses set to the SRAM accesses performed.
      */
     std::optional<ReadyTaskInfo> getReadyTask(unsigned &accesses);
 
@@ -128,9 +142,6 @@ class Dmu
 
     /** Ready tasks queued. */
     std::size_t readyCount() const { return readyQueue_.size(); }
-
-    /** Monotonic counter bumped whenever capacity is released. */
-    std::uint64_t capacityEpoch() const { return capacityEpoch_; }
 
     const DmuAccessCounts &accessCounts() const { return counts_; }
     const DmuConfig &config() const { return cfg_; }
@@ -154,8 +165,24 @@ class Dmu
     void regMetrics(sim::MetricContext ctx);
 
   private:
-    TaskHwId requireTask(std::uint64_t desc_addr, std::uint32_t pid,
-                         unsigned &accesses);
+    /** Record @p n accesses to @p s: the only writer of counts_. */
+    void
+    touch(Sram s, unsigned n = 1)
+    {
+        counts_.bySram[static_cast<std::size_t>(s)] += n;
+    }
+
+    /** Accesses recorded since the ledger total was @p before. */
+    unsigned
+    accessesSince(std::uint64_t before) const
+    {
+        return static_cast<unsigned>(counts_.total() - before);
+    }
+
+    /** Count a capacity block and return its result. */
+    DmuResult blocked(BlockReason reason);
+
+    TaskHwId requireTask(std::uint64_t desc_addr, std::uint32_t pid);
 
     DmuConfig cfg_;
     AliasTable tat_;
@@ -168,18 +195,22 @@ class Dmu
     ReadyQueue readyQueue_;
 
     /**
-     * Shadow metadata: address/size of each live dependence id, needed
-     * to invalidate the DAT entry on cleanup. A hardware DMU keeps the
-     * address in the DAT entry itself (where we account its bits); the
-     * shadow copy here is a modelling convenience, not extra storage.
+     * Shadow metadata: DAT key (address, size, process tag) of each
+     * live dependence id, needed to invalidate the DAT entry on
+     * cleanup. A hardware DMU keeps the address in the DAT entry itself
+     * (where we account its bits); the shadow copy here is a modelling
+     * convenience, not extra storage.
      */
-    std::vector<std::uint64_t> depAddrOf_;
-    std::vector<std::uint64_t> depSizeOf_;
-    std::vector<std::uint32_t> depPidOf_;
-    std::vector<std::uint32_t> taskPidOf_;
+    struct DepKey
+    {
+        std::uint64_t addr = 0;
+        std::uint64_t size = 0;
+        std::uint32_t pid = 0;
+    };
+    std::vector<DepKey> depKeyOf_;
 
     DmuAccessCounts counts_;
-    std::uint64_t capacityEpoch_ = 0;
+    std::uint64_t statOps_ = 0;
     std::uint64_t blockedOps_ = 0;
 
     /**
@@ -197,8 +228,6 @@ class Dmu
      * std::unordered_map this replaces — and allocation-free.
      */
     std::vector<std::pair<ListHead, unsigned>> pushScratch_;
-
-    sim::Scalar statOps_, statAccesses_;
 };
 
 } // namespace tdm::dmu

@@ -131,17 +131,6 @@ MetricContext::join(const std::string &name) const
 }
 
 void
-MetricContext::counter(const std::string &name, const Scalar *s,
-                       const std::string &desc)
-{
-    MetricRegistry::Entry e;
-    e.kind = MetricKind::Counter;
-    e.scalar = s;
-    e.desc = desc;
-    reg_->add(join(name), std::move(e));
-}
-
-void
 MetricContext::counter(const std::string &name, const std::uint64_t *v,
                        const std::string &desc)
 {
@@ -199,17 +188,6 @@ MetricContext::gauge(const std::string &name, std::function<double()> fn,
 }
 
 void
-MetricContext::formula(const std::string &name, const Formula *f,
-                       const std::string &desc)
-{
-    MetricRegistry::Entry e;
-    e.kind = MetricKind::Formula;
-    e.formula = f;
-    e.desc = desc;
-    reg_->add(join(name), std::move(e));
-}
-
-void
 MetricContext::formulaFn(const std::string &name,
                          std::function<double()> fn,
                          const std::string &desc)
@@ -260,11 +238,7 @@ MetricRegistry::valueOf(const Entry &e) const
 {
     switch (e.kind) {
       case MetricKind::Counter:
-        if (e.scalar)
-            return e.scalar->value();
-        if (e.u64)
-            return static_cast<double>(*e.u64);
-        return e.fn();
+        return e.u64 ? static_cast<double>(*e.u64) : e.fn();
       case MetricKind::Average:
         return e.avg->mean();
       case MetricKind::Distribution:
@@ -272,7 +246,7 @@ MetricRegistry::valueOf(const Entry &e) const
       case MetricKind::Gauge:
         return e.fn();
       case MetricKind::Formula:
-        return e.formula ? e.formula->value() : e.fn();
+        return e.fn();
     }
     return 0.0;
 }

@@ -12,16 +12,17 @@
  * without the components knowing windows exist.
  *
  * Kinds:
- *  - Counter      monotone accumulator (Scalar, raw uint64, or probe
- *                 function); windows report the delta.
+ *  - Counter      monotone accumulator (raw uint64 or probe function);
+ *                 windows report the delta.
  *  - Average      mean of samples; windows report the window-local mean.
  *  - Distribution histogram + moments; flattens to .mean/.stdev/.count/
  *                 .min/.max/.underflow/.overflow subkeys; windows
  *                 report window-local mean and count.
  *  - Gauge        instantaneous level (function); excluded from windows.
- *  - Formula      derived value (ratio of totals); excluded from
- *                 windows, since a windowed ratio of deltas is a
- *                 different quantity than a delta of ratios.
+ *  - Formula      derived value (function, e.g. a ratio of totals);
+ *                 excluded from windows, since a windowed ratio of
+ *                 deltas is a different quantity than a delta of
+ *                 ratios.
  *
  * A MetricSet is the flat, exportable key→value view (what RunSummary,
  * the result cache and the JSON/CSV writers carry); select() filters
@@ -119,8 +120,6 @@ class MetricContext
 
     const std::string &prefix() const { return prefix_; }
 
-    void counter(const std::string &name, const Scalar *s,
-                 const std::string &desc);
     void counter(const std::string &name, const std::uint64_t *v,
                  const std::string &desc);
     /** Monotone probe: reads a counter the component keeps in another
@@ -133,8 +132,6 @@ class MetricContext
                       const std::string &desc);
     void gauge(const std::string &name, std::function<double()> fn,
                const std::string &desc);
-    void formula(const std::string &name, const Formula *f,
-                 const std::string &desc);
     void formulaFn(const std::string &name, std::function<double()> fn,
                    const std::string &desc);
 
@@ -220,11 +217,9 @@ class MetricRegistry
     struct Entry
     {
         MetricKind kind;
-        const Scalar *scalar = nullptr;
         const std::uint64_t *u64 = nullptr;
         const Average *avg = nullptr;
         const Distribution *dist = nullptr;
-        const Formula *formula = nullptr;
         std::function<double()> fn;
         std::string desc;
     };

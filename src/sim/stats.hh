@@ -1,36 +1,19 @@
 /**
  * @file
- * Statistic value types, loosely modelled on gem5's: Scalar (counter /
- * accumulator), Average (mean of samples), Distribution (fixed-width
- * histogram plus moments), and Formula (lazily evaluated function of
- * other stats). Components own these values and register them by name
- * with the metric registry (sim/metrics.hh).
+ * Sampled statistic value types, loosely modelled on gem5's: Average
+ * (mean of samples) and Distribution (fixed-width histogram plus
+ * moments). Components own these values and register them by name with
+ * the metric registry (sim/metrics.hh); counters are plain uint64
+ * members and formulas are functions.
  */
 
 #ifndef TDM_SIM_STATS_HH
 #define TDM_SIM_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace tdm::sim {
-
-/** A named scalar accumulator. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    Scalar &operator++() { value_ += 1.0; return *this; }
-    void set(double v) { value_ = v; }
-    double value() const { return value_; }
-    void reset() { value_ = 0.0; }
-
-  private:
-    double value_ = 0.0;
-};
 
 /** Mean of a stream of samples. */
 class Average
@@ -85,20 +68,6 @@ class Distribution
     double sum_ = 0.0, sumSq_ = 0.0;
     double min_ = 0.0, max_ = 0.0;
     std::uint64_t count_ = 0;
-};
-
-/** Lazily evaluated stat computed from other stats. */
-class Formula
-{
-  public:
-    Formula() = default;
-    explicit Formula(std::function<double()> fn) : fn_(std::move(fn)) {}
-
-    void define(std::function<double()> fn) { fn_ = std::move(fn); }
-    double value() const { return fn_ ? fn_() : 0.0; }
-
-  private:
-    std::function<double()> fn_;
 };
 
 } // namespace tdm::sim

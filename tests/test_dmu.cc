@@ -220,9 +220,9 @@ TEST(Dmu, AccessCountsAccumulate)
     dmu::Dmu d(smallConfig());
     makeTask(d, 0, {{1, true}});
     const auto &c = d.accessCounts();
-    EXPECT_GT(c.tat, 0u);
-    EXPECT_GT(c.dat, 0u);
-    EXPECT_GT(c.taskTable, 0u);
+    EXPECT_GT(c[dmu::Sram::Tat], 0u);
+    EXPECT_GT(c[dmu::Sram::Dat], 0u);
+    EXPECT_GT(c[dmu::Sram::TaskTable], 0u);
     EXPECT_GT(c.total(), 5u);
 }
 

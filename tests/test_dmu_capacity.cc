@@ -159,12 +159,3 @@ TEST(DmuCapacity, RlaGrowthBlocksReaders)
     EXPECT_TRUE(blocked);
     EXPECT_GE(i, 2);
 }
-
-TEST(DmuCapacity, CapacityEpochAdvancesOnFinish)
-{
-    dmu::Dmu d(dmu::DmuConfig{});
-    makeSimpleTask(d, 0, 0);
-    auto e0 = d.capacityEpoch();
-    d.finishTask(desc(0));
-    EXPECT_GT(d.capacityEpoch(), e0);
-}

@@ -2,12 +2,15 @@
  * @file
  * Randomized stress tests of the DMU under tight capacities: blocked
  * operations must have no side effects, resources must be conserved,
- * and after draining everything the unit must be completely empty.
+ * every operation's reported SRAM accesses must match the access
+ * ledger, and after draining everything the unit must be completely
+ * empty.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <utility>
 
 #include "dmu/dmu.hh"
 #include "sim/rng.hh"
@@ -58,6 +61,35 @@ operator==(const Snapshot &a, const Snapshot &b)
         && a.dla == b.dla && a.rla == b.rla && a.ready == b.ready;
 }
 
+/** The access ledger and block count before an operation. */
+struct Ledger
+{
+    dmu::DmuAccessCounts counts;
+    std::uint64_t blocked = 0;
+};
+
+Ledger
+ledger(const dmu::Dmu &d)
+{
+    return {d.accessCounts(), d.blockedOps()};
+}
+
+/**
+ * An operation's reported accesses are its growth of the ledger total;
+ * a blocked operation records no access and counts exactly one block.
+ */
+void
+expectLedger(const dmu::Dmu &d, const Ledger &before, unsigned accesses,
+             bool blocked)
+{
+    const dmu::DmuAccessCounts &now = d.accessCounts();
+    EXPECT_EQ(accesses, now.total() - before.counts.total());
+    EXPECT_EQ(d.blockedOps(), before.blocked + (blocked ? 1 : 0));
+    if (blocked) {
+        EXPECT_EQ(now.bySram, before.counts.bySram);
+    }
+}
+
 } // namespace
 
 TEST_P(DmuFuzz, InvariantsUnderPressure)
@@ -89,7 +121,9 @@ TEST_P(DmuFuzz, InvariantsUnderPressure)
             // up on the whole task after verifying no state change.
             std::uint64_t id = next_task;
             Snapshot before = snap(d);
+            Ledger lg = ledger(d);
             auto cres = d.createTask(desc(id));
+            expectLedger(d, lg, cres.accesses, cres.blocked);
             if (cres.blocked) {
                 ++blocked_seen;
                 EXPECT_TRUE(snap(d) == before);
@@ -100,22 +134,29 @@ TEST_P(DmuFuzz, InvariantsUnderPressure)
                     std::uint64_t r = rng.below(p.regions);
                     bool out = rng.uniform() < 0.5;
                     Snapshot b2 = snap(d);
+                    lg = ledger(d);
                     auto ares =
                         d.addDependence(desc(id), addr(r), 8192, out);
+                    expectLedger(d, lg, ares.accesses, ares.blocked);
                     if (ares.blocked) {
                         ++blocked_seen;
                         EXPECT_TRUE(snap(d) == b2);
                         break;
                     }
                 }
-                d.commitTask(desc(id));
+                lg = ledger(d);
+                expectLedger(d, lg, d.commitTask(desc(id)).accesses,
+                             false);
                 ++created_ok;
             }
         }
         // Dispatch: pop a ready task now and then.
         if (rng.uniform() < 0.6) {
             unsigned acc = 0;
-            if (auto info = d.getReadyTask(acc))
+            const Ledger lg = ledger(d);
+            auto info = d.getReadyTask(acc);
+            expectLedger(d, lg, acc, false);
+            if (info)
                 running.push_back((info->descAddr - 0xb000000000ULL)
                                   / 0x140);
         }
@@ -123,17 +164,26 @@ TEST_P(DmuFuzz, InvariantsUnderPressure)
         if (!running.empty() && rng.uniform() < 0.5) {
             std::uint64_t id = running.front();
             running.pop_front();
-            d.finishTask(desc(id));
+            const Ledger lg = ledger(d);
+            expectLedger(d, lg, d.finishTask(desc(id)).accesses, false);
         }
     }
     // Drain everything: keep dispatching and finishing until empty.
     while (d.tasksInFlight() > 0) {
-        unsigned acc = 0;
-        while (auto info = d.getReadyTask(acc))
+        for (;;) {
+            unsigned acc = 0;
+            const Ledger lg = ledger(d);
+            auto info = d.getReadyTask(acc);
+            expectLedger(d, lg, acc, false);
+            if (!info)
+                break;
             running.push_back((info->descAddr - 0xb000000000ULL)
                               / 0x140);
+        }
         ASSERT_FALSE(running.empty()) << "ready tasks vanished";
-        d.finishTask(desc(running.front()));
+        const Ledger lg = ledger(d);
+        expectLedger(d, lg, d.finishTask(desc(running.front())).accesses,
+                     false);
         running.pop_front();
     }
     EXPECT_EQ(d.tasksInFlight(), 0u);
@@ -144,6 +194,25 @@ TEST_P(DmuFuzz, InvariantsUnderPressure)
     EXPECT_EQ(d.tat().liveEntries(), 0u);
     EXPECT_EQ(d.dat().liveEntries(), 0u);
     EXPECT_GT(created_ok, 0u);
+    EXPECT_EQ(d.blockedOps(), blocked_seen);
+
+    // The metric tree reads the same ledger.
+    sim::MetricRegistry reg;
+    d.regMetrics(reg.context("dmu"));
+    const dmu::DmuAccessCounts &c = d.accessCounts();
+    EXPECT_EQ(reg.value("dmu.accesses"), static_cast<double>(c.total()));
+    const std::pair<dmu::Sram, const char *> keys[] = {
+        {dmu::Sram::TaskTable, "dmu.task_table.accesses"},
+        {dmu::Sram::DepTable, "dmu.dep_table.accesses"},
+        {dmu::Sram::Tat, "dmu.tat.accesses"},
+        {dmu::Sram::Dat, "dmu.dat.accesses"},
+        {dmu::Sram::Sla, "dmu.sla.accesses"},
+        {dmu::Sram::Dla, "dmu.dla.accesses"},
+        {dmu::Sram::Rla, "dmu.rla.accesses"},
+        {dmu::Sram::ReadyQueue, "dmu.ready_queue.accesses"},
+    };
+    for (const auto &[sram, key] : keys)
+        EXPECT_EQ(reg.value(key), static_cast<double>(c[sram])) << key;
 }
 
 INSTANTIATE_TEST_SUITE_P(

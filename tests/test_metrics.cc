@@ -20,24 +20,26 @@ namespace {
 struct Rig
 {
     sim::MetricRegistry reg;
-    sim::Scalar hits, misses;
+    std::uint64_t hits = 0, misses = 0;
     std::uint64_t accesses = 0;
     sim::Average occupancy;
     sim::Distribution latency{0.0, 100.0, 10};
-    sim::Formula hitRate;
     double level = 0.0;
 
     Rig()
     {
-        hitRate.define([this] {
-            const double total = hits.value() + misses.value();
-            return total ? hits.value() / total : 0.0;
-        });
         sim::MetricContext dmu = reg.context("dmu");
         sim::MetricContext tat = dmu.scope("tat");
         tat.counter("hits", &hits, "TAT hits");
         tat.counter("misses", &misses, "TAT misses");
-        tat.formula("hit_rate", &hitRate, "TAT hit rate");
+        tat.formulaFn("hit_rate",
+                      [this] {
+                          const double total =
+                              static_cast<double>(hits + misses);
+                          return total ? static_cast<double>(hits) / total
+                                       : 0.0;
+                      },
+                      "TAT hit rate");
         dmu.counter("accesses", &accesses, "DMU accesses");
         sim::MetricContext mesh = reg.context("mesh");
         mesh.average("occupancy", &occupancy, "link occupancy");
@@ -51,8 +53,8 @@ struct Rig
 TEST(MetricContext, ScopedKeysAndValues)
 {
     Rig r;
-    r.hits += 3.0;
-    r.misses += 1.0;
+    r.hits += 3;
+    r.misses += 1;
     r.accesses = 9;
     EXPECT_TRUE(r.reg.contains("dmu.tat.hits"));
     EXPECT_DOUBLE_EQ(r.reg.value("dmu.tat.hits"), 3.0);
@@ -77,7 +79,7 @@ TEST(MetricRegistry, UnknownKeyThrowsWithSuggestion)
 TEST(MetricRegistry, DuplicateAndEmptyKeysThrow)
 {
     Rig r;
-    sim::Scalar s;
+    std::uint64_t s = 0;
     EXPECT_THROW(r.reg.context("dmu").scope("tat").counter("hits", &s,
                                                            ""),
                  sim::MetricError);
@@ -142,11 +144,11 @@ TEST(MetricSet, SelectFiltersByCommaGlobs)
 TEST(MetricRegistry, WindowDeltasCountersAndMeans)
 {
     Rig r;
-    r.hits += 10.0;
+    r.hits += 10;
     r.occupancy.sample(100.0); // pre-window sample must not leak in
     const sim::MetricSnapshot t0 = r.reg.snapshot();
 
-    r.hits += 5.0;
+    r.hits += 5;
     r.accesses += 7;
     r.occupancy.sample(2.0);
     r.occupancy.sample(4.0);
@@ -179,7 +181,7 @@ TEST(MetricRegistry, EmptyWindowMeansAreZero)
 TEST(MetricRegistry, DumpIsGem5Style)
 {
     Rig r;
-    r.hits += 2.0;
+    r.hits += 2;
     std::ostringstream oss;
     r.reg.dump(oss);
     EXPECT_NE(oss.str().find("dmu.tat.hits 2 # TAT hits"),

@@ -11,16 +11,6 @@
 
 using namespace tdm;
 
-TEST(Scalar, AccumulatesAndResets)
-{
-    sim::Scalar s;
-    s += 2.5;
-    ++s;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
 TEST(Average, MeanOfSamples)
 {
     sim::Average a;
@@ -100,33 +90,4 @@ TEST(Distribution, InitRebuckets)
     EXPECT_EQ(d.overflow(), 0u);
     EXPECT_EQ(d.buckets()[4], 1u);
     EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-}
-
-TEST(Formula, EvaluatesLazily)
-{
-    sim::Scalar a, b;
-    sim::Formula f([&] { return a.value() / (b.value() + 1.0); });
-    a += 10.0;
-    b += 4.0;
-    EXPECT_DOUBLE_EQ(f.value(), 2.0);
-    a += 10.0;
-    EXPECT_DOUBLE_EQ(f.value(), 4.0);
-}
-
-TEST(Formula, UndefinedFormulaIsZero)
-{
-    sim::Formula f;
-    EXPECT_DOUBLE_EQ(f.value(), 0.0);
-    f.define([] { return 7.0; });
-    EXPECT_DOUBLE_EQ(f.value(), 7.0);
-}
-
-TEST(Formula, SeesLiveStatValuesNotCaptures)
-{
-    sim::Average lat;
-    sim::Formula f([&] { return lat.mean() * 2.0; });
-    EXPECT_DOUBLE_EQ(f.value(), 0.0);
-    lat.sample(3.0);
-    lat.sample(5.0);
-    EXPECT_DOUBLE_EQ(f.value(), 8.0);
 }
