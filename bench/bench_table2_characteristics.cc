@@ -21,10 +21,10 @@ main()
     double sw_tasks = 0, sw_us = 0, tdm_tasks = 0, tdm_us = 0;
     unsigned n = 0;
     for (const auto &w : wl::allWorkloads()) {
-        rt::TaskGraph sw = w.build(wl::WorkloadParams{});
+        rt::TaskGraph sw = wl::buildWorkload(w.name);
         wl::WorkloadParams tp;
         tp.tdmOptimal = true;
-        rt::TaskGraph tdm = w.build(tp);
+        rt::TaskGraph tdm = wl::buildWorkload(w.name, tp);
         t.row()
             .cell(w.name)
             .cell(static_cast<std::uint64_t>(sw.numTasks()))

@@ -31,19 +31,11 @@ class SerialResource
     {
         sim::Tick start = earliest > busyUntil_ ? earliest : busyUntil_;
         busyUntil_ = start + duration;
-        totalBusy_ += duration;
         return busyUntil_;
     }
 
-    /** Next tick at which the resource is free. */
-    sim::Tick busyUntil() const { return busyUntil_; }
-
-    /** Total ticks the resource has been held. */
-    sim::Tick totalBusy() const { return totalBusy_; }
-
   private:
     sim::Tick busyUntil_ = 0;
-    sim::Tick totalBusy_ = 0;
 };
 
 /** Runtime state of one core. */

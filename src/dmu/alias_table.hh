@@ -85,9 +85,6 @@ class AliasTable
     /** Number of sets currently holding at least one valid way. */
     unsigned occupiedSets() const;
 
-    unsigned numSets() const { return numSets_; }
-    unsigned numEntries() const { return entries_; }
-
     /** Cumulative statistics. */
     std::uint64_t lookups() const { return lookups_; }
     std::uint64_t hits() const { return hits_; }

@@ -44,18 +44,6 @@ ListArray::allocList()
     return e;
 }
 
-unsigned
-ListArray::chainLength(ListHead head) const
-{
-    unsigned n = 1;
-    std::uint16_t cur = head;
-    while (next_[cur] != cur) {
-        cur = next_[cur];
-        ++n;
-    }
-    return n;
-}
-
 bool
 ListArray::pushNeedsEntry(ListHead head) const
 {

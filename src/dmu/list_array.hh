@@ -128,7 +128,6 @@ class ListArray
     }
 
     void resetEntry(std::uint16_t entry);
-    unsigned chainLength(ListHead head) const;
 
     std::string name_;
     unsigned entries_;

@@ -43,17 +43,15 @@ markIncomplete(JobResult &job)
 
 } // namespace
 
-const char *
-jobSourceName(JobSource source)
+bool
+jobSourceFromName(std::string_view name, JobSource &out)
 {
-    switch (source) {
-    case JobSource::Simulated: return "simulated";
-    case JobSource::Memory: return "memory";
-    case JobSource::Disk: return "disk";
-    case JobSource::Inflight: return "inflight";
-    case JobSource::Forked: return "forked";
-    }
-    return "unknown";
+    for (std::size_t s = 0; s < kJobSourceCount; ++s)
+        if (name == kJobSourceNames[s]) {
+            out = static_cast<JobSource>(s);
+            return true;
+        }
+    return false;
 }
 
 std::size_t
@@ -119,44 +117,21 @@ benchEngineOptions(int argc, char **argv)
 CampaignEngine::CampaignEngine(EngineOptions opts) : opts_(opts) {}
 
 std::size_t
+CampaignEngine::cachedCount() const
+{
+    std::lock_guard<std::mutex> lock(claimsMutex_);
+    return static_cast<std::size_t>(std::count_if(
+        claims_.begin(), claims_.end(),
+        [](const auto &kv) { return kv.second->done; }));
+}
+
+std::size_t
 CampaignEngine::inflightCount() const
 {
-    std::lock_guard<std::mutex> lock(inflightMutex_);
-    return inflight_.size();
-}
-
-std::pair<std::shared_ptr<CampaignEngine::Inflight>, bool>
-CampaignEngine::claimInflight(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(inflightMutex_);
-    auto [it, fresh] = inflight_.emplace(key, nullptr);
-    if (fresh)
-        it->second = std::make_shared<Inflight>();
-    return {it->second, fresh};
-}
-
-void
-CampaignEngine::resolveInflight(const std::string &key,
-                                const JobResult &job)
-{
-    std::shared_ptr<Inflight> inf;
-    {
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        auto it = inflight_.find(key);
-        if (it == inflight_.end())
-            return; // claim was never taken (useCache off)
-        inf = it->second;
-        inflight_.erase(it);
-    }
-    {
-        std::lock_guard<std::mutex> lock(inf->m);
-        inf->summary = job.summary;
-        inf->error = job.error;
-        inf->threw = job.threw;
-        inf->tracePath = job.tracePath;
-        inf->done = true;
-    }
-    inf->cv.notify_all();
+    std::lock_guard<std::mutex> lock(claimsMutex_);
+    return static_cast<std::size_t>(std::count_if(
+        claims_.begin(), claims_.end(),
+        [](const auto &kv) { return !kv.second->done; }));
 }
 
 CampaignResult
@@ -196,17 +171,39 @@ CampaignEngine::run(const std::string &name,
         onJob(job, index, n);
     };
 
-    // Phase 1 (serial intake): canonicalize, consult the in-memory
-    // cache then the external backend, and claim one in-flight owner
-    // per distinct fingerprint — duplicates within this run AND
-    // identical points already simulating in concurrent run() calls
-    // attach to the one running job instead of re-simulating.
+    // Publish job i's outcome to the claim this run owns on its key and
+    // wake every point waiting on it. A thrown outcome is not cached:
+    // its claim leaves the table in the same critical section, so the
+    // waiters still receive the error and the next run() re-simulates.
+    std::vector<std::string> keys(n);
+    std::vector<std::shared_ptr<Claim>> owned(n);
+    auto resolve = [&](std::size_t i) {
+        const JobResult &job = report.jobs[i];
+        {
+            std::lock_guard<std::mutex> lock(claimsMutex_);
+            Claim &claim = *owned[i];
+            claim.summary = job.summary;
+            claim.error = job.error;
+            claim.threw = job.threw;
+            claim.tracePath = job.tracePath;
+            claim.done = true;
+            if (job.threw)
+                claims_.erase(keys[i]);
+        }
+        claimsCv_.notify_all();
+    };
+
+    // Phase 1 (serial intake): canonicalize and claim each point's
+    // fingerprint. A new claim makes this run the key's owner: it asks
+    // the external backend, and simulates on a miss. A done claim is a
+    // memory hit. A pending one — an in-list duplicate, or an
+    // identical point a concurrent run() is resolving — attaches and
+    // is collected in phase 3 instead of re-simulating.
     std::vector<Experiment> exps;
     exps.reserve(n);
-    std::vector<std::string> keys(n);
     std::vector<std::size_t> work; // indices this run simulates
-    std::vector<std::pair<std::size_t, std::shared_ptr<Inflight>>>
-        attached; // indices waiting on another claimant's simulation
+    std::vector<std::pair<std::size_t, std::shared_ptr<Claim>>>
+        attached; // indices waiting on another point's claim
     for (std::size_t i = 0; i < n; ++i) {
         exps.push_back(points[i].exp);
         if (opts_.seedBase != 0)
@@ -223,44 +220,33 @@ CampaignEngine::run(const std::string &name,
             work.push_back(i);
             continue;
         }
-        if (auto hit = cache_.lookup(key)) {
-            job.summary = *hit;
-            job.cacheHit = true;
+        std::unique_lock<std::mutex> lock(claimsMutex_);
+        auto [it, fresh] = claims_.try_emplace(key);
+        if (!fresh && !it->second->done) {
+            attached.emplace_back(i, it->second);
+            continue;
+        }
+        if (!fresh) {
+            job.summary = it->second->summary;
+            lock.unlock();
             job.source = JobSource::Memory;
             markIncomplete(job);
             emit(job, i);
             continue;
         }
+        owned[i] = it->second = std::make_shared<Claim>();
+        lock.unlock();
         if (opts_.backend) {
             if (auto hit = opts_.backend->fetch(key)) {
-                cache_.store(key, *hit); // promote for the next lookup
-                job.summary = *hit;
-                job.cacheHit = true;
+                job.summary = std::move(*hit);
                 job.source = JobSource::Disk;
                 markIncomplete(job);
+                resolve(i);
                 emit(job, i);
                 continue;
             }
         }
-        auto [claim, owner] = claimInflight(key);
-        if (owner) {
-            // Close the miss-then-claim window: a concurrent owner may
-            // have published to the cache and released the key between
-            // our lookup and our claim. Owners always store before
-            // releasing, so a second lookup settles it.
-            if (auto hit = cache_.lookup(key)) {
-                job.summary = *hit;
-                job.cacheHit = true;
-                job.source = JobSource::Memory;
-                markIncomplete(job);
-                resolveInflight(key, job); // hand to any attachers
-                emit(job, i);
-                continue;
-            }
-            work.push_back(i);
-        } else {
-            attached.emplace_back(i, std::move(claim));
-        }
+        work.push_back(i);
     }
 
     // Phase 1.5: warm-start fork grouping. Points this run simulates
@@ -375,22 +361,19 @@ CampaignEngine::run(const std::string &name,
                         runner->reset();
                 }
                 job.wallMs = msSince(j0);
-                // Cache any summary the simulator produced —
+                // Publish any summary the simulator produced —
                 // incomplete runs are as deterministic as complete
                 // ones. Exceptions left no summary, so those are not
-                // cached.
-                if (opts_.useCache && job.error.empty()) {
-                    cache_.store(keys[i], job.summary);
-                    if (opts_.backend)
-                        opts_.backend->publish(keys[i], job.summary);
-                }
+                // published.
+                if (opts_.useCache && opts_.backend && job.error.empty())
+                    opts_.backend->publish(keys[i], job.summary);
                 markIncomplete(job);
-                // Hand the outcome to every attached claimant (this
-                // run's in-list duplicates and concurrent runs of the
-                // same fingerprint) and release the claim. Runs even
-                // after an exception so claimants never wait forever.
+                // Hand the outcome to every attached point (this run's
+                // in-list duplicates and concurrent runs of the same
+                // fingerprint). Runs even after an exception so
+                // waiters never wait forever.
                 if (opts_.useCache)
-                    resolveInflight(keys[i], job);
+                    resolve(i);
                 emit(job, i);
                 const std::size_t k = doneJobs.fetch_add(1) + 1;
                 if (opts_.progress) {
@@ -424,17 +407,16 @@ CampaignEngine::run(const std::string &name,
     // run's own workers (in-list duplicates, already joined above) or
     // a concurrent run() on the same engine; owners always resolve
     // their claim — even on exception — so these waits terminate.
-    for (auto &[i, inf] : attached) {
+    for (auto &[i, claim] : attached) {
         JobResult &job = report.jobs[i];
         {
-            std::unique_lock<std::mutex> lock(inf->m);
-            inf->cv.wait(lock, [&] { return inf->done; });
-            job.summary = inf->summary;
-            job.error = inf->error;
-            job.threw = inf->threw;
-            job.tracePath = inf->tracePath;
+            std::unique_lock<std::mutex> lock(claimsMutex_);
+            claimsCv_.wait(lock, [&] { return claim->done; });
+            job.summary = claim->summary;
+            job.error = claim->error;
+            job.threw = claim->threw;
+            job.tracePath = claim->tracePath;
         }
-        job.cacheHit = true;
         job.source = JobSource::Inflight;
         markIncomplete(job);
         emit(job, i);
@@ -448,7 +430,7 @@ CampaignEngine::run(const std::string &name,
                              : 0;
     report.wallMs = msSince(t0);
     for (const JobResult &j : report.jobs) {
-        if (j.cacheHit)
+        if (j.cacheHit())
             ++report.cacheHits;
         switch (j.source) {
         case JobSource::Memory: ++report.fromMemory; break;

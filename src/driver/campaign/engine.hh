@@ -1,11 +1,14 @@
 /**
  * @file
- * The campaign engine: thread-pooled, cache-deduplicated execution of
+ * The campaign engine: thread-pooled, deduplicated execution of
  * experiment campaigns.
  *
- * The engine fingerprints every point, deduplicates identical points
- * through its ResultCache, runs the unique misses on a pool of worker
- * threads, and returns the results in input order. Because each
+ * The engine fingerprints every point and claims each fingerprint in
+ * one claim table: the first point to claim a key owns it (reads it
+ * from the external backend, or simulates it on a pool of worker
+ * threads), a finished claim serves later points from memory, and a
+ * pending one makes identical points wait for its owner instead of
+ * re-simulating. Results return in input order. Because each
  * simulation is a pure function of its Experiment (all randomness is
  * seeded from the experiment parameters), every run, at any thread
  * count, is byte-identical to running each point on its own with
@@ -15,21 +18,52 @@
 #ifndef TDM_DRIVER_CAMPAIGN_ENGINE_HH
 #define TDM_DRIVER_CAMPAIGN_ENGINE_HH
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "driver/campaign/campaign.hh"
-#include "driver/campaign/result_cache.hh"
+#include "driver/experiment.hh"
 #include "driver/graph_cache.hh"
 #include "sim/config.hh"
 
 namespace tdm::driver::campaign {
+
+/**
+ * External result backend behind the engine's claim table: the engine
+ * consults one (when configured) for every key it newly claims and
+ * publishes every freshly simulated summary into it. The canonical
+ * implementation is the persistent on-disk store
+ * (driver::service::ResultStore); the interface exists so the engine
+ * never depends on filesystems or sockets.
+ *
+ * Contract: fetch/publish are called concurrently from engine threads
+ * and must be thread-safe. fetch returns nullopt on any miss or
+ * unreadable entry (a backend must degrade to a miss, never throw for
+ * corruption); publish must not throw on I/O failure (warn and drop
+ * instead — losing a cache entry is always safe).
+ */
+class CacheBackend
+{
+  public:
+    virtual ~CacheBackend() = default;
+
+    /** Summary stored under @p key, or nullopt. */
+    virtual std::optional<RunSummary> fetch(const std::string &key) = 0;
+
+    /** Persist @p summary under @p key. */
+    virtual void publish(const std::string &key,
+                         const RunSummary &summary) = 0;
+};
 
 /** Engine knobs. */
 struct EngineOptions
@@ -37,7 +71,12 @@ struct EngineOptions
     /** Worker threads; 0 selects the hardware concurrency. */
     unsigned threads = 1;
 
-    /** Deduplicate identical points through the result cache. */
+    /**
+     * Deduplicate identical points through the engine's claim table
+     * (one entry per fingerprint, kept across run() calls). Off, every
+     * point simulates and the table and the backend are bypassed
+     * entirely.
+     */
     bool useCache = true;
 
     /**
@@ -62,9 +101,11 @@ struct EngineOptions
 
     /**
      * External result backend (typically the persistent on-disk
-     * store): consulted after an in-memory cache miss, published to
-     * after every successful simulation. Non-owning; must outlive the
-     * engine. Only consulted when useCache is on.
+     * store): consulted by the owner of every newly claimed key before
+     * it simulates, published to after every successful simulation.
+     * A hit resolves the claim, so later identical points are memory
+     * hits. Non-owning; must outlive the engine. Only consulted when
+     * useCache is on.
      */
     CacheBackend *backend = nullptr;
 
@@ -86,17 +127,37 @@ struct EngineOptions
 
 /**
  * How a point's summary was obtained — the service-layer dedup
- * counters. "Disk" means the external CacheBackend (the on-disk
- * store); "Inflight" means the point attached to an identical point
- * already simulating (in this run or a concurrent one) instead of
- * re-simulating; "Forked" means the point was simulated, but resumed
+ * counters. "Memory" means a finished claim in the engine's claim
+ * table; "Disk" means the external CacheBackend (the on-disk store);
+ * "Inflight" means the point attached to an identical point already
+ * being resolved (simulated or read from the backend, in this run or
+ * a concurrent one) instead of resolving it again — so a concurrent
+ * duplicate of a key being read from disk reports Inflight, with the
+ * same summary; "Forked" means the point was simulated, but resumed
  * from another point's warmup (or whole-trajectory) checkpoint instead
  * of starting cold (EngineOptions::warmFork).
  */
 enum class JobSource { Simulated, Memory, Disk, Inflight, Forked };
 
+/** Each JobSource's export name, indexed by the enum: the one table
+ *  both jobSourceName and jobSourceFromName read. */
+inline constexpr const char *kJobSourceNames[] = {
+    "simulated", "memory", "disk", "inflight", "forked"};
+
+inline constexpr std::size_t kJobSourceCount = std::size(kJobSourceNames);
+
+/** Point counts per JobSource, indexed by the enum. */
+using SourceCounts = std::array<std::uint64_t, kJobSourceCount>;
+
 /** "simulated" / "memory" / "disk" / "inflight" / "forked". */
-const char *jobSourceName(JobSource source);
+inline const char *
+jobSourceName(JobSource source)
+{
+    return kJobSourceNames[static_cast<std::size_t>(source)];
+}
+
+/** The JobSource named @p name; false when no source has that name. */
+bool jobSourceFromName(std::string_view name, JobSource &out);
 
 /** Outcome of one campaign point. */
 struct JobResult
@@ -106,9 +167,6 @@ struct JobResult
     sim::Config spec;      ///< full canonical spec of the point (its
                            ///< serialization is the cache key)
     RunSummary summary{};
-    bool cacheHit = false; ///< served without simulating this point
-                           ///< (Memory/Disk/Inflight; Forked still
-                           ///< simulates, just not from tick 0)
     JobSource source = JobSource::Simulated; ///< where the summary
                                              ///< came from
     double wallMs = 0.0;   ///< simulation wall-clock (0 for cache hits)
@@ -124,6 +182,15 @@ struct JobResult
 
     /** The experiment ran (or was cached) and completed. */
     bool ok() const { return error.empty() && summary.completed; }
+
+    /** Served without simulating this point (Memory/Disk/Inflight;
+     *  Forked still simulates, just not from tick 0). */
+    bool
+    cacheHit() const
+    {
+        return source == JobSource::Memory || source == JobSource::Disk
+            || source == JobSource::Inflight;
+    }
 };
 
 /**
@@ -212,9 +279,9 @@ std::uint64_t parseUintArg(const char *value, const char *flag,
 EngineOptions benchEngineOptions(int argc, char **argv);
 
 /**
- * The engine. Its cache persists across run() calls, so executing
- * several campaigns on one engine deduplicates their shared points
- * (e.g. the SW+FIFO baselines common to fig12 and fig13).
+ * The engine. Its claim table persists across run() calls, so
+ * executing several campaigns on one engine deduplicates their shared
+ * points (e.g. the SW+FIFO baselines common to fig12 and fig13).
  *
  * Error handling: a job whose experiment fails to complete (watchdog,
  * deadlock) or throws is reported through JobResult::error — the
@@ -237,13 +304,15 @@ class CampaignEngine
                        const std::vector<SweepPoint> &points,
                        const JobCallback &onJob = nullptr);
 
-    ResultCache &cache() { return cache_; }
-
-    /** The engine's build-once task-graph store; like the result
-     *  cache it persists across run() calls. */
+    /** The engine's build-once task-graph store; like the claim table
+     *  it persists across run() calls. */
     GraphCache &graphCache() { return graphs_; }
 
     const EngineOptions &options() const { return opts_; }
+
+    /** Fingerprints whose summary the claim table holds (the
+     *  in-memory cache). */
+    std::size_t cachedCount() const;
 
     /** Points currently simulating (or claimed) across all concurrent
      *  run() calls on this engine. */
@@ -251,18 +320,18 @@ class CampaignEngine
 
   private:
     /**
-     * One claimed fingerprint: the first run() to miss both caches on
-     * a key becomes its owner and simulates it; every concurrent
-     * claimant of the same key attaches here and is handed the
-     * owner's outcome instead of re-simulating. This is the service
-     * dedup invariant: N clients sweeping overlapping grids cost one
-     * simulation per distinct fingerprint, even before the caches are
-     * warm.
+     * One claimed fingerprint. The first point to claim a key owns it
+     * and resolves it (from the backend or by simulating); every
+     * identical point that arrives while it is pending waits for the
+     * owner's outcome instead of re-simulating, and every later one
+     * is served the finished summary. This is the service dedup
+     * invariant: N clients sweeping overlapping grids cost one
+     * simulation per distinct fingerprint, even before the table is
+     * warm. A claim whose owner threw leaves the table as it resolves
+     * (exceptions are not cached); incomplete runs stay.
      */
-    struct Inflight
+    struct Claim
     {
-        std::mutex m;
-        std::condition_variable cv;
         bool done = false;
         RunSummary summary{};
         std::string error;
@@ -270,21 +339,12 @@ class CampaignEngine
         std::string tracePath;
     };
 
-    /** Claim @p key: (entry, true) when this caller became the owner,
-     *  (entry, false) when it attached to an existing claim. */
-    std::pair<std::shared_ptr<Inflight>, bool>
-    claimInflight(const std::string &key);
-
-    /** Publish @p job's outcome to @p key's claim and release it. */
-    void resolveInflight(const std::string &key, const JobResult &job);
-
     EngineOptions opts_;
-    ResultCache cache_;
     GraphCache graphs_;
 
-    mutable std::mutex inflightMutex_;
-    std::unordered_map<std::string, std::shared_ptr<Inflight>>
-        inflight_;
+    mutable std::mutex claimsMutex_;
+    std::condition_variable claimsCv_; ///< signalled as claims resolve
+    std::unordered_map<std::string, std::shared_ptr<Claim>> claims_;
 };
 
 } // namespace tdm::driver::campaign

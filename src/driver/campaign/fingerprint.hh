@@ -4,7 +4,7 @@
  *
  * Two Experiments that would produce byte-identical simulations map to
  * the same fingerprint, so the campaign engine can deduplicate points
- * through its result cache. The fingerprint is exactly the canonical
+ * through its claim table. The fingerprint is exactly the canonical
  * experiment-spec serialization (driver/spec's binding registry covers
  * every field the simulation consumes), so cache keys read as specs:
  * "dmu.tat_entries=2048;...;workload=cholesky;...".

@@ -61,7 +61,7 @@ writeRows(std::ostream &os, const campaign::CampaignResult &c,
         std::ostringstream row;
         row << std::setprecision(17);
         row << csvField(c.name) << ',' << csvField(j.label) << ','
-            << j.digest << ',' << (j.cacheHit ? 1 : 0) << ','
+            << j.digest << ',' << (j.cacheHit() ? 1 : 0) << ','
             << campaign::jobSourceName(j.source) << ','
             << (j.ok() ? 1 : 0) << ',' << csvField(j.error) << ','
             << j.wallMs << ',' << csvField(j.tracePath);

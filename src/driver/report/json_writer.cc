@@ -64,7 +64,7 @@ writeJob(std::ostream &os, const campaign::JobResult &j,
             os << "\n" << indent << "  ";
     }
     os << "},\n";
-    os << indent << "  \"cache_hit\": " << (j.cacheHit ? "true" : "false")
+    os << indent << "  \"cache_hit\": " << (j.cacheHit() ? "true" : "false")
        << ",\n";
     os << indent << "  \"source\": \"" << campaign::jobSourceName(j.source)
        << "\",\n";

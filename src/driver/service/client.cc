@@ -61,17 +61,11 @@ ServiceClient::status()
     };
     u64("campaigns", info.campaigns);
     u64("points", info.points);
-    if (const JsonValue *served = r.find("served")) {
-        auto pick = [&](const char *key, std::uint64_t &field) {
-            if (const JsonValue *v = served->find(key))
-                field = static_cast<std::uint64_t>(v->asNumber());
-        };
-        pick("simulated", info.simulated);
-        pick("memory", info.fromMemory);
-        pick("disk", info.fromDisk);
-        pick("inflight", info.fromInflight);
-        pick("forked", info.fromForked);
-    }
+    if (const JsonValue *served = r.find("served"))
+        for (std::size_t s = 0; s < campaign::kJobSourceCount; ++s)
+            if (const JsonValue *v =
+                    served->find(campaign::kJobSourceNames[s]))
+                info.served[s] = static_cast<std::uint64_t>(v->asNumber());
     if (const JsonValue *v = r.find("cache_points"))
         info.cachePoints = static_cast<std::size_t>(v->asNumber());
     if (const JsonValue *v = r.find("inflight"))

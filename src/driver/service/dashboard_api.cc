@@ -49,11 +49,9 @@ progressJson(const CampaignRecord &rec, double elapsed_ms)
                          : 0.0;
     std::ostringstream os;
     os << "{\"id\":" << rec.id << ",\"done\":" << done
-       << ",\"total\":" << rec.total
-       << ",\"served\":{\"simulated\":" << rec.simulated
-       << ",\"memory\":" << rec.fromMemory << ",\"disk\":" << rec.fromDisk
-       << ",\"inflight\":" << rec.fromInflight
-       << ",\"forked\":" << rec.fromForked << "},\"elapsed_ms\":";
+       << ",\"total\":" << rec.total << ",";
+    writeServed(os, rec.served);
+    os << ",\"elapsed_ms\":";
     jsonNumber(os, elapsed_ms);
     os << ",\"eta_ms\":";
     jsonNumber(os, eta);
@@ -104,13 +102,7 @@ CampaignRegistry::point(std::uint64_t id, const campaign::JobResult &job,
         return;
     if (!job.ok())
         ++rec->failures;
-    switch (job.source) {
-    case campaign::JobSource::Simulated: ++rec->simulated; break;
-    case campaign::JobSource::Memory: ++rec->fromMemory; break;
-    case campaign::JobSource::Disk: ++rec->fromDisk; break;
-    case campaign::JobSource::Inflight: ++rec->fromInflight; break;
-    case campaign::JobSource::Forked: ++rec->fromForked; break;
-    }
+    ++rec->served[static_cast<std::size_t>(job.source)];
     rec->points.emplace_back(index, std::move(json));
     bus_.publish("progress", progressJson(*rec, job.doneAtMs));
 }
@@ -175,11 +167,9 @@ campaignSummaryJson(std::ostream &os, const CampaignRecord &c)
     os << "{\"id\":" << c.id << ",\"name\":\"" << jsonEscape(c.name)
        << "\",\"total\":" << c.total << ",\"done\":" << c.points.size()
        << ",\"active\":" << (c.active ? "true" : "false")
-       << ",\"failures\":" << c.failures << ",\"served\":{\"simulated\":"
-       << c.simulated << ",\"memory\":" << c.fromMemory
-       << ",\"disk\":" << c.fromDisk << ",\"inflight\":"
-       << c.fromInflight << ",\"forked\":" << c.fromForked
-       << "},\"wall_ms\":";
+       << ",\"failures\":" << c.failures << ",";
+    writeServed(os, c.served);
+    os << ",\"wall_ms\":";
     jsonNumber(os, c.wallMs);
     os << ",\"metrics_pattern\":\"" << jsonEscape(c.metricsPattern)
        << "\"}";

@@ -56,11 +56,7 @@ struct CampaignRecord
     std::size_t total = 0; ///< points accepted
     std::string metricsPattern;
     bool active = true; ///< still streaming (no done event yet)
-    std::uint64_t simulated = 0;
-    std::uint64_t fromMemory = 0;
-    std::uint64_t fromDisk = 0;
-    std::uint64_t fromInflight = 0;
-    std::uint64_t fromForked = 0;
+    campaign::SourceCounts served{}; ///< points so far, per source
     std::size_t failures = 0;
     double wallMs = 0.0; ///< set by the done event
     /** (point index, point event JSON) in completion order; the JSON

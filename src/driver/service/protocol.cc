@@ -547,7 +547,7 @@ pointBody(std::uint64_t id, const campaign::JobResult &job,
        << ",\"label\":\"" << jsonEscape(job.label) << "\",\"digest\":\""
        << jsonEscape(job.digest) << "\",\"source\":\""
        << campaign::jobSourceName(job.source) << "\",\"cache_hit\":"
-       << (job.cacheHit ? "true" : "false")
+       << (job.cacheHit() ? "true" : "false")
        << ",\"ok\":" << (job.ok() ? "true" : "false")
        << ",\"error\":\"" << jsonEscape(job.error) << "\",\"wall_ms\":";
     jsonNumber(os, job.wallMs);
@@ -601,12 +601,9 @@ void
 writeStatus(std::ostream &os, const StatusInfo &info)
 {
     os << "{\"event\":\"status\",\"campaigns\":" << info.campaigns
-       << ",\"points\":" << info.points << ",\"served\":{\"simulated\":"
-       << info.simulated << ",\"memory\":" << info.fromMemory
-       << ",\"disk\":" << info.fromDisk
-       << ",\"inflight\":" << info.fromInflight
-       << ",\"forked\":" << info.fromForked
-       << "},\"cache_points\":" << info.cachePoints
+       << ",\"points\":" << info.points << ",";
+    writeServed(os, info.served);
+    os << ",\"cache_points\":" << info.cachePoints
        << ",\"inflight\":" << info.inflight
        << ",\"threads\":" << info.threads << ",\"uptime_ms\":";
     jsonNumber(os, info.uptimeMs);
@@ -635,6 +632,16 @@ writeStatus(std::ostream &os, const StatusInfo &info)
     os << "}\n";
 }
 
+void
+writeServed(std::ostream &os, const campaign::SourceCounts &served)
+{
+    os << "\"served\":{";
+    for (std::size_t s = 0; s < campaign::kJobSourceCount; ++s)
+        os << (s ? ",\"" : "\"") << campaign::kJobSourceNames[s]
+           << "\":" << served[s];
+    os << "}";
+}
+
 // ---- client-side event decoding ------------------------------------------
 
 namespace {
@@ -652,24 +659,6 @@ exactUint(const JsonValue *v, std::uint64_t max, std::uint64_t &out)
     if (errno != 0 || n > max)
         return false;
     out = n;
-    return true;
-}
-
-bool
-sourceFromName(const std::string &name, campaign::JobSource &out)
-{
-    if (name == "simulated")
-        out = campaign::JobSource::Simulated;
-    else if (name == "memory")
-        out = campaign::JobSource::Memory;
-    else if (name == "disk")
-        out = campaign::JobSource::Disk;
-    else if (name == "inflight")
-        out = campaign::JobSource::Inflight;
-    else if (name == "forked")
-        out = campaign::JobSource::Forked;
-    else
-        return false;
     return true;
 }
 
@@ -711,11 +700,8 @@ decodePointEvent(const std::string &line, campaign::JobResult &job,
     index = static_cast<std::size_t>(idx);
     total = static_cast<std::size_t>(tot);
     job.label = label->text;
-    if (!sourceFromName(source->text, job.source))
+    if (!campaign::jobSourceFromName(source->text, job.source))
         return false;
-    // Forked points were simulated (from a checkpoint), not cache-served.
-    job.cacheHit = job.source != campaign::JobSource::Simulated
-                && job.source != campaign::JobSource::Forked;
 
     if (const JsonValue *v = event.find("digest"))
         job.digest = v->asString();

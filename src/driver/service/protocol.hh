@@ -74,7 +74,6 @@ struct JsonValue
      *  the first). */
     std::vector<std::pair<std::string, JsonValue>> members;
 
-    bool isNull() const { return kind == Kind::Null; }
     bool isObject() const { return kind == Kind::Object; }
     bool isArray() const { return kind == Kind::Array; }
     bool isString() const { return kind == Kind::String; }
@@ -166,13 +165,8 @@ struct StatusInfo
 {
     std::uint64_t campaigns = 0; ///< submits served
     std::uint64_t points = 0;    ///< points streamed
-    std::uint64_t simulated = 0;
-    std::uint64_t fromMemory = 0;
-    std::uint64_t fromDisk = 0;
-    std::uint64_t fromInflight = 0;
-    std::uint64_t fromForked = 0; ///< points forked from a warm-start
-                                  ///< checkpoint instead of run cold
-    std::size_t cachePoints = 0; ///< in-memory cache entries
+    campaign::SourceCounts served{}; ///< points streamed, per source
+    std::size_t cachePoints = 0; ///< CampaignEngine::cachedCount()
     std::size_t inflight = 0;    ///< points simulating right now
     unsigned threads = 0;
     double uptimeMs = 0.0; ///< since the server was constructed
@@ -193,6 +187,11 @@ struct StatusInfo
 };
 
 void writeStatus(std::ostream &os, const StatusInfo &info);
+
+/** The "served":{"simulated":N,"memory":N,...} member (no leading
+ *  comma) that the status op and the dashboard's campaign records
+ *  share. */
+void writeServed(std::ostream &os, const campaign::SourceCounts &served);
 
 // ---- client-side event decoding ------------------------------------------
 

@@ -172,11 +172,8 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++served_.campaigns;
         served_.points += result.jobs.size();
-        served_.simulated += result.simulated;
-        served_.fromMemory += result.fromMemory;
-        served_.fromDisk += result.fromDisk;
-        served_.fromInflight += result.fromInflight;
-        served_.fromForked += result.fromForked;
+        for (const campaign::JobResult &job : result.jobs)
+            ++served_.served[static_cast<std::size_t>(job.source)];
     }
     sim::inform("campaign_serve: submit #", id, " done: ",
                 result.simulated, " simulated, ", result.fromForked,
@@ -198,7 +195,7 @@ CampaignServer::status() const
         std::lock_guard<std::mutex> lock(statsMutex_);
         info = served_;
     }
-    info.cachePoints = engine_->cache().size();
+    info.cachePoints = engine_->cachedCount();
     info.inflight = engine_->inflightCount();
     info.threads = engine_->options().threads;
     info.uptimeMs = std::chrono::duration<double, std::milli>(

@@ -4,12 +4,13 @@
  *
  * Every client connection gets its own handler thread, but all
  * submissions run on one shared CampaignEngine, so deduplication is
- * global across clients: points hit the shared in-memory cache, then
- * the shared on-disk store, and identical points simulating *right
- * now* for another client are joined in flight instead of re-run (the
- * engine's claim table). N clients sweeping overlapping grids
- * therefore cost exactly one simulation per distinct canonical-spec
- * fingerprint — the service invariant the stress tests pin.
+ * global across clients through the engine's claim table: points hit
+ * a finished claim in memory, then the shared on-disk store, and
+ * identical points being resolved *right now* for another client are
+ * joined in flight instead of re-run. N clients sweeping overlapping
+ * grids therefore cost exactly one simulation per distinct
+ * canonical-spec fingerprint — the service invariant the stress tests
+ * pin.
  *
  * Per-point results stream to the submitting client as the engine
  * resolves them, tagged with where each summary came from

@@ -6,7 +6,7 @@
  * the loopback interface — the service deliberately cannot listen on a
  * routable address (it executes submitted experiment specs; exposure
  * beyond the machine is an explicit non-goal). "tcp:127.0.0.1:0" binds
- * an ephemeral port, reported by Listener::boundPort() — this is how
+ * an ephemeral port, reported by Listener::address() — this is how
  * tests and CI avoid port collisions.
  *
  * Socket wraps a connected fd with line-buffered reads (the protocol
@@ -114,7 +114,6 @@ class Listener
 
     /** The actual bound address (ephemeral tcp port resolved). */
     const Address &address() const { return addr_; }
-    std::uint16_t boundPort() const { return addr_.port; }
 
     /** Unblock accept() from another thread. */
     void shutdownNow();

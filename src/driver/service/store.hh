@@ -10,7 +10,7 @@
  *     <dir>/v<schema>/<16-hex-digest>.result
  *
  * Layout and invariants:
- *  - The schema version (ResultCache::kSchemaVersion) is baked into
+ *  - The schema version (ResultStore::kSchemaVersion) is baked into
  *    the directory name AND every blob header, so summaries written
  *    under an older schema can never be served — bumping the version
  *    silently invalidates the whole store.
@@ -46,7 +46,7 @@
 #include <utility>
 #include <vector>
 
-#include "driver/campaign/result_cache.hh"
+#include "driver/campaign/engine.hh"
 
 namespace tdm::driver::service {
 
@@ -82,12 +82,22 @@ bool readSummaryBlob(std::istream &is, std::string &key_out,
 
 /**
  * The persistent store. Thread-safe; implements the engine's
- * CacheBackend so it can sit directly behind the in-memory ResultCache
+ * CacheBackend so it can sit directly behind the engine's claim table
  * (campaign_run --store, campaign_serve).
  */
 class ResultStore : public campaign::CacheBackend
 {
   public:
+    /**
+     * Summary-schema version, baked into the directory name and every
+     * blob header. Bump whenever the shape of a stored RunSummary
+     * changes (v2: summaries carry the full MetricSet tree, not six
+     * fixed fields; v3: the tree is the only copy, stored blobs hold
+     * nothing else) so blobs written under an older schema can never
+     * be served.
+     */
+    static constexpr unsigned kSchemaVersion = 3;
+
     /**
      * Open (creating if needed) the store under @p dir and rebuild the
      * index by scanning it. @p schema_version defaults to the live
@@ -96,12 +106,11 @@ class ResultStore : public campaign::CacheBackend
      */
     explicit ResultStore(
         const std::string &dir,
-        unsigned schema_version = campaign::ResultCache::kSchemaVersion);
+        unsigned schema_version = kSchemaVersion);
 
     std::optional<RunSummary> fetch(const std::string &key) override;
     void publish(const std::string &key,
                  const RunSummary &summary) override;
-    const char *backendName() const override { return "disk-store"; }
 
     /** Root directory (as given). */
     const std::string &dir() const { return dir_; }

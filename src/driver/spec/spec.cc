@@ -372,10 +372,6 @@ buildRegistry()
       [](E &e) -> sim::Tick & {
           return e.config.swCosts.poolPopCycles;
       });
-    U("sw.sched_poll", "SW runtime: empty-pool scheduling poll",
-      [](E &e) -> sim::Tick & {
-          return e.config.swCosts.schedPollCycles;
-      });
 
     U("tdm.task_alloc", "TDM: software task descriptor allocation",
       [](E &e) -> sim::Tick & {
@@ -392,10 +388,6 @@ buildRegistry()
     U("tdm.pool_pop", "TDM: pool pop lock hold time",
       [](E &e) -> sim::Tick & {
           return e.config.tdmCosts.poolPopCycles;
-      });
-    U("tdm.sched_poll", "TDM: empty-pool scheduling poll",
-      [](E &e) -> sim::Tick & {
-          return e.config.tdmCosts.schedPollCycles;
       });
 
     U("carbon.queue_entries", "Carbon: HW queue entries per core",
@@ -415,8 +407,6 @@ buildRegistry()
       [](E &e) -> unsigned & { return e.config.tss.bytesPerEntry; });
     U("tss.gateway_kb", "Task Superscalar: gateway storage KB",
       [](E &e) -> unsigned & { return e.config.tss.gatewayKB; });
-    U("tss.sched_op", "Task Superscalar: HW scheduling op latency",
-      [](E &e) -> unsigned & { return e.config.tss.schedOpCycles; });
 
     D("power.active_w", "active core watts",
       [](E &e) -> double & { return e.config.power.activeWatts; });

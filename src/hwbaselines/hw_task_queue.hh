@@ -49,9 +49,6 @@ class HwTaskQueues
 
     bool allEmpty() const;
     std::size_t totalSize() const;
-    std::size_t localSize(sim::CoreId core) const {
-        return queues_[core].size();
-    }
 
     std::uint64_t pushes() const { return pushes_; }
     std::uint64_t localPops() const { return localPops_; }

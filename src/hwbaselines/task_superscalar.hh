@@ -28,9 +28,6 @@ struct TssConfig
     unsigned entries = 2048;      ///< in-flight tasks / dependences
     unsigned bytesPerEntry = 128; ///< TRS/ORT/RQ record size
     unsigned gatewayKB = 1;
-
-    /** get_ready-equivalent hardware scheduling op latency, cycles. */
-    unsigned schedOpCycles = 4;
 };
 
 /** The structure inventory (for area tables). */

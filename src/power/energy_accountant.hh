@@ -49,12 +49,6 @@ class EnergyAccountant
 
     const CorePowerParams &params() const { return params_; }
 
-    /** Accumulated core-busy ticks (over all cores). */
-    sim::Tick activeTicks() const { return activeTicks_; }
-
-    /** Accelerator dynamic energy accumulated so far, picojoules. */
-    double acceleratorPj() const { return accelPj_; }
-
     /** Register the energy accumulators under @p ctx's scope
      *  ("power"). Whole-run totals (energy, EDP) depend on the final
      *  makespan, so the machine registers those as formulas itself. */

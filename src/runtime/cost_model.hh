@@ -13,7 +13,6 @@
 #ifndef TDM_RUNTIME_COST_MODEL_HH
 #define TDM_RUNTIME_COST_MODEL_HH
 
-#include "runtime/software_tracker.hh"
 #include "sim/types.hh"
 
 namespace tdm::rt {
@@ -48,31 +47,6 @@ struct SwCosts
     /** Runtime lock hold time for pool operations. */
     sim::Tick poolPushCycles = 80;
     sim::Tick poolPopCycles = 110;
-
-    /** Checking an empty pool (scheduling poll). */
-    sim::Tick schedPollCycles = 90;
-
-    /** Cycles for creating one task given tracker work. */
-    sim::Tick
-    createCycles(const TrackerCreateWork &w, double dep_factor) const
-    {
-        double dep_work =
-            static_cast<double>(w.depLookups) * depLookupCycles
-            + static_cast<double>(w.edgeInserts) * edgeInsertCycles
-            + static_cast<double>(w.readerScans) * readerScanCycles
-            + static_cast<double>(w.fragmentSplits) * fragmentSplitCycles;
-        return taskAllocCycles
-             + static_cast<sim::Tick>(dep_work * dep_factor);
-    }
-
-    /** Cycles for finishing a task given tracker work. */
-    sim::Tick
-    finishCycles(const TrackerFinishWork &w) const
-    {
-        return finishBaseCycles
-             + static_cast<sim::Tick>(w.succVisits) * perSuccessorCycles
-             + static_cast<sim::Tick>(w.depVisits) * perDepCleanupCycles;
-    }
 };
 
 /** Costs of the TDM path (software side of the co-design). */
@@ -88,17 +62,6 @@ struct TdmCosts
     /** Software pool costs (scheduling stays in software). */
     sim::Tick poolPushCycles = 80;
     sim::Tick poolPopCycles = 110;
-    sim::Tick schedPollCycles = 90;
-};
-
-/** Costs of hardware task-queue scheduling (Carbon / Task Superscalar). */
-struct HwQueueCosts
-{
-    /** Enqueue/dequeue instruction on the local hardware queue. */
-    sim::Tick localOpCycles = 4;
-
-    /** Probe + steal from a remote queue (Carbon work stealing). */
-    sim::Tick stealCycles = 24;
 };
 
 } // namespace tdm::rt

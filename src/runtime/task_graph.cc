@@ -20,16 +20,6 @@ TaskGraph::addRegion(std::uint64_t bytes)
     return id;
 }
 
-RegionId
-TaskGraph::addRegionAt(std::uint64_t base_addr, std::uint64_t bytes)
-{
-    if (bytes == 0)
-        sim::fatal("region must have nonzero size");
-    RegionId id = static_cast<RegionId>(regions_.size());
-    regions_.push_back(DataRegion{base_addr, bytes});
-    return id;
-}
-
 void
 TaskGraph::beginParallel(sim::Tick prologue_cycles)
 {

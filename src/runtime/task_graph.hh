@@ -75,9 +75,6 @@ class TaskGraph
      */
     RegionId addRegion(std::uint64_t bytes);
 
-    /** Declare a region at an explicit base address. */
-    RegionId addRegionAt(std::uint64_t base_addr, std::uint64_t bytes);
-
     /** Open a new parallel region. */
     void beginParallel(sim::Tick prologue_cycles = 0);
 

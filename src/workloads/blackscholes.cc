@@ -23,16 +23,12 @@ namespace {
 constexpr double totalKB = 256.0;      ///< option array size
 constexpr int numRuns = 51;            ///< pricing iterations
 constexpr double cyclesPerKB = 885000; ///< per-task work per slice KB
-constexpr double swOptKB = 4.0;
-constexpr double tdmOptKB = 2.0;
 } // namespace
 
 rt::TaskGraph
 buildBlackscholes(const WorkloadParams &p)
 {
-    double slice_kb = p.granularity > 0.0
-                          ? p.granularity
-                          : (p.tdmOptimal ? tdmOptKB : swOptKB);
+    double slice_kb = p.granularity;
     unsigned chains = static_cast<unsigned>(totalKB / slice_kb);
     if (chains < 1)
         sim::fatal("blackscholes: slice larger than the option array");

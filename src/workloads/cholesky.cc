@@ -19,8 +19,6 @@ namespace tdm::wl {
 namespace {
 constexpr unsigned matrixDim = 2048;
 constexpr double cyclesPerFlop = 0.80;
-constexpr double swOptBytes = 16384.0;
-constexpr double tdmOptBytes = 16384.0;
 
 enum Kernel : std::uint16_t { Kgemm = 1, Ksyrk, Kpotrf, Ktrsm };
 } // namespace
@@ -28,9 +26,7 @@ enum Kernel : std::uint16_t { Kgemm = 1, Ksyrk, Kpotrf, Ktrsm };
 rt::TaskGraph
 buildCholesky(const WorkloadParams &p)
 {
-    double bytes = p.granularity > 0.0
-                       ? p.granularity
-                       : (p.tdmOptimal ? tdmOptBytes : swOptBytes);
+    double bytes = p.granularity;
     unsigned m = static_cast<unsigned>(std::lround(
         std::sqrt(bytes / 4.0)));
     if (m == 0 || matrixDim % m != 0)

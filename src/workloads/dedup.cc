@@ -24,7 +24,6 @@
 namespace tdm::wl {
 
 namespace {
-constexpr unsigned defaultChunks = 122;
 constexpr unsigned window = 64;          ///< buffer-pool depth
 constexpr double computeUs = 53000.0;    ///< compress stage
 constexpr double ioUs = 2450.0;          ///< reorder/write stage
@@ -37,9 +36,7 @@ buildDedup(const WorkloadParams &p)
 {
     // Dedup's granularity is fixed by the pipeline structure (Fig. 6
     // omits it); granularity, when given, scales the chunk count.
-    unsigned chunks = p.granularity > 0.0
-                          ? static_cast<unsigned>(p.granularity)
-                          : defaultChunks;
+    unsigned chunks = static_cast<unsigned>(p.granularity);
     if (chunks < 2)
         sim::fatal("dedup: need at least 2 chunks");
 

@@ -16,7 +16,6 @@
 namespace tdm::wl {
 
 namespace {
-constexpr unsigned defaultItems = 256;
 constexpr unsigned numStages = 6;
 // Per-stage durations in us; rank dominates, as in the real benchmark.
 constexpr double stageUs[numStages] = {1100, 4400, 9900, 14300, 13100,
@@ -26,9 +25,7 @@ constexpr double stageUs[numStages] = {1100, 4400, 9900, 14300, 13100,
 rt::TaskGraph
 buildFerret(const WorkloadParams &p)
 {
-    unsigned items = p.granularity > 0.0
-                         ? static_cast<unsigned>(p.granularity)
-                         : defaultItems;
+    unsigned items = static_cast<unsigned>(p.granularity);
     if (items < 1)
         sim::fatal("ferret: need at least 1 item");
 

@@ -21,8 +21,6 @@ namespace {
 constexpr unsigned frames = 5;
 constexpr unsigned phasesPerFrame = 8;
 constexpr double totalCellsWorkUs = 115500.0; ///< one phase, whole volume
-constexpr double swOptParts = 64.0;
-constexpr double tdmOptParts = 64.0;
 // Relative weight of each phase.
 constexpr double phaseWeight[phasesPerFrame] = {0.6, 0.8, 1.6, 1.4,
                                                 1.2, 0.9, 0.8, 0.7};
@@ -31,9 +29,7 @@ constexpr double phaseWeight[phasesPerFrame] = {0.6, 0.8, 1.6, 1.4,
 rt::TaskGraph
 buildFluidanimate(const WorkloadParams &p)
 {
-    unsigned parts = static_cast<unsigned>(
-        p.granularity > 0.0 ? p.granularity
-                            : (p.tdmOptimal ? tdmOptParts : swOptParts));
+    unsigned parts = static_cast<unsigned>(p.granularity);
     if (parts < 2)
         sim::fatal("fluidanimate: need at least 2 partitions");
 

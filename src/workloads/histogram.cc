@@ -22,8 +22,6 @@ namespace {
 constexpr std::uint64_t imageBytes = 64ULL * 1024 * 1024;
 constexpr double cyclesPerByte = 58.0; ///< multi-pass scan kernel
 constexpr double mergeUs = 25.0;
-constexpr double swOptBytes = 262144.0;
-constexpr double tdmOptBytes = 262144.0;
 
 enum Kernel : std::uint16_t { Kleaf = 1, Kmerge, Kfinal };
 } // namespace
@@ -31,9 +29,7 @@ enum Kernel : std::uint16_t { Kleaf = 1, Kmerge, Kfinal };
 rt::TaskGraph
 buildHistogram(const WorkloadParams &p)
 {
-    double tile_bytes = p.granularity > 0.0
-                            ? p.granularity
-                            : (p.tdmOptimal ? tdmOptBytes : swOptBytes);
+    double tile_bytes = p.granularity;
     unsigned leaves = static_cast<unsigned>(
         static_cast<double>(imageBytes) / tile_bytes);
     if (leaves < 2 || !sim::isPowerOf2(leaves))

@@ -22,8 +22,6 @@ namespace tdm::wl {
 namespace {
 constexpr unsigned matrixDim = 2048;
 constexpr double cyclesPerFlop = 0.205; ///< sparse-density scaling
-constexpr double swOptBytes = 65536.0;
-constexpr double tdmOptBytes = 65536.0;
 
 enum Kernel : std::uint16_t { Kgetrf = 1, KtrsmRow, KtrsmCol, Kgemm };
 } // namespace
@@ -31,9 +29,7 @@ enum Kernel : std::uint16_t { Kgetrf = 1, KtrsmRow, KtrsmCol, Kgemm };
 rt::TaskGraph
 buildLu(const WorkloadParams &p)
 {
-    double bytes = p.granularity > 0.0
-                       ? p.granularity
-                       : (p.tdmOptimal ? tdmOptBytes : swOptBytes);
+    double bytes = p.granularity;
     unsigned m = static_cast<unsigned>(std::lround(
         std::sqrt(bytes / 4.0)));
     if (m == 0 || matrixDim % m != 0)

@@ -27,8 +27,6 @@ namespace tdm::wl {
 namespace {
 constexpr unsigned matrixDim = 1024;
 constexpr double cyclesPerFlopUnit = 1.39;
-constexpr double swOptM = 64.0;
-constexpr double tdmOptM = 32.0;
 
 enum Kernel : std::uint16_t { Kgeqrt = 1, Ktsqrt, Kunmqr, Kssrfb };
 } // namespace
@@ -36,9 +34,7 @@ enum Kernel : std::uint16_t { Kgeqrt = 1, Ktsqrt, Kunmqr, Kssrfb };
 rt::TaskGraph
 buildQr(const WorkloadParams &p)
 {
-    unsigned m = static_cast<unsigned>(
-        p.granularity > 0.0 ? p.granularity
-                            : (p.tdmOptimal ? tdmOptM : swOptM));
+    unsigned m = static_cast<unsigned>(p.granularity);
     if (m == 0 || matrixDim % m != 0)
         sim::fatal("qr: tile side ", m, " does not tile the matrix");
     unsigned n = matrixDim / m;

@@ -41,7 +41,10 @@ findWorkload(const std::string &name)
 rt::TaskGraph
 buildWorkload(const std::string &name, const WorkloadParams &params)
 {
-    return findWorkload(name).build(params);
+    const WorkloadInfo &w = findWorkload(name);
+    WorkloadParams resolved = params;
+    resolved.granularity = effectiveGranularity(w, params);
+    return w.build(resolved);
 }
 
 } // namespace tdm::wl

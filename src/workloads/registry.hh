@@ -16,7 +16,9 @@ const std::vector<WorkloadInfo> &allWorkloads();
 /** Find by full or short name; fatal if unknown. */
 const WorkloadInfo &findWorkload(const std::string &name);
 
-/** Convenience: build a benchmark's graph by name. */
+/** Build a benchmark's graph by name. The one place a 0 granularity
+ *  resolves to the Table II default (effectiveGranularity); builders
+ *  read params.granularity as given. */
 rt::TaskGraph buildWorkload(const std::string &name,
                             const WorkloadParams &params = {});
 

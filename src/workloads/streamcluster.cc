@@ -22,16 +22,12 @@ constexpr unsigned rounds = 658;
 constexpr double cyclesPerPoint = 2937.5; ///< k-median gain evaluation
 constexpr double prologueUs = 290.0;      ///< serial center selection
 constexpr double bytesPerPoint = 512.0;
-constexpr double swOptPoints = 256.0;
-constexpr double tdmOptPoints = 256.0;
 } // namespace
 
 rt::TaskGraph
 buildStreamcluster(const WorkloadParams &p)
 {
-    unsigned pts = static_cast<unsigned>(
-        p.granularity > 0.0 ? p.granularity
-                            : (p.tdmOptimal ? tdmOptPoints : swOptPoints));
+    unsigned pts = static_cast<unsigned>(p.granularity);
     if (pts == 0 || totalPoints % pts != 0)
         sim::fatal("streamcluster: points per task must divide ",
                    totalPoints);

@@ -28,7 +28,8 @@ struct WorkloadParams
      * Task granularity in the benchmark's own unit (block bytes,
      * partitions, points per task, ...). 0 selects the default:
      * the software-optimal granularity, or the TDM-optimal one when
-     * tdmOptimal is set (Table II lists both).
+     * tdmOptimal is set (Table II lists both). buildWorkload resolves
+     * it; a builder called directly needs an explicit value.
      */
     double granularity = 0.0;
 
@@ -54,7 +55,8 @@ struct WorkloadInfo
     std::vector<double> granSweep; ///< Figure 6 sweep values
     double swOptimal = 0.0;  ///< SW-optimal granularity (Table II)
     double tdmOptimal = 0.0; ///< TDM-optimal granularity (Table II)
-    BuilderFn build = nullptr;
+    BuilderFn build = nullptr; ///< expects a resolved granularity
+                               ///< (see buildWorkload)
 };
 
 /** Deterministically noisy task duration in cycles. */

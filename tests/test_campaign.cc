@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "driver/campaign/campaign.hh"
 #include "driver/campaign/engine.hh"
@@ -18,6 +19,7 @@
 #include "driver/graph_cache.hh"
 #include "driver/report/csv_writer.hh"
 #include "driver/report/json_writer.hh"
+#include "runtime/scheduler.hh"
 
 using namespace tdm;
 using namespace tdm::driver;
@@ -123,9 +125,6 @@ TEST(Fingerprint, DistinguishesExperiments)
     e = base;
     e.config.swCosts.poolPopCycles += 1;
     EXPECT_NE(campaign::fingerprint(e), fp);
-    e = base;
-    e.config.swCosts.schedPollCycles += 1;
-    EXPECT_NE(campaign::fingerprint(e), fp);
 }
 
 TEST(Fingerprint, DigestIsFixedWidth)
@@ -185,8 +184,8 @@ TEST(Engine, DeduplicatesIdenticalPointsWithinRun)
 
     EXPECT_EQ(rep.simulated, 2u);
     EXPECT_EQ(rep.cacheHits, 1u);
-    EXPECT_FALSE(rep.jobs[0].cacheHit);
-    EXPECT_TRUE(rep.jobs[1].cacheHit);
+    EXPECT_FALSE(rep.jobs[0].cacheHit());
+    EXPECT_TRUE(rep.jobs[1].cacheHit());
     expectSummariesEqual(rep.jobs[0].summary, rep.jobs[1].summary);
 }
 
@@ -205,11 +204,11 @@ TEST(Engine, ReportsCacheHitsOnRerun)
     EXPECT_EQ(second.simulated, 0u);
     EXPECT_EQ(second.cacheHits, points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_TRUE(second.jobs[i].cacheHit);
+        EXPECT_TRUE(second.jobs[i].cacheHit());
         expectSummariesEqual(second.jobs[i].summary,
                              first.jobs[i].summary);
     }
-    EXPECT_GE(engine.cache().hits(), points.size());
+    EXPECT_EQ(second.fromMemory, points.size());
 }
 
 TEST(Engine, NoCacheOptionDisablesDedup)
@@ -275,6 +274,47 @@ TEST(Engine, PropagatesIncompleteRuns)
     EXPECT_EQ(rerun.simulated, 0u);
     EXPECT_EQ(rerun.failures(), 1u);
     EXPECT_FALSE(rerun.jobs[0].error.empty());
+}
+
+TEST(Engine, ThrowingPointIsSharedButNotCached)
+{
+    rt::registerScheduler("test-throws",
+                          [](unsigned, std::uint32_t)
+                              -> std::unique_ptr<rt::Scheduler> {
+                              throw std::runtime_error("factory threw");
+                          });
+    const Experiment bad =
+        smallExperiment(core::RuntimeType::Software, "test-throws");
+    std::vector<SweepPoint> points = {
+        {"bad", bad},
+        {"bad-twin", bad},
+        {"fine", smallExperiment(core::RuntimeType::Software)},
+    };
+
+    campaign::EngineOptions opts;
+    opts.threads = 2;
+    campaign::CampaignEngine engine(opts);
+    auto rep = engine.run("throws", points);
+
+    // The owner reports the exception; its duplicate waited on the
+    // owner's claim and is handed the same error.
+    EXPECT_EQ(rep.jobs[0].source, campaign::JobSource::Simulated);
+    EXPECT_TRUE(rep.jobs[0].threw);
+    EXPECT_EQ(rep.jobs[0].error, "factory threw");
+    EXPECT_EQ(rep.jobs[1].source, campaign::JobSource::Inflight);
+    EXPECT_TRUE(rep.jobs[1].threw);
+    EXPECT_EQ(rep.jobs[1].error, rep.jobs[0].error);
+    EXPECT_TRUE(rep.jobs[2].ok());
+    // Only the completed point stays in the table.
+    EXPECT_EQ(engine.cachedCount(), 1u);
+    EXPECT_EQ(engine.inflightCount(), 0u);
+
+    // Exceptions are not cached: the next run simulates the key again.
+    auto rerun = engine.run("throws", points);
+    EXPECT_EQ(rerun.jobs[0].source, campaign::JobSource::Simulated);
+    EXPECT_TRUE(rerun.jobs[0].threw);
+    EXPECT_EQ(rerun.jobs[2].source, campaign::JobSource::Memory);
+    EXPECT_TRUE(rerun.jobs[2].ok());
 }
 
 TEST(Engine, SeedBaseGivesEachPointItsOwnSeed)

@@ -4,9 +4,9 @@
  *
  * The campaign engine's concurrency contract: one engine may serve
  * many client threads at once, each run() spawning its own worker
- * pool, all of them hammering the shared ResultCache and GraphCache;
+ * pool, all of them hammering the shared claim table and GraphCache;
  * results must be byte-identical to a quiet sequential run, with one
- * simulation ever per distinct fingerprint once the cache has seen it.
+ * simulation ever per distinct fingerprint once the table has seen it.
  * CI builds this test with TDM_SANITIZE=thread, so every lock
  * elision, unsynchronized counter, or racing log write in the engine
  * / cache / logging stack is a loud failure here, not a rare
@@ -112,11 +112,11 @@ TEST(CampaignStress, ConcurrentClientsHammerOneEngine)
     }
 
     // One simulation ever per distinct fingerprint — exactly. The
-    // in-flight claim table means clients racing before the cache is
+    // claim table means clients racing before the table is
     // warm attach to the winner's simulation instead of repeating it,
     // so 6 distinct specs cost 6 simulations total across all 24
     // simulating threads.
-    EXPECT_EQ(engine.cache().size(), 6u);
+    EXPECT_EQ(engine.cachedCount(), 6u);
     std::uint64_t simulated = 0;
     for (const auto &rep : results)
         simulated += rep.simulated;
@@ -230,47 +230,6 @@ TEST(CampaignStress, ConcurrentForkedGroupsStayDeterministic)
                 << rep.jobs[i].label;
         }
     }
-}
-
-TEST(CampaignStress, ResultCacheConcurrentLookupStore)
-{
-    // Raw cache hammer: 8 threads x 4000 ops over 32 keys, mixing
-    // lookups and stores of the same keys. TSan checks the locking;
-    // the arithmetic checks no operation was lost or double-counted.
-    constexpr unsigned kThreads = 8;
-    constexpr unsigned kOps = 4000;
-    constexpr unsigned kKeys = 32;
-
-    campaign::ResultCache cache;
-    std::atomic<std::uint64_t> lookups{0};
-
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        pool.emplace_back([&, t] {
-            for (unsigned i = 0; i < kOps; ++i) {
-                const std::string key =
-                    "key-" + std::to_string((t * 7 + i) % kKeys);
-                if (i % 3 == 0) {
-                    RunSummary s;
-                    s.completed = true;
-                    s.makespan = (t * 7 + i) % kKeys;
-                    cache.store(key, s);
-                } else {
-                    auto hit = cache.lookup(key);
-                    if (hit) {
-                        EXPECT_TRUE(hit->completed);
-                        EXPECT_LT(hit->makespan, kKeys);
-                    }
-                    lookups.fetch_add(1);
-                }
-            }
-        });
-    }
-    for (std::thread &t : pool)
-        t.join();
-
-    EXPECT_LE(cache.size(), kKeys);
-    EXPECT_EQ(cache.hits() + cache.misses(), lookups.load());
 }
 
 TEST(CampaignStress, ResultStoreConcurrentPublishFetch)

@@ -246,7 +246,7 @@ TEST(ResultStore, DigestCollisionWithDifferentKeyIsMiss)
     {
         std::ofstream out(store.pathForKey(kKey), std::ios::trunc);
         service::writeSummaryBlob(out, "other=spec;", sampleSummary(),
-                                  campaign::ResultCache::kSchemaVersion);
+                                  service::ResultStore::kSchemaVersion);
     }
     service::ResultStore reopened(dir.str());
     EXPECT_EQ(reopened.size(), 1u);

@@ -128,7 +128,6 @@ TEST(ServiceProtocol, PointEventRoundTrips)
     job.label = "cholesky/fifo";
     job.digest = "114b9f71d3add9e3";
     job.source = campaign::JobSource::Disk;
-    job.cacheHit = true;
     job.wallMs = 0.0;
     job.summary.completed = true;
     job.summary.makespan = (sim::Tick{1} << 60) + 99; // > 2^53
@@ -151,7 +150,7 @@ TEST(ServiceProtocol, PointEventRoundTrips)
     EXPECT_EQ(decoded.label, job.label);
     EXPECT_EQ(decoded.digest, job.digest);
     EXPECT_EQ(decoded.source, campaign::JobSource::Disk);
-    EXPECT_TRUE(decoded.cacheHit);
+    EXPECT_TRUE(decoded.cacheHit());
     EXPECT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.summary.makespan, job.summary.makespan);
     EXPECT_EQ(decoded.summary.timeMs, job.summary.timeMs);
@@ -404,7 +403,9 @@ TEST(ServiceServer, ConcurrentClientsSimulateEachPointOnce)
 
     svc::ServiceClient probe(fx.address());
     svc::StatusInfo info = probe.status();
-    EXPECT_EQ(info.simulated, six.size());
+    EXPECT_EQ(info.served[static_cast<std::size_t>(
+                  campaign::JobSource::Simulated)],
+              six.size());
     EXPECT_EQ(info.storeBlobs, six.size());
 
     fx.stop();

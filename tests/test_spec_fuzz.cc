@@ -301,7 +301,7 @@ TEST(RecordFuzz, MutatedStoreBlobsAreRejectedOrExact)
 {
     const campaign::JobResult &job = goldenJob();
     ASSERT_TRUE(job.ok());
-    const unsigned schema = campaign::ResultCache::kSchemaVersion;
+    const unsigned schema = service::ResultStore::kSchemaVersion;
     const std::string key = job.digest + ";golden";
     std::ostringstream os;
     service::writeSummaryBlob(os, key, job.summary, schema);

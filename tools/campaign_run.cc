@@ -310,7 +310,7 @@ main(int argc, char **argv)
             t.row()
                 .cell(j.label)
                 .cell(!j.ok()         ? "FAILED"
-                      : j.cacheHit    ? "cached"
+                      : j.cacheHit()  ? "cached"
                       : j.source == cmp::JobSource::Forked ? "forked"
                                                            : "ok")
                 .cell(j.summary.timeMs, 3)

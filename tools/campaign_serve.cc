@@ -166,12 +166,17 @@ main(int argc, char **argv)
         watcher.join();
 
         const svc::StatusInfo info = server.status();
+        using driver::campaign::JobSource;
+        auto served = [&](JobSource s) {
+            return info.served[static_cast<std::size_t>(s)];
+        };
         std::cout << "campaign_serve: served " << info.campaigns
                   << " campaigns, " << info.points << " points ("
-                  << info.simulated << " simulated, "
-                  << info.fromForked << " forked, "
-                  << info.fromMemory << " memory, " << info.fromDisk
-                  << " disk, " << info.fromInflight << " inflight)\n";
+                  << served(JobSource::Simulated) << " simulated, "
+                  << served(JobSource::Forked) << " forked, "
+                  << served(JobSource::Memory) << " memory, "
+                  << served(JobSource::Disk) << " disk, "
+                  << served(JobSource::Inflight) << " inflight)\n";
         return 0;
     } catch (const std::exception &e) {
         std::cerr << "campaign_serve: " << e.what() << "\n";
