@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -40,11 +41,22 @@ EventQueue::~EventQueue()
 void
 EventQueue::clearPending()
 {
-    for (const Entry &e : heap_) {
-        e.ev->scheduled_ = false;
-        retire(e.ev);
-    }
+    auto drop = [this](Event *ev) {
+        ev->scheduled_ = false;
+        retire(ev);
+    };
+    if (next_.ev)
+        drop(next_.ev);
+    next_ = Entry{};
+    for (const Entry &e : heap_)
+        drop(e.ev);
     heap_.clear();
+}
+
+bool
+EventQueue::slotLeads() const
+{
+    return !next_.ev || heap_.empty() || Later{}(heap_.front(), next_);
 }
 
 void
@@ -57,13 +69,31 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
-    heap_.push_back(Entry{ev->when_, ev->seq_, ev});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    // The new event has the largest seq, so it fires before an entry
+    // exactly when its tick is strictly smaller. It takes the slot when
+    // it beats the slot's event (or, with the slot empty, the heap's
+    // head); whatever it displaced goes into the heap.
+    Entry e{when, ev->seq_, ev};
+    if (next_.ev ? when < next_.when
+                 : heap_.empty() || when < heap_.front().when)
+        std::swap(e, next_);
+    if (e.ev) {
+        heap_.push_back(e);
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+    SIM_ASSERT(slotLeads(), "slot (tick ", next_.when, ", seq ", next_.seq,
+               ") is not below the heap head");
 }
 
 Event *
 EventQueue::pop()
 {
+    SIM_ASSERT(slotLeads(), "slot (tick ", next_.when, ", seq ", next_.seq,
+               ") is not below the heap head");
+    if (Event *ev = next_.ev) {
+        next_.ev = nullptr;
+        return ev;
+    }
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Event *ev = heap_.back().ev;
     heap_.pop_back();
@@ -111,8 +141,8 @@ EventQueue::step()
 Tick
 EventQueue::run(Tick limit)
 {
-    while (!heap_.empty()) {
-        if (heap_.front().when > limit) {
+    while (!empty()) {
+        if ((next_.ev ? next_.when : heap_.front().when) > limit) {
             // Stop at the horizon: advance the clock to exactly
             // `limit` — never backwards.
             if (limit > curTick_)
@@ -168,7 +198,9 @@ EventQueue::Image
 EventQueue::image() const
 {
     Image img;
-    img.masters.reserve(heap_.size());
+    img.masters.reserve(pending());
+    if (next_.ev)
+        img.masters.emplace_back(next_.ev->clone());
     for (const Entry &e : heap_)
         img.masters.emplace_back(e.ev->clone());
     img.curTick = curTick_;

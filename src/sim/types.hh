@@ -9,6 +9,7 @@
 #ifndef TDM_SIM_TYPES_HH
 #define TDM_SIM_TYPES_HH
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -78,14 +79,11 @@ isPowerOf2(std::uint64_t n)
     return n != 0 && (n & (n - 1)) == 0;
 }
 
-/** Floor of log2(n) for n > 0. */
+/** Floor of log2(n) for n > 0; 0 for n == 0. */
 constexpr unsigned
 floorLog2(std::uint64_t n)
 {
-    unsigned r = 0;
-    while (n >>= 1)
-        ++r;
-    return r;
+    return static_cast<unsigned>(std::bit_width(n | 1)) - 1;
 }
 
 } // namespace tdm::sim

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -141,9 +145,15 @@ TEST(EventQueue, RunStopAtLimitClampsClockExactly)
     EXPECT_EQ(eq.run(123), 123u);
     EXPECT_EQ(r.order.size(), 1u);
     EXPECT_EQ(eq.pending(), 1u);
-    // The held-back event keeps its original order and still fires.
+    // An event before the held-back one takes the next-event slot; a
+    // limit below it clamps the clock the same way.
+    eq.post<&Recorder::mark>(400, &r, 3);
+    EXPECT_EQ(eq.run(350), 350u);
+    EXPECT_EQ(r.order.size(), 1u);
+    EXPECT_EQ(eq.pending(), 2u);
+    // The held-back events keep their original order and still fire.
     eq.run();
-    EXPECT_EQ(r.order.size(), 2u);
+    EXPECT_EQ(r.order, (std::vector<int>{1, 3, 2}));
     EXPECT_EQ(eq.now(), 500u);
 }
 
@@ -184,13 +194,23 @@ TEST(EventQueue, StepExecutesSingleEvent)
 {
     sim::EventQueue eq;
     Recorder r{&eq};
-    eq.post<&Recorder::mark>(1, &r, 1);
-    eq.post<&Recorder::mark>(2, &r, 2);
+    eq.post<&Recorder::mark>(30, &r, 3); // slot
+    eq.post<&Recorder::mark>(10, &r, 1); // slot; 30 moves to the heap
+    eq.post<&Recorder::mark>(20, &r, 2); // heap
+    EXPECT_EQ(eq.pending(), 3u);
     EXPECT_TRUE(eq.step());
-    EXPECT_EQ(r.order.size(), 1u);
+    EXPECT_EQ(eq.now(), 10u);
+    EXPECT_EQ(eq.pending(), 2u);
+    eq.post<&Recorder::mark>(15, &r, 4); // slot again, before the heap
+    EXPECT_TRUE(eq.step());
+    EXPECT_EQ(eq.now(), 15u);
+    EXPECT_TRUE(eq.step());
     EXPECT_TRUE(eq.step());
     EXPECT_FALSE(eq.step());
-    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_EQ(eq.executed(), 4u);
+    EXPECT_EQ(r.order, (std::vector<int>{1, 4, 2, 3}));
+    EXPECT_EQ(r.ticks, (std::vector<sim::Tick>{10, 15, 20, 30}));
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, DistantEventIsReachedAndLimitClampsBelowIt)
@@ -223,6 +243,11 @@ struct Widget
         log.push_back(v);
         eq->postIn<&Widget::poke>(5, this, v + 1);
     }
+};
+
+struct Holder
+{
+    void take(std::shared_ptr<int>) {}
 };
 
 /** Externally owned event that re-arms itself a fixed number of times. */
@@ -395,6 +420,143 @@ TEST(EventQueue, RandomScheduleFiresInTickSeqOrder)
     }
 }
 
+namespace {
+
+/**
+ * Mirrors the queue's pending set and posts follow-ups relative to its
+ * head: strictly before it (the next-event slot), tied with it, and
+ * after it. Every schedule goes through at(), so a schedule's index is
+ * the queue's sequence number for it.
+ */
+struct HeadChaser
+{
+    using Key = std::pair<sim::Tick, int>; ///< (tick, seq)
+
+    explicit HeadChaser(sim::EventQueue *q) : eq(q) {}
+
+    sim::EventQueue *eq;
+    int budget = 20000;
+    std::uint64_t lcg = 777;
+    std::set<Key> pending;
+    std::vector<Key> scheduled;
+    std::vector<Key> fired;
+
+    std::uint64_t
+    next()
+    {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return lcg >> 33;
+    }
+
+    void
+    at(sim::Tick t)
+    {
+        const Key k{t, static_cast<int>(scheduled.size())};
+        scheduled.push_back(k);
+        pending.insert(k);
+        eq->post<&HeadChaser::hit>(t, this, k.second);
+    }
+
+    void
+    hit(int seq)
+    {
+        const Key k{eq->now(), seq};
+        fired.push_back(k);
+        pending.erase(k);
+        const sim::Tick now = eq->now();
+        const sim::Tick head =
+            pending.empty() ? now + 64 : pending.begin()->first;
+        for (std::uint64_t n = 1 + next() % 2; n > 0 && budget > 0;
+             --n, --budget) {
+            switch (next() % 3) {
+              case 0: // before the head, or at now when the head is now
+                at(now + (head > now ? next() % (head - now) : 0));
+                break;
+              case 1:
+                at(head);
+                break;
+              default:
+                at(head + 1 + next() % 40);
+                break;
+            }
+        }
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, FireOrderIsExactlySortedScheduleKeys)
+{
+    sim::EventQueue eq;
+    HeadChaser h{&eq};
+    for (sim::Tick t : {500, 20, 20, 3000, 0, 999})
+        h.at(t);
+    eq.run();
+    ASSERT_EQ(h.budget, 0);
+    EXPECT_TRUE(h.pending.empty());
+    std::vector<HeadChaser::Key> want = h.scheduled;
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(h.fired.size(), want.size());
+    EXPECT_TRUE(h.fired == want);
+    EXPECT_EQ(eq.executed(), want.size());
+}
+
+TEST(EventQueue, ImageTakenWhileSlotHoldsHeadReplaysTwice)
+{
+    sim::EventQueue eq;
+    Recorder r{&eq};
+    eq.post<&Recorder::mark>(5, &r, 0);
+    eq.run();
+    // Each post lands strictly before the previous head, so the last
+    // one (tick 100) holds the slot and the rest sit in the heap.
+    eq.post<&Recorder::mark>(300, &r, 3);
+    eq.post<&Recorder::chain>(200, &r, 20, 3);
+    eq.post<&Recorder::markIn>(100, &r, sim::Tick{150}, 1);
+    const sim::EventQueue::Image img = eq.image();
+    EXPECT_EQ(img.masters.size(), 3u);
+
+    r.order.clear();
+    r.ticks.clear();
+    eq.run();
+    const std::vector<int> order = r.order;
+    const std::vector<sim::Tick> ticks = r.ticks;
+    EXPECT_EQ(order, (std::vector<int>{20, 21, 22, 1, 3}));
+    EXPECT_EQ(ticks, (std::vector<sim::Tick>{200, 210, 220, 250, 300}));
+    for (int replay = 0; replay < 2; ++replay) {
+        eq.restore(img);
+        EXPECT_EQ(eq.now(), 5u);
+        EXPECT_EQ(eq.pending(), 3u);
+        EXPECT_EQ(eq.executed(), 1u);
+        r.order.clear();
+        r.ticks.clear();
+        eq.run();
+        EXPECT_EQ(r.order, order) << "replay " << replay;
+        EXPECT_EQ(r.ticks, ticks) << "replay " << replay;
+        EXPECT_EQ(eq.now(), 300u);
+    }
+}
+
+TEST(EventQueue, ExternalEventReschedulesItselfIntoSlot)
+{
+    sim::EventQueue eq;
+    Recorder r{&eq};
+    RepeatEvent ev(&eq, 5);
+    eq.post<&Recorder::mark>(10000, &r, 9);
+    eq.schedule(&ev, 100); // before the far mark: takes the slot
+    // Each firing re-arms 10 ticks out, still before the far mark.
+    for (sim::Tick t = 100; t <= 140; t += 10) {
+        ASSERT_TRUE(eq.step());
+        EXPECT_EQ(eq.now(), t);
+        EXPECT_EQ(ev.fired, static_cast<int>((t - 90) / 10));
+        EXPECT_EQ(ev.scheduled(), t < 140);
+    }
+    EXPECT_TRUE(r.order.empty());
+    eq.run();
+    EXPECT_EQ(r.order, (std::vector<int>{9}));
+    EXPECT_EQ(eq.now(), 10000u);
+    EXPECT_FALSE(ev.scheduled());
+}
+
 TEST(EventQueue, PendingEventsFreedOnDestruction)
 {
     // Pool and external events left pending must not leak or crash.
@@ -405,8 +567,14 @@ TEST(EventQueue, PendingEventsFreedOnDestruction)
     eq->post<&Widget::poke>(500000, &w, 2);
     eq->post<&Widget::poke>(10000000, &w, 3);
     eq->schedule(&ev, 99);
+    // A pooled event with a non-trivial payload in the next-event slot.
+    Holder h;
+    auto token = std::make_shared<int>(7);
+    eq->post<&Holder::take>(5, &h, token);
+    EXPECT_EQ(token.use_count(), 2);
     eq.reset();
     EXPECT_TRUE(w.log.empty()); // nothing fired
+    EXPECT_EQ(token.use_count(), 1); // the slot's payload was destroyed
 }
 
 TEST(EventQueueDeath, PastSchedulingPanics)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "sim/config.hh"
@@ -39,6 +40,24 @@ TEST(Types, PowerOfTwoHelpers)
     EXPECT_EQ(sim::floorLog2(1), 0u);
     EXPECT_EQ(sim::divCeil(10, 8), 2);
     EXPECT_EQ(sim::divCeil(16, 8), 2);
+
+    // floorLog2 agrees with the shift loop it replaced at 0, 1 and
+    // around every power of two.
+    auto shiftLoop = [](std::uint64_t n) {
+        unsigned r = 0;
+        while (n >>= 1)
+            ++r;
+        return r;
+    };
+    static_assert(sim::floorLog2(0) == 0);
+    EXPECT_EQ(sim::floorLog2(0), shiftLoop(0));
+    EXPECT_EQ(sim::floorLog2(1), shiftLoop(1));
+    for (unsigned k = 1; k < 64; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        for (std::uint64_t n : {p - 1, p, p + 1})
+            EXPECT_EQ(sim::floorLog2(n), shiftLoop(n)) << "n = " << n;
+    }
+    EXPECT_EQ(sim::floorLog2(~std::uint64_t{0}), 63u);
 }
 
 TEST(Config, TypedRoundTrip)

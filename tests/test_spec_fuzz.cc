@@ -1,8 +1,9 @@
 /**
  * @file
  * Fuzz-style robustness tests for the parsers of outside input: the
- * spec/campaign text parsers and the two result-record readers (store
- * blobs and point events).
+ * spec/campaign text parsers, the two result-record readers (store
+ * blobs and point events), the service request parser and the
+ * dashboard's HTTP request-head parser.
  *
  * The *.campaign parser and the spec key/value layer take arbitrary
  * user text; their error contract is "throw SpecError with context or
@@ -11,9 +12,11 @@
  * thousand deterministic mutations (byte flips, truncations, splices)
  * of a valid campaign file. The record readers' contract is stricter:
  * a damaged record is rejected or reads back exactly, never as a
- * different number. CI runs all of it under ASan/UBSan, which turns
- * any parser over-read, bad index, or leak-on-throw into a failure;
- * in plain builds it still pins the error contracts.
+ * different number. A damaged request is refused with a message (or,
+ * over HTTP, a 400/431/505 status) and never crashes. CI runs all of
+ * it under ASan/UBSan, which turns any parser over-read, bad index, or
+ * leak-on-throw into a failure; in plain builds it still pins the
+ * error contracts.
  *
  * The mutation stream uses a fixed-seed xorshift generator, NOT
  * rand(): the corpus must be identical on every run and platform so a
@@ -24,12 +27,15 @@
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "driver/campaign/engine.hh"
+#include "driver/service/http_server.hh"
 #include "driver/service/protocol.hh"
 #include "driver/service/store.hh"
 #include "driver/spec/campaign_file.hh"
@@ -375,4 +381,113 @@ TEST(RecordFuzz, MutatedPointEventsAreRejectedOrExact)
         expectExact();
     }
     EXPECT_GT(rejected, kRecordMutants / 2);
+}
+
+// ---- requests ------------------------------------------------------------
+
+namespace {
+
+/** Mutants per request parser; sized to keep the sanitizer run < 1 s. */
+constexpr int kRequestMutants = 2000;
+
+/** One to three stacked mutate() rounds; stops early on empty text. */
+std::string
+mutateSome(std::string text, FuzzRng &rng)
+{
+    for (std::size_t n = 1 + rng.pick(3); n > 0 && !text.empty(); --n)
+        text = mutate(std::move(text), rng);
+    return text;
+}
+
+} // namespace
+
+TEST(RequestFuzz, MutatedRequestLinesAreRefusedWithAMessage)
+{
+    const std::string seeds[] = {
+        R"({"op":"submit","name":"sweep","metrics":"dmu.*",)"
+        R"("set":{"runtime":"tdm"},)"
+        R"("campaign":"axis machine.cores = 16, 32\nset workload = lu\n"})",
+        R"({"op":"submit","name":"grid","set":{"machine.cores":16},)"
+        R"("points":[{"label":"a","spec":{"workload":"cholesky"}},)"
+        R"({"spec":{"workload":"qr","workload.seed":7}}]})",
+    };
+    for (const std::string &seed : seeds) {
+        service::Request req;
+        std::string error;
+        ASSERT_TRUE(service::parseRequest(seed, req, error)) << error;
+        ASSERT_NO_THROW((void)service::buildCampaign(req.submit)) << seed;
+    }
+
+    FuzzRng rng(0x4e90e57);
+    int refused = 0, built = 0;
+    for (int round = 0; round < kRequestMutants; ++round) {
+        const std::string mutant =
+            mutateSome(seeds[round % std::size(seeds)], rng);
+        SCOPED_TRACE("mutant " + std::to_string(round) + ": " + mutant);
+        service::Request req;
+        std::string error;
+        if (!service::parseRequest(mutant, req, error)) {
+            EXPECT_FALSE(error.empty());
+            ++refused;
+            continue;
+        }
+        if (req.op != service::RequestOp::Submit)
+            continue;
+        // Anything but SpecError escapes and fails the test.
+        try {
+            (void)service::buildCampaign(req.submit);
+            ++built;
+        } catch (const spec::SpecError &) {
+        }
+    }
+    EXPECT_GT(refused, kRequestMutants / 2);
+    EXPECT_GT(built, 0);
+}
+
+TEST(RequestFuzz, MutatedHttpHeadsParseAlikeWholeAndByteByByte)
+{
+    using State = service::HttpParser::State;
+    const std::string seed =
+        "GET /api/campaign/1/points?from=2&q=a%20b+c HTTP/1.1\r\n"
+        "Host: 127.0.0.1:8080\r\n"
+        "Accept: text/event-stream\r\n"
+        "Content-Length: 0\r\n"
+        "\r\n";
+    {
+        service::HttpParser p;
+        ASSERT_EQ(p.feed(seed.data(), seed.size()), State::Done);
+    }
+
+    FuzzRng rng(0x477bfee7);
+    int errors = 0, done = 0;
+    for (int round = 0; round < kRequestMutants; ++round) {
+        const std::string mutant = mutateSome(seed, rng);
+        SCOPED_TRACE("mutant " + std::to_string(round));
+        service::HttpParser whole;
+        whole.feed(mutant.data(), mutant.size());
+        service::HttpParser bytes;
+        for (char c : mutant)
+            bytes.feed(&c, 1);
+        ASSERT_EQ(whole.state(), bytes.state());
+        if (whole.state() == State::Error) {
+            ++errors;
+            EXPECT_EQ(whole.status(), bytes.status());
+            EXPECT_EQ(whole.reason(), bytes.reason());
+            EXPECT_TRUE(whole.status() == 400 || whole.status() == 431
+                        || whole.status() == 505)
+                << whole.status();
+            EXPECT_FALSE(whole.reason().empty());
+        } else if (whole.state() == State::Done) {
+            ++done;
+            const service::HttpRequest &a = whole.request();
+            const service::HttpRequest &b = bytes.request();
+            EXPECT_EQ(a.method, b.method);
+            EXPECT_EQ(a.target, b.target);
+            EXPECT_EQ(a.path, b.path);
+            EXPECT_EQ(a.query, b.query);
+            EXPECT_EQ(a.headers, b.headers);
+        }
+    }
+    EXPECT_GT(errors, 0);
+    EXPECT_GT(done, 0);
 }
