@@ -48,14 +48,6 @@ class CriticalFirstScheduler : public rt::Scheduler
     sim::Tick pushExtraCycles() const override { return 60; }
     sim::Tick popExtraCycles() const override { return 60; }
 
-    /** Copy the policy with its ready heap: warm-start forks copy the
-     *  whole machine state, this included. */
-    std::unique_ptr<rt::Scheduler>
-    clone() const override
-    {
-        return std::make_unique<CriticalFirstScheduler>(*this);
-    }
-
   private:
     struct Less
     {

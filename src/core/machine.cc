@@ -32,8 +32,7 @@ Machine::Machine(const cpu::MachineConfig &cfg,
                  std::shared_ptr<const rt::TaskGraph> graph,
                  RuntimeType runtime)
     : RunState(cfg), cfg_(cfg), graphHold_(std::move(graph)),
-      graph_(requireGraph(graphHold_)), traits_(traitsOf(runtime)),
-      acct_(cfg.power)
+      graph_(requireGraph(graphHold_)), traits_(traitsOf(runtime))
 {
     if (cfg_.numCores < 2)
         sim::fatal("machine needs at least 2 cores (master + worker)");
@@ -129,18 +128,18 @@ Machine::registerMetrics()
     acct_.regMetrics(p);
     p.formulaFn("energy_j",
                 [this] {
-                    return finished_ ? acct_.totalJoules(makespan_)
+                    return finished_ ? power().totalJoules(makespan_)
                                      : 0.0;
                 },
                 "total chip energy in joules");
     p.formulaFn("edp",
                 [this] {
-                    return finished_ ? acct_.edp(makespan_) : 0.0;
+                    return finished_ ? power().edp(makespan_) : 0.0;
                 },
                 "energy-delay product in J*s");
     p.formulaFn("avg_watts",
                 [this] {
-                    return finished_ ? acct_.avgWatts(makespan_) : 0.0;
+                    return finished_ ? power().avgWatts(makespan_) : 0.0;
                 },
                 "average chip power in watts");
 }
@@ -623,11 +622,6 @@ Machine::advanceOrPark(sim::CoreId core)
 void
 Machine::startExec(sim::CoreId core, const rt::ReadyTask &task)
 {
-    // Warmup/ROI boundary: the first task body is about to run, and
-    // nothing ROI-affecting (the memory stall below) has been computed
-    // yet. This is the checkpoint warm-start forks restore to.
-    if (forkCaptureArmed_ && !sawFirstExec_ && !warm_)
-        captureWarm(core, task);
     const rt::Task &t = graph_.task(task.id);
     sim::Tick stall = 0;
     if (mem_) {
@@ -1003,6 +997,7 @@ MachineResult
 Machine::drain()
 {
     eq_.run(cfg_.maxTicks);
+    drained_ = true;
     if (finished_)
         closeIdleCores();
     return finalize();
@@ -1027,7 +1022,8 @@ Machine::closeIdleCores()
 MachineResult
 Machine::finalize()
 {
-    acct_ = pwr::EnergyAccountant(cfg_.power);
+    pwr::EnergyAccountant &acct = power();
+    acct = pwr::EnergyAccountant(cfg_.power);
     MachineResult res;
     if (!finished_) {
         if (!eq_.empty()) {
@@ -1049,7 +1045,6 @@ Machine::finalize()
                    graph_.numTasks(), " tasks");
 
     // ---- Energy (read by the power.* formulas) ----
-    pwr::EnergyAccountant &acct = acct_;
     for (sim::CoreId c = 0; c < cfg_.numCores; ++c) {
         const cpu::PhaseBreakdown &b = phases_.core(c);
         sim::Tick busy = std::min<sim::Tick>(b.busy(), makespan_);
@@ -1115,51 +1110,14 @@ Machine::finalize()
     return res;
 }
 
-// ---------------------------------------------------------------------
-// Warm-start forking
-// ---------------------------------------------------------------------
-
-void
-Machine::captureWarm(sim::CoreId core, const rt::ReadyTask &task)
+pwr::EnergyAccountant &
+Machine::power()
 {
-    warm_.emplace(WarmCheckpoint{static_cast<const RunState &>(*this),
-                                 eq_.image(), metrics_.keys(), core,
-                                 task});
-}
-
-MachineResult
-Machine::runFromWarm(const cpu::MachineConfig &cfg)
-{
-    if (!warm_)
-        sim::panic("runFromWarm without a captured warm checkpoint");
-    static_cast<RunState &>(*this) = warm_->state;
-    eq_.restore(warm_->events);
-    cfg_ = cfg;
-    // The memory model's only entry point is the stall computation in
-    // startExec, which the checkpoint precedes, so it is provably
-    // untouched: rebuilding it from the fork's own parameters yields
-    // exactly the state a cold run would have here.
-    mem_.reset();
-    if (cfg_.enableMemModel)
-        mem_ = std::make_unique<mem::MemoryModel>(
-            cfg_.mem, cfg_.numCores, graph_.regions().size());
-    // Fresh registry over the restored run state (the old one held
-    // pointers into the replaced memory model). The restored
-    // phase-window snapshots are keyed by metric name, so they only
-    // stay meaningful if the fork registers the captured key set.
-    metrics_ = sim::MetricRegistry();
-    registerMetrics();
-    if (metrics_.keys() != warm_->metricKeys)
-        throw sim::MetricError(
-            "metric registry shape changed across a warm-start "
-            "restore: forked configurations must register an "
-            "identical key set");
-    // Replay the interrupted dispatch: every call site invokes
-    // startExec in tail position, so re-entering it at the restored
-    // clock — with this fork's memory model computing the first
-    // stall — reproduces a cold run's event sequence exactly.
-    startExec(warm_->resumeCore, warm_->resumeTask);
-    return drain();
+    SIM_ASSERT(drained_,
+               "power model read before the event loop drained; "
+               "runFromFinal() relies on power never entering the "
+               "trajectory");
+    return acct_;
 }
 
 MachineResult

@@ -62,12 +62,8 @@ struct MachineResult
 };
 
 /**
- * Every field a simulated trajectory mutates, as one copyable value.
- * A warm-start checkpoint is a copy of it, and a restore assigns the
- * copy back in place, so the metric registry's typed pointers into it
- * stay valid. A field added here is checkpointed by construction.
- * Machine inherits it privately, so the model code names the fields
- * directly.
+ * Every field a simulated trajectory mutates. Machine inherits it
+ * privately, so the model code names the fields directly.
  */
 struct RunState
 {
@@ -118,6 +114,7 @@ struct RunState
     bool masterCreating_ = false;
     bool regionDone_ = false;
     bool finished_ = false;
+    bool drained_ = false; ///< the event loop has returned
 
     /** A master-side DMU ISA operation parked on a full structure. */
     struct DmuRetry
@@ -181,38 +178,11 @@ class Machine : private RunState
     /** Run to completion and summarize. */
     MachineResult run();
 
-    // ---- warm-start forking ----------------------------------------
+    // ---- finalize forks --------------------------------------------
 
-    /**
-     * Arm checkpoint capture for the next run(): the run state is
-     * copied at the warmup/ROI boundary (the tick of the first
-     * task-body dispatch, before its memory stall is computed). Runs
-     * of spec points that share this machine's warmup-affecting
-     * parameters can then fork via runFromWarm() instead of replaying
-     * the whole trajectory cold.
-     */
-    void armForkCapture() { forkCaptureArmed_ = true; }
-
-    /** True when run() captured a warmup/ROI checkpoint (false for
-     *  degenerate graphs that never dispatch a task). */
-    bool hasWarmCheckpoint() const { return warm_.has_value(); }
-
-    /** True when the last run (cold or warm-forked) completed, so
-     *  runFromFinal() can re-finalize its trajectory. */
+    /** True when run() completed, so runFromFinal() can re-finalize
+     *  its trajectory. */
     bool finished() const { return finished_; }
-
-    /**
-     * Re-run from the warmup/ROI checkpoint under @p cfg, which must
-     * agree with the captured run on every warmup-affecting parameter
-     * (spec::KeyPhase::Warmup keys) and may differ in ROI and finalize
-     * parameters (memory hierarchy, power). Assigns the checkpointed
-     * run state back, rebuilds the memory model and metric registry
-     * for @p cfg (throwing sim::MetricError when the registry's key
-     * set differs from the captured one), and replays the interrupted
-     * dispatch; the result is bit-for-bit identical to a cold run of
-     * @p cfg. Restorable any number of times.
-     */
-    MachineResult runFromWarm(const cpu::MachineConfig &cfg);
 
     /**
      * Re-run only the finalize tail (energy model + metric tree) of
@@ -353,10 +323,6 @@ class Machine : private RunState
     /** Register every component's metrics (constructor tail). */
     void registerMetrics();
 
-    // ---- warm-start fork internals ----
-    /** Copy the warmup/ROI checkpoint at the top of the first
-     *  startExec. */
-    void captureWarm(sim::CoreId core, const rt::ReadyTask &task);
     /** Run the event loop to its end, close the trajectory, and
      *  summarize it. */
     MachineResult drain();
@@ -389,7 +355,7 @@ class Machine : private RunState
     std::uint32_t swSuccCount(rt::TaskId id) const;
 
     // Everything below is either fixed for the machine's lifetime or
-    // rebuilt per fork; the mutable trajectory lives in RunState.
+    // rebuilt by finalize(); the mutable trajectory lives in RunState.
     cpu::MachineConfig cfg_;
     std::shared_ptr<const rt::TaskGraph> graphHold_; ///< may share
     const rt::TaskGraph &graph_; ///< always valid; == *graphHold_
@@ -413,25 +379,17 @@ class Machine : private RunState
     std::vector<mem::MemAccess> footprintScratch_;
 
     sim::MetricRegistry metrics_;
+
+    /**
+     * The power model, rebuilt from cfg_.power by each finalize().
+     * runFromFinal() shares one trajectory across power
+     * configurations, which holds only while no event reads power, so
+     * finalize() and the power.* formulas reach it only through
+     * power(), which invariant builds check runs after the event loop
+     * has drained.
+     */
     pwr::EnergyAccountant acct_;
-
-    // ---- warm-start fork state ----
-    /** The warmup/ROI checkpoint: the run state by value, the pending
-     *  events, the registry's key set, and the dispatch the capture
-     *  interrupted. Every startExec call site invokes it in tail
-     *  position, so replaying it from the restored clock reproduces
-     *  the original event suffix exactly. */
-    struct WarmCheckpoint
-    {
-        RunState state;
-        sim::EventQueue::Image events;
-        std::vector<std::string> metricKeys;
-        sim::CoreId resumeCore = 0;
-        rt::ReadyTask resumeTask{};
-    };
-
-    bool forkCaptureArmed_ = false;
-    std::optional<WarmCheckpoint> warm_;
+    pwr::EnergyAccountant &power();
 
     static constexpr sim::CoreId masterCore = 0;
 };

@@ -78,11 +78,10 @@ ablationScalingGrid()
 
 /**
  * Memory/power sensitivity ablation: each (workload, runtime) point
- * swept over L1 capacity and active-core power. Every 9-point cell
- * shares one warm prefix (only `mem.*` / `power.*` keys vary), so this
- * is the warm-start fork showcase: the engine simulates each warmup
- * once and forks, where a cold engine simulates all 36 points from
- * tick 0. BENCH_PR*.json records the A/B wall-clock.
+ * swept over L1 capacity and active-core power. Points that differ
+ * only in `power.*` keys share one trajectory, so this is the fork
+ * showcase: the engine simulates 12 cold legs and serves the other 24
+ * points by finalize forks, where a cold engine simulates all 36.
  */
 spec::Grid
 ablationSensitivityGrid()

@@ -249,35 +249,26 @@ CampaignEngine::run(const std::string &name,
         work.push_back(i);
     }
 
-    // Phase 1.5: warm-start fork grouping. Points this run simulates
-    // are bucketed by warm-prefix fingerprint (the Warmup-phase
-    // projection of their canonical spec, first-seen order); each
-    // bucket is one work unit simulating a single cold warmup leg and
-    // forking the rest. Members sort by ROI fingerprint (stably, so
-    // ties keep input order) to chain finalize-level forks: points
-    // differing only in `power.*` keys sit adjacent and share the
-    // whole trajectory. Grouping never changes any result — forked
-    // summaries are bit-identical to cold ones — so output order and
-    // content stay schedule-independent exactly as before.
-    std::vector<std::string> roiKeys(n);
+    // Phase 1.5: fork grouping. Points this run simulates are
+    // bucketed by trajectory fingerprint (the Warmup-phase projection
+    // of their canonical spec, first-seen order), so members differ
+    // only in `power.*` keys; each bucket is one work unit simulating
+    // a single cold leg and re-finalizing it for the rest. Grouping
+    // never changes any result — forked summaries are bit-identical
+    // to cold ones — so output order and content stay
+    // schedule-independent exactly as before.
+    std::vector<std::string> forkKeys(n);
     std::vector<std::vector<std::size_t>> groups;
     if (opts_.warmFork) {
         std::unordered_map<std::string, std::size_t> groupOf;
         for (const std::size_t i : work) {
-            const std::string warmKey =
-                spec::warmFingerprint(report.jobs[i].spec);
-            roiKeys[i] = spec::roiFingerprint(report.jobs[i].spec);
+            forkKeys[i] = spec::warmFingerprint(report.jobs[i].spec);
             auto [it, fresh] =
-                groupOf.emplace(warmKey, groups.size());
+                groupOf.emplace(forkKeys[i], groups.size());
             if (fresh)
                 groups.emplace_back();
             groups[it->second].push_back(i);
         }
-        for (std::vector<std::size_t> &g : groups)
-            std::stable_sort(g.begin(), g.end(),
-                             [&](std::size_t a, std::size_t b) {
-                                 return roiKeys[a] < roiKeys[b];
-                             });
     } else {
         groups.reserve(work.size());
         for (const std::size_t i : work)
@@ -307,7 +298,7 @@ CampaignEngine::run(const std::string &name,
             const std::vector<std::size_t> &group = groups[g];
             // Created on the group's first member so a graph-build
             // failure leaves it untouched; singleton groups skip the
-            // fork machinery (and its capture overhead) entirely.
+            // fork machinery entirely.
             std::optional<ForkGroupRunner> runner;
             for (const std::size_t i : group) {
                 JobResult &job = report.jobs[i];
@@ -327,7 +318,7 @@ CampaignEngine::run(const std::string &name,
                         runner.emplace(graph, group.size() > 1);
                     bool forked = false;
                     job.summary =
-                        runner->run(exps[i], roiKeys[i],
+                        runner->run(exps[i], forkKeys[i],
                                     wantTrace ? &tb : nullptr,
                                     &forked);
                     if (forked)
@@ -353,7 +344,7 @@ CampaignEngine::run(const std::string &name,
                     job.error = e.what();
                     job.threw = true;
                     if (runner)
-                        runner->reset(); // machine may be mid-restore
+                        runner->reset(); // machine may be mid-run
                 } catch (...) {
                     job.error = "unknown error";
                     job.threw = true;
@@ -441,9 +432,9 @@ CampaignEngine::run(const std::string &name,
         }
         report.simMsTotal += j.wallMs;
     }
-    // Cold legs = the simulated points minus the ones forking another
-    // point's checkpoint; a warmup is "shared" when at least one group
-    // member actually resumed from it.
+    // Cold legs = the simulated points minus the ones re-finalizing
+    // another point's trajectory; a cold leg is "shared" when at least
+    // one group member actually forked from it.
     report.simulated = work.size() - report.fromForked;
     for (const std::vector<std::size_t> &g : groups) {
         const bool shared = std::any_of(

@@ -110,17 +110,16 @@ struct EngineOptions
     CacheBackend *backend = nullptr;
 
     /**
-     * Warm-start batching: group the points this run simulates by
-     * their warm-prefix fingerprint (the Warmup-phase projection of
-     * the canonical spec, see spec::KeyPhase), simulate one warmup
-     * leg per group, and fork the remaining members from a checkpoint
-     * taken at the warmup/ROI boundary (members differing only in
-     * `power.*` keys fork at finalization and share the whole
-     * trajectory). Pure wall-clock optimization: forked summaries are
-     * bit-identical to cold runs (the forked-equivalence test pins
-     * this), and groups degrade to cold legs when a checkpoint is
-     * unavailable. Off (campaign_run --no-warm-fork) is only useful
-     * for that comparison and for timing baselines.
+     * Finalize forking: group the points this run simulates by their
+     * trajectory fingerprint (the Warmup-phase projection of the
+     * canonical spec, see spec::KeyPhase), simulate one cold leg per
+     * group, and serve the remaining members, which differ only in
+     * `power.*` keys, by re-finalizing that leg's trajectory. Pure
+     * wall-clock optimization: forked summaries are bit-identical to
+     * cold runs (the forked-equivalence test pins this), and members
+     * fall back to cold legs when a trajectory cannot be shared. Off
+     * (campaign_run --no-warm-fork) is only useful for that comparison
+     * and for timing baselines.
      */
     bool warmFork = true;
 };
@@ -133,9 +132,9 @@ struct EngineOptions
  * being resolved (simulated or read from the backend, in this run or
  * a concurrent one) instead of resolving it again — so a concurrent
  * duplicate of a key being read from disk reports Inflight, with the
- * same summary; "Forked" means the point was simulated, but resumed
- * from another point's warmup (or whole-trajectory) checkpoint instead
- * of starting cold (EngineOptions::warmFork).
+ * same summary; "Forked" means the point re-finalized another point's
+ * simulated trajectory under its own power configuration instead of
+ * simulating one (EngineOptions::warmFork).
  */
 enum class JobSource { Simulated, Memory, Disk, Inflight, Forked };
 
@@ -226,10 +225,10 @@ struct CampaignResult
     std::uint64_t fromDisk = 0;     ///< served from the external backend
     std::uint64_t fromInflight = 0; ///< attached to an identical
                                     ///< in-flight simulation
-    std::uint64_t fromForked = 0;   ///< simulated by forking another
-                                    ///< point's warm-start checkpoint
-    std::uint64_t warmupsShared = 0; ///< cold warmup legs at least one
-                                     ///< forked point resumed from
+    std::uint64_t fromForked = 0;   ///< re-finalized another point's
+                                    ///< simulated trajectory
+    std::uint64_t warmupsShared = 0; ///< cold legs at least one forked
+                                     ///< point re-finalized
     std::uint64_t graphBuilds = 0; ///< distinct task graphs built
     std::uint64_t graphShares = 0; ///< simulated points served a
                                    ///< cached shared graph

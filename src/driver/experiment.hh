@@ -144,8 +144,8 @@ RunSummary run(const Experiment &exp,
  * Build a RunSummary from a finished machine result: folds the
  * workload-shape facts of @p graph into the metric tree and fills the
  * headline members from it (summaryOf). The tail of run(), shared
- * with the warm-start ForkGroupRunner so forked and cold summaries
- * are built by the same code.
+ * with ForkGroupRunner so forked and cold summaries are built by the
+ * same code.
  */
 RunSummary summarize(core::MachineResult mr, const rt::TaskGraph &graph);
 

@@ -24,7 +24,6 @@ ForkGroupRunner::cold(const Experiment &exp, const std::string &roi_key,
         graph_ = buildGraph(exp);
     machine_ = std::make_unique<core::Machine>(exp.config, graph_,
                                                exp.runtime);
-    machine_->armForkCapture();
     core::MachineResult mr = machine_->run();
     finalRoiKey_ = roi_key;
     if (trace_out)
@@ -43,9 +42,9 @@ ForkGroupRunner::run(const Experiment &exp, const std::string &roi_key,
 
     // Every leg copies the trace out: later final forks share it.
     //
-    // Cheapest fork first: an equal ROI fingerprint means the member's
-    // whole trajectory matches the machine's last completed one, so
-    // only finalization re-runs under the member's power config.
+    // An equal fingerprint means the member's whole trajectory matches
+    // the machine's last completed one, so only finalization re-runs
+    // under the member's power config.
     if (machine_ && machine_->finished() && roi_key == finalRoiKey_) {
         core::MachineResult mr = machine_->runFromFinal(exp.config);
         if (trace_out)
@@ -54,24 +53,6 @@ ForkGroupRunner::run(const Experiment &exp, const std::string &roi_key,
             *forked = true;
         return summarize(std::move(mr), *graph_);
     }
-
-    // Shared warm prefix: restore the warmup/ROI checkpoint and
-    // re-simulate the ROI under the member's configuration. The
-    // machine then holds the member's trajectory, so its own ROI
-    // siblings chain through the branch above.
-    if (machine_ && machine_->hasWarmCheckpoint()) {
-        core::MachineResult mr = machine_->runFromWarm(exp.config);
-        finalRoiKey_ = roi_key;
-        if (trace_out)
-            *trace_out = machine_->traceBuffer();
-        if (forked)
-            *forked = true;
-        return summarize(std::move(mr), *graph_);
-    }
-
-    // First member, or graceful degradation: the last leg produced no
-    // warm checkpoint (it never dispatched a task) — later members
-    // retry against whatever checkpoint this leg produces.
     return cold(exp, roi_key, trace_out);
 }
 

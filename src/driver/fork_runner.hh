@@ -1,21 +1,15 @@
 /**
  * @file
- * Warm-start fork-group execution: one shared warmup (or whole
- * trajectory) leg per group of experiments.
+ * Fork-group execution: one simulated trajectory per group of
+ * experiments.
  *
  * The campaign engine groups points whose Warmup-phase spec
- * projections agree (see spec::KeyPhase / spec::warmFingerprint) and
- * hands each group to one ForkGroupRunner. The runner simulates the
- * first member cold with fork capture armed, then serves every further
- * member from the same machine:
- *
- *  - equal ROI fingerprint (the member differs only in `power.*`
- *    keys): Machine::runFromFinal — the last completed trajectory is
- *    shared, only finalization re-runs;
- *  - otherwise: Machine::runFromWarm — the machine's run state is
- *    assigned back from its warmup/ROI checkpoint (a by-value copy)
- *    and the ROI re-simulates under the member's `mem.*`
- *    configuration.
+ * projections agree (see spec::KeyPhase / spec::warmFingerprint), so
+ * members differ only in `power.*` keys, and hands each group to one
+ * ForkGroupRunner. The runner simulates the first member cold, then
+ * serves every further member with an equal fingerprint by
+ * Machine::runFromFinal: the whole trajectory is shared and only
+ * finalization re-runs under the member's power configuration.
  *
  * The trace buffer belongs to the trajectory, which later final forks
  * share, so every leg hands out a copy of it rather than moving it.
@@ -23,9 +17,10 @@
  * Determinism contract: a forked member's RunSummary (makespan and the
  * full metric tree) is bit-for-bit identical to a cold run of the same
  * experiment; test_golden_determinism.cc pins this over every golden
- * configuration. The runner degrades to a cold leg whenever no fork is
- * available (a graph that never dispatches a task, an incomplete
- * leader), so grouping is always safe, merely sometimes unprofitable.
+ * configuration and every `power.*` key. The runner falls back to a
+ * cold leg whenever the last trajectory cannot be shared (an
+ * incomplete leader, a different fingerprint), so grouping is always
+ * safe, merely sometimes unprofitable.
  */
 
 #ifndef TDM_DRIVER_FORK_RUNNER_HH
@@ -54,17 +49,18 @@ class ForkGroupRunner
                              bool enableFork = true);
 
     /**
-     * Run the next member. Members must arrive with equal ROI
-     * fingerprints adjacent (the engine sorts each group by
-     * @p roi_key) so finalize-level forks chain. Sets @p forked (when
-     * non-null) to whether the member was served from a fork rather
-     * than a cold simulation.
+     * Run the next member. A member whose @p roi_key (its
+     * spec::roiFingerprint) equals the last completed leg's is served
+     * by a finalize fork; any other runs a cold leg. Sets @p forked
+     * (when non-null) to whether the member was served from a fork
+     * rather than a cold simulation.
      */
     RunSummary run(const Experiment &exp, const std::string &roi_key,
                    sim::TraceBuffer *trace_out, bool *forked);
 
     /** Drop the shared machine; the next member starts a fresh cold
-     *  leg. Call after run() throws — the machine may be mid-restore. */
+     *  leg. Call after run() throws — the machine may be
+     *  mid-trajectory. */
     void reset();
 
   private:
@@ -75,8 +71,7 @@ class ForkGroupRunner
     bool enableFork_;
     std::unique_ptr<core::Machine> machine_;
 
-    /** ROI fingerprint of the machine's last trajectory (the last
-     *  cold or warm-forked leg). */
+    /** Fingerprint of the machine's trajectory (the last cold leg). */
     std::string finalRoiKey_;
 };
 

@@ -434,18 +434,12 @@ buildRegistry()
 
     // Phase classification (see KeyPhase in spec.hh). The registry
     // defaults every key to Warmup — the conservative choice — and
-    // promotes exactly the two families whose consumers provably run
-    // later: `mem.*` feeds mem::MemoryModel, which is only queried
-    // when a task body executes (inside the ROI), and `power.*` feeds
-    // pwr::EnergyAccountant, which is only consulted in
-    // Machine::finalize() after the event loop drains.
-    // `machine.mem_model` itself stays Warmup on purpose: toggling it
-    // changes which metrics register, breaking the fork contract's
-    // registry-shape invariance. test_spec.cc pins this table.
+    // promotes exactly the one family whose consumer provably runs
+    // later: `power.*` feeds pwr::EnergyAccountant, which is only
+    // consulted in Machine::finalize() after the event loop drains.
+    // test_warm_fork.cc pins this table.
     for (Binding &b : r) {
-        if (b.key.rfind("mem.", 0) == 0)
-            b.phase = KeyPhase::Roi;
-        else if (b.key.rfind("power.", 0) == 0)
+        if (b.key.rfind("power.", 0) == 0)
             b.phase = KeyPhase::Final;
     }
 
@@ -477,7 +471,6 @@ keyPhaseName(KeyPhase phase)
 {
     switch (phase) {
     case KeyPhase::Warmup: return "warmup";
-    case KeyPhase::Roi: return "roi";
     case KeyPhase::Final: return "final";
     }
     return "?";
@@ -581,11 +574,7 @@ warmFingerprint(const sim::Config &canonical)
 std::string
 roiFingerprint(const sim::Config &canonical)
 {
-    sim::Config warm = phaseSpec(canonical, KeyPhase::Warmup);
-    const sim::Config roi = phaseSpec(canonical, KeyPhase::Roi);
-    for (const auto &[k, v] : roi.entries())
-        warm.set(k, v);
-    return warm.serialize();
+    return warmFingerprint(canonical);
 }
 
 std::string

@@ -56,22 +56,16 @@ const char *valueKindName(ValueKind kind);
 
 /**
  * Earliest simulation phase whose outcome a key can influence. This is
- * the load-bearing contract behind warm-start forking (Machine fork
- * API, CampaignEngine grouping): two experiments whose Warmup-phase
- * projections agree follow bit-identical trajectories from tick 0 up
- * to the warmup/ROI boundary, so a single warmup leg can be simulated
- * once, checkpointed, and forked for every member.
+ * the load-bearing contract behind finalize forking
+ * (Machine::runFromFinal, CampaignEngine grouping): two experiments
+ * whose Warmup-phase projections agree follow bit-identical
+ * trajectories to the end of the event loop, so one trajectory can be
+ * simulated once and re-finalized for every member.
  *
- *  - Warmup: consumed from tick 0 — task graph shape, runtime costs,
- *    machine geometry, DMU tables, trace config. The conservative
- *    default: anything not provably later-phase is Warmup.
- *  - Roi: first consumed at the first task execution (the warmup/ROI
- *    boundary): the memory-model keys (`mem.*`). Task bodies — and
- *    with them every memory access — only start executing inside the
- *    ROI, so cache geometry and latencies cannot affect the warmup
- *    prefix. (`machine.mem_model` itself stays Warmup: toggling the
- *    model changes which metrics exist, violating the fork contract's
- *    registry-shape invariance.)
+ *  - Warmup: consumed during the simulated trajectory — task graph
+ *    shape, runtime costs, machine geometry, DMU tables, memory
+ *    model, trace config. The conservative default: anything not
+ *    provably finalize-only is Warmup.
  *  - Final: consumed only after the event loop drains, during result
  *    finalization: the energy-accounting keys (`power.*`). Members
  *    differing only here share the entire simulated trajectory.
@@ -79,11 +73,10 @@ const char *valueKindName(ValueKind kind);
 enum class KeyPhase
 {
     Warmup,
-    Roi,
     Final,
 };
 
-/** "warmup", "roi", "final" for messages and the key reference. */
+/** "warmup", "final" for messages and the key reference. */
 const char *keyPhaseName(KeyPhase phase);
 
 /** One key-path: typed accessors into an Experiment plus metadata. */
@@ -142,20 +135,14 @@ sim::Config canonicalSpec(const Experiment &exp);
 sim::Config phaseSpec(const sim::Config &canonical, KeyPhase phase);
 
 /**
- * Warm-prefix fingerprint of a canonical spec: the serialization of
- * its Warmup-phase projection. Two points with equal fingerprints are
- * guaranteed bit-identical trajectories up to the warmup/ROI boundary
- * and may share one simulated warmup leg (CampaignEngine's fork-group
- * key).
+ * Trajectory fingerprint of a canonical spec: the serialization of its
+ * Warmup-phase projection. Points with equal fingerprints differ only
+ * in Final keys and share the entire simulated trajectory
+ * (CampaignEngine's fork-group key).
  */
 std::string warmFingerprint(const sim::Config &canonical);
 
-/**
- * ROI fingerprint: the serialization of the combined Warmup+Roi
- * projection. Points with equal ROI fingerprints differ only in Final
- * keys and share the entire simulated trajectory (finalize-fork
- * sub-group key).
- */
+/** Alias of warmFingerprint(), kept for existing callers. */
 std::string roiFingerprint(const sim::Config &canonical);
 
 /**

@@ -11,19 +11,6 @@ ReadyPool::ReadyPool(std::unique_ptr<Scheduler> policy)
         sim::fatal("ready pool needs a scheduling policy");
 }
 
-ReadyPool::ReadyPool(const ReadyPool &other)
-    : policy_(other.policy_->clone()), pushes_(other.pushes_),
-      pops_(other.pops_), emptyPops_(other.emptyPops_), peak_(other.peak_)
-{}
-
-ReadyPool &
-ReadyPool::operator=(const ReadyPool &other)
-{
-    if (this != &other)
-        *this = ReadyPool(other);
-    return *this;
-}
-
 void
 ReadyPool::push(const ReadyTask &task)
 {

@@ -20,13 +20,6 @@ class ReadyPool
   public:
     explicit ReadyPool(std::unique_ptr<Scheduler> policy);
 
-    /** Copies are independent: the policy is copied through
-     *  Scheduler::clone(). */
-    ReadyPool(const ReadyPool &other);
-    ReadyPool &operator=(const ReadyPool &other);
-    ReadyPool(ReadyPool &&) = default;
-    ReadyPool &operator=(ReadyPool &&) = default;
-
     void push(const ReadyTask &task);
     std::optional<ReadyTask> pop(sim::CoreId core);
 

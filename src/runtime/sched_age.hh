@@ -39,12 +39,6 @@ class AgeScheduler : public Scheduler
     sim::Tick pushExtraCycles() const override { return 60; }
     sim::Tick popExtraCycles() const override { return 60; }
 
-    std::unique_ptr<Scheduler>
-    clone() const override
-    {
-        return std::make_unique<AgeScheduler>(*this);
-    }
-
   private:
     struct Older
     {

@@ -32,12 +32,6 @@ class FifoScheduler : public Scheduler
     bool empty() const override { return q_.empty(); }
     std::size_t size() const override { return q_.size(); }
 
-    std::unique_ptr<Scheduler>
-    clone() const override
-    {
-        return std::make_unique<FifoScheduler>(*this);
-    }
-
   private:
     std::deque<ReadyTask> q_;
 };

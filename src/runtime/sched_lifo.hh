@@ -32,12 +32,6 @@ class LifoScheduler : public Scheduler
     bool empty() const override { return stack_.empty(); }
     std::size_t size() const override { return stack_.size(); }
 
-    std::unique_ptr<Scheduler>
-    clone() const override
-    {
-        return std::make_unique<LifoScheduler>(*this);
-    }
-
   private:
     std::vector<ReadyTask> stack_;
 };

@@ -40,12 +40,6 @@ class LocalityScheduler : public Scheduler
     sim::Tick pushExtraCycles() const override { return 30; }
     sim::Tick popExtraCycles() const override { return 40; }
 
-    std::unique_ptr<Scheduler>
-    clone() const override
-    {
-        return std::make_unique<LocalityScheduler>(*this);
-    }
-
   private:
     /** Dequeue the oldest entry (front) of @p q. */
     std::optional<ReadyTask> takeOldest(std::deque<ReadyTask> &q);

@@ -53,12 +53,6 @@ class SuccessorScheduler : public Scheduler
 
     sim::Tick pushExtraCycles() const override { return 20; }
 
-    std::unique_ptr<Scheduler>
-    clone() const override
-    {
-        return std::make_unique<SuccessorScheduler>(*this);
-    }
-
   private:
     std::uint32_t threshold_;
     std::deque<ReadyTask> high_;

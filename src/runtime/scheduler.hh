@@ -63,15 +63,6 @@ class Scheduler
     /** Extra policy cycles on top of the base pool push/pop cost. */
     virtual sim::Tick pushExtraCycles() const { return 0; }
     virtual sim::Tick popExtraCycles() const { return 0; }
-
-    /**
-     * Independent copy of the policy and its ready-task state. A
-     * warm-start checkpoint copies the machine state by value, and the
-     * ready pool copies its policy through this; every policy,
-     * user-registered ones included, must provide it (typically
-     * `return std::make_unique<MyPolicy>(*this);`).
-     */
-    virtual std::unique_ptr<Scheduler> clone() const = 0;
 };
 
 /**

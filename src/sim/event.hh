@@ -41,6 +41,7 @@ class Event
 {
   public:
     Event() = default;
+    Event(const Event &) = delete;
     Event &operator=(const Event &) = delete;
     virtual ~Event() = default;
 
@@ -50,9 +51,6 @@ class Event
     /** Debug name; override for more useful traces. */
     virtual const char *name() const;
 
-    /** Heap-allocated copy of this event for checkpoint images. */
-    virtual Event *clone() const = 0;
-
     /** Tick this event is (or was last) scheduled for. */
     Tick when() const { return when_; }
 
@@ -61,17 +59,6 @@ class Event
 
     /** True while the event sits in an event queue. */
     bool scheduled() const { return scheduled_; }
-
-  protected:
-    /**
-     * Copy for clone(): carries the schedule keys (tick, sequence) so
-     * a restored image replays in the original fire order, but marks
-     * the copy heap-owned — clones live outside the size-class pools
-     * and are freed with plain delete.
-     */
-    Event(const Event &other)
-        : when_(other.when_), seq_(other.seq_), poolClass_(heapClass)
-    {}
 
   private:
     friend class EventQueue;
@@ -103,10 +90,6 @@ class Event
 template <auto MemFn, typename Owner, typename... Args>
 class BoundEvent final : public Event
 {
-    static_assert((std::is_copy_constructible_v<Args> && ...),
-                  "bound arguments must be copyable so checkpoints can "
-                  "clone the event");
-
   public:
     explicit BoundEvent(Owner *owner, Args... args)
         : owner_(owner), args_(std::move(args)...)
@@ -119,8 +102,6 @@ class BoundEvent final : public Event
     }
 
     const char *name() const override { return "bound"; }
-
-    Event *clone() const override { return new BoundEvent(*this); }
 
     /**
      * True when recycling the event needs no destructor call — the

@@ -194,46 +194,4 @@ EventQueue::releaseRaw(void *mem, std::size_t cls)
     freeLists_[cls] = mem;
 }
 
-EventQueue::Image
-EventQueue::image() const
-{
-    Image img;
-    img.masters.reserve(pending());
-    if (next_.ev)
-        img.masters.emplace_back(next_.ev->clone());
-    for (const Entry &e : heap_)
-        img.masters.emplace_back(e.ev->clone());
-    img.curTick = curTick_;
-    img.nextSeq = nextSeq_;
-    img.executed = executed_;
-#if SIM_INVARIANTS_ENABLED
-    img.lastFiredWhen = lastFiredWhen_;
-    img.lastFiredSeq = lastFiredSeq_;
-    img.anyFired = anyFired_;
-#endif
-    return img;
-}
-
-void
-EventQueue::restore(const Image &img)
-{
-    clearPending();
-    curTick_ = img.curTick;
-    nextSeq_ = img.nextSeq;
-    executed_ = img.executed;
-#if SIM_INVARIANTS_ENABLED
-    lastFiredWhen_ = img.lastFiredWhen;
-    lastFiredSeq_ = img.lastFiredSeq;
-    anyFired_ = img.anyFired;
-#endif
-    // Each clone carries its master's original (tick, seq) key, so the
-    // rebuilt heap reproduces the original fire order exactly.
-    for (const auto &master : img.masters) {
-        Event *ev = master->clone();
-        ev->scheduled_ = true;
-        heap_.push_back(Entry{ev->when_, ev->seq_, ev});
-    }
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-}
-
 } // namespace tdm::sim

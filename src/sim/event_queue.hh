@@ -35,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -144,33 +143,6 @@ class EventQueue
         return heap_.size() + (next_.ev != nullptr);
     }
 
-    // ---- warm-start checkpoints ------------------------------------
-
-    /**
-     * Restorable copy of the queue: heap-owned clones of every pending
-     * event plus the clock and sequence state. restore() re-clones the
-     * masters, so one image serves any number of restores.
-     */
-    struct Image
-    {
-        std::vector<std::unique_ptr<Event>> masters;
-        Tick curTick = 0;
-        std::uint64_t nextSeq = 0;
-        std::uint64_t executed = 0;
-#if SIM_INVARIANTS_ENABLED
-        Tick lastFiredWhen = 0;
-        std::uint64_t lastFiredSeq = 0;
-        bool anyFired = false;
-#endif
-    };
-
-    /** Capture the queue's complete state. */
-    Image image() const;
-
-    /** Replace all queue state with @p img; the replay fires the same
-     *  events at the same ticks in the same order as the original. */
-    void restore(const Image &img);
-
     /** True when no events remain. */
     bool empty() const { return !next_.ev && heap_.empty(); }
 
@@ -237,9 +209,8 @@ class EventQueue
 #if SIM_INVARIANTS_ENABLED
     /**
      * Last fired (tick, seq) key: the determinism contract is that the
-     * fire order is strictly increasing lexicographically, across
-     * checkpoint restores included. Debug/sanitizer builds re-verify
-     * this at every fire.
+     * fire order is strictly increasing lexicographically.
+     * Debug/sanitizer builds re-verify this at every fire.
      */
     Tick lastFiredWhen_ = 0;
     std::uint64_t lastFiredSeq_ = 0;

@@ -223,9 +223,9 @@ TEST(Engine, NoCacheOptionDisablesDedup)
     campaign::CampaignEngine engine(opts);
     auto rep = engine.run("nocache", points);
     // Cache dedup is off, so neither point is *served* from a cache —
-    // but warm-start batching still groups the identical specs, so
-    // the second point forks the first's snapshot instead of starting
-    // cold, and its summary must come out identical.
+    // but fork grouping still groups the identical specs, so the
+    // second point re-finalizes the first's trajectory instead of
+    // simulating one, and its summary must come out identical.
     EXPECT_EQ(rep.simulated, 1u);
     EXPECT_EQ(rep.fromForked, 1u);
     EXPECT_EQ(rep.warmupsShared, 1u);

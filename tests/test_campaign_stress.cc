@@ -154,15 +154,15 @@ TEST(CampaignStress, ConcurrentClientsHammerOneEngine)
 
 TEST(CampaignStress, ConcurrentForkedGroupsStayDeterministic)
 {
-    // Warm-start fork groups under contention: four distinct warmup
-    // prefixes (runtime x scheduler), each with a leader plus a
-    // `power.*` variant (finalize fork) and a `mem.*` variant (warm
-    // fork). Caching is off, so every client drives the full fork
-    // machinery itself — four ForkGroupRunners per run, live machine
-    // snapshots restored on worker threads — while four clients do
-    // the same concurrently. TSan checks the isolation (each group's
-    // machine is worker-private); the asserts check the fork paths
-    // were actually taken and stayed deterministic.
+    // Fork groups under contention: four runtime x scheduler cells,
+    // each with a leader plus a `power.*` variant (finalize fork) and
+    // a `mem.*` variant (its own cold leg). Caching is off, so every
+    // client drives the full fork machinery itself — eight
+    // ForkGroupRunners per run, shared trajectories re-finalized on
+    // worker threads — while four clients do the same concurrently.
+    // TSan checks the isolation (each group's machine is
+    // worker-private); the asserts check the fork paths were actually
+    // taken and stayed deterministic.
     constexpr unsigned kClients = 4;
 
     std::vector<SweepPoint> points;
@@ -201,13 +201,13 @@ TEST(CampaignStress, ConcurrentForkedGroupsStayDeterministic)
             t.join();
     }
 
-    // Every client: 4 cold leaders, 8 forked members, 4 shared
-    // warmups, zero cache traffic.
+    // Every client: 8 cold legs (4 leaders, 4 mem variants), 4 forked
+    // power members, 4 shared legs, zero cache traffic.
     for (const auto &rep : results) {
         ASSERT_EQ(rep.jobs.size(), points.size());
         EXPECT_TRUE(rep.allOk()) << rep.name;
-        EXPECT_EQ(rep.simulated, 4u) << rep.name;
-        EXPECT_EQ(rep.fromForked, 8u) << rep.name;
+        EXPECT_EQ(rep.simulated, 8u) << rep.name;
+        EXPECT_EQ(rep.fromForked, 4u) << rep.name;
         EXPECT_EQ(rep.warmupsShared, 4u) << rep.name;
         EXPECT_EQ(rep.cacheHits, 0u) << rep.name;
     }

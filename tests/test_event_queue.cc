@@ -266,8 +266,6 @@ struct RepeatEvent : sim::Event
         if (--remaining > 0)
             eq->schedule(this, when() + 10);
     }
-
-    Event *clone() const override { return new RepeatEvent(*this); }
 };
 
 } // namespace
@@ -320,8 +318,6 @@ struct PooledRepeat final : sim::Event
             eq->schedule(this, when() + 7);
         // On the final firing the queue recycles this object.
     }
-
-    Event *clone() const override { return new PooledRepeat(*this); }
 };
 
 } // namespace
@@ -499,41 +495,6 @@ TEST(EventQueue, FireOrderIsExactlySortedScheduleKeys)
     ASSERT_EQ(h.fired.size(), want.size());
     EXPECT_TRUE(h.fired == want);
     EXPECT_EQ(eq.executed(), want.size());
-}
-
-TEST(EventQueue, ImageTakenWhileSlotHoldsHeadReplaysTwice)
-{
-    sim::EventQueue eq;
-    Recorder r{&eq};
-    eq.post<&Recorder::mark>(5, &r, 0);
-    eq.run();
-    // Each post lands strictly before the previous head, so the last
-    // one (tick 100) holds the slot and the rest sit in the heap.
-    eq.post<&Recorder::mark>(300, &r, 3);
-    eq.post<&Recorder::chain>(200, &r, 20, 3);
-    eq.post<&Recorder::markIn>(100, &r, sim::Tick{150}, 1);
-    const sim::EventQueue::Image img = eq.image();
-    EXPECT_EQ(img.masters.size(), 3u);
-
-    r.order.clear();
-    r.ticks.clear();
-    eq.run();
-    const std::vector<int> order = r.order;
-    const std::vector<sim::Tick> ticks = r.ticks;
-    EXPECT_EQ(order, (std::vector<int>{20, 21, 22, 1, 3}));
-    EXPECT_EQ(ticks, (std::vector<sim::Tick>{200, 210, 220, 250, 300}));
-    for (int replay = 0; replay < 2; ++replay) {
-        eq.restore(img);
-        EXPECT_EQ(eq.now(), 5u);
-        EXPECT_EQ(eq.pending(), 3u);
-        EXPECT_EQ(eq.executed(), 1u);
-        r.order.clear();
-        r.ticks.clear();
-        eq.run();
-        EXPECT_EQ(r.order, order) << "replay " << replay;
-        EXPECT_EQ(r.ticks, ticks) << "replay " << replay;
-        EXPECT_EQ(eq.now(), 300u);
-    }
 }
 
 TEST(EventQueue, ExternalEventReschedulesItselfIntoSlot)

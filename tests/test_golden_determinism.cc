@@ -18,6 +18,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -102,28 +103,18 @@ TEST_P(GoldenDeterminism, MakespanIsByteIdenticalToSeedKernel)
 
 TEST_P(GoldenDeterminism, ForkedRunsReproduceColdRunsBitForBit)
 {
-    // The warm-start fork contract: a member served from a fork —
-    // finalize-level for a `power.*`-only variation, warm-level for a
-    // `mem.*` variation — must reproduce a cold run of the same
-    // experiment bit-for-bit, makespan and the entire metric tree
-    // alike. Forking is a pure wall-clock optimization. The chain
-    // final-forks a warm-forked trajectory and warm-forks twice, so
-    // finalize() must be repeatable and the checkpoint must restore
-    // over a trajectory that already ran past it.
+    // The fork contract: a member differing from the last cold leg
+    // only in a `power.*` key is served by re-running finalization
+    // over the shared trajectory, and must reproduce a cold run of the
+    // same experiment bit-for-bit, makespan and the entire metric tree
+    // alike. The chain re-finalizes one trajectory once per Final key,
+    // so finalize() must be repeatable, and a new power key is covered
+    // without an edit here.
     const Golden &g = GetParam();
     driver::Experiment leader;
     leader.workload = g.workload;
     leader.runtime = g.runtime;
     leader.config.scheduler = g.scheduler;
-
-    driver::Experiment powerVar = leader;
-    powerVar.config.power.activeWatts *= 2.0;
-    driver::Experiment memVar = leader;
-    memVar.config.mem.l1Bytes /= 2;
-    driver::Experiment memPowerVar = memVar;
-    memPowerVar.config.power.activeWatts *= 2.0;
-    driver::Experiment mem4Var = leader;
-    mem4Var.config.mem.l1Bytes /= 4;
 
     driver::ForkGroupRunner runner(nullptr);
     bool forked = true;
@@ -133,37 +124,33 @@ TEST_P(GoldenDeterminism, ForkedRunsReproduceColdRunsBitForBit)
     ASSERT_TRUE(lead.completed);
     EXPECT_EQ(lead.makespan, g.makespan);
 
-    // Power variants share their ROI fingerprint with the member just
-    // before them (power.* keys are Final): served by re-running
-    // finalization over the shared trajectory. Mem variants differ
-    // (mem.* keys are Roi): restored at the warmup/ROI boundary, the
-    // ROI re-simulated under the variant's cache geometry.
-    EXPECT_EQ(roiKeyOf(powerVar), roiKeyOf(leader));
-    EXPECT_NE(roiKeyOf(memVar), roiKeyOf(leader));
-    EXPECT_EQ(roiKeyOf(memPowerVar), roiKeyOf(memVar));
-    EXPECT_NE(roiKeyOf(mem4Var), roiKeyOf(memVar));
-    struct Leg
-    {
-        const char *what;
-        const driver::Experiment &exp;
-    };
-    const Leg chain[] = {
-        {"finalize fork of the cold leg", powerVar},
-        {"warm fork (L1/2)", memVar},
-        {"finalize fork of a warm fork", memPowerVar},
-        {"second warm fork (L1/4)", mem4Var},
-    };
-    for (const Leg &leg : chain) {
-        SCOPED_TRACE(leg.what);
-        const driver::RunSummary cold = driver::run(leg.exp);
+    std::size_t visited = 0, powerKeys = 0;
+    for (const driver::spec::Binding &b : driver::spec::allBindings()) {
+        if (b.key.rfind("power.", 0) == 0)
+            ++powerKeys;
+        if (b.phase != driver::spec::KeyPhase::Final)
+            continue;
+        SCOPED_TRACE(b.key);
+        ++visited;
+        ASSERT_EQ(b.kind, driver::spec::ValueKind::Double);
+        const double def = std::stod(b.defaultValue);
+        driver::Experiment variant = leader;
+        driver::spec::applyKey(
+            variant, b.key,
+            driver::spec::formatDouble(def != 0.0 ? 2.0 * def : 1.0));
+        ASSERT_EQ(roiKeyOf(variant), roiKeyOf(leader));
+
+        const driver::RunSummary cold = driver::run(variant);
         ASSERT_TRUE(cold.completed);
         const driver::RunSummary fork =
-            runner.run(leg.exp, roiKeyOf(leg.exp), nullptr, &forked);
+            runner.run(variant, roiKeyOf(variant), nullptr, &forked);
         EXPECT_TRUE(forked) << "must fork, not re-simulate cold";
         EXPECT_EQ(fork.makespan, cold.makespan);
         expectMetricsBitIdentical(cold.metrics(), fork.metrics(),
-                                  leg.what);
+                                  b.key.c_str());
     }
+    EXPECT_GT(visited, 0u);
+    EXPECT_EQ(visited, powerKeys);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -263,9 +250,8 @@ metricDigest(const sim::MetricSet &m)
 
 TEST(GoldenDeterminism, ScaledMachinesMatchPinnedRuns)
 {
-    // Each point runs cold, then is served again by a finalize fork
-    // and by a warm fork (a distinct ROI label forces the warm path):
-    // all three legs must reproduce the pin.
+    // Each point runs cold, then is served again by a finalize fork:
+    // both legs must reproduce the pin.
     for (const ScaledGolden &g : scaledGoldens) {
         driver::Experiment e;
         driver::spec::applyKey(e, "workload", g.workload);
@@ -279,7 +265,6 @@ TEST(GoldenDeterminism, ScaledMachinesMatchPinnedRuns)
         const std::pair<const char *, std::string> legs[] = {
             {"cold", roi},
             {"finalize fork", roi},
-            {"warm fork", roi + "/warm"},
         };
         for (const auto &[leg, label] : legs) {
             bool forked = false;

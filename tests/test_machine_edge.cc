@@ -33,12 +33,6 @@ class DroppingScheduler : public rt::Scheduler
     std::optional<rt::ReadyTask> pop(sim::CoreId) override { return {}; }
     bool empty() const override { return true; }
     std::size_t size() const override { return 0; }
-
-    std::unique_ptr<rt::Scheduler>
-    clone() const override
-    {
-        return std::make_unique<DroppingScheduler>(*this);
-    }
 };
 
 } // namespace

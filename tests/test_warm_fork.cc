@@ -1,9 +1,8 @@
 /**
  * @file
- * Unit coverage for the warm-start fork machinery: the event queue's
- * pending-image round trip, the spec key-phase classification and its
- * two fingerprints, the metric-shape guard, forks under a stateful
- * user-defined scheduler, and ForkGroupRunner's degradation paths. The
+ * Unit coverage for the fork machinery: the spec key-phase
+ * classification and its fingerprints, finalize forks under a stateful
+ * user-defined scheduler, and ForkGroupRunner's fallback paths. The
  * end-to-end bit-for-bit contract over every golden configuration
  * lives in test_golden_determinism.cc.
  */
@@ -11,91 +10,33 @@
 #include <bit>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/machine.hh"
 #include "driver/campaign/fingerprint.hh"
 #include "driver/experiment.hh"
 #include "driver/fork_runner.hh"
-#include "driver/graph_cache.hh"
 #include "driver/spec/spec.hh"
 #include "runtime/scheduler.hh"
-#include "sim/event_queue.hh"
 
 using namespace tdm;
-
-// ---- EventQueue pending-image round trip ------------------------------
-
-namespace {
-
-struct Recorder
-{
-    std::vector<std::pair<sim::Tick, int>> log;
-    sim::EventQueue *eq = nullptr;
-
-    void
-    poke(int v)
-    {
-        log.emplace_back(eq->now(), v);
-    }
-};
-
-} // namespace
-
-TEST(WarmForkEventQueue, SnapshotRestoreReplaysIdenticalSequence)
-{
-    sim::EventQueue eq;
-    Recorder r{{}, &eq};
-    // Many more pending events than a 32-core machine keeps, with
-    // same-tick ties, so the restored heap must rebuild a deep order.
-    for (int i = 0; i < 200; ++i)
-        eq.post<&Recorder::poke>(10 + 7 * (i / 2), &r, i);
-    eq.run(300); // consume a prefix: capture mid-flight state
-
-    const sim::EventQueue::Image img = eq.image();
-    const sim::Tick boundary = eq.now();
-    const std::size_t consumed = r.log.size();
-
-    eq.run();
-    const auto firstTail = std::vector<std::pair<sim::Tick, int>>(
-        r.log.begin() + static_cast<std::ptrdiff_t>(consumed),
-        r.log.end());
-    ASSERT_FALSE(firstTail.empty());
-
-    // Restore twice: every replay must fire the same events at the
-    // same ticks in the same order.
-    for (int round = 0; round < 2; ++round) {
-        r.log.clear();
-        eq.restore(img);
-        EXPECT_EQ(eq.now(), boundary);
-        eq.run();
-        EXPECT_EQ(r.log, firstTail) << "replay " << round;
-    }
-}
 
 // ---- spec key-phase classification ------------------------------------
 
 TEST(WarmForkSpec, KeyPhasesPinTheForkContract)
 {
-    // The grouping proof depends on this classification: mem.* keys
-    // are first consumed at the warmup/ROI boundary, power.* keys
-    // only during finalization, and everything else — including the
-    // mem-model toggle, which changes the metric-registry shape — is
-    // conservatively Warmup.
+    // The grouping proof depends on this classification: power.* keys
+    // are consumed only during finalization, and everything else —
+    // the memory model included — is conservatively Warmup.
     for (const driver::spec::Binding &b : driver::spec::allBindings()) {
-        driver::spec::KeyPhase want = driver::spec::KeyPhase::Warmup;
-        if (b.key.rfind("mem.", 0) == 0)
-            want = driver::spec::KeyPhase::Roi;
-        else if (b.key.rfind("power.", 0) == 0)
-            want = driver::spec::KeyPhase::Final;
+        const driver::spec::KeyPhase want =
+            b.key.rfind("power.", 0) == 0
+                ? driver::spec::KeyPhase::Final
+                : driver::spec::KeyPhase::Warmup;
         EXPECT_EQ(b.phase, want) << b.key;
     }
-    const driver::spec::Binding *toggle =
-        driver::spec::findBinding("machine.mem_model");
-    ASSERT_NE(toggle, nullptr);
-    EXPECT_EQ(toggle->phase, driver::spec::KeyPhase::Warmup);
 }
 
 TEST(WarmForkSpec, FingerprintsProjectByPhase)
@@ -118,22 +59,19 @@ TEST(WarmForkSpec, FingerprintsProjectByPhase)
     const sim::Config canonSched =
         driver::campaign::canonicalConfig(sched);
 
-    // Warm fingerprint: blind to mem.* and power.*, sensitive to
-    // anything that shapes the warmup trajectory.
+    // Blind only to power.*: the memory model shapes the trajectory.
     EXPECT_EQ(driver::spec::warmFingerprint(canonBase),
               driver::spec::warmFingerprint(canonPower));
-    EXPECT_EQ(driver::spec::warmFingerprint(canonBase),
+    EXPECT_NE(driver::spec::warmFingerprint(canonBase),
               driver::spec::warmFingerprint(canonMem));
     EXPECT_NE(driver::spec::warmFingerprint(canonBase),
               driver::spec::warmFingerprint(canonSched));
 
-    // ROI fingerprint: blind only to power.*.
-    EXPECT_EQ(driver::spec::roiFingerprint(canonBase),
-              driver::spec::roiFingerprint(canonPower));
-    EXPECT_NE(driver::spec::roiFingerprint(canonBase),
-              driver::spec::roiFingerprint(canonMem));
-    EXPECT_NE(driver::spec::roiFingerprint(canonBase),
-              driver::spec::roiFingerprint(canonSched));
+    // The ROI fingerprint is the same projection.
+    for (const sim::Config *c :
+         {&canonBase, &canonPower, &canonMem, &canonSched})
+        EXPECT_EQ(driver::spec::roiFingerprint(*c),
+                  driver::spec::warmFingerprint(*c));
 }
 
 // ---- forked runs against cold runs -----------------------------------
@@ -166,7 +104,7 @@ expectMetricsBitIdentical(const sim::MetricSet &cold,
 
 /**
  * The custom_scheduler example's criticality-then-age policy: a
- * user-defined policy whose ready heap is state a fork must carry.
+ * user-defined policy with ready-heap state and no copy support.
  */
 class CriticalFirstScheduler : public rt::Scheduler
 {
@@ -191,12 +129,6 @@ class CriticalFirstScheduler : public rt::Scheduler
     sim::Tick pushExtraCycles() const override { return 60; }
     sim::Tick popExtraCycles() const override { return 60; }
 
-    std::unique_ptr<rt::Scheduler>
-    clone() const override
-    {
-        return std::make_unique<CriticalFirstScheduler>(*this);
-    }
-
   private:
     struct Less
     {
@@ -217,9 +149,10 @@ class CriticalFirstScheduler : public rt::Scheduler
 
 TEST(WarmForkScheduler, UserDefinedPolicyForksLikeColdRuns)
 {
-    // The checkpoint copies the ready pool's policy through clone(),
-    // so a user policy's ready tasks survive the fork: an L1-halved
-    // member forked from a cold leader must equal its own cold run.
+    // A user policy needs no copy support: a power member re-finalizes
+    // the leader's trajectory, and a memory member (a different
+    // trajectory) runs its own cold leg. Both must equal their cold
+    // runs.
     rt::registerScheduler("test-critical-first",
                           [](unsigned, std::uint32_t) {
                               return std::make_unique<
@@ -231,11 +164,10 @@ TEST(WarmForkScheduler, UserDefinedPolicyForksLikeColdRuns)
         leader.workload = workload;
         leader.runtime = core::RuntimeType::Software;
         leader.config.scheduler = "test-critical-first";
+        driver::Experiment powerVar = leader;
+        powerVar.config.power.activeWatts *= 2.0;
         driver::Experiment memVar = leader;
         memVar.config.mem.l1Bytes /= 2;
-
-        const driver::RunSummary cold = driver::run(memVar);
-        ASSERT_TRUE(cold.completed);
 
         driver::ForkGroupRunner runner(nullptr);
         bool forked = true;
@@ -243,32 +175,18 @@ TEST(WarmForkScheduler, UserDefinedPolicyForksLikeColdRuns)
             runner.run(leader, roiKeyOf(leader), nullptr, &forked)
                 .completed);
         EXPECT_FALSE(forked);
-        const driver::RunSummary fork =
-            runner.run(memVar, roiKeyOf(memVar), nullptr, &forked);
-        EXPECT_TRUE(forked);
-        ASSERT_TRUE(fork.completed);
-        EXPECT_EQ(fork.makespan, cold.makespan);
-        expectMetricsBitIdentical(cold.metrics(), fork.metrics());
+        for (const auto &[variant, wantForked] :
+             {std::pair{&powerVar, true}, std::pair{&memVar, false}}) {
+            const driver::RunSummary cold = driver::run(*variant);
+            ASSERT_TRUE(cold.completed);
+            const driver::RunSummary served = runner.run(
+                *variant, roiKeyOf(*variant), nullptr, &forked);
+            EXPECT_EQ(forked, wantForked);
+            ASSERT_TRUE(served.completed);
+            EXPECT_EQ(served.makespan, cold.makespan);
+            expectMetricsBitIdentical(cold.metrics(), served.metrics());
+        }
     }
-}
-
-TEST(WarmForkGuard, FirstShapeChangingForkThrows)
-{
-    // Toggling the memory model changes the registry's key set, so the
-    // restored phase-window snapshots would no longer line up with it.
-    // The very first such fork must throw, not return a short tree.
-    driver::Experiment e;
-    e.workload = "lu";
-    e.runtime = core::RuntimeType::Tdm;
-    ASSERT_TRUE(e.config.enableMemModel);
-    core::Machine m(e.config, driver::buildGraph(e), e.runtime);
-    m.armForkCapture();
-    ASSERT_EQ(m.run().metrics.get("machine.completed"), 1.0);
-    ASSERT_TRUE(m.hasWarmCheckpoint());
-
-    cpu::MachineConfig noMem = e.config;
-    noMem.enableMemModel = false;
-    EXPECT_THROW(m.runFromWarm(noMem), sim::MetricError);
 }
 
 // ---- ForkGroupRunner degradation --------------------------------------
@@ -306,7 +224,7 @@ TEST(ForkGroupRunner, ResetForcesAFreshColdLeg)
         runner.run(e, key, nullptr, &forked);
     EXPECT_FALSE(forked);
 
-    // With a checkpoint available an identical member forks...
+    // With a completed trajectory an identical member forks...
     const driver::RunSummary again =
         runner.run(e, key, nullptr, &forked);
     EXPECT_TRUE(forked);

@@ -177,10 +177,10 @@ def main():
     for name in campaigns:
         entry = run_campaign(args.build_dir, name, args.threads)
         if not args.skip_baseline:
-            # Warm-fork A/B: --no-warm-fork simulates every point from
-            # tick 0. Only campaigns whose points share warm prefixes
-            # (e.g. ablation_sensitivity) gain; for warmup-axis sweeps
-            # like fig13 the two runs should match.
+            # Fork A/B: --no-warm-fork simulates every point cold. Only
+            # campaigns with points that differ only in power.* keys
+            # (e.g. ablation_sensitivity) gain; for sweeps like fig13
+            # the two runs should match.
             cold = run_campaign(args.build_dir, name, args.threads,
                                 extra=["--no-warm-fork"])
             entry["wall_s_no_warm_fork"] = cold["wall_s"]

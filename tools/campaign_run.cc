@@ -20,10 +20,11 @@
  *                     directive in a *.campaign file
  *   --threads N       worker threads (default: hardware concurrency)
  *   --no-cache        disable result-cache deduplication
- *   --no-warm-fork    simulate every point cold from tick 0 instead
- *                     of forking points that share a warm prefix
- *                     from one warmup snapshot (A/B baseline; forked
- *                     results are bit-identical either way)
+ *   --no-warm-fork    simulate every point cold instead of serving
+ *                     points that differ only in power.* keys by
+ *                     re-finalizing one simulated trajectory (A/B
+ *                     baseline; forked results are bit-identical
+ *                     either way)
  *   --seed-base S     reseed point i with S+i (deterministic per job)
  *   --json FILE       write all results as JSON (with each point's
  *                     full canonical spec)
