@@ -31,9 +31,14 @@ Machine::Machine(const cpu::MachineConfig &cfg, const rt::TaskGraph &graph,
 Machine::Machine(const cpu::MachineConfig &cfg,
                  std::shared_ptr<const rt::TaskGraph> graph,
                  RuntimeType runtime)
-    : RunState(cfg), cfg_(cfg), graphHold_(std::move(graph)),
-      graph_(requireGraph(graphHold_)), traits_(traitsOf(runtime))
+    : cfg_(cfg), graphHold_(std::move(graph)),
+      graph_(requireGraph(graphHold_)), traits_(traitsOf(runtime)),
+      phases_(cfg_.numCores), mesh_(cfg_.mesh), cores_(cfg_.numCores),
+      idleNext_(cfg_.numCores, sim::invalidCore),
+      idlePrev_(cfg_.numCores, sim::invalidCore),
+      idleLinked_(cfg_.numCores, 0), acct_(cfg_.power)
 {
+    tbuf_.configure(cfg_.trace);
     if (cfg_.numCores < 2)
         sim::fatal("machine needs at least 2 cores (master + worker)");
     if (cfg_.numCores + 1 > mesh_.numNodes())
@@ -124,24 +129,7 @@ Machine::registerMetrics()
     if (hwq_)
         hwq_->regMetrics(metrics_.context("runtime.hwq"));
 
-    sim::MetricContext p = metrics_.context("power");
-    acct_.regMetrics(p);
-    p.formulaFn("energy_j",
-                [this] {
-                    return finished_ ? power().totalJoules(makespan_)
-                                     : 0.0;
-                },
-                "total chip energy in joules");
-    p.formulaFn("edp",
-                [this] {
-                    return finished_ ? power().edp(makespan_) : 0.0;
-                },
-                "energy-delay product in J*s");
-    p.formulaFn("avg_watts",
-                [this] {
-                    return finished_ ? power().avgWatts(makespan_) : 0.0;
-                },
-                "average chip power in watts");
+    acct_.regMetrics(metrics_.context(pwr::EnergyAccountant::scope));
 }
 
 void
@@ -988,42 +976,18 @@ Machine::dumpStats(std::ostream &os)
 MachineResult
 Machine::run()
 {
+    if (started_)
+        sim::panic("a machine runs once");
+    started_ = true;
     snapRunStart_ = metrics_.snapshot();
     eq_.post<&Machine::onStart>(0, this);
-    return drain();
-}
-
-MachineResult
-Machine::drain()
-{
     eq_.run(cfg_.maxTicks);
-    drained_ = true;
-    if (finished_)
-        closeIdleCores();
     return finalize();
-}
-
-void
-Machine::closeIdleCores()
-{
-    for (sim::CoreId c = 0; c < cfg_.numCores; ++c) {
-        cpu::CoreState &cs = cores_[c];
-        if (cs.idle) {
-            if (tbuf_.on(sim::TraceCat::Core)) {
-                tbuf_.span(sim::TracePoint::CoreIdle,
-                           static_cast<std::uint16_t>(c), cs.idleSince,
-                           makespan_);
-            }
-            phases_.add(c, cpu::Phase::Idle, cs.wakeAt(makespan_));
-        }
-    }
 }
 
 MachineResult
 Machine::finalize()
 {
-    pwr::EnergyAccountant &acct = power();
-    acct = pwr::EnergyAccountant(cfg_.power);
     MachineResult res;
     if (!finished_) {
         if (!eq_.empty()) {
@@ -1044,15 +1008,29 @@ Machine::finalize()
         sim::panic("executed ", tasksExecuted_, " of ",
                    graph_.numTasks(), " tasks");
 
-    // ---- Energy (read by the power.* formulas) ----
+    // Cores still parked at the end idle until the makespan.
+    for (sim::CoreId c = 0; c < cfg_.numCores; ++c) {
+        cpu::CoreState &cs = cores_[c];
+        if (cs.idle) {
+            if (tbuf_.on(sim::TraceCat::Core)) {
+                tbuf_.span(sim::TracePoint::CoreIdle,
+                           static_cast<std::uint16_t>(c), cs.idleSince,
+                           makespan_);
+            }
+            phases_.add(c, cpu::Phase::Idle, cs.wakeAt(makespan_));
+        }
+    }
+
+    // ---- Energy (read by the power.* metrics) ----
     for (sim::CoreId c = 0; c < cfg_.numCores; ++c) {
         const cpu::PhaseBreakdown &b = phases_.core(c);
         sim::Tick busy = std::min<sim::Tick>(b.busy(), makespan_);
-        acct.addCoreTime(busy, makespan_ - busy);
+        acct_.addCoreTime(busy, makespan_ - busy);
     }
     if (mem_) {
-        acct.addCacheLines(mem_->l1LineAccesses(), mem_->l2LineAccesses(),
-                           mem_->dramLineAccesses());
+        acct_.addCacheLines(mem_->l1LineAccesses(),
+                            mem_->l2LineAccesses(),
+                            mem_->dramLineAccesses());
     }
     if (dmu_) {
         pwr::CactiModel cacti(22);
@@ -1065,22 +1043,23 @@ Machine::finalize()
         if (traits_.type == RuntimeType::TaskSuperscalar) {
             // CAM-heavy lookups of the original pipeline.
             pj *= 3.0;
-            acct.setAcceleratorLeakageMw(
+            acct_.setAcceleratorLeakageMw(
                 hw::tssStorageKB(cfg_.tss)
                 * pwr::CactiModel::leakageMwPerKB);
         } else {
-            acct.setAcceleratorLeakageMw(dmu::totalLeakageMw(cfg_.dmu));
+            acct_.setAcceleratorLeakageMw(dmu::totalLeakageMw(cfg_.dmu));
         }
-        acct.addAcceleratorPj(pj);
+        acct_.addAcceleratorPj(pj);
     }
     if (hwq_) {
-        acct.setAcceleratorLeakageMw(
+        acct_.setAcceleratorLeakageMw(
             hw::carbonStorageKB(cfg_.carbon, cfg_.numCores)
             * pwr::CactiModel::leakageMwPerKB);
-        acct.addAcceleratorPj(
+        acct_.addAcceleratorPj(
             2.0 * static_cast<double>(hwq_->pushes() + hwq_->localPops()
                                       + hwq_->steals()));
     }
+    acct_.close(makespan_);
 
     // ---- Metric tree + phase windows ----
     // Degenerate graphs may never trigger a boundary; close them at
@@ -1108,25 +1087,6 @@ Machine::finalize()
     addWindow("roi", snapWarmup, snapRoi, warmupEnd, roiEnd);
     addWindow("drain", snapRoi, snapEnd, roiEnd, makespan_);
     return res;
-}
-
-pwr::EnergyAccountant &
-Machine::power()
-{
-    SIM_ASSERT(drained_,
-               "power model read before the event loop drained; "
-               "runFromFinal() relies on power never entering the "
-               "trajectory");
-    return acct_;
-}
-
-MachineResult
-Machine::runFromFinal(const cpu::MachineConfig &cfg)
-{
-    if (!finished_)
-        sim::panic("runFromFinal without a completed trajectory");
-    cfg_ = cfg;
-    return finalize();
 }
 
 } // namespace tdm::core

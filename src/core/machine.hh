@@ -20,6 +20,13 @@
  *    finish_task + get_ready_task drain).
  *  - Per-core time is attributed to DEPS / SCHED / EXEC / IDLE exactly
  *    as Figure 2 defines them.
+ *
+ * A machine runs once: run() drives the event loop to its end and
+ * finalize() closes the run, charges the energy model from its
+ * activity counts (McPAT-style, after the fact) and builds the metric
+ * tree. No event reads the power model, so a completed tree can be
+ * re-priced under another power configuration without a machine
+ * (pwr::EnergyAccountant::reprice, used by driver::ForkGroupRunner).
  */
 
 #ifndef TDM_CORE_MACHINE_HH
@@ -62,96 +69,9 @@ struct MachineResult
 };
 
 /**
- * Every field a simulated trajectory mutates. Machine inherits it
- * privately, so the model code names the fields directly.
- */
-struct RunState
-{
-    explicit RunState(const cpu::MachineConfig &cfg)
-        : phases_(cfg.numCores), mesh_(cfg.mesh), cores_(cfg.numCores),
-          idleNext_(cfg.numCores, sim::invalidCore),
-          idlePrev_(cfg.numCores, sim::invalidCore),
-          idleLinked_(cfg.numCores, 0)
-    {
-        tbuf_.configure(cfg.trace);
-    }
-
-    cpu::PhaseStats phases_;
-    noc::Mesh mesh_;
-    std::optional<rt::SoftwareTracker> tracker_;
-    std::optional<rt::ReadyPool> pool_;
-    std::optional<dmu::Dmu> dmu_;
-    std::optional<hw::HwTaskQueues> hwq_;
-
-    cpu::SerialResource lock_; ///< the runtime's global lock
-    cpu::SerialResource dmuPipe_; ///< serialized DMU op processing
-
-    std::vector<cpu::CoreState> cores_;
-
-    /**
-     * FIFO of parked cores as an intrusive doubly-linked list threaded
-     * through per-core link arrays: O(1) park / wake-oldest /
-     * wake-specific with zero allocation.
-     */
-    std::vector<sim::CoreId> idleNext_, idlePrev_;
-    std::vector<std::uint8_t> idleLinked_;
-    sim::CoreId idleHead_ = sim::invalidCore;
-    sim::CoreId idleTail_ = sim::invalidCore;
-
-    /** Time-resolved trace (armed from the config; see sim/trace.hh). */
-    sim::TraceBuffer tbuf_;
-
-    /** Parked cores right now (kept unconditionally — one increment
-     *  per park/wake — so the core-category counter track never has
-     *  to walk the idle list). */
-    unsigned idleCount_ = 0;
-
-    // Region / creation progress.
-    std::uint32_t curRegion_ = 0;
-    rt::TaskId nextToCreate_ = 0;
-    std::uint32_t createdInRegion_ = 0;
-    std::uint32_t executedInRegion_ = 0;
-    bool masterCreating_ = false;
-    bool regionDone_ = false;
-    bool finished_ = false;
-    bool drained_ = false; ///< the event loop has returned
-
-    /** A master-side DMU ISA operation parked on a full structure. */
-    struct DmuRetry
-    {
-        bool isCreate;        ///< retry create_task vs add_dependence
-        rt::TaskId id;
-        std::size_t depIdx;   ///< dependence index (add_dependence)
-        sim::Tick segStart;
-    };
-
-    // Master blocked on DMU capacity (+ drain scratch: the two vectors
-    // ping-pong their warm buffers so flushing never allocates).
-    std::vector<DmuRetry> dmuWaiters_;
-    std::vector<DmuRetry> dmuWaiterScratch_;
-
-    std::uint64_t tasksExecuted_ = 0;
-    std::uint64_t carbonRr_ = 0; ///< GTU round-robin cursor
-    sim::Tick masterCreateTicks_ = 0;
-    sim::Tick makespan_ = 0;
-    sim::Distribution taskCycles_{0.0, 1e6, 20};
-
-    // Phase windows.
-    std::uint32_t createdTotal_ = 0;
-    bool sawFirstExec_ = false;
-    bool roiEnded_ = false;
-    bool pendingRoiEnd_ = false;
-    sim::Tick warmupEndTick_ = 0;
-    sim::Tick roiEndTick_ = 0;
-    sim::MetricSnapshot snapRunStart_;
-    sim::MetricSnapshot snapWarmupEnd_;
-    sim::MetricSnapshot snapRoiEnd_;
-};
-
-/**
  * One simulated machine bound to one task graph and runtime model.
  */
-class Machine : private RunState
+class Machine
 {
   public:
     /**
@@ -175,23 +95,8 @@ class Machine : private RunState
 
     ~Machine();
 
-    /** Run to completion and summarize. */
+    /** Run to completion and summarize. A machine runs once. */
     MachineResult run();
-
-    // ---- finalize forks --------------------------------------------
-
-    /** True when run() completed, so runFromFinal() can re-finalize
-     *  its trajectory. */
-    bool finished() const { return finished_; }
-
-    /**
-     * Re-run only the finalize tail (energy model + metric tree) of
-     * the last completed trajectory under @p cfg, which may differ
-     * from that run only in finalize-phase parameters
-     * (spec::KeyPhase::Final, the power model). The entire simulated
-     * trajectory is shared.
-     */
-    MachineResult runFromFinal(const cpu::MachineConfig &cfg);
 
     const cpu::PhaseStats &phases() const { return phases_; }
     const dmu::Dmu *dmuUnit() const { return dmu_ ? &*dmu_ : nullptr; }
@@ -218,6 +123,15 @@ class Machine : private RunState
     sim::Tick now() const { return eq_.now(); }
 
   private:
+    /** A master-side DMU ISA operation parked on a full structure. */
+    struct DmuRetry
+    {
+        bool isCreate;        ///< retry create_task vs add_dependence
+        rt::TaskId id;
+        std::size_t depIdx;   ///< dependence index (add_dependence)
+        sim::Tick segStart;
+    };
+
     // ---- master side ----
     void masterAdvanceRegion();
     void masterCreateNext();
@@ -323,16 +237,12 @@ class Machine : private RunState
     /** Register every component's metrics (constructor tail). */
     void registerMetrics();
 
-    /** Run the event loop to its end, close the trajectory, and
-     *  summarize it. */
-    MachineResult drain();
-    /** Charge the cores still parked at the end of a completed
-     *  trajectory their final idle span. Runs once per trajectory, so
-     *  finalize() can repeat. */
-    void closeIdleCores();
-    /** Summarize the finished (or watchdogged) trajectory: energy
-     *  model and metric tree. Mutates no run state, so final forks
-     *  re-run it under another power configuration. */
+    /**
+     * The run tail, once the event loop has returned: charge the cores
+     * still parked at the end of a completed run their final idle
+     * span, charge the energy model, and build the metric tree with
+     * its phase windows (an incomplete run only warns why it stopped).
+     */
     MachineResult finalize();
 
     // ---- tracing helpers (no-ops when the category is off) ----
@@ -354,18 +264,14 @@ class Machine : private RunState
     const std::vector<mem::MemAccess> &footprintOf(rt::TaskId id);
     std::uint32_t swSuccCount(rt::TaskId id) const;
 
-    // Everything below is either fixed for the machine's lifetime or
-    // rebuilt by finalize(); the mutable trajectory lives in RunState.
-    cpu::MachineConfig cfg_;
+    void idlePushBack(sim::CoreId core);
+    void idleUnlink(sim::CoreId core);
+
+    // ---- fixed for the machine's lifetime ----
+    const cpu::MachineConfig cfg_;
     std::shared_ptr<const rt::TaskGraph> graphHold_; ///< may share
     const rt::TaskGraph &graph_; ///< always valid; == *graphHold_
     const RuntimeTraits traits_;
-
-    sim::EventQueue eq_;
-    std::unique_ptr<mem::MemoryModel> mem_;
-
-    void idlePushBack(sim::CoreId core);
-    void idleUnlink(sim::CoreId core);
 
     /**
      * Task descriptors are laid out affinely (TaskGraph::descStride),
@@ -375,21 +281,83 @@ class Machine : private RunState
      */
     std::uint64_t descBase_ = 0;
 
+    // ---- the simulated run ----
+    cpu::PhaseStats phases_;
+    noc::Mesh mesh_;
+    std::unique_ptr<mem::MemoryModel> mem_;
+    std::optional<rt::SoftwareTracker> tracker_;
+    std::optional<rt::ReadyPool> pool_;
+    std::optional<dmu::Dmu> dmu_;
+    std::optional<hw::HwTaskQueues> hwq_;
+
+    cpu::SerialResource lock_; ///< the runtime's global lock
+    cpu::SerialResource dmuPipe_; ///< serialized DMU op processing
+
+    std::vector<cpu::CoreState> cores_;
+
+    /**
+     * FIFO of parked cores as an intrusive doubly-linked list threaded
+     * through per-core link arrays: O(1) park / wake-oldest /
+     * wake-specific with zero allocation.
+     */
+    std::vector<sim::CoreId> idleNext_, idlePrev_;
+    std::vector<std::uint8_t> idleLinked_;
+    sim::CoreId idleHead_ = sim::invalidCore;
+    sim::CoreId idleTail_ = sim::invalidCore;
+
+    /** Time-resolved trace (armed from the config; see sim/trace.hh). */
+    sim::TraceBuffer tbuf_;
+
+    /** Parked cores right now (kept unconditionally — one increment
+     *  per park/wake — so the core-category counter track never has
+     *  to walk the idle list). */
+    unsigned idleCount_ = 0;
+
+    // Region / creation progress.
+    std::uint32_t curRegion_ = 0;
+    rt::TaskId nextToCreate_ = 0;
+    std::uint32_t createdInRegion_ = 0;
+    std::uint32_t executedInRegion_ = 0;
+    bool masterCreating_ = false;
+    bool regionDone_ = false;
+    bool started_ = false; ///< run() was called
+    bool finished_ = false;
+
+    // Master blocked on DMU capacity (+ drain scratch: the two vectors
+    // ping-pong their warm buffers so flushing never allocates).
+    std::vector<DmuRetry> dmuWaiters_;
+    std::vector<DmuRetry> dmuWaiterScratch_;
+
+    std::uint64_t tasksExecuted_ = 0;
+    std::uint64_t carbonRr_ = 0; ///< GTU round-robin cursor
+    sim::Tick masterCreateTicks_ = 0;
+    sim::Tick makespan_ = 0;
+    sim::Distribution taskCycles_{0.0, 1e6, 20};
+
+    // Phase windows.
+    std::uint32_t createdTotal_ = 0;
+    bool sawFirstExec_ = false;
+    bool roiEnded_ = false;
+    bool pendingRoiEnd_ = false;
+    sim::Tick warmupEndTick_ = 0;
+    sim::Tick roiEndTick_ = 0;
+    sim::MetricSnapshot snapRunStart_;
+    sim::MetricSnapshot snapWarmupEnd_;
+    sim::MetricSnapshot snapRoiEnd_;
+
     /** Scratch buffer reused by footprintOf (hot path). */
     std::vector<mem::MemAccess> footprintScratch_;
 
-    sim::MetricRegistry metrics_;
-
     /**
-     * The power model, rebuilt from cfg_.power by each finalize().
-     * runFromFinal() shares one trajectory across power
-     * configurations, which holds only while no event reads power, so
-     * finalize() and the power.* formulas reach it only through
-     * power(), which invariant builds check runs after the event loop
-     * has drained.
+     * The power model. Only finalize() charges it, after the event
+     * loop has returned, and no event reads it: that is what lets a
+     * completed run's metric tree be re-priced under another power
+     * configuration (pwr::EnergyAccountant::reprice).
      */
     pwr::EnergyAccountant acct_;
-    pwr::EnergyAccountant &power();
+
+    sim::EventQueue eq_;
+    sim::MetricRegistry metrics_;
 
     static constexpr sim::CoreId masterCore = 0;
 };

@@ -40,7 +40,6 @@ ListArray::allocList()
     allocated_[e] = 1;
     resetEntry(e);
     ++inUse_;
-    peak_ = std::max(peak_, inUse_);
     return e;
 }
 
@@ -101,7 +100,6 @@ ListArray::push(ListHead head, std::uint16_t value, unsigned &accesses)
     slotsOf(e)[0] = value;
     next_[cur] = e;
     ++inUse_;
-    peak_ = std::max(peak_, inUse_);
     ++accesses; // write of the new entry
     return true;
 }

@@ -108,7 +108,6 @@ class ListArray
 
     /** Entries currently allocated. */
     unsigned entriesInUse() const { return inUse_; }
-    unsigned peakEntriesInUse() const { return peak_; }
     unsigned capacity() const { return entries_; }
     const std::string &name() const { return name_; }
 
@@ -137,7 +136,6 @@ class ListArray
     std::vector<std::uint8_t> allocated_;
     sim::FixedRing<std::uint16_t> freeEntries_;
     unsigned inUse_ = 0;
-    unsigned peak_ = 0;
 };
 
 } // namespace tdm::dmu

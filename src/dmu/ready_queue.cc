@@ -17,7 +17,6 @@ ReadyQueue::push(TaskHwId id)
     if (full())
         return false;
     fifo_.push_back(id);
-    peak_ = std::max(peak_, fifo_.size());
     return true;
 }
 

@@ -34,13 +34,9 @@ class ReadyQueue
     /** Pop the oldest ready task id; invalidHwId when empty. */
     TaskHwId pop();
 
-    /** High-water mark. */
-    std::size_t peakSize() const { return peak_; }
-
   private:
     unsigned capacity_;
     sim::FixedRing<TaskHwId> fifo_;
-    std::size_t peak_ = 0;
 };
 
 } // namespace tdm::dmu

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 
-#include "driver/spec/spec.hh"
 #include "sim/logging.hh"
+#include "sim/suggest.hh"
 
 namespace tdm::driver::campaign {
 
@@ -78,7 +78,7 @@ makeCampaign(const std::string &name)
         for (const auto &[n, entry] : registry())
             names.push_back(n);
         sim::fatal("unknown campaign: ", name,
-                   spec::suggestHint(name, names),
+                   sim::suggestHint(name, names),
                    " (campaign_run --list shows the registered ones)");
     }
     Campaign c = it->second.factory();

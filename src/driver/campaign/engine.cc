@@ -253,7 +253,7 @@ CampaignEngine::run(const std::string &name,
     // bucketed by trajectory fingerprint (the Warmup-phase projection
     // of their canonical spec, first-seen order), so members differ
     // only in `power.*` keys; each bucket is one work unit simulating
-    // a single cold leg and re-finalizing it for the rest. Grouping
+    // a single cold leg and re-pricing its tree for the rest. Grouping
     // never changes any result — forked summaries are bit-identical
     // to cold ones — so output order and content stay
     // schedule-independent exactly as before.
@@ -432,8 +432,8 @@ CampaignEngine::run(const std::string &name,
         }
         report.simMsTotal += j.wallMs;
     }
-    // Cold legs = the simulated points minus the ones re-finalizing
-    // another point's trajectory; a cold leg is "shared" when at least
+    // Cold legs = the simulated points minus the ones re-pricing
+    // another point's run; a cold leg is "shared" when at least
     // one group member actually forked from it.
     report.simulated = work.size() - report.fromForked;
     for (const std::vector<std::size_t> &g : groups) {

@@ -114,10 +114,11 @@ struct EngineOptions
      * trajectory fingerprint (the Warmup-phase projection of the
      * canonical spec, see spec::KeyPhase), simulate one cold leg per
      * group, and serve the remaining members, which differ only in
-     * `power.*` keys, by re-finalizing that leg's trajectory. Pure
+     * `power.*` keys, by re-pricing a copy of that leg's metric tree
+     * under their power configuration (see ForkGroupRunner). Pure
      * wall-clock optimization: forked summaries are bit-identical to
-     * cold runs (the forked-equivalence test pins this), and members
-     * fall back to cold legs when a trajectory cannot be shared. Off
+     * cold runs (the forked-equivalence tests pin this), and members
+     * run cold when the leg is incomplete or differs. Off
      * (campaign_run --no-warm-fork) is only useful for that comparison
      * and for timing baselines.
      */
@@ -132,8 +133,8 @@ struct EngineOptions
  * being resolved (simulated or read from the backend, in this run or
  * a concurrent one) instead of resolving it again — so a concurrent
  * duplicate of a key being read from disk reports Inflight, with the
- * same summary; "Forked" means the point re-finalized another point's
- * simulated trajectory under its own power configuration instead of
+ * same summary; "Forked" means the point re-priced another point's
+ * simulated run under its own power configuration instead of
  * simulating one (EngineOptions::warmFork).
  */
 enum class JobSource { Simulated, Memory, Disk, Inflight, Forked };
@@ -225,10 +226,10 @@ struct CampaignResult
     std::uint64_t fromDisk = 0;     ///< served from the external backend
     std::uint64_t fromInflight = 0; ///< attached to an identical
                                     ///< in-flight simulation
-    std::uint64_t fromForked = 0;   ///< re-finalized another point's
-                                    ///< simulated trajectory
+    std::uint64_t fromForked = 0;   ///< re-priced another point's
+                                    ///< simulated run
     std::uint64_t warmupsShared = 0; ///< cold legs at least one forked
-                                     ///< point re-finalized
+                                     ///< point re-priced
     std::uint64_t graphBuilds = 0; ///< distinct task graphs built
     std::uint64_t graphShares = 0; ///< simulated points served a
                                    ///< cached shared graph

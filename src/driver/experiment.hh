@@ -143,9 +143,9 @@ RunSummary run(const Experiment &exp,
 /**
  * Build a RunSummary from a finished machine result: folds the
  * workload-shape facts of @p graph into the metric tree and fills the
- * headline members from it (summaryOf). The tail of run(), shared
- * with ForkGroupRunner so forked and cold summaries are built by the
- * same code.
+ * headline members from it (summaryOf). The tail of run(); a finalize
+ * fork re-prices a copy of its leader's tree and rebuilds the summary
+ * with summaryOf (see ForkGroupRunner).
  */
 RunSummary summarize(core::MachineResult mr, const rt::TaskGraph &graph);
 

@@ -1,6 +1,7 @@
 #include "driver/fork_runner.hh"
 
 #include "driver/graph_cache.hh"
+#include "sim/logging.hh"
 
 namespace tdm::driver {
 
@@ -12,23 +13,9 @@ ForkGroupRunner::ForkGroupRunner(
 void
 ForkGroupRunner::reset()
 {
-    machine_.reset();
-    finalRoiKey_.clear();
-}
-
-RunSummary
-ForkGroupRunner::cold(const Experiment &exp, const std::string &roi_key,
-                      sim::TraceBuffer *trace_out)
-{
-    if (!graph_)
-        graph_ = buildGraph(exp);
-    machine_ = std::make_unique<core::Machine>(exp.config, graph_,
-                                               exp.runtime);
-    core::MachineResult mr = machine_->run();
-    finalRoiKey_ = roi_key;
-    if (trace_out)
-        *trace_out = machine_->traceBuffer();
-    return summarize(std::move(mr), *graph_);
+    leader_.reset();
+    trace_ = {};
+    leaderKey_.clear();
 }
 
 RunSummary
@@ -40,20 +27,33 @@ ForkGroupRunner::run(const Experiment &exp, const std::string &roi_key,
     if (!enableFork_)
         return driver::run(exp, graph_, trace_out);
 
-    // Every leg copies the trace out: later final forks share it.
-    //
-    // An equal fingerprint means the member's whole trajectory matches
-    // the machine's last completed one, so only finalization re-runs
-    // under the member's power config.
-    if (machine_ && machine_->finished() && roi_key == finalRoiKey_) {
-        core::MachineResult mr = machine_->runFromFinal(exp.config);
+    if (!leader_ || roi_key != leaderKey_) {
+        reset();
+        if (!graph_)
+            graph_ = buildGraph(exp);
+        RunSummary s = driver::run(exp, graph_, &trace_);
         if (trace_out)
-            *trace_out = machine_->traceBuffer();
-        if (forked)
-            *forked = true;
-        return summarize(std::move(mr), *graph_);
+            *trace_out = trace_;
+        if (s.completed) {
+            leader_ = s;
+            leaderKey_ = roi_key;
+        }
+        return s;
     }
-    return cold(exp, roi_key, trace_out);
+
+    // An equal fingerprint means the member's run matches the leader's
+    // up to the power model, so only the three power totals change.
+    sim::MetricSet tree = leader_->metrics();
+    pwr::EnergyAccountant::reprice(tree, leader_->makespan,
+                                   exp.config.power);
+    std::optional<RunSummary> s = summaryOf(std::move(tree));
+    if (!s)
+        sim::panic("a re-priced metric tree does not fit its summary");
+    if (trace_out)
+        *trace_out = trace_;
+    if (forked)
+        *forked = true;
+    return *std::move(s);
 }
 
 } // namespace tdm::driver

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "sim/metrics.hh"
+#include "sim/suggest.hh"
 
 namespace tdm::driver::spec {
 
@@ -52,7 +53,8 @@ checkKey(const std::string &origin, std::size_t line,
     for (const Binding &b : allBindings())
         names.push_back(b.key);
     fail(origin, line,
-         "unknown spec key '" + key + "'" + suggestHint(key, names));
+         "unknown spec key '" + key + "'"
+             + sim::suggestHint(key, names));
 }
 
 } // namespace

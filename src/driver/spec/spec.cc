@@ -144,7 +144,7 @@ workloadKey()
             for (const wl::WorkloadInfo &info : wl::allWorkloads())
                 names.push_back(info.name);
             throw SpecError("spec key 'workload': unknown workload '"
-                            + v + "'" + suggestHint(v, names));
+                            + v + "'" + sim::suggestHint(v, names));
         }
         e.workload = w->name; // canonicalize short names immediately
     };
@@ -183,7 +183,7 @@ schedulerKey()
         if (!rt::hasScheduler(v))
             throw SpecError("spec key 'scheduler': unknown policy '"
                             + v + "'"
-                            + suggestHint(v, rt::allSchedulerNames()));
+                            + sim::suggestHint(v, rt::allSchedulerNames()));
         e.config.scheduler = v;
     };
     return b;
@@ -436,7 +436,7 @@ buildRegistry()
     // defaults every key to Warmup — the conservative choice — and
     // promotes exactly the one family whose consumer provably runs
     // later: `power.*` feeds pwr::EnergyAccountant, which is only
-    // consulted in Machine::finalize() after the event loop drains.
+    // charged in Machine::finalize() after the event loop drains.
     // test_warm_fork.cc pins this table.
     for (Binding &b : r) {
         if (b.key.rfind("power.", 0) == 0)
@@ -502,7 +502,7 @@ applyKey(Experiment &exp, const std::string &key,
         for (const Binding &bd : allBindings())
             names.push_back(bd.key);
         throw SpecError("unknown spec key '" + key + "'"
-                        + suggestHint(key, names)
+                        + sim::suggestHint(key, names)
                         + " (campaign_run --keys lists every key)");
     }
     b->set(exp, value);
@@ -590,23 +590,6 @@ formatDouble(double v)
             return s;
     }
     return s; // non-finite or pathological: last rendering
-}
-
-std::vector<std::string>
-closestMatches(const std::string &name,
-               const std::vector<std::string> &candidates,
-               std::size_t limit)
-{
-    // The shared sim-level helper carries the policy; this wrapper
-    // keeps the historical spec:: entry point for existing callers.
-    return sim::closestMatches(name, candidates, limit);
-}
-
-std::string
-suggestHint(const std::string &name,
-            const std::vector<std::string> &candidates)
-{
-    return sim::suggestHint(name, candidates);
 }
 
 void

@@ -57,18 +57,20 @@ const char *valueKindName(ValueKind kind);
 /**
  * Earliest simulation phase whose outcome a key can influence. This is
  * the load-bearing contract behind finalize forking
- * (Machine::runFromFinal, CampaignEngine grouping): two experiments
+ * (driver::ForkGroupRunner, CampaignEngine grouping): two experiments
  * whose Warmup-phase projections agree follow bit-identical
- * trajectories to the end of the event loop, so one trajectory can be
- * simulated once and re-finalized for every member.
+ * trajectories to the end of the event loop, so one run can be
+ * simulated once and its metric tree re-priced for every member.
  *
  *  - Warmup: consumed during the simulated trajectory — task graph
  *    shape, runtime costs, machine geometry, DMU tables, memory
  *    model, trace config. The conservative default: anything not
  *    provably finalize-only is Warmup.
- *  - Final: consumed only after the event loop drains, during result
- *    finalization: the energy-accounting keys (`power.*`). Members
- *    differing only here share the entire simulated trajectory.
+ *  - Final: consumed only after the event loop drains, to price the
+ *    finished run: the energy-accounting keys (`power.*`), which
+ *    change only `power.energy_j`, `power.edp` and `power.avg_watts`
+ *    (pwr::EnergyAccountant::reprice). Members differing only here
+ *    share the entire simulated trajectory.
  */
 enum class KeyPhase
 {
@@ -151,21 +153,6 @@ std::string roiFingerprint(const sim::Config &canonical);
  * readable while round-tripping bit-exactly.
  */
 std::string formatDouble(double v);
-
-/**
- * Candidates most similar to @p name (edit distance <= 3 or sharing a
- * prefix), closest first, at most @p limit — for "did you mean"
- * messages on unknown keys and campaign names.
- */
-std::vector<std::string>
-closestMatches(const std::string &name,
-               const std::vector<std::string> &candidates,
-               std::size_t limit = 3);
-
-/** closestMatches rendered as "; did you mean: a, b?" — empty when
- *  nothing is close. */
-std::string suggestHint(const std::string &name,
-                        const std::vector<std::string> &candidates);
 
 /** Markdown key-reference table generated from the registry
  *  (campaign_run --keys; the README section is this output). */

@@ -74,15 +74,6 @@ HwTaskQueues::steal(sim::CoreId thief)
     return t;
 }
 
-bool
-HwTaskQueues::allEmpty() const
-{
-    for (const auto &q : queues_)
-        if (!q.empty())
-            return false;
-    return true;
-}
-
 std::size_t
 HwTaskQueues::totalSize() const
 {

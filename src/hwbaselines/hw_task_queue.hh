@@ -47,7 +47,6 @@ class HwTaskQueues
      */
     std::optional<rt::ReadyTask> steal(sim::CoreId thief);
 
-    bool allEmpty() const;
     std::size_t totalSize() const;
 
     std::uint64_t pushes() const { return pushes_; }

@@ -1,6 +1,28 @@
 #include "power/energy_accountant.hh"
 
+#include <string>
+
 namespace tdm::pwr {
+
+namespace {
+
+/** A whole-run total: regMetrics registers it, reprice rewrites it. */
+struct Total
+{
+    const char *name;
+    double (EnergyAccountant::*price)(sim::Tick) const;
+    const char *desc;
+};
+
+constexpr Total kTotals[] = {
+    {"energy_j", &EnergyAccountant::totalJoules,
+     "total chip energy in joules"},
+    {"edp", &EnergyAccountant::edp, "energy-delay product in J*s"},
+    {"avg_watts", &EnergyAccountant::avgWatts,
+     "average chip power in watts"},
+};
+
+} // namespace
 
 void
 EnergyAccountant::addCoreTime(sim::Tick active, sim::Tick idle)
@@ -78,6 +100,35 @@ EnergyAccountant::regMetrics(sim::MetricContext ctx)
               "accelerator dynamic energy in picojoules");
     ctx.gauge("accel_leakage_mw", [this] { return accelLeakMw_; },
               "accelerator leakage power in milliwatts");
+    for (const Total &t : kTotals) {
+        ctx.formulaFn(t.name,
+                      [this, price = t.price] {
+                          return makespan_ ? (this->*price)(*makespan_)
+                                           : 0.0;
+                      },
+                      t.desc);
+    }
+}
+
+void
+EnergyAccountant::reprice(sim::MetricSet &tree, sim::Tick makespan,
+                          const CorePowerParams &params)
+{
+    const std::string p = std::string(scope) + ".";
+    auto count = [&](const char *name) {
+        return static_cast<std::uint64_t>(tree.at(p + name));
+    };
+    EnergyAccountant a(params);
+    a.activeTicks_ = count("core_active_ticks");
+    a.idleTicks_ = count("core_idle_ticks");
+    a.l1Lines_ = count("l1_lines");
+    a.l2Lines_ = count("l2_lines");
+    a.dramLines_ = count("dram_lines");
+    a.accelPj_ = tree.at(p + "accel_dynamic_pj");
+    a.accelLeakMw_ = tree.at(p + "accel_leakage_mw");
+    a.close(makespan);
+    for (const Total &t : kTotals)
+        tree.set(p + t.name, (a.*t.price)(makespan));
 }
 
 } // namespace tdm::pwr

@@ -7,6 +7,7 @@
 #define TDM_POWER_ENERGY_ACCOUNTANT_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "power/core_power.hh"
 #include "sim/metrics.hh"
@@ -21,6 +22,9 @@ namespace tdm::pwr {
 class EnergyAccountant
 {
   public:
+    /** Metric scope the accountant registers under ("power.*"). */
+    static constexpr const char *scope = "power";
+
     explicit EnergyAccountant(const CorePowerParams &params = {})
         : params_(params)
     {}
@@ -38,6 +42,11 @@ class EnergyAccountant
     /** Set accelerator leakage (milliwatts, integrated over makespan). */
     void setAcceleratorLeakageMw(double mw) { accelLeakMw_ = mw; }
 
+    /** End a completed run at @p makespan ticks. The registered
+     *  whole-run totals read 0 until then, so an incomplete run is
+     *  never priced. */
+    void close(sim::Tick makespan) { makespan_ = makespan; }
+
     /** Total energy in joules for a run of @p makespan ticks. */
     double totalJoules(sim::Tick makespan) const;
 
@@ -49,10 +58,23 @@ class EnergyAccountant
 
     const CorePowerParams &params() const { return params_; }
 
-    /** Register the energy accumulators under @p ctx's scope
-     *  ("power"). Whole-run totals (energy, EDP) depend on the final
-     *  makespan, so the machine registers those as formulas itself. */
+    /** Register the seven energy accumulators and the three whole-run
+     *  totals (energy_j, edp, avg_watts) under @p ctx, which the
+     *  machine scopes to `scope`. */
     void regMetrics(sim::MetricContext ctx);
+
+    /**
+     * Re-price the flat metric tree of a completed run under
+     * @p params: rebuild the accountant from the seven accumulators
+     * the tree holds under `scope`, close it at @p makespan, and
+     * overwrite the three totals. Each accumulator is an integer below
+     * 2^53 or a double stored as charged, so the result is
+     * bit-identical to the tree of a run charged under @p params —
+     * provided no simulated event reads the power model (the
+     * `power.*` keys are spec::KeyPhase::Final).
+     */
+    static void reprice(sim::MetricSet &tree, sim::Tick makespan,
+                        const CorePowerParams &params);
 
   private:
     CorePowerParams params_;
@@ -61,6 +83,7 @@ class EnergyAccountant
     std::uint64_t l1Lines_ = 0, l2Lines_ = 0, dramLines_ = 0;
     double accelPj_ = 0.0;
     double accelLeakMw_ = 0.0;
+    std::optional<sim::Tick> makespan_; ///< set by close()
 };
 
 } // namespace tdm::pwr

@@ -135,42 +135,6 @@ Config::getInt(const std::string &key, std::int64_t dflt) const
     return v;
 }
 
-std::uint64_t
-Config::getUint(const std::string &key, std::uint64_t dflt) const
-{
-    auto it = map_.find(key);
-    if (it == map_.end())
-        return dflt;
-    std::uint64_t v;
-    if (!tryParseUint(it->second, v))
-        badValue(key, it->second, "a nonnegative integer");
-    return v;
-}
-
-double
-Config::getDouble(const std::string &key, double dflt) const
-{
-    auto it = map_.find(key);
-    if (it == map_.end())
-        return dflt;
-    double v;
-    if (!tryParseDouble(it->second, v))
-        badValue(key, it->second, "a number");
-    return v;
-}
-
-bool
-Config::getBool(const std::string &key, bool dflt) const
-{
-    auto it = map_.find(key);
-    if (it == map_.end())
-        return dflt;
-    bool v;
-    if (!tryParseBool(it->second, v))
-        badValue(key, it->second, "true/false/1/0");
-    return v;
-}
-
 void
 Config::merge(const Config &other)
 {

@@ -31,20 +31,16 @@ class Config
     bool contains(const std::string &key) const;
 
     /**
-     * Typed getters. A missing key returns @p dflt; a present but
-     * malformed value throws std::invalid_argument naming the key (it
-     * used to parse as a silent 0/garbage via strtoll).
+     * Getters. A missing key returns @p dflt; a present but malformed
+     * integer throws std::invalid_argument naming the key (it used to
+     * parse as a silent 0/garbage via strtoll).
      */
     std::string getString(const std::string &key,
                           const std::string &dflt = "") const;
     std::int64_t getInt(const std::string &key, std::int64_t dflt = 0) const;
-    std::uint64_t getUint(const std::string &key,
-                          std::uint64_t dflt = 0) const;
-    double getDouble(const std::string &key, double dflt = 0.0) const;
-    bool getBool(const std::string &key, bool dflt = false) const;
 
     /**
-     * Strict scalar parsers behind the typed getters: the whole string
+     * Strict scalar parsers (getInt and the spec layer): the whole string
      * must form one in-range value (base 10 or 0x-prefixed hex for the
      * integer forms; "true"/"false"/"1"/"0" for bools). Return false
      * instead of throwing so callers can attach their own context.

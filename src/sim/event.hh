@@ -4,16 +4,11 @@
  *
  * An Event is a schedulable object with a virtual fire() hook and the
  * kernel bookkeeping (tick, sequence number, pool class) embedded in
- * the object itself. Two ownership models coexist:
- *
- *  - Pool events are allocated from the owning EventQueue's size-class
- *    freelists via EventQueue::make() / post() and are automatically
- *    destroyed and recycled after they fire. This is the hot path: a
- *    steady-state simulation reuses the same few blocks of memory for
- *    all of its events.
- *  - External events are ordinary objects owned by model code; the
- *    queue fires them but never frees them, so they can be members of
- *    a model class and rescheduled from inside fire().
+ * the object itself. Model code never holds one: EventQueue::post()
+ * allocates a BoundEvent from the queue's size-class freelists, and the
+ * queue fires it once, then destroys and recycles it. A steady-state
+ * simulation reuses the same few blocks of memory for all of its
+ * events.
  *
  * BoundEvent binds a member-function pointer plus its arguments at
  * schedule time and invokes them directly on fire(), with no type
@@ -45,28 +40,13 @@ class Event
     Event &operator=(const Event &) = delete;
     virtual ~Event() = default;
 
-    /** Invoked by the kernel when simulated time reaches when(). */
+    /** Invoked by the kernel when simulated time reaches the
+     *  event's tick. */
     virtual void fire() = 0;
-
-    /** Debug name; override for more useful traces. */
-    virtual const char *name() const;
-
-    /** Tick this event is (or was last) scheduled for. */
-    Tick when() const { return when_; }
-
-    /** Schedule sequence number; breaks same-tick ties. */
-    std::uint64_t seq() const { return seq_; }
-
-    /** True while the event sits in an event queue. */
-    bool scheduled() const { return scheduled_; }
 
   private:
     friend class EventQueue;
 
-    /** Size-class marker of externally owned (non-pooled) events. */
-    static constexpr std::uint16_t notPooled = 0xffff;
-    /** Size-class marker of heap events too large for the pool. */
-    static constexpr std::uint16_t heapClass = 0xfffe;
     /**
      * Flag bit on pooled size classes: the event needs no destructor
      * call before its memory is recycled (trivial payload).
@@ -75,8 +55,7 @@ class Event
 
     Tick when_ = 0;
     std::uint64_t seq_ = 0; ///< schedule order, breaks same-tick ties
-    std::uint16_t poolClass_ = notPooled;
-    bool scheduled_ = false;
+    std::uint16_t poolClass_ = 0;
 };
 
 /**
@@ -100,8 +79,6 @@ class BoundEvent final : public Event
     {
         std::apply([this](Args &...a) { (owner_->*MemFn)(a...); }, args_);
     }
-
-    const char *name() const override { return "bound"; }
 
     /**
      * True when recycling the event needs no destructor call — the

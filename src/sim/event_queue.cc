@@ -41,15 +41,11 @@ EventQueue::~EventQueue()
 void
 EventQueue::clearPending()
 {
-    auto drop = [this](Event *ev) {
-        ev->scheduled_ = false;
-        retire(ev);
-    };
     if (next_.ev)
-        drop(next_.ev);
+        retire(next_.ev);
     next_ = Entry{};
     for (const Entry &e : heap_)
-        drop(e.ev);
+        retire(e.ev);
     heap_.clear();
 }
 
@@ -64,11 +60,8 @@ EventQueue::schedule(Event *ev, Tick when)
 {
     if (when < curTick_)
         panic("scheduling event in the past: ", when, " < ", curTick_);
-    if (ev->scheduled_)
-        panic("event '", ev->name(), "' scheduled while already pending");
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
-    ev->scheduled_ = true;
     // The new event has the largest seq, so it fires before an entry
     // exactly when its tick is strictly smaller. It takes the slot when
     // it beats the slot's event (or, with the slot empty, the heap's
@@ -120,13 +113,8 @@ EventQueue::fire(Event *ev)
 #endif
     curTick_ = ev->when_;
     ++executed_;
-    ev->scheduled_ = false;
     ev->fire();
-    // fire() may have rescheduled the event (self-re-arming pattern);
-    // a pooled event that did so is still in the heap and must not be
-    // recycled yet — it retires after its final firing.
-    if (!ev->scheduled_)
-        retire(ev);
+    retire(ev);
 }
 
 bool
@@ -158,16 +146,9 @@ EventQueue::run(Tick limit)
 void
 EventQueue::retire(Event *ev)
 {
-    std::uint16_t cls = ev->poolClass_;
-    if (cls == Event::notPooled)
-        return; // externally owned
-    if (cls == Event::heapClass) {
-        ev->~Event();
-        ::operator delete(ev);
-        return;
-    }
-    // Pooled: events with trivial payloads skip the virtual-dtor
-    // dispatch entirely before their memory is recycled.
+    // Events with trivial payloads skip the virtual-dtor dispatch
+    // entirely before their memory is recycled.
+    const std::uint16_t cls = ev->poolClass_;
     if (!(cls & Event::trivialBit))
         ev->~Event();
     releaseRaw(ev, cls & ~Event::trivialBit);
@@ -180,10 +161,8 @@ EventQueue::allocRaw(std::size_t cls, std::size_t bytes)
     if (head) {
         void *mem = head;
         head = *static_cast<void **>(mem);
-        ++poolRecycled_;
         return mem;
     }
-    ++poolFresh_;
     return ::operator new(bytes);
 }
 

@@ -17,9 +17,9 @@
  * and 7-73 on average per 256- or 1024-core point, so the heap needs
  * no tiering.
  *
- * Pool-allocated events (EventQueue::make() / post()) are recycled
- * through per-size-class freelists after they fire, so a steady-state
- * simulation performs no per-event heap allocation.
+ * Every event is posted (post() / postIn()), fires once, and is
+ * recycled through per-size-class freelists right after, so a
+ * steady-state simulation performs no per-event heap allocation.
  *
  * run(limit) end-time semantics (regression-tested):
  *  - every event with when <= limit fires;
@@ -65,38 +65,6 @@ class EventQueue
     // ---- typed, pooled scheduling ----------------------------------
 
     /**
-     * Allocate a pooled event of type @p T. The event is destroyed and
-     * its memory recycled right after it fires (or when the queue is
-     * destroyed with the event still pending).
-     */
-    template <typename T, typename... CtorArgs>
-    T *
-    make(CtorArgs &&...args)
-    {
-        static_assert(std::is_base_of_v<Event, T>);
-        static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                      "pool blocks provide only default new alignment");
-        constexpr std::size_t cls = classOf(sizeof(T));
-        void *mem;
-        if constexpr (cls < numClasses)
-            mem = allocRaw(cls, classBytes(cls));
-        else
-            mem = ::operator new(sizeof(T));
-        T *ev = new (mem) T(std::forward<CtorArgs>(args)...);
-        constexpr bool trivial = [] {
-            if constexpr (requires { T::trivialPayload; })
-                return T::trivialPayload;
-            else
-                return false;
-        }();
-        ev->poolClass_ = cls < numClasses
-                             ? static_cast<std::uint16_t>(
-                                   cls | (trivial ? Event::trivialBit : 0))
-                             : Event::heapClass;
-        return ev;
-    }
-
-    /**
      * Schedule `(owner->*MemFn)(args...)` at absolute tick @p when via
      * a pooled BoundEvent: statically typed, no type erasure, recycled
      * memory.
@@ -116,13 +84,6 @@ class EventQueue
     {
         post<MemFn>(curTick_ + delay, owner, std::move(args)...);
     }
-
-    /**
-     * Schedule @p ev at absolute tick @p when (>= now). Pool events
-     * (from make()) are consumed by firing; externally owned events are
-     * left untouched afterwards and may be rescheduled.
-     */
-    void schedule(Event *ev, Tick when);
 
     // ---- execution -------------------------------------------------
 
@@ -149,12 +110,6 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Pool blocks handed out that were recycled (telemetry). */
-    std::uint64_t poolRecycled() const { return poolRecycled_; }
-
-    /** Pool blocks obtained from the heap (telemetry). */
-    std::uint64_t poolFresh() const { return poolFresh_; }
-
   private:
     /** Pending entry: the event's ordering key replicated inline. */
     struct Entry
@@ -163,6 +118,31 @@ class EventQueue
         std::uint64_t seq = 0;
         Event *ev = nullptr;
     };
+
+    /**
+     * Allocate a pooled event of type @p T. It is destroyed and its
+     * memory recycled right after it fires (or when the queue is
+     * destroyed with the event still pending).
+     */
+    template <typename T, typename... CtorArgs>
+    T *
+    make(CtorArgs &&...args)
+    {
+        static_assert(std::is_base_of_v<Event, T>);
+        static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                      "pool blocks provide only default new alignment");
+        constexpr std::size_t cls = classOf(sizeof(T));
+        static_assert(cls < numClasses,
+                      "event payload exceeds the largest pool class");
+        T *ev = new (allocRaw(cls, classBytes(cls)))
+            T(std::forward<CtorArgs>(args)...);
+        ev->poolClass_ = static_cast<std::uint16_t>(
+            cls | (T::trivialPayload ? Event::trivialBit : 0));
+        return ev;
+    }
+
+    /** Schedule the pooled @p ev at absolute tick @p when (>= now). */
+    void schedule(Event *ev, Tick when);
 
     /** Unlink and return the earliest pending event. Pre: not empty. */
     Event *pop();
@@ -173,7 +153,7 @@ class EventQueue
     /** Advance the clock to @p ev, fire it, and recycle it. */
     void fire(Event *ev);
 
-    /** Destroy a fired/cancelled event according to its ownership. */
+    /** Destroy a fired or cancelled event and recycle its block. */
     void retire(Event *ev);
 
     /** Retire every pending event. */
@@ -184,7 +164,7 @@ class EventQueue
     static constexpr std::size_t numClasses = 16; ///< up to 256 bytes
 
     /** Size class of an allocation: 0 covers 1-16 bytes, 15 covers
-        241-256; anything larger falls back to the plain heap. */
+        241-256 (the largest event make() accepts). */
     static constexpr std::size_t classOf(std::size_t bytes) {
         return (bytes - 1) / classGrain;
     }
@@ -203,8 +183,6 @@ class EventQueue
     std::uint64_t executed_ = 0;
 
     void *freeLists_[numClasses] = {};
-    std::uint64_t poolRecycled_ = 0;
-    std::uint64_t poolFresh_ = 0;
 
 #if SIM_INVARIANTS_ENABLED
     /**

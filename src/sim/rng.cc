@@ -1,7 +1,5 @@
 #include "sim/rng.hh"
 
-#include <cmath>
-
 namespace tdm::sim {
 
 std::uint64_t
@@ -45,18 +43,6 @@ std::uint64_t
 Rng::below(std::uint64_t n)
 {
     return next() % n;
-}
-
-double
-Rng::noiseFactor(double sigma)
-{
-    // Sum of 4 uniforms approximates a Gaussian; exponentiate a centered
-    // variate to obtain multiplicative noise with mean close to 1.
-    double g = 0.0;
-    for (int i = 0; i < 4; ++i)
-        g += uniform();
-    g = (g - 2.0) * std::sqrt(3.0); // ~N(0,1)
-    return std::exp(sigma * g - 0.5 * sigma * sigma);
 }
 
 } // namespace tdm::sim

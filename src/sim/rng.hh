@@ -33,12 +33,6 @@ class Rng
     /** Uniform integer in [0, n). n must be > 0. */
     std::uint64_t below(std::uint64_t n);
 
-    /**
-     * Lognormal-ish multiplicative noise factor with the given relative
-     * sigma, mean ~1.0. Used to perturb task durations.
-     */
-    double noiseFactor(double sigma);
-
   private:
     std::uint64_t state_;
 };

@@ -224,7 +224,7 @@ TEST(Engine, NoCacheOptionDisablesDedup)
     auto rep = engine.run("nocache", points);
     // Cache dedup is off, so neither point is *served* from a cache —
     // but fork grouping still groups the identical specs, so the
-    // second point re-finalizes the first's trajectory instead of
+    // second point re-prices the first's metric tree instead of
     // simulating one, and its summary must come out identical.
     EXPECT_EQ(rep.simulated, 1u);
     EXPECT_EQ(rep.fromForked, 1u);

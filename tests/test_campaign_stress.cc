@@ -158,10 +158,10 @@ TEST(CampaignStress, ConcurrentForkedGroupsStayDeterministic)
     // each with a leader plus a `power.*` variant (finalize fork) and
     // a `mem.*` variant (its own cold leg). Caching is off, so every
     // client drives the full fork machinery itself — eight
-    // ForkGroupRunners per run, shared trajectories re-finalized on
-    // worker threads — while four clients do the same concurrently.
-    // TSan checks the isolation (each group's machine is
-    // worker-private); the asserts check the fork paths were actually
+    // ForkGroupRunners per run, leader trees re-priced on worker
+    // threads — while four clients do the same concurrently. TSan
+    // checks the isolation (each group's runner is worker-private);
+    // the asserts check the fork paths were actually
     // taken and stayed deterministic.
     constexpr unsigned kClients = 4;
 

@@ -104,12 +104,11 @@ TEST_P(GoldenDeterminism, MakespanIsByteIdenticalToSeedKernel)
 TEST_P(GoldenDeterminism, ForkedRunsReproduceColdRunsBitForBit)
 {
     // The fork contract: a member differing from the last cold leg
-    // only in a `power.*` key is served by re-running finalization
-    // over the shared trajectory, and must reproduce a cold run of the
-    // same experiment bit-for-bit, makespan and the entire metric tree
-    // alike. The chain re-finalizes one trajectory once per Final key,
-    // so finalize() must be repeatable, and a new power key is covered
-    // without an edit here.
+    // only in a `power.*` key is served by re-pricing a copy of the
+    // leader's metric tree, and must reproduce a cold run of the same
+    // experiment bit-for-bit, makespan and the entire metric tree
+    // alike. The chain re-prices one leader once per Final key, so a
+    // new power key is covered without an edit here.
     const Golden &g = GetParam();
     driver::Experiment leader;
     leader.workload = g.workload;

@@ -66,14 +66,14 @@ TEST(HwTaskQueues, CapacityEnforced)
     EXPECT_EQ(q.totalSize(), 2u);
 }
 
-TEST(HwTaskQueues, AllEmptyTracksState)
+TEST(HwTaskQueues, TotalSizeTracksState)
 {
     hw::HwTaskQueues q(2, 4);
-    EXPECT_TRUE(q.allEmpty());
+    EXPECT_EQ(q.totalSize(), 0u);
     q.push(1, task(5));
-    EXPECT_FALSE(q.allEmpty());
+    EXPECT_EQ(q.totalSize(), 1u);
     q.popLocal(1);
-    EXPECT_TRUE(q.allEmpty());
+    EXPECT_EQ(q.totalSize(), 0u);
 }
 
 TEST(TssModel, PaperStorageIs769KB)

@@ -112,14 +112,14 @@ TEST(ListArray, FreeListRecyclesEntries)
     EXPECT_NE(la.allocList(), dmu::invalidHwId);
 }
 
-TEST(ListArray, PeakTracksHighWater)
+TEST(ListArray, InUseCountsContinuationEntries)
 {
     dmu::ListArray la("t", 8, 2);
     dmu::ListHead h = la.allocList();
     unsigned acc = 0;
     for (std::uint16_t i = 0; i < 6; ++i)
         la.push(h, i, acc);
+    EXPECT_EQ(la.entriesInUse(), 3u);
     la.freeList(h);
-    EXPECT_EQ(la.peakEntriesInUse(), 3u);
     EXPECT_EQ(la.entriesInUse(), 0u);
 }

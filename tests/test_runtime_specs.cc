@@ -85,11 +85,11 @@ TEST(MachineConfigDescribe, TableIFieldsPresent)
 {
     cpu::MachineConfig cfg;
     sim::Config c = cfg.describe();
-    EXPECT_EQ(c.getUint("chip.cores"), 32u);
-    EXPECT_EQ(c.getUint("dmu.tat_entries"), 2048u);
-    EXPECT_EQ(c.getUint("dmu.dat_assoc"), 8u);
-    EXPECT_EQ(c.getUint("l1d.size_kb"), 32u);
-    EXPECT_EQ(c.getUint("l2.size_mb"), 4u);
-    EXPECT_TRUE(c.getBool("dmu.dynamic_dat_index"));
+    EXPECT_EQ(c.getString("chip.cores"), "32");
+    EXPECT_EQ(c.getString("dmu.tat_entries"), "2048");
+    EXPECT_EQ(c.getString("dmu.dat_assoc"), "8");
+    EXPECT_EQ(c.getString("l1d.size_kb"), "32");
+    EXPECT_EQ(c.getString("l2.size_mb"), "4");
+    EXPECT_EQ(c.getString("dmu.dynamic_dat_index"), "true");
     EXPECT_EQ(c.getString("sched.policy"), "fifo");
 }

@@ -18,6 +18,7 @@
 #include "driver/spec/grid.hh"
 #include "driver/spec/spec.hh"
 #include "runtime/scheduler.hh"
+#include "sim/suggest.hh"
 #include "workloads/registry.hh"
 
 using namespace tdm;
@@ -167,11 +168,11 @@ TEST(Spec, ClosestMatchesRanksByDistance)
 {
     const std::vector<std::string> cand = {"fig12", "fig13",
                                            "ablation_scaling"};
-    const auto near = spc::closestMatches("fig21", cand);
+    const auto near = sim::closestMatches("fig21", cand);
     ASSERT_FALSE(near.empty());
     EXPECT_EQ(near[0], "fig12");
     // Substring relation surfaces long keys from short queries.
-    const auto sub = spc::closestMatches(
+    const auto sub = sim::closestMatches(
         "tat", {"dmu.tat_entries", "power.active_w"});
     ASSERT_EQ(sub.size(), 1u);
     EXPECT_EQ(sub[0], "dmu.tat_entries");

@@ -2,9 +2,10 @@
  * @file
  * Unit coverage for the fork machinery: the spec key-phase
  * classification and its fingerprints, finalize forks under a stateful
- * user-defined scheduler, and ForkGroupRunner's fallback paths. The
- * end-to-end bit-for-bit contract over every golden configuration
- * lives in test_golden_determinism.cc.
+ * user-defined scheduler and on the Carbon and Task Superscalar
+ * runtimes, and ForkGroupRunner's fallback paths. The end-to-end
+ * bit-for-bit contract over every golden configuration lives in
+ * test_golden_determinism.cc.
  */
 
 #include <bit>
@@ -149,8 +150,8 @@ class CriticalFirstScheduler : public rt::Scheduler
 
 TEST(WarmForkScheduler, UserDefinedPolicyForksLikeColdRuns)
 {
-    // A user policy needs no copy support: a power member re-finalizes
-    // the leader's trajectory, and a memory member (a different
+    // A user policy needs no copy support: a power member re-prices
+    // the leader's metric tree, and a memory member (a different
     // trajectory) runs its own cold leg. Both must equal their cold
     // runs.
     rt::registerScheduler("test-critical-first",
@@ -189,7 +190,84 @@ TEST(WarmForkScheduler, UserDefinedPolicyForksLikeColdRuns)
     }
 }
 
+TEST(ForkGroupRunner, AcceleratorRuntimesForkLikeColdRuns)
+{
+    // Carbon and Task Superscalar price accelerator energy unlike the
+    // DMU runtime (hardware-queue ops, the TSS x3 CAM factor, their own
+    // storage leakage). Every Final key must re-price their trees
+    // exactly as a cold run prices them.
+    const std::pair<core::RuntimeType, const char *> cases[] = {
+        {core::RuntimeType::Carbon, "cholesky"},
+        {core::RuntimeType::TaskSuperscalar, "dedup"},
+    };
+    for (const auto &[runtime, workload] : cases) {
+        SCOPED_TRACE(workload);
+        driver::Experiment leader;
+        leader.workload = workload;
+        leader.runtime = runtime;
+
+        driver::ForkGroupRunner runner(nullptr);
+        bool forked = true;
+        const driver::RunSummary lead =
+            runner.run(leader, roiKeyOf(leader), nullptr, &forked);
+        EXPECT_FALSE(forked);
+        ASSERT_TRUE(lead.completed);
+        EXPECT_GT(lead.metrics().at("power.accel_dynamic_pj"), 0.0);
+        EXPECT_GT(lead.metrics().at("power.accel_leakage_mw"), 0.0);
+
+        std::size_t visited = 0;
+        for (const driver::spec::Binding &b :
+             driver::spec::allBindings()) {
+            if (b.phase != driver::spec::KeyPhase::Final)
+                continue;
+            SCOPED_TRACE(b.key);
+            ++visited;
+            const double def = std::stod(b.defaultValue);
+            driver::Experiment variant = leader;
+            driver::spec::applyKey(
+                variant, b.key,
+                driver::spec::formatDouble(def != 0.0 ? 2.0 * def : 1.0));
+
+            const driver::RunSummary cold = driver::run(variant);
+            ASSERT_TRUE(cold.completed);
+            const driver::RunSummary fork =
+                runner.run(variant, roiKeyOf(variant), nullptr, &forked);
+            EXPECT_TRUE(forked);
+            expectMetricsBitIdentical(cold.metrics(), fork.metrics());
+        }
+        EXPECT_GT(visited, 0u);
+    }
+}
+
 // ---- ForkGroupRunner degradation --------------------------------------
+
+TEST(ForkGroupRunner, IncompleteLeaderRunsCold)
+{
+    // A leader stopped by the tick watchdog has no finished run to
+    // price. Re-pricing its tree would give a wrong number, not an
+    // error, so an equal-key power member must run cold.
+    driver::Experiment leader;
+    leader.workload = "lu";
+    leader.config.maxTicks = 1000000;
+    driver::Experiment variant = leader;
+    variant.config.power.activeWatts *= 2.0;
+    ASSERT_EQ(roiKeyOf(variant), roiKeyOf(leader));
+
+    driver::ForkGroupRunner runner(nullptr);
+    bool forked = true;
+    const driver::RunSummary lead =
+        runner.run(leader, roiKeyOf(leader), nullptr, &forked);
+    EXPECT_FALSE(forked);
+    ASSERT_FALSE(lead.completed);
+
+    const driver::RunSummary cold = driver::run(variant);
+    const driver::RunSummary served =
+        runner.run(variant, roiKeyOf(variant), nullptr, &forked);
+    EXPECT_FALSE(forked);
+    EXPECT_FALSE(served.completed);
+    EXPECT_EQ(served.energyJ, 0.0);
+    expectMetricsBitIdentical(cold.metrics(), served.metrics());
+}
 
 TEST(ForkGroupRunner, DisabledForkAlwaysRunsCold)
 {
@@ -224,13 +302,13 @@ TEST(ForkGroupRunner, ResetForcesAFreshColdLeg)
         runner.run(e, key, nullptr, &forked);
     EXPECT_FALSE(forked);
 
-    // With a completed trajectory an identical member forks...
+    // With a completed leader an identical member forks...
     const driver::RunSummary again =
         runner.run(e, key, nullptr, &forked);
     EXPECT_TRUE(forked);
     EXPECT_EQ(again.makespan, first.makespan);
 
-    // ...but after reset() (the engine's error recovery) the machine
+    // ...but after reset() (the engine's error recovery) the leader
     // is gone and the next member starts cold again.
     runner.reset();
     const driver::RunSummary recovered =

@@ -22,7 +22,7 @@
  *   --no-cache        disable result-cache deduplication
  *   --no-warm-fork    simulate every point cold instead of serving
  *                     points that differ only in power.* keys by
- *                     re-finalizing one simulated trajectory (A/B
+ *                     re-pricing one simulated run (A/B
  *                     baseline; forked results are bit-identical
  *                     either way)
  *   --seed-base S     reseed point i with S+i (deterministic per job)
