@@ -21,9 +21,10 @@ main()
     double sw_tasks = 0, sw_us = 0, tdm_tasks = 0, tdm_us = 0;
     unsigned n = 0;
     for (const auto &w : wl::allWorkloads()) {
-        rt::TaskGraph sw = wl::buildWorkload(w.name);
-        wl::WorkloadParams tp;
-        tp.tdmOptimal = true;
+        wl::WorkloadParams sp, tp;
+        sp.granularity = w.swGranularity;
+        tp.granularity = w.tdmGranularity;
+        rt::TaskGraph sw = wl::buildWorkload(w.name, sp);
         rt::TaskGraph tdm = wl::buildWorkload(w.name, tp);
         t.row()
             .cell(w.name)

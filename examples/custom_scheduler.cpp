@@ -68,7 +68,7 @@ double
 runDedup(const std::string &sched)
 {
     wl::WorkloadParams p;
-    p.tdmOptimal = true;
+    p.granularity = wl::findWorkload("dedup").tdmGranularity;
     rt::TaskGraph g = wl::buildWorkload("dedup", p);
     cpu::MachineConfig cfg;
     cfg.scheduler = sched;

@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/machine.hh"
 #include "driver/experiment.hh"
+#include "driver/graph_cache.hh"
 #include "driver/report/trace_writer.hh"
 #include "workloads/registry.hh"
 
@@ -92,15 +94,17 @@ main(int argc, char **argv)
     std::string rt_name = argc > 2 ? argv[2] : "sw";
     std::string out = argc > 3 ? argv[3] : "timeline.json";
 
-    wl::WorkloadParams p;
-    core::RuntimeType runtime = core::runtimeFromString(rt_name);
-    p.tdmOptimal = core::traitsOf(runtime).usesDmu();
-    rt::TaskGraph g = wl::buildWorkload(workload, p);
+    driver::Experiment e;
+    e.workload = workload;
+    e.runtime = core::runtimeFromString(rt_name);
+    // Built at the runtime's own optimal granularity, as driver::run
+    // would build it.
+    const std::shared_ptr<const rt::TaskGraph> g = driver::buildGraph(e);
 
     cpu::MachineConfig cfg;
     cfg.trace.categories = static_cast<std::uint32_t>(sim::TraceCat::Task);
-    core::Machine m(cfg, g, runtime);
-    const driver::RunSummary res = driver::summarize(m.run(), g);
+    core::Machine m(cfg, g, e.runtime);
+    const driver::RunSummary res = driver::summarize(m.run(), *g);
     if (!res.completed) {
         std::cerr << "run did not complete\n";
         return 1;
@@ -117,7 +121,7 @@ main(int argc, char **argv)
     driver::report::TraceMeta meta;
     meta.processName = workload + " on " + rt_name;
     meta.numCores = cfg.numCores;
-    meta.graph = &g;
+    meta.graph = g.get();
     driver::report::writeChromeTrace(f, m.traceBuffer(), meta);
     std::cout << "\nwrote " << spans.size() << " task intervals to "
               << out << " (chrome://tracing)\n";

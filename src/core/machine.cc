@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dmu/geometry.hh"
+#include "sim/assert.hh"
 #include "sim/logging.hh"
 
 namespace tdm::core {
@@ -35,8 +36,7 @@ Machine::Machine(const cpu::MachineConfig &cfg,
       graph_(requireGraph(graphHold_)), traits_(traitsOf(runtime)),
       phases_(cfg_.numCores), mesh_(cfg_.mesh), cores_(cfg_.numCores),
       idleNext_(cfg_.numCores, sim::invalidCore),
-      idlePrev_(cfg_.numCores, sim::invalidCore),
-      idleLinked_(cfg_.numCores, 0), acct_(cfg_.power)
+      idlePrev_(cfg_.numCores, sim::invalidCore), acct_(cfg_.power)
 {
     tbuf_.configure(cfg_.trace);
     if (cfg_.numCores < 2)
@@ -632,7 +632,6 @@ Machine::startExec(sim::CoreId core, const rt::ReadyTask &task)
         }
     }
     sim::Tick dur = t.computeCycles + stall;
-    ++cores_[core].tasksRun;
     if (!sawFirstExec_)
         noteFirstExec();
     eq_.postIn<&Machine::onExecDone>(dur, this, core, task.id, dur);
@@ -839,7 +838,6 @@ Machine::deliverReady(const rt::ReadyTask &task)
 void
 Machine::idlePushBack(sim::CoreId core)
 {
-    idleLinked_[core] = 1;
     idleNext_[core] = sim::invalidCore;
     idlePrev_[core] = idleTail_;
     if (idleTail_ != sim::invalidCore)
@@ -852,8 +850,7 @@ Machine::idlePushBack(sim::CoreId core)
 void
 Machine::idleUnlink(sim::CoreId core)
 {
-    if (!idleLinked_[core])
-        return;
+    SIM_ASSERT(cores_[core].idle, "unlinking running core ", core);
     const sim::CoreId prev = idlePrev_[core];
     const sim::CoreId next = idleNext_[core];
     if (prev != sim::invalidCore)
@@ -864,7 +861,6 @@ Machine::idleUnlink(sim::CoreId core)
         idlePrev_[next] = prev;
     else
         idleTail_ = prev;
-    idleLinked_[core] = 0;
 }
 
 void

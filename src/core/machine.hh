@@ -118,10 +118,6 @@ class Machine
      *  addressable by dotted key path ("dmu.tat.hits"). */
     const sim::MetricRegistry &metrics() const { return metrics_; }
 
-    const mem::MemoryModel *memory() const { return mem_.get(); }
-    const RuntimeTraits &traits() const { return traits_; }
-    sim::Tick now() const { return eq_.now(); }
-
   private:
     /** A master-side DMU ISA operation parked on a full structure. */
     struct DmuRetry
@@ -298,10 +294,11 @@ class Machine
     /**
      * FIFO of parked cores as an intrusive doubly-linked list threaded
      * through per-core link arrays: O(1) park / wake-oldest /
-     * wake-specific with zero allocation.
+     * wake-specific with zero allocation. Until finalize() a core is
+     * linked exactly while cores_[c].idle (goIdle parks and links it
+     * together; every wake unlinks).
      */
     std::vector<sim::CoreId> idleNext_, idlePrev_;
-    std::vector<std::uint8_t> idleLinked_;
     sim::CoreId idleHead_ = sim::invalidCore;
     sim::CoreId idleTail_ = sim::invalidCore;
 

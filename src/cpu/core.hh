@@ -44,9 +44,6 @@ struct CoreState
     bool idle = false;
     sim::Tick idleSince = 0;
 
-    /** Tasks this core has executed. */
-    std::uint64_t tasksRun = 0;
-
     /** Park the core at tick @p now. */
     void
     parkAt(sim::Tick now)

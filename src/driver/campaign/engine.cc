@@ -277,9 +277,9 @@ CampaignEngine::run(const std::string &name,
 
     // Simulated points resolve their task graph through the engine's
     // build-once graph store from inside the worker loop, so workers
-    // share one immutable graph per distinct (workload, effective
-    // params) instead of each rebuilding it — and the builds
-    // themselves still run with full pool parallelism. A rare
+    // share one immutable graph per distinct graph key (the workload
+    // keys of the canonical spec) instead of each rebuilding it — and
+    // the builds themselves still run with full pool parallelism. A rare
     // concurrent duplicate build is wasted work, never wrong (first
     // publisher wins inside the cache).
     const std::uint64_t graphBuilds0 = graphs_.builds();

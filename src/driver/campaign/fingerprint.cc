@@ -17,12 +17,6 @@ canonicalConfig(const Experiment &exp)
     return spec::canonicalSpec(exp);
 }
 
-std::string
-fingerprint(const Experiment &exp)
-{
-    return canonicalConfig(exp).serialize();
-}
-
 std::uint64_t
 fnv1a64(const std::string &s)
 {
@@ -41,12 +35,6 @@ digestOfKey(const std::string &key)
     oss << std::hex << std::setw(16) << std::setfill('0')
         << fnv1a64(key);
     return oss.str();
-}
-
-std::string
-fingerprintDigest(const Experiment &exp)
-{
-    return digestOfKey(fingerprint(exp));
 }
 
 } // namespace tdm::driver::campaign

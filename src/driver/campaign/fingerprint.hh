@@ -21,22 +21,17 @@
 namespace tdm::driver::campaign {
 
 /**
- * Flat canonical description of @p exp: spec::canonicalSpec. Applies
- * the same normalization run() applies (implied TDM-optimal
- * granularity) and resolves workload short names, so equivalent
- * experiments serialize identically. Doubles render as the shortest
+ * Flat canonical description of @p exp: spec::canonicalSpec, the
+ * description of the experiment run() runs (workload short names
+ * resolved, a default granularity resolved to the runtime's optimum),
+ * so equivalent experiments serialize identically. Its serialize() is
+ * the collision-free cache key. Doubles render as the shortest
  * decimal that round-trips bit-exactly. Throws spec::SpecError if the
- * workload name is unknown.
+ * workload name is unknown or the granularity negative.
  */
 sim::Config canonicalConfig(const Experiment &exp);
 
-/** Full canonical key of @p exp; collision-free cache key. */
-std::string fingerprint(const Experiment &exp);
-
-/** Short FNV-1a 64-bit hex digest of fingerprint(), for display. */
-std::string fingerprintDigest(const Experiment &exp);
-
-/** Zero-padded 16-char hex digest of an already-built fingerprint. */
+/** Zero-padded 16-char hex digest of a cache key (FNV-1a 64-bit). */
 std::string digestOfKey(const std::string &key);
 
 /** FNV-1a 64-bit hash of an arbitrary string. */

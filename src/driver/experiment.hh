@@ -113,9 +113,9 @@ inline constexpr HeadlineField kHeadlineFields[] = {
 std::optional<RunSummary> summaryOf(sim::MetricSet metrics);
 
 /**
- * Run one experiment. When the runtime uses the DMU, params.tdmOptimal
- * is implied for default granularities unless explicitly set by the
- * caller.
+ * Run one experiment on a graph built from spec::normalized(exp): a
+ * default granularity runs at the runtime's Table II optimum, the
+ * value its canonical spec records.
  */
 RunSummary run(const Experiment &exp);
 
@@ -123,9 +123,9 @@ RunSummary run(const Experiment &exp);
  * Run one experiment on a pre-built shared graph (the campaign
  * engine's hot path: each distinct graph is built once per campaign
  * and shared read-only across worker threads, see driver::GraphCache).
- * @p graph must be the graph @p exp would build — i.e. built from
- * effectiveParams(exp); null falls back to building one. The summary
- * is byte-identical either way.
+ * @p graph must be the graph @p exp would build (buildGraph(exp), or
+ * any graph with an equal graphKey); null falls back to building one.
+ * The summary is byte-identical either way.
  */
 RunSummary run(const Experiment &exp,
                std::shared_ptr<const rt::TaskGraph> graph);

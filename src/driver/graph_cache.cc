@@ -1,44 +1,36 @@
 #include "driver/graph_cache.hh"
 
-#include <bit>
-#include <sstream>
+#include <vector>
 
-#include "core/runtime_model.hh"
-#include "workloads/registry.hh"
+#include "driver/spec/spec.hh"
 
 namespace tdm::driver {
-
-wl::WorkloadParams
-effectiveParams(const Experiment &exp)
-{
-    wl::WorkloadParams params = exp.params;
-    if (params.granularity == 0.0
-        && core::traitsOf(exp.runtime).usesDmu())
-        params.tdmOptimal = true;
-    return params;
-}
 
 std::string
 graphKey(const Experiment &exp)
 {
-    const wl::WorkloadParams p = effectiveParams(exp);
-    std::ostringstream key;
-    // Doubles serialize as their bit patterns: exact, locale-free, and
-    // collision-free — this key must never conflate two graphs.
-    key << wl::findWorkload(exp.workload).name
-        << ";granularity=" << std::hex
-        << std::bit_cast<std::uint64_t>(p.granularity)
-        << ";tdm_optimal=" << (p.tdmOptimal ? 1 : 0)
-        << ";seed=" << p.seed << ";duration_noise="
-        << std::bit_cast<std::uint64_t>(p.durationNoise);
-    return key.str();
+    static const std::vector<const spec::Binding *> workloadKeys = [] {
+        std::vector<const spec::Binding *> keys;
+        for (const spec::Binding &b : spec::allBindings())
+            if (b.key == "workload" || b.key.starts_with("workload."))
+                keys.push_back(&b);
+        return keys;
+    }();
+    // Bindings render doubles as the shortest decimal that round-trips
+    // bit-exactly, so distinct parameters never share a key.
+    const Experiment n = spec::normalized(exp);
+    std::string key;
+    for (const spec::Binding *b : workloadKeys)
+        key += b->key + '=' + b->get(n) + ';';
+    return key;
 }
 
 std::shared_ptr<const rt::TaskGraph>
 buildGraph(const Experiment &exp)
 {
+    const Experiment n = spec::normalized(exp);
     return std::make_shared<const rt::TaskGraph>(
-        wl::buildWorkload(exp.workload, effectiveParams(exp)));
+        wl::buildWorkload(n.workload, n.params));
 }
 
 std::shared_ptr<const rt::TaskGraph>
@@ -48,10 +40,8 @@ GraphCache::obtain(const Experiment &exp)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = map_.find(key);
-        if (it != map_.end()) {
-            ++hits_;
+        if (it != map_.end())
             return it->second;
-        }
     }
     // Build outside the lock: graph construction is the expensive part
     // and is pure, so a rare duplicate build only wastes work, never
@@ -59,40 +49,14 @@ GraphCache::obtain(const Experiment &exp)
     // instance.
     std::shared_ptr<const rt::TaskGraph> built = buildGraph(exp);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, fresh] = map_.emplace(key, std::move(built));
-    if (fresh)
-        ++builds_;
-    else
-        ++hits_;
-    return it->second;
+    return map_.emplace(key, std::move(built)).first->second;
 }
 
 std::uint64_t
 GraphCache::builds() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return builds_;
-}
-
-std::size_t
-GraphCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
     return map_.size();
-}
-
-std::uint64_t
-GraphCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-void
-GraphCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
 }
 
 } // namespace tdm::driver

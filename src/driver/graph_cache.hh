@@ -3,13 +3,13 @@
  * Shared immutable task graphs.
  *
  * Building a workload TaskGraph is pure: the graph depends only on the
- * workload name and its effective WorkloadParams. A campaign of
- * hundreds of points therefore used to rebuild the same few graphs
- * hundreds of times — once per run() call. The GraphCache builds each
- * distinct (workload, effective params) graph exactly once, keyed by a
- * canonical serialization of exactly those inputs, and hands out
+ * `workload` and `workload.*` keys of the experiment's canonical spec
+ * (spec::normalized resolves a default granularity to the runtime's
+ * optimum first). The GraphCache builds each distinct graph exactly
+ * once, keyed by that projection, and hands out
  * shared_ptr<const TaskGraph> views that any number of concurrently
- * running machines can read.
+ * running machines can read. SW and TDM share a graph whenever their
+ * Table II optima agree (7 of the 9 benchmarks).
  */
 
 #ifndef TDM_DRIVER_GRAPH_CACHE_HH
@@ -23,27 +23,18 @@
 
 #include "driver/experiment.hh"
 #include "runtime/task_graph.hh"
-#include "workloads/workload.hh"
 
 namespace tdm::driver {
 
 /**
- * The workload parameters @p exp's graph is actually built with:
- * run() implies the TDM-optimal default granularity for DMU runtimes,
- * so the same nominal params can denote two different graphs under
- * different runtimes. Every graph consumer must normalize through
- * this — it is what makes the cache key honest.
- */
-wl::WorkloadParams effectiveParams(const Experiment &exp);
-
-/**
- * Canonical key of the graph @p exp runs on: full workload name plus
- * the bit-exact effective parameters. Two experiments with equal keys
- * build byte-identical graphs.
+ * Canonical key of the graph @p exp runs on: the `workload` and
+ * `workload.*` entries of its canonical spec, so the granularity in
+ * the key is the resolved one. Two experiments with equal keys build
+ * byte-identical graphs. Throws spec::SpecError as spec::normalized.
  */
 std::string graphKey(const Experiment &exp);
 
-/** Build @p exp's graph fresh (effective params applied), shared. */
+/** Build @p exp's graph fresh from its normalized experiment, shared. */
 std::shared_ptr<const rt::TaskGraph> buildGraph(const Experiment &exp);
 
 /**
@@ -61,20 +52,10 @@ class GraphCache
     /** Distinct graphs built so far. */
     std::uint64_t builds() const;
 
-    /** Graphs currently held. */
-    std::size_t size() const;
-
-    /** Lookups served without building. */
-    std::uint64_t hits() const;
-
-    void clear();
-
   private:
     mutable std::mutex mutex_;
     std::unordered_map<std::string,
                        std::shared_ptr<const rt::TaskGraph>> map_;
-    std::uint64_t builds_ = 0;
-    std::uint64_t hits_ = 0;
 };
 
 } // namespace tdm::driver

@@ -29,9 +29,7 @@ collect(std::map<std::string, RefEntry> &out, core::RuntimeType rt)
 {
     // The smallest graph that exercises every component keeps
     // discovery cheap; metric identity never depends on the workload.
-    wl::WorkloadParams params;
-    params.tdmOptimal = core::traitsOf(rt).usesDmu();
-    rt::TaskGraph graph = wl::buildWorkload("cholesky", params);
+    rt::TaskGraph graph = wl::buildWorkload("cholesky");
     cpu::MachineConfig cfg;
     core::Machine m(cfg, graph, rt);
     for (const sim::MetricInfo &info : m.metrics().list()) {

@@ -91,16 +91,6 @@ ServiceClient::status()
     return info;
 }
 
-void
-ServiceClient::shutdownServer()
-{
-    const JsonValue r = roundTrip("{\"op\":\"shutdown\"}\n");
-    const JsonValue *ev = r.find("event");
-    if (!ev || ev->asString() != "bye")
-        throw std::runtime_error("campaign service " + address_ +
-                                 ": unexpected shutdown response");
-}
-
 campaign::CampaignResult
 ServiceClient::submit(const campaign::Campaign &c,
                       const campaign::JobCallback &onJob)

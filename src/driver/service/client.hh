@@ -48,9 +48,6 @@ class ServiceClient
     /** Server counters. Throws on protocol errors. */
     StatusInfo status();
 
-    /** Ask the server to shut down (acknowledged with "bye"). */
-    void shutdownServer();
-
   private:
     /** Send one line, read one response object. */
     JsonValue roundTrip(const std::string &request);

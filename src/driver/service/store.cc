@@ -156,7 +156,7 @@ ResultStore::scanIndex()
         const std::uint64_t bytes =
             sizeEc ? 0 : static_cast<std::uint64_t>(size);
         index_.emplace(name.substr(0, 16), bytes);
-        bytes_ += bytes;
+        counts_.bytes += bytes;
     }
 }
 
@@ -178,7 +178,7 @@ ResultStore::fetch(const std::string &key)
     const std::string digest = campaign::digestOfKey(key);
     std::lock_guard<std::mutex> lock(mutex_);
     if (index_.find(digest) == index_.end()) {
-        ++misses_;
+        ++counts_.misses;
         return std::nullopt;
     }
     std::ifstream in(fs::path(versionDir_) / (digest + ".result"));
@@ -188,10 +188,10 @@ ResultStore::fetch(const std::string &key)
                                 schemaVersion_)) {
         // Unreadable or damaged blob: drop it from the index and treat
         // as a miss — the engine re-simulates and re-publishes.
-        ++corrupt_;
-        ++misses_;
+        ++counts_.corrupt;
+        ++counts_.misses;
         if (auto it = index_.find(digest); it != index_.end()) {
-            bytes_ -= it->second;
+            counts_.bytes -= it->second;
             index_.erase(it);
         }
         sim::warn("result store: corrupt blob for ", digest,
@@ -201,10 +201,10 @@ ResultStore::fetch(const std::string &key)
     if (storedKey != key) {
         // Digest collision with a different spec: a miss, not an
         // error. (The blob itself is intact, so keep it indexed.)
-        ++misses_;
+        ++counts_.misses;
         return std::nullopt;
     }
-    ++hits_;
+    ++counts_.hits;
     return summary;
 }
 
@@ -256,56 +256,16 @@ ResultStore::publish(const std::string &key, const RunSummary &summary)
     // writer sharing this directory could have indexed the digest via
     // a rescan — never double-count its bytes.
     if (index_.emplace(digest, bytes.size()).second)
-        bytes_ += bytes.size();
-    ++stores_;
-}
-
-std::size_t
-ResultStore::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return index_.size();
-}
-
-std::uint64_t
-ResultStore::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-ResultStore::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-std::uint64_t
-ResultStore::stores() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stores_;
-}
-
-std::uint64_t
-ResultStore::corrupt() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return corrupt_;
+        counts_.bytes += bytes.size();
+    ++counts_.stores;
 }
 
 StoreStats
 ResultStore::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    StoreStats s;
+    StoreStats s = counts_;
     s.blobs = index_.size();
-    s.bytes = bytes_;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.stores = stores_;
-    s.corrupt = corrupt_;
     return s;
 }
 

@@ -60,7 +60,7 @@ struct StoreStats
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t stores = 0;
-    std::uint64_t corrupt = 0;
+    std::uint64_t corrupt = 0; ///< unparsable blobs served as misses
 };
 
 /**
@@ -124,15 +124,6 @@ class ResultStore : public campaign::CacheBackend
     /** Blob path for a 16-hex @p digest (whether or not it exists). */
     std::string pathForDigest(const std::string &digest) const;
 
-    /** Indexed blobs. */
-    std::size_t size() const;
-
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::uint64_t stores() const;
-    /** Blobs that failed to parse and were served as misses. */
-    std::uint64_t corrupt() const;
-
     /** All counters in one locked read — O(1), safe to poll. */
     StoreStats stats() const;
 
@@ -164,11 +155,9 @@ class ResultStore : public campaign::CacheBackend
     /** digest -> blob byte size for everything present on disk
      *  (ordered so listings are deterministic). */
     std::map<std::string, std::uint64_t> index_;
-    std::uint64_t bytes_ = 0; ///< summed sizes of index_ entries
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t stores_ = 0;
-    std::uint64_t corrupt_ = 0;
+    /** Every counter but blobs (index_.size()); bytes sums the sizes
+     *  of index_ entries. */
+    StoreStats counts_;
     std::uint64_t tmpSeq_ = 0; ///< unique temp-file suffix
 };
 

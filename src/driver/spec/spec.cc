@@ -82,7 +82,8 @@ uintKey(const char *key, const char *doc, Acc acc)
 
 template <typename Acc>
 Binding
-doubleKey(const char *key, const char *doc, Acc acc)
+doubleKey(const char *key, const char *doc, Acc acc,
+          bool nonNegative = false)
 {
     Binding b;
     b.key = key;
@@ -91,11 +92,14 @@ doubleKey(const char *key, const char *doc, Acc acc)
     b.get = [acc](const Experiment &e) {
         return formatDouble(acc(const_cast<Experiment &>(e)));
     };
-    b.set = [acc, key = std::string(key)](Experiment &e,
-                                          const std::string &v) {
+    b.set = [acc, nonNegative, key = std::string(key)](
+                Experiment &e, const std::string &v) {
         double d = 0.0;
-        if (!sim::Config::tryParseDouble(v, d) || !std::isfinite(d))
-            badKeyValue(key, v, "a finite number");
+        if (!sim::Config::tryParseDouble(v, d) || !std::isfinite(d)
+            || (nonNegative && d < 0.0))
+            badKeyValue(key, v,
+                        nonNegative ? "a finite number >= 0"
+                                    : "a finite number");
         acc(e) = d;
     };
     return b;
@@ -234,14 +238,12 @@ buildRegistry()
     // the first point's numbers (test_spec.cc's round-trip tests and
     // test_campaign.cc's Fingerprint tests are the tripwire).
     r.push_back(workloadKey());
-    D("workload.granularity",
-      "task granularity in the benchmark's own unit; 0 selects the "
-      "per-benchmark optimal default",
-      [](E &e) -> double & { return e.params.granularity; });
-    B("workload.tdm_optimal",
-      "use the TDM-optimal default granularity instead of the "
-      "SW-optimal one",
-      [](E &e) -> bool & { return e.params.tdmOptimal; });
+    r.push_back(doubleKey(
+        "workload.granularity",
+        "task granularity in the benchmark's own unit; 0 selects the "
+        "runtime's Table II optimum (canonical specs carry the "
+        "resolved value)",
+        [](E &e) -> double & { return e.params.granularity; }, true));
     U("workload.seed", "seed of the deterministic task-duration noise",
       [](E &e) -> std::uint64_t & { return e.params.seed; });
     D("workload.noise", "relative sigma of task-duration noise",
@@ -535,14 +537,15 @@ normalized(const Experiment &exp)
         throw SpecError("experiment names unknown workload '"
                         + n.workload + "'");
     n.workload = w->name;
-    // Replicate driver::run()'s granularity normalization so an
-    // experiment and its normalized twin share a canonical spec.
-    if (n.params.granularity == 0.0
-        && core::traitsOf(n.runtime).usesDmu())
-        n.params.tdmOptimal = true;
-    // An explicit granularity makes the optimal-granularity flag moot.
-    if (n.params.granularity > 0.0)
-        n.params.tdmOptimal = false;
+    // The one place a default granularity resolves: each runtime runs
+    // at its own Table II optimum (TDM-optimal under the DMU).
+    double &gran = n.params.granularity;
+    if (!(gran >= 0.0))
+        badKeyValue("workload.granularity", formatDouble(gran),
+                    "a finite number >= 0");
+    if (gran == 0.0)
+        gran = core::traitsOf(n.runtime).usesDmu() ? w->tdmGranularity
+                                                   : w->swGranularity;
     return n;
 }
 

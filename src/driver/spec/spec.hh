@@ -12,9 +12,10 @@
  *
  * A spec itself is a plain sim::Config (ordered key→value strings);
  * `apply()` turns one into an Experiment starting from the defaults,
- * `describe()` does the inverse, and `canonicalSpec()` adds the
- * normalization driver::run() applies — its serialization is the
- * campaign cache key, so fingerprints are human-readable specs.
+ * `describe()` does the inverse, and `canonicalSpec()` describes the
+ * normalized experiment (the one driver::run() runs) — its
+ * serialization is the campaign cache key, so fingerprints are
+ * human-readable specs.
  */
 
 #ifndef TDM_DRIVER_SPEC_SPEC_HH
@@ -119,10 +120,13 @@ Experiment apply(const sim::Config &spec);
 sim::Config describe(const Experiment &exp);
 
 /**
- * @p exp with driver::run()'s normalization applied: the workload name
- * resolved to its full form, and the TDM-optimal granularity implied
- * when a DMU runtime runs at the default granularity (an explicit
- * granularity makes the flag moot).
+ * @p exp resolved to what it runs: the workload name in its full form,
+ * and a default (0) granularity replaced by the runtime's Table II
+ * optimum — TDM-optimal under DMU runtimes, SW-optimal otherwise. The
+ * only code that resolves an experiment; driver::run() builds its
+ * graph from this, so the canonical spec carries the granularity the
+ * run uses. Throws SpecError on an unknown workload or a negative
+ * granularity.
  */
 Experiment normalized(const Experiment &exp);
 

@@ -3,37 +3,8 @@
 #include <cerrno>
 #include <cstdlib>
 #include <sstream>
-#include <stdexcept>
-
-#include "sim/logging.hh"
 
 namespace tdm::sim {
-
-namespace {
-
-[[noreturn]] void
-badValue(const std::string &key, const std::string &value,
-         const char *expected)
-{
-    throw std::invalid_argument("config key '" + key + "': expected "
-                                + expected + ", got '" + value + "'");
-}
-
-} // namespace
-
-bool
-Config::tryParseInt(const std::string &s, std::int64_t &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 0);
-    if (end != s.c_str() + s.size() || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
 
 bool
 Config::tryParseUint(const std::string &s, std::uint64_t &out)
@@ -121,25 +92,6 @@ Config::getString(const std::string &key, const std::string &dflt) const
 {
     auto it = map_.find(key);
     return it == map_.end() ? dflt : it->second;
-}
-
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t dflt) const
-{
-    auto it = map_.find(key);
-    if (it == map_.end())
-        return dflt;
-    std::int64_t v;
-    if (!tryParseInt(it->second, v))
-        badValue(key, it->second, "an integer");
-    return v;
-}
-
-void
-Config::merge(const Config &other)
-{
-    for (const auto &[k, v] : other.map_)
-        map_[k] = v;
 }
 
 void

@@ -30,28 +30,19 @@ class Config
 
     bool contains(const std::string &key) const;
 
-    /**
-     * Getters. A missing key returns @p dflt; a present but malformed
-     * integer throws std::invalid_argument naming the key (it used to
-     * parse as a silent 0/garbage via strtoll).
-     */
+    /** The value of @p key; @p dflt when it is missing. */
     std::string getString(const std::string &key,
                           const std::string &dflt = "") const;
-    std::int64_t getInt(const std::string &key, std::int64_t dflt = 0) const;
 
     /**
-     * Strict scalar parsers (getInt and the spec layer): the whole string
-     * must form one in-range value (base 10 or 0x-prefixed hex for the
-     * integer forms; "true"/"false"/"1"/"0" for bools). Return false
+     * Strict scalar parsers (the spec layer): the whole string must
+     * form one in-range value (base 10 or 0x-prefixed hex for the
+     * integer form; "true"/"false"/"1"/"0" for bools). Return false
      * instead of throwing so callers can attach their own context.
      */
-    static bool tryParseInt(const std::string &s, std::int64_t &out);
     static bool tryParseUint(const std::string &s, std::uint64_t &out);
     static bool tryParseDouble(const std::string &s, double &out);
     static bool tryParseBool(const std::string &s, bool &out);
-
-    /** Merge @p other on top of this config (other wins). */
-    void merge(const Config &other);
 
     /** Write "key = value" lines. */
     void dump(std::ostream &os) const;

@@ -42,8 +42,12 @@ rt::TaskGraph
 buildWorkload(const std::string &name, const WorkloadParams &params)
 {
     const WorkloadInfo &w = findWorkload(name);
+    if (!(params.granularity >= 0.0))
+        sim::fatal("workload ", w.name, ": invalid granularity ",
+                   params.granularity);
     WorkloadParams resolved = params;
-    resolved.granularity = effectiveGranularity(w, params);
+    if (resolved.granularity == 0.0)
+        resolved.granularity = w.swGranularity;
     return w.build(resolved);
 }
 

@@ -16,9 +16,10 @@ const std::vector<WorkloadInfo> &allWorkloads();
 /** Find by full or short name; fatal if unknown. */
 const WorkloadInfo &findWorkload(const std::string &name);
 
-/** Build a benchmark's graph by name. The one place a 0 granularity
- *  resolves to the Table II default (effectiveGranularity); builders
- *  read params.granularity as given. */
+/** Build a benchmark's graph by name. A 0 granularity builds the
+ *  SW-optimal size (experiments arrive resolved: spec::normalized
+ *  writes in the runtime's optimum); a negative or NaN one is fatal.
+ *  Builders read params.granularity as given. */
 rt::TaskGraph buildWorkload(const std::string &name,
                             const WorkloadParams &params = {});
 

@@ -18,12 +18,4 @@ noisyCycles(double base_cycles, std::uint64_t seed, std::uint64_t key,
     return v < 1.0 ? 1 : static_cast<sim::Tick>(v);
 }
 
-double
-effectiveGranularity(const WorkloadInfo &info, const WorkloadParams &p)
-{
-    if (p.granularity > 0.0)
-        return p.granularity;
-    return p.tdmOptimal ? info.tdmOptimal : info.swOptimal;
-}
-
 } // namespace tdm::wl

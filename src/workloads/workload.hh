@@ -26,15 +26,13 @@ struct WorkloadParams
 {
     /**
      * Task granularity in the benchmark's own unit (block bytes,
-     * partitions, points per task, ...). 0 selects the default:
-     * the software-optimal granularity, or the TDM-optimal one when
-     * tdmOptimal is set (Table II lists both). buildWorkload resolves
-     * it; a builder called directly needs an explicit value.
+     * partitions, points per task, ...). 0 selects the runtime's
+     * Table II optimum; spec::normalized resolves it for every
+     * experiment, so a canonical spec carries the granularity it runs.
+     * buildWorkload resolves a 0 left here to the software optimum; a
+     * builder called directly needs an explicit value.
      */
     double granularity = 0.0;
-
-    /** Use the TDM-optimal default granularity. */
-    bool tdmOptimal = false;
 
     /** Seed for the deterministic duration noise. */
     std::uint64_t seed = 1;
@@ -53,8 +51,8 @@ struct WorkloadInfo
     std::string shortName;   ///< figure label ("cho")
     std::string granUnit;    ///< unit of the granularity axis
     std::vector<double> granSweep; ///< Figure 6 sweep values
-    double swOptimal = 0.0;  ///< SW-optimal granularity (Table II)
-    double tdmOptimal = 0.0; ///< TDM-optimal granularity (Table II)
+    double swGranularity = 0.0;  ///< SW-optimal granularity (Table II)
+    double tdmGranularity = 0.0; ///< TDM-optimal granularity (Table II)
     BuilderFn build = nullptr; ///< expects a resolved granularity
                                ///< (see buildWorkload)
 };
@@ -62,10 +60,6 @@ struct WorkloadInfo
 /** Deterministically noisy task duration in cycles. */
 sim::Tick noisyCycles(double base_cycles, std::uint64_t seed,
                       std::uint64_t key, double sigma);
-
-/** Resolve the effective granularity of @p params for @p info. */
-double effectiveGranularity(const WorkloadInfo &info,
-                            const WorkloadParams &params);
 
 // Builders (one per benchmark).
 rt::TaskGraph buildBlackscholes(const WorkloadParams &params);

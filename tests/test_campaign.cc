@@ -19,6 +19,7 @@
 #include "driver/graph_cache.hh"
 #include "driver/report/csv_writer.hh"
 #include "driver/report/json_writer.hh"
+#include "driver/spec/spec.hh"
 #include "runtime/scheduler.hh"
 
 using namespace tdm;
@@ -36,6 +37,13 @@ smallExperiment(core::RuntimeType rt_, const std::string &sched = "fifo")
     e.config.scheduler = sched;
     e.config.numCores = 8;
     return e;
+}
+
+/** The engine's cache key of @p e: its canonical spec serialization. */
+std::string
+cacheKey(const Experiment &e)
+{
+    return campaign::canonicalConfig(e).serialize();
 }
 
 /** A small mixed campaign touching every runtime type. */
@@ -76,63 +84,70 @@ TEST(Fingerprint, StableAndCanonical)
 {
     Experiment a = smallExperiment(core::RuntimeType::Tdm);
     Experiment b = smallExperiment(core::RuntimeType::Tdm);
-    EXPECT_EQ(campaign::fingerprint(a), campaign::fingerprint(b));
+    EXPECT_EQ(cacheKey(a), cacheKey(b));
 
     // Short workload names canonicalize to the full name.
     b.workload = "cho";
-    EXPECT_EQ(campaign::fingerprint(a), campaign::fingerprint(b));
+    EXPECT_EQ(cacheKey(a), cacheKey(b));
 
-    // run() implies the TDM-optimal granularity when unset; the
-    // fingerprint applies the same normalization.
-    Experiment c = smallExperiment(core::RuntimeType::Tdm);
-    c.params.granularity = 0.0;
-    Experiment d = c;
-    d.params.tdmOptimal = true;
-    EXPECT_EQ(campaign::fingerprint(c), campaign::fingerprint(d));
+    // A default granularity resolves to the runtime's Table II optimum
+    // (qr: 64 under SW, 32 under the DMU), so it keys like the
+    // explicit value it runs.
+    for (const auto &[rt, optimum] :
+         {std::pair{core::RuntimeType::Software, 64.0},
+          std::pair{core::RuntimeType::Tdm, 32.0}}) {
+        Experiment dflt = smallExperiment(rt);
+        dflt.workload = "qr";
+        dflt.params.granularity = 0.0;
+        Experiment explicitGran = dflt;
+        explicitGran.params.granularity = optimum;
+        EXPECT_EQ(cacheKey(dflt), cacheKey(explicitGran));
+    }
 }
 
 TEST(Fingerprint, DistinguishesExperiments)
 {
     const Experiment base = smallExperiment(core::RuntimeType::Tdm);
-    const std::string fp = campaign::fingerprint(base);
+    const std::string fp = cacheKey(base);
 
     Experiment e = base;
     e.config.scheduler = "age";
-    EXPECT_NE(campaign::fingerprint(e), fp);
+    EXPECT_NE(cacheKey(e), fp);
 
     e = base;
     e.runtime = core::RuntimeType::Software;
-    EXPECT_NE(campaign::fingerprint(e), fp);
+    EXPECT_NE(cacheKey(e), fp);
 
     e = base;
     e.params.granularity = 131072;
-    EXPECT_NE(campaign::fingerprint(e), fp);
+    EXPECT_NE(cacheKey(e), fp);
 
     e = base;
     e.params.seed = 7;
-    EXPECT_NE(campaign::fingerprint(e), fp);
+    EXPECT_NE(cacheKey(e), fp);
 
     e = base;
     e.config.numCores = 16;
-    EXPECT_NE(campaign::fingerprint(e), fp);
+    EXPECT_NE(cacheKey(e), fp);
 
     e = base;
     e.config.dmu.accessCycles = 4;
-    EXPECT_NE(campaign::fingerprint(e), fp);
+    EXPECT_NE(cacheKey(e), fp);
 
     // Software pool costs feed the simulation too (machine.cc uses
     // them in the scheduling phase); they must be fingerprinted.
     e = base;
     e.config.swCosts.poolPopCycles += 1;
-    EXPECT_NE(campaign::fingerprint(e), fp);
+    EXPECT_NE(cacheKey(e), fp);
 }
 
 TEST(Fingerprint, DigestIsFixedWidth)
 {
-    const Experiment e = smallExperiment(core::RuntimeType::Tdm);
-    const std::string d = campaign::fingerprintDigest(e);
+    const std::string d = campaign::digestOfKey(
+        cacheKey(smallExperiment(core::RuntimeType::Tdm)));
     EXPECT_EQ(d.size(), 16u);
-    EXPECT_EQ(d, campaign::digestOfKey(campaign::fingerprint(e)));
+    EXPECT_EQ(d.find_first_not_of("0123456789abcdef"), std::string::npos);
+    EXPECT_EQ(campaign::digestOfKey(""), "cbf29ce484222325");
 }
 
 TEST(Engine, FourThreadRunMatchesSequentialSweep)
@@ -151,7 +166,7 @@ TEST(Engine, FourThreadRunMatchesSequentialSweep)
     // single graph.
     EXPECT_EQ(par.graphBuilds, 1u);
     EXPECT_EQ(par.graphShares, par.simulated - 1);
-    EXPECT_EQ(engine.graphCache().size(), 1u);
+    EXPECT_EQ(engine.graphCache().builds(), 1u);
 
     ASSERT_EQ(par.jobs.size(), points.size());
     EXPECT_EQ(par.threads, 4u);
@@ -337,39 +352,92 @@ TEST(Engine, SeedBaseGivesEachPointItsOwnSeed)
 
 TEST(GraphCache, KeySeparatesGraphsAndSharesEqualOnes)
 {
-    // With an explicit granularity the graph is runtime-independent...
-    Experiment sw = smallExperiment(core::RuntimeType::Software);
-    Experiment tdm = smallExperiment(core::RuntimeType::Tdm);
+    // With an explicit granularity the graph is runtime-independent.
+    const Experiment sw = smallExperiment(core::RuntimeType::Software);
+    const Experiment tdm = smallExperiment(core::RuntimeType::Tdm);
     EXPECT_EQ(graphKey(sw), graphKey(tdm));
-
-    // ...but a default granularity implies the TDM-optimal one for DMU
-    // runtimes: two different graphs, two different keys.
-    sw.params.granularity = 0.0;
-    tdm.params.granularity = 0.0;
-    EXPECT_NE(graphKey(sw), graphKey(tdm));
-    EXPECT_TRUE(effectiveParams(tdm).tdmOptimal);
-    EXPECT_FALSE(effectiveParams(sw).tdmOptimal);
 
     // Short names canonicalize; seeds separate.
     Experiment cho = smallExperiment(core::RuntimeType::Tdm);
     cho.workload = "cho";
-    EXPECT_EQ(graphKey(cho),
-              graphKey(smallExperiment(core::RuntimeType::Tdm)));
+    EXPECT_EQ(graphKey(cho), graphKey(tdm));
     cho.params.seed = 7;
-    EXPECT_NE(graphKey(cho),
-              graphKey(smallExperiment(core::RuntimeType::Tdm)));
+    EXPECT_NE(graphKey(cho), graphKey(tdm));
+
+    // The key carries the resolved granularity, as the canonical spec
+    // does.
+    Experiment dflt = tdm;
+    dflt.params.granularity = 0.0;
+    EXPECT_NE(graphKey(dflt).find("workload.granularity=16384;"),
+              std::string::npos)
+        << graphKey(dflt);
 
     // The cache hands out one shared instance per distinct key.
     GraphCache cache;
     auto a = cache.obtain(sw);
-    auto b = cache.obtain(smallExperiment(core::RuntimeType::Software));
-    auto c = cache.obtain(tdm);
+    EXPECT_EQ(a.get(), cache.obtain(tdm).get());
     EXPECT_EQ(a.get(), cache.obtain(sw).get());
-    EXPECT_NE(a.get(), b.get());
-    EXPECT_NE(b.get(), c.get());
-    EXPECT_EQ(cache.builds(), 3u);
-    EXPECT_EQ(cache.size(), 3u);
-    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_NE(a.get(), cache.obtain(cho).get());
+    EXPECT_EQ(cache.builds(), 2u);
+}
+
+TEST(GraphCache, KeyIsTheWorkloadProjectionOfTheSpec)
+{
+    // Changing any workload key changes the graph key; changing any
+    // other key leaves it alone. Explicit granularity keeps the
+    // runtime key from moving the resolved default.
+    const Experiment base = smallExperiment(core::RuntimeType::Tdm);
+    const std::string baseKey = graphKey(base);
+    for (const spec::Binding &b : spec::allBindings()) {
+        const std::string cur = b.get(base);
+        std::string alt;
+        switch (b.kind) {
+          case spec::ValueKind::Uint:
+            alt = std::to_string(std::stoull(cur) + 1);
+            break;
+          case spec::ValueKind::Double:
+            alt = spec::formatDouble(std::stod(cur) + 1.0);
+            break;
+          case spec::ValueKind::Bool:
+            alt = cur == "true" ? "false" : "true";
+            break;
+          case spec::ValueKind::Workload: alt = "lu"; break;
+          case spec::ValueKind::Runtime: alt = "sw"; break;
+          case spec::ValueKind::Scheduler: alt = "lifo"; break;
+          case spec::ValueKind::Categories: alt = "all"; break;
+        }
+        ASSERT_NE(alt, cur) << b.key;
+        Experiment e = base;
+        spec::applyKey(e, b.key, alt);
+        const bool workloadKey =
+            b.key == "workload" || b.key.starts_with("workload.");
+        EXPECT_EQ(graphKey(e) != baseKey, workloadKey) << b.key;
+    }
+}
+
+TEST(GraphCache, DefaultGranularitySharesEqualOptima)
+{
+    // Table II: cholesky's SW and TDM optima agree, qr's and
+    // blackscholes' differ.
+    for (const auto &[workload, graphs] :
+         {std::pair{"cholesky", 1u}, std::pair{"qr", 2u},
+          std::pair{"blackscholes", 2u}}) {
+        GraphCache cache;
+        for (core::RuntimeType rt :
+             {core::RuntimeType::Software, core::RuntimeType::Tdm}) {
+            Experiment e;
+            e.workload = workload;
+            e.runtime = rt;
+            cache.obtain(e);
+        }
+        EXPECT_EQ(cache.builds(), graphs) << workload;
+    }
+
+    // fig13 (9 workloads x 8 runtime points) needs 9 + 2 graphs.
+    GraphCache cache;
+    for (const SweepPoint &p : campaign::makeCampaign("fig13").points)
+        cache.obtain(p.exp);
+    EXPECT_EQ(cache.builds(), 11u);
 }
 
 TEST(Registry, BuiltinCampaigns)

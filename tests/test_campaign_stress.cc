@@ -122,11 +122,10 @@ TEST(CampaignStress, ConcurrentClientsHammerOneEngine)
         simulated += rep.simulated;
     EXPECT_EQ(simulated, 6u);
 
-    // The graph store built each distinct (workload, params) graph a
-    // bounded number of times (racing duplicate builds are wasted
-    // work, never extra instances): 8-core and 16-core points share
-    // one 120-task graph.
-    EXPECT_EQ(engine.graphCache().size(), 1u);
+    // The graph store holds one instance per distinct graph key
+    // (racing duplicate builds are wasted work, never extra
+    // instances): 8-core and 16-core points share one 120-task graph.
+    EXPECT_EQ(engine.graphCache().builds(), 1u);
 
     // A second concurrent wave must be pure cache hits.
     std::vector<campaign::CampaignResult> rerun(kClients);
@@ -279,8 +278,8 @@ TEST(CampaignStress, ResultStoreConcurrentPublishFetch)
         for (std::thread &t : pool)
             t.join();
 
-        EXPECT_EQ(store.corrupt(), 0u);
-        EXPECT_EQ(store.size(), kKeys);
+        EXPECT_EQ(store.stats().corrupt, 0u);
+        EXPECT_EQ(store.stats().blobs, kKeys);
         for (unsigned k = 0; k < kKeys; ++k) {
             auto hit = store.fetch(keyOf(k));
             ASSERT_TRUE(hit.has_value());
@@ -334,7 +333,6 @@ TEST(CampaignStress, GraphCacheConcurrentObtainSharesOneInstance)
     for (std::size_t e = 0; e < exps.size(); ++e)
         for (unsigned t = 1; t < kThreads; ++t)
             EXPECT_EQ(seen[0][e], seen[t][e]);
-    EXPECT_EQ(cache.size(), exps.size());
     EXPECT_EQ(cache.builds(), exps.size());
 }
 

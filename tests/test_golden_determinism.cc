@@ -183,9 +183,9 @@ TEST(GoldenDeterminism, SharedGraphCampaignReproducesAllGoldens)
     driver::campaign::CampaignEngine engine(opts);
     auto rep = engine.run("goldens", points);
 
-    // 3 workloads x 2 effective granularities (SW vs TDM-implied).
-    EXPECT_EQ(rep.graphBuilds, 6u);
-    EXPECT_EQ(rep.graphShares, 6u);
+    // 3 workloads, each with equal SW and TDM optima: one graph each.
+    EXPECT_EQ(rep.graphBuilds, 3u);
+    EXPECT_EQ(rep.graphShares, 9u);
 
     ASSERT_EQ(rep.jobs.size(), std::size(goldens));
     for (std::size_t i = 0; i < rep.jobs.size(); ++i) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/experiment.hh"
+#include "driver/graph_cache.hh"
 #include "driver/report/aggregate.hh"
 
 using namespace tdm;
@@ -51,13 +52,11 @@ TEST_P(FullStack, CompletesAndAccountsTime)
     EXPECT_GT(s.energyJ, 0.0);
 
     // Makespan can never beat the dependence-graph critical path.
-    wl::WorkloadParams params;
-    params.tdmOptimal = core::traitsOf(p.runtime).usesDmu();
-    rt::TaskGraph g = wl::buildWorkload(p.workload, params);
-    EXPECT_GE(s.makespan, g.criticalPathCycles());
+    const auto g = driver::buildGraph(e);
+    EXPECT_GE(s.makespan, g->criticalPathCycles());
     // ... nor the perfectly parallel work bound.
     EXPECT_GE(s.makespan,
-              g.totalComputeCycles() / e.config.numCores);
+              g->totalComputeCycles() / e.config.numCores);
 
     // Chip-wide accounted time stays within the physical budget.
     const sim::MetricSet &m = s.metrics();

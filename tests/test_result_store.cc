@@ -163,13 +163,13 @@ TEST(ResultStore, PublishFetchAndRestartReload)
     const RunSummary in = sampleSummary();
     {
         service::ResultStore store(dir.str());
-        EXPECT_EQ(store.size(), 0u);
+        EXPECT_EQ(store.stats().blobs, 0u);
         EXPECT_FALSE(store.fetch(kKey).has_value());
-        EXPECT_EQ(store.misses(), 1u);
+        EXPECT_EQ(store.stats().misses, 1u);
 
         store.publish(kKey, in);
-        EXPECT_EQ(store.size(), 1u);
-        EXPECT_EQ(store.stores(), 1u);
+        EXPECT_EQ(store.stats().blobs, 1u);
+        EXPECT_EQ(store.stats().stores, 1u);
         auto hit = store.fetch(kKey);
         ASSERT_TRUE(hit.has_value());
         EXPECT_EQ(hit->makespan, in.makespan);
@@ -177,12 +177,12 @@ TEST(ResultStore, PublishFetchAndRestartReload)
 
         // Re-publishing an indexed key is a no-op, not a rewrite.
         store.publish(kKey, in);
-        EXPECT_EQ(store.stores(), 1u);
+        EXPECT_EQ(store.stats().stores, 1u);
     }
     // A new instance over the same directory rebuilds the index from
     // the blobs alone.
     service::ResultStore reopened(dir.str());
-    EXPECT_EQ(reopened.size(), 1u);
+    EXPECT_EQ(reopened.stats().blobs, 1u);
     auto hit = reopened.fetch(kKey);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->makespan, in.makespan);
@@ -196,16 +196,16 @@ TEST(ResultStore, SchemaBumpInvalidatesEverything)
     {
         service::ResultStore v2(dir.str(), 2);
         v2.publish(kKey, sampleSummary());
-        EXPECT_EQ(v2.size(), 1u);
+        EXPECT_EQ(v2.stats().blobs, 1u);
     }
     // A store opened under the next schema sees an empty universe —
     // blobs live in a different version directory by construction.
     service::ResultStore v3(dir.str(), 3);
-    EXPECT_EQ(v3.size(), 0u);
+    EXPECT_EQ(v3.stats().blobs, 0u);
     EXPECT_FALSE(v3.fetch(kKey).has_value());
     // The old generation's blobs are untouched (rollback-safe).
     service::ResultStore v2again(dir.str(), 2);
-    EXPECT_EQ(v2again.size(), 1u);
+    EXPECT_EQ(v2again.stats().blobs, 1u);
     EXPECT_TRUE(v2again.fetch(kKey).has_value());
 }
 
@@ -225,12 +225,12 @@ TEST(ResultStore, CorruptBlobDegradesToMiss)
     // as corrupt, and dropped from the index so later fetches are
     // plain misses that a re-publish can heal.
     service::ResultStore store(dir.str());
-    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.stats().blobs, 1u);
     EXPECT_FALSE(store.fetch(kKey).has_value());
-    EXPECT_EQ(store.corrupt(), 1u);
-    EXPECT_EQ(store.size(), 0u);
+    EXPECT_EQ(store.stats().corrupt, 1u);
+    EXPECT_EQ(store.stats().blobs, 0u);
     EXPECT_FALSE(store.fetch(kKey).has_value());
-    EXPECT_EQ(store.corrupt(), 1u);
+    EXPECT_EQ(store.stats().corrupt, 1u);
 
     store.publish(kKey, sampleSummary());
     EXPECT_TRUE(store.fetch(kKey).has_value());
@@ -249,10 +249,10 @@ TEST(ResultStore, DigestCollisionWithDifferentKeyIsMiss)
                                   service::ResultStore::kSchemaVersion);
     }
     service::ResultStore reopened(dir.str());
-    EXPECT_EQ(reopened.size(), 1u);
+    EXPECT_EQ(reopened.stats().blobs, 1u);
     EXPECT_FALSE(reopened.fetch(kKey).has_value());
     // Not corruption — the blob is intact, just not ours.
-    EXPECT_EQ(reopened.corrupt(), 0u);
+    EXPECT_EQ(reopened.stats().corrupt, 0u);
 }
 
 TEST(ResultStore, ConcurrentPublishFetchHammer)
@@ -298,8 +298,8 @@ TEST(ResultStore, ConcurrentPublishFetchHammer)
     for (std::thread &t : pool)
         t.join();
 
-    EXPECT_EQ(store.corrupt(), 0u);
-    EXPECT_EQ(store.size(), kKeys);
+    EXPECT_EQ(store.stats().corrupt, 0u);
+    EXPECT_EQ(store.stats().blobs, kKeys);
     for (unsigned k = 0; k < kKeys; ++k) {
         auto hit = store.fetch(keyOf(k));
         ASSERT_TRUE(hit.has_value());

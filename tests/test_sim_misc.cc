@@ -68,12 +68,12 @@ TEST(Config, TypedRoundTrip)
     c.set("c", 2.5);
     c.set("d", true);
     c.set("e", std::string("hello"));
-    EXPECT_EQ(c.getInt("a"), -5);
+    EXPECT_EQ(c.getString("a"), "-5");
     EXPECT_EQ(c.getString("b"), "7");
     EXPECT_EQ(c.getString("c"), "2.5");
     EXPECT_EQ(c.getString("d"), "true");
     EXPECT_EQ(c.getString("e"), "hello");
-    EXPECT_EQ(c.getInt("missing", 9), 9);
+    EXPECT_EQ(c.getString("missing", "9"), "9");
     EXPECT_TRUE(c.contains("a"));
     EXPECT_FALSE(c.contains("zz"));
 }
@@ -88,7 +88,6 @@ TEST(Config, MalformedValuesAreHardErrors)
     c.set("huge", std::string("99999999999999999999999999"));
     c.set("empty", std::string(""));
     // These used to parse as a silent 0/garbage via strtoll.
-    EXPECT_THROW(c.getInt("i"), std::invalid_argument);
     std::uint64_t u;
     double d;
     bool b;
@@ -96,23 +95,19 @@ TEST(Config, MalformedValuesAreHardErrors)
     EXPECT_FALSE(sim::Config::tryParseUint(c.getString("neg"), u));
     EXPECT_FALSE(sim::Config::tryParseDouble(c.getString("d"), d));
     EXPECT_FALSE(sim::Config::tryParseBool(c.getString("b"), b));
-    EXPECT_THROW(c.getInt("huge"), std::invalid_argument);
-    EXPECT_THROW(c.getInt("empty"), std::invalid_argument);
-    // Missing keys still fall back to the default.
-    EXPECT_EQ(c.getInt("missing", 7), 7);
+    EXPECT_FALSE(sim::Config::tryParseUint(c.getString("huge"), u));
+    EXPECT_FALSE(sim::Config::tryParseUint(c.getString("empty"), u));
+    EXPECT_FALSE(sim::Config::tryParseDouble(c.getString("empty"), d));
 }
 
 TEST(Config, StrictParsersAcceptTheFullValue)
 {
-    std::int64_t i = 0;
     std::uint64_t u = 0;
     double d = 0.0;
     bool b = false;
-    EXPECT_TRUE(sim::Config::tryParseInt("-42", i));
-    EXPECT_EQ(i, -42);
-    EXPECT_TRUE(sim::Config::tryParseInt("0x10", i)); // hex still works
-    EXPECT_EQ(i, 16);
-    EXPECT_FALSE(sim::Config::tryParseInt("4 2", i));
+    EXPECT_TRUE(sim::Config::tryParseUint("0x10", u)); // hex still works
+    EXPECT_EQ(u, 16u);
+    EXPECT_FALSE(sim::Config::tryParseUint("4 2", u));
     EXPECT_TRUE(sim::Config::tryParseUint("4398046511104", u));
     EXPECT_EQ(u, 4398046511104ull);
     EXPECT_FALSE(sim::Config::tryParseUint("-1", u));
@@ -122,17 +117,6 @@ TEST(Config, StrictParsersAcceptTheFullValue)
     EXPECT_TRUE(sim::Config::tryParseBool("0", b));
     EXPECT_FALSE(b);
     EXPECT_FALSE(sim::Config::tryParseBool("yes", b));
-}
-
-TEST(Config, MergeOverrides)
-{
-    sim::Config a, b;
-    a.set("x", std::int64_t{1});
-    a.set("y", std::int64_t{2});
-    b.set("y", std::int64_t{3});
-    a.merge(b);
-    EXPECT_EQ(a.getInt("x"), 1);
-    EXPECT_EQ(a.getInt("y"), 3);
 }
 
 TEST(Rng, DeterministicAcrossInstances)

@@ -116,7 +116,7 @@ TEST(Spec, BadValuesAreHardErrors)
                  spc::SpecError);
     EXPECT_THROW(spc::applyKey(e, "workload.noise", "0.1.2"),
                  spc::SpecError);
-    EXPECT_THROW(spc::applyKey(e, "workload.tdm_optimal", "maybe"),
+    EXPECT_THROW(spc::applyKey(e, "dmu.dynamic_dat_index", "maybe"),
                  spc::SpecError);
     EXPECT_THROW(spc::applyKey(e, "workload", "nope"), spc::SpecError);
     EXPECT_THROW(spc::applyKey(e, "runtime", "hardware"),
@@ -131,24 +131,54 @@ TEST(Spec, BadValuesAreHardErrors)
               spc::describe(Experiment{}).entries());
 }
 
-TEST(Spec, CanonicalSpecAppliesRunNormalization)
+TEST(Spec, NegativeGranularityIsRejected)
+{
+    // A negative granularity names no task size; it used to fall
+    // through to the SW-optimal default whatever the runtime.
+    Experiment e;
+    for (const char *v : {"-1", "-0.5", "-262144"}) {
+        try {
+            spc::applyKey(e, "workload.granularity", v);
+            FAIL() << "expected SpecError for " << v;
+        } catch (const spc::SpecError &err) {
+            EXPECT_NE(std::string(err.what()).find("workload.granularity"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    EXPECT_EQ(e.params.granularity, 0.0);
+    spc::applyKey(e, "workload.granularity", "0");
+    spc::applyKey(e, "workload.granularity", "64");
+    EXPECT_EQ(e.params.granularity, 64.0);
+
+    // An experiment built in code is refused where it is resolved.
+    e.params.granularity = -1.0;
+    EXPECT_THROW(spc::normalized(e), spc::SpecError);
+    EXPECT_THROW(spc::canonicalSpec(e), spc::SpecError);
+}
+
+TEST(Spec, CanonicalSpecCarriesTheResolvedGranularity)
 {
     Experiment e;
     e.workload = "cho";
     e.runtime = core::RuntimeType::Tdm;
     const sim::Config c = spc::canonicalSpec(e);
     EXPECT_EQ(c.getString("workload"), "cholesky");
-    // DMU runtime at default granularity implies the TDM optimum.
-    EXPECT_EQ(c.getString("workload.tdm_optimal"), "true");
+    EXPECT_EQ(c.getString("workload.granularity"), "16384");
 
-    // An explicit granularity makes the flag moot.
-    e.params.granularity = 262144;
-    e.params.tdmOptimal = true;
-    EXPECT_EQ(spc::canonicalSpec(e).getString("workload.tdm_optimal"),
-              "false");
+    // qr is one of the two benchmarks whose optima differ: a default
+    // TDM point runs (and records) the TDM-optimal 32, SW the 64.
+    e.workload = "qr";
+    EXPECT_EQ(spc::canonicalSpec(e).getString("workload.granularity"),
+              "32");
+    e.runtime = core::RuntimeType::Software;
+    EXPECT_EQ(spc::canonicalSpec(e).getString("workload.granularity"),
+              "64");
 
-    // The fingerprint is exactly the canonical spec serialization.
-    EXPECT_EQ(campaign::fingerprint(e), spc::canonicalSpec(e).serialize());
+    // An explicit granularity is kept as given.
+    e.params.granularity = 128;
+    EXPECT_EQ(spc::canonicalSpec(e).getString("workload.granularity"),
+              "128");
 }
 
 TEST(Spec, FormatDoubleRoundTripsAndStaysShort)
@@ -312,8 +342,8 @@ expectIdentical(const std::string &name,
     for (std::size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(c.points[i].label, want[i].label)
             << name << " point " << i;
-        EXPECT_EQ(campaign::fingerprint(c.points[i].exp),
-                  campaign::fingerprint(want[i].exp))
+        EXPECT_EQ(campaign::canonicalConfig(c.points[i].exp).serialize(),
+                  campaign::canonicalConfig(want[i].exp).serialize())
             << name << " point " << i << " (" << want[i].label << ")";
     }
 }

@@ -25,7 +25,7 @@ TEST_P(SweepProps, GraphsWellFormedAcrossSweep)
     const wl::WorkloadInfo &w = wl::findWorkload(GetParam());
     std::vector<double> grans = w.granSweep;
     if (grans.empty())
-        grans = {w.swOptimal};
+        grans = {w.swGranularity};
     for (double g : grans) {
         wl::WorkloadParams p;
         p.granularity = g;

@@ -78,7 +78,7 @@ TEST_P(WorkloadTableII, TdmOptimalMatchesPaper)
 {
     const Expectation &e = GetParam();
     wl::WorkloadParams p;
-    p.tdmOptimal = true;
+    p.granularity = wl::findWorkload(e.name).tdmGranularity;
     rt::TaskGraph g = wl::buildWorkload(e.name, p);
     checkWellFormed(g);
     EXPECT_NEAR(static_cast<double>(g.numTasks()),

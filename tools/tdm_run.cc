@@ -48,6 +48,7 @@
 #include "core/machine.hh"
 #include "dmu/geometry.hh"
 #include "driver/experiment.hh"
+#include "driver/graph_cache.hh"
 #include "driver/report/trace_writer.hh"
 #include "driver/spec/spec.hh"
 #include "sim/logging.hh"
@@ -165,8 +166,8 @@ main(int argc, char **argv)
                           "TDM opt"});
                 for (const auto &w : wl::allWorkloads())
                     t.row().cell(w.name).cell(w.shortName)
-                        .cell(w.granUnit).cell(w.swOptimal, 0)
-                        .cell(w.tdmOptimal, 0);
+                        .cell(w.granUnit).cell(w.swGranularity, 0)
+                        .cell(w.tdmGranularity, 0);
                 t.print(std::cout);
                 return 0;
             } else {
@@ -187,13 +188,10 @@ main(int argc, char **argv)
     if (!trace_file.empty() && exp.config.trace.categories == 0)
         exp.config.trace.categories = sim::traceCatAll;
 
-    wl::WorkloadParams params = exp.params;
-    if (params.granularity == 0.0)
-        params.tdmOptimal = core::traitsOf(exp.runtime).usesDmu();
-    rt::TaskGraph graph = wl::buildWorkload(exp.workload, params);
-
+    const std::shared_ptr<const rt::TaskGraph> graph =
+        driver::buildGraph(exp);
     core::Machine m(exp.config, graph, exp.runtime);
-    const driver::RunSummary res = driver::summarize(m.run(), graph);
+    const driver::RunSummary res = driver::summarize(m.run(), *graph);
 
     const std::string runtime = core::traitsOf(exp.runtime).name;
     sim::Table t(exp.workload + " on " + runtime + "+"
@@ -230,7 +228,7 @@ main(int argc, char **argv)
         meta.processName = exp.workload + " on " + runtime + "+"
                          + exp.config.scheduler;
         meta.numCores = exp.config.numCores;
-        meta.graph = &graph;
+        meta.graph = graph.get();
         driver::report::writeChromeTrace(f, tb, meta);
         std::cout << "trace: " << trace_file << " (" << tb.size()
                   << " events, "
