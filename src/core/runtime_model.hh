@@ -54,9 +54,6 @@ struct RuntimeTraits
     const char *description;
 
     bool usesDmu() const { return dep == DepMode::Hardware; }
-    bool flexibleScheduling() const {
-        return sched == SchedMode::SoftwarePool;
-    }
 };
 
 /** Traits of each runtime type. */

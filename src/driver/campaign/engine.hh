@@ -118,9 +118,8 @@ struct EngineOptions
      * under their power configuration (see ForkGroupRunner). Pure
      * wall-clock optimization: forked summaries are bit-identical to
      * cold runs (the forked-equivalence tests pin this), and members
-     * run cold when the leg is incomplete or differs. Off
-     * (campaign_run --no-warm-fork) is only useful for that comparison
-     * and for timing baselines.
+     * run cold when the leg is incomplete or differs. Off is only
+     * useful for that comparison and for timing baselines.
      */
     bool warmFork = true;
 };

@@ -46,7 +46,7 @@ class ForkGroupRunner
      *                   first cold leg builds one)
      * @param enableFork false degrades every member to a plain cold
      *                   driver::run() (singleton groups,
-     *                   --no-warm-fork)
+     *                   EngineOptions::warmFork off)
      */
     explicit ForkGroupRunner(std::shared_ptr<const rt::TaskGraph> graph,
                              bool enableFork = true);

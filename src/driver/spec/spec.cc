@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 
@@ -51,10 +52,13 @@ lookupRuntime(const std::string &name, core::RuntimeType &out)
  * Binding builders. Each takes an accessor lambda
  * (Experiment&) -> Field& so one helper covers every integer width;
  * the getter reuses it through a const_cast (it never mutates).
+ * @p min is the smallest value the setter accepts: a value that would
+ * divide by zero or reach a component's sim::fatal is a SpecError
+ * (which the service answers with an error event) instead of a crash.
  */
 template <typename Acc>
 Binding
-uintKey(const char *key, const char *doc, Acc acc)
+uintKey(const char *key, const char *doc, Acc acc, std::uint64_t min = 0)
 {
     using Field = std::remove_reference_t<decltype(acc(
         std::declval<Experiment &>()))>;
@@ -66,11 +70,13 @@ uintKey(const char *key, const char *doc, Acc acc)
         return std::to_string(static_cast<std::uint64_t>(
             acc(const_cast<Experiment &>(e))));
     };
-    b.set = [acc, key = std::string(key)](Experiment &e,
-                                          const std::string &v) {
+    b.set = [acc, min, key = std::string(key)](Experiment &e,
+                                               const std::string &v) {
         std::uint64_t u = 0;
-        if (!sim::Config::tryParseUint(v, u))
-            badKeyValue(key, v, "a nonnegative integer");
+        if (!sim::Config::tryParseUint(v, u) || u < min)
+            badKeyValue(key, v,
+                        min == 0 ? "a nonnegative integer"
+                                 : "an integer >= " + std::to_string(min));
         const Field f = static_cast<Field>(u);
         if (static_cast<std::uint64_t>(f) != u)
             badKeyValue(key, v,
@@ -83,7 +89,7 @@ uintKey(const char *key, const char *doc, Acc acc)
 template <typename Acc>
 Binding
 doubleKey(const char *key, const char *doc, Acc acc,
-          bool nonNegative = false)
+          double min = -std::numeric_limits<double>::infinity())
 {
     Binding b;
     b.key = key;
@@ -92,14 +98,15 @@ doubleKey(const char *key, const char *doc, Acc acc,
     b.get = [acc](const Experiment &e) {
         return formatDouble(acc(const_cast<Experiment &>(e)));
     };
-    b.set = [acc, nonNegative, key = std::string(key)](
-                Experiment &e, const std::string &v) {
+    b.set = [acc, min, key = std::string(key)](Experiment &e,
+                                               const std::string &v) {
         double d = 0.0;
         if (!sim::Config::tryParseDouble(v, d) || !std::isfinite(d)
-            || (nonNegative && d < 0.0))
+            || d < min)
             badKeyValue(key, v,
-                        nonNegative ? "a finite number >= 0"
-                                    : "a finite number");
+                        std::isinf(min)
+                            ? "a finite number"
+                            : "a finite number >= " + formatDouble(min));
         acc(e) = d;
     };
     return b;
@@ -219,11 +226,11 @@ std::vector<Binding>
 buildRegistry()
 {
     std::vector<Binding> r;
-    auto U = [&](const char *k, const char *d, auto acc) {
-        r.push_back(uintKey(k, d, acc));
+    auto U = [&](const char *k, const char *d, auto acc, auto... min) {
+        r.push_back(uintKey(k, d, acc, min...));
     };
-    auto D = [&](const char *k, const char *d, auto acc) {
-        r.push_back(doubleKey(k, d, acc));
+    auto D = [&](const char *k, const char *d, auto acc, auto... min) {
+        r.push_back(doubleKey(k, d, acc, min...));
     };
     auto B = [&](const char *k, const char *d, auto acc) {
         r.push_back(boolKey(k, d, acc));
@@ -243,7 +250,7 @@ buildRegistry()
         "task granularity in the benchmark's own unit; 0 selects the "
         "runtime's Table II optimum (canonical specs carry the "
         "resolved value)",
-        [](E &e) -> double & { return e.params.granularity; }, true));
+        [](E &e) -> double & { return e.params.granularity; }, 0.0));
     U("workload.seed", "seed of the deterministic task-duration noise",
       [](E &e) -> std::uint64_t & { return e.params.seed; });
     D("workload.noise", "relative sigma of task-duration noise",
@@ -256,7 +263,7 @@ buildRegistry()
       [](E &e) -> std::uint32_t & { return e.config.succThreshold; });
 
     U("machine.cores", "number of OoO cores",
-      [](E &e) -> unsigned & { return e.config.numCores; });
+      [](E &e) -> unsigned & { return e.config.numCores; }, 2);
     B("machine.mem_model",
       "model the cache hierarchy's effect on task duration",
       [](E &e) -> bool & { return e.config.enableMemModel; });
@@ -271,11 +278,11 @@ buildRegistry()
       [](E &e) -> unsigned & { return e.config.dmuMsgBytes; });
 
     U("mem.l1_bytes", "per-core data L1 size",
-      [](E &e) -> std::uint64_t & { return e.config.mem.l1Bytes; });
+      [](E &e) -> std::uint64_t & { return e.config.mem.l1Bytes; }, 1);
     U("mem.l2_bytes", "shared L2 size",
-      [](E &e) -> std::uint64_t & { return e.config.mem.l2Bytes; });
+      [](E &e) -> std::uint64_t & { return e.config.mem.l2Bytes; }, 1);
     U("mem.line_bytes", "cache line size",
-      [](E &e) -> unsigned & { return e.config.mem.lineBytes; });
+      [](E &e) -> unsigned & { return e.config.mem.lineBytes; }, 1);
     U("mem.l1_hit_cycles", "L1 hit latency",
       [](E &e) -> unsigned & { return e.config.mem.l1HitCycles; });
     U("mem.l2_hit_cycles", "L2 hit latency",
@@ -284,18 +291,18 @@ buildRegistry()
       [](E &e) -> unsigned & { return e.config.mem.dramCycles; });
     D("mem.mlp",
       "effective memory-level parallelism of streaming footprints",
-      [](E &e) -> double & { return e.config.mem.mlp; });
+      [](E &e) -> double & { return e.config.mem.mlp; }, 1.0);
 
     U("mesh.width", "mesh columns (must fit cores + the DMU node)",
-      [](E &e) -> unsigned & { return e.config.mesh.width; });
+      [](E &e) -> unsigned & { return e.config.mesh.width; }, 1);
     U("mesh.height", "mesh rows",
-      [](E &e) -> unsigned & { return e.config.mesh.height; });
+      [](E &e) -> unsigned & { return e.config.mesh.height; }, 1);
     U("mesh.router_latency", "cycles per router traversal",
       [](E &e) -> unsigned & { return e.config.mesh.routerLatency; });
     U("mesh.link_latency", "cycles per link traversal",
       [](E &e) -> unsigned & { return e.config.mesh.linkLatency; });
     U("mesh.flit_bytes", "payload bytes per flit",
-      [](E &e) -> unsigned & { return e.config.mesh.flitBytes; });
+      [](E &e) -> unsigned & { return e.config.mesh.flitBytes; }, 1);
     D("mesh.congestion_weight",
       "weight of the congestion penalty term (0 disables)",
       [](E &e) -> double & {
@@ -303,25 +310,25 @@ buildRegistry()
       });
 
     U("dmu.tat_entries", "Task Alias Table entries",
-      [](E &e) -> unsigned & { return e.config.dmu.tatEntries; });
+      [](E &e) -> unsigned & { return e.config.dmu.tatEntries; }, 1);
     U("dmu.tat_assoc", "TAT associativity",
-      [](E &e) -> unsigned & { return e.config.dmu.tatAssoc; });
+      [](E &e) -> unsigned & { return e.config.dmu.tatAssoc; }, 1);
     U("dmu.dat_entries", "Dependence Alias Table entries",
-      [](E &e) -> unsigned & { return e.config.dmu.datEntries; });
+      [](E &e) -> unsigned & { return e.config.dmu.datEntries; }, 1);
     U("dmu.dat_assoc", "DAT associativity",
-      [](E &e) -> unsigned & { return e.config.dmu.datAssoc; });
+      [](E &e) -> unsigned & { return e.config.dmu.datAssoc; }, 1);
     U("dmu.sla_entries", "successor list array entries",
-      [](E &e) -> unsigned & { return e.config.dmu.slaEntries; });
+      [](E &e) -> unsigned & { return e.config.dmu.slaEntries; }, 1);
     U("dmu.dla_entries", "dependence list array entries",
-      [](E &e) -> unsigned & { return e.config.dmu.dlaEntries; });
+      [](E &e) -> unsigned & { return e.config.dmu.dlaEntries; }, 1);
     U("dmu.rla_entries", "reader list array entries",
-      [](E &e) -> unsigned & { return e.config.dmu.rlaEntries; });
+      [](E &e) -> unsigned & { return e.config.dmu.rlaEntries; }, 1);
     U("dmu.elems_per_entry", "ids per list-array entry",
-      [](E &e) -> unsigned & { return e.config.dmu.elemsPerEntry; });
+      [](E &e) -> unsigned & { return e.config.dmu.elemsPerEntry; }, 1);
     U("dmu.ready_queue_entries", "Ready Queue entries",
       [](E &e) -> unsigned & {
           return e.config.dmu.readyQueueEntries;
-      });
+      }, 1);
     U("dmu.access_cycles",
       "access latency of every DMU SRAM structure",
       [](E &e) -> unsigned & { return e.config.dmu.accessCycles; });
@@ -395,7 +402,7 @@ buildRegistry()
     U("carbon.queue_entries", "Carbon: HW queue entries per core",
       [](E &e) -> unsigned & {
           return e.config.carbon.queueEntriesPerCore;
-      });
+      }, 1);
     U("carbon.local_op", "Carbon: local task-queue op latency",
       [](E &e) -> unsigned & {
           return e.config.carbon.localOpCycles;
@@ -411,17 +418,17 @@ buildRegistry()
       [](E &e) -> unsigned & { return e.config.tss.gatewayKB; });
 
     D("power.active_w", "active core watts",
-      [](E &e) -> double & { return e.config.power.activeWatts; });
+      [](E &e) -> double & { return e.config.power.activeWatts; }, 0.0);
     D("power.idle_w", "idle (clock-gated) core watts",
-      [](E &e) -> double & { return e.config.power.idleWatts; });
+      [](E &e) -> double & { return e.config.power.idleWatts; }, 0.0);
     D("power.uncore_w", "uncore static watts",
-      [](E &e) -> double & { return e.config.power.uncoreWatts; });
+      [](E &e) -> double & { return e.config.power.uncoreWatts; }, 0.0);
     D("power.l1_line_nj", "nJ per 64B line from L1",
-      [](E &e) -> double & { return e.config.power.l1LineNj; });
+      [](E &e) -> double & { return e.config.power.l1LineNj; }, 0.0);
     D("power.l2_line_nj", "nJ per 64B line from L2",
-      [](E &e) -> double & { return e.config.power.l2LineNj; });
+      [](E &e) -> double & { return e.config.power.l2LineNj; }, 0.0);
     D("power.dram_line_nj", "nJ per 64B line from DRAM",
-      [](E &e) -> double & { return e.config.power.dramLineNj; });
+      [](E &e) -> double & { return e.config.power.dramLineNj; }, 0.0);
 
     // Trace keys ride in the canonical spec on purpose: a traced
     // re-run of a campaign point must miss the result cache (a cache

@@ -31,7 +31,6 @@ class ReadyPool
     std::uint64_t pushes() const { return pushes_; }
     std::uint64_t pops() const { return pops_; }
     std::uint64_t emptyPops() const { return emptyPops_; }
-    std::size_t peakSize() const { return peak_; }
 
     /** Register pool traffic metrics under @p ctx's scope
      *  ("runtime.pool"). */

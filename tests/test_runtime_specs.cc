@@ -19,24 +19,20 @@ TEST(RuntimeTraits, AxesMatchThePaperTable)
     const auto &sw = core::traitsOf(RuntimeType::Software);
     EXPECT_EQ(sw.dep, DepMode::Software);
     EXPECT_EQ(sw.sched, SchedMode::SoftwarePool);
-    EXPECT_TRUE(sw.flexibleScheduling());
     EXPECT_FALSE(sw.usesDmu());
 
     const auto &tdm = core::traitsOf(RuntimeType::Tdm);
     EXPECT_EQ(tdm.dep, DepMode::Hardware);
     EXPECT_EQ(tdm.sched, SchedMode::SoftwarePool);
-    EXPECT_TRUE(tdm.flexibleScheduling());
     EXPECT_TRUE(tdm.usesDmu());
 
     const auto &carbon = core::traitsOf(RuntimeType::Carbon);
     EXPECT_EQ(carbon.dep, DepMode::Software);
     EXPECT_EQ(carbon.sched, SchedMode::HardwareQueues);
-    EXPECT_FALSE(carbon.flexibleScheduling());
 
     const auto &tss = core::traitsOf(RuntimeType::TaskSuperscalar);
     EXPECT_EQ(tss.dep, DepMode::Hardware);
     EXPECT_EQ(tss.sched, SchedMode::HardwareFifo);
-    EXPECT_FALSE(tss.flexibleScheduling());
 }
 
 TEST(RuntimeTraits, RoundTripNames)

@@ -7,6 +7,7 @@
 
 #include "runtime/ready_pool.hh"
 #include "runtime/scheduler.hh"
+#include "sim/metrics.hh"
 
 using namespace tdm;
 
@@ -137,10 +138,12 @@ TEST(Age, OldestCreationFirst)
 TEST(ReadyPool, CountsAndPeak)
 {
     rt::ReadyPool pool(rt::makeScheduler("fifo", 2));
+    sim::MetricRegistry reg;
+    pool.regMetrics(reg.context("runtime.pool"));
     pool.push(task(1));
     pool.push(task(2));
     EXPECT_EQ(pool.size(), 2u);
-    EXPECT_EQ(pool.peakSize(), 2u);
+    EXPECT_EQ(reg.value("runtime.pool.peak_size"), 2.0);
     EXPECT_TRUE(pool.pop(0).has_value());
     EXPECT_TRUE(pool.pop(0).has_value());
     EXPECT_FALSE(pool.pop(0).has_value());

@@ -351,6 +351,28 @@ TEST(ServiceServer, PingStatusAndErrorReporting)
     fs::remove_all(dir);
 }
 
+TEST(ServiceServer, OutOfRangeSpecValueIsAnErrorEvent)
+{
+    // A zero flit size used to reach the mesh's flit division and kill
+    // the daemon with SIGFPE; the spec layer now refuses it, so the
+    // submitter gets an error event naming the key and the daemon
+    // keeps serving.
+    ServerFixture fx("");
+    svc::Socket raw = svc::connectTo(svc::parseAddress(fx.address()));
+    ASSERT_TRUE(raw.sendAll(
+        "{\"op\":\"submit\",\"points\":[{\"spec\":"
+        "{\"runtime\":\"tdm\",\"mesh.flit_bytes\":\"0\"}}]}\n"));
+    std::string line;
+    ASSERT_TRUE(raw.readLine(line));
+    EXPECT_NE(line.find("\"event\":\"error\""), std::string::npos)
+        << line;
+    EXPECT_NE(line.find("mesh.flit_bytes"), std::string::npos) << line;
+    ASSERT_TRUE(raw.sendAll("{\"op\":\"ping\"}\n"));
+    ASSERT_TRUE(raw.readLine(line));
+    EXPECT_NE(line.find("\"event\":\"pong\""), std::string::npos)
+        << line;
+}
+
 TEST(ServiceServer, ConcurrentClientsSimulateEachPointOnce)
 {
     const std::string dir =

@@ -11,6 +11,7 @@
 
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "driver/campaign/campaign.hh"
 #include "driver/campaign/fingerprint.hh"
@@ -126,6 +127,46 @@ TEST(Spec, BadValuesAreHardErrors)
     // Out of range for the field width (unsigned).
     EXPECT_THROW(spc::applyKey(e, "machine.cores", "4294967296"),
                  spc::SpecError);
+    // Below a key's lower bound: a divide by zero (line and flit
+    // sizes, mlp), an overlapped miss dearer than a serial one
+    // (mlp < 1), negative energy (power.*), or a component's fatal
+    // geometry check, which would end a serving daemon.
+    const std::pair<const char *, const char *> belowBound[] = {
+        {"mem.line_bytes", "0"},       {"mesh.flit_bytes", "0"},
+        {"mem.mlp", "0"},              {"mem.mlp", "0.999"},
+        {"mem.mlp", "0.000001"},       {"power.active_w", "-5"},
+        {"power.idle_w", "-0.1"},      {"power.uncore_w", "-1"},
+        {"power.l1_line_nj", "-1"},    {"power.l2_line_nj", "-1"},
+        {"power.dram_line_nj", "-1"},  {"mem.l1_bytes", "0"},
+        {"mem.l2_bytes", "0"},         {"mesh.width", "0"},
+        {"mesh.height", "0"},          {"dmu.tat_entries", "0"},
+        {"dmu.dat_entries", "0"},      {"dmu.sla_entries", "0"},
+        {"dmu.dla_entries", "0"},      {"dmu.rla_entries", "0"},
+        {"dmu.ready_queue_entries", "0"}, {"dmu.tat_assoc", "0"},
+        {"dmu.dat_assoc", "0"},        {"dmu.elems_per_entry", "0"},
+        {"carbon.queue_entries", "0"}, {"machine.cores", "0"},
+        {"machine.cores", "1"},
+    };
+    for (const auto &[key, value] : belowBound) {
+        try {
+            spc::applyKey(e, key, value);
+            ADD_FAILURE() << "expected SpecError for " << key << "="
+                          << value;
+        } catch (const spc::SpecError &err) {
+            EXPECT_NE(std::string(err.what())
+                          .find(std::string("spec key '") + key + "'"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    // Each bound itself is accepted.
+    Experiment atBound;
+    for (const char *key : {"mem.line_bytes", "mesh.flit_bytes",
+                            "mem.l1_bytes", "mesh.width",
+                            "dmu.elems_per_entry", "mem.mlp"})
+        EXPECT_NO_THROW(spc::applyKey(atBound, key, "1")) << key;
+    EXPECT_NO_THROW(spc::applyKey(atBound, "machine.cores", "2"));
+    EXPECT_NO_THROW(spc::applyKey(atBound, "power.active_w", "0"));
     // Nothing was modified by the failed applications.
     EXPECT_EQ(spc::describe(e).entries(),
               spc::describe(Experiment{}).entries());

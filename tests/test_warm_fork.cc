@@ -271,8 +271,8 @@ TEST(ForkGroupRunner, IncompleteLeaderRunsCold)
 
 TEST(ForkGroupRunner, DisabledForkAlwaysRunsCold)
 {
-    // --no-warm-fork / singleton groups: the runner must be a
-    // transparent pass-through to driver::run().
+    // EngineOptions::warmFork off / singleton groups: the runner must
+    // be a transparent pass-through to driver::run().
     driver::Experiment e;
     e.workload = "lu";
     const driver::RunSummary cold = driver::run(e);

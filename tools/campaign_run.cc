@@ -20,11 +20,6 @@
  *                     directive in a *.campaign file
  *   --threads N       worker threads (default: hardware concurrency)
  *   --no-cache        disable result-cache deduplication
- *   --no-warm-fork    simulate every point cold instead of serving
- *                     points that differ only in power.* keys by
- *                     re-pricing one simulated run (A/B
- *                     baseline; forked results are bit-identical
- *                     either way)
  *   --seed-base S     reseed point i with S+i (deterministic per job)
  *   --json FILE       write all results as JSON (with each point's
  *                     full canonical spec)
@@ -182,8 +177,6 @@ main(int argc, char **argv)
                 cmp::parseUintArg(need(i), "--threads", UINT32_MAX));
         } else if (!std::strcmp(a, "--no-cache")) {
             opts.useCache = false;
-        } else if (!std::strcmp(a, "--no-warm-fork")) {
-            opts.warmFork = false;
         } else if (!std::strcmp(a, "--seed-base")) {
             opts.seedBase = cmp::parseUintArg(need(i), "--seed-base");
         } else if (!std::strcmp(a, "--json")) {
