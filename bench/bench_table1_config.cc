@@ -6,8 +6,8 @@
 
 #include <iostream>
 
-#include "cpu/machine_config.hh"
 #include "dmu/geometry.hh"
+#include "driver/spec/spec.hh"
 #include "sim/table.hh"
 
 using namespace tdm;
@@ -15,14 +15,14 @@ using namespace tdm;
 int
 main()
 {
-    cpu::MachineConfig cfg;
+    const driver::Experiment exp;
     std::cout << "== Table I: simulated machine configuration ==\n";
-    cfg.describe().dump(std::cout);
+    driver::spec::describe(exp).dump(std::cout);
 
     std::cout << "\n== DMU structures ==\n";
     sim::Table t;
     t.header({"structure", "entries", "bits/entry", "assoc", "KB"});
-    for (const auto &s : dmu::sramSpecs(cfg.dmu)) {
+    for (const auto &s : dmu::sramSpecs(exp.config.dmu)) {
         t.row()
             .cell(s.name)
             .cell(static_cast<std::uint64_t>(s.entries))

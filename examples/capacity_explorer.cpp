@@ -15,12 +15,15 @@
 
 #include "dmu/geometry.hh"
 #include "driver/experiment.hh"
+#include "sim/logging.hh"
 #include "sim/table.hh"
 
 using namespace tdm;
 
+namespace {
+
 int
-main(int argc, char **argv)
+explore(int argc, char **argv)
 {
     std::string workload = argc > 1 ? argv[1] : "histogram";
     const auto &info = wl::findWorkload(workload);
@@ -68,4 +71,17 @@ main(int argc, char **argv)
               << dmu::totalStorageKB(cpu::MachineConfig{}.dmu)
               << " KB\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return explore(argc, argv);
+    } catch (const sim::FatalError &e) { // e.g. an unknown workload
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 1;
+    }
 }

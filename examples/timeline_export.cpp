@@ -9,6 +9,7 @@
  */
 
 #include <algorithm>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "driver/experiment.hh"
 #include "driver/graph_cache.hh"
 #include "driver/report/trace_writer.hh"
+#include "driver/spec/spec.hh"
 #include "workloads/registry.hh"
 
 using namespace tdm;
@@ -85,10 +87,8 @@ asciiTimeline(const std::vector<Span> &spans, unsigned cores,
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+exportTimeline(int argc, char **argv)
 {
     std::string workload = argc > 1 ? argv[1] : "cholesky";
     std::string rt_name = argc > 2 ? argv[2] : "sw";
@@ -96,7 +96,7 @@ main(int argc, char **argv)
 
     driver::Experiment e;
     e.workload = workload;
-    e.runtime = core::runtimeFromString(rt_name);
+    driver::spec::applyKey(e, "runtime", rt_name);
     // Built at the runtime's own optimal granularity, as driver::run
     // would build it.
     const std::shared_ptr<const rt::TaskGraph> g = driver::buildGraph(e);
@@ -126,4 +126,17 @@ main(int argc, char **argv)
     std::cout << "\nwrote " << spans.size() << " task intervals to "
               << out << " (chrome://tracing)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return exportTimeline(argc, argv);
+    } catch (const std::exception &e) { // an unknown workload or runtime
+        std::cerr << "error: " << e.what() << "\n";
+        return 1;
+    }
 }

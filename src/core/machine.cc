@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dmu/geometry.hh"
+#include "hwbaselines/task_superscalar.hh"
 #include "sim/assert.hh"
 #include "sim/logging.hh"
 
@@ -1040,7 +1041,7 @@ Machine::finalize()
             // CAM-heavy lookups of the original pipeline.
             pj *= 3.0;
             acct_.setAcceleratorLeakageMw(
-                hw::tssStorageKB(cfg_.tss)
+                hw::tssStorageKB(hw::TssConfig{})
                 * pwr::CactiModel::leakageMwPerKB);
         } else {
             acct_.setAcceleratorLeakageMw(dmu::totalLeakageMw(cfg_.dmu));

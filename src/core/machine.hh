@@ -329,7 +329,7 @@ class Machine
     std::uint64_t carbonRr_ = 0; ///< GTU round-robin cursor
     sim::Tick masterCreateTicks_ = 0;
     sim::Tick makespan_ = 0;
-    sim::Distribution taskCycles_{0.0, 1e6, 20};
+    sim::Distribution taskCycles_{0.0, 1e6};
 
     // Phase windows.
     std::uint32_t createdTotal_ = 0;

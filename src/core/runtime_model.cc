@@ -1,6 +1,7 @@
 #include "core/runtime_model.hh"
 
 #include "cpu/machine_config.hh"
+#include "hwbaselines/task_superscalar.hh"
 #include "sim/logging.hh"
 
 namespace tdm::core {
@@ -29,15 +30,6 @@ traitsOf(RuntimeType type)
         if (t.type == type)
             return t;
     sim::panic("unknown runtime type");
-}
-
-RuntimeType
-runtimeFromString(const std::string &name)
-{
-    for (const auto &t : kTraits)
-        if (name == t.name)
-            return t.type;
-    sim::fatal("unknown runtime: ", name, " (expected sw/tdm/carbon/tss)");
 }
 
 const std::vector<RuntimeType> &
@@ -69,8 +61,8 @@ runtimeSpec(RuntimeType type, const cpu::MachineConfig &cfg)
         s.hwAreaMm2 = hw::carbonAreaMm2(cfg.carbon, cfg.numCores);
         break;
       case RuntimeType::TaskSuperscalar:
-        s.hwStorageKB = hw::tssStorageKB(cfg.tss);
-        s.hwAreaMm2 = hw::tssAreaMm2(cfg.tss);
+        s.hwStorageKB = hw::tssStorageKB(hw::TssConfig{});
+        s.hwAreaMm2 = hw::tssAreaMm2(hw::TssConfig{});
         break;
     }
     return s;

@@ -59,9 +59,6 @@ struct RuntimeTraits
 /** Traits of each runtime type. */
 const RuntimeTraits &traitsOf(RuntimeType type);
 
-/** Parse "sw" / "tdm" / "carbon" / "tss". */
-RuntimeType runtimeFromString(const std::string &name);
-
 /** All four runtimes, in the paper's comparison order. */
 const std::vector<RuntimeType> &allRuntimeTypes();
 

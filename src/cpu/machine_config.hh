@@ -13,12 +13,10 @@
 
 #include "dmu/geometry.hh"
 #include "hwbaselines/carbon.hh"
-#include "hwbaselines/task_superscalar.hh"
 #include "mem/memory_model.hh"
 #include "noc/mesh.hh"
 #include "power/core_power.hh"
 #include "runtime/cost_model.hh"
-#include "sim/config.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 
@@ -39,7 +37,6 @@ struct MachineConfig
     rt::SwCosts swCosts{};
     rt::TdmCosts tdmCosts{};
     hw::CarbonConfig carbon{};
-    hw::TssConfig tss{};
     pwr::CorePowerParams power{};
     sim::TraceConfig trace{};
 
@@ -62,9 +59,6 @@ struct MachineConfig
 
     /** Payload bytes of a DMU request/response message. */
     unsigned dmuMsgBytes = 24;
-
-    /** Render as a flat config (Table I style). */
-    sim::Config describe() const;
 };
 
 } // namespace tdm::cpu

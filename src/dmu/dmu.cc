@@ -61,18 +61,18 @@ constexpr std::uint64_t descIndexBytes = 64;
 } // namespace
 
 Dmu::Dmu(const DmuConfig &cfg)
-    : cfg_(cfg),
-      tat_("tat", cfg.tatEntries, cfg.tatAssoc, true, 0),
+    : tat_("tat", cfg.tatEntries, cfg.tatAssoc, true, 0),
       dat_("dat", cfg.datEntries, cfg.datAssoc, cfg.dynamicDatIndex,
            cfg.staticDatIndexBit),
-      taskTable_(cfg.taskTableEntries()),
-      depTable_(cfg.depTableEntries()),
+      taskTable_("task table", cfg.taskTableEntries()),
+      depTable_("dep table", cfg.depTableEntries()),
       sla_("sla", cfg.slaEntries, cfg.elemsPerEntry),
       dla_("dla", cfg.dlaEntries, cfg.elemsPerEntry),
       rla_("rla", cfg.rlaEntries, cfg.elemsPerEntry),
-      readyQueue_(cfg.readyQueueEntries),
-      depKeyOf_(cfg.depTableEntries())
+      readyQueue_(cfg.readyQueueEntries)
 {
+    if (cfg.readyQueueEntries == 0)
+        sim::fatal("ready queue capacity must be nonzero");
 }
 
 DmuResult
@@ -124,7 +124,9 @@ Dmu::createTask(std::uint64_t desc_addr, std::uint32_t pid)
     ListHead deps = dla_.allocList();
     touch(Sram::Sla);
     touch(Sram::Dla);
-    taskTable_.init(static_cast<TaskHwId>(ins.id), desc_addr, succ, deps);
+    taskTable_.init(ins.id, TaskEntry{.descAddr = desc_addr,
+                                      .succList = succ,
+                                      .depList = deps});
     touch(Sram::TaskTable);
     DmuResult res;
     res.accesses = accessesSince(before);
@@ -207,8 +209,10 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
             sim::panic("DMU: DAT insert failed after capacity check");
         dep_id = static_cast<DepHwId>(ins.id);
         ListHead readers = rla_.allocList();
-        depTable_.init(dep_id, readers);
-        depKeyOf_[dep_id] = DepKey{dep_addr, size_bytes, pid};
+        depTable_.init(dep_id, DepEntry{.readerList = readers,
+                                        .addr = dep_addr,
+                                        .size = size_bytes,
+                                        .pid = pid});
         touch(Sram::Dat);      // DAT write
         touch(Sram::Rla);      // RLA alloc
         touch(Sram::DepTable); // DepTable init
@@ -286,8 +290,9 @@ Dmu::commitTask(std::uint64_t desc_addr, std::uint32_t pid)
                    desc_addr);
     task.committed = true;
     if (task.predCount == 0) {
-        if (!readyQueue_.push(task_id))
+        if (readyQueue_.full())
             sim::panic("DMU: ready queue overflow");
+        readyQueue_.push_back(task_id);
         touch(Sram::ReadyQueue);
         res.readyDescAddrs.push_back(task.descAddr);
     }
@@ -319,8 +324,9 @@ Dmu::finishTask(std::uint64_t desc_addr, std::uint32_t pid)
         --succ.predCount;
         touch(Sram::TaskTable);
         if (succ.predCount == 0 && succ.committed) {
-            if (!readyQueue_.push(static_cast<TaskHwId>(s)))
+            if (readyQueue_.full())
                 sim::panic("DMU: ready queue overflow");
+            readyQueue_.push_back(static_cast<TaskHwId>(s));
             touch(Sram::ReadyQueue);
             res.readyDescAddrs.push_back(succ.descAddr);
         }
@@ -348,8 +354,7 @@ Dmu::finishTask(std::uint64_t desc_addr, std::uint32_t pid)
             touch(Sram::Rla, rla_.freeList(dep.readerList));
             depTable_.free(dep_id);
             touch(Sram::DepTable);
-            const DepKey &key = depKeyOf_[dep_id];
-            dat_.erase(key.addr, key.size, key.pid);
+            dat_.erase(dep.addr, dep.size, dep.pid);
             touch(Sram::Dat);
         }
     }
@@ -373,10 +378,9 @@ Dmu::getReadyTask(unsigned &accesses)
     ++statOps_;
     const std::uint64_t before = counts_.total();
     touch(Sram::ReadyQueue);
-    TaskHwId id = readyQueue_.pop();
     std::optional<ReadyTaskInfo> info;
-    if (id != invalidHwId) {
-        const TaskEntry &e = taskTable_[id];
+    if (!readyQueue_.empty()) {
+        const TaskEntry &e = taskTable_[readyQueue_.pop_front()];
         touch(Sram::TaskTable);
         info = ReadyTaskInfo{e.descAddr, e.succCount};
     }

@@ -30,14 +30,118 @@
 #include <vector>
 
 #include "dmu/alias_table.hh"
-#include "dmu/dep_table.hh"
 #include "dmu/geometry.hh"
 #include "dmu/list_array.hh"
-#include "dmu/ready_queue.hh"
-#include "dmu/task_table.hh"
+#include "sim/fixed_ring.hh"
+#include "sim/logging.hh"
 #include "sim/metrics.hh"
 
 namespace tdm::dmu {
+
+/** One Task Table entry (Figure 4). */
+struct TaskEntry
+{
+    std::uint64_t descAddr = 0;
+    std::uint32_t predCount = 0;
+    std::uint32_t succCount = 0;
+    ListHead succList = invalidHwId;
+    ListHead depList = invalidHwId;
+    bool valid = false;
+
+    /**
+     * Set once the runtime has finished sending the task's dependences
+     * (commit_task). A task whose predecessor count drops to zero
+     * before it is committed must not enter the Ready Queue yet, or it
+     * could be scheduled while its dependence list is still being
+     * built.
+     */
+    bool committed = false;
+};
+
+/** One Dependence Table entry (Figure 4). */
+struct DepEntry
+{
+    TaskHwId lastWriter = invalidHwId; ///< all-ones = invalid
+    ListHead readerList = invalidHwId;
+
+    /**
+     * DAT key (address, size, process tag) of the dependence, needed
+     * to invalidate its DAT translation on cleanup. A hardware DMU
+     * keeps the address in the DAT entry itself, where sramSpecs()
+     * accounts its bits; the copy here is a modelling convenience, not
+     * extra storage.
+     */
+    std::uint64_t addr = 0;
+    std::uint64_t size = 0;
+    std::uint32_t pid = 0;
+    bool valid = false;
+
+    bool hasWriter() const { return lastWriter != invalidHwId; }
+};
+
+/**
+ * A direct-mapped SRAM table indexed by internal id: the Task Table
+ * and the Dependence Table. An entry is live between init() and
+ * free(); live() is the occupancy the DMU's invariant checks read.
+ */
+template <typename Entry>
+class EntryTable
+{
+  public:
+    EntryTable(const char *name, unsigned entries)
+        : name_(name), entries_(entries)
+    {
+    }
+
+    Entry &
+    operator[](std::size_t id)
+    {
+        if (id >= entries_.size())
+            sim::panic(name_, ": id ", id, " out of range");
+        return entries_[id];
+    }
+
+    const Entry &
+    operator[](std::size_t id) const
+    {
+        if (id >= entries_.size())
+            sim::panic(name_, ": id ", id, " out of range");
+        return entries_[id];
+    }
+
+    /** Fill the free entry @p id with @p e and mark it live. */
+    void
+    init(std::size_t id, const Entry &e)
+    {
+        Entry &slot = (*this)[id];
+        if (slot.valid)
+            sim::panic(name_, ": double init of id ", id);
+        slot = e;
+        slot.valid = true;
+        ++live_;
+    }
+
+    /** Invalidate the live entry @p id. */
+    void
+    free(std::size_t id)
+    {
+        Entry &slot = (*this)[id];
+        if (!slot.valid)
+            sim::panic(name_, ": free of invalid id ", id);
+        slot.valid = false;
+        --live_;
+    }
+
+    unsigned live() const { return live_; }
+    unsigned capacity() const {
+        return static_cast<unsigned>(entries_.size());
+    }
+
+  private:
+    const char *name_;
+    std::vector<Entry> entries_;
+    unsigned live_ = 0;
+};
 
 /** Why an operation blocked. */
 enum class BlockReason
@@ -144,12 +248,11 @@ class Dmu
     std::size_t readyCount() const { return readyQueue_.size(); }
 
     const DmuAccessCounts &accessCounts() const { return counts_; }
-    const DmuConfig &config() const { return cfg_; }
 
     const AliasTable &tat() const { return tat_; }
     const AliasTable &dat() const { return dat_; }
     AliasTable &dat() { return dat_; }
-    const TaskTable &taskTable() const { return taskTable_; }
+    const EntryTable<TaskEntry> &taskTable() const { return taskTable_; }
     const ListArray &sla() const { return sla_; }
     const ListArray &dla() const { return dla_; }
     const ListArray &rla() const { return rla_; }
@@ -184,30 +287,17 @@ class Dmu
 
     TaskHwId requireTask(std::uint64_t desc_addr, std::uint32_t pid);
 
-    DmuConfig cfg_;
     AliasTable tat_;
     AliasTable dat_;
-    TaskTable taskTable_;
-    DepTable depTable_;
+    EntryTable<TaskEntry> taskTable_;
+    EntryTable<DepEntry> depTable_;
     ListArray sla_;
     ListArray dla_;
     ListArray rla_;
-    ReadyQueue readyQueue_;
 
-    /**
-     * Shadow metadata: DAT key (address, size, process tag) of each
-     * live dependence id, needed to invalidate the DAT entry on
-     * cleanup. A hardware DMU keeps the address in the DAT entry itself
-     * (where we account its bits); the shadow copy here is a modelling
-     * convenience, not extra storage.
-     */
-    struct DepKey
-    {
-        std::uint64_t addr = 0;
-        std::uint64_t size = 0;
-        std::uint32_t pid = 0;
-    };
-    std::vector<DepKey> depKeyOf_;
+    /** Ready Queue: the hardware FIFO of task ids whose predecessors
+     *  are all satisfied, a fixed SRAM and so a fixed ring. */
+    sim::FixedRing<TaskHwId> readyQueue_;
 
     DmuAccessCounts counts_;
     std::uint64_t statOps_ = 0;

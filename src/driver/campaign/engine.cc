@@ -82,19 +82,33 @@ CampaignResult::at(const std::string &label) const
     return *j;
 }
 
+namespace {
+
+/** Report a bad command-line argument and exit 1. Only mains call the
+ *  argv parsers below, so there is no caller to throw to. */
+template <typename... Args>
+[[noreturn]] void
+argFatal(const Args &...args)
+{
+    (std::cerr << "fatal: " << ... << args) << std::endl;
+    std::exit(1);
+}
+
+} // namespace
+
 std::uint64_t
 parseUintArg(const char *value, const char *flag, std::uint64_t max)
 {
     // strtoull wraps negatives and overflow; reject both explicitly.
     if (!std::isdigit(static_cast<unsigned char>(value[0])))
-        sim::fatal(flag, " expects a nonnegative integer, got '", value,
-                   "'");
+        argFatal(flag, " expects a nonnegative integer, got '", value,
+                 "'");
     errno = 0;
     char *end = nullptr;
     const std::uint64_t v = std::strtoull(value, &end, 10);
     if (*end != '\0' || errno == ERANGE || v > max)
-        sim::fatal(flag, " expects a nonnegative integer <= ", max,
-                   ", got '", value, "'");
+        argFatal(flag, " expects a nonnegative integer <= ", max,
+                 ", got '", value, "'");
     return v;
 }
 
@@ -108,8 +122,8 @@ benchEngineOptions(int argc, char **argv)
             opts.threads = static_cast<unsigned>(parseUintArg(
                 argv[++i], "--threads", UINT32_MAX));
         else
-            sim::fatal("unknown argument: ", argv[i],
-                       " (benches accept --threads N)");
+            argFatal("unknown argument: ", argv[i],
+                     " (benches accept --threads N)");
     }
     return opts;
 }

@@ -267,9 +267,8 @@ inline constexpr CampaignTotal kCampaignTotals[] = {
     {"graph_shares", &CampaignResult::graphShares},
 };
 
-/** Parse a nonnegative integer CLI value no larger than @p max; fatal
- *  (with the flag named) on anything else, instead of throwing out of
- *  main. */
+/** Parse a nonnegative integer CLI value no larger than @p max; print
+ *  "fatal:" with the flag named and exit 1 on anything else. */
 std::uint64_t parseUintArg(const char *value, const char *flag,
                            std::uint64_t max = UINT64_MAX);
 
@@ -284,9 +283,9 @@ EngineOptions benchEngineOptions(int argc, char **argv);
  *
  * Error handling: a job whose experiment fails to complete (watchdog,
  * deadlock) or throws is reported through JobResult::error — the
- * campaign keeps running. Configuration errors that reach sim::fatal
- * / sim::panic still terminate the process, as they do everywhere
- * else in the simulator.
+ * campaign keeps running. That includes configuration errors that
+ * reach sim::fatal (it throws sim::FatalError); only sim::panic, a
+ * simulator bug, still ends the process.
  */
 class CampaignEngine
 {

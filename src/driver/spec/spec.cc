@@ -54,7 +54,8 @@ lookupRuntime(const std::string &name, core::RuntimeType &out)
  * the getter reuses it through a const_cast (it never mutates).
  * @p min is the smallest value the setter accepts: a value that would
  * divide by zero or reach a component's sim::fatal is a SpecError
- * (which the service answers with an error event) instead of a crash.
+ * (which the service answers with an error event) before any point
+ * runs.
  */
 template <typename Acc>
 Binding
@@ -409,13 +410,6 @@ buildRegistry()
       });
     U("carbon.steal", "Carbon: steal probe + transfer latency",
       [](E &e) -> unsigned & { return e.config.carbon.stealCycles; });
-
-    U("tss.entries", "Task Superscalar: in-flight task/dep entries",
-      [](E &e) -> unsigned & { return e.config.tss.entries; });
-    U("tss.bytes_per_entry", "Task Superscalar: record size",
-      [](E &e) -> unsigned & { return e.config.tss.bytesPerEntry; });
-    U("tss.gateway_kb", "Task Superscalar: gateway storage KB",
-      [](E &e) -> unsigned & { return e.config.tss.gatewayKB; });
 
     D("power.active_w", "active core watts",
       [](E &e) -> double & { return e.config.power.activeWatts; }, 0.0);

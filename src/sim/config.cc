@@ -55,32 +55,6 @@ Config::set(const std::string &key, const std::string &value)
     map_[key] = value;
 }
 
-void
-Config::set(const std::string &key, std::int64_t value)
-{
-    map_[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, std::uint64_t value)
-{
-    map_[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, double value)
-{
-    std::ostringstream oss;
-    oss << value;
-    map_[key] = oss.str();
-}
-
-void
-Config::set(const std::string &key, bool value)
-{
-    map_[key] = value ? "true" : "false";
-}
-
 bool
 Config::contains(const std::string &key) const
 {

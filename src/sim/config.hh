@@ -1,9 +1,10 @@
 /**
  * @file
- * Flat string-keyed configuration store with typed accessors.
+ * Flat string-keyed configuration store.
  *
- * Experiments describe their parameters as Config entries; bench binaries
- * print them alongside results so every table is self-describing.
+ * The spec layer (driver/spec/spec.hh) renders an experiment as one
+ * Config of key→value strings and parses its values with the strict
+ * scalar parsers below; the serialized form is the result cache key.
  */
 
 #ifndef TDM_SIM_CONFIG_HH
@@ -16,17 +17,13 @@
 
 namespace tdm::sim {
 
-/** Ordered key→value configuration with typed getters. */
+/** Ordered key→value string configuration. */
 class Config
 {
   public:
     Config() = default;
 
     void set(const std::string &key, const std::string &value);
-    void set(const std::string &key, std::int64_t value);
-    void set(const std::string &key, std::uint64_t value);
-    void set(const std::string &key, double value);
-    void set(const std::string &key, bool value);
 
     bool contains(const std::string &key) const;
 

@@ -113,7 +113,14 @@ EventQueue::fire(Event *ev)
 #endif
     curTick_ = ev->when_;
     ++executed_;
-    ev->fire();
+    try {
+        ev->fire();
+    } catch (...) {
+        // A handler's fatal() unwinds the run; the popped event is in
+        // no structure the destructor drains, so recycle it here.
+        retire(ev);
+        throw;
+    }
     retire(ev);
 }
 

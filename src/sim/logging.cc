@@ -62,25 +62,13 @@ parseLogLevel(const std::string &name, LogLevel &out)
 namespace detail {
 
 void
-panicImpl(const std::string &msg, const char *file, int line)
+panicImpl(const std::string &msg)
 {
     {
         std::lock_guard<std::mutex> lock(emitMutex());
-        std::cerr << "panic: " << msg << " @ " << file << ":" << line
-                  << std::endl;
+        std::cerr << "panic: " << msg << std::endl;
     }
     std::abort();
-}
-
-void
-fatalImpl(const std::string &msg, const char *file, int line)
-{
-    {
-        std::lock_guard<std::mutex> lock(emitMutex());
-        std::cerr << "fatal: " << msg << " @ " << file << ":" << line
-                  << std::endl;
-    }
-    std::exit(1);
 }
 
 void

@@ -3,7 +3,8 @@
  * gem5-style status and error reporting.
  *
  * panic()  - an internal simulator bug; aborts.
- * fatal()  - a user error (bad configuration, invalid argument); exits.
+ * fatal()  - a user error (bad configuration, invalid argument); throws
+ *            FatalError.
  * warn()   - questionable but survivable condition.
  * inform() - status message.
  *
@@ -14,6 +15,7 @@
 #define TDM_SIM_LOGGING_HH
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace tdm::sim {
@@ -29,12 +31,20 @@ void setLogLevel(LogLevel level);
  *  false on anything else. */
 bool parseLogLevel(const std::string &name, LogLevel &out);
 
+/**
+ * What fatal() throws. The campaign engine reports it as the failed
+ * point's error, so a spec the model rejects never ends a server; a
+ * CLI main catches it, prints "fatal: <message>" and exits 1.
+ */
+class FatalError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 namespace detail {
 
-[[noreturn]] void panicImpl(const std::string &msg, const char *file,
-                            int line);
-[[noreturn]] void fatalImpl(const std::string &msg, const char *file,
-                            int line);
+[[noreturn]] void panicImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 void debugImpl(const std::string &msg);
@@ -55,17 +65,15 @@ template <typename... Args>
 [[noreturn]] void
 panic(Args &&...args)
 {
-    detail::panicImpl(detail::concat(std::forward<Args>(args)...),
-                      __builtin_FILE(), __builtin_LINE());
+    detail::panicImpl(detail::concat(std::forward<Args>(args)...));
 }
 
-/** Report an unrecoverable user error and exit(1). */
+/** Reject a user error by throwing FatalError. */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    detail::fatalImpl(detail::concat(std::forward<Args>(args)...),
-                      __builtin_FILE(), __builtin_LINE());
+    throw FatalError(detail::concat(std::forward<Args>(args)...));
 }
 
 /** Report a survivable but suspicious condition. */

@@ -15,7 +15,7 @@
  *  - Counter      monotone accumulator (raw uint64 or probe function);
  *                 windows report the delta.
  *  - Average      mean of samples; windows report the window-local mean.
- *  - Distribution histogram + moments; flattens to .mean/.stdev/.count/
+ *  - Distribution moments + range counts; flattens to .mean/.stdev/.count/
  *                 .min/.max/.underflow/.overflow subkeys; windows
  *                 report window-local mean and count.
  *  - Gauge        instantaneous level (function); excluded from windows.

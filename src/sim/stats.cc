@@ -6,23 +6,10 @@
 
 namespace tdm::sim {
 
-Distribution::Distribution(double lo, double hi, unsigned buckets)
-{
-    init(lo, hi, buckets);
-}
-
-void
-Distribution::init(double lo, double hi, unsigned buckets)
+Distribution::Distribution(double lo, double hi) : lo_(lo), hi_(hi)
 {
     if (hi <= lo)
         panic("Distribution: hi <= lo (", hi, " <= ", lo, ")");
-    if (buckets == 0)
-        panic("Distribution: zero buckets");
-    lo_ = lo;
-    hi_ = hi;
-    width_ = (hi - lo) / buckets;
-    buckets_.assign(buckets, 0);
-    reset();
 }
 
 void
@@ -37,16 +24,10 @@ Distribution::sample(double v)
     sum_ += v;
     sumSq_ += v * v;
     ++count_;
-    if (v < lo_) {
+    if (v < lo_)
         ++underflow_;
-    } else if (v >= hi_) {
+    else if (v >= hi_)
         ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / width_);
-        if (idx >= buckets_.size())
-            idx = buckets_.size() - 1;
-        ++buckets_[idx];
-    }
 }
 
 double
@@ -57,16 +38,6 @@ Distribution::stdev() const
     double n = static_cast<double>(count_);
     double var = (sumSq_ - sum_ * sum_ / n) / (n - 1);
     return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-Distribution::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = 0;
-    sum_ = sumSq_ = 0.0;
-    min_ = max_ = 0.0;
-    count_ = 0;
 }
 
 } // namespace tdm::sim

@@ -1,8 +1,8 @@
 /**
  * @file
  * Sampled statistic value types, loosely modelled on gem5's: Average
- * (mean of samples) and Distribution (fixed-width histogram plus
- * moments). Components own these values and register them by name with
+ * (mean of samples) and Distribution (moments, extremes and out-of-range
+ * counts). Components own these values and register them by name with
  * the metric registry (sim/metrics.hh); counters are plain uint64
  * members and formulas are functions.
  */
@@ -11,7 +11,6 @@
 #define TDM_SIM_STATS_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace tdm::sim {
 
@@ -37,17 +36,14 @@ class Average
 };
 
 /**
- * Histogram over [min, max) with a fixed number of equal-width buckets,
- * tracking mean/stdev and underflow/overflow.
+ * Mean/stdev and extremes of a stream of samples, counting the samples
+ * below (underflow) and at or above (overflow) the range [lo, hi).
  */
 class Distribution
 {
   public:
-    Distribution() : Distribution(0.0, 1.0, 8) {}
+    Distribution(double lo, double hi);
 
-    Distribution(double lo, double hi, unsigned buckets);
-
-    void init(double lo, double hi, unsigned buckets);
     void sample(double v);
 
     std::uint64_t count() const { return count_; }
@@ -56,14 +52,11 @@ class Distribution
     double stdev() const;
     double minSample() const { return min_; }
     double maxSample() const { return max_; }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
-    void reset();
 
   private:
-    double lo_ = 0.0, hi_ = 1.0, width_ = 1.0;
-    std::vector<std::uint64_t> buckets_;
+    double lo_, hi_;
     std::uint64_t underflow_ = 0, overflow_ = 0;
     double sum_ = 0.0, sumSq_ = 0.0;
     double min_ = 0.0, max_ = 0.0;

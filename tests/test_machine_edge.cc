@@ -207,13 +207,13 @@ TEST(MachineEdge, DeadlockWarningCountsTasksWithoutBlamingTheDmu)
     EXPECT_EQ(err.find("DMU"), std::string::npos) << err;
 }
 
-TEST(MachineEdgeDeath, OneCoreMachineRejected)
+TEST(MachineEdge, OneCoreMachineRejected)
 {
     rt::TaskGraph g("x");
     g.beginParallel();
     g.createTask(100);
     cpu::MachineConfig cfg = tiny();
     cfg.numCores = 1;
-    EXPECT_DEATH(core::Machine(cfg, g, core::RuntimeType::Software),
-                 "at least 2 cores");
+    EXPECT_THROW(core::Machine(cfg, g, core::RuntimeType::Software),
+                 sim::FatalError);
 }

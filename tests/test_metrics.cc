@@ -23,7 +23,7 @@ struct Rig
     std::uint64_t hits = 0, misses = 0;
     std::uint64_t accesses = 0;
     sim::Average occupancy;
-    sim::Distribution latency{0.0, 100.0, 10};
+    sim::Distribution latency{0.0, 100.0};
     double level = 0.0;
 
     Rig()

@@ -8,6 +8,7 @@
 
 #include "core/runtime_model.hh"
 #include "cpu/machine_config.hh"
+#include "driver/spec/spec.hh"
 
 using namespace tdm;
 
@@ -38,15 +39,11 @@ TEST(RuntimeTraits, AxesMatchThePaperTable)
 TEST(RuntimeTraits, RoundTripNames)
 {
     for (auto t : core::allRuntimeTypes()) {
-        const auto &tr = core::traitsOf(t);
-        EXPECT_EQ(core::runtimeFromString(tr.name), t);
+        driver::Experiment e;
+        driver::spec::applyKey(e, "runtime", core::traitsOf(t).name);
+        EXPECT_EQ(e.runtime, t);
     }
     EXPECT_EQ(core::allRuntimeTypes().size(), 4u);
-}
-
-TEST(RuntimeTraitsDeath, UnknownNameFatal)
-{
-    EXPECT_DEATH((void)core::runtimeFromString("gpu"), "unknown runtime");
 }
 
 TEST(RuntimeSpecs, HardwareCostOrdering)
@@ -77,15 +74,14 @@ TEST(RuntimeSpecs, TdmStorageTracksDmuConfig)
               core::runtimeSpec(core::RuntimeType::Tdm, big).hwStorageKB);
 }
 
-TEST(MachineConfigDescribe, TableIFieldsPresent)
+TEST(SpecDescribe, TableIDefaults)
 {
-    cpu::MachineConfig cfg;
-    sim::Config c = cfg.describe();
-    EXPECT_EQ(c.getString("chip.cores"), "32");
+    const sim::Config c = driver::spec::describe(driver::Experiment{});
+    EXPECT_EQ(c.getString("machine.cores"), "32");
     EXPECT_EQ(c.getString("dmu.tat_entries"), "2048");
     EXPECT_EQ(c.getString("dmu.dat_assoc"), "8");
-    EXPECT_EQ(c.getString("l1d.size_kb"), "32");
-    EXPECT_EQ(c.getString("l2.size_mb"), "4");
+    EXPECT_EQ(c.getString("mem.l1_bytes"), "32768");
+    EXPECT_EQ(c.getString("mem.l2_bytes"), "4194304");
     EXPECT_EQ(c.getString("dmu.dynamic_dat_index"), "true");
-    EXPECT_EQ(c.getString("sched.policy"), "fifo");
+    EXPECT_EQ(c.getString("scheduler"), "fifo");
 }

@@ -7,6 +7,7 @@
 
 #include "runtime/ready_pool.hh"
 #include "runtime/scheduler.hh"
+#include "sim/logging.hh"
 #include "sim/metrics.hh"
 
 using namespace tdm;
@@ -152,7 +153,7 @@ TEST(ReadyPool, CountsAndPeak)
     EXPECT_EQ(pool.emptyPops(), 1u);
 }
 
-TEST(SchedulerDeath, UnknownPolicyFatal)
+TEST(Scheduler, UnknownPolicyFatal)
 {
-    EXPECT_DEATH((void)rt::makeScheduler("best", 4), "unknown scheduler");
+    EXPECT_THROW((void)rt::makeScheduler("best", 4), sim::FatalError);
 }

@@ -373,6 +373,46 @@ TEST(ServiceServer, OutOfRangeSpecValueIsAnErrorEvent)
         << line;
 }
 
+TEST(ServiceServer, ModelRejectedSpecIsAFailedPoint)
+{
+    // Values that pass every per-key bound can still reach a model's
+    // sim::fatal: a granularity that does not tile the matrix, more
+    // cores than the mesh holds. Each such point fails with the
+    // message, and the daemon keeps serving.
+    ServerFixture fx("");
+    svc::Socket raw = svc::connectTo(svc::parseAddress(fx.address()));
+    ASSERT_TRUE(raw.sendAll(
+        "{\"op\":\"submit\",\"points\":["
+        "{\"spec\":{\"workload\":\"cholesky\",\"runtime\":\"tdm\","
+        "\"workload.granularity\":\"36\"}},"
+        "{\"spec\":{\"runtime\":\"tdm\",\"machine.cores\":\"64\"}}]}\n"));
+    std::string line;
+    ASSERT_TRUE(raw.readLine(line));
+    EXPECT_NE(line.find("\"event\":\"accepted\""), std::string::npos)
+        << line;
+    std::string points;
+    unsigned n = 0;
+    while (raw.readLine(line)
+           && line.find("\"event\":\"point\"") != std::string::npos) {
+        EXPECT_NE(line.find("\"ok\":false"), std::string::npos) << line;
+        points += line;
+        ++n;
+    }
+    EXPECT_EQ(n, 2u);
+    EXPECT_NE(line.find("\"event\":\"done\""), std::string::npos)
+        << line;
+    EXPECT_NE(points.find("cholesky: tile bytes 36 does not tile"),
+              std::string::npos)
+        << points;
+    EXPECT_NE(points.find("mesh too small for 64 cores"),
+              std::string::npos)
+        << points;
+    ASSERT_TRUE(raw.sendAll("{\"op\":\"ping\"}\n"));
+    ASSERT_TRUE(raw.readLine(line));
+    EXPECT_NE(line.find("\"event\":\"pong\""), std::string::npos)
+        << line;
+}
+
 TEST(ServiceServer, ConcurrentClientsSimulateEachPointOnce)
 {
     const std::string dir =

@@ -60,18 +60,12 @@ TEST(Types, PowerOfTwoHelpers)
     EXPECT_EQ(sim::floorLog2(~std::uint64_t{0}), 63u);
 }
 
-TEST(Config, TypedRoundTrip)
+TEST(Config, StringRoundTrip)
 {
     sim::Config c;
-    c.set("a", std::int64_t{-5});
-    c.set("b", std::uint64_t{7});
-    c.set("c", 2.5);
-    c.set("d", true);
-    c.set("e", std::string("hello"));
+    c.set("a", "-5");
+    c.set("e", "hello");
     EXPECT_EQ(c.getString("a"), "-5");
-    EXPECT_EQ(c.getString("b"), "7");
-    EXPECT_EQ(c.getString("c"), "2.5");
-    EXPECT_EQ(c.getString("d"), "true");
     EXPECT_EQ(c.getString("e"), "hello");
     EXPECT_EQ(c.getString("missing", "9"), "9");
     EXPECT_TRUE(c.contains("a"));

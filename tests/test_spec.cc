@@ -124,13 +124,16 @@ TEST(Spec, BadValuesAreHardErrors)
                  spc::SpecError);
     EXPECT_THROW(spc::applyKey(e, "scheduler", "zzz"), spc::SpecError);
     EXPECT_THROW(spc::applyKey(e, "no.such.key", "1"), spc::SpecError);
+    // The Task Superscalar is priced at the paper's fixed 769 KB
+    // configuration; its sizes are not spec keys.
+    EXPECT_THROW(spc::applyKey(e, "tss.entries", "2048"), spc::SpecError);
     // Out of range for the field width (unsigned).
     EXPECT_THROW(spc::applyKey(e, "machine.cores", "4294967296"),
                  spc::SpecError);
     // Below a key's lower bound: a divide by zero (line and flit
     // sizes, mlp), an overlapped miss dearer than a serial one
     // (mlp < 1), negative energy (power.*), or a component's fatal
-    // geometry check, which would end a serving daemon.
+    // geometry check, which would fail the point only once it runs.
     const std::pair<const char *, const char *> belowBound[] = {
         {"mem.line_bytes", "0"},       {"mesh.flit_bytes", "0"},
         {"mem.mlp", "0"},              {"mem.mlp", "0.999"},

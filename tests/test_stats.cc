@@ -22,22 +22,20 @@ TEST(Average, MeanOfSamples)
     EXPECT_EQ(a.count(), 3u);
 }
 
-TEST(Distribution, BucketsAndMoments)
+TEST(Distribution, MomentsAndRange)
 {
-    sim::Distribution d(0.0, 10.0, 10);
+    sim::Distribution d(0.0, 10.0);
     for (int i = 0; i < 10; ++i)
         d.sample(i + 0.5);
     EXPECT_EQ(d.count(), 10u);
     EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    for (auto b : d.buckets())
-        EXPECT_EQ(b, 1u);
     EXPECT_EQ(d.underflow(), 0u);
     EXPECT_EQ(d.overflow(), 0u);
 }
 
 TEST(Distribution, UnderflowOverflow)
 {
-    sim::Distribution d(0.0, 1.0, 4);
+    sim::Distribution d(0.0, 1.0);
     d.sample(-1.0);
     d.sample(2.0);
     EXPECT_EQ(d.underflow(), 1u);
@@ -48,7 +46,7 @@ TEST(Distribution, UnderflowOverflow)
 
 TEST(Distribution, StdevOfConstantIsZero)
 {
-    sim::Distribution d(0.0, 10.0, 4);
+    sim::Distribution d(0.0, 10.0);
     d.sample(3.0);
     d.sample(3.0);
     d.sample(3.0);
@@ -57,37 +55,11 @@ TEST(Distribution, StdevOfConstantIsZero)
 
 TEST(Distribution, StdevMatchesSampleFormula)
 {
-    sim::Distribution d(0.0, 10.0, 4);
+    sim::Distribution d(0.0, 10.0);
     for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
         d.sample(v);
     EXPECT_DOUBLE_EQ(d.mean(), 5.0);
     // Sample (n-1) stdev of the classic sigma=2 data set:
     // sum of squared deviations = 32, n-1 = 7.
     EXPECT_NEAR(d.stdev(), std::sqrt(32.0 / 7.0), 1e-9);
-}
-
-TEST(Distribution, InitRebuckets)
-{
-    sim::Distribution d(0.0, 1.0, 2);
-    d.sample(0.25);
-    d.sample(2.0); // overflow under the original range
-    EXPECT_EQ(d.count(), 2u);
-    EXPECT_EQ(d.overflow(), 1u);
-
-    // init() re-buckets: new range, new bucket count, all
-    // accumulators (moments, extremes, under/overflow) cleared.
-    d.init(0.0, 4.0, 8);
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.sum(), 0.0);
-    EXPECT_NEAR(d.stdev(), 0.0, 1e-12);
-    EXPECT_EQ(d.underflow(), 0u);
-    EXPECT_EQ(d.overflow(), 0u);
-    ASSERT_EQ(d.buckets().size(), 8u);
-    for (auto b : d.buckets())
-        EXPECT_EQ(b, 0u);
-
-    d.sample(2.0); // overflow before, in range after re-bucketing
-    EXPECT_EQ(d.overflow(), 0u);
-    EXPECT_EQ(d.buckets()[4], 1u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
 }

@@ -112,10 +112,9 @@ listCampaigns()
     t.print(std::cout);
 }
 
-} // namespace
-
+/** The tool proper; main() turns a FatalError into exit 1. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     cmp::EngineOptions opts;
     opts.threads = 0; // hardware concurrency
@@ -347,4 +346,17 @@ main(int argc, char **argv)
         std::cout << "csv: " << csv_file << "\n";
     }
     return failures == 0 ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const sim::FatalError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 1;
+    }
 }

@@ -178,6 +178,9 @@ main(int argc, char **argv)
                   << served(JobSource::Disk) << " disk, "
                   << served(JobSource::Inflight) << " inflight)\n";
         return 0;
+    } catch (const sim::FatalError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 1;
     } catch (const std::exception &e) {
         std::cerr << "campaign_serve: " << e.what() << "\n";
         return 1;

@@ -73,10 +73,9 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-} // namespace
-
+/** The tool proper; main() turns a FatalError into exit 1. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     driver::Experiment exp;
     exp.runtime = core::RuntimeType::Tdm;
@@ -239,4 +238,17 @@ main(int argc, char **argv)
     if (dump_stats)
         m.dumpStats(std::cout);
     return res.completed ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const sim::FatalError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 1;
+    }
 }
