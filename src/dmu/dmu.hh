@@ -251,7 +251,6 @@ class Dmu
 
     const AliasTable &tat() const { return tat_; }
     const AliasTable &dat() const { return dat_; }
-    AliasTable &dat() { return dat_; }
     const EntryTable<TaskEntry> &taskTable() const { return taskTable_; }
     const ListArray &sla() const { return sla_; }
     const ListArray &dla() const { return dla_; }

@@ -304,11 +304,6 @@ buildRegistry()
       [](E &e) -> unsigned & { return e.config.mesh.linkLatency; });
     U("mesh.flit_bytes", "payload bytes per flit",
       [](E &e) -> unsigned & { return e.config.mesh.flitBytes; }, 1);
-    D("mesh.congestion_weight",
-      "weight of the congestion penalty term (0 disables)",
-      [](E &e) -> double & {
-          return e.config.mesh.congestionWeight;
-      });
 
     U("dmu.tat_entries", "Task Alias Table entries",
       [](E &e) -> unsigned & { return e.config.dmu.tatEntries; }, 1);

@@ -1,5 +1,7 @@
 #include "mem/memory_model.hh"
 
+#include <algorithm>
+
 #include "sim/assert.hh"
 #include "sim/logging.hh"
 
@@ -7,47 +9,54 @@ namespace tdm::mem {
 
 MemoryModel::MemoryModel(const MemConfig &cfg, unsigned num_cores,
                          std::size_t num_regions)
-    : cfg_(cfg), l2_(cfg.l2Bytes), sharerHead_(num_regions, npos)
+    : cfg_(cfg), caches_(num_cores + std::size_t{1}),
+      regions_(num_regions)
 {
     if (num_cores == 0)
         sim::fatal("memory model needs at least one core");
-    l1_.reserve(num_cores);
-    for (unsigned c = 0; c < num_cores; ++c)
-        l1_.push_back(std::make_unique<RegionCache>(cfg_.l1Bytes));
+    if (cfg_.l1Bytes == 0 || cfg_.l2Bytes == 0)
+        sim::fatal("memory model cache capacity must be nonzero");
+}
+
+std::uint32_t
+MemoryModel::findL1(sim::CoreId core, RegionId region) const
+{
+    std::uint32_t n = regions_[region].l1;
+    while (n != npos && lines_[n].cache != core)
+        n = lines_[n].sharer;
+    return n;
 }
 
 int
 MemoryModel::levelOf(sim::CoreId core, RegionId region) const
 {
-    if (l1_[core]->contains(region))
+    if (region >= regions_.size())
+        return 3;
+    if (findL1(core, region) != npos)
         return 1;
-    if (l2_.contains(region))
-        return 2;
-    return 3;
+    return regions_[region].l2 != npos ? 2 : 3;
 }
 
 sim::Tick
 MemoryModel::taskAccessTime(sim::CoreId core,
                             std::span<const MemAccess> accesses)
 {
-    if (core >= l1_.size())
+    if (core >= l2Cache())
         sim::panic("core id ", core, " out of range");
     double stall = 0.0;
     for (const MemAccess &a : accesses) {
         if (a.bytes == 0)
             continue;
-        if (a.region >= sharerHead_.size())
-            sharerHead_.resize(a.region + std::size_t{1}, npos);
+        if (a.region >= regions_.size())
+            regions_.resize(a.region + std::size_t{1});
         std::uint64_t lines = sim::divCeil<std::uint64_t>(a.bytes,
                                                           cfg_.lineBytes);
-        // The touches report residency before this access (the L1
-        // touch cannot change the L2), which classifies it. The L1
-        // touch also reports its evictions: those regions lose this
-        // core as a sharer, and an L1 miss gains it (a touch never
-        // evicts the region it touches).
-        evicted_.clear();
-        const bool l1_hit = l1_[core]->touch(a.region, a.bytes, &evicted_);
-        const bool l2_hit = l2_.touch(a.region, a.bytes);
+        // The touches report residency before this access, which
+        // classifies it (the L1 touch cannot change the L2).
+        const bool l1_hit =
+            touch(core, findL1(core, a.region), a.region, a.bytes);
+        const bool l2_hit =
+            touch(l2Cache(), regions_[a.region].l2, a.region, a.bytes);
         double per_line;
         if (l1_hit) {
             per_line = cfg_.l1HitCycles;
@@ -72,91 +81,140 @@ MemoryModel::taskAccessTime(sim::CoreId core,
         double overlap = l1_hit ? 2.0 : cfg_.mlp;
         stall += static_cast<double>(lines) * per_line / overlap;
 
-        for (RegionId r : evicted_)
-            dropSharer(r, core);
-        if (!l1_hit)
-            addSharer(a.region, core);
         if (a.write)
             invalidateSharers(a.region, core);
-        SIM_ASSERT(sharersExact(a.region), "sharer list of region ",
-                   a.region, " differs from L1 residency after core ",
-                   core, " touched it");
-#if SIM_INVARIANTS_ENABLED
-        for (RegionId r : evicted_)
-            SIM_ASSERT(sharersExact(r), "sharer list of region ", r,
-                       " differs from L1 residency after core ", core,
-                       " evicted it");
-#endif
     }
     return static_cast<sim::Tick>(stall);
 }
 
-void
-MemoryModel::addSharer(RegionId region, sim::CoreId core)
+bool
+MemoryModel::touch(std::uint32_t cache, std::uint32_t line,
+                   RegionId region, std::uint64_t bytes)
 {
-    std::uint32_t n = freeSharer_;
-    if (n != npos) {
-        freeSharer_ = sharers_[n].next;
+    const std::uint64_t cap = capacityOf(cache);
+    const std::uint64_t eff = std::min(bytes, cap);
+    const bool hit = line != npos;
+    if (hit) {
+        // Pull the line out of the recency list so it cannot evict
+        // itself, make room for its possibly re-declared size, and
+        // relink it as MRU.
+        SIM_ASSERT(lines_[line].cache == cache
+                       && lines_[line].region == region,
+                   "line ", line, " looked up for region ", region,
+                   " in cache ", cache, " holds region ",
+                   lines_[line].region, " in cache ", lines_[line].cache);
+        caches_[cache].used -= lines_[line].bytes;
+        unlink(line);
+        evictFor(cache, eff);
+        lines_[line].bytes = eff;
     } else {
-        n = static_cast<std::uint32_t>(sharers_.size());
-        sharers_.emplace_back();
+        evictFor(cache, eff);
+        if (freeLine_ != npos) {
+            line = freeLine_;
+            freeLine_ = lines_[line].next;
+        } else {
+            line = static_cast<std::uint32_t>(lines_.size());
+            lines_.emplace_back();
+        }
+        Region &r = regions_[region];
+        std::uint32_t &first = cache == l2Cache() ? r.l2 : r.l1;
+        lines_[line] = Line{eff, region, cache, npos, npos, first};
+        first = line;
     }
-    sharers_[n] = Sharer{core, sharerHead_[region]};
-    sharerHead_[region] = n;
+    linkFront(line);
+    caches_[cache].used += eff;
+    SIM_ASSERT(caches_[cache].used <= cap, "cache ", cache, " holds ",
+               caches_[cache].used, " bytes over capacity ", cap,
+               " after touching region ", region);
+    return hit;
 }
 
 void
-MemoryModel::dropSharer(RegionId region, sim::CoreId core)
+MemoryModel::evictFor(std::uint32_t cache, std::uint64_t bytes)
 {
-    std::uint32_t *link = &sharerHead_[region];
-    while (*link != npos && sharers_[*link].core != core)
-        link = &sharers_[*link].next;
-    const std::uint32_t n = *link;
-    if (n == npos)
-        sim::panic("memory model: core ", core, " evicted region ",
-                   region, " it is not listed as sharing");
-    *link = sharers_[n].next;
-    sharers_[n].next = freeSharer_;
-    freeSharer_ = n;
+    while (caches_[cache].used + bytes > capacityOf(cache)
+           && caches_[cache].tail != npos) {
+        const std::uint32_t victim = caches_[cache].tail;
+        Region &r = regions_[lines_[victim].region];
+        if (cache == l2Cache()) {
+            r.l2 = npos;
+        } else {
+            std::uint32_t *link = &r.l1;
+            while (*link != victim) {
+                if (*link == npos)
+                    sim::panic("memory model: line ", victim,
+                               " missing from its sharer list");
+                link = &lines_[*link].sharer;
+            }
+            *link = lines_[victim].sharer;
+        }
+        release(victim);
+    }
+}
+
+void
+MemoryModel::linkFront(std::uint32_t line)
+{
+    Cache &c = caches_[lines_[line].cache];
+    lines_[line].prev = npos;
+    lines_[line].next = c.head;
+    if (c.head != npos)
+        lines_[c.head].prev = line;
+    c.head = line;
+    if (c.tail == npos)
+        c.tail = line;
+}
+
+void
+MemoryModel::unlink(std::uint32_t line)
+{
+    Line &n = lines_[line];
+    Cache &c = caches_[n.cache];
+    // Recency-list integrity: a line is the head iff it has no prev,
+    // the tail iff it has no next, and its neighbours point back at it.
+    SIM_ASSERT((n.prev == npos) == (c.head == line), "line ", line,
+               " prev/head mismatch");
+    SIM_ASSERT((n.next == npos) == (c.tail == line), "line ", line,
+               " next/tail mismatch");
+    SIM_ASSERT(n.prev == npos || lines_[n.prev].next == line, "line ",
+               line, " not linked from its prev");
+    SIM_ASSERT(n.next == npos || lines_[n.next].prev == line, "line ",
+               line, " not linked from its next");
+    if (n.prev != npos)
+        lines_[n.prev].next = n.next;
+    else
+        c.head = n.next;
+    if (n.next != npos)
+        lines_[n.next].prev = n.prev;
+    else
+        c.tail = n.prev;
+}
+
+void
+MemoryModel::release(std::uint32_t line)
+{
+    caches_[lines_[line].cache].used -= lines_[line].bytes;
+    unlink(line);
+    lines_[line].next = freeLine_;
+    freeLine_ = line;
 }
 
 void
 MemoryModel::invalidateSharers(RegionId region, sim::CoreId writer)
 {
     std::uint32_t kept = npos;
-    for (std::uint32_t n = sharerHead_[region]; n != npos;) {
-        const std::uint32_t next = sharers_[n].next;
-        if (sharers_[n].core == writer) {
+    for (std::uint32_t n = regions_[region].l1; n != npos;) {
+        const std::uint32_t next = lines_[n].sharer;
+        if (lines_[n].cache == writer) {
             kept = n;
         } else {
-            l1_[sharers_[n].core]->invalidate(region);
-            sharers_[n].next = freeSharer_;
-            freeSharer_ = n;
+            release(n);
         }
         n = next;
     }
     if (kept != npos)
-        sharers_[kept].next = npos;
-    sharerHead_[region] = kept;
-}
-
-bool
-MemoryModel::sharersExact(RegionId region) const
-{
-    std::vector<bool> listed(l1_.size(), false);
-    std::size_t len = 0;
-    for (std::uint32_t n = sharerHead_[region]; n != npos;
-         n = sharers_[n].next) {
-        const sim::CoreId c = sharers_[n].core;
-        if (c >= l1_.size() || listed[c] || !l1_[c]->contains(region))
-            return false;
-        listed[c] = true;
-        ++len;
-    }
-    std::size_t holders = 0;
-    for (const auto &l1 : l1_)
-        holders += l1->contains(region) ? 1 : 0;
-    return holders == len;
+        lines_[kept].sharer = npos;
+    regions_[region].l1 = kept;
 }
 
 void

@@ -58,18 +58,8 @@ Mesh::flitsOf(unsigned bytes) const
 sim::Tick
 Mesh::latencyOf(unsigned h, unsigned flits) const
 {
-    sim::Tick base = static_cast<sim::Tick>(cfg_.routerLatency) * (h + 1)
-                   + static_cast<sim::Tick>(cfg_.linkLatency) * h
-                   + (flits - 1);
-    if (cfg_.congestionWeight > 0.0 && messages_ > 0) {
-        // 4 directed links per node (N/E/S/W); edge links exist but
-        // are simply never traversed.
-        double avgLink = static_cast<double>(flitHops_)
-                       / static_cast<double>(4 * numNodes());
-        base += static_cast<sim::Tick>(cfg_.congestionWeight * avgLink
-                                       / (messages_ + 1));
-    }
-    return base;
+    return static_cast<sim::Tick>(cfg_.routerLatency) * (h + 1)
+         + static_cast<sim::Tick>(cfg_.linkLatency) * h + (flits - 1);
 }
 
 sim::Tick

@@ -8,10 +8,7 @@
  *
  * The model is analytic: a message of S flits from A to B costs
  *   routerLatency * (hops + 1) + linkLatency * hops + (S - 1)
- * cycles (wormhole pipelining). When congestionWeight > 0 it adds
- *   congestionWeight * (flitHops / (4 * nodes)) / (messages + 1)
- * cycles: the mean flit-hops per directed link so far, scaled down by
- * the messages routed so far. Per-link flit counts feed only
+ * cycles (wormhole pipelining). Per-link flit counts feed only
  * linkFlits() and the max_link_flits gauge; latency never reads them.
  */
 
@@ -37,8 +34,6 @@ struct MeshConfig
     unsigned routerLatency = 1; ///< cycles per router traversal
     unsigned linkLatency = 1;   ///< cycles per link traversal
     unsigned flitBytes = 16;    ///< payload bytes per flit
-    /** weight of the congestion penalty term (0 disables). */
-    double congestionWeight = 0.0;
 };
 
 /**

@@ -4,16 +4,16 @@
  *
  * SIM_ASSERT(cond, msg...) verifies an internal invariant at the hot
  * spots the flat-container rewrites made fragile (event-queue (tick,
- * seq) monotonicity, RegionCache slab/index consistency, DMU occupancy
- * accounting, FixedRing bounds). A violated invariant panics with the
- * stringified condition plus the caller-supplied context.
+ * seq) monotonicity, the memory model's recency-list links and cache
+ * occupancy, DMU occupancy accounting, FixedRing bounds). A violated
+ * invariant panics with the stringified condition plus the
+ * caller-supplied context.
  *
  * The checks are compiled only when TDM_INVARIANTS is defined — which
  * the build system does for Debug builds and for every TDM_SANITIZE
- * preset — and compile to nothing in Release, so the micro-bench
- * perf gates never pay for them. Expressions passed as arguments are
- * not evaluated when the checks are off; do not give them side
- * effects.
+ * preset — and compile to nothing in Release, so the perf gates never
+ * pay for them. Expressions passed as arguments are not evaluated
+ * when the checks are off; do not give them side effects.
  *
  * SIM_ASSERT is for *simulator bugs* (broken internal bookkeeping),
  * not user errors: misconfiguration should keep using sim::fatal, and

@@ -28,7 +28,6 @@ class Average
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
-    void reset() { sum_ = 0.0; count_ = 0; }
 
   private:
     double sum_ = 0.0;

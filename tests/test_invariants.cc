@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mem/region_cache.hh"
+#include "mem/memory_model.hh"
 #include "sim/assert.hh"
 #include "sim/event_queue.hh"
 
@@ -82,10 +82,10 @@ struct Counter
 TEST(SimAssert, HotPathInvariantsHoldOnCorrectUsage)
 {
     // Drive the instrumented structures through normal operation: in
-    // armed builds every SIM_ASSERT in the event queue and the region
-    // cache fires on each operation and must stay quiet; in Release
-    // this doubles as a smoke test that instrumentation didn't change
-    // behavior.
+    // armed builds every SIM_ASSERT in the event queue and the memory
+    // model's line table fires on each operation and must stay quiet;
+    // in Release this doubles as a smoke test that instrumentation
+    // didn't change behavior.
     sim::EventQueue eq;
     Counter c;
     for (int i = 0; i < 400; ++i) {
@@ -96,10 +96,17 @@ TEST(SimAssert, HotPathInvariantsHoldOnCorrectUsage)
     eq.run();
     EXPECT_EQ(c.fired, 400);
 
-    mem::RegionCache rc(64 * 1024);
-    for (std::uint64_t i = 0; i < 1000; ++i) {
-        rc.touch(i % 96, 1024);       // hits, misses, LRU evictions
-        rc.touch((i * 31) % 96, 1024);
+    mem::MemConfig cfg;
+    cfg.l1Bytes = 64 * 1024;
+    cfg.l2Bytes = 128 * 1024;
+    mem::MemoryModel mm(cfg, 2);
+    for (std::uint32_t i = 0; i < 1000; ++i) {
+        // Hits, misses and LRU evictions in both levels, and writes
+        // that invalidate the other core's copy.
+        const mem::MemAccess a[] = {{i % 96, 1024, false},
+                                    {(i * 31) % 192, 1024, i % 3 == 0}};
+        mm.taskAccessTime(i % 2, a);
     }
-    EXPECT_GT(rc.misses(), 0u);
+    EXPECT_GT(mm.l1Misses(), 0u);
+    EXPECT_GT(mm.l1Hits(), 0u);
 }

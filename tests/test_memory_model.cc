@@ -2,13 +2,17 @@
  * @file
  * Unit tests for the memory hierarchy model: residency levels,
  * invalidation on writes, the locality effect the Locality scheduler
- * exploits, and a lockstep fuzz of the sharer-directed invalidation
- * against a reference that invalidates every other L1.
+ * exploits, and a lockstep fuzz of the line table against a reference
+ * built from naive list-based LRUs that invalidates every other L1.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <list>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/memory_model.hh"
@@ -99,14 +103,60 @@ TEST(MemoryModel, ZeroByteAccessIsFree)
 
 namespace {
 
+/** Reference LRU over regions bounded by bytes: a std::list of
+ *  (id, bytes) nodes, most recent first, and an iterator map. */
+class NaiveLru
+{
+  public:
+    explicit NaiveLru(std::uint64_t cap) : cap_(cap) {}
+
+    /** @return true if @p id was resident. */
+    bool
+    touch(mem::RegionId id, std::uint64_t bytes)
+    {
+        const bool hit = erase(id);
+        const std::uint64_t eff = std::min(bytes, cap_);
+        while (used_ + eff > cap_ && !lru_.empty()) {
+            used_ -= lru_.back().second;
+            map_.erase(lru_.back().first);
+            lru_.pop_back();
+        }
+        lru_.push_front({id, eff});
+        map_[id] = lru_.begin();
+        used_ += eff;
+        return hit;
+    }
+
+    bool
+    erase(mem::RegionId id)
+    {
+        auto it = map_.find(id);
+        if (it == map_.end())
+            return false;
+        used_ -= it->second->second;
+        lru_.erase(it->second);
+        map_.erase(it);
+        return true;
+    }
+
+    bool contains(mem::RegionId id) const { return map_.count(id) != 0; }
+
+  private:
+    std::uint64_t cap_, used_ = 0;
+    std::list<std::pair<mem::RegionId, std::uint64_t>> lru_;
+    std::unordered_map<
+        mem::RegionId,
+        std::list<std::pair<mem::RegionId, std::uint64_t>>::iterator>
+        map_;
+};
+
 /** Brute-force reference with the broadcast semantics: every write
  *  probes and invalidates the region in all other cores' L1s. */
 class BroadcastModel
 {
   public:
     BroadcastModel(const mem::MemConfig &cfg, unsigned cores)
-        : cfg_(cfg), l1_(cores, mem::RegionCache(cfg.l1Bytes)),
-          l2_(cfg.l2Bytes)
+        : cfg_(cfg), l1_(cores, NaiveLru(cfg.l1Bytes)), l2_(cfg.l2Bytes)
     {
     }
 
@@ -146,7 +196,7 @@ class BroadcastModel
         if (a.write) {
             for (std::size_t c = 0; c < l1_.size(); ++c) {
                 if (c != core)
-                    l1_[c].invalidate(a.region);
+                    l1_[c].erase(a.region);
             }
         }
         return static_cast<sim::Tick>(static_cast<double>(lines)
@@ -162,8 +212,8 @@ class BroadcastModel
 
   private:
     mem::MemConfig cfg_;
-    std::vector<mem::RegionCache> l1_;
-    mem::RegionCache l2_;
+    std::vector<NaiveLru> l1_;
+    NaiveLru l2_;
     std::uint64_t l1Hits_ = 0, l1Misses_ = 0, l2Hits_ = 0, l2Misses_ = 0;
     std::uint64_t l1Line_ = 0, l2Line_ = 0, dramLine_ = 0;
 };
@@ -198,44 +248,70 @@ sameState(const mem::MemoryModel &m, const BroadcastModel &ref,
 
 TEST(MemoryModel, SharerInvalidationMatchesBroadcastFuzz)
 {
-    // A 4 KiB L1 over ~1 KiB regions evicts on almost every miss, and
-    // every eleventh region is larger than the L1, so touching it
-    // evicts everything else. Three in four accesses go to a hot set
-    // of eight regions, so regions gather many sharers before a write
-    // (one access in three) invalidates them.
+    // Two access shapes, each at 4, 17 and 64 cores:
+    //  - mixed: a 4 KiB L1 over ~1 KiB regions evicts on almost every
+    //    miss, and every eleventh region is larger than the L1, so
+    //    touching it evicts everything else. Three in four accesses go
+    //    to a hot set of eight regions, so regions gather many sharers
+    //    before a write (one access in three) invalidates them. One
+    //    access in four re-declares its region's size, so hits shrink
+    //    lines and grow them, evicting others or the whole L1.
+    //  - thrash: a working set twice the L1 (sixteen 512-byte regions)
+    //    swept in order, four sweeps per core before the next core
+    //    takes over, so every L1 access misses and evicts its LRU
+    //    region while writes strip the previous core's copies.
     constexpr unsigned regions = 96;
+    constexpr unsigned thrashRegions = 16;
     constexpr int steps = 6000;
-    for (unsigned cores : {4u, 17u, 64u}) {
-        SCOPED_TRACE(testing::Message() << cores << " cores");
-        mem::MemConfig cfg = smallConfig();
-        mem::MemoryModel m(cfg, cores, regions);
-        BroadcastModel ref(cfg, cores);
+    for (bool thrash : {false, true}) {
+        for (unsigned cores : {4u, 17u, 64u}) {
+            SCOPED_TRACE(testing::Message()
+                         << (thrash ? "thrash, " : "mixed, ") << cores
+                         << " cores");
+            mem::MemConfig cfg = smallConfig();
+            mem::MemoryModel m(cfg, cores, regions);
+            BroadcastModel ref(cfg, cores);
 
-        std::uint64_t rng = 0x5eed0000u + cores;
-        auto next = [&] {
-            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-            return rng >> 33;
-        };
-        std::vector<std::uint64_t> bytes(regions);
-        for (mem::RegionId r = 0; r < regions; ++r)
-            bytes[r] = r % 11 == 5 ? 6 * 1024 : 1 + next() % 2048;
+            std::uint64_t rng = 0x5eed0000u + cores;
+            auto next = [&] {
+                rng = rng * 6364136223846793005ull
+                      + 1442695040888963407ull;
+                return rng >> 33;
+            };
+            std::vector<std::uint64_t> bytes(regions);
+            for (mem::RegionId r = 0; r < regions; ++r) {
+                if (thrash)
+                    bytes[r] = 512;
+                else
+                    bytes[r] = r % 11 == 5 ? 6 * 1024 : 1 + next() % 2048;
+            }
 
-        for (int step = 0; step < steps; ++step) {
-            const std::uint64_t r = next();
-            mem::MemAccess a;
-            a.region = static_cast<mem::RegionId>(
-                (r & 3) ? r % 8 : r % regions);
-            a.bytes = bytes[a.region];
-            a.write = next() % 3 == 0;
-            const auto core = static_cast<sim::CoreId>(next() % cores);
+            for (int step = 0; step < steps; ++step) {
+                mem::MemAccess a;
+                const std::uint64_t r = thrash ? 0 : next();
+                a.region = static_cast<mem::RegionId>(
+                    thrash ? step % thrashRegions
+                           : (r & 3) ? r % 8 : r % regions);
+                if (!thrash && next() % 4 == 0)
+                    bytes[a.region] = 1 + next() % 4096;
+                a.bytes = bytes[a.region];
+                a.write = next() % 3 == 0;
+                const auto core = static_cast<sim::CoreId>(
+                    thrash ? step / (4 * thrashRegions) % cores
+                           : next() % cores);
 
-            ASSERT_EQ(m.taskAccessTime(core, std::span(&a, 1)),
-                      ref.access(core, a))
-                << "step " << step;
-            ASSERT_TRUE(sameState(m, ref, cores, regions))
-                << "step " << step << ": core " << core
-                << (a.write ? " wrote" : " read") << " region "
-                << a.region;
+                ASSERT_EQ(m.taskAccessTime(core, std::span(&a, 1)),
+                          ref.access(core, a))
+                    << "step " << step;
+                ASSERT_TRUE(sameState(m, ref, cores,
+                                      thrash ? thrashRegions : regions))
+                    << "step " << step << ": core " << core
+                    << (a.write ? " wrote" : " read") << " region "
+                    << a.region;
+            }
+            if (thrash) {
+                EXPECT_EQ(m.l1Hits(), 0u);
+            }
         }
     }
 }

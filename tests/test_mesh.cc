@@ -20,7 +20,7 @@ namespace {
 /**
  * Reference mesh accounting: walks every hop of the XY route and bumps
  * the link it leaves on (index node * 4 + dir, dir 0..3 = N/E/S/W), and
- * computes latency from its own running totals.
+ * computes latency from the hop and flit counts.
  */
 struct RefMesh
 {
@@ -58,12 +58,6 @@ struct RefMesh
         sim::Tick lat = static_cast<sim::Tick>(cfg.routerLatency) * (h + 1)
                       + static_cast<sim::Tick>(cfg.linkLatency) * h
                       + (flits - 1);
-        if (cfg.congestionWeight > 0.0 && messages > 0) {
-            double avgLink = static_cast<double>(flitHops)
-                           / static_cast<double>(links.size());
-            lat += static_cast<sim::Tick>(cfg.congestionWeight * avgLink
-                                          / (messages + 1));
-        }
         walkPath(from, to, [&](std::size_t link) {
             links[link] += flits;
             flitHops += flits;
@@ -78,11 +72,10 @@ struct RefMesh
  *  and the reference, mixing transfer and roundTrip, and requires exact
  *  agreement after every message. */
 void
-replayAgainstReference(unsigned width, unsigned height, double congestion)
+replayAgainstReference(unsigned width, unsigned height)
 {
-    SCOPED_TRACE(testing::Message() << width << "x" << height
-                                    << " congestion " << congestion);
-    const noc::MeshConfig cfg{width, height, 2, 1, 16, congestion};
+    SCOPED_TRACE(testing::Message() << width << "x" << height);
+    const noc::MeshConfig cfg{width, height, 2, 1, 16};
     noc::Mesh mesh(cfg);
     RefMesh ref(cfg);
     sim::MetricRegistry reg;
@@ -130,7 +123,7 @@ replayAgainstReference(unsigned width, unsigned height, double congestion)
 
 TEST(Mesh, HopCountIsManhattan)
 {
-    noc::Mesh m(noc::MeshConfig{6, 6, 1, 1, 16, 0.0});
+    noc::Mesh m(noc::MeshConfig{6, 6, 1, 1, 16});
     EXPECT_EQ(m.hops(0, 0), 0u);
     EXPECT_EQ(m.hops(0, 5), 5u);
     EXPECT_EQ(m.hops(0, 35), 10u);
@@ -139,13 +132,13 @@ TEST(Mesh, HopCountIsManhattan)
 
 TEST(Mesh, CenterNode)
 {
-    noc::Mesh m(noc::MeshConfig{6, 6, 1, 1, 16, 0.0});
+    noc::Mesh m(noc::MeshConfig{6, 6, 1, 1, 16});
     EXPECT_EQ(m.centerNode(), 21u); // (3,3)
 }
 
 TEST(Mesh, CoresSkipCenterNode)
 {
-    noc::Mesh m(noc::MeshConfig{6, 6, 1, 1, 16, 0.0});
+    noc::Mesh m(noc::MeshConfig{6, 6, 1, 1, 16});
     noc::NodeId center = m.centerNode();
     for (sim::CoreId c = 0; c < 32; ++c)
         EXPECT_NE(m.nodeOfCore(c), center);
@@ -156,7 +149,7 @@ TEST(Mesh, CoresSkipCenterNode)
 
 TEST(Mesh, LatencyGrowsWithDistanceAndSize)
 {
-    noc::Mesh m(noc::MeshConfig{6, 6, 1, 1, 16, 0.0});
+    noc::Mesh m(noc::MeshConfig{6, 6, 1, 1, 16});
     sim::Tick near = m.latency(0, 1, 16);
     sim::Tick far = m.latency(0, 35, 16);
     EXPECT_GT(far, near);
@@ -167,13 +160,13 @@ TEST(Mesh, LatencyGrowsWithDistanceAndSize)
 
 TEST(Mesh, ZeroHopLatencyIsRouterOnly)
 {
-    noc::Mesh m(noc::MeshConfig{4, 4, 2, 1, 16, 0.0});
+    noc::Mesh m(noc::MeshConfig{4, 4, 2, 1, 16});
     EXPECT_EQ(m.latency(5, 5, 16), 2u);
 }
 
 TEST(Mesh, TransferAccumulatesTraffic)
 {
-    noc::Mesh m(noc::MeshConfig{4, 4, 1, 1, 16, 0.0});
+    noc::Mesh m(noc::MeshConfig{4, 4, 1, 1, 16});
     EXPECT_EQ(m.messages(), 0u);
     m.transfer(0, 3, 16); // 3 hops, 1 flit
     EXPECT_EQ(m.messages(), 1u);
@@ -187,16 +180,6 @@ TEST(Mesh, LinkCountsMatchHopWalkingReference)
 {
     const unsigned shapes[][2] = {{1, 9}, {9, 1}, {1, 1}, {3, 7},
                                   {7, 3}, {6, 6}, {33, 31}};
-    for (const auto &s : shapes) {
-        for (double congestion : {0.0, 3.5, 500.0})
-            replayAgainstReference(s[0], s[1], congestion);
-    }
-}
-
-TEST(Mesh, CongestionTermUsesRunningTotals)
-{
-    noc::Mesh m(noc::MeshConfig{4, 4, 1, 1, 16, 64.0});
-    EXPECT_EQ(m.transfer(0, 3, 16), 7u); // no totals yet: 1*4 + 1*3
-    // 3 flit-hops over 64 links, 1 message: 64 * (3/64) / 2 = 1.5 -> 1.
-    EXPECT_EQ(m.transfer(0, 3, 16), 8u);
+    for (const auto &s : shapes)
+        replayAgainstReference(s[0], s[1]);
 }
