@@ -1,8 +1,5 @@
 #include "driver/campaign/fingerprint.hh"
 
-#include <iomanip>
-#include <sstream>
-
 #include "driver/spec/spec.hh"
 
 namespace tdm::driver::campaign {
@@ -31,10 +28,12 @@ fnv1a64(const std::string &s)
 std::string
 digestOfKey(const std::string &key)
 {
-    std::ostringstream oss;
-    oss << std::hex << std::setw(16) << std::setfill('0')
-        << fnv1a64(key);
-    return oss.str();
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::string out(16, '0');
+    std::uint64_t h = fnv1a64(key);
+    for (std::size_t i = 16; i-- > 0; h >>= 4)
+        out[i] = kHex[h & 0xf];
+    return out;
 }
 
 } // namespace tdm::driver::campaign

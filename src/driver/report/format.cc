@@ -1,0 +1,98 @@
+#include "driver/report/format.hh"
+
+#include <cmath>
+
+namespace tdm::driver::report {
+
+namespace {
+
+void
+appendChars(std::string &out, double v, std::chars_format fmt,
+            int precision)
+{
+    // Room for any %.17g rendering (at most 24 characters) and for
+    // %.*f of DBL_MAX (309 integer digits) with up to 20 decimals.
+    char buf[340];
+    out.append(buf,
+               std::to_chars(buf, buf + sizeof buf, v, fmt, precision).ptr);
+}
+
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    for (const char c : s) {
+        const auto ch = static_cast<unsigned char>(c);
+        switch (ch) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+            if (ch < 0x20) {
+                out += "\\u00";
+                out += kHex[ch >> 4];
+                out += kHex[ch & 0xf];
+            } else {
+                out += c;
+            }
+        }
+    }
+}
+
+} // namespace
+
+Text &
+Text::operator<<(Real r)
+{
+    appendChars(s_, r.v, std::chars_format::general, 17);
+    return *this;
+}
+
+Text &
+Text::operator<<(JsonReal r)
+{
+    if (std::isfinite(r.v))
+        return *this << Real{r.v};
+    return *this << "null";
+}
+
+Text &
+Text::operator<<(FixedReal r)
+{
+    appendChars(s_, r.v, std::chars_format::fixed, r.decimals);
+    return *this;
+}
+
+Text &
+Text::operator<<(JsonEscaped e)
+{
+    appendEscaped(s_, e.s);
+    return *this;
+}
+
+void
+Text::flushTo(std::ostream &os)
+{
+    os.write(s_.data(), static_cast<std::streamsize>(s_.size()));
+    s_.clear();
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    appendEscaped(out, s);
+    return out;
+}
+
+void
+jsonNumber(std::ostream &os, double v)
+{
+    Text t;
+    t << JsonReal{v};
+    t.flushTo(os);
+}
+
+} // namespace tdm::driver::report

@@ -1,26 +1,12 @@
 #include "driver/report/json_writer.hh"
 
-#include <cmath>
-#include <iomanip>
-#include <sstream>
+#include <span>
 #include <type_traits>
 
 namespace tdm::driver::report {
 
 void
-jsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    std::ostringstream oss;
-    oss << std::setprecision(17) << v;
-    os << oss.str();
-}
-
-void
-jsonHeadline(std::ostream &os, const RunSummary &s, const HeadlineField &f)
+jsonHeadline(Text &os, const RunSummary &s, const HeadlineField &f)
 {
     std::visit(
         [&](auto member) {
@@ -28,7 +14,7 @@ jsonHeadline(std::ostream &os, const RunSummary &s, const HeadlineField &f)
             if constexpr (std::is_same_v<T, bool>)
                 os << (s.*member ? "true" : "false");
             else if constexpr (std::is_floating_point_v<T>)
-                jsonNumber(os, s.*member);
+                os << JsonReal{s.*member};
             else
                 os << s.*member;
         },
@@ -37,27 +23,20 @@ jsonHeadline(std::ostream &os, const RunSummary &s, const HeadlineField &f)
 
 namespace {
 
-/** Finite doubles round-trip at max_digits10; non-finite become null. */
 void
-num(std::ostream &os, double v)
-{
-    jsonNumber(os, v);
-}
-
-void
-writeJob(std::ostream &os, const campaign::JobResult &j,
-         const std::string &metrics_pattern, const char *indent)
+writeJob(Text &os, const campaign::JobResult &j,
+         const sim::MetricSelection &selection, const std::string &indent)
 {
     const RunSummary &s = j.summary;
     os << indent << "{\n";
-    os << indent << "  \"label\": \"" << jsonEscape(j.label) << "\",\n";
-    os << indent << "  \"digest\": \"" << jsonEscape(j.digest) << "\",\n";
+    os << indent << "  \"label\": \"" << JsonEscaped{j.label} << "\",\n";
+    os << indent << "  \"digest\": \"" << JsonEscaped{j.digest} << "\",\n";
     os << indent << "  \"spec\": {";
     {
         bool first = true;
         for (const auto &[k, v] : j.spec.entries()) {
             os << (first ? "\n" : ",\n") << indent << "    \""
-               << jsonEscape(k) << "\": \"" << jsonEscape(v) << "\"";
+               << JsonEscaped{k} << "\": \"" << JsonEscaped{v} << "\"";
             first = false;
         }
         if (!first)
@@ -69,11 +48,9 @@ writeJob(std::ostream &os, const campaign::JobResult &j,
     os << indent << "  \"source\": \"" << campaign::jobSourceName(j.source)
        << "\",\n";
     os << indent << "  \"ok\": " << (j.ok() ? "true" : "false") << ",\n";
-    os << indent << "  \"error\": \"" << jsonEscape(j.error) << "\",\n";
-    os << indent << "  \"wall_ms\": ";
-    num(os, j.wallMs);
-    os << ",\n";
-    os << indent << "  \"trace_path\": \"" << jsonEscape(j.tracePath)
+    os << indent << "  \"error\": \"" << JsonEscaped{j.error} << "\",\n";
+    os << indent << "  \"wall_ms\": " << JsonReal{j.wallMs} << ",\n";
+    os << indent << "  \"trace_path\": \"" << JsonEscaped{j.tracePath}
        << "\",\n";
     for (const HeadlineField &f : kHeadlineFields) {
         os << indent << "  \"" << f.name << "\": ";
@@ -85,13 +62,12 @@ writeJob(std::ostream &os, const campaign::JobResult &j,
     // from.
     os << indent << "  \"metrics\": {";
     {
-        const sim::MetricSet selected =
-            s.metrics().select(metrics_pattern);
         bool first = true;
-        for (const auto &[k, v] : selected.entries()) {
+        for (const auto &[k, v] : s.metrics().entries()) {
+            if (!selection.matches(k))
+                continue;
             os << (first ? "\n" : ",\n") << indent << "    \""
-               << jsonEscape(k) << "\": ";
-            num(os, v);
+               << JsonEscaped{k} << "\": " << JsonReal{v};
             first = false;
         }
         if (!first)
@@ -100,76 +76,63 @@ writeJob(std::ostream &os, const campaign::JobResult &j,
     os << "}\n" << indent << "}";
 }
 
+/** Write @p c into @p os, flushing it to @p dest after each job so
+ *  the export never holds more than one job's text. */
 void
-writeCampaign(std::ostream &os, const campaign::CampaignResult &c,
-              const char *indent)
+writeCampaign(std::ostream &dest, Text &os,
+              const campaign::CampaignResult &c, const std::string &indent)
 {
+    const sim::MetricSelection selection(c.metricsPattern);
     os << indent << "{\n";
-    os << indent << "  \"name\": \"" << jsonEscape(c.name) << "\",\n";
+    os << indent << "  \"name\": \"" << JsonEscaped{c.name} << "\",\n";
     os << indent << "  \"threads\": " << c.threads << ",\n";
-    os << indent << "  \"wall_ms\": ";
-    num(os, c.wallMs);
-    os << ",\n";
-    os << indent << "  \"sim_ms_total\": ";
-    num(os, c.simMsTotal);
-    os << ",\n";
+    os << indent << "  \"wall_ms\": " << JsonReal{c.wallMs} << ",\n";
+    os << indent << "  \"sim_ms_total\": " << JsonReal{c.simMsTotal}
+       << ",\n";
     for (const campaign::CampaignTotal &n : campaign::kCampaignTotals)
         os << indent << "  \"" << n.name << "\": " << c.*n.member
            << ",\n";
     os << indent << "  \"failures\": " << c.failures() << ",\n";
     os << indent << "  \"metrics_pattern\": \""
-       << jsonEscape(c.metricsPattern) << "\",\n";
+       << JsonEscaped{c.metricsPattern} << "\",\n";
     os << indent << "  \"jobs\": [\n";
+    const std::string jobIndent = indent + "    ";
     for (std::size_t i = 0; i < c.jobs.size(); ++i) {
-        writeJob(os, c.jobs[i], c.metricsPattern,
-                 (std::string(indent) + "    ").c_str());
+        writeJob(os, c.jobs[i], selection, jobIndent);
         os << (i + 1 < c.jobs.size() ? ",\n" : "\n");
+        os.flushTo(dest);
     }
     os << indent << "  ]\n";
     os << indent << "}";
 }
 
-} // namespace
-
-std::string
-jsonEscape(const std::string &s)
+void
+writeCampaigns(std::ostream &dest,
+               std::span<const campaign::CampaignResult> campaigns)
 {
-    std::ostringstream oss;
-    for (unsigned char ch : s) {
-        switch (ch) {
-        case '"': oss << "\\\""; break;
-        case '\\': oss << "\\\\"; break;
-        case '\n': oss << "\\n"; break;
-        case '\r': oss << "\\r"; break;
-        case '\t': oss << "\\t"; break;
-        default:
-            if (ch < 0x20)
-                oss << "\\u" << std::hex << std::setw(4)
-                    << std::setfill('0') << static_cast<int>(ch)
-                    << std::dec;
-            else
-                oss << ch;
-        }
+    Text os;
+    os << "{\n  \"campaigns\": [\n";
+    for (std::size_t i = 0; i < campaigns.size(); ++i) {
+        writeCampaign(dest, os, campaigns[i], "    ");
+        os << (i + 1 < campaigns.size() ? ",\n" : "\n");
     }
-    return oss.str();
+    os << "  ]\n}\n";
+    os.flushTo(dest);
 }
+
+} // namespace
 
 void
 writeJson(std::ostream &os,
           const std::vector<campaign::CampaignResult> &campaigns)
 {
-    os << "{\n  \"campaigns\": [\n";
-    for (std::size_t i = 0; i < campaigns.size(); ++i) {
-        writeCampaign(os, campaigns[i], "    ");
-        os << (i + 1 < campaigns.size() ? ",\n" : "\n");
-    }
-    os << "  ]\n}\n";
+    writeCampaigns(os, campaigns);
 }
 
 void
 writeJson(std::ostream &os, const campaign::CampaignResult &c)
 {
-    writeJson(os, std::vector<campaign::CampaignResult>{c});
+    writeCampaigns(os, {&c, 1});
 }
 
 } // namespace tdm::driver::report

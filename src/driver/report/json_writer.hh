@@ -9,9 +9,11 @@
 #define TDM_DRIVER_REPORT_JSON_WRITER_HH
 
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "driver/campaign/engine.hh"
+#include "driver/report/format.hh"
 
 namespace tdm::driver::report {
 
@@ -22,24 +24,12 @@ void writeJson(std::ostream &os,
 /** Convenience: a single campaign. */
 void writeJson(std::ostream &os, const campaign::CampaignResult &c);
 
-/** JSON-escape @p s (without surrounding quotes). */
-std::string jsonEscape(const std::string &s);
-
-/**
- * Write @p v as a JSON number: finite doubles round-trip bit-exactly
- * (17 significant digits); non-finite values render as null. The one
- * formatter shared by the file export and the service protocol, so a
- * metric serializes to identical bytes on every path.
- */
-void jsonNumber(std::ostream &os, double v);
-
 /**
  * Write @p s's headline field @p f as a JSON value: flags as
- * true/false, counts as exact integers, reals through jsonNumber.
- * Shared by the file export, the wire and the dashboard.
+ * true/false, counts as exact integers, reals as JsonReal. Shared by
+ * the file export, the wire and the dashboard.
  */
-void jsonHeadline(std::ostream &os, const RunSummary &s,
-                  const HeadlineField &f);
+void jsonHeadline(Text &os, const RunSummary &s, const HeadlineField &f);
 
 } // namespace tdm::driver::report
 

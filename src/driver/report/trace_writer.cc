@@ -1,10 +1,7 @@
 #include "driver/report/trace_writer.hh"
 
-#include <iomanip>
-#include <sstream>
-
 #include "dmu/dmu.hh"
-#include "driver/report/json_writer.hh"
+#include "driver/report/format.hh"
 #include "sim/types.hh"
 
 namespace tdm::driver::report {
@@ -14,14 +11,15 @@ namespace {
 /** Sentinel `a` value of scheduling spans that came back empty. */
 constexpr std::uint32_t noTask = UINT32_MAX;
 
+/** Buffered bytes that trigger a write to the stream. */
+constexpr std::size_t kFlushBytes = 1 << 16;
+
 /** Ticks -> microseconds with sub-cycle resolution preserved
  *  (2 GHz: one tick is 0.0005 us). */
-std::string
+FixedReal
 usOf(sim::Tick t)
 {
-    std::ostringstream oss;
-    oss << std::fixed << std::setprecision(4) << sim::ticksToUs(t);
-    return oss.str();
+    return {sim::ticksToUs(t), 4};
 }
 
 std::uint64_t
@@ -31,8 +29,7 @@ counterValue(const sim::TraceRecord &r)
 }
 
 void
-writeArgs(std::ostream &os, const sim::TraceRecord &r,
-          const TraceMeta &meta)
+writeArgs(Text &os, const sim::TraceRecord &r, const TraceMeta &meta)
 {
     using TP = sim::TracePoint;
     switch (static_cast<TP>(r.point)) {
@@ -80,9 +77,10 @@ writeArgs(std::ostream &os, const sim::TraceRecord &r,
 } // namespace
 
 void
-writeChromeTrace(std::ostream &os, const sim::TraceBuffer &buf,
+writeChromeTrace(std::ostream &dest, const sim::TraceBuffer &buf,
                  const TraceMeta &meta)
 {
+    Text os;
     os << "{\"traceEvents\":[\n";
     bool first = true;
     auto sep = [&] {
@@ -96,7 +94,7 @@ writeChromeTrace(std::ostream &os, const sim::TraceBuffer &buf,
     sep();
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
           "\"args\":{\"name\":\""
-       << jsonEscape(meta.processName) << "\"}}";
+       << JsonEscaped{meta.processName} << "\"}}";
     for (unsigned c = 0; c < meta.numCores; ++c) {
         sep();
         os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
@@ -137,11 +135,14 @@ writeChromeTrace(std::ostream &os, const sim::TraceBuffer &buf,
             break;
         }
         os << "}";
+        if (os.size() >= kFlushBytes)
+            os.flushTo(dest);
     });
 
     os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{"
           "\"clock_ghz\":2,\"records\":"
        << buf.size() << ",\"dropped\":" << buf.dropped() << "}}\n";
+    os.flushTo(dest);
 }
 
 void

@@ -10,9 +10,11 @@
 
 namespace tdm::driver::service {
 
+using report::JsonEscaped;
 using report::jsonEscape;
 using report::jsonHeadline;
 using report::jsonNumber;
+using report::JsonReal;
 
 // ---- registry ------------------------------------------------------------
 
@@ -268,9 +270,9 @@ Dashboard::storeBlobJson(const std::string &digest,
     RunSummary summary;
     if (!store_->loadByDigest(digest, key, summary))
         return false;
-    std::ostringstream os;
-    os << "{\"digest\":\"" << jsonEscape(digest) << "\",\"key\":\""
-       << jsonEscape(key) << '"';
+    report::Text os;
+    os << "{\"digest\":\"" << JsonEscaped{digest} << "\",\"key\":\""
+       << JsonEscaped{key} << '"';
     for (const HeadlineField &f : kHeadlineFields) {
         os << ",\"" << f.name << "\":";
         jsonHeadline(os, summary, f);
@@ -278,8 +280,8 @@ Dashboard::storeBlobJson(const std::string &digest,
     os << ",\"metrics\":{";
     bool first = true;
     for (const auto &[k, v] : summary.metrics().entries()) {
-        os << (first ? "" : ",") << "\"" << jsonEscape(k) << "\":";
-        jsonNumber(os, v);
+        os << (first ? "" : ",") << "\"" << JsonEscaped{k} << "\":"
+           << JsonReal{v};
         first = false;
     }
     os << "}}\n";

@@ -19,8 +19,10 @@ namespace tdm::driver::service {
 
 namespace {
 
+using report::JsonEscaped;
 using report::jsonEscape;
 using report::jsonNumber;
+using report::JsonReal;
 
 /** Recursive-descent reader over one in-memory document. */
 class JsonReader
@@ -418,8 +420,17 @@ parseRequest(const std::string &line, Request &out, std::string &error)
     SubmitRequest &req = out.submit;
     if (const JsonValue *name = root.find("name"))
         req.name = name->asString();
-    if (const JsonValue *metrics = root.find("metrics"))
+    if (const JsonValue *metrics = root.find("metrics")) {
         req.metrics = metrics->asString();
+        // Refuse a malformed selection here, before the campaign runs:
+        // the point events apply it on engine threads.
+        try {
+            const sim::MetricSelection validated(req.metrics);
+        } catch (const sim::MetricError &e) {
+            error = e.what();
+            return false;
+        }
+    }
     if (const JsonValue *set = root.find("set"))
         if (!specEntries(*set, req.set, "set", error))
             return false;
@@ -534,52 +545,42 @@ namespace {
 /** Length of the ,"sum":"<16 hex>"} tail that closes a point event. */
 constexpr std::size_t kSumTail = sizeof(",\"sum\":\"\"}") - 1 + 16;
 
-/** A point event without its closing sum member and brace. */
-std::string
-pointBody(std::uint64_t id, const campaign::JobResult &job,
-          std::size_t index, std::size_t total,
-          const std::string &metrics_pattern)
+} // namespace
+
+void
+writePoint(std::ostream &dest, std::uint64_t id,
+           const campaign::JobResult &job, std::size_t index,
+           std::size_t total, const sim::MetricSelection &selection)
 {
     const RunSummary &s = job.summary;
-    std::ostringstream os;
+    report::Text os;
     os << "{\"event\":\"point\",\"id\":" << id
        << ",\"index\":" << index << ",\"total\":" << total
-       << ",\"label\":\"" << jsonEscape(job.label) << "\",\"digest\":\""
-       << jsonEscape(job.digest) << "\",\"source\":\""
+       << ",\"label\":\"" << JsonEscaped{job.label} << "\",\"digest\":\""
+       << JsonEscaped{job.digest} << "\",\"source\":\""
        << campaign::jobSourceName(job.source) << "\",\"cache_hit\":"
        << (job.cacheHit() ? "true" : "false")
        << ",\"ok\":" << (job.ok() ? "true" : "false")
-       << ",\"error\":\"" << jsonEscape(job.error) << "\",\"wall_ms\":";
-    jsonNumber(os, job.wallMs);
-    os << ",\"done_at_ms\":";
-    jsonNumber(os, job.doneAtMs);
+       << ",\"error\":\"" << JsonEscaped{job.error}
+       << "\",\"wall_ms\":" << JsonReal{job.wallMs}
+       << ",\"done_at_ms\":" << JsonReal{job.doneAtMs};
     for (const HeadlineField &f : kHeadlineFields) {
         os << ",\"" << f.name << "\":";
         report::jsonHeadline(os, s, f);
     }
     os << ",\"metrics\":{";
-    const sim::MetricSet selected =
-        s.metrics().select(metrics_pattern);
     bool first = true;
-    for (const auto &[k, v] : selected.entries()) {
-        os << (first ? "" : ",") << "\"" << jsonEscape(k) << "\":";
-        jsonNumber(os, v);
+    for (const auto &[k, v] : s.metrics().entries()) {
+        if (!selection.matches(k))
+            continue;
+        os << (first ? "" : ",") << "\"" << JsonEscaped{k}
+           << "\":" << JsonReal{v};
         first = false;
     }
     os << "}";
-    return os.str();
-}
-
-} // namespace
-
-void
-writePoint(std::ostream &os, std::uint64_t id,
-           const campaign::JobResult &job, std::size_t index,
-           std::size_t total, const std::string &metrics_pattern)
-{
-    const std::string body =
-        pointBody(id, job, index, total, metrics_pattern);
-    os << body << ",\"sum\":\"" << campaign::digestOfKey(body) << "\"}\n";
+    const std::string sum = campaign::digestOfKey(os.str());
+    os << ",\"sum\":\"" << sum << "\"}\n";
+    os.flushTo(dest);
 }
 
 void

@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "driver/campaign/engine.hh"
+#include "sim/metrics.hh"
 
 namespace tdm::driver::service {
 
@@ -151,11 +152,11 @@ void writeError(std::ostream &os, const std::string &message);
 void writeAccepted(std::ostream &os, std::uint64_t id,
                    const std::string &name, std::size_t points);
 
-/** One streamed per-point result; @p metrics_pattern selects the
- *  exported metric subtree exactly like the file writers. */
+/** One streamed per-point result; @p selection picks the exported
+ *  metrics exactly like the file writers. */
 void writePoint(std::ostream &os, std::uint64_t id,
                 const campaign::JobResult &job, std::size_t index,
-                std::size_t total, const std::string &metrics_pattern);
+                std::size_t total, const sim::MetricSelection &selection);
 
 void writeDone(std::ostream &os, std::uint64_t id,
                const campaign::CampaignResult &result);

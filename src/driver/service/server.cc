@@ -121,8 +121,10 @@ void
 CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
 {
     campaign::Campaign c;
+    sim::MetricSelection selection;
     try {
         c = buildCampaign(req);
+        selection = sim::MetricSelection(c.metrics);
     } catch (const std::exception &e) {
         std::ostringstream out;
         writeError(out, e.what());
@@ -162,7 +164,7 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
             if (!sendOk && !registry_)
                 return;
             std::ostringstream out;
-            writePoint(out, id, job, index, total, c.metrics);
+            writePoint(out, id, job, index, total, selection);
             emit(out, [&](CampaignRegistry &r, const std::string &line) {
                 r.point(id, job, index, line);
             });

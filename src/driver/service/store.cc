@@ -1,17 +1,16 @@
 #include "driver/service/store.hh"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
 #include <unistd.h>
 
 #include "driver/campaign/fingerprint.hh"
+#include "driver/report/format.hh"
 #include "sim/logging.hh"
 
 namespace fs = std::filesystem;
@@ -23,14 +22,33 @@ namespace {
 constexpr const char *kMagic = "tdmstore";
 constexpr unsigned kFormatVersion = 1;
 
-/** Hex digest of a blob payload (everything between header and sum). */
+/** The first line of every blob of @p schema_version. */
 std::string
-payloadSum(const std::string &payload)
+headerLine(unsigned schema_version)
 {
-    char digest[17];
-    std::snprintf(digest, sizeof digest, "%016" PRIx64,
-                  campaign::fnv1a64(payload));
-    return digest;
+    return std::string(kMagic) + ' ' + std::to_string(kFormatVersion)
+         + " schema " + std::to_string(schema_version);
+}
+
+/** The whole blob: header, payload, the payload's checksum, end. */
+std::string
+renderBlob(const std::string &key, const RunSummary &summary,
+           unsigned schema_version)
+{
+    // The payload (everything between the header and the checksum
+    // line) is built separately so the checksum can cover it. 17
+    // significant digits parse back bit-exactly, and "inf"/"nan"
+    // survive the round-trip through strtod.
+    report::Text payload;
+    payload << "key " << key << '\n';
+    const sim::MetricSet &m = summary.metrics();
+    payload << "metrics " << m.size() << '\n';
+    for (const auto &[k, v] : m.entries())
+        payload << "m " << k << ' ' << report::Real{v} << '\n';
+
+    const std::string &body = payload.str();
+    return headerLine(schema_version) + '\n' + body + "sum "
+         + campaign::digestOfKey(body) + "\nend\n";
 }
 
 } // namespace
@@ -39,23 +57,8 @@ void
 writeSummaryBlob(std::ostream &os, const std::string &key,
                  const RunSummary &summary, unsigned schema_version)
 {
-    // The payload (everything between the header and the checksum
-    // line) is built separately so the checksum can cover it. 17
-    // significant digits parse back bit-exactly, and "inf"/"nan"
-    // survive the round-trip through strtod.
-    std::ostringstream payload;
-    payload << std::setprecision(17);
-    payload << "key " << key << '\n';
-    const sim::MetricSet &m = summary.metrics();
-    payload << "metrics " << m.size() << '\n';
-    for (const auto &[k, v] : m.entries())
-        payload << "m " << k << ' ' << v << '\n';
-
-    const std::string body = payload.str();
-    os << kMagic << ' ' << kFormatVersion << " schema "
-       << schema_version << '\n'
-       << body << "sum " << payloadSum(body) << '\n'
-       << "end\n";
+    const std::string blob = renderBlob(key, summary, schema_version);
+    os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
 }
 
 bool
@@ -63,17 +66,8 @@ readSummaryBlob(std::istream &is, std::string &key_out,
                 RunSummary &summary_out, unsigned schema_version)
 {
     std::string line;
-    if (!std::getline(is, line))
+    if (!std::getline(is, line) || line != headerLine(schema_version))
         return false;
-    {
-        std::istringstream header(line);
-        std::string magic, schemaWord;
-        unsigned format = 0, schema = 0;
-        if (!(header >> magic >> format >> schemaWord >> schema) ||
-            magic != kMagic || format != kFormatVersion ||
-            schemaWord != "schema" || schema != schema_version)
-            return false;
-    }
 
     // key <key>: the remainder of the line, spaces included.
     std::string body;
@@ -83,35 +77,39 @@ readSummaryBlob(std::istream &is, std::string &key_out,
     const std::string key = line.substr(4);
     body += line + '\n';
 
+    // metrics <count>
     std::size_t count = 0;
-    {
-        if (!std::getline(is, line))
-            return false;
-        std::istringstream ls(line);
-        std::string tag;
-        if (!(ls >> tag >> count) || tag != "metrics")
-            return false;
-        body += line + '\n';
-    }
+    if (!std::getline(is, line) || line.rfind("metrics ", 0) != 0)
+        return false;
+    const char *const end = line.data() + line.size();
+    if (const std::from_chars_result r =
+            std::from_chars(line.data() + 8, end, count);
+        r.ec != std::errc() || r.ptr != end)
+        return false;
+    body += line + '\n';
 
+    // m <name> <value>, one per metric: the name ends at the first
+    // whitespace; strtod must consume the whole rest of the line.
     sim::MetricSet metrics;
     for (std::size_t i = 0; i < count; ++i) {
         if (!std::getline(is, line))
             return false;
         body += line + '\n';
-        std::istringstream ls(line);
-        std::string tag, name, value;
-        if (!(ls >> tag >> name >> value) || tag != "m")
+        const std::size_t nameEnd = line.find_first_of(" \t\n\v\f\r", 2);
+        if (line.rfind("m ", 0) != 0 || nameEnd == 2
+            || nameEnd == std::string::npos)
             return false;
+        const char *value = line.c_str() + nameEnd + 1;
         char *endp = nullptr;
-        const double v = std::strtod(value.c_str(), &endp);
-        if (endp == value.c_str() || *endp)
+        const double v = std::strtod(value, &endp);
+        if (endp == value || *endp)
             return false;
-        metrics.set(name, v);
+        metrics.set(line.substr(2, nameEnd - 2), v);
     }
 
-    if (!std::getline(is, line) || line != "sum " + payloadSum(body) ||
-        !std::getline(is, line) || line != "end")
+    if (!std::getline(is, line)
+        || line != "sum " + campaign::digestOfKey(body)
+        || !std::getline(is, line) || line != "end")
         return false;
     std::optional<RunSummary> s = summaryOf(std::move(metrics));
     if (!s)
@@ -227,9 +225,7 @@ ResultStore::publish(const std::string &key, const RunSummary &summary)
     // Render first so the on-disk byte size is known for the stats
     // accounting (and a serialization problem never leaves a torn
     // temp file).
-    std::ostringstream blob;
-    writeSummaryBlob(blob, key, summary, schemaVersion_);
-    const std::string bytes = blob.str();
+    const std::string bytes = renderBlob(key, summary, schemaVersion_);
     {
         std::ofstream out(tmpPath,
                           std::ios::binary | std::ios::trunc);

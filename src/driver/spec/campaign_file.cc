@@ -144,7 +144,7 @@ parseCampaignFile(std::istream &in, const std::string &origin)
             try {
                 // Validate glob tokens now; matching is deferred until
                 // export, when the run's tree exists.
-                sim::MetricSet::parsePatterns(value);
+                const sim::MetricSelection validated(value);
             } catch (const sim::MetricError &e) {
                 fail(origin, startLine, e.what());
             }

@@ -42,8 +42,11 @@ MetricSet::get(const std::string &key, double dflt) const
     return it == map_.end() ? dflt : it->second;
 }
 
+namespace {
+
+/** Glob match of one @p pattern against @p key. */
 bool
-MetricSet::globMatch(const std::string &pattern, const std::string &key)
+globMatch(const std::string &pattern, const std::string &key)
 {
     // Iterative glob with single-star backtracking: '*' matches any
     // run of characters (dots included, so "dmu.*" covers the whole
@@ -70,10 +73,12 @@ MetricSet::globMatch(const std::string &pattern, const std::string &key)
     return p == pattern.size();
 }
 
-std::vector<std::string>
-MetricSet::parsePatterns(const std::string &patterns)
+} // namespace
+
+MetricSelection::MetricSelection(const std::string &patterns)
 {
-    std::vector<std::string> out;
+    if (patterns.empty())
+        return;
     std::size_t pos = 0;
     for (;;) {
         const std::size_t next = patterns.find(',', pos);
@@ -84,30 +89,22 @@ MetricSet::parsePatterns(const std::string &patterns)
         if (tok.empty())
             throw MetricError("empty glob in metric selection '"
                               + patterns + "'");
-        out.push_back(tok);
+        globs_.push_back(std::move(tok));
         if (next == std::string::npos)
             break;
         pos = next + 1;
     }
-    return out;
 }
 
-MetricSet
-MetricSet::select(const std::string &patterns) const
+bool
+MetricSelection::matches(const std::string &key) const
 {
-    if (patterns.empty())
-        return *this;
-    const std::vector<std::string> globs = parsePatterns(patterns);
-    MetricSet out;
-    for (const auto &[k, v] : map_) {
-        for (const std::string &g : globs) {
-            if (globMatch(g, k)) {
-                out.set(k, v);
-                break;
-            }
-        }
-    }
-    return out;
+    if (globs_.empty())
+        return true;
+    for (const std::string &g : globs_)
+        if (globMatch(g, key))
+            return true;
+    return false;
 }
 
 // ---------------------------------------------------------------------

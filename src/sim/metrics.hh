@@ -25,8 +25,9 @@
  *                 ratios.
  *
  * A MetricSet is the flat, exportable key→value view (what RunSummary,
- * the result cache and the JSON/CSV writers carry); select() filters
- * it with comma-separated glob patterns ("dmu.*,mesh.*").
+ * the result cache and the JSON/CSV writers carry); a MetricSelection
+ * picks keys from it with comma-separated glob patterns
+ * ("dmu.*,mesh.*").
  */
 
 #ifndef TDM_SIM_METRICS_HH
@@ -83,25 +84,31 @@ class MetricSet
 
     const std::map<std::string, double> &entries() const { return map_; }
 
-    /**
-     * Subset matching @p patterns: comma-separated globs over full
-     * dotted keys ('*' crosses dots, so "dmu.*" selects the whole
-     * subtree). An empty pattern selects everything. Throws
-     * MetricError on an empty glob token.
-     */
-    MetricSet select(const std::string &patterns) const;
-
-    /** Glob match of one @p pattern ('*' any run, '?' any char)
-     *  against @p key. */
-    static bool globMatch(const std::string &pattern,
-                          const std::string &key);
-
-    /** Parse a comma-separated pattern list (validates tokens). */
-    static std::vector<std::string>
-    parsePatterns(const std::string &patterns);
-
   private:
     std::map<std::string, double> map_;
+};
+
+/**
+ * A parsed metric selection: comma-separated globs over full dotted
+ * keys ('*' any run of characters, dots included, so "dmu.*" selects
+ * the whole subtree; '?' any one character). The empty pattern
+ * selects everything. Parse once per campaign; the writers then walk
+ * MetricSet::entries() and skip the keys that do not match.
+ */
+class MetricSelection
+{
+  public:
+    /** Selects every key. */
+    MetricSelection() = default;
+
+    /** Parse @p patterns; throws MetricError on an empty glob token. */
+    explicit MetricSelection(const std::string &patterns);
+
+    /** Whether @p key is selected. */
+    bool matches(const std::string &key) const;
+
+  private:
+    std::vector<std::string> globs_; ///< empty: select everything
 };
 
 class MetricRegistry;

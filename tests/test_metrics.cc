@@ -114,31 +114,38 @@ TEST(MetricSet, AtThrowsGetDefaults)
     EXPECT_THROW(s.at("dmu.acesses"), sim::MetricError);
 }
 
-TEST(MetricSet, GlobMatching)
+TEST(MetricSelection, GlobMatching)
 {
-    using MS = sim::MetricSet;
-    EXPECT_TRUE(MS::globMatch("dmu.*", "dmu.tat.hits"));
-    EXPECT_TRUE(MS::globMatch("*", "anything.at.all"));
-    EXPECT_TRUE(MS::globMatch("*.hits", "dmu.tat.hits"));
-    EXPECT_TRUE(MS::globMatch("dmu.?at.hits", "dmu.tat.hits"));
-    EXPECT_FALSE(MS::globMatch("dmu.*", "mesh.latency"));
-    EXPECT_FALSE(MS::globMatch("dmu", "dmu.tat.hits"));
+    auto matches = [](const char *glob, const char *key) {
+        return sim::MetricSelection(glob).matches(key);
+    };
+    EXPECT_TRUE(matches("dmu.*", "dmu.tat.hits"));
+    EXPECT_TRUE(matches("*", "anything.at.all"));
+    EXPECT_TRUE(matches("*.hits", "dmu.tat.hits"));
+    EXPECT_TRUE(matches("dmu.?at.hits", "dmu.tat.hits"));
+    EXPECT_FALSE(matches("dmu.*", "mesh.latency"));
+    EXPECT_FALSE(matches("dmu", "dmu.tat.hits"));
 }
 
-TEST(MetricSet, SelectFiltersByCommaGlobs)
+TEST(MetricSelection, CommaGlobsSelectKeys)
 {
-    Rig r;
-    const sim::MetricSet all = r.reg.values();
-    const sim::MetricSet sel = all.select("dmu.tat.*, mesh.occupancy");
-    EXPECT_TRUE(sel.contains("dmu.tat.hits"));
-    EXPECT_TRUE(sel.contains("dmu.tat.hit_rate"));
-    EXPECT_TRUE(sel.contains("mesh.occupancy"));
-    EXPECT_FALSE(sel.contains("dmu.accesses"));
-    EXPECT_FALSE(sel.contains("mesh.latency.mean"));
+    const sim::MetricSelection sel("dmu.tat.*, mesh.occupancy");
+    EXPECT_TRUE(sel.matches("dmu.tat.hits"));
+    EXPECT_TRUE(sel.matches("dmu.tat.hit_rate"));
+    EXPECT_TRUE(sel.matches("mesh.occupancy"));
+    EXPECT_FALSE(sel.matches("dmu.accesses"));
+    EXPECT_FALSE(sel.matches("mesh.latency.mean"));
 
     // Empty pattern = everything; empty token = hard error.
-    EXPECT_EQ(all.select("").size(), all.size());
-    EXPECT_THROW(all.select("dmu.*,,mesh.*"), sim::MetricError);
+    Rig r;
+    const sim::MetricSet all = r.reg.values();
+    for (const auto &[k, v] : all.entries()) {
+        EXPECT_TRUE(sim::MetricSelection("").matches(k)) << k;
+        EXPECT_TRUE(sim::MetricSelection().matches(k)) << k;
+    }
+    EXPECT_THROW(sim::MetricSelection("dmu.*,,mesh.*"), sim::MetricError);
+    EXPECT_THROW(sim::MetricSelection(" , dmu.*"), sim::MetricError);
+    EXPECT_THROW(sim::MetricSelection("dmu.*,"), sim::MetricError);
 }
 
 TEST(MetricRegistry, WindowDeltasCountersAndMeans)

@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include "driver/campaign/fingerprint.hh"
 #include "driver/service/store.hh"
 
 using namespace tdm;
@@ -139,6 +140,51 @@ TEST(ResultStoreBlob, TruncatedOrTamperedBlobRejected)
     // Garbage from byte zero.
     std::istringstream garbage("these are not the blobs\nyou seek\n");
     EXPECT_FALSE(service::readSummaryBlob(garbage, key, out, 2));
+}
+
+TEST(ResultStoreBlob, MalformedLinesAreRejectedUnderAValidSum)
+{
+    // The checksum catches damage; these lines are rejected by the
+    // parser itself, with a sum that matches their bytes.
+    auto blob = [](const std::string &payload) {
+        return "tdmstore 1 schema 2\n" + payload + "sum "
+             + campaign::digestOfKey(payload) + "\nend\n";
+    };
+    auto accepts = [](const std::string &bytes) {
+        std::istringstream is(bytes);
+        std::string key;
+        RunSummary out;
+        return service::readSummaryBlob(is, key, out, 2);
+    };
+    const std::string key = "key " + kKey + "\n";
+    ASSERT_TRUE(accepts(blob(key + "metrics 1\nm dmu.accesses 5\n")));
+    ASSERT_TRUE(accepts(blob(key + "metrics 1\nm dmu.tat.hits -inf\n")));
+    for (const std::string &payload : {
+             key + "metrics 1\n",                          // too few
+             key + "metrics 1\nm dmu.accesses\n",         // no value
+             key + "metrics 1\nm dmu.accesses 5x\n",      // junk
+             key + "metrics 1\nm dmu.accesses \n",        // empty
+             key + "metrics 1\nx dmu.accesses 5\n",       // tag
+             key + "metrics 1\nm dmu.accesses 5 6\n",     // two values
+             key + "metrics 1\nm dmu.a\tx 5\n",          // name space
+             key + "metrics x\nm dmu.accesses 5\n",       // count
+             key + "metrics -1\nm dmu.accesses 5\n",      // negative
+             key + "metrics \nm dmu.accesses 5\n",        // no count
+             key + "metrics 99999999999999999999999\n",    // overflow
+             key + "metric 1\nm dmu.accesses 5\n",        // tag
+             std::string("key \nmetrics 0\n"),             // empty key
+         })
+        EXPECT_FALSE(accepts(blob(payload))) << payload;
+    // A wrong magic, format or schema in the header.
+    for (const char *header :
+         {"tdmstorx 1 schema 2\n", "tdmstore 2 schema 2\n",
+          "tdmstore 1 schemata 2\n", "tdmstore 1 schema 3\n"}) {
+        const std::string payload = key + "metrics 0\n";
+        EXPECT_FALSE(accepts(std::string(header) + payload + "sum "
+                             + campaign::digestOfKey(payload)
+                             + "\nend\n"))
+            << header;
+    }
 }
 
 TEST(ResultStoreBlob, HeadlineMetricThatDoesNotFitIsRejected)

@@ -120,6 +120,13 @@ TEST(ServiceProtocol, RejectsInvalidRequests)
          }) {
         EXPECT_FALSE(svc::parseRequest(bad, req, err)) << bad;
     }
+    // A malformed metric selection is refused with the parser's
+    // message, before any point could apply it.
+    EXPECT_FALSE(svc::parseRequest(
+        R"({"op":"submit","metrics":"dmu.*,,mesh.*",)"
+        R"("points":[{"spec":{}}]})",
+        req, err));
+    EXPECT_NE(err.find("empty glob"), std::string::npos) << err;
 }
 
 TEST(ServiceProtocol, PointEventRoundTrips)
@@ -137,7 +144,7 @@ TEST(ServiceProtocol, PointEventRoundTrips)
     job.summary.machine.metrics.set("machine.time_ms", 0.1 + 0.2);
 
     std::ostringstream os;
-    svc::writePoint(os, 7, job, 2, 5, "*");
+    svc::writePoint(os, 7, job, 2, 5, sim::MetricSelection("*"));
     std::string line = os.str();
     ASSERT_EQ(line.back(), '\n');
     line.pop_back();
@@ -194,7 +201,7 @@ TEST(ServiceProtocol, AbortedPointsReportTheirOwnNumbers)
         ASSERT_NE(metrics, nullptr);
 
         std::ostringstream wire;
-        svc::writePoint(wire, 1, job, i, rep.jobs.size(), "");
+        svc::writePoint(wire, 1, job, i, rep.jobs.size(), sim::MetricSelection());
         std::string line = wire.str();
         line.pop_back();
         campaign::JobResult decoded;
@@ -367,6 +374,36 @@ TEST(ServiceServer, OutOfRangeSpecValueIsAnErrorEvent)
     EXPECT_NE(line.find("\"event\":\"error\""), std::string::npos)
         << line;
     EXPECT_NE(line.find("mesh.flit_bytes"), std::string::npos) << line;
+    ASSERT_TRUE(raw.sendAll("{\"op\":\"ping\"}\n"));
+    ASSERT_TRUE(raw.readLine(line));
+    EXPECT_NE(line.find("\"event\":\"pong\""), std::string::npos)
+        << line;
+}
+
+TEST(ServiceServer, MalformedMetricSelectionIsAnErrorEvent)
+{
+    // The point events apply the selection on engine threads, where a
+    // parse error used to escape the engine's callback and abort the
+    // daemon. Both ways of naming a selection (the request's "metrics"
+    // member and a campaign body's metrics directive) are refused
+    // with an error event, and the daemon keeps serving.
+    ServerFixture fx("");
+    svc::Socket raw = svc::connectTo(svc::parseAddress(fx.address()));
+    std::string line;
+    for (const char *submit : {
+             R"({"op":"submit","metrics":"dmu.*,,mesh.*",)"
+             R"("points":[{"spec":{"runtime":"tdm"}}]})"
+             "\n",
+             R"({"op":"submit","campaign":)"
+             R"("metrics = dmu.*,,mesh.*\naxis machine.cores = 8\n"})"
+             "\n",
+         }) {
+        ASSERT_TRUE(raw.sendAll(submit));
+        ASSERT_TRUE(raw.readLine(line));
+        EXPECT_NE(line.find("\"event\":\"error\""), std::string::npos)
+            << line;
+        EXPECT_NE(line.find("empty glob"), std::string::npos) << line;
+    }
     ASSERT_TRUE(raw.sendAll("{\"op\":\"ping\"}\n"));
     ASSERT_TRUE(raw.readLine(line));
     EXPECT_NE(line.find("\"event\":\"pong\""), std::string::npos)

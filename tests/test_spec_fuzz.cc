@@ -342,7 +342,7 @@ TEST(RecordFuzz, MutatedPointEventsAreRejectedOrExact)
 {
     const campaign::JobResult &job = goldenJob();
     std::ostringstream os;
-    service::writePoint(os, 3, job, 5, 9, "");
+    service::writePoint(os, 3, job, 5, 9, tdm::sim::MetricSelection());
     std::string line = os.str();
     line.pop_back(); // the reader strips the newline
 

@@ -15,7 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <streambuf>
+
 #include "driver/experiment.hh"
+#include "driver/graph_cache.hh"
+#include "driver/report/trace_writer.hh"
 #include "sim/trace.hh"
 
 using namespace tdm;
@@ -49,6 +55,41 @@ const Golden goldens[] = {
 
 class TracedGolden : public ::testing::TestWithParam<Golden>
 {};
+
+/** An output sink that keeps only the FNV-1a digest of its bytes, so a
+ *  large trace is pinned without holding it in memory. */
+class Fnv1aSink : public std::streambuf
+{
+  public:
+    std::uint64_t digest() const { return h_; }
+    std::uint64_t bytes() const { return n_; }
+
+  protected:
+    int_type
+    overflow(int_type ch) override
+    {
+        if (ch != traits_type::eof()) {
+            const char c = traits_type::to_char_type(ch);
+            xsputn(&c, 1);
+        }
+        return ch;
+    }
+
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        for (std::streamsize i = 0; i < n; ++i) {
+            h_ ^= static_cast<unsigned char>(s[i]);
+            h_ *= 0x100000001b3ull;
+        }
+        n_ += static_cast<std::uint64_t>(n);
+        return n;
+    }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+    std::uint64_t n_ = 0;
+};
 
 } // namespace
 
@@ -97,4 +138,31 @@ TEST(TracedGolden, ReferencePointPinsEventCountAndDigest)
     EXPECT_EQ(tb.dropped(), 0u);
     EXPECT_EQ(tb.size(), 510791ull);
     EXPECT_EQ(tb.digest(), 15356664645439498864ull);
+}
+
+TEST(TracedGolden, ReferencePointChromeTraceBytes)
+{
+    // The same reference point, written as Chrome trace JSON the way
+    // tdm_run --trace writes it: pins the trace writer's timestamp and
+    // argument formatting byte for byte.
+    driver::Experiment e;
+    e.workload = "cholesky";
+    e.runtime = core::RuntimeType::Tdm;
+    e.config.scheduler = "fifo";
+    e.config.trace.categories = sim::traceCatAll;
+
+    const auto graph = driver::buildGraph(e);
+    sim::TraceBuffer tb;
+    driver::RunSummary s = driver::run(e, graph, &tb);
+    ASSERT_TRUE(s.completed);
+
+    driver::report::TraceMeta meta;
+    meta.processName = "cholesky on tdm+fifo";
+    meta.numCores = e.config.numCores;
+    meta.graph = graph.get();
+    Fnv1aSink sink;
+    std::ostream os(&sink);
+    driver::report::writeChromeTrace(os, tb, meta);
+    EXPECT_EQ(sink.bytes(), 53271728ull);
+    EXPECT_EQ(sink.digest(), 1972227709973540875ull);
 }

@@ -165,8 +165,7 @@ run(int argc, char **argv)
             metrics_pattern = need(i);
             metrics_set = true;
             try {
-                if (!metrics_pattern.empty())
-                    sim::MetricSet::parsePatterns(metrics_pattern);
+                const sim::MetricSelection validated(metrics_pattern);
             } catch (const sim::MetricError &e) {
                 std::cerr << "--metrics: " << e.what() << "\n";
                 return 2;
