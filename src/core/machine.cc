@@ -53,6 +53,11 @@ Machine::Machine(const cpu::MachineConfig &cfg,
         tracker_.emplace(graph_);
     } else {
         dmu_.emplace(cfg_.dmu);
+        dmuRoutes_.reserve(cfg_.numCores);
+        for (sim::CoreId c = 0; c < cfg_.numCores; ++c)
+            dmuRoutes_.push_back(mesh_.route(mesh_.nodeOfCore(c),
+                                             mesh_.centerNode(),
+                                             cfg_.dmuMsgBytes));
     }
 
     switch (traits_.sched) {
@@ -209,10 +214,7 @@ Machine::dmuOpDone(sim::CoreId core, unsigned accesses)
         tbuf_.counter(TP::DmuDlaUsed, t, dmu_->dla().entriesInUse());
         tbuf_.counter(TP::DmuRlaUsed, t, dmu_->rla().entriesInUse());
     }
-    noc::NodeId from = mesh_.nodeOfCore(core);
-    noc::NodeId dmu_node = mesh_.centerNode();
-    noc::Mesh::RoundTrip rt =
-        mesh_.roundTrip(from, dmu_node, cfg_.dmuMsgBytes);
+    const noc::Mesh::RoundTrip rt = mesh_.roundTrip(dmuRoutes_[core]);
     if (tbuf_.on(sim::TraceCat::Noc)) {
         tbuf_.instant(sim::TracePoint::NocRoundTrip,
                       static_cast<std::uint16_t>(core), eq_.now(),

@@ -284,6 +284,8 @@ class Machine
     std::optional<rt::SoftwareTracker> tracker_;
     std::optional<rt::ReadyPool> pool_;
     std::optional<dmu::Dmu> dmu_;
+    /** Per core, the mesh route of its DMU messages (TDM runtimes). */
+    std::vector<noc::Mesh::Route> dmuRoutes_;
     std::optional<hw::HwTaskQueues> hwq_;
 
     cpu::SerialResource lock_; ///< the runtime's global lock

@@ -13,48 +13,21 @@ AliasTable::AliasTable(std::string name, unsigned entries, unsigned assoc,
     if (entries == 0 || assoc == 0 || entries % assoc != 0)
         sim::fatal("alias table ", name_, ": bad geometry ", entries, "/",
                    assoc);
+    if (entries > invalidHwId)
+        sim::fatal("alias table ", name_, ": ", entries,
+                   " entries exceed the 16-bit id space (max ",
+                   invalidHwId, ")");
     numSets_ = entries / assoc;
     if (!sim::isPowerOf2(numSets_))
         sim::fatal("alias table ", name_, ": sets must be a power of two");
-    ways_.assign(entries_, Way{});
+    addr_.assign(entries_, 0);
+    pid_.assign(entries_, 0);
+    id_.assign(entries_, invalidHwId);
+    wayOfId_.assign(entries_, 0);
     setLive_.assign(numSets_, 0);
     freeIds_.reset(entries_);
     for (unsigned i = 0; i < entries_; ++i)
         freeIds_.push_back(static_cast<std::uint16_t>(i));
-}
-
-unsigned
-AliasTable::setOf(std::uint64_t addr, std::uint64_t size_bytes) const
-{
-    unsigned start = dynamicIndex_
-        ? (size_bytes > 1 ? sim::floorLog2(size_bytes) : 0)
-        : staticBit_;
-    return static_cast<unsigned>((addr >> start) & (numSets_ - 1));
-}
-
-std::optional<std::uint16_t>
-AliasTable::lookup(std::uint64_t addr, std::uint64_t size_bytes,
-                   std::uint32_t pid)
-{
-    ++lookups_;
-    unsigned set = setOf(addr, size_bytes);
-    Way *base = &ways_[static_cast<std::size_t>(set) * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].addr == addr && base[w].pid == pid) {
-            ++hits_;
-            return base[w].id;
-        }
-    }
-    return std::nullopt;
-}
-
-bool
-AliasTable::canInsert(std::uint64_t addr, std::uint64_t size_bytes) const
-{
-    if (freeIds_.empty())
-        return false;
-    unsigned set = setOf(addr, size_bytes);
-    return setLive_[set] < assoc_;
 }
 
 AliasTable::InsertResult
@@ -63,15 +36,15 @@ AliasTable::insert(std::uint64_t addr, std::uint64_t size_bytes,
 {
     if (freeIds_.empty())
         return {AliasInsertStatus::NoFreeId, invalidHwId};
-    unsigned set = setOf(addr, size_bytes);
-    Way *base = &ways_[static_cast<std::size_t>(set) * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (!base[w].valid) {
-            std::uint16_t id = freeIds_.pop_front();
-            base[w].valid = true;
-            base[w].addr = addr;
-            base[w].pid = pid;
-            base[w].id = id;
+    const unsigned set = setOf(addr, size_bytes);
+    const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+    for (std::size_t w = base; w < base + assoc_; ++w) {
+        if (id_[w] == invalidHwId) {
+            const std::uint16_t id = freeIds_.pop_front();
+            addr_[w] = addr;
+            pid_[w] = pid;
+            id_[w] = id;
+            wayOfId_[id] = static_cast<std::uint16_t>(w);
             if (setLive_[set] == 0)
                 ++occupiedSets_;
             ++setLive_[set];
@@ -87,23 +60,17 @@ AliasTable::insert(std::uint64_t addr, std::uint64_t size_bytes,
 }
 
 void
-AliasTable::erase(std::uint64_t addr, std::uint64_t size_bytes,
-                  std::uint32_t pid)
+AliasTable::erase(std::uint16_t id)
 {
-    unsigned set = setOf(addr, size_bytes);
-    Way *base = &ways_[static_cast<std::size_t>(set) * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].addr == addr && base[w].pid == pid) {
-            base[w].valid = false;
-            freeIds_.push_back(base[w].id);
-            --setLive_[set];
-            if (setLive_[set] == 0)
-                --occupiedSets_;
-            --live_;
-            return;
-        }
-    }
-    sim::panic("alias table ", name_, ": erase of absent address ", addr);
+    if (id >= entries_ || id_[wayOfId_[id]] != id)
+        sim::panic("alias table ", name_, ": erase of absent id ", id);
+    const std::uint16_t w = wayOfId_[id];
+    id_[w] = invalidHwId;
+    freeIds_.push_back(id);
+    const unsigned set = w / assoc_;
+    if (--setLive_[set] == 0)
+        --occupiedSets_;
+    --live_;
 }
 
 unsigned

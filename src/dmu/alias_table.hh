@@ -24,6 +24,7 @@
 #include "dmu/geometry.hh"
 #include "sim/fixed_ring.hh"
 #include "sim/metrics.hh"
+#include "sim/types.hh"
 
 namespace tdm::dmu {
 
@@ -43,7 +44,8 @@ class AliasTable
   public:
     /**
      * @param name        stats name ("tat"/"dat")
-     * @param entries     total entries (sets x ways); power of two
+     * @param entries     total entries (sets x ways), at most 65535
+     *                    (internal ids are 16 bits, all-ones invalid)
      * @param assoc       ways per set
      * @param dynamic_index use log2(size) as the index start bit
      * @param static_bit  index start bit when not dynamic
@@ -58,9 +60,22 @@ class AliasTable
      *            processes use the DMU concurrently without
      *            saving/restoring its structures at context switches).
      */
-    std::optional<std::uint16_t> lookup(std::uint64_t addr,
-                                        std::uint64_t size_bytes,
-                                        std::uint32_t pid = 0);
+    std::optional<std::uint16_t>
+    lookup(std::uint64_t addr, std::uint64_t size_bytes,
+           std::uint32_t pid = 0)
+    {
+        ++lookups_;
+        const std::size_t base =
+            static_cast<std::size_t>(setOf(addr, size_bytes)) * assoc_;
+        for (std::size_t w = base; w < base + assoc_; ++w) {
+            if (addr_[w] == addr && id_[w] != invalidHwId
+                && pid_[w] == pid) {
+                ++hits_;
+                return id_[w];
+            }
+        }
+        return std::nullopt;
+    }
 
     struct InsertResult
     {
@@ -72,12 +87,17 @@ class AliasTable
     InsertResult insert(std::uint64_t addr, std::uint64_t size_bytes,
                         std::uint32_t pid = 0);
 
-    /** Remove a translation and recycle its id. */
-    void erase(std::uint64_t addr, std::uint64_t size_bytes,
-               std::uint32_t pid = 0);
+    /** Remove the live translation holding internal id @p id and
+     *  recycle the id. */
+    void erase(std::uint16_t id);
 
     /** Would an insert of this address succeed right now? */
-    bool canInsert(std::uint64_t addr, std::uint64_t size_bytes) const;
+    bool
+    canInsert(std::uint64_t addr, std::uint64_t size_bytes) const
+    {
+        return !freeIds_.empty()
+               && setLive_[setOf(addr, size_bytes)] < assoc_;
+    }
 
     /** Number of live translations. */
     unsigned liveEntries() const { return live_; }
@@ -99,15 +119,14 @@ class AliasTable
     void regMetrics(sim::MetricContext ctx);
 
   private:
-    unsigned setOf(std::uint64_t addr, std::uint64_t size_bytes) const;
-
-    struct Way
+    unsigned
+    setOf(std::uint64_t addr, std::uint64_t size_bytes) const
     {
-        std::uint64_t addr = 0;
-        std::uint32_t pid = 0;
-        std::uint16_t id = invalidHwId;
-        bool valid = false;
-    };
+        const unsigned start = dynamicIndex_
+            ? (size_bytes > 1 ? sim::floorLog2(size_bytes) : 0)
+            : staticBit_;
+        return static_cast<unsigned>((addr >> start) & (numSets_ - 1));
+    }
 
     std::string name_;
     unsigned entries_;
@@ -116,7 +135,13 @@ class AliasTable
     bool dynamicIndex_;
     unsigned staticBit_;
 
-    std::vector<Way> ways_;
+    /** Way tags as parallel arrays, set-major (set * assoc + way); a
+     *  free way holds id invalidHwId. */
+    std::vector<std::uint64_t> addr_;
+    std::vector<std::uint32_t> pid_;
+    std::vector<std::uint16_t> id_;
+    /** Way holding each live internal id, so erase needs no set scan. */
+    std::vector<std::uint16_t> wayOfId_;
     std::vector<unsigned> setLive_; // valid ways per set
     unsigned occupiedSets_ = 0;    // sets with >= 1 valid way
     /** Free internal ids, recycled in FIFO order (fixed ring: id

@@ -69,7 +69,8 @@ Dmu::Dmu(const DmuConfig &cfg)
       sla_("sla", cfg.slaEntries, cfg.elemsPerEntry),
       dla_("dla", cfg.dlaEntries, cfg.elemsPerEntry),
       rla_("rla", cfg.rlaEntries, cfg.elemsPerEntry),
-      readyQueue_(cfg.readyQueueEntries)
+      readyQueue_(cfg.readyQueueEntries),
+      readyBuf_(cfg.taskTableEntries())
 {
     if (cfg.readyQueueEntries == 0)
         sim::fatal("ready queue capacity must be nonzero");
@@ -83,6 +84,16 @@ Dmu::blocked(BlockReason reason)
     res.blocked = true;
     res.reason = reason;
     return res;
+}
+
+void
+Dmu::makeReady(TaskHwId id, std::uint64_t desc_addr)
+{
+    if (readyQueue_.full())
+        sim::panic("DMU: ready queue overflow");
+    readyQueue_.push_back(id);
+    touch(Sram::ReadyQueue);
+    readyBuf_[readyLen_++] = desc_addr;
 }
 
 TaskHwId
@@ -209,10 +220,7 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
             sim::panic("DMU: DAT insert failed after capacity check");
         dep_id = static_cast<DepHwId>(ins.id);
         ListHead readers = rla_.allocList();
-        depTable_.init(dep_id, DepEntry{.readerList = readers,
-                                        .addr = dep_addr,
-                                        .size = size_bytes,
-                                        .pid = pid});
+        depTable_.init(dep_id, DepEntry{.readerList = readers});
         touch(Sram::Dat);      // DAT write
         touch(Sram::Rla);      // RLA alloc
         touch(Sram::DepTable); // DepTable init
@@ -249,23 +257,20 @@ Dmu::addDependence(std::uint64_t desc_addr, std::uint64_t dep_addr,
     } else {
         // Output: order after every reader (WAR), then become the
         // last writer.
-        std::vector<std::uint16_t> &readers = scratchIds_;
-        readers.clear();
+        // The walk pushes to successor lists only, never to the RLA
+        // it walks, so it runs in place.
         touch(Sram::Rla, rla_.forEach(dep.readerList, [&](std::uint16_t r) {
-            readers.push_back(r);
-        }));
-        for (std::uint16_t r : readers) {
             if (r == task_id)
-                continue;
+                return;
             TaskEntry &reader = taskTable_[static_cast<TaskHwId>(r)];
-            acc = 0;
-            if (!sla_.push(reader.succList, task_id, acc))
+            unsigned sla_acc = 0;
+            if (!sla_.push(reader.succList, task_id, sla_acc))
                 sim::panic("DMU: SLA push failed after capacity check");
-            touch(Sram::Sla, acc);
+            touch(Sram::Sla, sla_acc);
             ++reader.succCount;
             ++task.predCount;
             touch(Sram::TaskTable, 2);
-        }
+        }));
         touch(Sram::Rla, rla_.clear(dep.readerList));
         dep.lastWriter = task_id;
         touch(Sram::DepTable); // DepTable write
@@ -281,6 +286,7 @@ Dmu::commitTask(std::uint64_t desc_addr, std::uint32_t pid)
 {
     DmuResult res;
     ++statOps_;
+    readyLen_ = 0;
     const std::uint64_t before = counts_.total();
     TaskHwId task_id = requireTask(desc_addr, pid);
     TaskEntry &task = taskTable_[task_id];
@@ -289,14 +295,10 @@ Dmu::commitTask(std::uint64_t desc_addr, std::uint32_t pid)
         sim::panic("DMU: double commit of descriptor 0x", std::hex,
                    desc_addr);
     task.committed = true;
-    if (task.predCount == 0) {
-        if (readyQueue_.full())
-            sim::panic("DMU: ready queue overflow");
-        readyQueue_.push_back(task_id);
-        touch(Sram::ReadyQueue);
-        res.readyDescAddrs.push_back(task.descAddr);
-    }
+    if (task.predCount == 0)
+        makeReady(task_id, task.descAddr);
     res.accesses = accessesSince(before);
+    res.readyDescAddrs = {readyBuf_.data(), readyLen_};
     return res;
 }
 
@@ -305,6 +307,7 @@ Dmu::finishTask(std::uint64_t desc_addr, std::uint32_t pid)
 {
     DmuResult res;
     ++statOps_;
+    readyLen_ = 0;
     const std::uint64_t before = counts_.total();
 
     TaskHwId task_id = requireTask(desc_addr, pid);
@@ -312,37 +315,23 @@ Dmu::finishTask(std::uint64_t desc_addr, std::uint32_t pid)
     touch(Sram::TaskTable); // Task Table read
 
     // ---- Wake up successors (Algorithm 2, first loop). ----
-    std::vector<std::uint16_t> &succs = scratchIds_;
-    succs.clear();
+    // Neither loop mutates the list it walks (the first the SLA, the
+    // second the DLA), so both walk in place.
     touch(Sram::Sla, sla_.forEach(task.succList, [&](std::uint16_t s) {
-        succs.push_back(s);
-    }));
-    for (std::uint16_t s : succs) {
         TaskEntry &succ = taskTable_[static_cast<TaskHwId>(s)];
         if (succ.predCount == 0)
             sim::panic("DMU: predecessor underflow on task id ", s);
         --succ.predCount;
         touch(Sram::TaskTable);
-        if (succ.predCount == 0 && succ.committed) {
-            if (readyQueue_.full())
-                sim::panic("DMU: ready queue overflow");
-            readyQueue_.push_back(static_cast<TaskHwId>(s));
-            touch(Sram::ReadyQueue);
-            res.readyDescAddrs.push_back(succ.descAddr);
-        }
-    }
+        if (succ.predCount == 0 && succ.committed)
+            makeReady(static_cast<TaskHwId>(s), succ.descAddr);
+    }));
 
     // ---- Detach from dependences (Algorithm 2, second loop). ----
-    // Reuses the scratch buffer: the successor loop above is done.
-    std::vector<std::uint16_t> &deps = scratchIds_;
-    deps.clear();
     touch(Sram::Dla, dla_.forEach(task.depList, [&](std::uint16_t d) {
-        deps.push_back(d);
-    }));
-    for (std::uint16_t d : deps) {
         DepHwId dep_id = static_cast<DepHwId>(d);
         if (!depTable_[dep_id].valid)
-            continue; // already freed via an earlier duplicate entry
+            return; // already freed via an earlier duplicate entry
         DepEntry &dep = depTable_[dep_id];
         touch(Sram::DepTable); // DepTable read
         touch(Sram::Rla, rla_.remove(dep.readerList, task_id));
@@ -354,20 +343,21 @@ Dmu::finishTask(std::uint64_t desc_addr, std::uint32_t pid)
             touch(Sram::Rla, rla_.freeList(dep.readerList));
             depTable_.free(dep_id);
             touch(Sram::DepTable);
-            dat_.erase(dep.addr, dep.size, dep.pid);
+            dat_.erase(dep_id); // the DAT issued dep_id
             touch(Sram::Dat);
         }
-    }
+    }));
 
     // ---- Free the task's own resources. ----
     touch(Sram::Sla, sla_.freeList(task.succList));
     touch(Sram::Dla, dla_.freeList(task.depList));
     taskTable_.free(task_id);
     touch(Sram::TaskTable);
-    tat_.erase(desc_addr, descIndexBytes, pid);
+    tat_.erase(task_id); // the TAT issued task_id
     touch(Sram::Tat);
 
     res.accesses = accessesSince(before);
+    res.readyDescAddrs = {readyBuf_.data(), readyLen_};
     checkOccupancy(*this);
     return res;
 }

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,17 +64,6 @@ struct DepEntry
 {
     TaskHwId lastWriter = invalidHwId; ///< all-ones = invalid
     ListHead readerList = invalidHwId;
-
-    /**
-     * DAT key (address, size, process tag) of the dependence, needed
-     * to invalidate its DAT translation on cleanup. A hardware DMU
-     * keeps the address in the DAT entry itself, where sramSpecs()
-     * accounts its bits; the copy here is a modelling convenience, not
-     * extra storage.
-     */
-    std::uint64_t addr = 0;
-    std::uint64_t size = 0;
-    std::uint32_t pid = 0;
     bool valid = false;
 
     bool hasWriter() const { return lastWriter != invalidHwId; }
@@ -189,8 +179,12 @@ struct DmuResult
     BlockReason reason = BlockReason::None;
     unsigned accesses = 0;
 
-    /** Tasks whose predecessor count reached zero (finish_task). */
-    std::vector<std::uint64_t> readyDescAddrs;
+    /**
+     * Descriptors of the tasks this operation moved into the Ready
+     * Queue (commit_task, finish_task). A view of a buffer the Dmu
+     * reuses: it stays valid until the next operation on the same Dmu.
+     */
+    std::span<const std::uint64_t> readyDescAddrs;
 };
 
 /** Payload of get_ready_task. */
@@ -286,6 +280,10 @@ class Dmu
 
     TaskHwId requireTask(std::uint64_t desc_addr, std::uint32_t pid);
 
+    /** Enqueue @p id on the Ready Queue and record its descriptor in
+     *  readyBuf_ (the op's DmuResult::readyDescAddrs). */
+    void makeReady(TaskHwId id, std::uint64_t desc_addr);
+
     AliasTable tat_;
     AliasTable dat_;
     EntryTable<TaskEntry> taskTable_;
@@ -303,12 +301,12 @@ class Dmu
     std::uint64_t blockedOps_ = 0;
 
     /**
-     * Reusable scratch buffer for hardware-id list snapshots taken
-     * during add_dependence / finish_task list walks. Hoisted out of
-     * the per-operation hot path so steady-state DMU traffic performs
-     * no heap allocation (the simulator's, not the modelled DMU's).
+     * Backing store of DmuResult::readyDescAddrs: one op readies each
+     * task at most once, so Task Table capacity bounds it and it never
+     * reallocates; readyLen_ counts the current op's entries.
      */
-    std::vector<std::uint16_t> scratchIds_;
+    std::vector<std::uint64_t> readyBuf_;
+    std::size_t readyLen_ = 0;
 
     /**
      * Reusable (list head, push count) scratch for add_dependence's

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-
 namespace tdm::dmu {
 
 ListArray::ListArray(std::string name, unsigned entries,
@@ -12,104 +10,22 @@ ListArray::ListArray(std::string name, unsigned entries,
 {
     if (entries_ == 0 || elemsPer_ == 0)
         sim::fatal("list array ", name_, ": bad geometry");
+    if (entries_ > invalidHwId || elemsPer_ > invalidHwId)
+        sim::fatal("list array ", name_, ": ", entries_, " entries of ",
+                   elemsPer_, " elements exceed the 16-bit id space (max ",
+                   invalidHwId, " each)");
     slots_.assign(static_cast<std::size_t>(entries_) * elemsPer_,
                   invalidHwId);
-    next_.resize(entries_);
-    allocated_.assign(entries_, 0);
+    meta_.resize(entries_);
     freeEntries_.reset(entries_);
-    for (unsigned i = 0; i < entries_; ++i) {
-        next_[i] = static_cast<std::uint16_t>(i);
+    for (unsigned i = 0; i < entries_; ++i)
         freeEntries_.push_back(static_cast<std::uint16_t>(i));
-    }
-}
-
-void
-ListArray::resetEntry(std::uint16_t entry)
-{
-    std::uint16_t *s = slotsOf(entry);
-    std::fill(s, s + elemsPer_, invalidHwId);
-    next_[entry] = entry;
 }
 
 ListHead
 ListArray::allocList()
 {
-    if (freeEntries_.empty())
-        return invalidHwId;
-    std::uint16_t e = freeEntries_.pop_front();
-    allocated_[e] = 1;
-    resetEntry(e);
-    ++inUse_;
-    return e;
-}
-
-bool
-ListArray::pushNeedsEntry(ListHead head) const
-{
-    return tailFreeSlots(head) == 0;
-}
-
-unsigned
-ListArray::tailFreeSlots(ListHead head) const
-{
-    std::uint16_t cur = head;
-    while (next_[cur] != cur)
-        cur = next_[cur];
-    const std::uint16_t *tail = slotsOf(cur);
-    unsigned free = 0;
-    for (unsigned i = 0; i < elemsPer_; ++i)
-        if (tail[i] == invalidHwId)
-            ++free;
-    return free;
-}
-
-unsigned
-ListArray::entriesNeededFor(ListHead head, unsigned pushes) const
-{
-    unsigned free = tailFreeSlots(head);
-    if (pushes <= free)
-        return 0;
-    return (pushes - free + elemsPer_ - 1) / elemsPer_;
-}
-
-bool
-ListArray::push(ListHead head, std::uint16_t value, unsigned &accesses)
-{
-    if (head == invalidHwId || !allocated_[head])
-        sim::panic("list array ", name_, ": push to invalid list");
-    // Walk to the tail; one SRAM access per chain entry.
-    std::uint16_t cur = head;
-    ++accesses;
-    while (next_[cur] != cur) {
-        cur = next_[cur];
-        ++accesses;
-    }
-    std::uint16_t *tail = slotsOf(cur);
-    for (unsigned i = 0; i < elemsPer_; ++i) {
-        if (tail[i] == invalidHwId) {
-            tail[i] = value;
-            return true; // write folded into the tail access
-        }
-    }
-    // Need a continuation entry.
-    if (freeEntries_.empty())
-        return false;
-    std::uint16_t e = freeEntries_.pop_front();
-    allocated_[e] = 1;
-    resetEntry(e);
-    slotsOf(e)[0] = value;
-    next_[cur] = e;
-    ++inUse_;
-    ++accesses; // write of the new entry
-    return true;
-}
-
-unsigned
-ListArray::size(ListHead head) const
-{
-    unsigned n = 0;
-    forEach(head, [&](std::uint16_t) { ++n; });
-    return n;
+    return freeEntries_.empty() ? invalidHwId : takeEntry();
 }
 
 unsigned
@@ -117,6 +33,8 @@ ListArray::remove(ListHead head, std::uint16_t value)
 {
     if (head == invalidHwId)
         return 0;
+    if (value == invalidHwId)
+        sim::panic("list array ", name_, ": remove of the invalid id");
     unsigned accesses = 0;
     std::uint16_t cur = head;
     while (true) {
@@ -125,12 +43,15 @@ ListArray::remove(ListHead head, std::uint16_t value)
         for (unsigned i = 0; i < elemsPer_; ++i) {
             if (s[i] == value) {
                 s[i] = invalidHwId;
+                --meta_[cur].live;
+                --meta_[head].count;
+                checkList(head);
                 return accesses;
             }
         }
-        if (next_[cur] == cur)
+        if (meta_[cur].next == cur)
             break;
-        cur = next_[cur];
+        cur = meta_[cur].next;
     }
     return accesses;
 }
@@ -141,13 +62,13 @@ ListArray::clear(ListHead head)
     if (head == invalidHwId)
         return 0;
     unsigned accesses = 1;
-    std::uint16_t cur = next_[head];
+    std::uint16_t cur = meta_[head].next;
     // Free continuation entries.
     while (cur != head) {
-        std::uint16_t next = next_[cur];
+        std::uint16_t next = meta_[cur].next;
         bool last = next == cur;
-        allocated_[cur] = 0;
-        next_[cur] = cur;
+        meta_[cur].allocated = false;
+        meta_[cur].next = cur;
         freeEntries_.push_back(cur);
         --inUse_;
         ++accesses;
@@ -157,7 +78,8 @@ ListArray::clear(ListHead head)
     }
     std::uint16_t *s = slotsOf(head);
     std::fill(s, s + elemsPer_, invalidHwId);
-    next_[head] = head;
+    meta_[head] = Meta{.next = head, .tail = head, .allocated = true};
+    checkList(head);
     return accesses;
 }
 
@@ -167,10 +89,40 @@ ListArray::freeList(ListHead head)
     if (head == invalidHwId)
         return 0;
     unsigned accesses = clear(head);
-    allocated_[head] = 0;
+    meta_[head].allocated = false;
     freeEntries_.push_back(head);
     --inUse_;
     return accesses;
 }
+
+#if SIM_INVARIANTS_ENABLED
+void
+ListArray::checkList(ListHead head) const
+{
+    std::uint16_t cur = head;
+    unsigned len = 1, count = 0;
+    while (true) {
+        unsigned live = 0;
+        const std::uint16_t *s = slotsOf(cur);
+        for (unsigned i = 0; i < elemsPer_; ++i)
+            live += s[i] != invalidHwId;
+        SIM_ASSERT(live == meta_[cur].live, name_, " entry ", cur,
+                   " holds ", live, " elements, metadata says ",
+                   meta_[cur].live);
+        count += live;
+        if (meta_[cur].next == cur)
+            break;
+        cur = meta_[cur].next;
+        ++len;
+    }
+    const Meta &list = meta_[head];
+    SIM_ASSERT(cur == list.tail, name_, " list ", head, " ends at ", cur,
+               ", metadata says ", list.tail);
+    SIM_ASSERT(len == list.chainLen, name_, " list ", head, " chains ",
+               len, " entries, metadata says ", list.chainLen);
+    SIM_ASSERT(count == list.count, name_, " list ", head, " holds ",
+               count, " elements, metadata says ", list.count);
+}
+#endif
 
 } // namespace tdm::dmu

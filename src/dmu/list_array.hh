@@ -12,10 +12,15 @@
  * would make, which the DMU converts into cycles.
  *
  * Storage mirrors the modelled SRAM: one contiguous slot slab (entries
- * x elems-per-entry) plus parallel next/allocated arrays, with a fixed
- * ring recycling free entries in FIFO order. List walks visit
- * consecutive memory and alloc/free never touch the heap — this is on
- * the DMU's per-operation hot path. forEach is a template so walk
+ * x elems-per-entry) plus one record per entry holding its Next
+ * pointer, with a fixed ring recycling free entries in FIFO order. The
+ * record also keeps the entry's live-slot count and, for a list's head
+ * entry, the list's tail entry, chain length and element count. A
+ * push therefore reports the accesses of its walk to the tail (the
+ * chain length) without taking it, and size / pushNeedsEntry /
+ * tailFreeSlots / entriesNeededFor are O(1). This is the DMU's
+ * per-operation hot path, so those members are inline here and
+ * alloc/free never touch the heap. forEach is a template so walk
  * callbacks inline instead of paying a std::function dispatch per
  * chained entry.
  */
@@ -28,7 +33,9 @@
 #include <vector>
 
 #include "dmu/geometry.hh"
+#include "sim/assert.hh"
 #include "sim/fixed_ring.hh"
+#include "sim/logging.hh"
 
 namespace tdm::dmu {
 
@@ -41,6 +48,8 @@ using ListHead = std::uint16_t;
 class ListArray
 {
   public:
+    /** Entries and elems_per_entry must lie in [1, 65535]: entry ids
+     *  are 16 bits and all-ones is the invalid id. */
     ListArray(std::string name, unsigned entries, unsigned elems_per_entry);
 
     /** Allocate an empty list. @return head entry, or invalidHwId. */
@@ -51,23 +60,69 @@ class ListArray
 
     /**
      * Append @p value to the list at @p head.
-     * @param accesses incremented by the SRAM accesses performed.
+     * @param accesses incremented by the SRAM accesses performed: the
+     *        chain length, plus one when a continuation entry is added.
      * @return false if a continuation entry was needed but none is free
      *         (no state change in that case).
      */
-    bool push(ListHead head, std::uint16_t value, unsigned &accesses);
+    bool
+    push(ListHead head, std::uint16_t value, unsigned &accesses)
+    {
+        if (head >= entries_ || !meta_[head].allocated
+            || value == invalidHwId)
+            sim::panic("list array ", name_, ": bad push to list ", head);
+        Meta &list = meta_[head];
+        // A hardware push walks the chain to the tail: one access per
+        // entry, the write folded into the tail access.
+        accesses += list.chainLen;
+        std::uint16_t tail = list.tail;
+        if (meta_[tail].live == elemsPer_) {
+            // Need a continuation entry.
+            if (freeEntries_.empty())
+                return false;
+            const std::uint16_t e = takeEntry();
+            meta_[tail].next = e;
+            list.tail = tail = e;
+            ++list.chainLen;
+            ++accesses; // write of the new entry
+        }
+        std::uint16_t *s = slotsOf(tail);
+        unsigned i = 0;
+        while (s[i] != invalidHwId)
+            ++i;
+        s[i] = value;
+        ++meta_[tail].live;
+        ++list.count;
+        checkList(head);
+        return true;
+    }
 
     /** Would push() need a new continuation entry? */
-    bool pushNeedsEntry(ListHead head) const;
+    bool
+    pushNeedsEntry(ListHead head) const
+    {
+        return meta_[meta_[head].tail].live == elemsPer_;
+    }
 
     /** Free element slots in the tail entry (push fills these first). */
-    unsigned tailFreeSlots(ListHead head) const;
+    unsigned
+    tailFreeSlots(ListHead head) const
+    {
+        return elemsPer_ - meta_[meta_[head].tail].live;
+    }
 
     /**
      * Continuation entries @p pushes consecutive push() calls on this
      * list would allocate, given the current tail occupancy.
      */
-    unsigned entriesNeededFor(ListHead head, unsigned pushes) const;
+    unsigned
+    entriesNeededFor(ListHead head, unsigned pushes) const
+    {
+        const unsigned free = tailFreeSlots(head);
+        if (pushes <= free)
+            return 0;
+        return (pushes - free + elemsPer_ - 1) / elemsPer_;
+    }
 
     /** Visit each element in order; returns SRAM accesses. */
     template <typename Fn>
@@ -84,15 +139,15 @@ class ListArray
             for (unsigned i = 0; i < elemsPer_; ++i)
                 if (slots[i] != invalidHwId)
                     fn(slots[i]);
-            if (next_[cur] == cur)
+            if (meta_[cur].next == cur)
                 break;
-            cur = next_[cur];
+            cur = meta_[cur].next;
         }
         return accesses;
     }
 
     /** Number of elements in the list. */
-    unsigned size(ListHead head) const;
+    unsigned size(ListHead head) const { return meta_[head].count; }
 
     /**
      * Remove the first occurrence of @p value.
@@ -126,14 +181,45 @@ class ListArray
                + static_cast<std::size_t>(entry) * elemsPer_;
     }
 
-    void resetEntry(std::uint16_t entry);
+    /** Pop a free entry and make it an empty one-entry list. */
+    std::uint16_t
+    takeEntry()
+    {
+        const std::uint16_t e = freeEntries_.pop_front();
+        std::uint16_t *s = slotsOf(e);
+        for (unsigned i = 0; i < elemsPer_; ++i)
+            s[i] = invalidHwId;
+        meta_[e] = Meta{.next = e, .tail = e, .allocated = true};
+        ++inUse_;
+        return e;
+    }
+
+#if SIM_INVARIANTS_ENABLED
+    /** Re-derive @p head's tail, chain length and count by walking. */
+    void checkList(ListHead head) const;
+#else
+    void checkList(ListHead) const {}
+#endif
 
     std::string name_;
     unsigned entries_;
     unsigned elemsPer_;
+    /** Everything but the slots of one entry, in one 16-byte record
+     *  so an operation touches one line per entry. The list fields are
+     *  meaningful on a list's head entry only. */
+    struct Meta
+    {
+        std::uint16_t next = 0;     ///< == own index: end of chain
+        std::uint16_t live = 0;     ///< valid slots in this entry
+        std::uint16_t tail = 0;     ///< list: last entry of the chain
+        std::uint16_t chainLen = 1; ///< list: entries in the chain
+        std::uint32_t count = 0;    ///< list: elements (< 2^32)
+        bool allocated = false;
+    };
+
     std::vector<std::uint16_t> slots_; ///< entries_ x elemsPer_ slab
-    std::vector<std::uint16_t> next_;  ///< == own index: end of chain
-    std::vector<std::uint8_t> allocated_;
+    std::vector<Meta> meta_;
+
     sim::FixedRing<std::uint16_t> freeEntries_;
     unsigned inUse_ = 0;
 };

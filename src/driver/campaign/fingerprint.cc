@@ -15,7 +15,7 @@ canonicalConfig(const Experiment &exp)
 }
 
 std::uint64_t
-fnv1a64(const std::string &s)
+fnv1a64(std::string_view s)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (unsigned char ch : s) {
@@ -26,7 +26,7 @@ fnv1a64(const std::string &s)
 }
 
 std::string
-digestOfKey(const std::string &key)
+digestOfKey(std::string_view key)
 {
     static constexpr char kHex[] = "0123456789abcdef";
     std::string out(16, '0');

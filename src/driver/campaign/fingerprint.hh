@@ -14,6 +14,7 @@
 #define TDM_DRIVER_CAMPAIGN_FINGERPRINT_HH
 
 #include <string>
+#include <string_view>
 
 #include "driver/experiment.hh"
 #include "sim/config.hh"
@@ -32,10 +33,10 @@ namespace tdm::driver::campaign {
 sim::Config canonicalConfig(const Experiment &exp);
 
 /** Zero-padded 16-char hex digest of a cache key (FNV-1a 64-bit). */
-std::string digestOfKey(const std::string &key);
+std::string digestOfKey(std::string_view key);
 
 /** FNV-1a 64-bit hash of an arbitrary string. */
-std::uint64_t fnv1a64(const std::string &s);
+std::uint64_t fnv1a64(std::string_view s);
 
 } // namespace tdm::driver::campaign
 

@@ -674,7 +674,7 @@ decodePointEvent(const std::string &line, campaign::JobResult &job,
     if (line.size() < kSumTail)
         return false;
     const std::size_t bodyLen = line.size() - kSumTail;
-    const std::string body = line.substr(0, bodyLen);
+    const std::string_view body(line.data(), bodyLen);
     if (line.compare(bodyLen, std::string::npos,
                      ",\"sum\":\"" + campaign::digestOfKey(body) + "\"}")
         != 0)

@@ -48,18 +48,30 @@ lookupRuntime(const std::string &name, core::RuntimeType &out)
     return false;
 }
 
+/** What a uint key bounded by [@p min, @p max] expects, in words. */
+std::string
+uintRange(std::uint64_t min, std::uint64_t max)
+{
+    if (max != std::numeric_limits<std::uint64_t>::max())
+        return "an integer in [" + std::to_string(min) + ", "
+             + std::to_string(max) + "]";
+    return min == 0 ? "a nonnegative integer"
+                    : "an integer >= " + std::to_string(min);
+}
+
 /**
  * Binding builders. Each takes an accessor lambda
  * (Experiment&) -> Field& so one helper covers every integer width;
  * the getter reuses it through a const_cast (it never mutates).
- * @p min is the smallest value the setter accepts: a value that would
- * divide by zero or reach a component's sim::fatal is a SpecError
- * (which the service answers with an error event) before any point
- * runs.
+ * @p min and @p max bound the values the setter accepts: a value that
+ * would divide by zero or reach a component's sim::fatal is a
+ * SpecError (which the service answers with an error event) before
+ * any point runs.
  */
 template <typename Acc>
 Binding
-uintKey(const char *key, const char *doc, Acc acc, std::uint64_t min = 0)
+uintKey(const char *key, const char *doc, Acc acc, std::uint64_t min = 0,
+        std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     using Field = std::remove_reference_t<decltype(acc(
         std::declval<Experiment &>()))>;
@@ -71,13 +83,11 @@ uintKey(const char *key, const char *doc, Acc acc, std::uint64_t min = 0)
         return std::to_string(static_cast<std::uint64_t>(
             acc(const_cast<Experiment &>(e))));
     };
-    b.set = [acc, min, key = std::string(key)](Experiment &e,
-                                               const std::string &v) {
+    b.set = [acc, min, max, key = std::string(key)](Experiment &e,
+                                                    const std::string &v) {
         std::uint64_t u = 0;
-        if (!sim::Config::tryParseUint(v, u) || u < min)
-            badKeyValue(key, v,
-                        min == 0 ? "a nonnegative integer"
-                                 : "an integer >= " + std::to_string(min));
+        if (!sim::Config::tryParseUint(v, u) || u < min || u > max)
+            badKeyValue(key, v, uintRange(min, max));
         const Field f = static_cast<Field>(u);
         if (static_cast<std::uint64_t>(f) != u)
             badKeyValue(key, v,
@@ -305,22 +315,30 @@ buildRegistry()
     U("mesh.flit_bytes", "payload bytes per flit",
       [](E &e) -> unsigned & { return e.config.mesh.flitBytes; }, 1);
 
+    // Internal ids and list entries are 16 bits with all-ones invalid.
+    constexpr std::uint64_t maxHwIds = dmu::invalidHwId;
     U("dmu.tat_entries", "Task Alias Table entries",
-      [](E &e) -> unsigned & { return e.config.dmu.tatEntries; }, 1);
+      [](E &e) -> unsigned & { return e.config.dmu.tatEntries; }, 1,
+      maxHwIds);
     U("dmu.tat_assoc", "TAT associativity",
       [](E &e) -> unsigned & { return e.config.dmu.tatAssoc; }, 1);
     U("dmu.dat_entries", "Dependence Alias Table entries",
-      [](E &e) -> unsigned & { return e.config.dmu.datEntries; }, 1);
+      [](E &e) -> unsigned & { return e.config.dmu.datEntries; }, 1,
+      maxHwIds);
     U("dmu.dat_assoc", "DAT associativity",
       [](E &e) -> unsigned & { return e.config.dmu.datAssoc; }, 1);
     U("dmu.sla_entries", "successor list array entries",
-      [](E &e) -> unsigned & { return e.config.dmu.slaEntries; }, 1);
+      [](E &e) -> unsigned & { return e.config.dmu.slaEntries; }, 1,
+      maxHwIds);
     U("dmu.dla_entries", "dependence list array entries",
-      [](E &e) -> unsigned & { return e.config.dmu.dlaEntries; }, 1);
+      [](E &e) -> unsigned & { return e.config.dmu.dlaEntries; }, 1,
+      maxHwIds);
     U("dmu.rla_entries", "reader list array entries",
-      [](E &e) -> unsigned & { return e.config.dmu.rlaEntries; }, 1);
+      [](E &e) -> unsigned & { return e.config.dmu.rlaEntries; }, 1,
+      maxHwIds);
     U("dmu.elems_per_entry", "ids per list-array entry",
-      [](E &e) -> unsigned & { return e.config.dmu.elemsPerEntry; }, 1);
+      [](E &e) -> unsigned & { return e.config.dmu.elemsPerEntry; }, 1,
+      maxHwIds);
     U("dmu.ready_queue_entries", "Ready Queue entries",
       [](E &e) -> unsigned & {
           return e.config.dmu.readyQueueEntries;

@@ -65,55 +65,75 @@ Mesh::latencyOf(unsigned h, unsigned flits) const
 sim::Tick
 Mesh::latency(NodeId from, NodeId to, unsigned bytes) const
 {
-    return latencyOf(hops(from, to), flitsOf(bytes));
+    return route(from, to, bytes).latency;
 }
 
-sim::Tick
-Mesh::send(XY from, XY to, unsigned h, unsigned flits)
+void
+Mesh::legsOf(XY from, XY to, Route::Leg (&legs)[2]) const
 {
-    sim::Tick lat = latencyOf(h, flits);
     // XY routing: the X leg runs along row from.y, the Y leg along
     // column to.x. Each leg adds flits to the inclusive range [lo, hi]
     // of its direction's block.
     const std::size_t block = numNodes() + 1;
-    auto leg = [&](unsigned dir, std::size_t lo, std::size_t hi) {
-        std::uint64_t *d = linkDiff_.data() + dir * block;
-        d[lo] += flits;
-        d[hi + 1] -= flits;
+    auto leg = [&](Route::Leg &l, unsigned dir, std::size_t lo,
+                   std::size_t hi) {
+        l.add = static_cast<std::uint32_t>(dir * block + lo);
+        l.sub = static_cast<std::uint32_t>(dir * block + hi + 1);
     };
     const std::size_t cols = cfg_.width, rows = cfg_.height;
     const std::size_t fx = from.x, fy = from.y, tx = to.x, ty = to.y;
+    legs[0] = legs[1] = Route::Leg{};
     if (fx < tx)
-        leg(1, fy * cols + fx, fy * cols + tx - 1); // E
+        leg(legs[0], 1, fy * cols + fx, fy * cols + tx - 1); // E
     else if (fx > tx)
-        leg(3, fy * cols + tx + 1, fy * cols + fx); // W
+        leg(legs[0], 3, fy * cols + tx + 1, fy * cols + fx); // W
     if (fy < ty)
-        leg(2, tx * rows + fy, tx * rows + ty - 1); // S
+        leg(legs[1], 2, tx * rows + fy, tx * rows + ty - 1); // S
     else if (fy > ty)
-        leg(0, tx * rows + ty + 1, tx * rows + fy); // N
-    flitHops_ += static_cast<std::uint64_t>(flits) * h;
+        leg(legs[1], 0, tx * rows + ty + 1, tx * rows + fy); // N
+}
+
+sim::Tick
+Mesh::send(const Route &r, const Route::Leg (&legs)[2])
+{
+    for (const Route::Leg &l : legs) {
+        linkDiff_[l.add] += r.flits;
+        linkDiff_[l.sub] -= r.flits;
+    }
+    flitHops_ += static_cast<std::uint64_t>(r.flits) * r.hops;
     ++messages_;
-    hopSum_ += h;
-    msgLatency_.sample(static_cast<double>(lat));
-    return lat;
+    hopSum_ += r.hops;
+    msgLatency_.sample(static_cast<double>(r.latency));
+    return r.latency;
 }
 
 sim::Tick
 Mesh::transfer(NodeId from, NodeId to, unsigned bytes)
 {
+    const Route r = route(from, to, bytes);
+    return send(r, r.legs[0]);
+}
+
+Mesh::Route
+Mesh::route(NodeId from, NodeId to, unsigned bytes) const
+{
+    Route r;
     const XY a = at(from), b = at(to);
-    return send(a, b, distance(a, b), flitsOf(bytes));
+    legsOf(a, b, r.legs[0]);
+    legsOf(b, a, r.legs[1]);
+    r.hops = distance(a, b);
+    r.flits = flitsOf(bytes);
+    r.latency = latencyOf(r.hops, r.flits);
+    return r;
 }
 
 Mesh::RoundTrip
-Mesh::roundTrip(NodeId from, NodeId to, unsigned bytes)
+Mesh::roundTrip(const Route &r)
 {
     RoundTrip rt;
-    const XY a = at(from), b = at(to);
-    rt.hops = distance(a, b);
-    const unsigned flits = flitsOf(bytes);
-    rt.request = send(a, b, rt.hops, flits);
-    rt.response = send(b, a, rt.hops, flits);
+    rt.hops = r.hops;
+    rt.request = send(r, r.legs[0]);
+    rt.response = send(r, r.legs[1]);
     return rt;
 }
 

@@ -76,12 +76,44 @@ class Mesh
     };
 
     /**
-     * Model the request and response messages of one remote operation
-     * (e.g. a DMU ISA op): records traffic for both directions, in
-     * order, and returns the two latencies separately so the caller
-     * can interleave the remote processing time.
+     * A resolved message path: everything a round trip needs besides
+     * the accounting, computed once by route().
      */
-    RoundTrip roundTrip(NodeId from, NodeId to, unsigned bytes);
+    struct Route
+    {
+        /** One leg's link-difference update: a message's flits are
+         *  added at index @c add and taken off at @c sub (equal
+         *  indices cancel: the message has no such leg). */
+        struct Leg
+        {
+            std::uint32_t add = 0, sub = 0;
+        };
+
+        Leg legs[2][2];         ///< [from->to, to->from][X leg, Y leg]
+        unsigned hops = 0;      ///< Manhattan hop count
+        unsigned flits = 0;     ///< flits per message
+        sim::Tick latency = 0;  ///< per-message latency
+    };
+
+    /** Resolve the path of @p bytes-payload messages from @p from to
+     *  @p to (pure query; records no traffic). */
+    Route route(NodeId from, NodeId to, unsigned bytes) const;
+
+    /**
+     * Model the request and response messages of one remote operation
+     * (e.g. a DMU ISA op) over a resolved route: records traffic for
+     * both directions, in order, and returns the two latencies
+     * separately so the caller can interleave the remote processing
+     * time.
+     */
+    RoundTrip roundTrip(const Route &r);
+
+    /** roundTrip() over route(@p from, @p to, @p bytes). */
+    RoundTrip
+    roundTrip(NodeId from, NodeId to, unsigned bytes)
+    {
+        return roundTrip(route(from, to, bytes));
+    }
 
     /** Latency without recording traffic (pure query). */
     sim::Tick latency(NodeId from, NodeId to, unsigned bytes) const;
@@ -121,9 +153,12 @@ class Mesh
     /** Latency of a message of @p flits over @p h links. */
     sim::Tick latencyOf(unsigned h, unsigned flits) const;
 
-    /** transfer() with the coordinates, hop count and flit count
-     *  already known. */
-    sim::Tick send(XY from, XY to, unsigned h, unsigned flits);
+    /** The X and Y legs of the XY route from @p from to @p to. */
+    void legsOf(XY from, XY to, Route::Leg (&legs)[2]) const;
+
+    /** Account one message of @p r over @p legs (one of r's two
+     *  directions); returns its latency. */
+    sim::Tick send(const Route &r, const Route::Leg (&legs)[2]);
 
     MeshConfig cfg_;
     /**

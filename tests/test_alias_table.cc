@@ -6,7 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <vector>
+
 #include "dmu/alias_table.hh"
+#include "sim/logging.hh"
+#include "sim/rng.hh"
+#include "sim/types.hh"
 
 using namespace tdm;
 
@@ -18,7 +25,7 @@ TEST(AliasTable, InsertLookupErase)
     auto id = t.lookup(0x1000, 64);
     ASSERT_TRUE(id.has_value());
     EXPECT_EQ(*id, r.id);
-    t.erase(0x1000, 64);
+    t.erase(r.id);
     EXPECT_FALSE(t.lookup(0x1000, 64).has_value());
     EXPECT_EQ(t.liveEntries(), 0u);
 }
@@ -32,7 +39,7 @@ TEST(AliasTable, IdsAreRecycled)
     auto b = t.insert(0x5000, 64);
     ASSERT_EQ(a.status, dmu::AliasInsertStatus::Ok);
     ASSERT_EQ(b.status, dmu::AliasInsertStatus::Ok);
-    t.erase(0x100, 64);
+    t.erase(a.id);
     auto c = t.insert(0x9000, 64);
     EXPECT_EQ(c.status, dmu::AliasInsertStatus::Ok);
     EXPECT_EQ(c.id, a.id);
@@ -110,4 +117,208 @@ TEST(AliasTable, OccupancySamplesAveraged)
     t.insert(0x1000, 4096);
     EXPECT_GT(t.avgOccupiedSets(), 0.0);
     EXPECT_LE(t.avgOccupiedSets(), 8.0);
+}
+
+TEST(AliasTable, IdSpaceIsSixteenBitsWithAllOnesReserved)
+{
+    // A 65536-entry table would issue 0xffff, the invalid id.
+    EXPECT_THROW(dmu::AliasTable("tat", 65536, 8, true, 0),
+                 sim::FatalError);
+    EXPECT_THROW(dmu::AliasTable("dat", 1u << 20, 16, true, 0),
+                 sim::FatalError);
+    // 65535 entries (one 65535-way set) stay below it.
+    dmu::AliasTable t("tat", 65535, 65535, true, 0);
+    auto r = t.insert(0x40, 64);
+    ASSERT_EQ(r.status, dmu::AliasInsertStatus::Ok);
+    EXPECT_NE(r.id, dmu::invalidHwId);
+}
+
+namespace {
+
+/** Naive alias table: scans every way, frees by searching for the id. */
+struct RefAliasTable
+{
+    struct Way
+    {
+        bool valid = false;
+        std::uint64_t addr = 0;
+        std::uint32_t pid = 0;
+        std::uint16_t id = 0;
+    };
+
+    unsigned assoc, sets;
+    bool dynamic;
+    unsigned staticBit;
+    std::vector<Way> ways;
+    std::deque<std::uint16_t> freeIds;
+    std::uint64_t lookups = 0, hits = 0, conflicts = 0, inserts = 0;
+    double occSum = 0.0;
+
+    RefAliasTable(unsigned entries, unsigned assoc_, bool dyn, unsigned bit)
+        : assoc(assoc_), sets(entries / assoc_), dynamic(dyn),
+          staticBit(bit), ways(entries)
+    {
+        for (unsigned i = 0; i < entries; ++i)
+            freeIds.push_back(static_cast<std::uint16_t>(i));
+    }
+
+    unsigned
+    setOf(std::uint64_t addr, std::uint64_t size) const
+    {
+        unsigned start = dynamic ? (size > 1 ? sim::floorLog2(size) : 0)
+                                 : staticBit;
+        return static_cast<unsigned>((addr >> start) % sets);
+    }
+
+    std::optional<std::uint16_t>
+    lookup(std::uint64_t addr, std::uint64_t size, std::uint32_t pid)
+    {
+        ++lookups;
+        unsigned s = setOf(addr, size);
+        for (unsigned w = 0; w < assoc; ++w) {
+            const Way &way = ways[s * assoc + w];
+            if (way.valid && way.addr == addr && way.pid == pid) {
+                ++hits;
+                return way.id;
+            }
+        }
+        return std::nullopt;
+    }
+
+    bool
+    canInsert(std::uint64_t addr, std::uint64_t size) const
+    {
+        unsigned s = setOf(addr, size);
+        for (unsigned w = 0; w < assoc; ++w)
+            if (!ways[s * assoc + w].valid)
+                return !freeIds.empty();
+        return false;
+    }
+
+    dmu::AliasTable::InsertResult
+    insert(std::uint64_t addr, std::uint64_t size, std::uint32_t pid)
+    {
+        if (freeIds.empty())
+            return {dmu::AliasInsertStatus::NoFreeId, dmu::invalidHwId};
+        unsigned s = setOf(addr, size);
+        for (unsigned w = 0; w < assoc; ++w) {
+            Way &way = ways[s * assoc + w];
+            if (!way.valid) {
+                way = Way{true, addr, pid, freeIds.front()};
+                freeIds.pop_front();
+                ++inserts;
+                occSum += occupiedSets();
+                return {dmu::AliasInsertStatus::Ok, way.id};
+            }
+        }
+        ++conflicts;
+        return {dmu::AliasInsertStatus::SetConflict, dmu::invalidHwId};
+    }
+
+    void
+    erase(std::uint16_t id)
+    {
+        for (Way &way : ways) {
+            if (way.valid && way.id == id) {
+                way.valid = false;
+                freeIds.push_back(id);
+                return;
+            }
+        }
+        FAIL() << "reference erase of absent id " << id;
+    }
+
+    unsigned
+    occupiedSets() const
+    {
+        unsigned n = 0;
+        for (unsigned s = 0; s < sets; ++s) {
+            bool any = false;
+            for (unsigned w = 0; w < assoc; ++w)
+                any = any || ways[s * assoc + w].valid;
+            n += any;
+        }
+        return n;
+    }
+
+    unsigned
+    live() const
+    {
+        unsigned n = 0;
+        for (const Way &way : ways)
+            n += way.valid;
+        return n;
+    }
+};
+
+/** Drives a table and the reference with one seeded op stream: a small
+ *  address pool (set conflicts), three process tags and several
+ *  dependence sizes; erases pick a random live id. */
+void
+replayAliasTable(unsigned entries, unsigned assoc, bool dynamic,
+                 std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << entries << "/" << assoc
+                                    << (dynamic ? " dynamic" : " static")
+                                    << " seed " << seed);
+    dmu::AliasTable t("dat", entries, assoc, dynamic, 6);
+    RefAliasTable ref(entries, assoc, dynamic, 6);
+    sim::Rng rng(seed);
+    std::vector<std::uint16_t> live;
+    const std::uint64_t sizes[] = {64, 512, 4096, 16384};
+    for (unsigned step = 0; step < 4000; ++step) {
+        const std::uint64_t size = sizes[rng.below(4)];
+        const std::uint64_t addr = 0x100000 + rng.below(48) * size;
+        const std::uint32_t pid = static_cast<std::uint32_t>(rng.below(3));
+        const unsigned op = static_cast<unsigned>(rng.below(8));
+        if (op < 3) {
+            ASSERT_EQ(t.lookup(addr, size, pid), ref.lookup(addr, size, pid))
+                << "step " << step;
+        } else if (op < 6 || live.empty()) {
+            ASSERT_EQ(t.canInsert(addr, size), ref.canInsert(addr, size))
+                << "step " << step;
+            // The DMU only inserts absent keys.
+            if (ref.lookup(addr, size, pid)) {
+                ASSERT_TRUE(t.lookup(addr, size, pid).has_value());
+                continue;
+            }
+            (void)t.lookup(addr, size, pid);
+            const auto got = t.insert(addr, size, pid);
+            const auto want = ref.insert(addr, size, pid);
+            ASSERT_EQ(got.status, want.status) << "step " << step;
+            ASSERT_EQ(got.id, want.id) << "step " << step;
+            if (got.status == dmu::AliasInsertStatus::Ok)
+                live.push_back(got.id);
+        } else {
+            const std::size_t i = rng.below(live.size());
+            t.erase(live[i]);
+            ref.erase(live[i]);
+            live[i] = live.back();
+            live.pop_back();
+        }
+        ASSERT_EQ(t.lookups(), ref.lookups) << "step " << step;
+        ASSERT_EQ(t.hits(), ref.hits);
+        ASSERT_EQ(t.conflicts(), ref.conflicts);
+        ASSERT_EQ(t.inserts(), ref.inserts);
+        ASSERT_EQ(t.occupiedSets(), ref.occupiedSets());
+        ASSERT_EQ(t.liveEntries(), ref.live());
+        ASSERT_EQ(t.avgOccupiedSets(),
+                  ref.inserts ? ref.occSum / static_cast<double>(ref.inserts)
+                              : 0.0);
+    }
+}
+
+} // namespace
+
+TEST(AliasTable, MatchesNaiveTableWhenFreedById)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        replayAliasTable(64, 8, true, seed);
+        replayAliasTable(64, 8, false, seed);
+        replayAliasTable(32, 2, true, seed);
+        replayAliasTable(24, 3, true, seed); // 8 sets of 3 ways
+        replayAliasTable(16, 16, true, seed);
+        if (testing::Test::HasFatalFailure())
+            return;
+    }
 }

@@ -27,6 +27,7 @@ struct RefMesh
     noc::MeshConfig cfg;
     std::vector<std::uint64_t> links;
     std::uint64_t flitHops = 0, messages = 0, hopSum = 0;
+    double latSum = 0.0;
 
     explicit RefMesh(const noc::MeshConfig &c)
         : cfg(c), links(static_cast<std::size_t>(c.width) * c.height * 4, 0)
@@ -64,13 +65,14 @@ struct RefMesh
         });
         ++messages;
         hopSum += h;
+        latSum += static_cast<double>(lat);
         return lat;
     }
 };
 
 /** Replays a fixed-seed random (from, to, bytes) stream through a Mesh
- *  and the reference, mixing transfer and roundTrip, and requires exact
- *  agreement after every message. */
+ *  and the reference, mixing transfer, roundTrip and roundTrip over a
+ *  resolved route, and requires exact agreement after every message. */
 void
 replayAgainstReference(unsigned width, unsigned height)
 {
@@ -89,6 +91,8 @@ replayAgainstReference(unsigned width, unsigned height)
         ASSERT_EQ(mesh.messages(), ref.messages);
         ASSERT_EQ(reg.value("mesh.hop_sum"),
                   static_cast<double>(ref.hopSum));
+        ASSERT_EQ(reg.value("mesh.avg_hop_latency"),
+                  ref.latSum / static_cast<double>(ref.messages));
     };
     for (unsigned i = 0; i < 400; ++i) {
         const noc::NodeId from = static_cast<noc::NodeId>(rng.below(nodes));
@@ -98,11 +102,16 @@ replayAgainstReference(unsigned width, unsigned height)
                                    : static_cast<noc::NodeId>(
                                          rng.below(nodes));
         const unsigned bytes = 1 + static_cast<unsigned>(rng.below(100));
-        if (rng.below(2) == 0) {
+        const unsigned kind = static_cast<unsigned>(rng.below(3));
+        if (kind == 0) {
             ASSERT_EQ(mesh.transfer(from, to, bytes),
                       ref.transfer(from, to, bytes));
         } else {
-            const noc::Mesh::RoundTrip rt = mesh.roundTrip(from, to, bytes);
+            // A route resolved once (as the machine does per core) must
+            // account exactly like the NodeId form.
+            const noc::Mesh::RoundTrip rt =
+                kind == 1 ? mesh.roundTrip(from, to, bytes)
+                          : mesh.roundTrip(mesh.route(from, to, bytes));
             EXPECT_EQ(rt.hops, mesh.hops(from, to));
             ASSERT_EQ(rt.request, ref.transfer(from, to, bytes));
             ASSERT_EQ(rt.response, ref.transfer(to, from, bytes));
@@ -179,7 +188,8 @@ TEST(Mesh, TransferAccumulatesTraffic)
 TEST(Mesh, LinkCountsMatchHopWalkingReference)
 {
     const unsigned shapes[][2] = {{1, 9}, {9, 1}, {1, 1}, {3, 7},
-                                  {7, 3}, {6, 6}, {33, 31}};
+                                  {7, 3}, {6, 6}, {17, 17}, {33, 31},
+                                  {33, 33}};
     for (const auto &s : shapes)
         replayAgainstReference(s[0], s[1]);
 }

@@ -120,7 +120,7 @@ TEST(Multiprog, AliasTablePidMatch)
     auto b = t.insert(0x1000, 64, 8); // same addr, other process
     ASSERT_EQ(b.status, dmu::AliasInsertStatus::Ok);
     EXPECT_NE(a.id, b.id);
-    t.erase(0x1000, 64, 7);
+    t.erase(a.id); // process 7's translation
     EXPECT_FALSE(t.lookup(0x1000, 64, 7).has_value());
     EXPECT_TRUE(t.lookup(0x1000, 64, 8).has_value());
 }

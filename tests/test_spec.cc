@@ -170,6 +170,25 @@ TEST(Spec, BadValuesAreHardErrors)
         EXPECT_NO_THROW(spc::applyKey(atBound, key, "1")) << key;
     EXPECT_NO_THROW(spc::applyKey(atBound, "machine.cores", "2"));
     EXPECT_NO_THROW(spc::applyKey(atBound, "power.active_w", "0"));
+    // DMU ids and list entries are 16 bits with all-ones reserved, so
+    // each sizing key tops out at 65535 (a 65536-entry TAT issued the
+    // invalid id; a 70000-entry list array wrapped onto live entries).
+    for (const char *key :
+         {"dmu.tat_entries", "dmu.dat_entries", "dmu.sla_entries",
+          "dmu.dla_entries", "dmu.rla_entries", "dmu.elems_per_entry"}) {
+        for (const char *value : {"65536", "70000", "4294967295"}) {
+            try {
+                spc::applyKey(e, key, value);
+                ADD_FAILURE() << "expected SpecError for " << key << "="
+                              << value;
+            } catch (const spc::SpecError &err) {
+                EXPECT_NE(std::string(err.what()).find("[1, 65535]"),
+                          std::string::npos)
+                    << err.what();
+            }
+        }
+        EXPECT_NO_THROW(spc::applyKey(atBound, key, "65535")) << key;
+    }
     // Nothing was modified by the failed applications.
     EXPECT_EQ(spc::describe(e).entries(),
               spc::describe(Experiment{}).entries());
