@@ -24,6 +24,7 @@
 #include "driver/campaign/engine.hh"
 #include "driver/report/json_writer.hh"
 #include "driver/service/client.hh"
+#include "driver/service/dashboard_api.hh"
 #include "driver/service/http_server.hh"
 #include "driver/service/progress_bus.hh"
 #include "driver/service/server.hh"
@@ -521,6 +522,66 @@ TEST(Dashboard, ConcurrentSseClientsSeeLiveSweep)
     const std::string unknown =
         httpGet(http, "/api/campaign/999/points");
     EXPECT_NE(unknown.find("HTTP/1.1 404"), std::string::npos);
+}
+
+TEST(Dashboard, CampaignListBytesForFinishedAndActiveCampaigns)
+{
+    // /api/campaigns straight off a registry fed by hand: one finished
+    // campaign (with a failed point and an escaped name) and one still
+    // streaming. The body is pinned byte for byte.
+    svc::ProgressBus bus;
+    svc::CampaignRegistry registry(bus);
+    auto job = [](campaign::JobSource source, bool ok) {
+        campaign::JobResult j;
+        j.summary.completed = ok;
+        j.source = source;
+        j.doneAtMs = 2.0;
+        return j;
+    };
+    const std::string line = "{\"event\":\"point\"}\n";
+
+    campaign::Campaign a;
+    a.name = "fin\"ished";
+    a.metrics = "dmu.*";
+    a.points.resize(3);
+    registry.accepted(1, a, line);
+    registry.point(1, job(campaign::JobSource::Simulated, true), 2, line);
+    registry.point(1, job(campaign::JobSource::Memory, false), 0, line);
+    registry.point(1, job(campaign::JobSource::Forked, true), 1, line);
+    campaign::CampaignResult ra;
+    ra.wallMs = 12.5;
+    registry.done(1, ra, line);
+
+    campaign::Campaign b;
+    b.name = "active";
+    b.points.resize(2);
+    registry.accepted(2, b, line);
+    registry.point(2, job(campaign::JobSource::Disk, true), 1, line);
+
+    const svc::Dashboard dash(registry, bus, nullptr,
+                              [] { return svc::StatusInfo{}; });
+    svc::HttpServer http(
+        svc::parseAddress("tcp:127.0.0.1:0"),
+        [&](const svc::HttpRequest &req, svc::Socket &sock,
+            const std::atomic<bool> &stopping) {
+            dash.handle(req, sock, stopping);
+        });
+    const std::string resp = httpGet(http.address(), "/api/campaigns");
+    http.stop();
+    ASSERT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos);
+    const std::string body = resp.substr(resp.find("\r\n\r\n") + 4);
+    EXPECT_EQ(body,
+              "{\"campaigns\":["
+              "{\"id\":1,\"name\":\"fin\\\"ished\",\"total\":3,"
+              "\"done\":3,\"active\":false,\"failures\":1,"
+              "\"served\":{\"simulated\":1,\"memory\":1,\"disk\":0,"
+              "\"inflight\":0,\"forked\":1},\"wall_ms\":12.5,"
+              "\"metrics_pattern\":\"dmu.*\"},"
+              "{\"id\":2,\"name\":\"active\",\"total\":2,"
+              "\"done\":1,\"active\":true,\"failures\":0,"
+              "\"served\":{\"simulated\":0,\"memory\":0,\"disk\":1,"
+              "\"inflight\":0,\"forked\":0},\"wall_ms\":0,"
+              "\"metrics_pattern\":\"\"}]}\n");
 }
 
 TEST(Dashboard, StoreBrowserServesBlobsAndStats)

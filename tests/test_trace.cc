@@ -21,6 +21,7 @@
 #include "driver/campaign/fingerprint.hh"
 #include "driver/experiment.hh"
 #include "driver/fork_runner.hh"
+#include "driver/graph_cache.hh"
 #include "driver/report/trace_writer.hh"
 #include "driver/spec/spec.hh"
 #include "sim/trace.hh"
@@ -186,6 +187,62 @@ TEST(TraceMachine, TracingDoesNotPerturbTheSimulation)
         EXPECT_EQ(base.steals, t.steals);
         EXPECT_GT(tb.size(), 0u);
         EXPECT_EQ(tb.dropped(), 0u);
+    }
+}
+
+TEST(TraceMachine, SpansAccountForEveryPhaseTick)
+{
+    // Each phase charge is traced as a span of the same length, so per
+    // core the spans of a phase's points sum to its PhaseStats ticks.
+    // The master's region prologues are its only untraced charge.
+    using TP = sim::TracePoint;
+    for (core::RuntimeType rt_ :
+         {core::RuntimeType::Software, core::RuntimeType::Tdm,
+          core::RuntimeType::Carbon, core::RuntimeType::TaskSuperscalar}) {
+        driver::Experiment e = smallExperiment(rt_);
+        e.config.mesh.width = 3;
+        e.config.mesh.height = 3;
+        e.config.trace.categories = sim::traceCatAll;
+        const auto graph = driver::buildGraph(e);
+        core::Machine m(e.config, graph, e.runtime);
+        ASSERT_EQ(m.run().metrics.get("machine.completed"), 1.0);
+
+        std::vector<cpu::PhaseBreakdown> spans(e.config.numCores);
+        m.traceBuffer().forEach([&](const sim::TraceRecord &r) {
+            if (r.core == sim::traceNoCore)
+                return;
+            cpu::PhaseBreakdown &b = spans.at(r.core);
+            switch (static_cast<TP>(r.point)) {
+              case TP::TaskCreate:
+              case TP::TaskFinish:
+                b.deps += r.dur;
+                break;
+              case TP::SchedPop:
+              case TP::SchedSteal:
+              case TP::SchedGetReady:
+                b.sched += r.dur;
+                break;
+              case TP::TaskExec:
+                b.exec += r.dur;
+                break;
+              case TP::CoreIdle:
+                b.idle += r.dur;
+                break;
+              default:
+                break;
+            }
+        });
+        for (const rt::ParallelRegion &region : graph->parallelRegions())
+            spans[0].exec += region.prologueCycles;
+
+        const char *name = core::traitsOf(rt_).name;
+        for (sim::CoreId c = 0; c < e.config.numCores; ++c) {
+            const cpu::PhaseBreakdown &p = m.phases().core(c);
+            EXPECT_EQ(spans[c].deps, p.deps) << name << " core " << c;
+            EXPECT_EQ(spans[c].sched, p.sched) << name << " core " << c;
+            EXPECT_EQ(spans[c].exec, p.exec) << name << " core " << c;
+            EXPECT_EQ(spans[c].idle, p.idle) << name << " core " << c;
+        }
     }
 }
 

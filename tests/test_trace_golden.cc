@@ -140,6 +140,54 @@ TEST(TracedGolden, ReferencePointPinsEventCountAndDigest)
     EXPECT_EQ(tb.digest(), 15356664645439498864ull);
 }
 
+struct TraceGolden
+{
+    core::RuntimeType runtime;
+    sim::Tick makespan;
+    std::uint64_t records;
+    std::uint64_t digest;
+};
+
+class TracedRuntime : public ::testing::TestWithParam<TraceGolden>
+{};
+
+TEST_P(TracedRuntime, PinsEventCountAndDigest)
+{
+    // The reference point's pin for the other three runtimes: their
+    // scheduling spans (pool pops, Carbon local pops and steals,
+    // Task Superscalar get_ready dispatches) and wake-ups differ from
+    // TDM's, so each runtime's stream is pinned on its own.
+    const TraceGolden &g = GetParam();
+    driver::Experiment e;
+    e.workload = "cholesky";
+    e.runtime = g.runtime;
+    e.config.scheduler = "fifo";
+    e.config.trace.categories = sim::traceCatAll;
+
+    sim::TraceBuffer tb;
+    driver::RunSummary s = driver::run(e, nullptr, &tb);
+    ASSERT_TRUE(s.completed);
+    EXPECT_EQ(s.makespan, g.makespan);
+    EXPECT_EQ(tb.dropped(), 0u);
+    EXPECT_EQ(tb.size(), g.records);
+    EXPECT_EQ(tb.digest(), g.digest);
+}
+
+const TraceGolden traceGoldens[] = {
+    {core::RuntimeType::Software, 157277791ull, 73277ull,
+     13894779406759167581ull},
+    {core::RuntimeType::Carbon, 151269426ull, 56644ull,
+     13352421883559761481ull},
+    {core::RuntimeType::TaskSuperscalar, 142349364ull, 480952ull,
+     10018493452510148744ull},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    OtherRuntimes, TracedRuntime, ::testing::ValuesIn(traceGoldens),
+    [](const ::testing::TestParamInfo<TraceGolden> &info) {
+        return std::string(core::traitsOf(info.param.runtime).name);
+    });
+
 TEST(TracedGolden, ReferencePointChromeTraceBytes)
 {
     // The same reference point, written as Chrome trace JSON the way
