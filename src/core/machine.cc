@@ -36,8 +36,7 @@ Machine::Machine(const cpu::MachineConfig &cfg,
     : cfg_(cfg), graphHold_(std::move(graph)),
       graph_(requireGraph(graphHold_)), traits_(traitsOf(runtime)),
       phases_(cfg_.numCores), mesh_(cfg_.mesh), cores_(cfg_.numCores),
-      idleNext_(cfg_.numCores, sim::invalidCore),
-      idlePrev_(cfg_.numCores, sim::invalidCore), acct_(cfg_.power)
+      acct_(cfg_.power)
 {
     tbuf_.configure(cfg_.trace);
     if (cfg_.numCores < 2)
@@ -61,10 +60,18 @@ Machine::Machine(const cpu::MachineConfig &cfg,
     }
 
     switch (traits_.sched) {
-      case SchedMode::SoftwarePool:
+      case SchedMode::SoftwarePool: {
         pool_.emplace(rt::makeScheduler(cfg_.scheduler, cfg_.numCores,
                                         cfg_.succThreshold));
+        const bool sw = traits_.dep == DepMode::Software;
+        poolPushHold_ = (sw ? cfg_.swCosts.poolPushCycles
+                            : cfg_.tdmCosts.poolPushCycles)
+                      + pool_->policy().pushExtraCycles();
+        poolPopHold_ = (sw ? cfg_.swCosts.poolPopCycles
+                           : cfg_.tdmCosts.poolPopCycles)
+                     + pool_->policy().popExtraCycles();
         break;
+      }
       case SchedMode::HardwareQueues:
         hwq_.emplace(cfg_.numCores, cfg_.carbon.queueEntriesPerCore);
         break;
@@ -235,20 +242,8 @@ Machine::parkOnDmu(const DmuRetry &retry, dmu::BlockReason reason)
         tbuf_.instant(sim::TracePoint::DmuBlocked, masterCore, eq_.now(),
                       retry.id, static_cast<std::uint32_t>(reason));
     }
-    dmuWaiters_.push_back(retry);
-}
-
-void
-Machine::traceWake(sim::CoreId core, sim::Tick idle_since)
-{
-    --idleCount_;
-    if (tbuf_.on(sim::TraceCat::Core)) {
-        tbuf_.span(sim::TracePoint::CoreIdle,
-                   static_cast<std::uint16_t>(core), idle_since,
-                   eq_.now());
-        tbuf_.counter(sim::TracePoint::IdleCores, eq_.now(),
-                      idleCount_);
-    }
+    SIM_ASSERT(!dmuWaiter_, "the master parked a second DMU operation");
+    dmuWaiter_ = retry;
 }
 
 // ---------------------------------------------------------------------
@@ -337,9 +332,8 @@ Machine::masterCreateSw(rt::TaskId id)
          + static_cast<double>(work.readerScans) * c.readerScanCycles)
         * f);
     bool ready_now = work.readyNow;
-    if (ready_now && pool_) {
-        locked += c.poolPushCycles + pool_->policy().pushExtraCycles();
-    }
+    if (ready_now && pool_)
+        locked += poolPushHold_;
     sim::Tick completion = lock_.acquire(seg_start + unlocked, locked);
     eq_.post<&Machine::onSwCreateDone>(completion, this, id, ready_now,
                                        seg_start, completion);
@@ -361,12 +355,9 @@ void
 Machine::closeCreateSegment(rt::TaskId id, sim::Tick seg_start,
                             sim::Tick end)
 {
-    phases_.add(masterCore, cpu::Phase::Deps, end - seg_start);
+    segment(masterCore, cpu::Phase::Deps, sim::TraceCat::Task,
+            sim::TracePoint::TaskCreate, seg_start, end, id);
     masterCreateTicks_ += end - seg_start;
-    if (tbuf_.on(sim::TraceCat::Task)) {
-        tbuf_.span(sim::TracePoint::TaskCreate, masterCore, seg_start,
-                   end, id);
-    }
 }
 
 void
@@ -434,9 +425,7 @@ Machine::masterIssueCommitOp(rt::TaskId id, sim::Tick seg_start)
         sim::Tick fetched = dmuOpDone(masterCore, acc);
         rt::TaskId got = taskOfDesc(info->descAddr);
         std::uint32_t nsucc = info->numSuccessors;
-        sim::Tick hold = cfg_.tdmCosts.poolPushCycles
-                       + pool_->policy().pushExtraCycles();
-        sim::Tick completion = lock_.acquire(fetched, hold);
+        sim::Tick completion = lock_.acquire(fetched, poolPushHold_);
         eq_.post<&Machine::onCommitReadyFetched>(completion, this, id,
                                                  got, nsucc, seg_start,
                                                  completion);
@@ -498,12 +487,7 @@ Machine::tryDispatch(sim::CoreId core)
 
     switch (traits_.sched) {
       case SchedMode::SoftwarePool: {
-        const sim::Tick pop_cost =
-            (traits_.dep == DepMode::Software
-                 ? cfg_.swCosts.poolPopCycles
-                 : cfg_.tdmCosts.poolPopCycles)
-            + pool_->policy().popExtraCycles();
-        sim::Tick completion = lock_.acquire(seg_start, pop_cost);
+        sim::Tick completion = lock_.acquire(seg_start, poolPopHold_);
         eq_.post<&Machine::onPoolPopDone>(completion, this, core,
                                           seg_start, completion);
         break;
@@ -529,14 +513,12 @@ Machine::onPoolPopDone(sim::CoreId core, sim::Tick seg_start,
                        sim::Tick completion)
 {
     auto t = pool_->pop(core);
-    phases_.add(core, cpu::Phase::Sched, completion - seg_start);
-    if (tbuf_.on(sim::TraceCat::Sched)) {
-        tbuf_.span(sim::TracePoint::SchedPop,
-                   static_cast<std::uint16_t>(core), seg_start,
-                   completion, t ? t->id : UINT32_MAX);
+    segment(core, cpu::Phase::Sched, sim::TraceCat::Sched,
+            sim::TracePoint::SchedPop, seg_start, completion,
+            t ? t->id : UINT32_MAX);
+    if (tbuf_.on(sim::TraceCat::Sched))
         tbuf_.counter(sim::TracePoint::PoolDepth, completion,
                       pool_->size());
-    }
     if (t) {
         startExec(core, *t);
     } else {
@@ -549,12 +531,9 @@ Machine::onCarbonLocalPop(sim::CoreId core, sim::Tick cost)
 {
     auto t = hwq_->popLocal(core);
     if (t) {
-        phases_.add(core, cpu::Phase::Sched, cost);
-        if (tbuf_.on(sim::TraceCat::Sched)) {
-            tbuf_.span(sim::TracePoint::SchedPop,
-                       static_cast<std::uint16_t>(core),
-                       eq_.now() - cost, eq_.now(), t->id);
-        }
+        segment(core, cpu::Phase::Sched, sim::TraceCat::Sched,
+                sim::TracePoint::SchedPop, eq_.now() - cost, eq_.now(),
+                t->id);
         startExec(core, *t);
         return;
     }
@@ -567,13 +546,9 @@ void
 Machine::onCarbonSteal(sim::CoreId core, sim::Tick steal_done)
 {
     auto s = hwq_->steal(core);
-    phases_.add(core, cpu::Phase::Sched, steal_done);
-    if (tbuf_.on(sim::TraceCat::Sched)) {
-        tbuf_.span(sim::TracePoint::SchedSteal,
-                   static_cast<std::uint16_t>(core),
-                   eq_.now() - steal_done, eq_.now(),
-                   s ? s->id : UINT32_MAX);
-    }
+    segment(core, cpu::Phase::Sched, sim::TraceCat::Sched,
+            sim::TracePoint::SchedSteal, eq_.now() - steal_done,
+            eq_.now(), s ? s->id : UINT32_MAX);
     if (s) {
         startExec(core, *s);
     } else {
@@ -586,14 +561,10 @@ Machine::onFifoDispatch(sim::CoreId core, sim::Tick seg_start,
                         sim::Tick done,
                         std::optional<dmu::ReadyTaskInfo> info)
 {
-    phases_.add(core, cpu::Phase::Sched, done - seg_start);
-    if (tbuf_.on(sim::TraceCat::Sched)) {
-        tbuf_.span(sim::TracePoint::SchedGetReady,
-                   static_cast<std::uint16_t>(core), seg_start, done,
-                   info ? taskOfDesc(info->descAddr) : UINT32_MAX);
-    }
+    const rt::TaskId id = info ? taskOfDesc(info->descAddr) : UINT32_MAX;
+    segment(core, cpu::Phase::Sched, sim::TraceCat::Sched,
+            sim::TracePoint::SchedGetReady, seg_start, done, id);
     if (info) {
-        rt::TaskId id = taskOfDesc(info->descAddr);
         startExec(core, rt::ReadyTask{id, info->numSuccessors,
                                       sim::invalidCore, id, done});
     } else {
@@ -643,13 +614,10 @@ Machine::startExec(sim::CoreId core, const rt::ReadyTask &task)
 void
 Machine::onExecDone(sim::CoreId core, rt::TaskId id, sim::Tick dur)
 {
-    phases_.add(core, cpu::Phase::Exec, dur);
+    segment(core, cpu::Phase::Exec, sim::TraceCat::Task,
+            sim::TracePoint::TaskExec, eq_.now() - dur, eq_.now(), id,
+            graph_.task(id).kernel);
     taskCycles_.sample(static_cast<double>(dur));
-    if (tbuf_.on(sim::TraceCat::Task)) {
-        tbuf_.span(sim::TracePoint::TaskExec,
-                   static_cast<std::uint16_t>(core), eq_.now() - dur,
-                   eq_.now(), id, graph_.task(id).kernel);
-    }
     if (traits_.dep == DepMode::Software)
         finishSw(core, id);
     else
@@ -660,13 +628,11 @@ void
 Machine::closeFinishSegment(sim::CoreId core, rt::TaskId id,
                             sim::Tick seg_start, sim::Tick end)
 {
-    phases_.add(core, cpu::Phase::Deps, end - seg_start);
-    if (tbuf_.on(sim::TraceCat::Task)) {
-        tbuf_.span(sim::TracePoint::TaskFinish,
-                   static_cast<std::uint16_t>(core), seg_start, end, id);
+    segment(core, cpu::Phase::Deps, sim::TraceCat::Task,
+            sim::TracePoint::TaskFinish, seg_start, end, id);
+    if (tbuf_.on(sim::TraceCat::Task))
         tbuf_.instant(sim::TracePoint::TaskRetire,
                       static_cast<std::uint16_t>(core), end, id);
-    }
 }
 
 void
@@ -689,8 +655,7 @@ Machine::finishSw(sim::CoreId core, rt::TaskId id)
         + static_cast<sim::Tick>(work.depVisits) * c.perDepCleanupCycles;
     sim::Tick push_cost = 0;
     if (traits_.sched == SchedMode::SoftwarePool) {
-        push_cost = static_cast<sim::Tick>(ready.size())
-                  * (c.poolPushCycles + pool_->policy().pushExtraCycles());
+        push_cost = static_cast<sim::Tick>(ready.size()) * poolPushHold_;
         locked += push_cost;
     }
     sim::Tick completion = lock_.acquire(seg_start + unlocked, locked);
@@ -724,7 +689,7 @@ Machine::finishDmu(sim::CoreId core, rt::TaskId id)
     sim::Tick seg_start = eq_.now();
     const rt::Task &t = graph_.task(id);
     dmu::DmuResult res = dmu_->finishTask(t.descAddr);
-    flushDmuWaiters();
+    retryDmuWaiter();
     sim::Tick done = dmuOpDone(core, res.accesses);
     std::size_t n_ready = res.readyDescAddrs.size();
     eq_.post<&Machine::onDmuFinishDone>(done, this, core, id, seg_start,
@@ -757,9 +722,7 @@ Machine::getReadyLoop(sim::CoreId core, sim::Tick seg_start)
     sim::Tick done = dmuOpDone(core, acc);
     if (info) {
         rt::TaskId id = taskOfDesc(info->descAddr);
-        sim::Tick hold = cfg_.tdmCosts.poolPushCycles
-                       + pool_->policy().pushExtraCycles();
-        sim::Tick completion = lock_.acquire(done, hold);
+        sim::Tick completion = lock_.acquire(done, poolPushHold_);
         std::uint32_t nsucc = info->numSuccessors;
         eq_.post<&Machine::onGetReadyPush>(completion, this, core,
                                            seg_start, id, nsucc,
@@ -783,12 +746,8 @@ void
 Machine::onGetReadyEmpty(sim::CoreId core, sim::Tick seg_start,
                          sim::Tick done)
 {
-    phases_.add(core, cpu::Phase::Sched, done - seg_start);
-    if (tbuf_.on(sim::TraceCat::Sched)) {
-        tbuf_.span(sim::TracePoint::SchedGetReady,
-                   static_cast<std::uint16_t>(core), seg_start, done,
-                   UINT32_MAX);
-    }
+    segment(core, cpu::Phase::Sched, sim::TraceCat::Sched,
+            sim::TracePoint::SchedGetReady, seg_start, done, UINT32_MAX);
     dispatchEntry(core);
 }
 
@@ -839,31 +798,48 @@ Machine::deliverReady(const rt::ReadyTask &task)
 }
 
 void
-Machine::idlePushBack(sim::CoreId core)
+Machine::goIdle(sim::CoreId core)
 {
-    idleNext_[core] = sim::invalidCore;
-    idlePrev_[core] = idleTail_;
+    if (finished_)
+        return;
+    CoreRecord &r = cores_[core];
+    r.idle = true;
+    r.idleSince = eq_.now();
+    r.next = sim::invalidCore;
+    r.prev = idleTail_;
     if (idleTail_ != sim::invalidCore)
-        idleNext_[idleTail_] = core;
+        cores_[idleTail_].next = core;
     else
         idleHead_ = core;
     idleTail_ = core;
+    ++idleCount_;
+    if (tbuf_.on(sim::TraceCat::Core)) {
+        tbuf_.counter(sim::TracePoint::IdleCores, eq_.now(),
+                      idleCount_);
+    }
 }
 
 void
-Machine::idleUnlink(sim::CoreId core)
+Machine::unpark(sim::CoreId core)
 {
-    SIM_ASSERT(cores_[core].idle, "unlinking running core ", core);
-    const sim::CoreId prev = idlePrev_[core];
-    const sim::CoreId next = idleNext_[core];
-    if (prev != sim::invalidCore)
-        idleNext_[prev] = next;
+    CoreRecord &r = cores_[core];
+    SIM_ASSERT(r.idle, "unparking running core ", core);
+    if (r.prev != sim::invalidCore)
+        cores_[r.prev].next = r.next;
     else
-        idleHead_ = next;
-    if (next != sim::invalidCore)
-        idlePrev_[next] = prev;
+        idleHead_ = r.next;
+    if (r.next != sim::invalidCore)
+        cores_[r.next].prev = r.prev;
     else
-        idleTail_ = prev;
+        idleTail_ = r.prev;
+    r.idle = false;
+    --idleCount_;
+    segment(core, cpu::Phase::Idle, sim::TraceCat::Core,
+            sim::TracePoint::CoreIdle, r.idleSince, eq_.now());
+    if (tbuf_.on(sim::TraceCat::Core)) {
+        tbuf_.counter(sim::TracePoint::IdleCores, eq_.now(),
+                      idleCount_);
+    }
 }
 
 void
@@ -871,44 +847,9 @@ Machine::wakeOneIdle()
 {
     if (finished_ || idleHead_ == sim::invalidCore)
         return;
-    sim::CoreId core = idleHead_;
-    idleUnlink(core);
-    wakeCore(core);
-}
-
-void
-Machine::wakeCore(sim::CoreId core)
-{
-    cpu::CoreState &cs = cores_[core];
-    if (!cs.idle)
-        return;
-    const sim::Tick idle_since = cs.idleSince;
-    phases_.add(core, cpu::Phase::Idle, cs.wakeAt(eq_.now()));
-    traceWake(core, idle_since);
+    const sim::CoreId core = idleHead_;
+    unpark(core);
     eq_.postIn<&Machine::dispatchEntry>(0, this, core);
-}
-
-void
-Machine::wakeSpecific(sim::CoreId core)
-{
-    if (!cores_[core].idle)
-        return;
-    idleUnlink(core);
-    wakeCore(core);
-}
-
-void
-Machine::goIdle(sim::CoreId core)
-{
-    if (finished_)
-        return;
-    cores_[core].parkAt(eq_.now());
-    idlePushBack(core);
-    ++idleCount_;
-    if (tbuf_.on(sim::TraceCat::Core)) {
-        tbuf_.counter(sim::TracePoint::IdleCores, eq_.now(),
-                      idleCount_);
-    }
 }
 
 void
@@ -921,18 +862,14 @@ Machine::onTaskExecuted()
     if (executedInRegion_ == region.numTasks) {
         regionDone_ = true;
         if (cores_[masterCore].idle) {
-            // Remove the master from the idle list and resume it.
-            idleUnlink(masterCore);
-            const sim::Tick idle_since = cores_[masterCore].idleSince;
-            phases_.add(masterCore, cpu::Phase::Idle,
-                        cores_[masterCore].wakeAt(eq_.now()));
-            traceWake(masterCore, idle_since);
+            unpark(masterCore);
             eq_.postIn<&Machine::advanceToNextRegion>(0, this);
         }
     } else if (masterCreating_ && cores_[masterCore].idle) {
         // The master parked on the creation throttle; a finish may
         // have dropped the in-flight count below the limit.
-        wakeSpecific(masterCore);
+        unpark(masterCore);
+        eq_.postIn<&Machine::dispatchEntry>(0, this, masterCore);
     }
 }
 
@@ -944,28 +881,19 @@ Machine::advanceToNextRegion()
 }
 
 void
-Machine::flushDmuWaiters()
+Machine::retryDmuWaiter()
 {
-    if (dmuWaiters_.empty())
+    if (!dmuWaiter_)
         return;
-    std::vector<DmuRetry> &waiters = dmuWaiterScratch_;
-    waiters.swap(dmuWaiters_);
-    for (const DmuRetry &w : waiters) {
-        if (w.isCreate) {
-            eq_.postIn<&Machine::masterIssueCreateOp>(0, this, w.id,
-                                                      w.segStart);
-        } else {
-            eq_.postIn<&Machine::masterIssueDepOp>(0, this, w.id,
-                                                   w.depIdx, w.segStart);
-        }
+    const DmuRetry w = *dmuWaiter_;
+    dmuWaiter_.reset();
+    if (w.isCreate) {
+        eq_.postIn<&Machine::masterIssueCreateOp>(0, this, w.id,
+                                                  w.segStart);
+    } else {
+        eq_.postIn<&Machine::masterIssueDepOp>(0, this, w.id, w.depIdx,
+                                               w.segStart);
     }
-    waiters.clear();
-}
-
-void
-Machine::dumpStats(std::ostream &os)
-{
-    metrics_.dump(os);
 }
 
 // ---------------------------------------------------------------------
@@ -991,7 +919,7 @@ Machine::finalize()
     if (!finished_) {
         if (!eq_.empty()) {
             sim::warn("machine hit the tick watchdog before completion");
-        } else if (!dmuWaiters_.empty()) {
+        } else if (dmuWaiter_) {
             sim::warn("machine deadlocked after executing ",
                       tasksExecuted_, " of ", graph_.numTasks(),
                       " tasks: the master is blocked on DMU capacity");
@@ -1009,15 +937,10 @@ Machine::finalize()
 
     // Cores still parked at the end idle until the makespan.
     for (sim::CoreId c = 0; c < cfg_.numCores; ++c) {
-        cpu::CoreState &cs = cores_[c];
-        if (cs.idle) {
-            if (tbuf_.on(sim::TraceCat::Core)) {
-                tbuf_.span(sim::TracePoint::CoreIdle,
-                           static_cast<std::uint16_t>(c), cs.idleSince,
-                           makespan_);
-            }
-            phases_.add(c, cpu::Phase::Idle, cs.wakeAt(makespan_));
-        }
+        if (cores_[c].idle)
+            segment(c, cpu::Phase::Idle, sim::TraceCat::Core,
+                    sim::TracePoint::CoreIdle, cores_[c].idleSince,
+                    makespan_);
     }
 
     // ---- Energy (read by the power.* metrics) ----

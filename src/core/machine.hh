@@ -111,9 +111,6 @@ class Machine
      *  the machine take it instead of copying). */
     sim::TraceBuffer takeTraceBuffer() { return std::move(tbuf_); }
 
-    /** Dump component statistics (gem5 stats.txt style). */
-    void dumpStats(std::ostream &os);
-
     /** The machine's metric registry: every component metric,
      *  addressable by dotted key path ("dmu.tat.hits"). */
     const sim::MetricRegistry &metrics() const { return metrics_; }
@@ -208,13 +205,34 @@ class Machine
     void advanceToNextRegion();
 
     // ---- shared plumbing ----
+    /**
+     * Charge @p core's segment [@p start, @p end] to @p phase and, when
+     * @p cat is traced, record it as a @p point span carrying @p a and
+     * @p b. Every phase charge but the master's region prologues goes
+     * through here, so per core the spans sum to the phase ticks.
+     */
+    void
+    segment(sim::CoreId core, cpu::Phase phase, sim::TraceCat cat,
+            sim::TracePoint point, sim::Tick start, sim::Tick end,
+            std::uint32_t a = 0, std::uint32_t b = 0)
+    {
+        phases_.add(core, phase, end - start);
+        if (tbuf_.on(cat))
+            tbuf_.span(point, static_cast<std::uint16_t>(core), start, end,
+                       a, b);
+    }
+
     void deliverReady(const rt::ReadyTask &task);
+    /** Resume the longest-parked core, if any, at its dispatch entry. */
     void wakeOneIdle();
-    void wakeCore(sim::CoreId core);
-    void wakeSpecific(sim::CoreId core);
+    /** Park @p core: append it to the idle FIFO at the current tick. */
     void goIdle(sim::CoreId core);
+    /** Take the parked @p core off the idle FIFO and charge its idle
+     *  segment; the caller posts its continuation. */
+    void unpark(sim::CoreId core);
     void onTaskExecuted();
-    void flushDmuWaiters();
+    /** Reissue the master's parked DMU operation, if any. */
+    void retryDmuWaiter();
     /** Trace a blocked master-side DMU operation and park it until
      *  the next finish_task. */
     void parkOnDmu(const DmuRetry &retry, dmu::BlockReason reason);
@@ -241,10 +259,6 @@ class Machine
      */
     MachineResult finalize();
 
-    // ---- tracing helpers (no-ops when the category is off) ----
-    /** Record @p core's just-ended idle span + the idle-core count. */
-    void traceWake(sim::CoreId core, sim::Tick idle_since);
-
     /** First task body started: the warmup window ends here. */
     void noteFirstExec();
 
@@ -259,9 +273,6 @@ class Machine
      */
     const std::vector<mem::MemAccess> &footprintOf(rt::TaskId id);
     std::uint32_t swSuccCount(rt::TaskId id) const;
-
-    void idlePushBack(sim::CoreId core);
-    void idleUnlink(sim::CoreId core);
 
     // ---- fixed for the machine's lifetime ----
     const cpu::MachineConfig cfg_;
@@ -291,16 +302,25 @@ class Machine
     cpu::SerialResource lock_; ///< the runtime's global lock
     cpu::SerialResource dmuPipe_; ///< serialized DMU op processing
 
-    std::vector<cpu::CoreState> cores_;
+    /** Lock hold of one software-pool push / pop: the runtime's base
+     *  cost plus the scheduling policy's extra (pool runtimes only). */
+    sim::Tick poolPushHold_ = 0;
+    sim::Tick poolPopHold_ = 0;
 
     /**
-     * FIFO of parked cores as an intrusive doubly-linked list threaded
-     * through per-core link arrays: O(1) park / wake-oldest /
-     * wake-specific with zero allocation. Until finalize() a core is
-     * linked exactly while cores_[c].idle (goIdle parks and links it
-     * together; every wake unlinks).
+     * One core's park state. Parked cores form a FIFO, a doubly linked
+     * list threaded through next/prev, so park, wake-oldest and
+     * wake-specific are O(1) with no allocation. Until finalize() a
+     * core is linked exactly while it is idle.
      */
-    std::vector<sim::CoreId> idleNext_, idlePrev_;
+    struct CoreRecord
+    {
+        bool idle = false;
+        sim::Tick idleSince = 0;
+        sim::CoreId next = sim::invalidCore;
+        sim::CoreId prev = sim::invalidCore;
+    };
+    std::vector<CoreRecord> cores_;
     sim::CoreId idleHead_ = sim::invalidCore;
     sim::CoreId idleTail_ = sim::invalidCore;
 
@@ -314,7 +334,6 @@ class Machine
 
     // Region / creation progress.
     std::uint32_t curRegion_ = 0;
-    rt::TaskId nextToCreate_ = 0;
     std::uint32_t createdInRegion_ = 0;
     std::uint32_t executedInRegion_ = 0;
     bool masterCreating_ = false;
@@ -322,10 +341,9 @@ class Machine
     bool started_ = false; ///< run() was called
     bool finished_ = false;
 
-    // Master blocked on DMU capacity (+ drain scratch: the two vectors
-    // ping-pong their warm buffers so flushing never allocates).
-    std::vector<DmuRetry> dmuWaiters_;
-    std::vector<DmuRetry> dmuWaiterScratch_;
+    /** The master's DMU operation blocked on capacity. The master
+     *  issues one operation at a time, so at most one waits. */
+    std::optional<DmuRetry> dmuWaiter_;
 
     std::uint64_t tasksExecuted_ = 0;
     std::uint64_t carbonRr_ = 0; ///< GTU round-robin cursor

@@ -1,8 +1,7 @@
 /**
  * @file
- * Core-side state of the machine model: the runtime state machine each
- * hardware thread runs, plus the serialized-resource helper used to
- * model the runtime lock and the DMU's sequential operation processing.
+ * The serialized-resource helper the machine model uses for the runtime
+ * lock and the DMU's sequential operation processing.
  */
 
 #ifndef TDM_CPU_CORE_HH
@@ -36,32 +35,6 @@ class SerialResource
 
   private:
     sim::Tick busyUntil_ = 0;
-};
-
-/** Runtime state of one core. */
-struct CoreState
-{
-    bool idle = false;
-    sim::Tick idleSince = 0;
-
-    /** Park the core at tick @p now. */
-    void
-    parkAt(sim::Tick now)
-    {
-        idle = true;
-        idleSince = now;
-    }
-
-    /**
-     * Resume the core at tick @p now.
-     * @return the ticks spent idle (for phase accounting).
-     */
-    sim::Tick
-    wakeAt(sim::Tick now)
-    {
-        idle = false;
-        return now - idleSince;
-    }
 };
 
 } // namespace tdm::cpu

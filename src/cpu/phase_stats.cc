@@ -118,14 +118,4 @@ PhaseStats::regMetrics(sim::MetricContext ctx)
     }
 }
 
-void
-PhaseStats::dump(std::ostream &os) const
-{
-    for (std::size_t c = 0; c < per_.size(); ++c) {
-        const PhaseBreakdown &b = per_[c];
-        os << "core" << c << " deps=" << b.deps << " sched=" << b.sched
-           << " exec=" << b.exec << " idle=" << b.idle << '\n';
-    }
-}
-
 } // namespace tdm::cpu

@@ -9,7 +9,6 @@
 #ifndef TDM_CPU_PHASE_STATS_HH
 #define TDM_CPU_PHASE_STATS_HH
 
-#include <ostream>
 #include <vector>
 
 #include "sim/metrics.hh"
@@ -65,8 +64,6 @@ class PhaseStats
     /** Register master/workers/chip per-phase tick counters under
      *  @p ctx's scope ("cpu"). */
     void regMetrics(sim::MetricContext ctx);
-
-    void dump(std::ostream &os) const;
 
   private:
     std::vector<PhaseBreakdown> per_;

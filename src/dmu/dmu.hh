@@ -219,7 +219,9 @@ class Dmu
      * task's dependences have been registered. If the task has no
      * unresolved predecessors it enters the Ready Queue now. Never
      * blocks. (The paper folds this into the creation sequence; we
-     * model it as an explicit cheap operation, see DESIGN.md.)
+     * model it as an explicit cheap operation so that a task whose
+     * first dependences are already satisfied cannot enter the Ready
+     * Queue before its remaining ones are registered.)
      */
     DmuResult commitTask(std::uint64_t desc_addr, std::uint32_t pid = 0);
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Built-in campaigns: the multi-point paper figures and ablations,
- * declared as spec grids so the engine (and the campaign_run CLI) can
- * execute them. The bench binaries build their tables from these same
+ * declared as spec grids in one constant table, and the name lookups
+ * over it, so the engine (and the campaign_run CLI) can execute them.
+ * The bench binaries build their tables from these same
  * definitions, so figure output and campaign output can never drift
  * apart — and test_spec.cc pins the grid expansions byte-identical
  * (labels and fingerprints) to the historical hand-coded loops.
@@ -12,6 +13,8 @@
 
 #include "driver/spec/grid.hh"
 #include "runtime/scheduler.hh"
+#include "sim/logging.hh"
+#include "sim/suggest.hh"
 #include "workloads/registry.hh"
 
 namespace tdm::driver::campaign {
@@ -95,46 +98,83 @@ ablationSensitivityGrid()
                "/w{power.active_w}");
 }
 
-void
-registerGrid(const std::string &name, const std::string &description,
-             spec::Grid (*build)())
+/** One built-in campaign; its grid is built on demand. */
+struct BuiltinCampaign
 {
-    registerCampaign(
-        name, description,
-        [name, description, build] {
-            return build().toCampaign(name, description);
-        },
-        [build] { return build().size(); });
+    const char *name;
+    const char *description;
+    spec::Grid (*grid)();
+};
+
+/** Every built-in campaign, sorted by name (campaignList's order). */
+constexpr BuiltinCampaign kCampaigns[] = {
+    {"ablation_scaling",
+     "Core-count scaling ablation: SW vs TDM at 8-64 cores",
+     ablationScalingGrid},
+    {"ablation_sensitivity",
+     "Memory/power sensitivity ablation: L1 size x active watts per "
+     "runtime (warm-fork showcase)",
+     ablationSensitivityGrid},
+    {"fig12", "Fig. 12: scheduler sweep under SW and TDM", fig12Grid},
+    {"fig13", "Fig. 13: Carbon / Task Superscalar / TDM vs the SW baseline",
+     fig13Grid},
+};
+
+const BuiltinCampaign *
+findCampaign(const std::string &name)
+{
+    for (const BuiltinCampaign &c : kCampaigns)
+        if (name == c.name)
+            return &c;
+    return nullptr;
 }
 
 } // namespace
 
-namespace detail {
-
-void
-registerBuiltinCampaigns()
+std::vector<std::pair<std::string, std::string>>
+campaignList()
 {
-    static const bool once = [] {
-        registerGrid("fig12",
-                     "Fig. 12: scheduler sweep under SW and TDM",
-                     fig12Grid);
-        registerGrid("fig13",
-                     "Fig. 13: Carbon / Task Superscalar / TDM "
-                     "vs the SW baseline",
-                     fig13Grid);
-        registerGrid("ablation_scaling",
-                     "Core-count scaling ablation: SW vs TDM at "
-                     "8-64 cores",
-                     ablationScalingGrid);
-        registerGrid("ablation_sensitivity",
-                     "Memory/power sensitivity ablation: L1 size x "
-                     "active watts per runtime (warm-fork showcase)",
-                     ablationSensitivityGrid);
-        return true;
-    }();
-    (void)once;
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const BuiltinCampaign &c : kCampaigns)
+        out.emplace_back(c.name, c.description);
+    return out;
 }
 
-} // namespace detail
+bool
+hasCampaign(const std::string &name)
+{
+    return findCampaign(name) != nullptr;
+}
+
+std::size_t
+campaignPointCount(const std::string &name)
+{
+    const BuiltinCampaign *c = findCampaign(name);
+    if (!c)
+        sim::fatal("unknown campaign: ", name);
+    return c->grid().size();
+}
+
+Campaign
+makeCampaign(const std::string &name)
+{
+    const BuiltinCampaign *c = findCampaign(name);
+    if (!c) {
+        std::vector<std::string> names;
+        for (const BuiltinCampaign &b : kCampaigns)
+            names.push_back(b.name);
+        sim::fatal("unknown campaign: ", name,
+                   sim::suggestHint(name, names),
+                   " (campaign_run --list shows the built-in ones)");
+    }
+    return c->grid().toCampaign(c->name, c->description);
+}
+
+std::string
+pointLabel(const std::string &workload, const std::string &runtime,
+           const std::string &scheduler)
+{
+    return workload + "/" + runtime + "/" + scheduler;
+}
 
 } // namespace tdm::driver::campaign

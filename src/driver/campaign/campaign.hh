@@ -3,15 +3,14 @@
  * Named experiment campaigns.
  *
  * A Campaign is a named, ordered set of sweep points — typically all
- * the runs behind one paper figure or ablation. Campaigns register
- * under a name (e.g. "fig12") so the campaign_run CLI and the bench
- * binaries can build and execute them on the campaign engine.
+ * the runs behind one paper figure or ablation. The built-in ones are
+ * looked up by name (e.g. "fig12") so the campaign_run CLI and the
+ * bench binaries can build and execute them on the campaign engine.
  */
 
 #ifndef TDM_DRIVER_CAMPAIGN_CAMPAIGN_HH
 #define TDM_DRIVER_CAMPAIGN_CAMPAIGN_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,34 +43,18 @@ struct Campaign
     std::string metrics;
 };
 
-/** Builds a campaign's points on demand. */
-using CampaignFactory = std::function<Campaign()>;
-
-/** Cheap point-count estimator (e.g. a grid's axis-size product). */
-using CampaignCounter = std::function<std::size_t()>;
-
-/**
- * Register @p factory under @p name; later registrations win. When
- * @p counter is provided, listing point counts never expands the
- * campaign's points.
- */
-void registerCampaign(const std::string &name,
-                      const std::string &description,
-                      CampaignFactory factory,
-                      CampaignCounter counter = nullptr);
-
-/** Registered names, sorted, with their descriptions. */
+/** Built-in campaign names, sorted, with their descriptions. */
 std::vector<std::pair<std::string, std::string>> campaignList();
 
-/** Whether @p name is registered. */
+/** Whether @p name is a built-in campaign. */
 bool hasCampaign(const std::string &name);
 
-/** Point count of @p name — via the registered counter when present,
- *  so listing stays cheap; fatal if unknown. */
+/** Point count of @p name from its grid's axis sizes, so listing
+ *  never expands the points; fatal if unknown. */
 std::size_t campaignPointCount(const std::string &name);
 
-/** Build the campaign registered as @p name; fatal if unknown, naming
- *  the closest registered campaigns. */
+/** Build the built-in campaign @p name; fatal if unknown, naming the
+ *  closest built-in campaigns. */
 Campaign makeCampaign(const std::string &name);
 
 /**

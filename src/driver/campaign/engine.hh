@@ -183,7 +183,9 @@ struct JobResult
     bool ok() const { return error.empty() && summary.completed; }
 
     /** Served without simulating this point (Memory/Disk/Inflight;
-     *  Forked still simulates, just not from tick 0). */
+     *  a Forked point simulates nothing either, but is not a cache
+     *  hit: it re-prices its leader's metric tree under its own power
+     *  configuration). */
     bool
     cacheHit() const
     {

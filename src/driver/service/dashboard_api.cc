@@ -61,6 +61,20 @@ progressJson(const CampaignRecord &rec, double elapsed_ms)
     return os.str();
 }
 
+void
+campaignSummaryJson(std::ostream &os, const CampaignRecord &c)
+{
+    os << "{\"id\":" << c.id << ",\"name\":\"" << jsonEscape(c.name)
+       << "\",\"total\":" << c.total << ",\"done\":" << c.points.size()
+       << ",\"active\":" << (c.active ? "true" : "false")
+       << ",\"failures\":" << c.failures << ",";
+    writeServed(os, c.served);
+    os << ",\"wall_ms\":";
+    jsonNumber(os, c.wallMs);
+    os << ",\"metrics_pattern\":\"" << jsonEscape(c.metricsPattern)
+       << "\"}";
+}
+
 } // namespace
 
 void
@@ -122,11 +136,19 @@ CampaignRegistry::done(std::uint64_t id,
     }
 }
 
-std::vector<CampaignRecord>
-CampaignRegistry::snapshot() const
+std::string
+CampaignRegistry::summariesJson() const
 {
     std::lock_guard<std::mutex> lock(m_);
-    return campaigns_;
+    std::ostringstream os;
+    os << "{\"campaigns\":[";
+    for (std::size_t i = 0; i < campaigns_.size(); ++i) {
+        if (i)
+            os << ",";
+        campaignSummaryJson(os, campaigns_[i]);
+    }
+    os << "]}\n";
+    return os.str();
 }
 
 bool
@@ -163,20 +185,6 @@ Dashboard::statusJson() const
 
 namespace {
 
-void
-campaignSummaryJson(std::ostream &os, const CampaignRecord &c)
-{
-    os << "{\"id\":" << c.id << ",\"name\":\"" << jsonEscape(c.name)
-       << "\",\"total\":" << c.total << ",\"done\":" << c.points.size()
-       << ",\"active\":" << (c.active ? "true" : "false")
-       << ",\"failures\":" << c.failures << ",";
-    writeServed(os, c.served);
-    os << ",\"wall_ms\":";
-    jsonNumber(os, c.wallMs);
-    os << ",\"metrics_pattern\":\"" << jsonEscape(c.metricsPattern)
-       << "\"}";
-}
-
 std::string
 errorJson(const std::string &message)
 {
@@ -194,21 +202,6 @@ findAsset(const std::string &path)
 }
 
 } // namespace
-
-std::string
-Dashboard::campaignsJson() const
-{
-    const std::vector<CampaignRecord> all = registry_.snapshot();
-    std::ostringstream os;
-    os << "{\"campaigns\":[";
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        if (i)
-            os << ",";
-        campaignSummaryJson(os, all[i]);
-    }
-    os << "]}\n";
-    return os.str();
-}
 
 bool
 Dashboard::campaignPointsJson(std::uint64_t id, std::string &out) const
@@ -312,7 +305,7 @@ Dashboard::handle(const HttpRequest &req, Socket &sock,
         return;
     }
     if (path == "/api/campaigns") {
-        send(200, kJson, campaignsJson());
+        send(200, kJson, registry_.summariesJson());
         return;
     }
     if (path.rfind("/api/campaign/", 0) == 0) {

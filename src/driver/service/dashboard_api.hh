@@ -66,7 +66,7 @@ struct CampaignRecord
 
 /**
  * Thread-safe registry of every campaign the server has streamed.
- * Appended to by protocol-connection threads, snapshotted by dashboard
+ * Appended to by protocol-connection threads, read by dashboard
  * threads. Finished campaigns beyond kMaxFinished are evicted oldest
  * first so a long-lived daemon's memory stays bounded; active
  * campaigns are never evicted.
@@ -91,8 +91,10 @@ class CampaignRegistry
     void done(std::uint64_t id, const campaign::CampaignResult &result,
               const std::string &line);
 
-    /** Copy of every record, id-ascending. */
-    std::vector<CampaignRecord> snapshot() const;
+    /** The /api/campaigns body: every record summarized, id-ascending.
+     *  Rendered under the lock, so no record (or its retained point
+     *  events) is copied. */
+    std::string summariesJson() const;
 
     /** Copy of one record; false when the id is unknown. */
     bool get(std::uint64_t id, CampaignRecord &out) const;
@@ -125,7 +127,6 @@ class Dashboard
 
   private:
     std::string statusJson() const;
-    std::string campaignsJson() const;
     /** nullopt-style: false when the id is unknown. */
     bool campaignPointsJson(std::uint64_t id, std::string &out) const;
     std::string storeJson(std::size_t limit) const;

@@ -6,8 +6,10 @@
  * runtime activity on the simulated 2 GHz OoO core. They are the main
  * calibration surface of the reproduction: the software dependence-
  * matching costs are chosen so that the software-runtime breakdown
- * reproduces the pattern of Figure 2 (see DESIGN.md §5), and the
- * TDM-side costs follow the ISA/NoC/DMU path of Section III.
+ * reproduces the pattern of Figure 2 (the master's DEPS share dominant
+ * for Cholesky and QR, workers ~65% EXEC and ~32% IDLE;
+ * bench_fig2_breakdown prints the reproduced table), and the TDM-side
+ * costs follow the ISA/NoC/DMU path of Section III.
  */
 
 #ifndef TDM_RUNTIME_COST_MODEL_HH

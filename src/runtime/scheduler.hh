@@ -60,7 +60,9 @@ class Scheduler
     virtual bool empty() const = 0;
     virtual std::size_t size() const = 0;
 
-    /** Extra policy cycles on top of the base pool push/pop cost. */
+    /** Extra policy cycles on top of the base pool push/pop cost.
+     *  A machine reads each once, at construction, so they must be
+     *  constant for the scheduler's lifetime. */
     virtual sim::Tick pushExtraCycles() const { return 0; }
     virtual sim::Tick popExtraCycles() const { return 0; }
 };

@@ -461,7 +461,9 @@ TEST(Registry, BuiltinCampaigns)
         EXPECT_EQ(labels.size(), c.points.size()) << c.name;
     }
 
-    EXPECT_GE(campaign::campaignList().size(), 3u);
+    const auto list = campaign::campaignList();
+    EXPECT_GE(list.size(), 3u);
+    EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
 }
 
 TEST(Report, JsonAndCsvWriters)

@@ -1,14 +1,14 @@
 /**
  * @file
  * campaign_run — execute experiment campaigns on the thread-pooled
- * campaign engine: registered ones by name, and arbitrary user-defined
+ * campaign engine: built-in ones by name, and arbitrary user-defined
  * studies from *.campaign spec files, no recompile needed.
  *
  * Usage:
  *   campaign_run [options] [CAMPAIGN...]
  *
  * Options:
- *   --list            list registered campaigns and exit
+ *   --list            list built-in campaigns and exit
  *   --keys            print the spec key reference (markdown) and exit
  *   --metric-keys     print the metric key reference (markdown) and exit
  *   --trace-keys      print the trace event/counter reference

@@ -236,7 +236,7 @@ run(int argc, char **argv)
                   << ", " << tb.dropped() << " dropped)\n";
     }
     if (dump_stats)
-        m.dumpStats(std::cout);
+        m.metrics().dump(std::cout);
     return res.completed ? 0 : 1;
 }
 
