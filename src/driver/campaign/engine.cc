@@ -33,6 +33,31 @@ msSince(Clock::time_point t0)
         .count();
 }
 
+/** Run @p body(k) for every k in [0, count) on up to @p threads
+ *  threads; one thread runs inline, without a pool. */
+template <typename F>
+void
+parallelFor(unsigned threads, std::size_t count, const F &body)
+{
+    std::atomic<std::size_t> next{0};
+    const auto loop = [&] {
+        for (std::size_t k; (k = next.fetch_add(1)) < count;)
+            body(k);
+    };
+    const auto size =
+        static_cast<unsigned>(std::min<std::size_t>(threads, count));
+    if (size <= 1) {
+        loop();
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(size);
+    for (unsigned t = 0; t < size; ++t)
+        pool.emplace_back(loop);
+    for (std::thread &t : pool)
+        t.join();
+}
+
 /** Attach the standard incompletion error to a filled-in job. */
 void
 markIncomplete(JobResult &job)
@@ -209,13 +234,15 @@ CampaignEngine::run(const std::string &name,
 
     // Phase 1 (serial intake): canonicalize and claim each point's
     // fingerprint. A new claim makes this run the key's owner: it asks
-    // the external backend, and simulates on a miss. A done claim is a
-    // memory hit. A pending one — an in-list duplicate, or an
-    // identical point a concurrent run() is resolving — attaches and
-    // is collected in phase 3 instead of re-simulating.
+    // the external backend (phase 1.25), and simulates on a miss. A
+    // done claim is a memory hit. A pending one — an in-list
+    // duplicate, or an identical point a concurrent run() is
+    // resolving — attaches and is collected in phase 3 instead of
+    // re-simulating.
     std::vector<Experiment> exps;
     exps.reserve(n);
-    std::vector<std::size_t> work; // indices this run simulates
+    std::vector<std::size_t> fetches; // new claims to ask the backend
+    std::vector<std::size_t> work;    // indices this run simulates
     std::vector<std::pair<std::size_t, std::shared_ptr<Claim>>>
         attached; // indices waiting on another point's claim
     for (std::size_t i = 0; i < n; ++i) {
@@ -250,18 +277,27 @@ CampaignEngine::run(const std::string &name,
         }
         owned[i] = it->second = std::make_shared<Claim>();
         lock.unlock();
-        if (opts_.backend) {
-            if (auto hit = opts_.backend->fetch(key)) {
-                job.summary = std::move(*hit);
-                job.source = JobSource::Disk;
-                markIncomplete(job);
-                resolve(i);
-                emit(job, i);
-                continue;
-            }
-        }
-        work.push_back(i);
+        (opts_.backend ? fetches : work).push_back(i);
     }
+
+    // Phase 1.25: fetch the new claims on the pool (a backend's fetch
+    // is thread-safe). A hit resolves its claim and emits from the
+    // fetching thread; the misses join the work list in input order,
+    // so fork grouping sees the list a serial intake builds.
+    parallelFor(threads, fetches.size(), [&](std::size_t k) {
+        const std::size_t i = fetches[k];
+        if (auto hit = opts_.backend->fetch(keys[i])) {
+            JobResult &job = report.jobs[i];
+            job.summary = std::move(*hit);
+            job.source = JobSource::Disk;
+            markIncomplete(job);
+            resolve(i);
+            emit(job, i);
+        }
+    });
+    for (const std::size_t i : fetches)
+        if (report.jobs[i].source != JobSource::Disk)
+            work.push_back(i);
 
     // Phase 1.5: fork grouping. Points this run simulates are
     // bucketed by trajectory fingerprint (the Warmup-phase projection
@@ -301,117 +337,99 @@ CampaignEngine::run(const std::string &name,
     // Phase 2: simulate the unique misses on the worker pool, one
     // fork group per dispatch. Results land at their input index, so
     // output order never depends on the execution schedule.
-    std::atomic<std::size_t> nextJob{0};
     std::atomic<std::size_t> doneJobs{0};
     std::mutex progressMutex;
-    auto workerLoop = [&] {
-        for (;;) {
-            const std::size_t g = nextJob.fetch_add(1);
-            if (g >= groups.size())
-                return;
-            const std::vector<std::size_t> &group = groups[g];
-            // Created on the group's first member so a graph-build
-            // failure leaves it untouched; singleton groups skip the
-            // fork machinery entirely.
-            std::optional<ForkGroupRunner> runner;
-            for (const std::size_t i : group) {
-                JobResult &job = report.jobs[i];
-                const bool wantTrace =
-                    !opts_.traceDir.empty()
-                    && exps[i].config.trace.categories != 0;
-                sim::TraceBuffer tb;
-                const Clock::time_point j0 = Clock::now();
-                try {
-                    // A graph-build failure lands in this job's
-                    // error, exactly as it did when every point built
-                    // its own. Members of one group share a graph by
-                    // construction (workload keys are Warmup-phase).
-                    std::shared_ptr<const rt::TaskGraph> graph =
-                        graphs_.obtain(exps[i]);
-                    if (!runner)
-                        runner.emplace(graph, group.size() > 1);
-                    bool forked = false;
-                    job.summary =
-                        runner->run(exps[i], forkKeys[i],
-                                    wantTrace ? &tb : nullptr,
-                                    &forked);
-                    if (forked)
-                        job.source = JobSource::Forked;
-                    if (wantTrace) {
-                        const std::string path =
-                            opts_.traceDir + "/" + job.digest
-                            + ".json";
-                        std::ofstream f(path);
-                        if (!f) {
-                            sim::warn("cannot write trace file ",
-                                      path);
-                        } else {
-                            report::TraceMeta meta;
-                            meta.processName = job.label;
-                            meta.numCores = exps[i].config.numCores;
-                            meta.graph = graph.get();
-                            report::writeChromeTrace(f, tb, meta);
-                            job.tracePath = path;
-                        }
+    parallelFor(threads, groups.size(), [&](std::size_t g) {
+        const std::vector<std::size_t> &group = groups[g];
+        // Created on the group's first member so a graph-build
+        // failure leaves it untouched; singleton groups skip the
+        // fork machinery entirely.
+        std::optional<ForkGroupRunner> runner;
+        for (const std::size_t i : group) {
+            JobResult &job = report.jobs[i];
+            const bool wantTrace =
+                !opts_.traceDir.empty()
+                && exps[i].config.trace.categories != 0;
+            sim::TraceBuffer tb;
+            const Clock::time_point j0 = Clock::now();
+            try {
+                // A graph-build failure lands in this job's
+                // error, exactly as it did when every point built
+                // its own. Members of one group share a graph by
+                // construction (workload keys are Warmup-phase).
+                std::shared_ptr<const rt::TaskGraph> graph =
+                    graphs_.obtain(exps[i]);
+                if (!runner)
+                    runner.emplace(graph, group.size() > 1);
+                bool forked = false;
+                job.summary =
+                    runner->run(exps[i], forkKeys[i],
+                                wantTrace ? &tb : nullptr,
+                                &forked);
+                if (forked)
+                    job.source = JobSource::Forked;
+                if (wantTrace) {
+                    const std::string path =
+                        opts_.traceDir + "/" + job.digest
+                        + ".json";
+                    std::ofstream f(path);
+                    if (!f) {
+                        sim::warn("cannot write trace file ",
+                                  path);
+                    } else {
+                        report::TraceMeta meta;
+                        meta.processName = job.label;
+                        meta.numCores = exps[i].config.numCores;
+                        meta.graph = graph.get();
+                        report::writeChromeTrace(f, tb, meta);
+                        job.tracePath = path;
                     }
-                } catch (const std::exception &e) {
-                    job.error = e.what();
-                    job.threw = true;
-                    if (runner)
-                        runner->reset(); // machine may be mid-run
-                } catch (...) {
-                    job.error = "unknown error";
-                    job.threw = true;
-                    if (runner)
-                        runner->reset();
                 }
-                job.wallMs = msSince(j0);
-                // Publish any summary the simulator produced —
-                // incomplete runs are as deterministic as complete
-                // ones. Exceptions left no summary, so those are not
-                // published.
-                if (opts_.useCache && opts_.backend && job.error.empty())
-                    opts_.backend->publish(keys[i], job.summary);
-                markIncomplete(job);
-                // Hand the outcome to every attached point (this run's
-                // in-list duplicates and concurrent runs of the same
-                // fingerprint). Runs even after an exception so
-                // waiters never wait forever.
-                if (opts_.useCache)
-                    resolve(i);
-                emit(job, i);
-                const std::size_t k = doneJobs.fetch_add(1) + 1;
-                if (opts_.progress) {
-                    std::lock_guard<std::mutex> lock(progressMutex);
-                    sim::inform("  [", k, "/", work.size(), "] ",
-                                job.label,
-                                job.source == JobSource::Forked
-                                    ? " (forked)"
-                                    : "",
-                                job.ok() ? "" : " FAILED", " (",
-                                job.wallMs, " ms)");
-                }
+            } catch (const std::exception &e) {
+                job.error = e.what();
+                job.threw = true;
+                if (runner)
+                    runner->reset(); // machine may be mid-run
+            } catch (...) {
+                job.error = "unknown error";
+                job.threw = true;
+                if (runner)
+                    runner->reset();
+            }
+            job.wallMs = msSince(j0);
+            // Publish any summary the simulator produced —
+            // incomplete runs are as deterministic as complete
+            // ones. Exceptions left no summary, so those are not
+            // published.
+            if (opts_.useCache && opts_.backend && job.error.empty())
+                opts_.backend->publish(keys[i], job.summary);
+            markIncomplete(job);
+            // Hand the outcome to every attached point (this run's
+            // in-list duplicates and concurrent runs of the same
+            // fingerprint). Runs even after an exception so
+            // waiters never wait forever.
+            if (opts_.useCache)
+                resolve(i);
+            emit(job, i);
+            const std::size_t k = doneJobs.fetch_add(1) + 1;
+            if (opts_.progress) {
+                std::lock_guard<std::mutex> lock(progressMutex);
+                sim::inform("  [", k, "/", work.size(), "] ",
+                            job.label,
+                            job.source == JobSource::Forked
+                                ? " (forked)"
+                                : "",
+                            job.ok() ? "" : " FAILED", " (",
+                            job.wallMs, " ms)");
             }
         }
-    };
-
-    const unsigned poolSize = static_cast<unsigned>(
-        std::min<std::size_t>(threads, groups.size()));
-    if (poolSize <= 1) {
-        workerLoop();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(poolSize);
-        for (unsigned t = 0; t < poolSize; ++t)
-            pool.emplace_back(workerLoop);
-        for (std::thread &t : pool)
-            t.join();
-    }
+    });
 
     // Phase 3: collect the attached points. Their owners are this
-    // run's own workers (in-list duplicates, already joined above) or
-    // a concurrent run() on the same engine; owners always resolve
-    // their claim — even on exception — so these waits terminate.
+    // run's own fetches and workers (in-list duplicates, already
+    // joined above) or a concurrent run() on the same engine; owners
+    // always resolve their claim — even on exception — so these waits
+    // terminate.
     for (auto &[i, claim] : attached) {
         JobResult &job = report.jobs[i];
         {
@@ -422,7 +440,13 @@ CampaignEngine::run(const std::string &name,
             job.threw = claim->threw;
             job.tracePath = claim->tracePath;
         }
-        job.source = JobSource::Inflight;
+        // The twin of a point this run served from disk is a memory
+        // hit: in intake order, its claim was already done.
+        const auto owner = std::find(owned.begin(), owned.end(), claim);
+        const bool twinOfDisk =
+            owner != owned.end()
+            && report.jobs[owner - owned.begin()].source == JobSource::Disk;
+        job.source = twinOfDisk ? JobSource::Memory : JobSource::Inflight;
         markIncomplete(job);
         emit(job, i);
     }

@@ -5,10 +5,10 @@
  *
  * The engine fingerprints every point and claims each fingerprint in
  * one claim table: the first point to claim a key owns it (reads it
- * from the external backend, or simulates it on a pool of worker
- * threads), a finished claim serves later points from memory, and a
- * pending one makes identical points wait for its owner instead of
- * re-simulating. Results return in input order. Because each
+ * from the external backend, or simulates it; both run on a pool of
+ * worker threads), a finished claim serves later points from memory,
+ * and a pending one makes identical points wait for its owner instead
+ * of re-simulating. Results return in input order. Because each
  * simulation is a pure function of its Experiment (all randomness is
  * seeded from the experiment parameters), every run, at any thread
  * count, is byte-identical to running each point on its own with
@@ -196,9 +196,9 @@ struct JobResult
 
 /**
  * Per-point completion hook: invoked exactly once per point, as each
- * point resolves (cache/backend hits during the serial intake phase,
- * simulated points as their worker finishes, attached points when
- * their owner publishes). Invocations are serialized by the engine —
+ * point resolves (memory hits during the serial intake phase, backend
+ * hits as their fetching thread reads them, simulated points as their
+ * worker finishes, attached points when their owner publishes). Invocations are serialized by the engine —
  * handlers never race each other — but run on engine threads, so a
  * handler must not call back into the same engine. The JobResult
  * reference is only valid for the duration of the call. This is how

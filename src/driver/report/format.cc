@@ -1,6 +1,7 @@
 #include "driver/report/format.hh"
 
 #include <cmath>
+#include <cstdlib>
 
 namespace tdm::driver::report {
 
@@ -93,6 +94,22 @@ jsonNumber(std::ostream &os, double v)
     Text t;
     t << JsonReal{v};
     t.flushTo(os);
+}
+
+bool
+parseReal(std::string_view s, double &out)
+{
+    const char *const end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    if (ptr != end)
+        return false;
+    // from_chars leaves an out-of-range value unset; strtod rounds it
+    // to +-inf or +-0, which is what the readers always returned.
+    if (ec == std::errc::result_out_of_range) {
+        out = std::strtod(std::string(s).c_str(), nullptr);
+        return true;
+    }
+    return ec == std::errc();
 }
 
 } // namespace tdm::driver::report

@@ -17,6 +17,9 @@
  *    (JSON has no inf or nan).
  *  - FixedReal{v, d}: what `os << std::fixed << std::setprecision(d)
  *    << v` prints (%.*f).
+ *
+ * parseReal is the read side: the store and the wire read every
+ * number back through it.
  */
 
 #ifndef TDM_DRIVER_REPORT_FORMAT_HH
@@ -106,6 +109,15 @@ std::string jsonEscape(const std::string &s);
 
 /** Write @p v as a JSON number (JsonReal). */
 void jsonNumber(std::ostream &os, double v);
+
+/**
+ * Read all of @p s as one double, through std::from_chars: no leading
+ * space or '+', no hex. A literal out of double range reads as strtod
+ * reads it (+-inf or +-0), so every value Real or JsonReal prints,
+ * non-finite ones included, reads back to the same bits. False when
+ * @p s is not exactly one number.
+ */
+bool parseReal(std::string_view s, double &out);
 
 } // namespace tdm::driver::report
 

@@ -142,14 +142,19 @@ ServiceClient::submit(const campaign::Campaign &c,
                 throw std::runtime_error("campaign service " +
                                          address_ +
                                          ": malformed point event");
-            job.spec = specs[index];
+            // Move the decoded job and its spec into place; a repeated
+            // index takes the spec back from the job it replaces.
+            campaign::JobResult &slot = result.jobs[index];
+            sim::Config spec = std::move(received[index] ? slot.spec
+                                                         : specs[index]);
             if (!received[index]) {
                 received[index] = true;
                 ++receivedCount;
             }
-            result.jobs[index] = job;
+            slot = std::move(job);
+            slot.spec = std::move(spec);
             if (onJob)
-                onJob(result.jobs[index], index, total);
+                onJob(slot, index, total);
             continue;
         }
         JsonValue event;

@@ -18,17 +18,20 @@ using report::JsonReal;
 
 // ---- registry ------------------------------------------------------------
 
-CampaignRecord *
-CampaignRegistry::findLocked(std::uint64_t id)
+namespace {
+
+/** The record with @p id in @p campaigns, or nullptr. Ids ascend and
+ *  lookups target recent campaigns, so the scan runs backwards. */
+template <typename Records>
+auto
+findRecord(Records &campaigns, std::uint64_t id)
+    -> decltype(campaigns.data())
 {
-    // Ids ascend and lookups target recent campaigns; scan backwards.
-    for (auto it = campaigns_.rbegin(); it != campaigns_.rend(); ++it)
+    for (auto it = campaigns.rbegin(); it != campaigns.rend(); ++it)
         if (it->id == id)
             return &*it;
     return nullptr;
 }
-
-namespace {
 
 /** A protocol line's JSON object: the bus and the points endpoint
  *  carry it without the line terminator. */
@@ -113,7 +116,7 @@ CampaignRegistry::point(std::uint64_t id, const campaign::JobResult &job,
     std::lock_guard<std::mutex> lock(m_);
     std::string json = eventJson(line);
     bus_.publish("point", json);
-    CampaignRecord *rec = findLocked(id);
+    CampaignRecord *rec = findRecord(campaigns_, id);
     if (!rec)
         return;
     if (!job.ok())
@@ -130,7 +133,7 @@ CampaignRegistry::done(std::uint64_t id,
 {
     std::lock_guard<std::mutex> lock(m_);
     bus_.publish("done", eventJson(line));
-    if (CampaignRecord *rec = findLocked(id)) {
+    if (CampaignRecord *rec = findRecord(campaigns_, id)) {
         rec->active = false;
         rec->wallMs = result.wallMs;
     }
@@ -152,15 +155,32 @@ CampaignRegistry::summariesJson() const
 }
 
 bool
-CampaignRegistry::get(std::uint64_t id, CampaignRecord &out) const
+CampaignRegistry::pointsJson(std::uint64_t id, std::string &out) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    for (auto it = campaigns_.rbegin(); it != campaigns_.rend(); ++it)
-        if (it->id == id) {
-            out = *it;
-            return true;
-        }
-    return false;
+    const CampaignRecord *rec = findRecord(campaigns_, id);
+    if (!rec)
+        return false;
+    // Completion order is the live view; the export view is point
+    // order — serve the latter so a row-by-row diff against the file
+    // export lines up.
+    std::vector<const std::pair<std::size_t, std::string> *> order;
+    order.reserve(rec->points.size());
+    for (const auto &p : rec->points)
+        order.push_back(&p);
+    std::sort(order.begin(), order.end(),
+              [](const auto *a, const auto *b) { return *a < *b; });
+    std::ostringstream os;
+    os << "{\"id\":" << rec->id << ",\"name\":\""
+       << jsonEscape(rec->name) << "\",\"total\":" << rec->total
+       << ",\"active\":" << (rec->active ? "true" : "false")
+       << ",\"metrics_pattern\":\"" << jsonEscape(rec->metricsPattern)
+       << "\",\"points\":[";
+    for (std::size_t i = 0; i < order.size(); ++i)
+        os << (i ? "," : "") << order[i]->second;
+    os << "]}\n";
+    out = os.str();
+    return true;
 }
 
 // ---- dashboard -----------------------------------------------------------
@@ -202,29 +222,6 @@ findAsset(const std::string &path)
 }
 
 } // namespace
-
-bool
-Dashboard::campaignPointsJson(std::uint64_t id, std::string &out) const
-{
-    CampaignRecord rec;
-    if (!registry_.get(id, rec))
-        return false;
-    // Completion order is the live view; the export view is point
-    // order — serve the latter so a row-by-row diff against the file
-    // export lines up.
-    std::sort(rec.points.begin(), rec.points.end());
-    std::ostringstream os;
-    os << "{\"id\":" << rec.id << ",\"name\":\"" << jsonEscape(rec.name)
-       << "\",\"total\":" << rec.total
-       << ",\"active\":" << (rec.active ? "true" : "false")
-       << ",\"metrics_pattern\":\"" << jsonEscape(rec.metricsPattern)
-       << "\",\"points\":[";
-    for (std::size_t i = 0; i < rec.points.size(); ++i)
-        os << (i ? "," : "") << rec.points[i].second;
-    os << "]}\n";
-    out = os.str();
-    return true;
-}
 
 std::string
 Dashboard::storeJson(std::size_t limit) const
@@ -319,7 +316,7 @@ Dashboard::handle(const HttpRequest &req, Socket &sock,
                 std::strtoull(idText.c_str(), &end, 10);
             std::string body;
             if (end && *end == '\0' &&
-                campaignPointsJson(id, body)) {
+                registry_.pointsJson(id, body)) {
                 send(200, kJson, body);
                 return;
             }

@@ -96,12 +96,12 @@ class CampaignRegistry
      *  events) is copied. */
     std::string summariesJson() const;
 
-    /** Copy of one record; false when the id is unknown. */
-    bool get(std::uint64_t id, CampaignRecord &out) const;
+    /** The /api/campaign/<id>/points body: the record's point events
+     *  in point order. Rendered under the lock from sorted pointers,
+     *  so the record is not copied. False when the id is unknown. */
+    bool pointsJson(std::uint64_t id, std::string &out) const;
 
   private:
-    CampaignRecord *findLocked(std::uint64_t id);
-
     ProgressBus &bus_;
     mutable std::mutex m_;
     std::vector<CampaignRecord> campaigns_; ///< id-ascending
@@ -127,8 +127,6 @@ class Dashboard
 
   private:
     std::string statusJson() const;
-    /** nullopt-style: false when the id is unknown. */
-    bool campaignPointsJson(std::uint64_t id, std::string &out) const;
     std::string storeJson(std::size_t limit) const;
     /** 200 body for /api/store/<digest>; false when absent/corrupt. */
     bool storeBlobJson(const std::string &digest,

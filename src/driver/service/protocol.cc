@@ -1,11 +1,13 @@
 #include "driver/service/protocol.hh"
 
-#include <cerrno>
+#include <bitset>
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "driver/campaign/fingerprint.hh"
@@ -24,30 +26,46 @@ using report::jsonEscape;
 using report::jsonNumber;
 using report::JsonReal;
 
-/** Recursive-descent reader over one in-memory document. */
-class JsonReader
+constexpr int kMaxDepth = 64;
+
+/**
+ * The one JSON lexer: a cursor over an in-memory document. A string
+ * reads as a view (into the document, or into a scratch buffer when it
+ * holds escapes), a number as its literal, and object()/array() hand
+ * each member or item to a callback that reads it. parseJson builds a
+ * JsonValue tree on it; decodePointEvent streams a point event through
+ * it without building one.
+ */
+class JsonCursor
 {
   public:
-    explicit JsonReader(const std::string &text) : s_(text) {}
+    explicit JsonCursor(std::string_view s) : s_(s) {}
 
-    bool parse(JsonValue &out, std::string &error)
+    /** The next byte after whitespace ('\0' at the end). */
+    char peek()
     {
-        skipWs();
-        if (!value(out, 0)) {
-            error = error_.empty() ? "malformed JSON" : error_;
-            return false;
-        }
-        skipWs();
-        if (pos_ != s_.size()) {
-            error = "trailing characters after JSON value";
-            return false;
-        }
-        return true;
+        while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
+                                    s_[pos_] == '\n' || s_[pos_] == '\r'))
+            ++pos_;
+        return pos_ < s_.size() ? s_[pos_] : '\0';
     }
 
-  private:
-    static constexpr int kMaxDepth = 64;
+    /** Only whitespace is left. */
+    bool atEnd()
+    {
+        peek();
+        return pos_ == s_.size();
+    }
 
+    /** A number starts here (it may still be malformed). */
+    bool atNumber()
+    {
+        const char c = peek();
+        return c == '-' || (c >= '0' && c <= '9');
+    }
+
+    /** Record @p msg at the current offset (the first failure wins);
+     *  always false. */
     bool fail(const std::string &msg)
     {
         if (error_.empty())
@@ -55,19 +73,163 @@ class JsonReader
         return false;
     }
 
-    void skipWs()
+    /** The first failure's message ("" when none was recorded). */
+    const std::string &error() const { return error_; }
+
+    /** The literal @p w (true, false or null). */
+    bool word(std::string_view w)
     {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                s_[pos_] == '\n' || s_[pos_] == '\r'))
-            ++pos_;
+        if (s_.substr(pos_, w.size()) != w)
+            return fail("expected '" + std::string(w) + "'");
+        pos_ += w.size();
+        return true;
     }
 
-    bool literal(const char *word, std::size_t len)
+    /** A string: @p out views the document, or @p scratch (which then
+     *  holds the decoded text) when the string has escapes. */
+    bool string(std::string_view &out, std::string &scratch)
     {
-        if (s_.compare(pos_, len, word) != 0)
-            return fail(std::string("expected '") + word + "'");
-        pos_ += len;
+        if (peek() != '"')
+            return fail("expected string");
+        const std::size_t start = ++pos_;
+        while (pos_ < s_.size()) {
+            const char c = s_[pos_];
+            if (c == '"') {
+                out = s_.substr(start, pos_++ - start);
+                return true;
+            }
+            if (c == '\\') {
+                scratch.assign(s_.substr(start, pos_ - start));
+                if (!escapedRest(scratch))
+                    return false;
+                out = scratch;
+                return true;
+            }
+            if (static_cast<unsigned char>(c) < 0x20)
+                return fail("unescaped control character in string");
+            ++pos_;
+        }
+        return fail("unterminated string");
+    }
+
+    /** A string, decoded into @p out. */
+    bool string(std::string &out)
+    {
+        std::string_view v;
+        if (!string(v, out))
+            return false;
+        if (v.data() != out.data())
+            out.assign(v);
+        return true;
+    }
+
+    /** A number's literal, checked against the JSON grammar. */
+    bool number(std::string_view &literal)
+    {
+        const std::size_t start = pos_;
+        if (pos_ < s_.size() && s_[pos_] == '-')
+            ++pos_;
+        auto digits = [&] {
+            const std::size_t before = pos_;
+            while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9')
+                ++pos_;
+            return pos_ > before;
+        };
+        const std::size_t intStart = pos_;
+        if (!digits())
+            return fail("malformed number");
+        // JSON forbids leading zeros: "0" is fine, "01" is not.
+        if (s_[intStart] == '0' && pos_ - intStart > 1)
+            return fail("malformed number");
+        if (pos_ < s_.size() && s_[pos_] == '.') {
+            ++pos_;
+            if (!digits())
+                return fail("malformed number");
+        }
+        if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
+            ++pos_;
+            if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-'))
+                ++pos_;
+            if (!digits())
+                return fail("malformed number");
+        }
+        literal = s_.substr(start, pos_ - start);
+        return true;
+    }
+
+    /** A number, as a double. */
+    bool real(double &out)
+    {
+        std::string_view literal;
+        return atNumber() && number(literal)
+            && report::parseReal(literal, out);
+    }
+
+    /** A plain unsigned integer literal no larger than @p max (read
+     *  from the literal, so 64-bit values stay exact). */
+    bool exactUint(std::uint64_t max, std::uint64_t &out)
+    {
+        std::string_view literal;
+        if (!atNumber() || !number(literal))
+            return false;
+        const char *const end = literal.data() + literal.size();
+        const std::from_chars_result r =
+            std::from_chars(literal.data(), end, out);
+        return r.ec == std::errc() && r.ptr == end && out <= max;
+    }
+
+    /** An object: @p member(key) reads each member's value (every
+     *  reader skips the whitespace before its value). */
+    template <typename F>
+    bool object(F &&member)
+    {
+        if (peek() != '{')
+            return fail("expected '{'");
+        ++pos_;
+        if (peek() == '}') {
+            ++pos_;
+            return true;
+        }
+        std::string scratch;
+        for (bool more = true; more;) {
+            std::string_view key;
+            if (!string(key, scratch))
+                return false;
+            if (peek() != ':')
+                return fail("expected ':'");
+            ++pos_;
+            if (!member(key) || !separator('}', "object", more))
+                return false;
+        }
+        return true;
+    }
+
+    /** An array, at its '[': @p item() reads each item. */
+    template <typename F>
+    bool array(F &&item)
+    {
+        ++pos_;
+        if (peek() == ']') {
+            ++pos_;
+            return true;
+        }
+        for (bool more = true; more;)
+            if (!item() || !separator(']', "array", more))
+                return false;
+        return true;
+    }
+
+  private:
+    /** After a member or item: ',' (@p more) or @p close. */
+    bool separator(char close, const char *what, bool &more)
+    {
+        const char c = peek();
+        if (pos_ == s_.size())
+            return fail(std::string("unterminated ") + what);
+        if (c != ',' && c != close)
+            return fail(std::string("expected ',' or '") + close + "'");
+        ++pos_;
+        more = c == ',';
         return true;
     }
 
@@ -110,12 +272,10 @@ class JsonReader
         return true;
     }
 
-    bool string(std::string &out)
+    /** The rest of a string that has an escape at pos_, decoded onto
+     *  @p out, through its closing quote. */
+    bool escapedRest(std::string &out)
     {
-        if (pos_ >= s_.size() || s_[pos_] != '"')
-            return fail("expected string");
-        ++pos_;
-        out.clear();
         while (pos_ < s_.size()) {
             const char c = s_[pos_];
             if (c == '"') {
@@ -147,7 +307,7 @@ class JsonReader
                     return false;
                 if (cp >= 0xd800 && cp <= 0xdbff) {
                     // High surrogate: a low surrogate must follow.
-                    if (s_.compare(pos_, 2, "\\u") != 0)
+                    if (s_.substr(pos_, 2) != "\\u")
                         return fail("unpaired surrogate");
                     pos_ += 2;
                     unsigned lo = 0;
@@ -155,8 +315,7 @@ class JsonReader
                         return false;
                     if (lo < 0xdc00 || lo > 0xdfff)
                         return fail("unpaired surrogate");
-                    cp = 0x10000 + ((cp - 0xd800) << 10) +
-                         (lo - 0xdc00);
+                    cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
                 } else if (cp >= 0xdc00 && cp <= 0xdfff) {
                     return fail("unpaired surrogate");
                 }
@@ -170,138 +329,64 @@ class JsonReader
         return fail("unterminated string");
     }
 
-    bool number(JsonValue &out)
-    {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && s_[pos_] == '-')
-            ++pos_;
-        auto digits = [&] {
-            const std::size_t before = pos_;
-            while (pos_ < s_.size() && s_[pos_] >= '0' &&
-                   s_[pos_] <= '9')
-                ++pos_;
-            return pos_ > before;
-        };
-        const std::size_t int_start = pos_;
-        if (!digits())
-            return fail("malformed number");
-        // JSON forbids leading zeros: "0" is fine, "01" is not.
-        if (s_[int_start] == '0' && pos_ - int_start > 1)
-            return fail("malformed number");
-        if (pos_ < s_.size() && s_[pos_] == '.') {
-            ++pos_;
-            if (!digits())
-                return fail("malformed number");
-        }
-        if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < s_.size() &&
-                (s_[pos_] == '+' || s_[pos_] == '-'))
-                ++pos_;
-            if (!digits())
-                return fail("malformed number");
-        }
-        out.kind = JsonValue::Kind::Number;
-        out.text = s_.substr(start, pos_ - start);
-        out.number = std::strtod(out.text.c_str(), nullptr);
-        return true;
-    }
-
-    bool value(JsonValue &out, int depth)
-    {
-        if (depth > kMaxDepth)
-            return fail("nesting too deep");
-        if (pos_ >= s_.size())
-            return fail("unexpected end of input");
-        switch (s_[pos_]) {
-        case 'n':
-            out.kind = JsonValue::Kind::Null;
-            return literal("null", 4);
-        case 't':
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-            return literal("true", 4);
-        case 'f':
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
-            return literal("false", 5);
-        case '"':
-            out.kind = JsonValue::Kind::String;
-            return string(out.text);
-        case '[': {
-            ++pos_;
-            out.kind = JsonValue::Kind::Array;
-            skipWs();
-            if (pos_ < s_.size() && s_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                JsonValue item;
-                skipWs();
-                if (!value(item, depth + 1))
-                    return false;
-                out.items.push_back(std::move(item));
-                skipWs();
-                if (pos_ >= s_.size())
-                    return fail("unterminated array");
-                if (s_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (s_[pos_] == ']') {
-                    ++pos_;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
-        }
-        case '{': {
-            ++pos_;
-            out.kind = JsonValue::Kind::Object;
-            skipWs();
-            if (pos_ < s_.size() && s_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                std::string key;
-                if (!string(key))
-                    return false;
-                skipWs();
-                if (pos_ >= s_.size() || s_[pos_] != ':')
-                    return fail("expected ':'");
-                ++pos_;
-                skipWs();
-                JsonValue member;
-                if (!value(member, depth + 1))
-                    return false;
-                out.members.emplace_back(std::move(key),
-                                         std::move(member));
-                skipWs();
-                if (pos_ >= s_.size())
-                    return fail("unterminated object");
-                if (s_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (s_[pos_] == '}') {
-                    ++pos_;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
-        }
-        default:
-            return number(out);
-        }
-    }
-
-    const std::string &s_;
+    std::string_view s_;
     std::size_t pos_ = 0;
     std::string error_;
 };
+
+/** One value at nesting @p depth, as a tree. */
+bool
+readValue(JsonCursor &c, JsonValue &out, int depth)
+{
+    if (depth > kMaxDepth)
+        return c.fail("nesting too deep");
+    if (c.atEnd())
+        return c.fail("unexpected end of input");
+    switch (c.peek()) {
+    case 'n':
+        out.kind = JsonValue::Kind::Null;
+        return c.word("null");
+    case 't':
+        out.kind = JsonValue::Kind::Bool;
+        out.boolean = true;
+        return c.word("true");
+    case 'f':
+        out.kind = JsonValue::Kind::Bool;
+        out.boolean = false;
+        return c.word("false");
+    case '"':
+        out.kind = JsonValue::Kind::String;
+        return c.string(out.text);
+    case '[':
+        out.kind = JsonValue::Kind::Array;
+        return c.array([&] {
+            return readValue(c, out.items.emplace_back(), depth + 1);
+        });
+    case '{':
+        out.kind = JsonValue::Kind::Object;
+        return c.object([&](std::string_view key) {
+            return readValue(
+                c, out.members.emplace_back(key, JsonValue{}).second,
+                depth + 1);
+        });
+    default: {
+        out.kind = JsonValue::Kind::Number;
+        std::string_view literal;
+        if (!c.number(literal))
+            return false;
+        out.text = literal;
+        return report::parseReal(literal, out.number);
+    }
+    }
+}
+
+/** Check one value at nesting @p depth and drop it. */
+bool
+skipValue(JsonCursor &c, int depth)
+{
+    JsonValue ignored;
+    return readValue(c, ignored, depth);
+}
 
 } // namespace
 
@@ -335,10 +420,19 @@ JsonValue::asBool(bool dflt) const
 }
 
 bool
-parseJson(const std::string &text, JsonValue &out, std::string &error)
+parseJson(std::string_view text, JsonValue &out, std::string &error)
 {
     out = JsonValue{};
-    return JsonReader(text).parse(out, error);
+    JsonCursor c(text);
+    if (!readValue(c, out, 0)) {
+        error = c.error().empty() ? "malformed JSON" : c.error();
+        return false;
+    }
+    if (!c.atEnd()) {
+        error = "trailing characters after JSON value";
+        return false;
+    }
+    return true;
 }
 
 // ---- requests ------------------------------------------------------------
@@ -647,26 +741,49 @@ writeServed(std::ostream &os, const campaign::SourceCounts &served)
 
 namespace {
 
-/** @p v as a plain unsigned integer literal no larger than @p max
- *  (decoded from the raw text, so 64-bit values stay exact). */
+/** The members decodePointEvent reads besides the headline fields,
+ *  which follow them in its member numbering. Those before Event may
+ *  be absent. */
+enum PointMember : std::size_t {
+    Digest, Error, WallMs, DoneAtMs,
+    Event, Index, Total, Label, Source, Metrics,
+    kPointMembers
+};
+constexpr std::string_view kPointMemberNames[kPointMembers] = {
+    "digest", "error", "wall_ms", "done_at_ms", "event",
+    "index",  "total", "label",   "source",     "metrics",
+};
+
+/** Headline field @p f of @p s, typed: a flag as true/false, a count
+ *  as an exact unsigned integer, a real as any number. */
 bool
-exactUint(const JsonValue *v, std::uint64_t max, std::uint64_t &out)
+readHeadline(JsonCursor &c, RunSummary &s, const HeadlineField &f)
 {
-    if (!v || !v->isNumber() || v->text.empty() ||
-        v->text.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    errno = 0;
-    const unsigned long long n = std::strtoull(v->text.c_str(), nullptr, 10);
-    if (errno != 0 || n > max)
-        return false;
-    out = n;
-    return true;
+    return std::visit(
+        [&](auto member) {
+            using T = std::remove_reference_t<decltype(s.*member)>;
+            if constexpr (std::is_same_v<T, bool>) {
+                const char first = c.peek();
+                s.*member = first == 't';
+                return (first == 't' || first == 'f')
+                    && c.word(s.*member ? "true" : "false");
+            } else if constexpr (std::is_floating_point_v<T>) {
+                return c.real(s.*member);
+            } else {
+                std::uint64_t n = 0;
+                if (!c.exactUint(std::numeric_limits<T>::max(), n))
+                    return false;
+                s.*member = static_cast<T>(n);
+                return true;
+            }
+        },
+        f.member);
 }
 
 } // namespace
 
 bool
-decodePointEvent(const std::string &line, campaign::JobResult &job,
+decodePointEvent(std::string_view line, campaign::JobResult &job,
                  std::size_t &index, std::size_t &total)
 {
     // The sum covers every byte before it, so any damage to the line
@@ -674,79 +791,67 @@ decodePointEvent(const std::string &line, campaign::JobResult &job,
     if (line.size() < kSumTail)
         return false;
     const std::size_t bodyLen = line.size() - kSumTail;
-    const std::string_view body(line.data(), bodyLen);
-    if (line.compare(bodyLen, std::string::npos,
-                     ",\"sum\":\"" + campaign::digestOfKey(body) + "\"}")
-        != 0)
+    const std::string_view body = line.substr(0, bodyLen);
+    if (line.substr(bodyLen)
+        != ",\"sum\":\"" + campaign::digestOfKey(body) + "\"}")
         return false;
 
-    JsonValue event;
-    std::string error;
-    if (!parseJson(line, event, error))
-        return false;
-    const JsonValue *ev = event.find("event");
-    if (!ev || ev->asString() != "point")
-        return false;
-    const JsonValue *label = event.find("label");
-    const JsonValue *source = event.find("source");
-    const JsonValue *metrics = event.find("metrics");
-    std::uint64_t idx = 0, tot = 0;
-    if (!exactUint(event.find("index"), SIZE_MAX, idx) ||
-        !exactUint(event.find("total"), SIZE_MAX, tot) || !label ||
-        !label->isString() || !source || !source->isString() ||
-        !metrics || !metrics->isObject())
-        return false;
-
+    // One pass, no tree. Of a repeated member the first counts (as
+    // JsonValue::find has it); later ones need only be valid JSON.
+    // Metric keys arrive sorted, so each lands at the tree's end.
     job = campaign::JobResult{};
+    RunSummary &s = job.summary;
+    std::uint64_t idx = 0, tot = 0;
+    std::bitset<kPointMembers + std::size(kHeadlineFields)> seen;
+    std::string scratch;
+    JsonCursor c(line);
+    auto member = [&](std::string_view key) {
+        std::size_t m = 0;
+        while (m < kPointMembers && key != kPointMemberNames[m])
+            ++m;
+        if (m == kPointMembers)
+            while (m < seen.size()
+                   && key != kHeadlineFields[m - kPointMembers].name)
+                ++m;
+        if (m == seen.size() || seen[m])
+            return skipValue(c, 1);
+        seen[m] = true;
+        std::string_view text;
+        switch (m) {
+        case Digest: // digest and error read "" unless a string
+            return c.peek() == '"' ? c.string(job.digest) : skipValue(c, 1);
+        case Error:
+            return c.peek() == '"' ? c.string(job.error) : skipValue(c, 1);
+        case WallMs: // wall_ms and done_at_ms read 0 unless a number
+            return c.atNumber() ? c.real(job.wallMs) : skipValue(c, 1);
+        case DoneAtMs:
+            return c.atNumber() ? c.real(job.doneAtMs) : skipValue(c, 1);
+        case Event: return c.string(text, scratch) && text == "point";
+        case Index: return c.exactUint(SIZE_MAX, idx);
+        case Total: return c.exactUint(SIZE_MAX, tot);
+        case Label: return c.string(job.label);
+        case Source:
+            return c.string(text, scratch)
+                && campaign::jobSourceFromName(text, job.source);
+        case Metrics:
+            return c.object([&](std::string_view k) {
+                double v = 0.0;
+                if (!c.real(v))
+                    return false;
+                s.machine.metrics.append(k, v);
+                return true;
+            });
+        default:
+            return readHeadline(c, s, kHeadlineFields[m - kPointMembers]);
+        }
+    };
+    if (!c.object(member) || !c.atEnd())
+        return false;
+    for (std::size_t m = Event; m < seen.size(); ++m)
+        if (!seen[m])
+            return false;
     index = static_cast<std::size_t>(idx);
     total = static_cast<std::size_t>(tot);
-    job.label = label->text;
-    if (!campaign::jobSourceFromName(source->text, job.source))
-        return false;
-
-    if (const JsonValue *v = event.find("digest"))
-        job.digest = v->asString();
-    if (const JsonValue *v = event.find("error"))
-        job.error = v->asString();
-    if (const JsonValue *v = event.find("wall_ms"))
-        job.wallMs = v->asNumber();
-    if (const JsonValue *v = event.find("done_at_ms"))
-        job.doneAtMs = v->asNumber();
-
-    // Headline members travel typed, so 64-bit tick counts survive
-    // even past double precision.
-    RunSummary &s = job.summary;
-    for (const HeadlineField &f : kHeadlineFields) {
-        const JsonValue *v = event.find(f.name);
-        const bool decoded = std::visit(
-            [&](auto member) {
-                using T = std::remove_reference_t<decltype(s.*member)>;
-                if constexpr (std::is_same_v<T, bool>) {
-                    if (!v || v->kind != JsonValue::Kind::Bool)
-                        return false;
-                    s.*member = v->boolean;
-                } else if constexpr (std::is_floating_point_v<T>) {
-                    if (!v || !v->isNumber())
-                        return false;
-                    s.*member = v->number;
-                } else {
-                    std::uint64_t n = 0;
-                    if (!exactUint(v, std::numeric_limits<T>::max(), n))
-                        return false;
-                    s.*member = static_cast<T>(n);
-                }
-                return true;
-            },
-            f.member);
-        if (!decoded)
-            return false;
-    }
-
-    for (const auto &[k, v] : metrics->members) {
-        if (!v.isNumber())
-            return false;
-        s.machine.metrics.set(k, v.number);
-    }
     return true;
 }
 

@@ -40,8 +40,14 @@
  * serializes to identical bytes over the wire and in the file export —
  * this is what makes the restart replay byte-identical.
  *
- * This header also hosts the minimal JSON reader the server and the
- * C++ client share (the repo otherwise only writes JSON).
+ * This header also hosts the JSON reader the server and the C++ client
+ * share (the repo otherwise only writes JSON). One lexer reads every
+ * line: a cursor that returns a string as a view (decoded into a
+ * buffer only when it holds escapes), a number as its literal (read
+ * with std::from_chars, through report::parseReal), and a literal or
+ * a skipped value. parseJson builds a JsonValue tree on it for requests
+ * and control events; decodePointEvent streams a point event through
+ * it in one pass, with no tree, so one grammar serves both.
  */
 
 #ifndef TDM_DRIVER_SERVICE_PROTOCOL_HH
@@ -50,6 +56,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,7 +67,7 @@ namespace tdm::driver::service {
 
 // ---- JSON reader ---------------------------------------------------------
 
-/** One parsed JSON value (a small tree, not a streaming reader). */
+/** One parsed JSON value, as a tree (parseJson builds it). */
 struct JsonValue
 {
     enum class Kind { Null, Bool, Number, String, Array, Object };
@@ -98,7 +105,7 @@ struct JsonValue
  * including \uXXXX escapes (with surrogate pairs); depth is capped so
  * hostile input cannot blow the stack.
  */
-bool parseJson(const std::string &text, JsonValue &out,
+bool parseJson(std::string_view text, JsonValue &out,
                std::string &error);
 
 // ---- requests ------------------------------------------------------------
@@ -200,10 +207,13 @@ void writeServed(std::ostream &os, const campaign::SourceCounts &served);
  * Decode one "point" event @p line (as writePoint wrote it, without the
  * newline) back into a JobResult: the inverse of writePoint, minus the
  * spec map, which a point event does not carry. Metrics land in
- * job.summary.machine.metrics. Returns false on a malformed event or a
- * line whose sum does not match its bytes.
+ * job.summary.machine.metrics. One pass over the line, no JsonValue
+ * tree; as with JsonValue::find, the first of a repeated member counts,
+ * while a repeated metric key keeps its last value. Returns false
+ * (leaving the outputs unspecified) on a malformed event or a line
+ * whose sum does not match its bytes.
  */
-bool decodePointEvent(const std::string &line, campaign::JobResult &job,
+bool decodePointEvent(std::string_view line, campaign::JobResult &job,
                       std::size_t &index, std::size_t &total);
 
 } // namespace tdm::driver::service

@@ -1,11 +1,11 @@
 #include "driver/service/store.hh"
 
 #include <charconv>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 
 #include <unistd.h>
 
@@ -38,7 +38,7 @@ renderBlob(const std::string &key, const RunSummary &summary,
     // The payload (everything between the header and the checksum
     // line) is built separately so the checksum can cover it. 17
     // significant digits parse back bit-exactly, and "inf"/"nan"
-    // survive the round-trip through strtod.
+    // survive the round-trip through report::parseReal.
     report::Text payload;
     payload << "key " << key << '\n';
     const sim::MetricSet &m = summary.metrics();
@@ -49,6 +49,90 @@ renderBlob(const std::string &key, const RunSummary &summary,
     const std::string &body = payload.str();
     return headerLine(schema_version) + '\n' + body + "sum "
          + campaign::digestOfKey(body) + "\nend\n";
+}
+
+/** The next line of @p rest, without its '\n' (as getline reads it);
+ *  false once @p rest is used up. */
+bool
+nextLine(std::string_view &rest, std::string_view &line)
+{
+    if (rest.empty())
+        return false;
+    const std::size_t eol = rest.find('\n');
+    line = rest.substr(0, eol);
+    rest.remove_prefix(eol == std::string_view::npos ? rest.size()
+                                                     : eol + 1);
+    return true;
+}
+
+/** Parse one whole blob held in @p bytes (see readSummaryBlob). Bytes
+ *  after the end line are ignored. */
+bool
+parseBlob(std::string_view bytes, std::string &key_out,
+          RunSummary &summary_out, unsigned schema_version)
+{
+    std::string_view rest = bytes, line;
+    if (!nextLine(rest, line) || line != headerLine(schema_version))
+        return false;
+    // The checksum covers every line from the key to the last metric.
+    const char *const payload = rest.data();
+
+    // key <key>: the remainder of the line, spaces included.
+    if (!nextLine(rest, line) || !line.starts_with("key ")
+        || line.size() == 4)
+        return false;
+    const std::string_view key = line.substr(4);
+
+    // metrics <count>
+    std::size_t count = 0;
+    if (!nextLine(rest, line) || !line.starts_with("metrics "))
+        return false;
+    const char *const end = line.data() + line.size();
+    if (const std::from_chars_result r =
+            std::from_chars(line.data() + 8, end, count);
+        r.ec != std::errc() || r.ptr != end)
+        return false;
+
+    // m <name> <value>, one per metric, in key order: the name ends at
+    // the first whitespace; the value is the whole rest of the line.
+    sim::MetricSet metrics;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (!nextLine(rest, line) || !line.starts_with("m "))
+            return false;
+        const std::size_t nameEnd = line.find_first_of(" \t\v\f\r", 2);
+        double v = 0.0;
+        if (nameEnd == 2 || nameEnd == std::string_view::npos
+            || !report::parseReal(line.substr(nameEnd + 1), v))
+            return false;
+        metrics.append(line.substr(2, nameEnd - 2), v);
+    }
+
+    const std::string_view body(
+        payload, static_cast<std::size_t>(rest.data() - payload));
+    if (!nextLine(rest, line) || !line.starts_with("sum ")
+        || line.substr(4) != campaign::digestOfKey(body)
+        || !nextLine(rest, line) || line != "end")
+        return false;
+    std::optional<RunSummary> s = summaryOf(std::move(metrics));
+    if (!s)
+        return false;
+    key_out = key;
+    summary_out = *std::move(s);
+    return true;
+}
+
+/** All of the file at @p path; false when it cannot be read. */
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+    if (size < 0)
+        return false;
+    out.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    return static_cast<bool>(
+        in.read(out.data(), static_cast<std::streamsize>(size)));
 }
 
 } // namespace
@@ -65,58 +149,8 @@ bool
 readSummaryBlob(std::istream &is, std::string &key_out,
                 RunSummary &summary_out, unsigned schema_version)
 {
-    std::string line;
-    if (!std::getline(is, line) || line != headerLine(schema_version))
-        return false;
-
-    // key <key>: the remainder of the line, spaces included.
-    std::string body;
-    if (!std::getline(is, line) || line.rfind("key ", 0) != 0 ||
-        line.size() == 4)
-        return false;
-    const std::string key = line.substr(4);
-    body += line + '\n';
-
-    // metrics <count>
-    std::size_t count = 0;
-    if (!std::getline(is, line) || line.rfind("metrics ", 0) != 0)
-        return false;
-    const char *const end = line.data() + line.size();
-    if (const std::from_chars_result r =
-            std::from_chars(line.data() + 8, end, count);
-        r.ec != std::errc() || r.ptr != end)
-        return false;
-    body += line + '\n';
-
-    // m <name> <value>, one per metric: the name ends at the first
-    // whitespace; strtod must consume the whole rest of the line.
-    sim::MetricSet metrics;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!std::getline(is, line))
-            return false;
-        body += line + '\n';
-        const std::size_t nameEnd = line.find_first_of(" \t\n\v\f\r", 2);
-        if (line.rfind("m ", 0) != 0 || nameEnd == 2
-            || nameEnd == std::string::npos)
-            return false;
-        const char *value = line.c_str() + nameEnd + 1;
-        char *endp = nullptr;
-        const double v = std::strtod(value, &endp);
-        if (endp == value || *endp)
-            return false;
-        metrics.set(line.substr(2, nameEnd - 2), v);
-    }
-
-    if (!std::getline(is, line)
-        || line != "sum " + campaign::digestOfKey(body)
-        || !std::getline(is, line) || line != "end")
-        return false;
-    std::optional<RunSummary> s = summaryOf(std::move(metrics));
-    if (!s)
-        return false;
-    key_out = key;
-    summary_out = *std::move(s);
-    return true;
+    const std::string bytes(std::istreambuf_iterator<char>(is), {});
+    return parseBlob(bytes, key_out, summary_out, schema_version);
 }
 
 ResultStore::ResultStore(const std::string &dir,
@@ -174,16 +208,23 @@ std::optional<RunSummary>
 ResultStore::fetch(const std::string &key)
 {
     const std::string digest = campaign::digestOfKey(key);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (index_.find(digest) == index_.end()) {
-        ++counts_.misses;
-        return std::nullopt;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (index_.find(digest) == index_.end()) {
+            ++counts_.misses;
+            return std::nullopt;
+        }
     }
-    std::ifstream in(fs::path(versionDir_) / (digest + ".result"));
-    std::string storedKey;
+    // Read and parse outside the lock, as loadByDigest does: blobs are
+    // only ever created whole (atomic rename), so concurrent fetches
+    // and publishes see absent or complete files.
+    std::string bytes, storedKey;
     RunSummary summary;
-    if (!in || !readSummaryBlob(in, storedKey, summary,
-                                schemaVersion_)) {
+    const bool intact = readFile(pathForDigest(digest), bytes)
+                     && parseBlob(bytes, storedKey, summary,
+                                  schemaVersion_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!intact) {
         // Unreadable or damaged blob: drop it from the index and treat
         // as a miss — the engine re-simulates and re-publishes.
         ++counts_.corrupt;
@@ -277,16 +318,11 @@ ResultStore::loadByDigest(const std::string &digest,
                           std::string &key_out,
                           RunSummary &summary_out) const
 {
-    if (digest.size() != 16 ||
-        digest.find_first_not_of("0123456789abcdef")
-            != std::string::npos)
-        return false;
     // No lock: blobs are only ever created whole (atomic rename), so
     // reading outside the index mutex sees absent or complete files.
-    std::ifstream in(pathForDigest(digest), std::ios::binary);
-    if (!in)
-        return false;
-    return readSummaryBlob(in, key_out, summary_out, schemaVersion_);
+    std::string bytes;
+    return readRawBlob(digest, bytes)
+        && parseBlob(bytes, key_out, summary_out, schemaVersion_);
 }
 
 bool
@@ -297,13 +333,7 @@ ResultStore::readRawBlob(const std::string &digest,
         digest.find_first_not_of("0123456789abcdef")
             != std::string::npos)
         return false;
-    std::ifstream in(pathForDigest(digest), std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream os;
-    os << in.rdbuf();
-    bytes_out = os.str();
-    return true;
+    return readFile(pathForDigest(digest), bytes_out);
 }
 
 } // namespace tdm::driver::service

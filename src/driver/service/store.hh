@@ -72,10 +72,13 @@ void writeSummaryBlob(std::ostream &os, const std::string &key,
                       unsigned schema_version);
 
 /**
- * Parse one store blob. Returns false (leaving outputs unspecified) on
- * any structural damage: bad header, wrong schema, malformed or
- * missing line, checksum mismatch, missing end marker, or a headline
- * metric that does not fit its summary member. Exposed for tests.
+ * Parse one store blob, reading @p is to its end and then the bytes in
+ * one pass (the reader fetch() and loadByDigest() use). Returns false
+ * (leaving outputs unspecified) on any structural damage: bad header,
+ * wrong schema, malformed or missing line, checksum mismatch, missing
+ * end marker, or a headline metric that does not fit its summary
+ * member. A value is one report::parseReal number filling the rest of
+ * its line. Exposed for tests.
  */
 bool readSummaryBlob(std::istream &is, std::string &key_out,
                      RunSummary &summary_out, unsigned schema_version);
@@ -108,6 +111,13 @@ class ResultStore : public campaign::CacheBackend
         const std::string &dir,
         unsigned schema_version = kSchemaVersion);
 
+    /**
+     * The summary stored under @p key, or nullopt on a miss. Only the
+     * index lookup and the counters take the lock: the blob is read
+     * and parsed outside it (blobs appear whole, by rename), so
+     * concurrent fetches run in parallel. A blob that fails to parse
+     * counts as corrupt and a miss, and leaves the index.
+     */
     std::optional<RunSummary> fetch(const std::string &key) override;
     void publish(const std::string &key,
                  const RunSummary &summary) override;

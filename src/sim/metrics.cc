@@ -1,5 +1,8 @@
 #include "sim/metrics.hh"
 
+#include <charconv>
+#include <string_view>
+
 #include "sim/suggest.hh"
 
 namespace tdm::sim {
@@ -389,7 +392,11 @@ MetricRegistry::dump(std::ostream &os) const
     for (const auto &[k, e] : map_)
         flattenInto(flat, k, e);
     for (const auto &[k, v] : flat.entries()) {
-        os << k << ' ' << v;
+        // Shortest round-trip form, so exact tick counts keep every
+        // digit (a stream prints 6 significant digits).
+        char buf[32];
+        const char *end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+        os << k << ' ' << std::string_view(buf, end - buf);
         auto it = map_.find(k);
         // Subkeys (.mean, .count, ...) inherit the metric's kind but
         // carry no description of their own.

@@ -39,6 +39,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -68,6 +69,14 @@ class MetricSet
 {
   public:
     void set(const std::string &key, double v) { map_[key] = v; }
+
+    /** set() for readers of an entries() walk: a key that sorts after
+     *  every present key lands in amortized constant time; any other
+     *  key still lands in place (last value wins). */
+    void append(std::string_view key, double v)
+    {
+        map_.insert_or_assign(map_.end(), std::string(key), v);
+    }
 
     /** Value of @p key; throws MetricError with near-miss suggestions
      *  when absent. */
@@ -215,7 +224,8 @@ class MetricRegistry
     MetricSet window(const MetricSnapshot &from,
                      const MetricSnapshot &to) const;
 
-    /** Write "key value # desc" lines, gem5 stats.txt style, sorted. */
+    /** Write "key value # desc" lines, gem5 stats.txt style, sorted;
+     *  each value in its shortest round-trip form. */
     void dump(std::ostream &os) const;
 
   private:

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -351,4 +353,164 @@ TEST(ResultStore, ConcurrentPublishFetchHammer)
         ASSERT_TRUE(hit.has_value());
         EXPECT_EQ(hit->makespan, 1000 + k);
     }
+}
+
+TEST(ResultStoreBlob, ValueClassesReadToPinnedBits)
+{
+    // Pinned against the getline/strtod reader: non-finite values and
+    // out-of-range literals read as strtod reads them, a subnormal and
+    // an integer past 2^53 round as a double does, keys are raw bytes
+    // up to the first space, and a repeated key keeps its last value.
+    const std::string payload =
+        "key golden;with spaces\n"
+        "metrics 11\n"
+        "m k\"q inf\n"
+        "m k\\b -inf\n"
+        "m k\xc3\xa9 nan\n"
+        "m k\xf0\x9f\x98\x80 -nan\n"
+        "m machine.makespan_ticks 9007199254740993\n"
+        "m sub 4.9406564584124654e-324\n"
+        "m tiny -1e-400\n"
+        "m z.dup 1\n"
+        "m z.dup 2\n"
+        "m zz.big 1e400\n"
+        "m zz.neg -0\n";
+    auto read = [](const std::string &bytes, std::string &key,
+                   RunSummary &out) {
+        std::istringstream is(bytes);
+        return service::readSummaryBlob(is, key, out, 3);
+    };
+    auto blob = [](const std::string &body) {
+        return "tdmstore 1 schema 3\n" + body + "sum "
+             + campaign::digestOfKey(body) + "\nend\n";
+    };
+    std::string key;
+    RunSummary out;
+    ASSERT_TRUE(read(blob(payload), key, out));
+    EXPECT_EQ(key, "golden;with spaces");
+    EXPECT_EQ(out.makespan, std::uint64_t{1} << 53);
+    const std::vector<std::pair<std::string, std::uint64_t>> want = {
+        {"k\"q", 0x7ff0000000000000u},
+        {"k\\b", 0xfff0000000000000u},
+        {"k\xc3\xa9", 0x7ff8000000000000u},
+        {"k\xf0\x9f\x98\x80", 0xfff8000000000000u},
+        {"machine.makespan_ticks", 0x4340000000000000u},
+        {"sub", 1u},
+        {"tiny", 0x8000000000000000u},
+        {"z.dup", 0x4000000000000000u},
+        {"zz.big", 0x7ff0000000000000u},
+        {"zz.neg", 0x8000000000000000u},
+    };
+    ASSERT_EQ(out.metrics().size(), want.size());
+    auto it = out.metrics().entries().begin();
+    for (const auto &[k, bits] : want) {
+        EXPECT_EQ(it->first, k);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(it->second), bits) << k;
+        ++it;
+    }
+
+    // An empty tree is a valid blob; every headline member reads 0.
+    ASSERT_TRUE(read(blob("key empty\nmetrics 0\n"), key, out));
+    EXPECT_EQ(key, "empty");
+    EXPECT_TRUE(out.metrics().empty());
+    EXPECT_EQ(out.makespan, 0u);
+}
+
+namespace {
+
+Experiment
+smallPoint(core::RuntimeType rt, const std::string &sched)
+{
+    Experiment e;
+    e.workload = "cholesky";
+    e.params.granularity = 262144; // 8x8 tiles, 120 tasks
+    e.runtime = rt;
+    e.config.scheduler = sched;
+    e.config.numCores = 8;
+    return e;
+}
+
+} // namespace
+
+TEST(ResultStore, FourThreadEngineServesEveryBlobAndReSimulatesACorruptOne)
+{
+    StoreDir dir("engine");
+    const std::vector<SweepPoint> points = {
+        {"sw/fifo", smallPoint(core::RuntimeType::Software, "fifo")},
+        {"sw/lifo", smallPoint(core::RuntimeType::Software, "lifo")},
+        {"tdm/fifo", smallPoint(core::RuntimeType::Tdm, "fifo")},
+        {"tdm/age", smallPoint(core::RuntimeType::Tdm, "age")},
+        {"tdm/fifo twin", smallPoint(core::RuntimeType::Tdm, "fifo")},
+        {"carbon", smallPoint(core::RuntimeType::Carbon, "fifo")},
+        {"tss", smallPoint(core::RuntimeType::TaskSuperscalar, "fifo")},
+        {"sw/age", smallPoint(core::RuntimeType::Software, "age")},
+    };
+    const std::size_t n = points.size();
+    const std::size_t unique = n - 1; // "tdm/fifo twin" repeats a spec
+    campaign::EngineOptions opts;
+    opts.threads = 4;
+
+    campaign::CampaignResult first;
+    {
+        service::ResultStore store(dir.str());
+        opts.backend = &store;
+        first = campaign::CampaignEngine(opts).run("fill", points);
+        ASSERT_TRUE(first.allOk());
+        EXPECT_EQ(store.stats().stores, unique);
+    }
+
+    // Damage one blob: its sum no longer matches its bytes.
+    const std::size_t bad = 3;
+    service::ResultStore store(dir.str());
+    {
+        const std::string path =
+            store.pathForKey(first.jobs[bad].spec.serialize());
+        std::fstream f(path, std::ios::in | std::ios::out);
+        ASSERT_TRUE(f);
+        f.seekp(40);
+        f.put('#');
+    }
+
+    // A cold engine on the reopened store: every point lands once, at
+    // its own index, with its first run's numbers.
+    opts.backend = &store;
+    std::vector<int> landed(n, 0);
+    const campaign::CampaignResult rep = campaign::CampaignEngine(opts).run(
+        "replay", points,
+        [&](const campaign::JobResult &job, std::size_t index,
+            std::size_t total) {
+            EXPECT_EQ(total, n);
+            ASSERT_LT(index, n);
+            EXPECT_EQ(job.label, points[index].label);
+            ++landed[index];
+        });
+    ASSERT_TRUE(rep.allOk());
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(landed[i], 1) << i;
+        EXPECT_EQ(rep.jobs[i].label, points[i].label);
+        EXPECT_EQ(rep.jobs[i].digest, first.jobs[i].digest);
+        EXPECT_EQ(rep.jobs[i].summary.metrics().entries(),
+                  first.jobs[i].summary.metrics().entries())
+            << points[i].label;
+        // The twin of a point served from disk is a memory hit.
+        const campaign::JobSource want =
+            i == bad ? campaign::JobSource::Simulated
+            : i == 4 ? campaign::JobSource::Memory
+                     : campaign::JobSource::Disk;
+        EXPECT_EQ(rep.jobs[i].source, want) << points[i].label;
+    }
+    EXPECT_EQ(rep.fromDisk, unique - 1);
+    EXPECT_EQ(rep.fromMemory, 1u);
+    EXPECT_EQ(rep.simulated, 1u);
+
+    // The corrupt blob counted as a miss, and its point re-published.
+    const service::StoreStats s = store.stats();
+    EXPECT_EQ(s.hits, unique - 1);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.corrupt, 1u);
+    EXPECT_EQ(s.stores, 1u);
+    EXPECT_EQ(s.blobs, unique);
+    std::string key;
+    RunSummary reread;
+    EXPECT_TRUE(store.loadByDigest(first.jobs[bad].digest, key, reread));
 }

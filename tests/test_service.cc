@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +24,7 @@
 #include <unistd.h>
 
 #include "driver/campaign/engine.hh"
+#include "driver/campaign/fingerprint.hh"
 #include "driver/service/client.hh"
 #include "driver/service/protocol.hh"
 #include "driver/service/server.hh"
@@ -163,6 +167,104 @@ TEST(ServiceProtocol, PointEventRoundTrips)
     EXPECT_EQ(decoded.summary.timeMs, job.summary.timeMs);
     EXPECT_EQ(decoded.summary.machine.metrics.entries(),
               job.summary.machine.metrics.entries());
+}
+
+namespace {
+
+/** @p body closed with the point event's "sum" member, so the decoder
+ *  reaches its JSON (hand-written lines exercise what writePoint never
+ *  emits: escapes, duplicates, out-of-range literals). */
+std::string
+withSum(const std::string &body)
+{
+    return body + ",\"sum\":\"" + campaign::digestOfKey(body) + "\"}";
+}
+
+/** Every member of a point event but "metrics" and "sum". */
+const std::string kPointHead =
+    R"({"event":"point","id":1,"index":3,"index":"x","total":9,)"
+    R"("label":"a\"b\\c\u00e9\ud83d\ude00","label":"second",)"
+    R"("digest":"0123456789abcdef","source":"disk","cache_hit":true,)"
+    R"("ok":true,"error":"","wall_ms":4.9406564584124654e-324,)"
+    R"("done_at_ms":1e400,"completed":true,)"
+    R"("makespan":18446744073709551615,"time_ms":-1e400,)"
+    R"("energy_j":0.30000000000000004,"edp":1e-400,"avg_watts":-0,)"
+    R"("num_tasks":4294967295,"avg_task_us":2.2250738585072009e-308,)"
+    R"("tasks_executed":9007199254740993,"dmu_accesses":0,)"
+    R"("dmu_blocked_ops":1,"steals":2,"master_creation_fraction":1.5)";
+
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+} // namespace
+
+TEST(ServiceProtocol, PointLineValueClassesDecodeToPinnedBits)
+{
+    // Pinned against the tree-building reader: the first of duplicated
+    // top-level members wins, the last of duplicated metric keys wins,
+    // escapes (surrogate pairs included) decode to UTF-8, 64-bit
+    // counts stay exact, and out-of-range literals read as strtod
+    // reads them (+-inf, 0).
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::string line = withSum(
+        kPointHead
+        + R"(,"metrics":{"k\"q":1,"k\\b":-1e400,"ké":1e400,)"
+          R"("k\ud83d\ude00":4.9406564584124654e-324,"z.dup":1,)"
+          R"("z.dup":2},"metrics":{"ignored":null})");
+    campaign::JobResult job;
+    std::size_t index = 0, total = 0;
+    ASSERT_TRUE(svc::decodePointEvent(line, job, index, total));
+    EXPECT_EQ(index, 3u);
+    EXPECT_EQ(total, 9u);
+    EXPECT_EQ(job.label, "a\"b\\c\xc3\xa9\xf0\x9f\x98\x80");
+    EXPECT_EQ(job.digest, "0123456789abcdef");
+    EXPECT_EQ(job.source, campaign::JobSource::Disk);
+    EXPECT_EQ(job.error, "");
+    EXPECT_EQ(bitsOf(job.wallMs), 1u); // the smallest subnormal
+    EXPECT_EQ(bitsOf(job.doneAtMs), bitsOf(inf));
+
+    const RunSummary &s = job.summary;
+    EXPECT_TRUE(s.completed);
+    EXPECT_EQ(s.makespan, UINT64_MAX);
+    EXPECT_EQ(bitsOf(s.timeMs), bitsOf(-inf));
+    EXPECT_EQ(bitsOf(s.energyJ), 0x3fd3333333333334u);
+    EXPECT_EQ(bitsOf(s.edp), 0u);
+    EXPECT_EQ(bitsOf(s.avgWatts), 0x8000000000000000u); // -0
+    EXPECT_EQ(s.numTasks, UINT32_MAX);
+    EXPECT_EQ(bitsOf(s.avgTaskUs), 0x000fffffffffffffu);
+    EXPECT_EQ(s.tasksExecuted, (std::uint64_t{1} << 53) + 1);
+    EXPECT_EQ(s.dmuAccesses, 0u);
+    EXPECT_EQ(s.dmuBlockedOps, 1u);
+    EXPECT_EQ(s.steals, 2u);
+    EXPECT_EQ(s.masterCreationFraction, 1.5);
+
+    const std::vector<std::pair<std::string, std::uint64_t>> want = {
+        {"k\"q", bitsOf(1.0)},
+        {"k\\b", bitsOf(-inf)},
+        {"k\xc3\xa9", bitsOf(inf)},
+        {"k\xf0\x9f\x98\x80", 1u},
+        {"z.dup", bitsOf(2.0)},
+    };
+    ASSERT_EQ(s.metrics().size(), want.size());
+    auto it = s.metrics().entries().begin();
+    for (const auto &[key, bits] : want) {
+        EXPECT_EQ(it->first, key);
+        EXPECT_EQ(bitsOf(it->second), bits) << key;
+        ++it;
+    }
+
+    // An empty metric tree is a valid point; a null metric (what the
+    // writer prints for a non-finite value) is not.
+    ASSERT_TRUE(svc::decodePointEvent(
+        withSum(kPointHead + R"(,"metrics":{})"), job, index, total));
+    EXPECT_TRUE(job.summary.metrics().empty());
+    EXPECT_EQ(job.label, "a\"b\\c\xc3\xa9\xf0\x9f\x98\x80");
+    EXPECT_FALSE(svc::decodePointEvent(
+        withSum(kPointHead + R"(,"metrics":{"a":1,"b":null})"), job,
+        index, total));
 }
 
 TEST(ServiceProtocol, AbortedPointsReportTheirOwnNumbers)
