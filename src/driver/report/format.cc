@@ -112,4 +112,12 @@ parseReal(std::string_view s, double &out)
     return ec == std::errc();
 }
 
+bool
+parseUint(std::string_view s, std::uint64_t &out)
+{
+    const char *const end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
 } // namespace tdm::driver::report

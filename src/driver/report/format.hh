@@ -1,8 +1,8 @@
 /**
  * @file
  * The one formatter behind every writer of a run's numbers: the JSON
- * and CSV exports, the wire point events, the dashboard, the
- * result-store blobs and the Chrome traces.
+ * and CSV exports, every line of the service's wire protocol, the
+ * dashboard's bodies, the result-store blobs and the Chrome traces.
  *
  * Writers build their output in a Text, which appends with << like a
  * stream but formats through std::to_chars, so no writer builds a
@@ -18,8 +18,8 @@
  *  - FixedReal{v, d}: what `os << std::fixed << std::setprecision(d)
  *    << v` prints (%.*f).
  *
- * parseReal is the read side: the store and the wire read every
- * number back through it.
+ * parseReal and parseUint are the read side: the store, the wire and
+ * the dashboard read every number back through them.
  */
 
 #ifndef TDM_DRIVER_REPORT_FORMAT_HH
@@ -27,6 +27,7 @@
 
 #include <charconv>
 #include <concepts>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -104,10 +105,12 @@ class Text
     std::string s_;
 };
 
-/** JSON-escape @p s (without surrounding quotes). */
+/** JSON-escape @p s (without surrounding quotes); for writers that
+ *  are not built on a Text (which takes JsonEscaped). */
 std::string jsonEscape(const std::string &s);
 
-/** Write @p v as a JSON number (JsonReal). */
+/** Write @p v as a JSON number (JsonReal) to a stream that is not a
+ *  Text. */
 void jsonNumber(std::ostream &os, double v);
 
 /**
@@ -118,6 +121,13 @@ void jsonNumber(std::ostream &os, double v);
  * @p s is not exactly one number.
  */
 bool parseReal(std::string_view s, double &out);
+
+/**
+ * Read all of @p s as one unsigned decimal integer, through
+ * std::from_chars: digits only (no space, sign or hex). False when
+ * @p s is anything else or exceeds 64 bits.
+ */
+bool parseUint(std::string_view s, std::uint64_t &out);
 
 } // namespace tdm::driver::report
 

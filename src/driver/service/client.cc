@@ -1,15 +1,28 @@
 #include "driver/service/client.hh"
 
-#include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 
 #include "driver/campaign/fingerprint.hh"
-#include "driver/report/json_writer.hh"
+#include "driver/report/format.hh"
 
 namespace tdm::driver::service {
 
-using report::jsonEscape;
+using report::JsonEscaped;
+
+namespace {
+
+/** @p v's exact unsigned integer value, read from its literal; @p out
+ *  is left alone when @p v is absent or not a plain integer. */
+template <typename T>
+void
+readUint(const JsonValue *v, T &out)
+{
+    std::uint64_t n = 0;
+    if (v && v->isNumber() && report::parseUint(v->text, n))
+        out = static_cast<T>(n);
+}
+
+} // namespace
 
 ServiceClient::ServiceClient(const std::string &address)
     : sock_(connectTo(parseAddress(address))), address_(address)
@@ -54,39 +67,39 @@ ServiceClient::status()
     if (!ev || ev->asString() != "status")
         throw std::runtime_error("campaign service " + address_ +
                                  ": unexpected status response");
+    // Every member writeStatus writes.
     StatusInfo info;
-    auto u64 = [&](const char *key, std::uint64_t &field) {
-        if (const JsonValue *v = r.find(key))
-            field = static_cast<std::uint64_t>(v->asNumber());
-    };
-    u64("campaigns", info.campaigns);
-    u64("points", info.points);
+    readUint(r.find("campaigns"), info.campaigns);
+    readUint(r.find("points"), info.points);
     if (const JsonValue *served = r.find("served"))
         for (std::size_t s = 0; s < campaign::kJobSourceCount; ++s)
-            if (const JsonValue *v =
-                    served->find(campaign::kJobSourceNames[s]))
-                info.served[s] = static_cast<std::uint64_t>(v->asNumber());
-    if (const JsonValue *v = r.find("cache_points"))
-        info.cachePoints = static_cast<std::size_t>(v->asNumber());
-    if (const JsonValue *v = r.find("inflight"))
-        info.inflight = static_cast<std::size_t>(v->asNumber());
-    if (const JsonValue *v = r.find("threads"))
-        info.threads = static_cast<unsigned>(v->asNumber());
+            readUint(served->find(campaign::kJobSourceNames[s]),
+                     info.served[s]);
+    readUint(r.find("cache_points"), info.cachePoints);
+    readUint(r.find("inflight"), info.inflight);
+    readUint(r.find("threads"), info.threads);
+    if (const JsonValue *v = r.find("uptime_ms"))
+        info.uptimeMs = v->asNumber();
     if (const JsonValue *store = r.find("store");
         store && store->isObject()) {
         info.hasStore = true;
         if (const JsonValue *v = store->find("dir"))
             info.storeDir = v->asString();
-        auto pick = [&](const char *key, std::uint64_t &field) {
-            if (const JsonValue *v = store->find(key))
-                field = static_cast<std::uint64_t>(v->asNumber());
-        };
-        if (const JsonValue *v = store->find("blobs"))
-            info.storeBlobs = static_cast<std::size_t>(v->asNumber());
-        pick("hits", info.storeHits);
-        pick("misses", info.storeMisses);
-        pick("stores", info.storeStores);
-        pick("corrupt", info.storeCorrupt);
+        readUint(store->find("blobs"), info.store.blobs);
+        readUint(store->find("bytes"), info.store.bytes);
+        readUint(store->find("hits"), info.store.hits);
+        readUint(store->find("misses"), info.store.misses);
+        readUint(store->find("stores"), info.store.stores);
+        readUint(store->find("corrupt"), info.store.corrupt);
+    }
+    if (const JsonValue *http = r.find("http"); http && http->isObject()) {
+        info.hasHttp = true;
+        if (const JsonValue *v = http->find("addr"))
+            info.httpAddr = v->asString();
+        readUint(http->find("requests"), info.httpRequests);
+        readUint(http->find("sse_subscribers"), info.sseSubscribers);
+        readUint(http->find("events_published"), info.busPublished);
+        readUint(http->find("events_dropped"), info.busDropped);
     }
     return info;
 }
@@ -103,17 +116,17 @@ ServiceClient::submit(const campaign::Campaign &c,
     for (const SweepPoint &p : c.points)
         specs.push_back(campaign::canonicalConfig(p.exp));
 
-    std::ostringstream req;
-    req << "{\"op\":\"submit\",\"name\":\"" << jsonEscape(c.name)
-        << "\",\"metrics\":\"" << jsonEscape(c.metrics)
+    report::Text req;
+    req << "{\"op\":\"submit\",\"name\":\"" << JsonEscaped{c.name}
+        << "\",\"metrics\":\"" << JsonEscaped{c.metrics}
         << "\",\"points\":[";
     for (std::size_t i = 0; i < c.points.size(); ++i) {
         req << (i ? "," : "") << "{\"label\":\""
-            << jsonEscape(c.points[i].label) << "\",\"spec\":{";
+            << JsonEscaped{c.points[i].label} << "\",\"spec\":{";
         bool first = true;
         for (const auto &[k, v] : specs[i].entries()) {
-            req << (first ? "" : ",") << "\"" << jsonEscape(k)
-                << "\":\"" << jsonEscape(v) << "\"";
+            req << (first ? "\"" : ",\"") << JsonEscaped{k} << "\":\""
+                << JsonEscaped{v} << '"';
             first = false;
         }
         req << "}}";
@@ -178,13 +191,8 @@ ServiceClient::submit(const campaign::Campaign &c,
         if (kind == "done") {
             for (const campaign::CampaignTotal &n :
                  campaign::kCampaignTotals)
-                if (const JsonValue *v = event.find(n.name);
-                    v && v->isNumber())
-                    result.*n.member =
-                        std::strtoull(v->text.c_str(), nullptr, 10);
-            if (const JsonValue *v = event.find("threads"))
-                result.threads =
-                    static_cast<unsigned>(v->asNumber());
+                readUint(event.find(n.name), result.*n.member);
+            readUint(event.find("threads"), result.threads);
             if (const JsonValue *v = event.find("wall_ms"))
                 result.wallMs = v->asNumber();
             if (receivedCount != result.jobs.size())

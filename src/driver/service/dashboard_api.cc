@@ -1,19 +1,14 @@
 #include "driver/service/dashboard_api.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 
-#include "driver/report/json_writer.hh"
+#include "driver/report/format.hh"
 #include "driver/service/sse.hh"
 #include "www_assets.hh"
 
 namespace tdm::driver::service {
 
 using report::JsonEscaped;
-using report::jsonEscape;
-using report::jsonHeadline;
-using report::jsonNumber;
 using report::JsonReal;
 
 // ---- registry ------------------------------------------------------------
@@ -44,38 +39,34 @@ eventJson(const std::string &line)
 /** The dashboard-only progress event after @p rec's latest point:
  *  completion fraction, per-source split, and a naive ETA from the
  *  mean per-point pace so far. */
-std::string
-progressJson(const CampaignRecord &rec, double elapsed_ms)
+void
+writeProgress(report::Text &out, const CampaignRecord &rec,
+              double elapsed_ms)
 {
     const std::size_t done = rec.points.size();
     const double eta =
         done < rec.total ? elapsed_ms / static_cast<double>(done)
                                * static_cast<double>(rec.total - done)
                          : 0.0;
-    std::ostringstream os;
-    os << "{\"id\":" << rec.id << ",\"done\":" << done
-       << ",\"total\":" << rec.total << ",";
-    writeServed(os, rec.served);
-    os << ",\"elapsed_ms\":";
-    jsonNumber(os, elapsed_ms);
-    os << ",\"eta_ms\":";
-    jsonNumber(os, eta);
-    os << "}";
-    return os.str();
+    out << "{\"id\":" << rec.id << ",\"done\":" << done
+        << ",\"total\":" << rec.total << ',';
+    writeServed(out, rec.served);
+    out << ",\"elapsed_ms\":" << JsonReal{elapsed_ms}
+        << ",\"eta_ms\":" << JsonReal{eta} << '}';
 }
 
+/** One record of the /api/campaigns body. */
 void
-campaignSummaryJson(std::ostream &os, const CampaignRecord &c)
+writeSummary(report::Text &out, const CampaignRecord &c)
 {
-    os << "{\"id\":" << c.id << ",\"name\":\"" << jsonEscape(c.name)
-       << "\",\"total\":" << c.total << ",\"done\":" << c.points.size()
-       << ",\"active\":" << (c.active ? "true" : "false")
-       << ",\"failures\":" << c.failures << ",";
-    writeServed(os, c.served);
-    os << ",\"wall_ms\":";
-    jsonNumber(os, c.wallMs);
-    os << ",\"metrics_pattern\":\"" << jsonEscape(c.metricsPattern)
-       << "\"}";
+    out << "{\"id\":" << c.id << ",\"name\":\"" << JsonEscaped{c.name}
+        << "\",\"total\":" << c.total << ",\"done\":" << c.points.size()
+        << ",\"active\":" << (c.active ? "true" : "false")
+        << ",\"failures\":" << c.failures << ',';
+    writeServed(out, c.served);
+    out << ",\"wall_ms\":" << JsonReal{c.wallMs}
+        << ",\"metrics_pattern\":\"" << JsonEscaped{c.metricsPattern}
+        << "\"}";
 }
 
 } // namespace
@@ -123,7 +114,9 @@ CampaignRegistry::point(std::uint64_t id, const campaign::JobResult &job,
         ++rec->failures;
     ++rec->served[static_cast<std::size_t>(job.source)];
     rec->points.emplace_back(index, std::move(json));
-    bus_.publish("progress", progressJson(*rec, job.doneAtMs));
+    report::Text progress;
+    writeProgress(progress, *rec, job.doneAtMs);
+    bus_.publish("progress", progress.str());
 }
 
 void
@@ -139,23 +132,21 @@ CampaignRegistry::done(std::uint64_t id,
     }
 }
 
-std::string
-CampaignRegistry::summariesJson() const
+void
+CampaignRegistry::writeSummaries(report::Text &out) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    std::ostringstream os;
-    os << "{\"campaigns\":[";
+    out << "{\"campaigns\":[";
     for (std::size_t i = 0; i < campaigns_.size(); ++i) {
         if (i)
-            os << ",";
-        campaignSummaryJson(os, campaigns_[i]);
+            out << ',';
+        writeSummary(out, campaigns_[i]);
     }
-    os << "]}\n";
-    return os.str();
+    out << "]}\n";
 }
 
 bool
-CampaignRegistry::pointsJson(std::uint64_t id, std::string &out) const
+CampaignRegistry::writePoints(std::uint64_t id, report::Text &out) const
 {
     std::lock_guard<std::mutex> lock(m_);
     const CampaignRecord *rec = findRecord(campaigns_, id);
@@ -170,16 +161,14 @@ CampaignRegistry::pointsJson(std::uint64_t id, std::string &out) const
         order.push_back(&p);
     std::sort(order.begin(), order.end(),
               [](const auto *a, const auto *b) { return *a < *b; });
-    std::ostringstream os;
-    os << "{\"id\":" << rec->id << ",\"name\":\""
-       << jsonEscape(rec->name) << "\",\"total\":" << rec->total
-       << ",\"active\":" << (rec->active ? "true" : "false")
-       << ",\"metrics_pattern\":\"" << jsonEscape(rec->metricsPattern)
-       << "\",\"points\":[";
+    out << "{\"id\":" << rec->id << ",\"name\":\""
+        << JsonEscaped{rec->name} << "\",\"total\":" << rec->total
+        << ",\"active\":" << (rec->active ? "true" : "false")
+        << ",\"metrics_pattern\":\"" << JsonEscaped{rec->metricsPattern}
+        << "\",\"points\":[";
     for (std::size_t i = 0; i < order.size(); ++i)
-        os << (i ? "," : "") << order[i]->second;
-    os << "]}\n";
-    out = os.str();
+        out << (i ? "," : "") << order[i]->second;
+    out << "]}\n";
     return true;
 }
 
@@ -193,23 +182,7 @@ Dashboard::Dashboard(const CampaignRegistry &registry, ProgressBus &bus,
 {
 }
 
-std::string
-Dashboard::statusJson() const
-{
-    // The status op's renderer, verbatim: one source of truth for the
-    // counters whether they arrive over the protocol or over HTTP.
-    std::ostringstream os;
-    writeStatus(os, status_());
-    return os.str();
-}
-
 namespace {
-
-std::string
-errorJson(const std::string &message)
-{
-    return "{\"error\":\"" + jsonEscape(message) + "\"}\n";
-}
 
 const www::Asset *
 findAsset(const std::string &path)
@@ -221,110 +194,84 @@ findAsset(const std::string &path)
     return nullptr;
 }
 
-} // namespace
-
-std::string
-Dashboard::storeJson(std::size_t limit) const
+/** Append the /api/store body: the store object, then at most
+ *  @p limit digests. */
+void
+writeStoreListing(report::Text &out, const ResultStore &store,
+                  std::uint64_t limit)
 {
-    std::ostringstream os;
-    if (!store_) {
-        os << "{\"store\":null,\"blobs\":[]}\n";
-        return os.str();
-    }
-    const StoreStats stats = store_->stats();
-    const auto blobs = store_->list();
-    os << "{\"store\":{\"dir\":\"" << jsonEscape(store_->dir())
-       << "\",\"blobs\":" << stats.blobs << ",\"bytes\":" << stats.bytes
-       << ",\"hits\":" << stats.hits << ",\"misses\":" << stats.misses
-       << ",\"stores\":" << stats.stores
-       << ",\"corrupt\":" << stats.corrupt << "},\"blobs\":[";
-    const std::size_t n = std::min(limit, blobs.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i)
-            os << ",";
-        os << "{\"digest\":\"" << blobs[i].first
-           << "\",\"bytes\":" << blobs[i].second << "}";
-    }
-    os << "],\"truncated\":" << (n < blobs.size() ? "true" : "false")
-       << "}\n";
-    return os.str();
+    out << "{\"store\":";
+    writeStore(out, store.dir(), store.stats());
+    out << ",\"blobs\":[";
+    const auto blobs = store.list();
+    const std::size_t n = std::min<std::uint64_t>(limit, blobs.size());
+    for (std::size_t i = 0; i < n; ++i)
+        out << (i ? "," : "") << "{\"digest\":\"" << blobs[i].first
+            << "\",\"bytes\":" << blobs[i].second << '}';
+    out << "],\"truncated\":" << (n < blobs.size() ? "true" : "false")
+        << "}\n";
 }
 
+/** Append the /api/store/<digest> body; false (and nothing appended)
+ *  when the blob is absent or corrupt. */
 bool
-Dashboard::storeBlobJson(const std::string &digest,
-                         std::string &out) const
+writeStoreBlob(report::Text &out, const ResultStore &store,
+               const std::string &digest)
 {
-    if (!store_)
-        return false;
     std::string key;
     RunSummary summary;
-    if (!store_->loadByDigest(digest, key, summary))
+    if (!store.loadByDigest(digest, key, summary))
         return false;
-    report::Text os;
-    os << "{\"digest\":\"" << JsonEscaped{digest} << "\",\"key\":\""
-       << JsonEscaped{key} << '"';
-    for (const HeadlineField &f : kHeadlineFields) {
-        os << ",\"" << f.name << "\":";
-        jsonHeadline(os, summary, f);
-    }
-    os << ",\"metrics\":{";
-    bool first = true;
-    for (const auto &[k, v] : summary.metrics().entries()) {
-        os << (first ? "" : ",") << "\"" << JsonEscaped{k} << "\":"
-           << JsonReal{v};
-        first = false;
-    }
-    os << "}}\n";
-    out = os.str();
+    out << "{\"digest\":\"" << JsonEscaped{digest} << "\",\"key\":\""
+        << JsonEscaped{key} << '"';
+    writeSummaryMembers(out, summary, sim::MetricSelection());
+    out << "}\n";
     return true;
 }
+
+} // namespace
 
 void
 Dashboard::handle(const HttpRequest &req, Socket &sock,
                   const std::atomic<bool> &stopping) const
 {
     const bool head = req.method == "HEAD";
-    const auto send = [&](int status, const std::string &type,
-                          const std::string &body) {
+    const auto send = [&](int status, std::string_view type,
+                          std::string_view body) {
         sock.sendAll(renderHttpResponse(status, type, body, head));
     };
+    const auto sendError = [&](int status, std::string_view message) {
+        sock.sendAll(renderHttpError(status, message, head));
+    };
     const char *kJson = "application/json";
+    report::Text body;
 
-    if (req.method != "GET" && !head) {
-        send(405, kJson, errorJson("only GET and HEAD are supported"));
-        return;
-    }
+    if (req.method != "GET" && !head)
+        return sendError(405, "only GET and HEAD are supported");
 
     const std::string &path = req.path;
 
     if (path == "/api/status") {
-        send(200, kJson, statusJson());
-        return;
+        // The status op's renderer, verbatim: one source of truth for
+        // the counters whether they arrive over the protocol or HTTP.
+        writeStatus(body, status_());
+        return send(200, kJson, body.str());
     }
     if (path == "/api/campaigns") {
-        send(200, kJson, registry_.summariesJson());
-        return;
+        registry_.writeSummaries(body);
+        return send(200, kJson, body.str());
     }
     if (path.rfind("/api/campaign/", 0) == 0) {
-        const std::string rest = path.substr(14);
+        const std::string_view rest = std::string_view(path).substr(14);
         const std::size_t slash = rest.find('/');
-        if (slash != std::string::npos &&
-            rest.substr(slash) == "/points" && slash > 0) {
-            const std::string idText = rest.substr(0, slash);
-            char *end = nullptr;
-            const unsigned long long id =
-                std::strtoull(idText.c_str(), &end, 10);
-            std::string body;
-            if (end && *end == '\0' &&
-                registry_.pointsJson(id, body)) {
-                send(200, kJson, body);
-                return;
-            }
-            send(404, kJson, errorJson("unknown campaign id"));
-            return;
-        }
-        send(404, kJson, errorJson("not found"));
-        return;
+        if (slash == std::string_view::npos || slash == 0
+            || rest.substr(slash) != "/points")
+            return sendError(404, "not found");
+        std::uint64_t id = 0;
+        if (report::parseUint(rest.substr(0, slash), id)
+            && registry_.writePoints(id, body))
+            return send(200, kJson, body.str());
+        return sendError(404, "unknown campaign id");
     }
     if (path == "/api/events") {
         if (head) {
@@ -335,50 +282,32 @@ Dashboard::handle(const HttpRequest &req, Socket &sock,
         return;
     }
     if (path == "/api/store") {
-        if (!store_) {
-            send(404, kJson, errorJson("no result store configured"));
-            return;
-        }
-        std::size_t limit = 1000;
-        const std::string limitText = req.queryParam("limit");
-        if (!limitText.empty()) {
-            char *end = nullptr;
-            const unsigned long long v =
-                std::strtoull(limitText.c_str(), &end, 10);
-            if (end && *end == '\0')
-                limit = static_cast<std::size_t>(v);
-        }
-        send(200, kJson, storeJson(limit));
-        return;
+        if (!store_)
+            return sendError(404, "no result store configured");
+        std::uint64_t limit = 0;
+        const std::string limitText = req.queryParam("limit", "1000");
+        if (!report::parseUint(limitText, limit))
+            return sendError(400, "malformed limit \"" + limitText + "\"");
+        writeStoreListing(body, *store_, limit);
+        return send(200, kJson, body.str());
     }
     if (path.rfind("/api/store/", 0) == 0) {
+        if (!store_)
+            return sendError(404, "no result store configured");
         const std::string digest = path.substr(11);
-        if (!store_) {
-            send(404, kJson, errorJson("no result store configured"));
-            return;
-        }
         if (req.queryParam("raw") == "1") {
             std::string bytes;
-            if (store_->readRawBlob(digest, bytes)) {
-                send(200, "text/plain; charset=utf-8", bytes);
-                return;
-            }
-        } else {
-            std::string body;
-            if (storeBlobJson(digest, body)) {
-                send(200, kJson, body);
-                return;
-            }
+            if (store_->readRawBlob(digest, bytes))
+                return send(200, "text/plain; charset=utf-8", bytes);
+        } else if (writeStoreBlob(body, *store_, digest)) {
+            return send(200, kJson, body.str());
         }
-        send(404, kJson, errorJson("no such blob"));
-        return;
+        return sendError(404, "no such blob");
     }
-    if (const www::Asset *asset = findAsset(path)) {
-        send(200, asset->contentType,
-             std::string(asset->data, asset->size));
-        return;
-    }
-    send(404, kJson, errorJson("not found"));
+    if (const www::Asset *asset = findAsset(path))
+        return send(200, asset->contentType,
+                    std::string_view(asset->data, asset->size));
+    sendError(404, "not found");
 }
 
 } // namespace tdm::driver::service

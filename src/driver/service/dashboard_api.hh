@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "driver/campaign/engine.hh"
+#include "driver/report/format.hh"
 #include "driver/service/http_server.hh"
 #include "driver/service/progress_bus.hh"
 #include "driver/service/protocol.hh"
@@ -74,7 +75,10 @@ struct CampaignRecord
  * Each recording call takes the event's protocol line (as
  * writeAccepted / writePoint / writeDone rendered it for the socket)
  * and publishes it to the bus under the event's name; point() also
- * publishes the dashboard-only "progress" event.
+ * publishes the dashboard-only "progress" event. The registry's two
+ * bodies, writeSummaries (/api/campaigns) and writePoints
+ * (/api/campaign/<id>/points), append to a report::Text like the
+ * protocol writers, and share writeServed with the status line.
  */
 class CampaignRegistry
 {
@@ -91,15 +95,16 @@ class CampaignRegistry
     void done(std::uint64_t id, const campaign::CampaignResult &result,
               const std::string &line);
 
-    /** The /api/campaigns body: every record summarized, id-ascending.
-     *  Rendered under the lock, so no record (or its retained point
-     *  events) is copied. */
-    std::string summariesJson() const;
+    /** Append the /api/campaigns body: every record summarized,
+     *  id-ascending. Rendered under the lock, so no record (or its
+     *  retained point events) is copied. */
+    void writeSummaries(report::Text &out) const;
 
-    /** The /api/campaign/<id>/points body: the record's point events
-     *  in point order. Rendered under the lock from sorted pointers,
-     *  so the record is not copied. False when the id is unknown. */
-    bool pointsJson(std::uint64_t id, std::string &out) const;
+    /** Append the /api/campaign/<id>/points body: the record's point
+     *  events in point order. Rendered under the lock from sorted
+     *  pointers, so the record is not copied. False (and nothing
+     *  appended) when the id is unknown. */
+    bool writePoints(std::uint64_t id, report::Text &out) const;
 
   private:
     ProgressBus &bus_;
@@ -112,7 +117,9 @@ class CampaignRegistry
  * registry and bus are owned by the CampaignServer, the store is the
  * server's (may be null), and @p status is a callback into the server
  * so /api/status and the protocol's status op render the exact same
- * counters.
+ * counters, through writeStatus. /api/store shares writeStore with
+ * the status line, a stored blob's body shares writeSummaryMembers
+ * with the point event, and every 4xx is renderHttpError's body.
  */
 class Dashboard
 {
@@ -126,12 +133,6 @@ class Dashboard
                 const std::atomic<bool> &stopping) const;
 
   private:
-    std::string statusJson() const;
-    std::string storeJson(std::size_t limit) const;
-    /** 200 body for /api/store/<digest>; false when absent/corrupt. */
-    bool storeBlobJson(const std::string &digest,
-                       std::string &out) const;
-
     const CampaignRegistry &registry_;
     ProgressBus &bus_;
     const ResultStore *store_; ///< may be null (no --store)

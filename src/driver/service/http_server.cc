@@ -8,7 +8,7 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 
-#include "driver/report/json_writer.hh"
+#include "driver/report/format.hh"
 #include "sim/logging.hh"
 
 namespace tdm::driver::service {
@@ -290,8 +290,8 @@ httpStatusReason(int status)
 }
 
 std::string
-renderHttpResponse(int status, const std::string &content_type,
-                   const std::string &body, bool head_only)
+renderHttpResponse(int status, std::string_view content_type,
+                   std::string_view body, bool head_only)
 {
     std::string out;
     out.reserve(body.size() + 256);
@@ -308,6 +308,15 @@ renderHttpResponse(int status, const std::string &content_type,
     if (!head_only)
         out += body;
     return out;
+}
+
+std::string
+renderHttpError(int status, std::string_view message, bool head_only)
+{
+    report::Text body;
+    body << "{\"error\":\"" << report::JsonEscaped{message} << "\"}\n";
+    return renderHttpResponse(status, "application/json", body.str(),
+                              head_only);
 }
 
 HttpServer::HttpServer(const Address &addr, Handler handler,
@@ -387,21 +396,14 @@ HttpServer::serveConnection(Socket &sock,
         } catch (const std::exception &e) {
             // A handler that threw has not written a response (the
             // dashboard renders into a buffer first).
-            sock.sendAll(renderHttpResponse(
-                500, "application/json",
-                "{\"error\":\"" + report::jsonEscape(e.what())
-                    + "\"}\n"));
+            sock.sendAll(renderHttpError(500, e.what()));
         }
     } else if (timedOut) {
-        sock.sendAll(renderHttpResponse(
-            408, "application/json",
-            "{\"error\":\"request head not received within "
-                + std::to_string(headTimeoutSec_) + "s\"}\n"));
+        sock.sendAll(renderHttpError(
+            408, "request head not received within "
+                     + std::to_string(headTimeoutSec_) + "s"));
     } else if (parser.state() == HttpParser::State::Error) {
-        sock.sendAll(renderHttpResponse(
-            parser.status(), "application/json",
-            "{\"error\":\"" + report::jsonEscape(parser.reason())
-                + "\"}\n"));
+        sock.sendAll(renderHttpError(parser.status(), parser.reason()));
     }
 }
 

@@ -27,6 +27,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -97,10 +98,14 @@ const char *httpStatusReason(int status);
 
 /** Render a complete response head + body ("Connection: close",
  *  Content-Length set; body omitted when @p head_only). */
-std::string renderHttpResponse(int status,
-                               const std::string &content_type,
-                               const std::string &body,
+std::string renderHttpResponse(int status, std::string_view content_type,
+                               std::string_view body,
                                bool head_only = false);
+
+/** Render a complete error response: the JSON body
+ *  {"error":"<message>"} that every 4xx and 5xx carries. */
+std::string renderHttpError(int status, std::string_view message,
+                            bool head_only = false);
 
 /**
  * The dashboard's HTTP transport: the shared ConnectionServer running

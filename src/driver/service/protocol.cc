@@ -1,11 +1,9 @@
 #include "driver/service/protocol.hh"
 
 #include <bitset>
-#include <charconv>
 #include <cstdint>
 #include <iterator>
 #include <limits>
-#include <ostream>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
@@ -22,8 +20,6 @@ namespace tdm::driver::service {
 namespace {
 
 using report::JsonEscaped;
-using report::jsonEscape;
-using report::jsonNumber;
 using report::JsonReal;
 
 constexpr int kMaxDepth = 64;
@@ -170,12 +166,8 @@ class JsonCursor
     bool exactUint(std::uint64_t max, std::uint64_t &out)
     {
         std::string_view literal;
-        if (!atNumber() || !number(literal))
-            return false;
-        const char *const end = literal.data() + literal.size();
-        const std::from_chars_result r =
-            std::from_chars(literal.data(), end, out);
-        return r.ec == std::errc() && r.ptr == end && out <= max;
+        return atNumber() && number(literal)
+            && report::parseUint(literal, out) && out <= max;
     }
 
     /** An object: @p member(key) reads each member's value (every
@@ -608,30 +600,30 @@ buildCampaign(const SubmitRequest &req)
 // ---- responses -----------------------------------------------------------
 
 void
-writePong(std::ostream &os)
+writePong(report::Text &out)
 {
-    os << "{\"event\":\"pong\"}\n";
+    out << "{\"event\":\"pong\"}\n";
 }
 
 void
-writeBye(std::ostream &os)
+writeBye(report::Text &out)
 {
-    os << "{\"event\":\"bye\"}\n";
+    out << "{\"event\":\"bye\"}\n";
 }
 
 void
-writeError(std::ostream &os, const std::string &message)
+writeError(report::Text &out, std::string_view message)
 {
-    os << "{\"event\":\"error\",\"message\":\"" << jsonEscape(message)
-       << "\"}\n";
+    out << "{\"event\":\"error\",\"message\":\"" << JsonEscaped{message}
+        << "\"}\n";
 }
 
 void
-writeAccepted(std::ostream &os, std::uint64_t id,
-              const std::string &name, std::size_t points)
+writeAccepted(report::Text &out, std::uint64_t id, std::string_view name,
+              std::size_t points)
 {
-    os << "{\"event\":\"accepted\",\"id\":" << id << ",\"name\":\""
-       << jsonEscape(name) << "\",\"points\":" << points << "}\n";
+    out << "{\"event\":\"accepted\",\"id\":" << id << ",\"name\":\""
+        << JsonEscaped{name} << "\",\"points\":" << points << "}\n";
 }
 
 namespace {
@@ -642,99 +634,103 @@ constexpr std::size_t kSumTail = sizeof(",\"sum\":\"\"}") - 1 + 16;
 } // namespace
 
 void
-writePoint(std::ostream &dest, std::uint64_t id,
-           const campaign::JobResult &job, std::size_t index,
-           std::size_t total, const sim::MetricSelection &selection)
+writeSummaryMembers(report::Text &out, const RunSummary &s,
+                    const sim::MetricSelection &selection)
 {
-    const RunSummary &s = job.summary;
-    report::Text os;
-    os << "{\"event\":\"point\",\"id\":" << id
-       << ",\"index\":" << index << ",\"total\":" << total
-       << ",\"label\":\"" << JsonEscaped{job.label} << "\",\"digest\":\""
-       << JsonEscaped{job.digest} << "\",\"source\":\""
-       << campaign::jobSourceName(job.source) << "\",\"cache_hit\":"
-       << (job.cacheHit() ? "true" : "false")
-       << ",\"ok\":" << (job.ok() ? "true" : "false")
-       << ",\"error\":\"" << JsonEscaped{job.error}
-       << "\",\"wall_ms\":" << JsonReal{job.wallMs}
-       << ",\"done_at_ms\":" << JsonReal{job.doneAtMs};
     for (const HeadlineField &f : kHeadlineFields) {
-        os << ",\"" << f.name << "\":";
-        report::jsonHeadline(os, s, f);
+        out << ",\"" << f.name << "\":";
+        report::jsonHeadline(out, s, f);
     }
-    os << ",\"metrics\":{";
+    out << ",\"metrics\":{";
     bool first = true;
     for (const auto &[k, v] : s.metrics().entries()) {
         if (!selection.matches(k))
             continue;
-        os << (first ? "" : ",") << "\"" << JsonEscaped{k}
-           << "\":" << JsonReal{v};
+        out << (first ? "\"" : ",\"") << JsonEscaped{k}
+            << "\":" << JsonReal{v};
         first = false;
     }
-    os << "}";
-    const std::string sum = campaign::digestOfKey(os.str());
-    os << ",\"sum\":\"" << sum << "\"}\n";
-    os.flushTo(dest);
+    out << '}';
 }
 
 void
-writeDone(std::ostream &os, std::uint64_t id,
+writePoint(report::Text &out, std::uint64_t id,
+           const campaign::JobResult &job, std::size_t index,
+           std::size_t total, const sim::MetricSelection &selection)
+{
+    const std::size_t start = out.size();
+    out << "{\"event\":\"point\",\"id\":" << id
+        << ",\"index\":" << index << ",\"total\":" << total
+        << ",\"label\":\"" << JsonEscaped{job.label} << "\",\"digest\":\""
+        << JsonEscaped{job.digest} << "\",\"source\":\""
+        << campaign::jobSourceName(job.source) << "\",\"cache_hit\":"
+        << (job.cacheHit() ? "true" : "false")
+        << ",\"ok\":" << (job.ok() ? "true" : "false")
+        << ",\"error\":\"" << JsonEscaped{job.error}
+        << "\",\"wall_ms\":" << JsonReal{job.wallMs}
+        << ",\"done_at_ms\":" << JsonReal{job.doneAtMs};
+    writeSummaryMembers(out, job.summary, selection);
+    const std::string sum =
+        campaign::digestOfKey(std::string_view(out.str()).substr(start));
+    out << ",\"sum\":\"" << sum << "\"}\n";
+}
+
+void
+writeDone(report::Text &out, std::uint64_t id,
           const campaign::CampaignResult &result)
 {
-    os << "{\"event\":\"done\",\"id\":" << id << ",\"name\":\""
-       << jsonEscape(result.name)
-       << "\",\"points\":" << result.jobs.size();
+    out << "{\"event\":\"done\",\"id\":" << id << ",\"name\":\""
+        << JsonEscaped{result.name} << "\",\"points\":" << result.jobs.size();
     for (const campaign::CampaignTotal &n : campaign::kCampaignTotals)
-        os << ",\"" << n.name << "\":" << result.*n.member;
-    os << ",\"failures\":" << result.failures()
-       << ",\"threads\":" << result.threads << ",\"wall_ms\":";
-    jsonNumber(os, result.wallMs);
-    os << "}\n";
+        out << ",\"" << n.name << "\":" << result.*n.member;
+    out << ",\"failures\":" << result.failures()
+        << ",\"threads\":" << result.threads
+        << ",\"wall_ms\":" << JsonReal{result.wallMs} << "}\n";
 }
 
 void
-writeStatus(std::ostream &os, const StatusInfo &info)
+writeStore(report::Text &out, std::string_view dir, const StoreStats &stats)
 {
-    os << "{\"event\":\"status\",\"campaigns\":" << info.campaigns
-       << ",\"points\":" << info.points << ",";
-    writeServed(os, info.served);
-    os << ",\"cache_points\":" << info.cachePoints
-       << ",\"inflight\":" << info.inflight
-       << ",\"threads\":" << info.threads << ",\"uptime_ms\":";
-    jsonNumber(os, info.uptimeMs);
-    os << ",\"store\":";
-    if (info.hasStore) {
-        os << "{\"dir\":\"" << jsonEscape(info.storeDir)
-           << "\",\"blobs\":" << info.storeBlobs
-           << ",\"bytes\":" << info.storeBytes
-           << ",\"hits\":" << info.storeHits
-           << ",\"misses\":" << info.storeMisses
-           << ",\"stores\":" << info.storeStores
-           << ",\"corrupt\":" << info.storeCorrupt << "}";
-    } else {
-        os << "null";
-    }
-    os << ",\"http\":";
-    if (info.hasHttp) {
-        os << "{\"addr\":\"" << jsonEscape(info.httpAddr)
-           << "\",\"requests\":" << info.httpRequests
-           << ",\"sse_subscribers\":" << info.sseSubscribers
-           << ",\"events_published\":" << info.busPublished
-           << ",\"events_dropped\":" << info.busDropped << "}";
-    } else {
-        os << "null";
-    }
-    os << "}\n";
+    out << "{\"dir\":\"" << JsonEscaped{dir} << "\",\"blobs\":" << stats.blobs
+        << ",\"bytes\":" << stats.bytes << ",\"hits\":" << stats.hits
+        << ",\"misses\":" << stats.misses << ",\"stores\":" << stats.stores
+        << ",\"corrupt\":" << stats.corrupt << '}';
 }
 
 void
-writeServed(std::ostream &os, const campaign::SourceCounts &served)
+writeStatus(report::Text &out, const StatusInfo &info)
 {
-    os << "\"served\":{";
+    out << "{\"event\":\"status\",\"campaigns\":" << info.campaigns
+        << ",\"points\":" << info.points << ',';
+    writeServed(out, info.served);
+    out << ",\"cache_points\":" << info.cachePoints
+        << ",\"inflight\":" << info.inflight
+        << ",\"threads\":" << info.threads
+        << ",\"uptime_ms\":" << JsonReal{info.uptimeMs} << ",\"store\":";
+    if (info.hasStore)
+        writeStore(out, info.storeDir, info.store);
+    else
+        out << "null";
+    out << ",\"http\":";
+    if (info.hasHttp)
+        out << "{\"addr\":\"" << JsonEscaped{info.httpAddr}
+            << "\",\"requests\":" << info.httpRequests
+            << ",\"sse_subscribers\":" << info.sseSubscribers
+            << ",\"events_published\":" << info.busPublished
+            << ",\"events_dropped\":" << info.busDropped << '}';
+    else
+        out << "null";
+    out << "}\n";
+}
+
+void
+writeServed(report::Text &out, const campaign::SourceCounts &served)
+{
+    out << "\"served\":{";
     for (std::size_t s = 0; s < campaign::kJobSourceCount; ++s)
-        os << (s ? ",\"" : "\"") << campaign::kJobSourceNames[s]
-           << "\":" << served[s];
-    os << "}";
+        out << (s ? ",\"" : "\"") << campaign::kJobSourceNames[s]
+            << "\":" << served[s];
+    out << '}';
 }
 
 // ---- client-side event decoding ------------------------------------------

@@ -35,10 +35,17 @@
  * plus {"event":"pong"}, {"event":"status",...}, {"event":"bye"} and
  * {"event":"error","message":...} for the other ops. A point event's
  * "sum" is the FNV-1a digest of every byte before it, so a damaged
- * line is rejected instead of decoding to a wrong number. Numbers use the
- * report writer's 17-significant-digit formatting, so a metric value
- * serializes to identical bytes over the wire and in the file export —
- * this is what makes the restart replay byte-identical.
+ * line is rejected instead of decoding to a wrong number.
+ *
+ * One writer per event builds its line: writePong, writeBye,
+ * writeError, writeAccepted, writePoint, writeDone and writeStatus
+ * each append the whole line ('\n' included) to a report::Text, the
+ * formatter every export uses, so a metric value has the same bytes
+ * over the wire and in the file export; this is what makes the restart
+ * replay byte-identical. The dashboard's bodies reuse the shared parts:
+ * writeServed, writeStore (the status op's "store" object and
+ * /api/store's) and writeSummaryMembers (a point event's headline
+ * fields and metrics, and a stored blob's).
  *
  * This header also hosts the JSON reader the server and the C++ client
  * share (the repo otherwise only writes JSON). One lexer reads every
@@ -54,13 +61,14 @@
 #define TDM_DRIVER_SERVICE_PROTOCOL_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "driver/campaign/engine.hh"
+#include "driver/report/format.hh"
+#include "driver/service/store.hh"
 #include "sim/metrics.hh"
 
 namespace tdm::driver::service {
@@ -153,19 +161,25 @@ campaign::Campaign buildCampaign(const SubmitRequest &req);
 
 // ---- responses -----------------------------------------------------------
 
-void writePong(std::ostream &os);
-void writeBye(std::ostream &os);
-void writeError(std::ostream &os, const std::string &message);
-void writeAccepted(std::ostream &os, std::uint64_t id,
-                   const std::string &name, std::size_t points);
+void writePong(report::Text &out);
+void writeBye(report::Text &out);
+void writeError(report::Text &out, std::string_view message);
+void writeAccepted(report::Text &out, std::uint64_t id,
+                   std::string_view name, std::size_t points);
 
 /** One streamed per-point result; @p selection picks the exported
  *  metrics exactly like the file writers. */
-void writePoint(std::ostream &os, std::uint64_t id,
+void writePoint(report::Text &out, std::uint64_t id,
                 const campaign::JobResult &job, std::size_t index,
                 std::size_t total, const sim::MetricSelection &selection);
 
-void writeDone(std::ostream &os, std::uint64_t id,
+/** The members a point event and a store blob's dashboard body share:
+ *  ,"<headline>":v for every headline field, then ,"metrics":{...}
+ *  with the metrics @p selection picks. */
+void writeSummaryMembers(report::Text &out, const RunSummary &s,
+                         const sim::MetricSelection &selection);
+
+void writeDone(report::Text &out, std::uint64_t id,
                const campaign::CampaignResult &result);
 
 /** Server counters for the status op. */
@@ -178,14 +192,9 @@ struct StatusInfo
     std::size_t inflight = 0;    ///< points simulating right now
     unsigned threads = 0;
     double uptimeMs = 0.0; ///< since the server was constructed
-    bool hasStore = false;
+    bool hasStore = false; ///< a result store is open (--store)
     std::string storeDir;
-    std::size_t storeBlobs = 0;
-    std::uint64_t storeBytes = 0; ///< summed blob sizes on disk
-    std::uint64_t storeHits = 0;
-    std::uint64_t storeMisses = 0;
-    std::uint64_t storeStores = 0;
-    std::uint64_t storeCorrupt = 0;
+    StoreStats store; ///< ResultStore::stats()
     bool hasHttp = false; ///< dashboard enabled (--http)
     std::string httpAddr;
     std::uint64_t httpRequests = 0;
@@ -194,12 +203,17 @@ struct StatusInfo
     std::uint64_t busDropped = 0;    ///< events shed by slow streams
 };
 
-void writeStatus(std::ostream &os, const StatusInfo &info);
+void writeStatus(report::Text &out, const StatusInfo &info);
 
 /** The "served":{"simulated":N,"memory":N,...} member (no leading
  *  comma) that the status op and the dashboard's campaign records
  *  share. */
-void writeServed(std::ostream &os, const campaign::SourceCounts &served);
+void writeServed(report::Text &out, const campaign::SourceCounts &served);
+
+/** The store object {"dir":...,"blobs":N,...,"corrupt":N} that the
+ *  status op and /api/store share. */
+void writeStore(report::Text &out, std::string_view dir,
+                const StoreStats &stats);
 
 // ---- client-side event decoding ------------------------------------------
 

@@ -1,6 +1,5 @@
 #include "driver/service/server.hh"
 
-#include <sstream>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -87,7 +86,7 @@ CampaignServer::handleClient(Socket &sock,
             continue;
         Request req;
         std::string error;
-        std::ostringstream out;
+        report::Text out;
         if (!parseRequest(line, req, error)) {
             writeError(out, error);
         } else if (req.op == RequestOp::Ping) {
@@ -109,7 +108,7 @@ CampaignServer::handleClient(Socket &sock,
     }
     if (sock.lineTooLong()) {
         // The rest of the line is still unread: no resync, just close.
-        std::ostringstream out;
+        report::Text out;
         writeError(out, "request line exceeds "
                             + std::to_string(Socket::kMaxLineBytes)
                             + " bytes");
@@ -126,7 +125,7 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
         c = buildCampaign(req);
         selection = sim::MetricSelection(c.metrics);
     } catch (const std::exception &e) {
-        std::ostringstream out;
+        report::Text out;
         writeError(out, e.what());
         sock.sendAll(out.str());
         return;
@@ -143,16 +142,15 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
     // abort the run (the engine owns the jobs; other clients may be
     // attached to them), it only ends this client's stream.
     bool sendOk = true;
-    const auto emit = [&](const std::ostringstream &out,
-                          const auto &record) {
-        const std::string line = out.str();
+    const auto emit = [&](const report::Text &out, const auto &record) {
+        const std::string &line = out.str();
         if (registry_)
             record(*registry_, line);
         if (sendOk)
             sendOk = sock.sendAll(line);
     };
 
-    std::ostringstream accepted;
+    report::Text accepted;
     writeAccepted(accepted, id, c.name, c.points.size());
     emit(accepted, [&](CampaignRegistry &r, const std::string &line) {
         r.accepted(id, c, line);
@@ -163,7 +161,7 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
                std::size_t total) {
             if (!sendOk && !registry_)
                 return;
-            std::ostringstream out;
+            report::Text out;
             writePoint(out, id, job, index, total, selection);
             emit(out, [&](CampaignRegistry &r, const std::string &line) {
                 r.point(id, job, index, line);
@@ -182,7 +180,7 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
                 " forked, ", result.fromMemory, " memory, ",
                 result.fromDisk, " disk, ", result.fromInflight,
                 " inflight");
-    std::ostringstream done;
+    report::Text done;
     writeDone(done, id, result);
     emit(done, [&](CampaignRegistry &r, const std::string &line) {
         r.done(id, result, line);
@@ -204,15 +202,9 @@ CampaignServer::status() const
                         std::chrono::steady_clock::now() - started_)
                         .count();
     if (store_) {
-        const StoreStats stats = store_->stats();
         info.hasStore = true;
         info.storeDir = store_->dir();
-        info.storeBlobs = stats.blobs;
-        info.storeBytes = stats.bytes;
-        info.storeHits = stats.hits;
-        info.storeMisses = stats.misses;
-        info.storeStores = stats.stores;
-        info.storeCorrupt = stats.corrupt;
+        info.store = store_->stats();
     }
     if (http_) {
         info.hasHttp = true;

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include <unistd.h>
 
 #include "driver/campaign/engine.hh"
+#include "driver/campaign/fingerprint.hh"
 #include "driver/report/json_writer.hh"
 #include "driver/service/client.hh"
 #include "driver/service/dashboard_api.hh"
@@ -30,6 +32,7 @@
 #include "driver/service/server.hh"
 #include "driver/service/sse.hh"
 #include "driver/service/socket.hh"
+#include "driver/service/store.hh"
 
 using namespace tdm;
 using namespace tdm::driver;
@@ -629,8 +632,8 @@ TEST(Dashboard, StoreBrowserServesBlobsAndStats)
         EXPECT_NE(absent.find("HTTP/1.1 404"), std::string::npos);
         // Status now reports blob count and on-disk bytes.
         const svc::StatusInfo info = fx.server().status();
-        EXPECT_EQ(info.storeBlobs, 4u);
-        EXPECT_GT(info.storeBytes, 0u);
+        EXPECT_EQ(info.store.blobs, 4u);
+        EXPECT_GT(info.store.bytes, 0u);
     }
     fs::remove_all(dir);
 }
@@ -664,6 +667,301 @@ TEST(Dashboard, ZeroSubscriberSweepMatchesNoHttpRun)
         t.join();
     }
     EXPECT_EQ(withHttp, without);
+}
+
+// ---- dashboard bodies, byte for byte -------------------------------------
+
+namespace {
+
+/** The hand-filled counters the fixture's status callback returns. */
+svc::StatusInfo
+fixedStatus()
+{
+    svc::StatusInfo info;
+    info.campaigns = 1;
+    info.points = 2;
+    info.served = {1, 1, 0, 0, 0};
+    info.cachePoints = 2;
+    info.threads = 2;
+    info.uptimeMs = 0.5;
+    info.hasStore = true;
+    info.storeDir = "s";
+    info.store.blobs = 2;
+    info.store.bytes = 300;
+    info.store.stores = 2;
+    return info;
+}
+
+/** An empty directory for a test's store, named by @p tag and the
+ *  process id. */
+std::string
+freshDir(const std::string &tag)
+{
+    const fs::path dir = fs::temp_directory_path()
+                       / (tag + "_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    return dir.string();
+}
+
+/** A run summary with a few headline twins and an escaped key. */
+RunSummary
+knownSummary(double timeMs)
+{
+    RunSummary s;
+    s.machine.metrics.set("machine.completed", 1);
+    s.machine.metrics.set("machine.time_ms", timeMs);
+    s.machine.metrics.set("dmu.accesses", 12);
+    s.machine.metrics.set("odd\"key", 2.5);
+    return s;
+}
+
+/**
+ * A Dashboard over hand-fed state on an ephemeral port: a store
+ * holding two known blobs, a registry holding finished campaign 1,
+ * and fixedStatus() behind /api/status.
+ */
+class DashboardBytes : public ::testing::Test
+{
+  protected:
+    DashboardBytes()
+        : dir_(freshDir("tdm_dash_bytes")), store_(dir_),
+          registry_(bus_),
+          dash_(registry_, bus_, &store_, [] { return fixedStatus(); }),
+          http_(svc::parseAddress("tcp:127.0.0.1:0"),
+                [this](const svc::HttpRequest &req, svc::Socket &sock,
+                       const std::atomic<bool> &stopping) {
+                    dash_.handle(req, sock, stopping);
+                })
+    {
+        store_.publish("key-a", knownSummary(0.1 + 0.2));
+        store_.publish("key-b", knownSummary(4));
+        campaign::Campaign c;
+        c.name = "one";
+        c.points.resize(1);
+        const std::string line = "{\"event\":\"point\"}\n";
+        registry_.accepted(1, c, line);
+        campaign::JobResult job;
+        job.summary.completed = true;
+        registry_.point(1, job, 0, line);
+        registry_.done(1, campaign::CampaignResult{}, line);
+    }
+
+    ~DashboardBytes() override
+    {
+        http_.stop();
+        fs::remove_all(dir_);
+    }
+
+    /** The full response to GET @p target. */
+    std::string get(const std::string &target)
+    {
+        return httpGet(http_.address(), target);
+    }
+
+    /** The body of the response to GET @p target. */
+    std::string body(const std::string &target)
+    {
+        const std::string resp = get(target);
+        return resp.substr(resp.find("\r\n\r\n") + 4);
+    }
+
+    std::string dir_;
+    svc::ResultStore store_;
+    svc::ProgressBus bus_;
+    svc::CampaignRegistry registry_;
+    svc::Dashboard dash_;
+    svc::HttpServer http_;
+};
+
+/** The response head every JSON reply of @p length bytes carries. */
+std::string
+jsonHead(const std::string &status, std::size_t length)
+{
+    return "HTTP/1.1 " + status
+         + "\r\nServer: campaign_serve\r\nCache-Control: no-store"
+           "\r\nContent-Type: application/json\r\nContent-Length: "
+         + std::to_string(length) + "\r\nConnection: close\r\n\r\n";
+}
+
+} // namespace
+
+TEST_F(DashboardBytes, StatusBodyIsTheStatusLine)
+{
+    EXPECT_EQ(body("/api/status"),
+              "{\"event\":\"status\",\"campaigns\":1,\"points\":2,"
+              "\"served\":{\"simulated\":1,\"memory\":1,\"disk\":0,"
+              "\"inflight\":0,\"forked\":0},\"cache_points\":2,"
+              "\"inflight\":0,\"threads\":2,\"uptime_ms\":0.5,"
+              "\"store\":{\"dir\":\"s\",\"blobs\":2,\"bytes\":300,"
+              "\"hits\":0,\"misses\":0,\"stores\":2,\"corrupt\":0},"
+              "\"http\":null}\n");
+}
+
+TEST_F(DashboardBytes, StoreBodyListsKnownBlobs)
+{
+    const std::string stats = "{\"store\":{\"dir\":\"" + dir_
+                            + "\",\"blobs\":2,\"bytes\":296,"
+                              "\"hits\":0,\"misses\":0,\"stores\":2,"
+                              "\"corrupt\":0},\"blobs\":[";
+    EXPECT_EQ(body("/api/store"),
+              stats + "{\"digest\":\"711329f295f22b63\",\"bytes\":139},"
+                      "{\"digest\":\"71132af295f22d16\",\"bytes\":157}],"
+                      "\"truncated\":false}\n");
+    EXPECT_EQ(body("/api/store?limit=1"),
+              stats + "{\"digest\":\"711329f295f22b63\",\"bytes\":139}],"
+                      "\"truncated\":true}\n");
+}
+
+TEST_F(DashboardBytes, StoreBlobBodyIsPinned)
+{
+    EXPECT_EQ(body("/api/store/" + campaign::digestOfKey("key-a")),
+              "{\"digest\":\"71132af295f22d16\",\"key\":\"key-a\","
+              "\"completed\":true,\"makespan\":0,"
+              "\"time_ms\":0.30000000000000004,\"energy_j\":0,"
+              "\"edp\":0,\"avg_watts\":0,\"num_tasks\":0,"
+              "\"avg_task_us\":0,\"tasks_executed\":0,"
+              "\"dmu_accesses\":12,\"dmu_blocked_ops\":0,\"steals\":0,"
+              "\"master_creation_fraction\":0,\"metrics\":{"
+              "\"dmu.accesses\":12,\"machine.completed\":1,"
+              "\"machine.time_ms\":0.30000000000000004,"
+              "\"odd\\\"key\":2.5}}\n");
+}
+
+TEST_F(DashboardBytes, ErrorBodiesArePinned)
+{
+    const std::string notFound = "{\"error\":\"not found\"}\n";
+    EXPECT_EQ(get("/nope"), jsonHead("404 Not Found", notFound.size())
+                                + notFound);
+    const std::string noBlob = "{\"error\":\"no such blob\"}\n";
+    EXPECT_EQ(get("/api/store/0123456789abcdef"),
+              jsonHead("404 Not Found", noBlob.size()) + noBlob);
+    // HEAD gets the head alone.
+    EXPECT_EQ(httpRequest(http_.address(),
+                          "HEAD /nope HTTP/1.1\r\nHost: t\r\n\r\n"),
+              jsonHead("404 Not Found", notFound.size()));
+    const std::string method =
+        "{\"error\":\"only GET and HEAD are supported\"}\n";
+    EXPECT_EQ(httpRequest(http_.address(),
+                          "DELETE /api/status HTTP/1.1\r\n\r\n"),
+              jsonHead("405 Method Not Allowed", method.size())
+                  + method);
+    const std::string parse = "{\"error\":\"malformed request line\"}\n";
+    EXPECT_EQ(httpRequest(http_.address(), "not http\r\n\r\n"),
+              jsonHead("400 Bad Request", parse.size()) + parse);
+}
+
+TEST(HttpServerErrors, ThrowingHandlerGets500WithItsMessage)
+{
+    svc::HttpServer http(svc::parseAddress("tcp:127.0.0.1:0"),
+                         [](const svc::HttpRequest &, svc::Socket &,
+                            const std::atomic<bool> &) {
+                             throw std::runtime_error("boom \"x\"\\");
+                         });
+    const std::string resp = httpGet(http.address(), "/");
+    http.stop();
+    const std::string body = "{\"error\":\"boom \\\"x\\\"\\\\\"}\n";
+    EXPECT_EQ(resp, jsonHead("500 Internal Server Error", body.size())
+                        + body);
+}
+
+// ---- dashboard numbers ----------------------------------------------------
+
+TEST_F(DashboardBytes, LimitWithLeadingSpaceIs400)
+{
+    // '+' in a query decodes to a space: the limit reads " 1".
+    EXPECT_NE(get("/api/store?limit=+1").find("HTTP/1.1 400"),
+              std::string::npos);
+}
+
+TEST_F(DashboardBytes, LimitWithPlusSignIs400)
+{
+    EXPECT_NE(get("/api/store?limit=%2B1").find("HTTP/1.1 400"),
+              std::string::npos);
+}
+
+TEST_F(DashboardBytes, NegativeLimitIs400NotEveryBlob)
+{
+    const std::string resp = get("/api/store?limit=-1");
+    EXPECT_NE(resp.find("HTTP/1.1 400"), std::string::npos) << resp;
+    EXPECT_EQ(resp.find("\"digest\""), std::string::npos) << resp;
+}
+
+TEST_F(DashboardBytes, NonNumericLimitIs400)
+{
+    for (const char *bad : {"", "abc", "1x", "0x10", "1e3"})
+        EXPECT_NE(get(std::string("/api/store?limit=") + bad)
+                      .find("HTTP/1.1 400"),
+                  std::string::npos)
+            << bad;
+}
+
+TEST_F(DashboardBytes, OverflowingLimitIs400)
+{
+    EXPECT_NE(get("/api/store?limit=18446744073709551616")
+                  .find("HTTP/1.1 400"),
+              std::string::npos);
+}
+
+TEST_F(DashboardBytes, MalformedLimitNamesItInItsBody)
+{
+    EXPECT_EQ(body("/api/store?limit=-1"),
+              "{\"error\":\"malformed limit \\\"-1\\\"\"}\n");
+}
+
+TEST_F(DashboardBytes, SignedOrSpacedCampaignIdIs404)
+{
+    EXPECT_NE(get("/api/campaign/1/points").find("HTTP/1.1 200"),
+              std::string::npos);
+    for (const char *bad :
+         {"+1", "%201", "-1", "01x", "18446744073709551617"})
+        EXPECT_NE(get(std::string("/api/campaign/") + bad + "/points")
+                      .find("HTTP/1.1 404"),
+                  std::string::npos)
+            << bad;
+}
+
+// ---- the C++ client's status ----------------------------------------------
+
+TEST(ServiceClientStatus, ReadsEveryMemberTheServerWrites)
+{
+    const std::string dir = freshDir("tdm_client_status");
+    {
+        HttpFixture fx(dir);
+        svc::ServiceClient client(fx.address());
+        ASSERT_TRUE(client.submit(grid("seed", smallGrid())).allOk());
+        ASSERT_NE(httpGet(fx.httpAddress(), "/api/status")
+                      .find("HTTP/1.1 200"),
+                  std::string::npos);
+
+        const svc::StatusInfo got = client.status();
+        const svc::StatusInfo want = fx.server().status();
+        EXPECT_EQ(got.campaigns, want.campaigns);
+        EXPECT_EQ(got.points, want.points);
+        EXPECT_EQ(got.served, want.served);
+        EXPECT_EQ(got.cachePoints, want.cachePoints);
+        EXPECT_EQ(got.inflight, want.inflight);
+        EXPECT_EQ(got.threads, want.threads);
+        EXPECT_GT(got.uptimeMs, 0.0);
+        EXPECT_EQ(got.hasStore, want.hasStore);
+        EXPECT_EQ(got.storeDir, want.storeDir);
+        EXPECT_EQ(got.store.blobs, want.store.blobs);
+        EXPECT_EQ(got.store.bytes, want.store.bytes);
+        EXPECT_EQ(got.store.hits, want.store.hits);
+        EXPECT_EQ(got.store.misses, want.store.misses);
+        EXPECT_EQ(got.store.stores, want.store.stores);
+        EXPECT_EQ(got.store.corrupt, want.store.corrupt);
+        EXPECT_EQ(got.hasHttp, want.hasHttp);
+        EXPECT_EQ(got.httpAddr, want.httpAddr);
+        EXPECT_EQ(got.httpRequests, want.httpRequests);
+        EXPECT_EQ(got.sseSubscribers, want.sseSubscribers);
+        EXPECT_EQ(got.busPublished, want.busPublished);
+        EXPECT_EQ(got.busDropped, want.busDropped);
+        // Every counter the comparison covers has moved off zero.
+        EXPECT_GT(want.store.bytes, 0u);
+        EXPECT_EQ(want.httpRequests, 1u);
+        EXPECT_GT(want.busPublished, 0u);
+    }
+    fs::remove_all(dir);
 }
 
 // ---- HttpServer lifecycle ------------------------------------------------

@@ -163,7 +163,7 @@ TEST(OutputGolden, CsvExport)
 
 TEST(OutputGolden, WirePointEvents)
 {
-    std::ostringstream os;
+    report::Text os;
     for (const campaign::CampaignResult &c : reference())
         for (std::size_t i = 0; i < c.jobs.size(); ++i)
             service::writePoint(os, 7, c.jobs[i], i, c.jobs.size(),

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <variant>
@@ -147,7 +148,7 @@ TEST(ServiceProtocol, PointEventRoundTrips)
                                     0.81481481481481477);
     job.summary.machine.metrics.set("machine.time_ms", 0.1 + 0.2);
 
-    std::ostringstream os;
+    report::Text os;
     svc::writePoint(os, 7, job, 2, 5, sim::MetricSelection("*"));
     std::string line = os.str();
     ASSERT_EQ(line.back(), '\n');
@@ -302,7 +303,7 @@ TEST(ServiceProtocol, AbortedPointsReportTheirOwnNumbers)
         const svc::JsonValue *metrics = exported.find("metrics");
         ASSERT_NE(metrics, nullptr);
 
-        std::ostringstream wire;
+        report::Text wire;
         svc::writePoint(wire, 1, job, i, rep.jobs.size(), sim::MetricSelection());
         std::string line = wire.str();
         line.pop_back();
@@ -332,6 +333,96 @@ TEST(ServiceProtocol, AbortedPointsReportTheirOwnNumbers)
     EXPECT_GT(rep.at("tdm").summary.dmuAccesses, 0u);
     EXPECT_GT(rep.at("carbon").summary.steals, 0u);
     EXPECT_GT(rep.at("sw").summary.masterCreationFraction, 0.0);
+}
+
+// ---- protocol: response lines, byte for byte ---------------------------
+
+TEST(ServiceProtocol, ControlLinesArePinnedBytes)
+{
+    report::Text pong, bye, accepted;
+    svc::writePong(pong);
+    svc::writeBye(bye);
+    svc::writeAccepted(accepted, 42, "sw\"eep\\1", 7);
+    EXPECT_EQ(pong.str(), "{\"event\":\"pong\"}\n");
+    EXPECT_EQ(bye.str(), "{\"event\":\"bye\"}\n");
+    EXPECT_EQ(accepted.str(),
+              "{\"event\":\"accepted\",\"id\":42,"
+              "\"name\":\"sw\\\"eep\\\\1\",\"points\":7}\n");
+}
+
+TEST(ServiceProtocol, ErrorLineEscapesItsMessage)
+{
+    report::Text os;
+    svc::writeError(os, "bad \"key\" a\\b \x01\t\n caf\xc3\xa9");
+    EXPECT_EQ(os.str(),
+              "{\"event\":\"error\",\"message\":\"bad \\\"key\\\" "
+              "a\\\\b \\u0001\\t\\n caf\xc3\xa9\"}\n");
+}
+
+TEST(ServiceProtocol, DoneLineIsPinned)
+{
+    campaign::CampaignResult r;
+    r.name = "fig\"13";
+    r.jobs.resize(4);
+    for (std::size_t i = 0; i < 3; ++i)
+        r.jobs[i].summary.completed = true; // the fourth failed
+    r.threads = 4;
+    r.wallMs = 0.1 + 0.2;
+    std::uint64_t n = 1;
+    for (const campaign::CampaignTotal &t : campaign::kCampaignTotals)
+        r.*t.member = n++;
+    report::Text os;
+    svc::writeDone(os, 9, r);
+    EXPECT_EQ(os.str(),
+              "{\"event\":\"done\",\"id\":9,\"name\":\"fig\\\"13\","
+              "\"points\":4,\"cache_hits\":1,\"simulated\":2,"
+              "\"from_memory\":3,\"from_disk\":4,\"from_inflight\":5,"
+              "\"from_forked\":6,\"warmups_shared\":7,"
+              "\"graph_builds\":8,\"graph_shares\":9,\"failures\":1,"
+              "\"threads\":4,\"wall_ms\":0.30000000000000004}\n");
+}
+
+TEST(ServiceProtocol, StatusLineIsPinned)
+{
+    svc::StatusInfo info;
+    info.campaigns = 3;
+    info.points = 12;
+    info.served = {5, 4, 2, 1, 0};
+    info.cachePoints = 9;
+    info.inflight = 1;
+    info.threads = 4;
+    info.uptimeMs = 1234.5;
+    report::Text bare;
+    svc::writeStatus(bare, info);
+    EXPECT_EQ(bare.str(),
+              "{\"event\":\"status\",\"campaigns\":3,\"points\":12,"
+              "\"served\":{\"simulated\":5,\"memory\":4,\"disk\":2,"
+              "\"inflight\":1,\"forked\":0},\"cache_points\":9,"
+              "\"inflight\":1,\"threads\":4,\"uptime_ms\":1234.5,"
+              "\"store\":null,\"http\":null}\n");
+
+    info.hasStore = true;
+    info.storeDir = "/var/s\"tore";
+    info.store = {.blobs = 7, .bytes = 8192, .hits = 4, .misses = 3,
+                  .stores = 6, .corrupt = 1};
+    info.hasHttp = true;
+    info.httpAddr = "tcp:127.0.0.1:8080";
+    info.httpRequests = 17;
+    info.sseSubscribers = 2;
+    info.busPublished = 40;
+    info.busDropped = 5;
+    report::Text full;
+    svc::writeStatus(full, info);
+    EXPECT_EQ(full.str(),
+              "{\"event\":\"status\",\"campaigns\":3,\"points\":12,"
+              "\"served\":{\"simulated\":5,\"memory\":4,\"disk\":2,"
+              "\"inflight\":1,\"forked\":0},\"cache_points\":9,"
+              "\"inflight\":1,\"threads\":4,\"uptime_ms\":1234.5,"
+              "\"store\":{\"dir\":\"/var/s\\\"tore\",\"blobs\":7,"
+              "\"bytes\":8192,\"hits\":4,\"misses\":3,\"stores\":6,"
+              "\"corrupt\":1},\"http\":{\"addr\":\"tcp:127.0.0.1:8080\","
+              "\"requests\":17,\"sse_subscribers\":2,"
+              "\"events_published\":40,\"events_dropped\":5}}\n");
 }
 
 // ---- live server/client --------------------------------------------------
@@ -420,6 +511,45 @@ class ServerFixture
 
 } // namespace
 
+TEST(ServiceClient, SubmitLineMatchesTheStreamRendering)
+{
+    // The submit line, against the ostringstream/jsonEscape rendering
+    // it replaced: every canonical spec key and value, escaped names
+    // and labels included.
+    svc::Listener listener(svc::parseAddress("tcp:127.0.0.1:0"));
+    std::string request;
+    std::thread peer([&] {
+        svc::Socket s = listener.accept();
+        s.readLine(request);
+        s.sendAll("{\"event\":\"error\",\"message\":\"pinned\"}\n");
+    });
+    campaign::Campaign c = grid("pin\"ned\t", {{"a\\b", point("fifo", 8)},
+                                               {"\xc3\xa9", point("age", 4)}});
+    svc::ServiceClient client(listener.address().display());
+    EXPECT_THROW(client.submit(c), std::runtime_error);
+    peer.join();
+
+    std::ostringstream want;
+    want << "{\"op\":\"submit\",\"name\":\"" << report::jsonEscape(c.name)
+         << "\",\"metrics\":\"" << report::jsonEscape(c.metrics)
+         << "\",\"points\":[";
+    for (std::size_t i = 0; i < c.points.size(); ++i) {
+        want << (i ? "," : "") << "{\"label\":\""
+             << report::jsonEscape(c.points[i].label) << "\",\"spec\":{";
+        const sim::Config spec = campaign::canonicalConfig(c.points[i].exp);
+        bool first = true;
+        for (const auto &[k, v] : spec.entries()) {
+            want << (first ? "" : ",") << "\"" << report::jsonEscape(k)
+                 << "\":\"" << report::jsonEscape(v) << "\"";
+            first = false;
+        }
+        want << "}}";
+    }
+    want << "]}";
+    EXPECT_EQ(request, want.str());
+    EXPECT_GT(request.size(), 2000u); // every binding key, both points
+}
+
 TEST(ServiceServer, PingStatusAndErrorReporting)
 {
     const std::string dir =
@@ -434,7 +564,7 @@ TEST(ServiceServer, PingStatusAndErrorReporting)
     svc::StatusInfo info = client.status();
     EXPECT_EQ(info.campaigns, 0u);
     EXPECT_TRUE(info.hasStore);
-    EXPECT_EQ(info.storeBlobs, 0u);
+    EXPECT_EQ(info.store.blobs, 0u);
 
     // A bad submission is an error event, not a dropped connection —
     // the same socket keeps serving afterwards. Driven over a raw
@@ -607,7 +737,7 @@ TEST(ServiceServer, ConcurrentClientsSimulateEachPointOnce)
     EXPECT_EQ(info.served[static_cast<std::size_t>(
                   campaign::JobSource::Simulated)],
               six.size());
-    EXPECT_EQ(info.storeBlobs, six.size());
+    EXPECT_EQ(info.store.blobs, six.size());
 
     fx.stop();
     fs::remove_all(dir);

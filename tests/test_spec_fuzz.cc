@@ -341,7 +341,7 @@ TEST(RecordFuzz, MutatedStoreBlobsAreRejectedOrExact)
 TEST(RecordFuzz, MutatedPointEventsAreRejectedOrExact)
 {
     const campaign::JobResult &job = goldenJob();
-    std::ostringstream os;
+    tdm::driver::report::Text os;
     service::writePoint(os, 3, job, 5, 9, tdm::sim::MetricSelection());
     std::string line = os.str();
     line.pop_back(); // the reader strips the newline
