@@ -550,6 +550,202 @@ TEST(ServiceClient, SubmitLineMatchesTheStreamRendering)
     EXPECT_GT(request.size(), 2000u); // every binding key, both points
 }
 
+namespace {
+
+/** Run @p use on a client of a scripted server that reads one request
+ *  line and answers with @p script. Returns what @p use threw, minus
+ *  the "campaign service ADDR: " prefix ("" when it returned). */
+template <typename F>
+std::string
+scripted(const std::string &script, F &&use)
+{
+    svc::Listener listener(svc::parseAddress("tcp:127.0.0.1:0"));
+    std::thread peer([&] {
+        svc::Socket s = listener.accept();
+        std::string request;
+        s.readLine(request);
+        s.sendAll(script);
+    });
+    const std::string address = listener.address().display();
+    std::string error;
+    try {
+        svc::ServiceClient client(address);
+        use(client);
+    } catch (const std::runtime_error &e) {
+        error = e.what();
+        const std::string prefix = "campaign service " + address + ": ";
+        EXPECT_EQ(error.substr(0, prefix.size()), prefix);
+        error.erase(0, prefix.size());
+    }
+    peer.join();
+    return error;
+}
+
+/** scripted() for a submit of @p c that returns into @p out. */
+std::string
+scriptedSubmit(const campaign::Campaign &c, const std::string &script,
+               campaign::CampaignResult &out)
+{
+    return scripted(script, [&](svc::ServiceClient &client) {
+        out = client.submit(c);
+    });
+}
+
+/** @p c's points as the server streams them: job i labelled like
+ *  point i, completed unless @p failed. */
+std::string
+pointLines(const campaign::Campaign &c, std::size_t failed)
+{
+    report::Text out;
+    for (std::size_t i = 0; i < c.points.size(); ++i) {
+        campaign::JobResult job;
+        job.label = c.points[i].label;
+        job.digest = "d" + std::to_string(i);
+        job.summary.completed = i != failed;
+        job.summary.machine.metrics.append("x", 0.5 + i);
+        svc::writePoint(out, 1, job, i, c.points.size(),
+                        sim::MetricSelection());
+    }
+    return out.str();
+}
+
+} // namespace
+
+TEST(ServiceClient, ReadsEveryEventAScriptedServerSends)
+{
+    const campaign::Campaign c =
+        grid("scripted", {{"a", point("fifo", 8)}, {"b", point("age", 4)}});
+    const std::string accepted =
+        "{\"event\":\"accepted\",\"id\":1,\"name\":\"scripted\","
+        "\"points\":2}\n";
+
+    // Every member writeDone writes lands in the result: the totals,
+    // threads and wall_ms as sent, the name, point count and failures
+    // as the client's own records agree with them.
+    campaign::CampaignResult want;
+    want.name = c.name;
+    want.jobs.resize(2);
+    want.jobs[0].summary.completed = true;
+    want.threads = 3;
+    want.wallMs = 0.1 + 0.2;
+    std::uint64_t n = 11;
+    for (const campaign::CampaignTotal &t : campaign::kCampaignTotals)
+        want.*t.member = n++;
+    report::Text done;
+    svc::writeDone(done, 1, want);
+    campaign::CampaignResult got;
+    ASSERT_EQ(scriptedSubmit(c, accepted + pointLines(c, 1) + done.str(),
+                             got),
+              "");
+    EXPECT_EQ(got.name, want.name);
+    ASSERT_EQ(got.jobs.size(), want.jobs.size());
+    EXPECT_EQ(got.failures(), want.failures());
+    for (const campaign::CampaignTotal &t : campaign::kCampaignTotals)
+        EXPECT_EQ(got.*t.member, want.*t.member) << t.name;
+    EXPECT_EQ(got.threads, want.threads);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.wallMs),
+              std::bit_cast<std::uint64_t>(want.wallMs));
+    EXPECT_EQ(got.jobs[1].label, "b");
+    EXPECT_EQ(got.jobs[1].summary.metrics().get("x"), 1.5);
+    EXPECT_EQ(got.jobs[1].spec.entries(),
+              campaign::canonicalConfig(c.points[1].exp).entries());
+
+    // A hand-written done: members in any order, the first of a
+    // repeated one counts, and a count that is not a plain unsigned
+    // integer keeps its default.
+    got = {};
+    ASSERT_EQ(scriptedSubmit(
+                  c,
+                  pointLines(c, 2)
+                      + "{\"threads\":7,\"extra\":[{}],\"event\":\"done\","
+                        "\"cache_hits\":5,\"cache_hits\":9,"
+                        "\"simulated\":\"2\",\"from_disk\":1.5,"
+                        "\"from_memory\":-1,\"wall_ms\":2.5e0}\n",
+                  got),
+              "");
+    EXPECT_EQ(got.threads, 7u);
+    EXPECT_EQ(got.cacheHits, 5u);
+    EXPECT_EQ(got.simulated, 0u);
+    EXPECT_EQ(got.fromDisk, 0u);
+    EXPECT_EQ(got.fromMemory, 0u);
+    EXPECT_EQ(got.wallMs, 2.5);
+    EXPECT_TRUE(got.allOk());
+
+    // Everything else ends the submit with the parent's message.
+    const std::pair<std::string, std::string> faults[] = {
+        {accepted + "{\"event\":\"error\",\"message\":\"no \\\"way\\\"\"}\n",
+         "no \"way\""},
+        {"{\"event\":\"error\",\"message\":\"a\",\"message\":\"b\"}\n", "a"},
+        {"{\"event\":\"error\"}\n", "unknown error"},
+        {"{\"event\":\"error\",\"message\":5}\n", ""},
+        {"{\"event\":\n", "malformed event: unexpected end of input at "
+                         "offset 9"},
+        {"{\"event\":\"done\"} x\n",
+         "malformed event: trailing characters after JSON value"},
+        {"{\"event\":\"bogus\",\"message\":\"m\"}\n",
+         "unexpected event \"bogus\""},
+        {"{\"event\":5}\n", "unexpected event \"\""},
+        {"[\"event\",\"done\"]\n", "unexpected event \"\""},
+        {"{\"event\":\"point\",\"index\":0}\n", "malformed point event"},
+        {pointLines(c, 2).substr(0, 40) + "\n", "malformed event: "
+                                                "unterminated string at "
+                                                "offset 40"},
+        {accepted + "{\"event\":\"done\"}\n", "done after 0/2 points"},
+        {accepted, "connection closed mid-campaign"},
+    };
+    for (const auto &[script, message] : faults)
+        EXPECT_EQ(scriptedSubmit(c, script, got), message) << script;
+}
+
+TEST(ServiceClient, StatusReadsAScriptedLine)
+{
+    // The first of a repeated member counts, a member of the wrong
+    // type keeps its default, and a store or http that is not an
+    // object is absent.
+    svc::StatusInfo info;
+    auto status = [&](svc::ServiceClient &client) { info = client.status(); };
+    ASSERT_EQ(scripted("{\"campaigns\":4,\"event\":\"status\","
+                       "\"campaigns\":5,\"points\":-1,\"threads\":4294967298,"
+                       "\"served\":{\"disk\":3,\"memory\":\"1\",\"disk\":4},"
+                       "\"inflight\":2,\"uptime_ms\":\"9\",\"cache_points\":7,"
+                       "\"store\":{\"dir\":5,\"blobs\":2,\"corrupt\":1e0},"
+                       "\"store\":null,\"http\":[{\"addr\":\"x\"}]}\n",
+                       status),
+              "");
+    EXPECT_EQ(info.campaigns, 4u);
+    EXPECT_EQ(info.points, 0u);
+    EXPECT_EQ(info.threads, 2u); // truncated to its width
+    EXPECT_EQ(info.served[static_cast<std::size_t>(
+                  campaign::JobSource::Disk)],
+              3u);
+    EXPECT_EQ(info.served[static_cast<std::size_t>(
+                  campaign::JobSource::Memory)],
+              0u);
+    EXPECT_EQ(info.inflight, 2u);
+    EXPECT_EQ(info.cachePoints, 7u);
+    EXPECT_EQ(info.uptimeMs, 0.0);
+    EXPECT_TRUE(info.hasStore);
+    EXPECT_EQ(info.storeDir, "");
+    EXPECT_EQ(info.store.blobs, 2u);
+    EXPECT_EQ(info.store.corrupt, 0u);
+    EXPECT_FALSE(info.hasHttp);
+    EXPECT_EQ(info.httpAddr, "");
+
+    EXPECT_EQ(scripted("{\"event\":\"pong\"}\n", status),
+              "unexpected status response");
+    EXPECT_EQ(scripted("{\"event\":\"status\"\n", status),
+              "malformed response: unterminated object at offset 17");
+    EXPECT_EQ(scripted("", status), "connection closed");
+    bool pong = false;
+    auto ping = [&](svc::ServiceClient &client) { pong = client.ping(); };
+    EXPECT_EQ(
+        scripted("{\"x\":[],\"event\":\"pong\",\"event\":1}\n", ping),
+        "");
+    EXPECT_TRUE(pong);
+    EXPECT_EQ(scripted("{\"event\":\"pong\"} 1\n", ping), "");
+    EXPECT_FALSE(pong);
+}
+
 TEST(ServiceServer, PingStatusAndErrorReporting)
 {
     const std::string dir =

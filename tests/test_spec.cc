@@ -9,9 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iomanip>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "driver/campaign/campaign.hh"
 #include "driver/campaign/fingerprint.hh"
@@ -255,6 +260,43 @@ TEST(Spec, FormatDoubleRoundTripsAndStaysShort)
             sim::Config::tryParseDouble(spc::formatDouble(v), back));
         EXPECT_EQ(back, v);
     }
+}
+
+TEST(Spec, FormatDoubleMatchesTheStreamRendering)
+{
+    // The reference: the shortest std::setprecision rendering that
+    // reads back equal, else the 17-digit one.
+    auto viaStream = [](double v) {
+        std::string s;
+        for (int prec = 1; prec <= 17; ++prec) {
+            std::ostringstream oss;
+            oss << std::setprecision(prec) << v;
+            s = oss.str();
+            double back = 0.0;
+            if (sim::Config::tryParseDouble(s, back) && back == v)
+                return s;
+        }
+        return s;
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> corpus = {
+        0.0, -0.0, 0.05, 0.1 + 0.2, 1.0 / 3.0, 262144.0, 2e-9, 1e21,
+        1e22, 123456789.125, 9007199254740993.0, 1e-5, 1e-4, 1e15,
+        1e16, 1e17, 5e-324, 2.2250738585072009e-308,
+        1.7976931348623157e308,
+        inf, -inf, std::numeric_limits<double>::quiet_NaN()};
+    std::uint64_t x = 0x9e3779b97f4a7c15u;
+    for (int i = 0; i < 4000; ++i) {
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        const std::uint64_t r = x * 0x2545f4914f6cdd1du;
+        corpus.push_back(std::bit_cast<double>(r)); // any bit pattern
+        corpus.push_back(static_cast<double>(r % 100000) / 1000.0);
+        corpus.push_back(static_cast<double>(r >> 11) * 0x1p-40);
+    }
+    for (double v : corpus)
+        EXPECT_EQ(spc::formatDouble(v), viaStream(v)) << viaStream(v);
 }
 
 TEST(Spec, ClosestMatchesRanksByDistance)

@@ -35,6 +35,8 @@
 #include <vector>
 
 #include "driver/campaign/engine.hh"
+#include "driver/campaign/fingerprint.hh"
+#include "driver/report/format.hh"
 #include "driver/service/http_server.hh"
 #include "driver/service/protocol.hh"
 #include "driver/service/store.hh"
@@ -399,18 +401,57 @@ mutateSome(std::string text, FuzzRng &rng)
     return text;
 }
 
+/** The valid request lines the request mutants start from. */
+const std::string kRequestSeeds[] = {
+    R"({"op":"submit","name":"sweep","metrics":"dmu.*",)"
+    R"("set":{"runtime":"tdm"},)"
+    R"("campaign":"axis machine.cores = 16, 32\nset workload = lu\n"})",
+    R"({"op":"submit","name":"grid","set":{"machine.cores":16},)"
+    R"("points":[{"label":"a","spec":{"workload":"cholesky"}},)"
+    R"({"spec":{"workload":"qr","workload.seed":7}}]})",
+};
+
+/** What parseRequest makes of @p line: the refusal message, or the op
+ *  and every SubmitRequest field, strings quoted and escaped. */
+std::string
+requestOutcome(const std::string &line)
+{
+    service::Request req;
+    std::string error;
+    if (!service::parseRequest(line, req, error))
+        return "refused: " + error;
+    const char *const ops[] = {"ping", "status", "shutdown", "submit"};
+    std::string out = ops[static_cast<int>(req.op)];
+    auto str = [&](const std::string &v) {
+        out += " \"" + report::jsonEscape(v) + '"';
+    };
+    auto entries = [&](const auto &spec) {
+        out += " {";
+        for (const auto &[k, v] : spec) {
+            str(k);
+            str(v);
+        }
+        out += " }";
+    };
+    const service::SubmitRequest &s = req.submit;
+    str(s.name);
+    str(s.metrics);
+    str(s.campaignText);
+    entries(s.set);
+    out += " [";
+    for (const service::SubmitRequest::Point &p : s.points) {
+        str(p.label);
+        entries(p.spec);
+    }
+    out += " ]";
+    return out;
+}
+
 } // namespace
 
 TEST(RequestFuzz, MutatedRequestLinesAreRefusedWithAMessage)
 {
-    const std::string seeds[] = {
-        R"({"op":"submit","name":"sweep","metrics":"dmu.*",)"
-        R"("set":{"runtime":"tdm"},)"
-        R"("campaign":"axis machine.cores = 16, 32\nset workload = lu\n"})",
-        R"({"op":"submit","name":"grid","set":{"machine.cores":16},)"
-        R"("points":[{"label":"a","spec":{"workload":"cholesky"}},)"
-        R"({"spec":{"workload":"qr","workload.seed":7}}]})",
-    };
+    const auto &seeds = kRequestSeeds;
     for (const std::string &seed : seeds) {
         service::Request req;
         std::string error;
@@ -442,6 +483,116 @@ TEST(RequestFuzz, MutatedRequestLinesAreRefusedWithAMessage)
     }
     EXPECT_GT(refused, kRequestMutants / 2);
     EXPECT_GT(built, 0);
+}
+
+TEST(RequestFuzz, MutatedRequestLineOutcomesArePinned)
+{
+    // The same mutant stream as above, every outcome pinned at once:
+    // for an accepted line its op and every SubmitRequest field, for
+    // a refused one the exact message.
+    FuzzRng rng(0x4e90e57);
+    std::string outcomes;
+    for (int round = 0; round < kRequestMutants; ++round) {
+        outcomes += requestOutcome(
+            mutateSome(kRequestSeeds[round % std::size(kRequestSeeds)], rng));
+        outcomes += '\n';
+    }
+    EXPECT_EQ(campaign::digestOfKey(outcomes), "738c20d7931b3264");
+}
+
+TEST(RequestFuzz, RequestEdgeCasesReadAsPinned)
+{
+    const std::string deep =
+        R"({"op":"ping","x":)" + std::string(100000, '[');
+    const std::pair<std::string, std::string> cases[] = {
+        // The first of a repeated member counts.
+        {R"({"op":"ping","op":"shutdown"})", "ping \"\" \"\" \"\" { } [ ]"},
+        {R"({"op":"submit","points":[{"label":"a","spec":{"k":"1"}}],)"
+         R"("points":[{"label":"b","spec":{"k":"2"}}]})",
+         "submit \"\" \"\" \"\" { } [ \"a\" { \"k\" \"1\" } ]"},
+        {R"({"op":"submit","name":"a","name":"b","campaign":"x",)"
+         R"("campaign":5})",
+         "submit \"a\" \"\" \"x\" { } [ ]"},
+        // Not an object, trailing bytes, nothing at all.
+        {"[1]", "refused: request must be a JSON object"},
+        {R"({"op":"ping"} x)", "refused: trailing characters after JSON value"},
+        {R"({"op":"ping"}})", "refused: trailing characters after JSON value"},
+        {"", "refused: unexpected end of input at offset 0"},
+        {"   ", "refused: unexpected end of input at offset 3"},
+        // Unknown members are checked, under the nesting cap.
+        {deep, "refused: nesting too deep at offset 81"},
+        {R"({"op":"ping","x":[1,]})", "refused: malformed number at offset 20"},
+        {R"({"op":"ping","set":5,"points":"x","name":null})",
+         "ping \"\" \"\" \"\" { } [ ]"},
+        // Values: null reads as "", scalars as written.
+        {R"({"op":"submit","name":null,"metrics":7,"campaign":"c"})",
+         "submit \"\" \"\" \"c\" { } [ ]"},
+        {R"({"op":"submit","points":[{"spec":{"e":"\u0041\ud83d\ude00",)"
+         R"("m":2305843009213706617,"t":true,"f":false,"n":-1.5e2,)"
+         R"("e":"dup"}}]})",
+         "submit \"\" \"\" \"\" { } [ \"\" { \"e\" \"A\xF0\x9F\x98\x80\" "
+         "\"m\" \"2305843009213706617\" \"t\" \"true\" \"f\" \"false\" "
+         "\"n\" \"-1.5e2\" \"e\" \"dup\" } ]"},
+        {R"({"op":"submit","set":{"a":"1","b":2},"points":)"
+         R"([{"label":7,"spec":{}},{"spec":{"k":"v"},"spec":5}]})",
+         "submit \"\" \"\" \"\" { \"a\" \"1\" \"b\" \"2\" } "
+         "[ \"\" { } \"\" { \"k\" \"v\" } ]"},
+        // Faults in order of precedence.
+        {R"({"points":5,"op":"frob"})", "refused: unknown op \"frob\""},
+        {R"({"op":5,"op":"ping"})", "refused: missing \"op\""},
+        {R"({"set":[],"op":"submit","metrics":"a,,b","points":[1]})",
+         "refused: empty glob in metric selection 'a,,b'"},
+        {R"({"op":"submit","points":[1],"set":{"a":"1","b":null}})",
+         "refused: set.b must be a string, number, or bool"},
+        {R"({"op":"submit","points":[1],"set":[]})",
+         "refused: set must be an object"},
+        {R"({"op":"submit","points":[1],"campaign":"c"})",
+         "refused: submit needs exactly one of \"campaign\" or \"points\""},
+        {R"({"op":"submit"})",
+         "refused: submit needs exactly one of \"campaign\" or \"points\""},
+        {R"({"op":"submit","campaign":5})",
+         "refused: \"campaign\" must be a string"},
+        {R"({"op":"submit","points":{}})",
+         "refused: \"points\" must be a non-empty array"},
+        {R"({"op":"submit","points":[]})",
+         "refused: \"points\" must be a non-empty array"},
+        {R"({"op":"submit","points":[{"spec":{}},1,{}]})",
+         "refused: each point must be an object"},
+        {R"({"op":"submit","points":[{"label":"a"},{"spec":5}]})",
+         "refused: each point needs a \"spec\" object"},
+        {R"({"op":"submit","points":[{"spec":5},{"spec":{"a":[]}}]})",
+         "refused: spec must be an object"},
+        {R"({"op":"submit","points":[{"spec":{"a":"1","b":[],"c":{}}}]})",
+         "refused: spec.b must be a string, number, or bool"},
+        {R"({"op":"submit","points":[{"spec":{"a":[]}}],"x":[1,]})",
+         "refused: malformed number at offset 51"},
+        {R"({"op":"submit","points":[{"spec":{"a":)" + std::string(70, '[')
+             + "}}]}",
+         "refused: nesting too deep at offset 99"},
+        // Malformed JSON.
+        {"{", "refused: expected string at offset 1"},
+        {R"({"a":})", "refused: malformed number at offset 5"},
+        {"[1,]", "refused: malformed number at offset 3"},
+        {R"({"a":1}trailing)", "refused: trailing characters after JSON value"},
+        {R"("\q")", "refused: unknown escape at offset 3"},
+        {R"({"a" 1})", "refused: expected ':' at offset 5"},
+        {"nul", "refused: expected 'null' at offset 0"},
+        {"01", "refused: malformed number at offset 2"},
+        {"--1", "refused: malformed number at offset 1"},
+        {R"("unterminated)", "refused: unterminated string at offset 13"},
+        {R"({"op":"ping","x":"\ud800"})",
+         "refused: unpaired surrogate at offset 24"},
+        {R"({"op":"ping","x":"\u12"})",
+         "refused: bad hex digit in \\u escape at offset 23"},
+        {"{\"op\":\"ping\",\"x\":\"a\tb\"}",
+         "refused: unescaped control character in string at offset 19"},
+        {R"({"op":"ping","x":1.})", "refused: malformed number at offset 19"},
+        {R"({"op":"ping",})", "refused: expected string at offset 13"},
+        {R"({"op":"ping" "x":1})", "refused: expected ',' or '}' at offset 13"},
+        {R"({op:"ping"})", "refused: expected string at offset 1"},
+    };
+    for (const auto &[line, want] : cases)
+        EXPECT_EQ(requestOutcome(line), want) << line.substr(0, 80);
 }
 
 TEST(RequestFuzz, MutatedHttpHeadsParseAlikeWholeAndByteByByte)
