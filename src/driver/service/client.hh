@@ -7,7 +7,9 @@
  *
  * Points are submitted by full canonical spec (every binding key), so
  * the server reconstructs bit-identical experiments and fingerprints
- * regardless of either side's defaults.
+ * regardless of either side's defaults. The submit line is written and
+ * every response read by protocol.hh (writeSubmit, decodePointEvent,
+ * decodeEvent), beside the server's own writers and reader.
  */
 
 #ifndef TDM_DRIVER_SERVICE_CLIENT_HH
@@ -49,8 +51,8 @@ class ServiceClient
     StatusInfo status();
 
   private:
-    /** Send one line, read one response object. */
-    JsonValue roundTrip(const std::string &request);
+    /** Send one line, read one response event. */
+    ServiceEvent roundTrip(const std::string &request);
 
     Socket sock_;
     std::string address_;

@@ -1,11 +1,14 @@
 #include "driver/service/protocol.hh"
 
+#include <algorithm>
 #include <bitset>
+#include <concepts>
 #include <cstdint>
 #include <iterator>
 #include <limits>
 #include <sstream>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
 
 #include "driver/campaign/fingerprint.hh"
@@ -15,456 +18,148 @@
 
 namespace tdm::driver::service {
 
-// ---- JSON reader ---------------------------------------------------------
-
 namespace {
 
 using report::JsonEscaped;
 using report::JsonReal;
 
-constexpr int kMaxDepth = 64;
-
-/**
- * The one JSON lexer: a cursor over an in-memory document. A string
- * reads as a view (into the document, or into a scratch buffer when it
- * holds escapes), a number as its literal, and object()/array() hand
- * each member or item to a callback that reads it. parseJson builds a
- * JsonValue tree on it; decodePointEvent streams a point event through
- * it without building one.
- */
-class JsonCursor
-{
-  public:
-    explicit JsonCursor(std::string_view s) : s_(s) {}
-
-    /** The next byte after whitespace ('\0' at the end). */
-    char peek()
-    {
-        while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                                    s_[pos_] == '\n' || s_[pos_] == '\r'))
-            ++pos_;
-        return pos_ < s_.size() ? s_[pos_] : '\0';
-    }
-
-    /** Only whitespace is left. */
-    bool atEnd()
-    {
-        peek();
-        return pos_ == s_.size();
-    }
-
-    /** A number starts here (it may still be malformed). */
-    bool atNumber()
-    {
-        const char c = peek();
-        return c == '-' || (c >= '0' && c <= '9');
-    }
-
-    /** Record @p msg at the current offset (the first failure wins);
-     *  always false. */
-    bool fail(const std::string &msg)
-    {
-        if (error_.empty())
-            error_ = msg + " at offset " + std::to_string(pos_);
-        return false;
-    }
-
-    /** The first failure's message ("" when none was recorded). */
-    const std::string &error() const { return error_; }
-
-    /** The literal @p w (true, false or null). */
-    bool word(std::string_view w)
-    {
-        if (s_.substr(pos_, w.size()) != w)
-            return fail("expected '" + std::string(w) + "'");
-        pos_ += w.size();
-        return true;
-    }
-
-    /** A string: @p out views the document, or @p scratch (which then
-     *  holds the decoded text) when the string has escapes. */
-    bool string(std::string_view &out, std::string &scratch)
-    {
-        if (peek() != '"')
-            return fail("expected string");
-        const std::size_t start = ++pos_;
-        while (pos_ < s_.size()) {
-            const char c = s_[pos_];
-            if (c == '"') {
-                out = s_.substr(start, pos_++ - start);
-                return true;
-            }
-            if (c == '\\') {
-                scratch.assign(s_.substr(start, pos_ - start));
-                if (!escapedRest(scratch))
-                    return false;
-                out = scratch;
-                return true;
-            }
-            if (static_cast<unsigned char>(c) < 0x20)
-                return fail("unescaped control character in string");
-            ++pos_;
-        }
-        return fail("unterminated string");
-    }
-
-    /** A string, decoded into @p out. */
-    bool string(std::string &out)
-    {
-        std::string_view v;
-        if (!string(v, out))
-            return false;
-        if (v.data() != out.data())
-            out.assign(v);
-        return true;
-    }
-
-    /** A number's literal, checked against the JSON grammar. */
-    bool number(std::string_view &literal)
-    {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && s_[pos_] == '-')
-            ++pos_;
-        auto digits = [&] {
-            const std::size_t before = pos_;
-            while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9')
-                ++pos_;
-            return pos_ > before;
-        };
-        const std::size_t intStart = pos_;
-        if (!digits())
-            return fail("malformed number");
-        // JSON forbids leading zeros: "0" is fine, "01" is not.
-        if (s_[intStart] == '0' && pos_ - intStart > 1)
-            return fail("malformed number");
-        if (pos_ < s_.size() && s_[pos_] == '.') {
-            ++pos_;
-            if (!digits())
-                return fail("malformed number");
-        }
-        if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-'))
-                ++pos_;
-            if (!digits())
-                return fail("malformed number");
-        }
-        literal = s_.substr(start, pos_ - start);
-        return true;
-    }
-
-    /** A number, as a double. */
-    bool real(double &out)
-    {
-        std::string_view literal;
-        return atNumber() && number(literal)
-            && report::parseReal(literal, out);
-    }
-
-    /** A plain unsigned integer literal no larger than @p max (read
-     *  from the literal, so 64-bit values stay exact). */
-    bool exactUint(std::uint64_t max, std::uint64_t &out)
-    {
-        std::string_view literal;
-        return atNumber() && number(literal)
-            && report::parseUint(literal, out) && out <= max;
-    }
-
-    /** An object: @p member(key) reads each member's value (every
-     *  reader skips the whitespace before its value). */
-    template <typename F>
-    bool object(F &&member)
-    {
-        if (peek() != '{')
-            return fail("expected '{'");
-        ++pos_;
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        std::string scratch;
-        for (bool more = true; more;) {
-            std::string_view key;
-            if (!string(key, scratch))
-                return false;
-            if (peek() != ':')
-                return fail("expected ':'");
-            ++pos_;
-            if (!member(key) || !separator('}', "object", more))
-                return false;
-        }
-        return true;
-    }
-
-    /** An array, at its '[': @p item() reads each item. */
-    template <typename F>
-    bool array(F &&item)
-    {
-        ++pos_;
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        for (bool more = true; more;)
-            if (!item() || !separator(']', "array", more))
-                return false;
-        return true;
-    }
-
-  private:
-    /** After a member or item: ',' (@p more) or @p close. */
-    bool separator(char close, const char *what, bool &more)
-    {
-        const char c = peek();
-        if (pos_ == s_.size())
-            return fail(std::string("unterminated ") + what);
-        if (c != ',' && c != close)
-            return fail(std::string("expected ',' or '") + close + "'");
-        ++pos_;
-        more = c == ',';
-        return true;
-    }
-
-    static void appendUtf8(std::string &out, unsigned cp)
-    {
-        if (cp < 0x80) {
-            out += static_cast<char>(cp);
-        } else if (cp < 0x800) {
-            out += static_cast<char>(0xc0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        } else if (cp < 0x10000) {
-            out += static_cast<char>(0xe0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        } else {
-            out += static_cast<char>(0xf0 | (cp >> 18));
-            out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        }
-    }
-
-    bool hex4(unsigned &out)
-    {
-        if (pos_ + 4 > s_.size())
-            return fail("truncated \\u escape");
-        out = 0;
-        for (int i = 0; i < 4; ++i) {
-            const char c = s_[pos_++];
-            out <<= 4;
-            if (c >= '0' && c <= '9')
-                out |= static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                out |= static_cast<unsigned>(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                out |= static_cast<unsigned>(c - 'A' + 10);
-            else
-                return fail("bad hex digit in \\u escape");
-        }
-        return true;
-    }
-
-    /** The rest of a string that has an escape at pos_, decoded onto
-     *  @p out, through its closing quote. */
-    bool escapedRest(std::string &out)
-    {
-        while (pos_ < s_.size()) {
-            const char c = s_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (static_cast<unsigned char>(c) < 0x20)
-                return fail("unescaped control character in string");
-            if (c != '\\') {
-                out += c;
-                ++pos_;
-                continue;
-            }
-            if (++pos_ >= s_.size())
-                return fail("truncated escape");
-            const char e = s_[pos_++];
-            switch (e) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'b': out += '\b'; break;
-            case 'f': out += '\f'; break;
-            case 'n': out += '\n'; break;
-            case 'r': out += '\r'; break;
-            case 't': out += '\t'; break;
-            case 'u': {
-                unsigned cp = 0;
-                if (!hex4(cp))
-                    return false;
-                if (cp >= 0xd800 && cp <= 0xdbff) {
-                    // High surrogate: a low surrogate must follow.
-                    if (s_.substr(pos_, 2) != "\\u")
-                        return fail("unpaired surrogate");
-                    pos_ += 2;
-                    unsigned lo = 0;
-                    if (!hex4(lo))
-                        return false;
-                    if (lo < 0xdc00 || lo > 0xdfff)
-                        return fail("unpaired surrogate");
-                    cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-                } else if (cp >= 0xdc00 && cp <= 0xdfff) {
-                    return fail("unpaired surrogate");
-                }
-                appendUtf8(out, cp);
-                break;
-            }
-            default:
-                return fail("unknown escape");
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    std::string_view s_;
-    std::size_t pos_ = 0;
-    std::string error_;
-};
-
-/** One value at nesting @p depth, as a tree. */
+/** The whole line @p c, through readMembers at its root; false, with
+ *  the parse error in @p error, unless it is one well-formed value. */
+template <std::size_t N, typename Name, typename Read>
 bool
-readValue(JsonCursor &c, JsonValue &out, int depth)
+readLine(JsonCursor &c, std::bitset<N> &seen, Name &&name, Read &&read,
+         std::string &error)
 {
-    if (depth > kMaxDepth)
-        return c.fail("nesting too deep");
-    if (c.atEnd())
-        return c.fail("unexpected end of input");
-    switch (c.peek()) {
-    case 'n':
-        out.kind = JsonValue::Kind::Null;
-        return c.word("null");
-    case 't':
-        out.kind = JsonValue::Kind::Bool;
-        out.boolean = true;
-        return c.word("true");
-    case 'f':
-        out.kind = JsonValue::Kind::Bool;
-        out.boolean = false;
-        return c.word("false");
-    case '"':
-        out.kind = JsonValue::Kind::String;
-        return c.string(out.text);
-    case '[':
-        out.kind = JsonValue::Kind::Array;
-        return c.array([&] {
-            return readValue(c, out.items.emplace_back(), depth + 1);
-        });
-    case '{':
-        out.kind = JsonValue::Kind::Object;
-        return c.object([&](std::string_view key) {
-            return readValue(
-                c, out.members.emplace_back(key, JsonValue{}).second,
-                depth + 1);
-        });
-    default: {
-        out.kind = JsonValue::Kind::Number;
-        std::string_view literal;
-        if (!c.number(literal))
-            return false;
-        out.text = literal;
-        return report::parseReal(literal, out.number);
-    }
-    }
-}
-
-/** Check one value at nesting @p depth and drop it. */
-bool
-skipValue(JsonCursor &c, int depth)
-{
-    JsonValue ignored;
-    return readValue(c, ignored, depth);
-}
-
-} // namespace
-
-const JsonValue *
-JsonValue::find(const std::string &key) const
-{
-    if (kind != Kind::Object)
-        return nullptr;
-    for (const auto &[k, v] : members)
-        if (k == key)
-            return &v;
-    return nullptr;
-}
-
-std::string
-JsonValue::asString(const std::string &dflt) const
-{
-    return kind == Kind::String ? text : dflt;
-}
-
-double
-JsonValue::asNumber(double dflt) const
-{
-    return kind == Kind::Number ? number : dflt;
-}
-
-bool
-JsonValue::asBool(bool dflt) const
-{
-    return kind == Kind::Bool ? boolean : dflt;
-}
-
-bool
-parseJson(std::string_view text, JsonValue &out, std::string &error)
-{
-    out = JsonValue{};
-    JsonCursor c(text);
-    if (!readValue(c, out, 0)) {
-        error = c.error().empty() ? "malformed JSON" : c.error();
-        return false;
-    }
-    if (!c.atEnd()) {
+    if (!readMembers(c, 0, seen, name, read))
+        error = c.error();
+    else if (!c.atEnd())
         error = "trailing characters after JSON value";
+    else
+        return true;
+    return false;
+}
+
+// Each readOr reads the value at nesting `depth` into `out` when it has
+// out's type; any other value is checked and skipped, and out is left
+// as it was.
+
+bool
+readOr(JsonCursor &c, int depth, std::string &out)
+{
+    return c.peek() == '"' ? c.string(out) : skipValue(c, depth);
+}
+
+bool
+readOr(JsonCursor &c, int depth, double &out)
+{
+    return c.atNumber() ? c.real(out) : skipValue(c, depth);
+}
+
+/** A count is read from a plain unsigned integer literal only, into
+ *  each of @p out, cut to its width. */
+template <std::unsigned_integral... T>
+bool
+readOr(JsonCursor &c, int depth, T &...out)
+{
+    if (!c.atNumber())
+        return skipValue(c, depth);
+    std::string_view literal;
+    std::uint64_t n = 0;
+    if (!c.number(literal))
         return false;
-    }
+    if (report::parseUint(literal, n))
+        ((out = static_cast<T>(n)), ...);
     return true;
+}
+
+/** The object at nesting @p depth through readMembers, the member
+ *  named names[i] read into the i-th of @p slots by readOr. */
+template <typename Name, std::size_t N, typename... T>
+bool
+readSlots(JsonCursor &c, int depth, const Name (&names)[N],
+          std::tuple<T &...> slots)
+{
+    static_assert(sizeof...(T) == N);
+    std::bitset<N> seen;
+    auto name = [&](std::size_t m) { return std::string_view(names[m]); };
+    return readMembers(c, depth, seen, name, [&](std::size_t m) {
+        bool read = false;
+        std::apply(
+            [&](auto &...slot) {
+                std::size_t i = 0;
+                ((i++ == m && (read = readOr(c, depth + 1, slot))), ...);
+            },
+            slots);
+        return read;
+    });
 }
 
 // ---- requests ------------------------------------------------------------
 
-namespace {
+/** The op names, indexed by RequestOp. */
+constexpr std::string_view kOpNames[] = {"ping", "status", "shutdown",
+                                         "submit"};
 
-/** Render a scalar JSON value as a spec value string (specs are
- *  stringly typed: numbers and bools pass through as written). */
+/** The spec object at nesting @p depth, appended to @p out: strings,
+ *  and numbers and bools as written (specs are stringly typed). Its
+ *  first fault, named after @p what, goes to an empty @p fault. */
 bool
-specValue(const JsonValue &v, std::string &out)
+specEntries(JsonCursor &c, int depth,
+            std::vector<std::pair<std::string, std::string>> &out,
+            const std::string &what, std::string &fault)
 {
-    switch (v.kind) {
-    case JsonValue::Kind::String: out = v.text; return true;
-    case JsonValue::Kind::Number: out = v.text; return true;
-    case JsonValue::Kind::Bool:
-        out = v.boolean ? "true" : "false";
-        return true;
-    default: return false;
+    if (c.peek() != '{') {
+        if (fault.empty())
+            fault = what + " must be an object";
+        return skipValue(c, depth);
     }
+    return c.object([&](std::string_view key) {
+        std::string &value = out.emplace_back(key, "").second;
+        std::string_view literal;
+        switch (c.peek()) {
+        case '"': return c.string(value);
+        case 't': return c.word(value = "true");
+        case 'f': return c.word(value = "false");
+        }
+        if (c.atNumber()) {
+            if (!c.number(literal))
+                return false;
+            value = literal;
+            return true;
+        }
+        if (fault.empty())
+            fault = what + "." + std::string(key)
+                    + " must be a string, number, or bool";
+        return skipValue(c, depth + 1);
+    });
 }
 
+/** The "points" array at nesting 1, appended to @p out; its fault, or
+ *  its first faulty point's, goes to @p fault. */
 bool
-specEntries(const JsonValue &obj,
-            std::vector<std::pair<std::string, std::string>> &out,
-            const char *what, std::string &error)
+readPoints(JsonCursor &c, std::vector<SubmitRequest::Point> &out,
+           std::string &fault)
 {
-    if (!obj.isObject()) {
-        error = std::string(what) + " must be an object";
-        return false;
-    }
-    for (const auto &[k, v] : obj.members) {
-        std::string value;
-        if (!specValue(v, value)) {
-            error = std::string(what) + "." + k +
-                    " must be a string, number, or bool";
-            return false;
-        }
-        out.emplace_back(k, value);
-    }
-    return true;
+    auto point = [&] {
+        SubmitRequest::Point &p = out.emplace_back();
+        if (c.peek() != '{' && fault.empty())
+            fault = "each point must be an object";
+        std::bitset<2> seen;
+        std::string specFault;
+        const bool read = readMembers(
+            c, 2, seen, [](std::size_t m) { return m ? "spec" : "label"; },
+            [&](std::size_t m) {
+                return m == 0 ? readOr(c, 3, p.label)
+                              : specEntries(c, 3, p.spec, "spec", specFault);
+            });
+        if (fault.empty())
+            fault = seen[1] ? specFault : "each point needs a \"spec\" object";
+        return read;
+    };
+    const bool read = c.peek() == '[' ? c.array(point) : skipValue(c, 1);
+    if (out.empty())
+        fault = "\"points\" must be a non-empty array";
+    return read;
 }
 
 } // namespace
@@ -472,92 +167,93 @@ specEntries(const JsonValue &obj,
 bool
 parseRequest(const std::string &line, Request &out, std::string &error)
 {
-    JsonValue root;
-    if (!parseJson(line, root, error))
+    enum Member : std::size_t {
+        Op, Name, Metrics, Set, Campaign, Points, kMembers
+    };
+    static constexpr std::string_view kNames[kMembers] = {
+        "op", "name", "metrics", "set", "campaign", "points"};
+
+    // One pass reads the line into out.submit and notes each fault;
+    // once the whole line is known to be well formed, the first fault
+    // in order of precedence is the one reported.
+    out = Request{};
+    SubmitRequest &req = out.submit;
+    std::bitset<kMembers> seen;
+    std::string op, setFault, pointsFault;
+    bool opIsString = false, campaignIsString = false;
+    JsonCursor c(line);
+    const bool isObject = c.peek() == '{';
+    auto name = [](std::size_t m) { return kNames[m]; };
+    auto member = [&](std::size_t m) {
+        switch (m) {
+        case Op:
+            opIsString = c.peek() == '"';
+            return readOr(c, 1, op);
+        case Name: return readOr(c, 1, req.name);
+        case Metrics: return readOr(c, 1, req.metrics);
+        case Set: return specEntries(c, 1, req.set, "set", setFault);
+        case Campaign:
+            campaignIsString = c.peek() == '"';
+            return readOr(c, 1, req.campaignText);
+        default: return readPoints(c, req.points, pointsFault);
+        }
+    };
+    if (!readLine(c, seen, name, member, error))
         return false;
-    if (!root.isObject()) {
+    if (!isObject) {
         error = "request must be a JSON object";
         return false;
     }
-    const JsonValue *op = root.find("op");
-    if (!op || !op->isString()) {
-        error = "missing \"op\"";
+    const auto named = std::find(std::begin(kOpNames), std::end(kOpNames), op);
+    if (!opIsString || named == std::end(kOpNames)) {
+        error = opIsString ? "unknown op \"" + op + "\"" : "missing \"op\"";
         return false;
     }
-    out = Request{};
-    if (op->text == "ping") {
-        out.op = RequestOp::Ping;
+    out.op = static_cast<RequestOp>(named - std::begin(kOpNames));
+    if (out.op != RequestOp::Submit) {
+        req = SubmitRequest{}; // the other ops take no members
         return true;
     }
-    if (op->text == "status") {
-        out.op = RequestOp::Status;
-        return true;
-    }
-    if (op->text == "shutdown") {
-        out.op = RequestOp::Shutdown;
-        return true;
-    }
-    if (op->text != "submit") {
-        error = "unknown op \"" + op->text + "\"";
+    try {
+        // Refused here, before the campaign runs: the point events
+        // apply the selection on engine threads.
+        const sim::MetricSelection validated(req.metrics);
+    } catch (const sim::MetricError &e) {
+        error = e.what();
         return false;
     }
+    if (!setFault.empty())
+        error = setFault;
+    else if (seen[Campaign] == seen[Points])
+        error = "submit needs exactly one of \"campaign\" or \"points\"";
+    else if (seen[Campaign] && !campaignIsString)
+        error = "\"campaign\" must be a string";
+    else if (!pointsFault.empty())
+        error = pointsFault;
+    else
+        return true;
+    return false;
+}
 
-    out.op = RequestOp::Submit;
-    SubmitRequest &req = out.submit;
-    if (const JsonValue *name = root.find("name"))
-        req.name = name->asString();
-    if (const JsonValue *metrics = root.find("metrics")) {
-        req.metrics = metrics->asString();
-        // Refuse a malformed selection here, before the campaign runs:
-        // the point events apply it on engine threads.
-        try {
-            const sim::MetricSelection validated(req.metrics);
-        } catch (const sim::MetricError &e) {
-            error = e.what();
-            return false;
+void
+writeSubmit(report::Text &out, const campaign::Campaign &c,
+            const std::vector<sim::Config> &specs)
+{
+    out << "{\"op\":\"submit\",\"name\":\"" << JsonEscaped{c.name}
+        << "\",\"metrics\":\"" << JsonEscaped{c.metrics}
+        << "\",\"points\":[";
+    for (std::size_t i = 0; i < c.points.size(); ++i) {
+        out << (i ? "," : "") << "{\"label\":\""
+            << JsonEscaped{c.points[i].label} << "\",\"spec\":{";
+        bool first = true;
+        for (const auto &[k, v] : specs[i].entries()) {
+            out << (first ? "\"" : ",\"") << JsonEscaped{k} << "\":\""
+                << JsonEscaped{v} << '"';
+            first = false;
         }
+        out << "}}";
     }
-    if (const JsonValue *set = root.find("set"))
-        if (!specEntries(*set, req.set, "set", error))
-            return false;
-
-    const JsonValue *campaign = root.find("campaign");
-    const JsonValue *points = root.find("points");
-    if ((campaign != nullptr) == (points != nullptr)) {
-        error = "submit needs exactly one of \"campaign\" or "
-                "\"points\"";
-        return false;
-    }
-    if (campaign) {
-        if (!campaign->isString()) {
-            error = "\"campaign\" must be a string";
-            return false;
-        }
-        req.campaignText = campaign->text;
-        return true;
-    }
-    if (!points->isArray() || points->items.empty()) {
-        error = "\"points\" must be a non-empty array";
-        return false;
-    }
-    for (const JsonValue &p : points->items) {
-        if (!p.isObject()) {
-            error = "each point must be an object";
-            return false;
-        }
-        SubmitRequest::Point point;
-        if (const JsonValue *label = p.find("label"))
-            point.label = label->asString();
-        const JsonValue *spec = p.find("spec");
-        if (!spec) {
-            error = "each point needs a \"spec\" object";
-            return false;
-        }
-        if (!specEntries(*spec, point.spec, "spec", error))
-            return false;
-        req.points.push_back(std::move(point));
-    }
-    return true;
+    out << "]}\n";
 }
 
 campaign::Campaign
@@ -792,8 +488,6 @@ decodePointEvent(std::string_view line, campaign::JobResult &job,
         != ",\"sum\":\"" + campaign::digestOfKey(body) + "\"}")
         return false;
 
-    // One pass, no tree. Of a repeated member the first counts (as
-    // JsonValue::find has it); later ones need only be valid JSON.
     // Metric keys arrive sorted, so each lands at the tree's end.
     job = campaign::JobResult{};
     RunSummary &s = job.summary;
@@ -801,27 +495,17 @@ decodePointEvent(std::string_view line, campaign::JobResult &job,
     std::bitset<kPointMembers + std::size(kHeadlineFields)> seen;
     std::string scratch;
     JsonCursor c(line);
-    auto member = [&](std::string_view key) {
-        std::size_t m = 0;
-        while (m < kPointMembers && key != kPointMemberNames[m])
-            ++m;
-        if (m == kPointMembers)
-            while (m < seen.size()
-                   && key != kHeadlineFields[m - kPointMembers].name)
-                ++m;
-        if (m == seen.size() || seen[m])
-            return skipValue(c, 1);
-        seen[m] = true;
+    auto name = [](std::size_t m) -> std::string_view {
+        return m < kPointMembers ? kPointMemberNames[m]
+                                 : kHeadlineFields[m - kPointMembers].name;
+    };
+    auto member = [&](std::size_t m) {
         std::string_view text;
         switch (m) {
-        case Digest: // digest and error read "" unless a string
-            return c.peek() == '"' ? c.string(job.digest) : skipValue(c, 1);
-        case Error:
-            return c.peek() == '"' ? c.string(job.error) : skipValue(c, 1);
-        case WallMs: // wall_ms and done_at_ms read 0 unless a number
-            return c.atNumber() ? c.real(job.wallMs) : skipValue(c, 1);
-        case DoneAtMs:
-            return c.atNumber() ? c.real(job.doneAtMs) : skipValue(c, 1);
+        case Digest: return readOr(c, 1, job.digest);
+        case Error: return readOr(c, 1, job.error);
+        case WallMs: return readOr(c, 1, job.wallMs);
+        case DoneAtMs: return readOr(c, 1, job.doneAtMs);
         case Event: return c.string(text, scratch) && text == "point";
         case Index: return c.exactUint(SIZE_MAX, idx);
         case Total: return c.exactUint(SIZE_MAX, tot);
@@ -841,7 +525,7 @@ decodePointEvent(std::string_view line, campaign::JobResult &job,
             return readHeadline(c, s, kHeadlineFields[m - kPointMembers]);
         }
     };
-    if (!c.object(member) || !c.atEnd())
+    if (!readMembers(c, 0, seen, name, member) || !c.atEnd())
         return false;
     for (std::size_t m = Event; m < seen.size(); ++m)
         if (!seen[m])
@@ -849,6 +533,72 @@ decodePointEvent(std::string_view line, campaign::JobResult &job,
     index = static_cast<std::size_t>(idx);
     total = static_cast<std::size_t>(tot);
     return true;
+}
+
+bool
+decodeEvent(std::string_view line, ServiceEvent &out, std::string &error)
+{
+    // The members the client reads of any event; the done totals
+    // follow them in the member numbering.
+    enum Member : std::size_t {
+        Event, Message, Campaigns, Points, Served, CachePoints, Inflight,
+        Threads, UptimeMs, Store, Http, WallMs, kMembers
+    };
+    static constexpr std::string_view kNames[kMembers] = {
+        "event", "message", "campaigns", "points", "served",
+        "cache_points", "inflight", "threads", "uptime_ms", "store",
+        "http", "wall_ms"};
+    static constexpr std::string_view kStoreNames[] = {
+        "dir", "blobs", "bytes", "hits", "misses", "stores", "corrupt"};
+    static constexpr std::string_view kHttpNames[] = {
+        "addr", "requests", "sse_subscribers", "events_published",
+        "events_dropped"};
+
+    out = ServiceEvent{};
+    StatusInfo &s = out.status;
+    JsonCursor c(line);
+    auto name = [](std::size_t m) -> std::string_view {
+        return m < kMembers ? kNames[m]
+                            : campaign::kCampaignTotals[m - kMembers].name;
+    };
+    // The served object: one count per source, in kJobSourceNames order.
+    auto served = [&](auto &...n) {
+        return readSlots(c, 1, campaign::kJobSourceNames, std::tie(n...));
+    };
+    auto member = [&](std::size_t m) {
+        switch (m) {
+        case Event: return readOr(c, 1, out.event);
+        case Message:
+            out.message.clear(); // a message that is no string reads ""
+            return readOr(c, 1, out.message);
+        case Campaigns: return readOr(c, 1, s.campaigns);
+        case Points: return readOr(c, 1, s.points);
+        case Served: return std::apply(served, s.served);
+        case CachePoints: return readOr(c, 1, s.cachePoints);
+        case Inflight: return readOr(c, 1, s.inflight);
+        case Threads: return readOr(c, 1, s.threads, out.done.threads);
+        case UptimeMs: return readOr(c, 1, s.uptimeMs);
+        case Store:
+            s.hasStore = c.peek() == '{';
+            return readSlots(c, 1, kStoreNames,
+                             std::tie(s.storeDir, s.store.blobs,
+                                      s.store.bytes, s.store.hits,
+                                      s.store.misses, s.store.stores,
+                                      s.store.corrupt));
+        case Http:
+            s.hasHttp = c.peek() == '{';
+            return readSlots(c, 1, kHttpNames,
+                             std::tie(s.httpAddr, s.httpRequests,
+                                      s.sseSubscribers, s.busPublished,
+                                      s.busDropped));
+        case WallMs: return readOr(c, 1, out.done.wallMs);
+        default:
+            return readOr(
+                c, 1, out.done.*campaign::kCampaignTotals[m - kMembers].member);
+        }
+    };
+    std::bitset<kMembers + std::size(campaign::kCampaignTotals)> seen;
+    return readLine(c, seen, name, member, error);
 }
 
 } // namespace tdm::driver::service

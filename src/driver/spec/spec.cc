@@ -1,10 +1,9 @@
 #include "driver/spec/spec.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 #include <type_traits>
 
 #include "core/runtime_model.hh"
@@ -597,11 +596,14 @@ roiFingerprint(const sim::Config &canonical)
 std::string
 formatDouble(double v)
 {
+    // to_chars' general format with a precision prints what %.*g does.
+    char buf[32];
     std::string s;
     for (int prec = 1; prec <= 17; ++prec) {
-        std::ostringstream oss;
-        oss << std::setprecision(prec) << v;
-        s = oss.str();
+        const auto end =
+            std::to_chars(buf, buf + sizeof(buf), v,
+                          std::chars_format::general, prec).ptr;
+        s.assign(buf, end);
         double back = 0.0;
         if (sim::Config::tryParseDouble(s, back) && back == v)
             return s;

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <sstream>
 
 namespace tdm::sim {
 
@@ -78,10 +77,14 @@ Config::dump(std::ostream &os) const
 std::string
 Config::serialize() const
 {
-    std::ostringstream oss;
-    for (const auto &[k, v] : map_)
-        oss << k << '=' << v << ';';
-    return oss.str();
+    std::string out;
+    for (const auto &[k, v] : map_) {
+        out += k;
+        out += '=';
+        out += v;
+        out += ';';
+    }
+    return out;
 }
 
 } // namespace tdm::sim

@@ -89,13 +89,6 @@ informImpl(const std::string &msg)
     }
 }
 
-void
-debugImpl(const std::string &msg)
-{
-    std::lock_guard<std::mutex> lock(emitMutex());
-    std::cerr << "debug: " << msg << std::endl;
-}
-
 } // namespace detail
 
 } // namespace tdm::sim

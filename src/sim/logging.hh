@@ -47,7 +47,6 @@ namespace detail {
 [[noreturn]] void panicImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 template <typename... Args>
 std::string
@@ -90,15 +89,6 @@ void
 inform(Args &&...args)
 {
     detail::informImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Verbose debugging output (enabled at LogLevel::Debug). */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    if (logLevel() >= LogLevel::Debug)
-        detail::debugImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace tdm::sim

@@ -1,9 +1,9 @@
 /**
  * @file
- * Campaign-service tests: the wire protocol (JSON parsing, request
- * validation, point-event round-trips) and the live server/client
- * stack — concurrent clients deduplicating onto one engine, a
- * cold-restarted server replaying a sweep entirely from its
+ * Campaign-service tests: the wire protocol (request validation,
+ * point-event round-trips, the client's event readers) and the live
+ * server/client stack — concurrent clients deduplicating onto one
+ * engine, a cold-restarted server replaying a sweep entirely from its
  * persistent store with byte-identical metrics, and the connection
  * lifecycle (thread reaping, racing stops, the request-line cap).
  */
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -36,50 +37,6 @@ using namespace tdm;
 using namespace tdm::driver;
 namespace svc = tdm::driver::service;
 namespace fs = std::filesystem;
-
-// ---- protocol: JSON parser ----------------------------------------------
-
-TEST(ServiceJson, ParsesNestedDocument)
-{
-    svc::JsonValue v;
-    std::string err;
-    ASSERT_TRUE(svc::parseJson(
-        R"({"op":"submit","n":3,"f":-1.5e2,"b":true,"null":null,)"
-        R"("arr":[1,"two",{"three":3}],"esc":"a\"b\\c\n\u0041"})",
-        v, err))
-        << err;
-    ASSERT_TRUE(v.isObject());
-    EXPECT_EQ(v.find("op")->asString(), "submit");
-    EXPECT_EQ(v.find("n")->asNumber(), 3.0);
-    EXPECT_EQ(v.find("f")->asNumber(), -150.0);
-    EXPECT_TRUE(v.find("b")->asBool());
-    EXPECT_EQ(v.find("null")->kind, svc::JsonValue::Kind::Null);
-    ASSERT_EQ(v.find("arr")->items.size(), 3u);
-    EXPECT_EQ(v.find("arr")->items[1].asString(), "two");
-    EXPECT_EQ(v.find("arr")->items[2].find("three")->asNumber(), 3.0);
-    EXPECT_EQ(v.find("esc")->asString(), "a\"b\\c\nA");
-}
-
-TEST(ServiceJson, RejectsMalformedInput)
-{
-    svc::JsonValue v;
-    std::string err;
-    for (const char *bad :
-         {"", "{", "{\"a\":}", "[1,]", "{\"a\":1}trailing", "\"\\q\"",
-          "{\"a\" 1}", "nul", "01", "--1", "\"unterminated"}) {
-        EXPECT_FALSE(svc::parseJson(bad, v, err)) << bad;
-    }
-}
-
-TEST(ServiceJson, NumbersKeepRawTextForExactIntegers)
-{
-    // u64 values past 2^53 survive because consumers read the raw
-    // literal, not the double.
-    svc::JsonValue v;
-    std::string err;
-    ASSERT_TRUE(svc::parseJson("{\"m\":2305843009213706617}", v, err));
-    EXPECT_EQ(v.find("m")->text, "2305843009213706617");
-}
 
 // ---- protocol: requests --------------------------------------------------
 
@@ -268,6 +225,34 @@ TEST(ServiceProtocol, PointLineValueClassesDecodeToPinnedBits)
         index, total));
 }
 
+namespace {
+
+/** Every number and bool (as 1 or 0) of the JSON value at @p c into
+ *  @p out, keyed by its path ("/campaigns/0/jobs/1/steals"); read
+ *  through the service's JSON cursor. False when malformed. */
+bool
+flattenJson(svc::JsonCursor &c, const std::string &path,
+            std::map<std::string, double> &out)
+{
+    std::size_t item = 0;
+    switch (c.peek()) {
+    case '{':
+        return c.object([&](std::string_view key) {
+            return flattenJson(c, path + "/" + std::string(key), out);
+        });
+    case '[':
+        return c.array([&] {
+            return flattenJson(c, path + "/" + std::to_string(item++), out);
+        });
+    case 't': out[path] = 1.0; return c.word("true");
+    case 'f': out[path] = 0.0; return c.word("false");
+    default:
+        return c.atNumber() ? c.real(out[path]) : svc::skipValue(c, 0);
+    }
+}
+
+} // namespace
+
 TEST(ServiceProtocol, AbortedPointsReportTheirOwnNumbers)
 {
     // A watchdog-aborted run still has a metric tree. Every headline
@@ -289,22 +274,21 @@ TEST(ServiceProtocol, AbortedPointsReportTheirOwnNumbers)
 
     std::ostringstream os;
     report::writeJson(os, rep);
-    svc::JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(svc::parseJson(os.str(), doc, err)) << err;
-    const svc::JsonValue *jobs =
-        doc.find("campaigns")->items.at(0).find("jobs");
-    ASSERT_EQ(jobs->items.size(), rep.jobs.size());
+    const std::string text = os.str();
+    svc::JsonCursor cursor(text);
+    std::map<std::string, double> exported;
+    ASSERT_TRUE(flattenJson(cursor, "", exported) && cursor.atEnd())
+        << cursor.error();
 
     for (std::size_t i = 0; i < rep.jobs.size(); ++i) {
         const campaign::JobResult &job = rep.jobs[i];
         ASSERT_FALSE(job.summary.completed) << job.label;
-        const svc::JsonValue &exported = jobs->items[i];
-        const svc::JsonValue *metrics = exported.find("metrics");
-        ASSERT_NE(metrics, nullptr);
+        const std::string record = "/campaigns/0/jobs/" + std::to_string(i);
+        ASSERT_EQ(exported.count(record + "/metrics/machine.completed"), 1u);
 
         report::Text wire;
-        svc::writePoint(wire, 1, job, i, rep.jobs.size(), sim::MetricSelection());
+        svc::writePoint(wire, 1, job, i, rep.jobs.size(),
+                        sim::MetricSelection());
         std::string line = wire.str();
         line.pop_back();
         campaign::JobResult decoded;
@@ -312,13 +296,11 @@ TEST(ServiceProtocol, AbortedPointsReportTheirOwnNumbers)
         ASSERT_TRUE(svc::decodePointEvent(line, decoded, index, total));
 
         for (const HeadlineField &f : kHeadlineFields) {
-            const svc::JsonValue *twin = metrics->find(f.metric);
-            const svc::JsonValue *field = exported.find(f.name);
-            ASSERT_NE(field, nullptr) << f.name;
-            const double value = field->isNumber() ? field->number
-                               : field->asBool()   ? 1.0
-                                                   : 0.0;
-            EXPECT_EQ(value, twin ? twin->number : 0.0)
+            const auto field = exported.find(record + "/" + f.name);
+            ASSERT_NE(field, exported.end()) << f.name;
+            const auto twin = exported.find(record + "/metrics/" + f.metric);
+            EXPECT_EQ(field->second,
+                      twin == exported.end() ? 0.0 : twin->second)
                 << job.label << " export: " << f.name;
             std::visit(
                 [&](auto member) {
@@ -600,7 +582,7 @@ pointLines(const campaign::Campaign &c, std::size_t failed)
     for (std::size_t i = 0; i < c.points.size(); ++i) {
         campaign::JobResult job;
         job.label = c.points[i].label;
-        job.digest = "d" + std::to_string(i);
+        job.digest = std::to_string(i);
         job.summary.completed = i != failed;
         job.summary.machine.metrics.append("x", 0.5 + i);
         svc::writePoint(out, 1, job, i, c.points.size(),
@@ -671,7 +653,14 @@ TEST(ServiceClient, ReadsEveryEventAScriptedServerSends)
     EXPECT_EQ(got.wallMs, 2.5);
     EXPECT_TRUE(got.allOk());
 
-    // Everything else ends the submit with the parent's message.
+    // A done without threads leaves a result's default of one.
+    got = {};
+    ASSERT_EQ(scriptedSubmit(c, pointLines(c, 2) + "{\"event\":\"done\"}\n",
+                             got),
+              "");
+    EXPECT_EQ(got.threads, 1u);
+
+    // Everything else ends the submit with its message.
     const std::pair<std::string, std::string> faults[] = {
         {accepted + "{\"event\":\"error\",\"message\":\"no \\\"way\\\"\"}\n",
          "no \"way\""},

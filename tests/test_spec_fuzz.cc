@@ -370,11 +370,11 @@ TEST(RecordFuzz, MutatedPointEventsAreRejectedOrExact)
     int rejected = 0;
     for (int round = 0; round < kRecordMutants; ++round) {
         const std::string mutant = mutate(line, rng);
-        // The client parses a line that fails as a point event to
-        // name its kind, so the JSON reader sees the damage too.
-        service::JsonValue parsed;
+        // The client reads a line that fails as a point event as any
+        // other event, so that reader sees the damage too.
+        service::ServiceEvent event;
         std::string error;
-        (void)service::parseJson(mutant, parsed, error);
+        (void)service::decodeEvent(mutant, event, error);
         if (!service::decodePointEvent(mutant, got, index, total)) {
             ++rejected;
             continue;
@@ -522,6 +522,9 @@ TEST(RequestFuzz, RequestEdgeCasesReadAsPinned)
         // Unknown members are checked, under the nesting cap.
         {deep, "refused: nesting too deep at offset 81"},
         {R"({"op":"ping","x":[1,]})", "refused: malformed number at offset 20"},
+        {R"({"op":"status","name":"n","set":{"a":"1"},)"
+         R"("points":[{"spec":{}}]})",
+         "status \"\" \"\" \"\" { } [ ]"},
         {R"({"op":"ping","set":5,"points":"x","name":null})",
          "ping \"\" \"\" \"\" { } [ ]"},
         // Values: null reads as "", scalars as written.
@@ -544,6 +547,9 @@ TEST(RequestFuzz, RequestEdgeCasesReadAsPinned)
          "refused: empty glob in metric selection 'a,,b'"},
         {R"({"op":"submit","points":[1],"set":{"a":"1","b":null}})",
          "refused: set.b must be a string, number, or bool"},
+        {R"({"op":"submit","set":5})", "refused: set must be an object"},
+        {R"({"op":"submit","campaign":5,"points":[1]})",
+         "refused: submit needs exactly one of \"campaign\" or \"points\""},
         {R"({"op":"submit","points":[1],"set":[]})",
          "refused: set must be an object"},
         {R"({"op":"submit","points":[1],"campaign":"c"})",
