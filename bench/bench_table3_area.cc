@@ -19,7 +19,7 @@ int
 main()
 {
     dmu::DmuConfig cfg;
-    pwr::CactiModel model(22);
+    pwr::CactiModel model;
 
     sim::Table t("Table III: DMU storage (KB) and area (mm^2)");
     t.header({"structure", "storage KB", "area mm^2", "read pJ",

@@ -955,7 +955,7 @@ Machine::finalize()
                             mem_->dramLineAccesses());
     }
     if (dmu_) {
-        pwr::CactiModel cacti(22);
+        pwr::CactiModel cacti;
         auto specs = dmu::sramSpecs(cfg_.dmu);
         const dmu::DmuAccessCounts &n = dmu_->accessCounts();
         double pj = 0.0;

@@ -55,7 +55,7 @@ totalStorageKB(const DmuConfig &cfg)
 double
 totalAreaMm2(const DmuConfig &cfg)
 {
-    pwr::CactiModel model(22);
+    pwr::CactiModel model;
     double mm2 = 0.0;
     for (const auto &s : sramSpecs(cfg))
         mm2 += model.estimate(s).areaMm2;
@@ -65,7 +65,7 @@ totalAreaMm2(const DmuConfig &cfg)
 double
 totalLeakageMw(const DmuConfig &cfg)
 {
-    pwr::CactiModel model(22);
+    pwr::CactiModel model;
     double mw = 0.0;
     for (const auto &s : sramSpecs(cfg))
         mw += model.estimate(s).leakageMw;

@@ -3,13 +3,41 @@
 #include <algorithm>
 
 #include "driver/report/format.hh"
-#include "driver/service/sse.hh"
 #include "www_assets.hh"
 
 namespace tdm::driver::service {
 
 using report::JsonEscaped;
 using report::JsonReal;
+
+std::string
+sseFrame(std::string_view name, std::string_view data)
+{
+    std::string out;
+    out.reserve(data.size() + name.size() + 32);
+    if (!name.empty()) {
+        out += "event: ";
+        out += name;
+        out += '\n';
+    }
+    // One "data:" line per payload line; a trailing newline in the
+    // payload contributes an empty data line, preserving the bytes
+    // the consumer reassembles.
+    std::size_t pos = 0;
+    while (true) {
+        const std::size_t nl = data.find('\n', pos);
+        out += "data: ";
+        out += data.substr(pos, nl == std::string_view::npos
+                                    ? std::string_view::npos
+                                    : nl - pos);
+        out += '\n';
+        if (nl == std::string_view::npos)
+            break;
+        pos = nl + 1;
+    }
+    out += '\n';
+    return out;
+}
 
 // ---- registry ------------------------------------------------------------
 
@@ -28,12 +56,12 @@ findRecord(Records &campaigns, std::uint64_t id)
     return nullptr;
 }
 
-/** A protocol line's JSON object: the bus and the points endpoint
+/** A protocol line's JSON object: the stream and the points endpoint
  *  carry it without the line terminator. */
-std::string
+std::string_view
 eventJson(const std::string &line)
 {
-    return line.substr(0, line.size() - 1);
+    return std::string_view(line).substr(0, line.size() - 1);
 }
 
 /** The dashboard-only progress event after @p rec's latest point:
@@ -76,7 +104,7 @@ CampaignRegistry::accepted(std::uint64_t id, const campaign::Campaign &c,
                            const std::string &line)
 {
     std::lock_guard<std::mutex> lock(m_);
-    bus_.publish("accepted", eventJson(line));
+    publish("accepted", eventJson(line));
     CampaignRecord rec;
     rec.id = id;
     rec.name = c.name;
@@ -105,18 +133,18 @@ CampaignRegistry::point(std::uint64_t id, const campaign::JobResult &job,
                         std::size_t index, const std::string &line)
 {
     std::lock_guard<std::mutex> lock(m_);
-    std::string json = eventJson(line);
-    bus_.publish("point", json);
+    const std::string_view json = eventJson(line);
+    publish("point", json);
     CampaignRecord *rec = findRecord(campaigns_, id);
     if (!rec)
         return;
     if (!job.ok())
         ++rec->failures;
     ++rec->served[static_cast<std::size_t>(job.source)];
-    rec->points.emplace_back(index, std::move(json));
+    rec->points.emplace_back(index, json);
     report::Text progress;
     writeProgress(progress, *rec, job.doneAtMs);
-    bus_.publish("progress", progress.str());
+    publish("progress", progress.str());
 }
 
 void
@@ -125,7 +153,7 @@ CampaignRegistry::done(std::uint64_t id,
                        const std::string &line)
 {
     std::lock_guard<std::mutex> lock(m_);
-    bus_.publish("done", eventJson(line));
+    publish("done", eventJson(line));
     if (CampaignRecord *rec = findRecord(campaigns_, id)) {
         rec->active = false;
         rec->wallMs = result.wallMs;
@@ -172,17 +200,138 @@ CampaignRegistry::writePoints(std::uint64_t id, report::Text &out) const
     return true;
 }
 
+// ---- live stream ---------------------------------------------------------
+
+void
+CampaignRegistry::publish(std::string_view name, std::string_view json)
+{
+    if (closed_)
+        return;
+    if (published_ >= kStreamEvents) {
+        // The ring is about to overwrite the event kStreamEvents back:
+        // every session that has not read it loses it now.
+        const std::uint64_t lost = published_ - kStreamEvents;
+        for (const Session *s : sessions_)
+            if (s->cursor_ <= lost)
+                ++dropped_;
+    }
+    // With no session open nobody can ever read this event: a session
+    // starts at the end of the stream.
+    ring_[published_ % kStreamEvents] =
+        sessions_.empty()
+            ? nullptr
+            : std::make_shared<const std::string>(sseFrame(name, json));
+    ++published_;
+    streamCv_.notify_all();
+}
+
+void
+CampaignRegistry::close()
+{
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        closed_ = true;
+    }
+    streamCv_.notify_all();
+}
+
+void
+CampaignRegistry::streamStatus(StatusInfo &info) const
+{
+    std::lock_guard<std::mutex> lock(m_);
+    info.sseSubscribers = sessions_.size();
+    info.eventsPublished = published_;
+    info.eventsDropped = dropped_;
+}
+
+CampaignRegistry::Session::Session(CampaignRegistry &registry)
+    : registry_(registry)
+{
+    std::lock_guard<std::mutex> lock(registry_.m_);
+    cursor_ = registry_.published_;
+    if (!registry_.closed_)
+        registry_.sessions_.push_back(this);
+}
+
+CampaignRegistry::Session::~Session()
+{
+    std::lock_guard<std::mutex> lock(registry_.m_);
+    auto &sessions = registry_.sessions_;
+    sessions.erase(std::remove(sessions.begin(), sessions.end(), this),
+                   sessions.end());
+}
+
+bool
+CampaignRegistry::Session::next(std::vector<Frame> &out,
+                                std::chrono::milliseconds timeout)
+{
+    out.clear();
+    std::unique_lock<std::mutex> lock(registry_.m_);
+    const std::uint64_t &end = registry_.published_;
+    registry_.streamCv_.wait_for(lock, timeout, [&] {
+        return cursor_ < end || registry_.closed_;
+    });
+    // Skip what the ring overwrote; publish() counted it as dropped.
+    cursor_ = std::max(cursor_, end - std::min<std::uint64_t>(
+                                          end, kStreamEvents));
+    for (; cursor_ < end; ++cursor_)
+        out.push_back(registry_.ring_[cursor_ % kStreamEvents]);
+    return !out.empty() || !registry_.closed_;
+}
+
 // ---- dashboard -----------------------------------------------------------
 
-Dashboard::Dashboard(const CampaignRegistry &registry, ProgressBus &bus,
-                     const ResultStore *store,
+Dashboard::Dashboard(CampaignRegistry &registry, const ResultStore *store,
                      std::function<StatusInfo()> status)
-    : registry_(registry), bus_(bus), store_(store),
-      status_(std::move(status))
+    : registry_(registry), store_(store), status_(std::move(status))
 {
 }
 
 namespace {
+
+/** The response head of an SSE stream (no Content-Length — the stream
+ *  ends when the connection does). */
+constexpr const char *kSseHead = "HTTP/1.1 200 OK\r\n"
+                                 "Server: campaign_serve\r\n"
+                                 "Content-Type: text/event-stream\r\n"
+                                 "Cache-Control: no-store\r\n"
+                                 "Connection: close\r\n"
+                                 "\r\n";
+
+/**
+ * One /api/events session: the stream head, then every event recorded
+ * from now on, sent outside the registry lock, until the client goes
+ * away, the stream closes, or @p stopping is set. A ": keepalive"
+ * comment after ~15 s of silence lets proxies and the client's
+ * reconnect logic tell "quiet" from "dead".
+ */
+void
+serveEvents(Socket &sock, CampaignRegistry &registry,
+            const std::atomic<bool> &stopping)
+{
+    CampaignRegistry::Session session(registry);
+    // Tell the client it is live before the first real event.
+    if (!sock.sendAll(std::string(kSseHead) + ": connected\n\n"))
+        return;
+    constexpr auto kPollInterval = std::chrono::milliseconds(250);
+    constexpr int kKeepaliveIdlePolls = 60; // ~15s of silence
+    int idlePolls = 0;
+    std::vector<CampaignRegistry::Frame> frames;
+    while (!stopping.load() && session.next(frames, kPollInterval)) {
+        if (frames.empty()) {
+            if (++idlePolls >= kKeepaliveIdlePolls) {
+                idlePolls = 0;
+                if (!sock.sendAll(": keepalive\n\n"))
+                    return;
+            }
+            continue;
+        }
+        idlePolls = 0;
+        for (const CampaignRegistry::Frame &frame : frames)
+            if (!sock.sendAll(*frame))
+                return; // client went away
+    }
+}
 
 const www::Asset *
 findAsset(const std::string &path)
@@ -275,11 +424,10 @@ Dashboard::handle(const HttpRequest &req, Socket &sock,
     }
     if (path == "/api/events") {
         if (head) {
-            sock.sendAll(sseResponseHead());
+            sock.sendAll(kSseHead);
             return;
         }
-        serveSseSession(sock, bus_, stopping);
-        return;
+        return serveEvents(sock, registry_, stopping);
     }
     if (path == "/api/store") {
         if (!store_)

@@ -3,16 +3,17 @@
  * The dashboard: campaign registry + HTTP route handlers.
  *
  * The CampaignRegistry is the server-side memory behind the JSON API
- * and the feed of the live stream: every event of every submit the
- * protocol server accepts is recorded here and published to the
- * progress bus. Point events are kept exactly as the submitting client
- * got them, so a browser that arrives mid-sweep (or after it) can
- * render the whole picture, not just the events it happened to catch
- * on the SSE stream, and /api/campaign/<id>/points serves metric
- * values byte-identical to the campaign_run file export.
+ * and the one live stream: every event of every submit the protocol
+ * server accepts is recorded here, and the newest kStreamEvents of
+ * them stay in a ring that every /api/events session reads through
+ * its own cursor. Point events are kept exactly as the submitting
+ * client got them, so a browser that arrives mid-sweep (or after it)
+ * can render the whole picture, not just the events it happened to
+ * catch on the SSE stream, and /api/campaign/<id>/points serves
+ * metric values byte-identical to the campaign_run file export.
  *
- * The Dashboard maps HTTP requests onto that registry, the progress
- * bus (SSE), the result store (browser), and the embedded front end:
+ * The Dashboard maps HTTP requests onto that registry, the result
+ * store (browser), and the embedded front end:
  *
  *     /                       the dashboard page (embedded www/)
  *     /api/status             server counters (the status op's JSON)
@@ -31,23 +32,35 @@
 #ifndef TDM_DRIVER_SERVICE_DASHBOARD_API_HH
 #define TDM_DRIVER_SERVICE_DASHBOARD_API_HH
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "driver/campaign/engine.hh"
 #include "driver/report/format.hh"
 #include "driver/service/http_server.hh"
-#include "driver/service/progress_bus.hh"
 #include "driver/service/protocol.hh"
 #include "driver/service/socket.hh"
 #include "driver/service/store.hh"
 
 namespace tdm::driver::service {
+
+/**
+ * Frame one SSE message: "event: <name>\n" then one "data:" line per
+ * line of @p data (multi-line payloads must be split per the SSE
+ * grammar or the browser would mis-frame them), then a blank line.
+ * An empty @p name omits the event line ("message" default type).
+ */
+std::string sseFrame(std::string_view name, std::string_view data);
 
 /** One campaign, as the dashboard remembers it. */
 struct CampaignRecord
@@ -66,27 +79,65 @@ struct CampaignRecord
 };
 
 /**
- * Thread-safe registry of every campaign the server has streamed.
- * Appended to by protocol-connection threads, read by dashboard
- * threads. Finished campaigns beyond kMaxFinished are evicted oldest
- * first so a long-lived daemon's memory stays bounded; active
- * campaigns are never evicted.
+ * Thread-safe registry of every campaign the server has streamed, and
+ * the live event stream. Appended to by protocol-connection threads,
+ * read by dashboard threads. Finished campaigns beyond kMaxFinished
+ * are evicted oldest first so a long-lived daemon's memory stays
+ * bounded; active campaigns are never evicted.
  *
  * Each recording call takes the event's protocol line (as
  * writeAccepted / writePoint / writeDone rendered it for the socket)
- * and publishes it to the bus under the event's name; point() also
- * publishes the dashboard-only "progress" event. The registry's two
+ * and appends it to the stream under the event's name; point() also
+ * appends the dashboard-only "progress" event. The registry's two
  * bodies, writeSummaries (/api/campaigns) and writePoints
  * (/api/campaign/<id>/points), append to a report::Text like the
  * protocol writers, and share writeServed with the status line.
+ *
+ * The stream is a ring of the newest kStreamEvents SSE frames, each
+ * framed once and shared by every Session that reads it. Recording
+ * never waits on a reader: a session that falls more than the ring
+ * behind loses its oldest unread events (freshest data wins — this is
+ * a live view, not a journal), each counted as dropped when the ring
+ * overwrites it. The ring keeps frames only while a session is open.
  */
 class CampaignRegistry
 {
   public:
     /** Finished campaigns retained for browsing. */
     static constexpr std::size_t kMaxFinished = 128;
+    /** Live-stream events retained for sessions that fall behind. */
+    static constexpr std::size_t kStreamEvents = 256;
 
-    explicit CampaignRegistry(ProgressBus &bus) : bus_(bus) {}
+    /** One SSE frame of the stream, shared by every session. */
+    using Frame = std::shared_ptr<const std::string>;
+
+    /**
+     * A cursor into the stream: one per /api/events session, used
+     * from one thread. It starts at the current end, so it sees only
+     * events recorded after it opened.
+     */
+    class Session
+    {
+      public:
+        explicit Session(CampaignRegistry &registry);
+        ~Session();
+        Session(const Session &) = delete;
+        Session &operator=(const Session &) = delete;
+
+        /**
+         * Wait up to @p timeout for events at or after the cursor,
+         * then replace @p out with every one the ring still holds,
+         * oldest first, and move past them. False once the stream is
+         * closed and nothing is left to read.
+         */
+        bool next(std::vector<Frame> &out,
+                  std::chrono::milliseconds timeout);
+
+      private:
+        friend class CampaignRegistry;
+        CampaignRegistry &registry_;
+        std::uint64_t cursor_; ///< sequence number of the next event
+    };
 
     void accepted(std::uint64_t id, const campaign::Campaign &c,
                   const std::string &line);
@@ -106,26 +157,44 @@ class CampaignRegistry
      *  appended) when the id is unknown. */
     bool writePoints(std::uint64_t id, report::Text &out) const;
 
+    /** Close the stream: every session's next() returns what is left,
+     *  then false; sessions opened later are closed from the start,
+     *  and later events are not streamed (shutdown). */
+    void close();
+
+    /** Fill @p info's sseSubscribers (open sessions), eventsPublished
+     *  and eventsDropped (over every session, past and present). */
+    void streamStatus(StatusInfo &info) const;
+
   private:
-    ProgressBus &bus_;
+    /** Append one event to the stream; m_ must be held. */
+    void publish(std::string_view name, std::string_view json);
+
     mutable std::mutex m_;
     std::vector<CampaignRecord> campaigns_; ///< id-ascending
+
+    std::condition_variable streamCv_; ///< an event or close()
+    std::array<Frame, kStreamEvents> ring_; ///< event n at n % size
+    std::uint64_t published_ = 0; ///< events streamed so far
+    std::uint64_t dropped_ = 0;
+    std::vector<Session *> sessions_; ///< open sessions
+    bool closed_ = false;
 };
 
 /**
  * The HTTP route table. Stateless apart from its references: the
- * registry and bus are owned by the CampaignServer, the store is the
- * server's (may be null), and @p status is a callback into the server
- * so /api/status and the protocol's status op render the exact same
- * counters, through writeStatus. /api/store shares writeStore with
- * the status line, a stored blob's body shares writeSummaryMembers
- * with the point event, and every 4xx is renderHttpError's body.
+ * registry is owned by the CampaignServer, the store is the server's
+ * (may be null), and @p status is a callback into the server so
+ * /api/status and the protocol's status op render the exact same
+ * counters, through writeStatus. /api/events opens a registry
+ * Session, /api/store shares writeStore with the status line, a
+ * stored blob's body shares writeSummaryMembers with the point event,
+ * and every 4xx is renderHttpError's body.
  */
 class Dashboard
 {
   public:
-    Dashboard(const CampaignRegistry &registry, ProgressBus &bus,
-              const ResultStore *store,
+    Dashboard(CampaignRegistry &registry, const ResultStore *store,
               std::function<StatusInfo()> status);
 
     /** HttpServer::Handler entry point. */
@@ -133,8 +202,7 @@ class Dashboard
                 const std::atomic<bool> &stopping) const;
 
   private:
-    const CampaignRegistry &registry_;
-    ProgressBus &bus_;
+    CampaignRegistry &registry_;
     const ResultStore *store_; ///< may be null (no --store)
     std::function<StatusInfo()> status_;
 };

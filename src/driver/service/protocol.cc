@@ -412,8 +412,8 @@ writeStatus(report::Text &out, const StatusInfo &info)
         out << "{\"addr\":\"" << JsonEscaped{info.httpAddr}
             << "\",\"requests\":" << info.httpRequests
             << ",\"sse_subscribers\":" << info.sseSubscribers
-            << ",\"events_published\":" << info.busPublished
-            << ",\"events_dropped\":" << info.busDropped << '}';
+            << ",\"events_published\":" << info.eventsPublished
+            << ",\"events_dropped\":" << info.eventsDropped << '}';
     else
         out << "null";
     out << "}\n";
@@ -589,8 +589,8 @@ decodeEvent(std::string_view line, ServiceEvent &out, std::string &error)
             s.hasHttp = c.peek() == '{';
             return readSlots(c, 1, kHttpNames,
                              std::tie(s.httpAddr, s.httpRequests,
-                                      s.sseSubscribers, s.busPublished,
-                                      s.busDropped));
+                                      s.sseSubscribers, s.eventsPublished,
+                                      s.eventsDropped));
         case WallMs: return readOr(c, 1, out.done.wallMs);
         default:
             return readOr(

@@ -504,9 +504,9 @@ struct StatusInfo
     bool hasHttp = false; ///< dashboard enabled (--http)
     std::string httpAddr;
     std::uint64_t httpRequests = 0;
-    std::size_t sseSubscribers = 0;  ///< live /api/events sessions
-    std::uint64_t busPublished = 0;  ///< events fanned to the bus
-    std::uint64_t busDropped = 0;    ///< events shed by slow streams
+    std::size_t sseSubscribers = 0;   ///< live /api/events sessions
+    std::uint64_t eventsPublished = 0; ///< events on the live stream
+    std::uint64_t eventsDropped = 0;   ///< events shed by slow streams
 };
 
 void writeStatus(report::Text &out, const StatusInfo &info);

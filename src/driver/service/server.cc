@@ -23,11 +23,9 @@ CampaignServer::CampaignServer(const Address &addr, ServerOptions opts)
              })
 {
     if (!opts_.httpAddr.empty()) {
-        bus_ = std::make_unique<ProgressBus>();
-        registry_ = std::make_unique<CampaignRegistry>(*bus_);
+        registry_ = std::make_unique<CampaignRegistry>();
         dashboard_ = std::make_unique<Dashboard>(
-            *registry_, *bus_, store_.get(),
-            [this] { return status(); });
+            *registry_, store_.get(), [this] { return status(); });
         http_ = std::make_unique<HttpServer>(
             parseAddress(opts_.httpAddr),
             [this](const HttpRequest &req, Socket &sock,
@@ -67,10 +65,10 @@ void
 CampaignServer::stop()
 {
     conns_.requestStop();
-    // Closing the bus unblocks SSE sessions waiting in
-    // Subscription::next().
-    if (bus_)
-        bus_->close();
+    // Closing the stream unblocks SSE sessions waiting in
+    // Session::next().
+    if (registry_)
+        registry_->close();
     if (http_)
         http_->requestStop();
 }
@@ -136,8 +134,8 @@ CampaignServer::handleSubmit(Socket &sock, const SubmitRequest &req)
 
     // The one sink for this submit's events. Each arrives rendered
     // once, as its protocol line. With --http the registry records it
-    // and publishes it to the bus first, so a dashboard sees the exact
-    // bytes the client got, and has them by the time the client does.
+    // on its live stream first, so a dashboard sees the exact bytes
+    // the client got, and has them by the time the client does.
     // The socket gets it while sends succeed: a failed send cannot
     // abort the run (the engine owns the jobs; other clients may be
     // attached to them), it only ends this client's stream.
@@ -210,9 +208,7 @@ CampaignServer::status() const
         info.hasHttp = true;
         info.httpAddr = http_->address().display();
         info.httpRequests = http_->requests();
-        info.sseSubscribers = bus_->subscribers();
-        info.busPublished = bus_->published();
-        info.busDropped = bus_->dropped();
+        registry_->streamStatus(info);
     }
     return info;
 }

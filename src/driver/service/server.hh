@@ -16,7 +16,9 @@
  * resolves them, tagged with where each summary came from
  * (simulated / memory / disk / inflight).
  *
- * Protocol connections run on the same ConnectionServer as the HTTP
+ * With --http every event is also recorded in the CampaignRegistry,
+ * whose one live stream feeds the dashboard's SSE sessions. Protocol
+ * connections run on the same ConnectionServer as the HTTP
  * dashboard, so both transports share one connection lifecycle.
  * Progress lines go through sim::inform, so the log level decides
  * whether they print.
@@ -35,7 +37,6 @@
 #include "driver/campaign/engine.hh"
 #include "driver/service/dashboard_api.hh"
 #include "driver/service/http_server.hh"
-#include "driver/service/progress_bus.hh"
 #include "driver/service/protocol.hh"
 #include "driver/service/socket.hh"
 #include "driver/service/store.hh"
@@ -49,9 +50,9 @@ struct ServerOptions
     std::string storeDir;
     /**
      * HTTP dashboard address ("tcp:127.0.0.1:0", "unix:PATH"); empty
-     * disables the dashboard entirely — no HTTP threads, no progress
-     * bus, no per-event publication work. Loopback/unix only, like
-     * the protocol listener.
+     * disables the dashboard entirely — no HTTP threads, no campaign
+     * registry or live stream, no per-event work. Loopback/unix only,
+     * like the protocol listener.
      */
     std::string httpAddr;
 };
@@ -82,7 +83,7 @@ class CampaignServer
     void serve();
 
     /** Request the stop: unblocks accept(), shuts down live
-     *  connections, closes the progress bus. Never joins, so it is
+     *  connections, closes the live stream. Never joins, so it is
      *  callable from any thread, a connection handler included; the
      *  joins happen when serve() returns. */
     void stop();
@@ -119,7 +120,6 @@ class CampaignServer
     // Dashboard plumbing, all null without --http. Declaration order
     // is destruction-safety: http_ (threads calling into the others)
     // is declared after them so it dies first.
-    std::unique_ptr<ProgressBus> bus_;
     std::unique_ptr<CampaignRegistry> registry_;
     std::unique_ptr<Dashboard> dashboard_;
     std::unique_ptr<HttpServer> http_;

@@ -14,7 +14,7 @@ carbonStorageKB(const CarbonConfig &cfg, unsigned num_cores)
 double
 carbonAreaMm2(const CarbonConfig &cfg, unsigned num_cores)
 {
-    pwr::CactiModel model(22);
+    pwr::CactiModel model;
     pwr::SramSpec spec{"carbon_queue", cfg.queueEntriesPerCore, 64, 1, 0};
     double one = model.estimate(spec).areaMm2;
     return one * num_cores;

@@ -83,13 +83,6 @@ HwTaskQueues::totalSize() const
     return n;
 }
 
-double
-HwTaskQueues::storageKB() const
-{
-    // Each entry holds a 64-bit task descriptor pointer.
-    return static_cast<double>(queues_.size()) * capacity_ * 8.0 / 1024.0;
-}
-
 void
 HwTaskQueues::regMetrics(sim::MetricContext ctx)
 {

@@ -54,9 +54,6 @@ class HwTaskQueues
     std::uint64_t steals() const { return steals_; }
     std::uint64_t failedSteals() const { return failedSteals_; }
 
-    /** Storage of all queues in KB (entries x 64-bit descriptors). */
-    double storageKB() const;
-
     /** Register queue traffic metrics under @p ctx's scope
      *  ("runtime.hwq"). */
     void regMetrics(sim::MetricContext ctx);

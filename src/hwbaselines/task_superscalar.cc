@@ -27,7 +27,7 @@ tssStorageKB(const TssConfig &cfg)
 double
 tssAreaMm2(const TssConfig &cfg)
 {
-    pwr::CactiModel model(22);
+    pwr::CactiModel model;
     double mm2 = 0.0;
     for (const auto &s : tssSramSpecs(cfg))
         mm2 += model.estimate(s).areaMm2;

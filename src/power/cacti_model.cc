@@ -1,17 +1,6 @@
 #include "power/cacti_model.hh"
 
-#include "sim/logging.hh"
-
 namespace tdm::pwr {
-
-CactiModel::CactiModel(unsigned node_nm) : nodeNm_(node_nm)
-{
-    if (node_nm == 0)
-        sim::fatal("invalid process node");
-    // Ideal area scaling relative to the fitted 22 nm node.
-    double r = static_cast<double>(nodeNm_) / 22.0;
-    scale_ = r * r;
-}
 
 SramEstimate
 CactiModel::estimate(const SramSpec &spec) const
@@ -28,7 +17,7 @@ CactiModel::estimate(const SramSpec &spec) const
         area += cmp_bits * comparatorAreaMm2PerBit;
         cmp_energy = cmp_bits * compareEnergyPj;
     }
-    e.areaMm2 = area * scale_;
+    e.areaMm2 = area;
 
     double bits = static_cast<double>(spec.bitsPerEntry);
     e.readEnergyPj = fixedEnergyPj + bits * bitEnergyPj + cmp_energy;

@@ -48,14 +48,12 @@ struct SramEstimate
 };
 
 /**
- * The fitted model. Constants are exposed for tests.
+ * The fitted model, at the paper's 22 nm node. Constants are exposed
+ * for tests.
  */
 class CactiModel
 {
   public:
-    /** @param node_nm process node; only 22 nm constants are fitted. */
-    explicit CactiModel(unsigned node_nm = 22);
-
     SramEstimate estimate(const SramSpec &spec) const;
 
     /// mm^2 per bit of SRAM storage.
@@ -73,10 +71,6 @@ class CactiModel
     static constexpr double compareEnergyPj = 0.003;
     /// mW leakage per KB of storage.
     static constexpr double leakageMwPerKB = 0.02;
-
-  private:
-    unsigned nodeNm_;
-    double scale_; ///< area scale factor relative to 22 nm
 };
 
 } // namespace tdm::pwr

@@ -15,7 +15,7 @@ using namespace tdm;
 
 TEST(Cacti, AreaScalesWithBits)
 {
-    pwr::CactiModel m(22);
+    pwr::CactiModel m;
     pwr::SramSpec small{"s", 256, 32, 1, 0};
     pwr::SramSpec big{"b", 4096, 32, 1, 0};
     EXPECT_GT(m.estimate(big).areaMm2, m.estimate(small).areaMm2);
@@ -23,20 +23,12 @@ TEST(Cacti, AreaScalesWithBits)
 
 TEST(Cacti, AssociativityCostsArea)
 {
-    pwr::CactiModel m(22);
+    pwr::CactiModel m;
     pwr::SramSpec direct{"d", 2048, 75, 1, 0};
     pwr::SramSpec assoc{"a", 2048, 75, 8, 64};
     EXPECT_GT(m.estimate(assoc).areaMm2, m.estimate(direct).areaMm2);
     EXPECT_GT(m.estimate(assoc).readEnergyPj,
               m.estimate(direct).readEnergyPj);
-}
-
-TEST(Cacti, NodeScaling)
-{
-    pwr::SramSpec s{"s", 2048, 92, 1, 0};
-    double a22 = pwr::CactiModel(22).estimate(s).areaMm2;
-    double a44 = pwr::CactiModel(44).estimate(s).areaMm2;
-    EXPECT_NEAR(a44 / a22, 4.0, 1e-9);
 }
 
 // ---- Table III: storage per structure (KB) ----
@@ -64,7 +56,7 @@ TEST(DmuGeometry, TableIIIStorageExact)
 TEST(DmuGeometry, TableIIIAreaClose)
 {
     dmu::DmuConfig cfg;
-    pwr::CactiModel m(22);
+    pwr::CactiModel m;
     auto specs = dmu::sramSpecs(cfg);
 
     // Paper: 0.026, 0.013, 0.031, 0.031, 0.019, 0.019, 0.019, 0.012.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Dashboard tests: the HTTP request parser (partial reads, hostile
- * input), SSE framing, progress-bus backpressure, and the live
+ * input), SSE framing, live-stream backpressure, and the live
  * HTTP+SSE stack mounted on a real campaign server — concurrent
  * dashboard clients during a live sweep, byte-identical metrics
  * through /api/campaign/<id>/points, and the zero-overhead contract
@@ -28,9 +28,7 @@
 #include "driver/service/client.hh"
 #include "driver/service/dashboard_api.hh"
 #include "driver/service/http_server.hh"
-#include "driver/service/progress_bus.hh"
 #include "driver/service/server.hh"
-#include "driver/service/sse.hh"
 #include "driver/service/socket.hh"
 #include "driver/service/store.hh"
 
@@ -204,84 +202,144 @@ TEST(Sse, SplitsMultiLinePayloadPerSseGrammar)
               "event: log\ndata: line1\ndata: line2\n\n");
 }
 
-// ---- progress bus --------------------------------------------------------
+// ---- live stream ---------------------------------------------------------
 
-TEST(ProgressBus, FastSubscriberSeesEveryEventInOrder)
+namespace {
+
+constexpr std::size_t kRing = svc::CampaignRegistry::kStreamEvents;
+
+/** Record event @p n: a "done" line for an unknown campaign, so only
+ *  the stream sees it. */
+void
+record(svc::CampaignRegistry &registry, std::size_t n)
 {
-    svc::ProgressBus bus;
-    auto sub = bus.subscribe();
-    for (int i = 0; i < 100; ++i)
-        bus.publish("e", "{\"n\":" + std::to_string(i) + "}");
-    for (int i = 0; i < 100; ++i) {
-        svc::BusEvent ev;
-        ASSERT_TRUE(sub->next(ev, std::chrono::milliseconds(1000)));
-        EXPECT_EQ(ev.json, "{\"n\":" + std::to_string(i) + "}");
-    }
-    EXPECT_EQ(sub->dropped(), 0u);
-    EXPECT_EQ(bus.published(), 100u);
-    EXPECT_EQ(bus.dropped(), 0u);
-    bus.unsubscribe(sub);
-    EXPECT_EQ(bus.subscribers(), 0u);
+    registry.done(0, campaign::CampaignResult{},
+                  "{\"n\":" + std::to_string(n) + "}\n");
 }
 
-TEST(ProgressBus, SlowSubscriberDropsOldestAndCountsIt)
+/** The frames record(@p first) .. record(@p last - 1) stream. */
+std::vector<std::string>
+framesOf(std::size_t first, std::size_t last)
 {
-    svc::ProgressBus bus;
-    auto slow = bus.subscribe(/*cap=*/4);
-    for (int i = 0; i < 10; ++i)
-        bus.publish("e", std::to_string(i));
-    EXPECT_EQ(slow->dropped(), 6u);
-    EXPECT_EQ(slow->queued(), 4u);
-    // Freshest-wins: the survivors are the four *newest* events.
-    for (int i = 6; i < 10; ++i) {
-        svc::BusEvent ev;
-        ASSERT_TRUE(slow->next(ev, std::chrono::milliseconds(100)));
-        EXPECT_EQ(ev.json, std::to_string(i));
-    }
-    EXPECT_EQ(bus.dropped(), 6u);
-    bus.unsubscribe(slow);
-    // The retired subscriber's losses stay on the aggregate counter.
-    EXPECT_EQ(bus.dropped(), 6u);
-    EXPECT_EQ(bus.published(), 10u);
+    std::vector<std::string> out;
+    for (std::size_t n = first; n < last; ++n)
+        out.push_back(
+            svc::sseFrame("done", "{\"n\":" + std::to_string(n) + "}"));
+    return out;
 }
 
-TEST(ProgressBus, SlowConsumerDoesNotStarveFastOne)
+/** Every frame @p session can read right now, as bytes. */
+std::vector<std::string>
+readNow(svc::CampaignRegistry::Session &session)
 {
-    svc::ProgressBus bus;
-    auto fast = bus.subscribe();
-    auto slow = bus.subscribe(/*cap=*/2);
-    for (int i = 0; i < 50; ++i)
-        bus.publish("e", std::to_string(i));
-    for (int i = 0; i < 50; ++i) {
-        svc::BusEvent ev;
-        ASSERT_TRUE(fast->next(ev, std::chrono::milliseconds(100)));
-        EXPECT_EQ(ev.json, std::to_string(i));
-    }
-    EXPECT_EQ(fast->dropped(), 0u);
-    EXPECT_EQ(slow->dropped(), 48u);
-    bus.unsubscribe(fast);
-    bus.unsubscribe(slow);
+    std::vector<svc::CampaignRegistry::Frame> frames;
+    EXPECT_TRUE(session.next(frames, std::chrono::milliseconds(0)));
+    std::vector<std::string> out;
+    for (const svc::CampaignRegistry::Frame &frame : frames)
+        out.push_back(*frame);
+    return out;
 }
 
-TEST(ProgressBus, CloseUnblocksBlockedConsumer)
+svc::StatusInfo
+streamStatus(const svc::CampaignRegistry &registry)
 {
-    svc::ProgressBus bus;
-    auto sub = bus.subscribe();
+    svc::StatusInfo info;
+    registry.streamStatus(info);
+    return info;
+}
+
+} // namespace
+
+TEST(LiveStream, FastSessionSeesEveryEventInOrder)
+{
+    svc::CampaignRegistry registry;
+    {
+        svc::CampaignRegistry::Session session(registry);
+        EXPECT_EQ(streamStatus(registry).sseSubscribers, 1u);
+        // Four ring-fulls, each read before the next is recorded.
+        for (std::size_t round = 0; round < 4; ++round) {
+            for (std::size_t n = round * kRing; n < (round + 1) * kRing;
+                 ++n)
+                record(registry, n);
+            EXPECT_EQ(readNow(session),
+                      framesOf(round * kRing, (round + 1) * kRing));
+        }
+    }
+    const svc::StatusInfo info = streamStatus(registry);
+    EXPECT_EQ(info.eventsPublished, 4 * kRing);
+    EXPECT_EQ(info.eventsDropped, 0u);
+    EXPECT_EQ(info.sseSubscribers, 0u);
+}
+
+TEST(LiveStream, SlowSessionKeepsNewestAndCountsLossesBeforeReading)
+{
+    svc::CampaignRegistry registry;
+    {
+        svc::CampaignRegistry::Session slow(registry);
+        for (std::size_t n = 0; n < 3 * kRing; ++n)
+            record(registry, n);
+        // Counted as the ring overwrote them, before any read.
+        EXPECT_EQ(streamStatus(registry).eventsDropped, 2 * kRing);
+        // Freshest-wins: the survivors are the ring's newest events.
+        EXPECT_EQ(readNow(slow), framesOf(2 * kRing, 3 * kRing));
+        EXPECT_EQ(streamStatus(registry).eventsDropped, 2 * kRing);
+    }
+    // The departed session's losses stay on the aggregate counter.
+    const svc::StatusInfo info = streamStatus(registry);
+    EXPECT_EQ(info.eventsDropped, 2 * kRing);
+    EXPECT_EQ(info.eventsPublished, 3 * kRing);
+}
+
+TEST(LiveStream, SlowSessionDoesNotStarveFastOne)
+{
+    svc::CampaignRegistry registry;
+    svc::CampaignRegistry::Session fast(registry);
+    svc::CampaignRegistry::Session slow(registry);
+    for (std::size_t round = 0; round < 4; ++round) {
+        for (std::size_t n = round * kRing; n < (round + 1) * kRing; ++n)
+            record(registry, n);
+        EXPECT_EQ(readNow(fast),
+                  framesOf(round * kRing, (round + 1) * kRing));
+    }
+    // Every loss is the slow session's: it read none of the 4 rings.
+    EXPECT_EQ(streamStatus(registry).eventsDropped, 3 * kRing);
+}
+
+TEST(LiveStream, CloseUnblocksWaitingSession)
+{
+    svc::CampaignRegistry registry;
+    svc::CampaignRegistry::Session session(registry);
     std::atomic<bool> returned{false};
     std::thread consumer([&] {
-        svc::BusEvent ev;
-        const bool got = sub->next(ev, std::chrono::seconds(30));
-        EXPECT_FALSE(got);
+        std::vector<svc::CampaignRegistry::Frame> frames;
+        EXPECT_FALSE(session.next(frames, std::chrono::seconds(30)));
+        EXPECT_TRUE(frames.empty());
         returned.store(true);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    bus.close();
+    registry.close();
     consumer.join();
     EXPECT_TRUE(returned.load());
-    EXPECT_TRUE(sub->closed());
-    // A closed bus rejects new subscriptions as already-closed.
-    auto late = bus.subscribe();
-    EXPECT_TRUE(late->closed());
+    // A session opened after close() is closed from the start.
+    svc::CampaignRegistry::Session late(registry);
+    std::vector<svc::CampaignRegistry::Frame> frames;
+    EXPECT_FALSE(late.next(frames, std::chrono::seconds(30)));
+}
+
+TEST(LiveStream, SessionSeesOnlyEventsRecordedAfterItOpens)
+{
+    svc::CampaignRegistry registry;
+    const std::size_t before = kRing + 10;
+    for (std::size_t n = 0; n < before; ++n)
+        record(registry, n);
+    svc::CampaignRegistry::Session session(registry);
+    EXPECT_TRUE(readNow(session).empty());
+    for (std::size_t n = before; n < before + 20; ++n)
+        record(registry, n);
+    EXPECT_EQ(readNow(session), framesOf(before, before + 20));
+    const svc::StatusInfo info = streamStatus(registry);
+    EXPECT_EQ(info.eventsPublished, before + 20);
+    EXPECT_EQ(info.eventsDropped, 0u);
 }
 
 // ---- live dashboard ------------------------------------------------------
@@ -532,8 +590,7 @@ TEST(Dashboard, CampaignListBytesForFinishedAndActiveCampaigns)
     // /api/campaigns straight off a registry fed by hand: one finished
     // campaign (with a failed point and an escaped name) and one still
     // streaming. The body is pinned byte for byte.
-    svc::ProgressBus bus;
-    svc::CampaignRegistry registry(bus);
+    svc::CampaignRegistry registry;
     auto job = [](campaign::JobSource source, bool ok) {
         campaign::JobResult j;
         j.summary.completed = ok;
@@ -561,7 +618,7 @@ TEST(Dashboard, CampaignListBytesForFinishedAndActiveCampaigns)
     registry.accepted(2, b, line);
     registry.point(2, job(campaign::JobSource::Disk, true), 1, line);
 
-    const svc::Dashboard dash(registry, bus, nullptr,
+    const svc::Dashboard dash(registry, nullptr,
                               [] { return svc::StatusInfo{}; });
     svc::HttpServer http(
         svc::parseAddress("tcp:127.0.0.1:0"),
@@ -725,8 +782,7 @@ class DashboardBytes : public ::testing::Test
   protected:
     DashboardBytes()
         : dir_(freshDir("tdm_dash_bytes")), store_(dir_),
-          registry_(bus_),
-          dash_(registry_, bus_, &store_, [] { return fixedStatus(); }),
+          dash_(registry_, &store_, [] { return fixedStatus(); }),
           http_(svc::parseAddress("tcp:127.0.0.1:0"),
                 [this](const svc::HttpRequest &req, svc::Socket &sock,
                        const std::atomic<bool> &stopping) {
@@ -767,7 +823,6 @@ class DashboardBytes : public ::testing::Test
 
     std::string dir_;
     svc::ResultStore store_;
-    svc::ProgressBus bus_;
     svc::CampaignRegistry registry_;
     svc::Dashboard dash_;
     svc::HttpServer http_;
@@ -954,12 +1009,12 @@ TEST(ServiceClientStatus, ReadsEveryMemberTheServerWrites)
         EXPECT_EQ(got.httpAddr, want.httpAddr);
         EXPECT_EQ(got.httpRequests, want.httpRequests);
         EXPECT_EQ(got.sseSubscribers, want.sseSubscribers);
-        EXPECT_EQ(got.busPublished, want.busPublished);
-        EXPECT_EQ(got.busDropped, want.busDropped);
+        EXPECT_EQ(got.eventsPublished, want.eventsPublished);
+        EXPECT_EQ(got.eventsDropped, want.eventsDropped);
         // Every counter the comparison covers has moved off zero.
         EXPECT_GT(want.store.bytes, 0u);
         EXPECT_EQ(want.httpRequests, 1u);
-        EXPECT_GT(want.busPublished, 0u);
+        EXPECT_GT(want.eventsPublished, 0u);
     }
     fs::remove_all(dir);
 }

@@ -391,8 +391,8 @@ TEST(ServiceProtocol, StatusLineIsPinned)
     info.httpAddr = "tcp:127.0.0.1:8080";
     info.httpRequests = 17;
     info.sseSubscribers = 2;
-    info.busPublished = 40;
-    info.busDropped = 5;
+    info.eventsPublished = 40;
+    info.eventsDropped = 5;
     report::Text full;
     svc::writeStatus(full, info);
     EXPECT_EQ(full.str(),
